@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,24 +33,21 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-from .tolerances import DELTA_CLUSTER, TAU_ALG, TAU_EXT
+from .tolerances import DELTA_CLUSTER, TAU_ALG, TAU_EXT, TAU_RANK
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _null_space(a: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
+def _null_space(a: np.ndarray, cutoff: float = TAU_RANK) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of a.
 
     The cutoff is absolute; callers normalize their constraint rows so that
     genuine constraints have singular values of order one while round-off
-    noise stays many orders below the cutoff.
+    noise stays many orders below the cutoff.  ``a`` must have at least as
+    many rows as columns, or the thin SVD misses part of the null space.
     """
-    if a.shape[0] < a.shape[1]:
-        # pad with zero rows so the thin SVD still returns every right
-        # singular vector; a full SVD of a tall stack is far too costly
-        a = np.vstack([a, np.zeros((a.shape[1] - a.shape[0], a.shape[1]))])
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > cutoff))
     return adjoint(vh)[:, rank:]
@@ -171,6 +169,21 @@ class ProjectionFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def factors(self) -> tuple:
+        """(u, s, v, null): one SVD of the stacked member columns vec(P_i),
+        cut at the absolute TAU_RANK and kept on the family.
+
+        The columns equal u diag(s) v* on the kept rank, and the columns of
+        ``null`` are an orthonormal basis of the member relations
+        {c : sum c_i P_i = 0}.
+        """
+        cols = np.stack([_vec(p) for p in self.members], axis=1)
+        u, s, vh = np.linalg.svd(cols)
+        r = int(np.sum(s > TAU_RANK))
+        v = adjoint(vh)
+        return u[:, :r], s[:r], v[:, :r], v[:, r:]
+
     def validate(self) -> float:
         worst = 0.0
         for p in self.members:
@@ -185,12 +198,9 @@ class ProjectionFamily:
         if not self.members:
             return math.inf
         cols = np.stack([_vec(p) for p in self.members], axis=1)
-        worst = 0.0
-        for b in self.algebra.basis:
-            target = _vec(b)
-            coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
-            worst = max(worst, float(np.linalg.norm(cols @ coeffs - target)))
-        return worst
+        targets = np.stack([_vec(b) for b in self.algebra.basis], axis=1)
+        coeffs, *_ = np.linalg.lstsq(cols, targets, rcond=None)
+        return float(np.linalg.norm(cols @ coeffs - targets, axis=0).max())
 
 
 def enumerate_projections_abelian(w: VonNeumannAlgebra) -> ProjectionFamily:
@@ -254,31 +264,23 @@ def _spans(members: list[np.ndarray], w: VonNeumannAlgebra) -> bool:
 def decompose_over_family(
     family: ProjectionFamily, a: np.ndarray, tol: float = TAU_ALG
 ) -> np.ndarray:
-    """Least-squares coordinates of ``a`` over the family members."""
-    cols = np.stack([_vec(p) for p in family.members], axis=1)
-    target = _vec(require_square(a))
-    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    resid = float(np.linalg.norm(cols @ coeffs - target))
-    if resid > tol * (1.0 + frob_norm(a)):
-        raise NotInSpan(f"decomposition residual {resid:.3e}")
-    return coeffs
+    """Minimum-norm coordinates over the members of ``a``, or of each matrix
+    in an (n, d, d) stack ``a`` (one column of the result per matrix).
 
-
-def _pivot_decompose(family: ProjectionFamily, a: np.ndarray) -> np.ndarray:
-    """A second, independent decomposition over a pivoted independent subset."""
-    cols = np.stack([_vec(p) for p in family.members], axis=1)
-    # Greedy pivoting: grow an independent subset in member order.
-    chosen: list[int] = []
-    for j in range(cols.shape[1]):
-        trial = cols[:, chosen + [j]]
-        if np.linalg.matrix_rank(trial, tol=1e-10) > len(chosen):
-            chosen.append(j)
-    sub = cols[:, chosen]
-    coeffs, *_ = np.linalg.lstsq(sub, _vec(a), rcond=None)
-    full = np.zeros(cols.shape[1], dtype=np.complex128)
-    for c, j in zip(coeffs, chosen):
-        full[j] = c
-    return full
+    The family's pseudo-inverse is applied factor by factor, since forming
+    it first loses digits to 1/s on ill-conditioned families.  Raises
+    NotInSpan when a target is farther than ``tol`` from the span.
+    """
+    single = np.ndim(a) == 2
+    stack = require_square(a)[None] if single else a
+    flat = stack.reshape(len(stack), -1).T
+    u, s, v, _ = family.factors
+    proj = adjoint(u) @ flat
+    coeffs = v @ (proj / s[:, None])
+    resid = np.linalg.norm(flat - u @ proj, axis=0)
+    if np.any(resid > tol * (1.0 + np.linalg.norm(flat, axis=0))):
+        raise NotInSpan(f"decomposition residual {max(resid):.3e}")
+    return coeffs[:, 0] if single else coeffs
 
 
 def linear_extend(
@@ -287,34 +289,26 @@ def linear_extend(
     a: np.ndarray,
     tol: float = TAU_EXT,
 ) -> np.ndarray:
-    """Extend P_i -> assignment[i] linearly to ``a`` in the family's span.
+    """Extend P_i -> assignment[i] linearly to ``a`` in the family's span,
+    or to each matrix of an (n, d, d) stack ``a``.
 
-    Two independent decompositions of ``a`` are compared; a disagreement
-    beyond ``tol`` means the assignment violates the linear-relation
-    condition and InconsistentAssignment is raised.
+    The extension is well defined exactly when the assignment sends every
+    member relation sum c_i P_i = 0 to zero; a violation beyond ``tol``
+    raises InconsistentAssignment.  Any two coordinate vectors of ``a``
+    differ by such a relation, so the value is the contraction of the
+    assignment with the minimum-norm coordinates of ``a``.
     """
     if len(assignment) != len(family.members):
         raise ShapeMismatch("assignment length != family size")
-    # Every linear relation among the members must be respected by the
-    # assignment, including relations no decomposition of ``a`` touches.
-    cols = np.stack([_vec(p) for p in family.members], axis=1)
-    for v in _null_space(cols).T:
-        viol = sum(c * x for c, x in zip(v, assignment))
-        scale = 1.0 + max(frob_norm(x) for x in assignment)
-        if frob_norm(viol) > tol * scale:
-            raise InconsistentAssignment(
-                f"assignment breaks a member relation by {frob_norm(viol):.3e}"
-            )
-    c1 = decompose_over_family(family, a)
-    c2 = _pivot_decompose(family, a)
-    out1 = sum(c * x for c, x in zip(c1, assignment))
-    out2 = sum(c * x for c, x in zip(c2, assignment))
-    scale = 1.0 + max(frob_norm(out1), frob_norm(out2))
-    if frob_norm(out1 - out2) > tol * scale:
+    values = np.stack(assignment)
+    null = family.factors[-1]
+    viol = np.tensordot(null.T, values, axes=(1, 0))
+    worst = max(np.linalg.norm(viol, axis=(1, 2)), default=0.0)
+    if worst > tol * (1.0 + max(np.linalg.norm(values, axis=(1, 2)))):
         raise InconsistentAssignment(
-            f"two decompositions disagree by {frob_norm(out1 - out2):.3e}"
+            f"assignment breaks a member relation by {worst:.3e}"
         )
-    return out1
+    return np.tensordot(decompose_over_family(family, a), values, axes=(0, 0))
 
 
 @dataclass(frozen=True)

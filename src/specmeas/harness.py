@@ -486,7 +486,7 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
             frob_norm(g - w) for g, w in zip(got, want)
         )
         checks.append(_entry(
-            f"reconstruction[{x}]", resid, 1e-7 * (1.0 + frob_norm(want[0])),
+            f"reconstruction[{x}]", resid, TAU_EXT * (1.0 + frob_norm(want[0])),
         ))
     # (5) normalization
     checks.append(_entry(

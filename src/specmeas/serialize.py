@@ -74,6 +74,12 @@ def measure_from_doc(doc: dict):
         total = matrix_from_doc(doc["total"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed measure document: {exc}") from exc
+    shapes = {m.shape for m in (*atoms.values(), total)}
+    if len(shapes) != 1 or any(rows != cols for rows, cols in shapes):
+        raise InvalidDocument(
+            f"measure matrices must be square and of one dimension, got "
+            f"shapes {sorted(shapes)}"
+        )
     e = SpectralMeasure(space=space, atoms=atoms, total=total)
     return e, e.validate()
 

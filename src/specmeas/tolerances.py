@@ -13,5 +13,6 @@ DELTA_CLUSTER = 1e-7  # eigenvalue clustering gap, relative to 1 + op norm
 TAU_PSD = 1e-9      # allowed negative slack on eigenvalues of psd matrices
 TAU_ALG = 1e-8      # algebra membership / closure residuals
 TAU_EXT = 1e-7      # linear-extension well-definedness disagreement
+TAU_RANK = 1e-10    # absolute singular-value cutoff for rank and null spaces
 TAU_MEAS = 1e-9     # measure regularity deficit
 TAU_LIM = 1e-5      # limiting-sequence limit agreement

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import algebra, linalg
+from specmeas import algebra, harness, linalg, nnsm
 from specmeas.errors import (
     InconsistentAssignment,
     NotCommuting,
@@ -11,6 +11,7 @@ from specmeas.errors import (
     NotNormal,
     TooLarge,
 )
+from specmeas.tolerances import TAU_EXT, TAU_RANK
 
 
 def diag_algebra(n: int) -> algebra.VonNeumannAlgebra:
@@ -87,6 +88,88 @@ def test_linear_extend_consistent_and_inconsistent():
     bad[zero_idx] = np.array([[1.0]], dtype=complex)
     with pytest.raises(InconsistentAssignment):
         algebra.linear_extend(fam, bad, a)
+
+
+def _lstsq_reference(fam, a):
+    """Minimum-norm coordinates by lstsq, on the family's rank cutoff."""
+    cols = np.stack([p.reshape(-1) for p in fam.members], axis=1)
+    s_max = np.linalg.svd(cols, compute_uv=False)[0]
+    coeffs, *_ = np.linalg.lstsq(cols, a.reshape(-1), rcond=TAU_RANK / s_max)
+    return coeffs
+
+
+def _families():
+    for h in range(1, 5):
+        for n_gens in (1, 2):
+            rng = np.random.default_rng(10 * h + n_gens)
+            gens = [linalg.random_hermitian(rng, h) for _ in range(n_gens)]
+            w = algebra.bicommutant(gens, h)
+            yield algebra.sample_projections(w, n=10, seed=h), rng
+    fam = algebra.enumerate_projections_abelian(diag_algebra(3))
+    assert len(fam) == 8 and fam.factors[-1].shape[1] == 5
+    yield fam, np.random.default_rng(3)
+
+
+def test_factored_extension_matches_lstsq_reference():
+    for fam, rng in _families():
+        w = fam.algebra
+        h = w.ambient_dim
+        a = sum(
+            complex(rng.standard_normal(), rng.standard_normal()) * b
+            for b in w.basis
+        )
+        # P -> X P X* is linear, so it respects every member relation
+        x = rng.standard_normal((3, h)) + 1j * rng.standard_normal((3, h))
+        assignment = [x @ p @ linalg.adjoint(x) for p in fam.members]
+        ref = _lstsq_reference(fam, a)
+        coeffs = algebra.decompose_over_family(fam, a)
+        assert np.abs(coeffs - ref).max() <= 1e-12
+        value = algebra.linear_extend(fam, assignment, a)
+        want = sum(c * v for c, v in zip(ref, assignment))
+        assert np.abs(value - want).max() <= 1e-12
+        assert linalg.frob_norm(value - x @ a @ linalg.adjoint(x)) <= 1e-9
+
+
+def test_relation_violation_threshold():
+    fam = algebra.enumerate_projections_abelian(diag_algebra(3))
+    values = [p.copy() for p in fam.members]
+    scale = 1.0 + max(linalg.frob_norm(v) for v in values)
+    relation = fam.factors[-1][:, 0]  # unit norm: sum relation_i P_i = 0
+    unit = np.zeros((3, 3), dtype=complex)
+    unit[0, 1] = 1.0
+    a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+
+    def bumped(size):
+        # moves the relation's image by exactly ``size`` and leaves every
+        # relation orthogonal to it untouched
+        return [v + size * np.conj(c) * unit for v, c in zip(values, relation)]
+
+    algebra.linear_extend(fam, bumped(0.5 * TAU_EXT * scale), a)
+    with pytest.raises(InconsistentAssignment):
+        algebra.linear_extend(fam, bumped(2.0 * TAU_EXT * scale), a)
+
+
+def test_assembly_takes_one_svd_per_family(monkeypatch):
+    scenario = harness.gen_scenario("B", 0, harness.Caps())
+    oracle = scenario.payload["oracle"]
+    assert oracle.w1.ambient_dim == 4 and oracle.w1.dim == 16
+    fam = algebra.sample_projections(oracle.w1, n=10, seed=3)
+    fm = nnsm.FamilyMeasures(
+        family=fam, measures=tuple(oracle.measure_for(p) for p in fam.members),
+    )
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(algebra.np.linalg, "svd", counting_svd)
+    rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
+    nnsm.assemble_from_family(fm, oracle.w1)
+    assert len(calls) == 1
+    for x, want in oracle.atom_images.items():
+        assert np.abs(rebuilt.atom_images[x] - want).max() <= 1e-8
 
 
 def test_limiting_sequence_identity():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,3 +107,22 @@ def test_fuzz_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "fuzz", "--kinds", "q", "--seconds", "0.1")
     assert code == 2
     assert "unknown kind" in err
+
+
+def test_check_measure_unequal_atom_dims_no_traceback(tmp_path):
+    # one 2x2 and one 3x3 atom: rejected as an invalid document, not a crash
+    doc = {
+        "space": {"kind": "finite", "labels": [0, 1]},
+        "atoms": [[0, serialize.matrix_to_doc(np.diag([1.0, 0.0]))],
+                  [1, serialize.matrix_to_doc(np.diag([0.0, 1.0, 0.0]))]],
+        "total": serialize.matrix_to_doc(np.eye(2)),
+    }
+    path = tmp_path / "mixed.json"
+    serialize.dump(doc, path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specmeas.cli", "check-measure", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "document[InvalidDocument]" in proc.stderr
