@@ -58,7 +58,7 @@ class VonNeumannAlgebra:
     """*-closed unital matrix algebra with a trace-orthonormal basis.
 
     The basis is orthonormal with respect to <A,B> = tr(B* A), so projecting
-    onto the span is a single inner-product pass.
+    onto the span is a single product with the stacked basis matrix.
     """
 
     ambient_dim: int
@@ -69,24 +69,39 @@ class VonNeumannAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coefficients(self, a: np.ndarray, tol: float = TAU_ALG) -> np.ndarray:
-        """Coordinates of ``a`` in the basis; raises NotInSpan beyond ``tol``."""
-        a = require_square(a)
-        if a.shape[0] != self.ambient_dim:
-            raise ShapeMismatch(
-                f"expected dim {self.ambient_dim}, got {a.shape[0]}"
-            )
-        coeffs = np.array([np.vdot(_vec(b), _vec(a)) for b in self.basis])
-        resid = self.membership_residual(a, coeffs)
-        if resid > tol * (1.0 + frob_norm(a)):
-            raise NotInSpan(f"membership residual {resid:.3e}")
-        return coeffs
+    @cached_property
+    def basis_matrix(self) -> np.ndarray:
+        """(dim, d^2) matrix whose rows are the vectorized basis elements."""
+        return np.array([_vec(b) for b in self.basis], dtype=np.complex128).reshape(
+            self.dim, self.ambient_dim**2
+        )
 
-    def membership_residual(self, a: np.ndarray, coeffs=None) -> float:
-        if coeffs is None:
-            coeffs = np.array([np.vdot(_vec(b), _vec(a)) for b in self.basis])
-        proj = sum(c * b for c, b in zip(coeffs, self.basis))
-        return frob_norm(a - proj)
+    def _project(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of the rows of ``flat`` and their distances to the span."""
+        coeffs = flat @ self.basis_matrix.conj().T
+        return coeffs, np.linalg.norm(flat - coeffs @ self.basis_matrix, axis=-1)
+
+    def coefficients(self, a: np.ndarray, tol: float = TAU_ALG) -> np.ndarray:
+        """Coordinates of ``a`` in the basis, or of each matrix in an
+        (n, d, d) stack ``a`` (one row of the result per matrix).
+
+        Raises NotInSpan when a target is farther than ``tol`` from the span.
+        """
+        single = np.ndim(a) == 2
+        stack = require_square(a)[None] if single else np.asarray(a)
+        if stack.shape[1:] != (self.ambient_dim, self.ambient_dim):
+            raise ShapeMismatch(
+                f"expected dim {self.ambient_dim}, got shape {stack.shape[1:]}"
+            )
+        flat = stack.reshape(len(stack), -1)
+        coeffs, resid = self._project(flat)
+        # written so that a NaN residual (a non-finite stack) fails as well
+        if not np.all(resid <= tol * (1.0 + np.linalg.norm(flat, axis=1))):
+            raise NotInSpan(f"membership residual {max(resid):.3e}")
+        return coeffs[0] if single else coeffs
+
+    def membership_residual(self, a: np.ndarray) -> float:
+        return float(self._project(_vec(a))[1])
 
     def contains(self, a: np.ndarray, tol: float = TAU_ALG) -> bool:
         return self.membership_residual(as_matrix(a)) <= tol * (1.0 + frob_norm(a))

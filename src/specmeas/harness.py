@@ -47,7 +47,14 @@ from .nnsm import (
     condition3_check,
     integrate,
 )
-from .tolerances import TAU_EXT, TAU_RECON
+from .tolerances import (
+    TAU_EXACT,
+    TAU_EXT,
+    TAU_IDENTITY,
+    TAU_MATCH,
+    TAU_NORM_SLACK,
+    TAU_RECON,
+)
 
 MAX_H_DIM = 4
 MAX_K_DIM = 16
@@ -421,7 +428,7 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
     for i, j in enumerate(order):
         vals_i, proj_i = atlas.points[j]
         match = [p for v, p in atlas.points
-                 if max(abs(a - b) for a, b in zip(v, vals_i)) < 1e-6]
+                 if max(abs(a - b) for a, b in zip(v, vals_i)) < TAU_MATCH]
         resid = frob_norm(match[0] - proj_i) if match else 1.0
         checks.append(_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
     return _finish(scenario, checks, t0)
@@ -522,7 +529,7 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
 def _identity_index(fam: ProjectionFamily) -> int:
     eye = np.eye(fam.algebra.ambient_dim)
     for i, p in enumerate(fam.members):
-        if frob_norm(p - eye) <= 1e-10:
+        if frob_norm(p - eye) <= TAU_IDENTITY:
             return i
     raise SpecmeasError("family lacks the identity")
 
@@ -572,7 +579,7 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         ok, rhs = blocks.spectral_integral_apply(f, model, x)
         resid = lhs.sub(rhs).norm() if ok else 1.0
         checks.append(_entry(
-            f"represent[x{t}]", resid, 1e-12 * (1.0 + lhs.norm()),
+            f"represent[x{t}]", resid, TAU_EXACT * (1.0 + lhs.norm()),
         ))
     # (iv) compact support of E_{x,x} inside the membership witness
     for t in range(4):
@@ -649,7 +656,7 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         k = borel(model.space, witness)
         y = blocks.truncation_projection(model, k, x)
         checks.append(_entry(
-            f"support-containment[x{t}]", x.sub(y).norm(), 1e-12,
+            f"support-containment[x{t}]", x.sub(y).norm(), TAU_EXACT,
         ))
     # (5) representation check on D0
     for t in range(6):
@@ -659,7 +666,7 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         rhs = blocks.i_m_apply(field_, model, x)
         checks.append(_entry(
             f"represent[x{t}]", lhs.sub(rhs).norm(),
-            1e-12 * (1.0 + lhs.norm()),
+            TAU_EXACT * (1.0 + lhs.norm()),
         ))
     # (6) domain inclusion: ||rho(b (x) A)x|| <= ||A|| ||rho(b (x) id)x||
     for t in range(4):
@@ -762,7 +769,7 @@ def characterization_reports(
     deltas = _some_sets(oracle.space, rng, 4)
     rep2 = condition2_check(fm, deltas)
     for name, k in rep2.per_set:
-        checks.append(_entry(f"condition2[{name}]", k, 1.0 + 1e-9))
+        checks.append(_entry(f"condition2[{name}]", k, 1.0 + TAU_NORM_SLACK))
     for t in range(tuples):
         p = fam.members[int(rng.integers(len(fam.members)))]
         q = fam.members[int(rng.integers(len(fam.members)))]

@@ -22,7 +22,7 @@ from .algebra import (
 from .errors import AlgebraMismatch, InfiniteSet, NotSpanning
 from .linalg import adjoint, frob_norm, require_square, star_decompose
 from .measure import BorelSet, DiscreteSpace, SpectralMeasure, borel, support
-from .tolerances import TAU_EXT, TAU_LIM, TAU_PROJ, TAU_RECON
+from .tolerances import RESIDUAL_FLOOR, TAU_EXT, TAU_LIM, TAU_PROJ, TAU_RECON
 
 
 @dataclass(frozen=True)
@@ -30,21 +30,36 @@ class NonNegSpectralMeasure:
     """Atomic non-negative spectral measure M: Bor(X) -> B(W1, B(K)).
 
     ``atom_images[x]`` is an array of shape (dim W1, k, k): the image under
-    Phi_x of each basis element of W1.  Phi_x on a general A is then a plain
-    contraction against A's coordinates.
+    Phi_x of each basis element of W1.  Construction stacks them once, in
+    the dict's order, into ``images`` of shape (n_atoms, dim W1, k, k) with
+    ``labels[i]`` the atom of ``images[i]``; ``atom_images`` must not be
+    mutated afterwards, or the stack goes stale.  Phi_x(A) for every atom at
+    once is then one contraction of A's coordinates against the stack.
     """
 
     space: DiscreteSpace
     w1: VonNeumannAlgebra
     target_dim: int
     atom_images: dict = field(default_factory=dict)
+    labels: tuple = field(init=False, repr=False, compare=False)
+    images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        shape = (self.w1.dim, self.target_dim, self.target_dim)
         for x, imgs in self.atom_images.items():
-            if imgs.shape != (self.w1.dim, self.target_dim, self.target_dim):
+            if imgs.shape != shape:
                 raise AlgebraMismatch(
                     f"atom {x!r} images have shape {imgs.shape}"
                 )
+        images = np.array(
+            list(self.atom_images.values()), dtype=np.complex128
+        ).reshape((len(self.atom_images),) + shape)
+        object.__setattr__(self, "labels", tuple(self.atom_images))
+        object.__setattr__(self, "images", images)
+
+    def _values(self, a: np.ndarray) -> np.ndarray:
+        """Phi_x(A) for every stored atom x, as an (n_atoms, k, k) stack."""
+        return np.tensordot(self.w1.coefficients(a), self.images, axes=(0, 1))
 
     def apply(self, label, a: np.ndarray) -> np.ndarray:
         """Phi_x(A) for A in W1."""
@@ -56,26 +71,19 @@ class NonNegSpectralMeasure:
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
         """The compression M_P as a SpectralMeasure."""
-        atoms = {x: self.apply(x, p) for x in self.atom_images}
-        total = sum(
-            atoms.values(),
-            np.zeros((self.target_dim, self.target_dim), dtype=np.complex128),
+        values = self._values(p)
+        return SpectralMeasure(
+            space=self.space, atoms=dict(zip(self.labels, values)),
+            total=values.sum(axis=0),
         )
-        return SpectralMeasure(space=self.space, atoms=atoms, total=total)
 
     def m_a(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
         """M_A(Delta) = sum over atoms in Delta of Phi_x(A)."""
-        out = np.zeros((self.target_dim, self.target_dim), dtype=np.complex128)
-        for x in self.atom_images:
-            if x in delta:
-                out += self.apply(x, a)
-        return out
+        inside = np.array([x in delta for x in self.labels], dtype=float)
+        return np.tensordot(inside, self._values(a), axes=1)
 
     def total_of_identity(self) -> np.ndarray:
-        out = np.zeros((self.target_dim, self.target_dim), dtype=np.complex128)
-        for x in self.atom_images:
-            out += self.apply(x, self.w1.identity())
-        return out
+        return self._values(self.w1.identity()).sum(axis=0)
 
     @property
     def normalized(self) -> bool:
@@ -151,7 +159,11 @@ class FamilyMeasures:
             raise AlgebraMismatch("one measure per family member required")
 
     def extend_at(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
-        """E_A(Delta) by linear extension over the family (exact route)."""
+        """E_A(Delta) by linear extension over the family (exact route), or
+        E_A(Delta) for each matrix of an (n, d, d) stack ``a``.
+
+        The assignment P_i -> E_P_i(Delta) is evaluated once per call.
+        """
         from .measure import evaluate
 
         assignment = [evaluate(e, delta) for e in self.measures]
@@ -332,15 +344,9 @@ def condition3_check(
     parts = star_decompose(p @ q)
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]
     signs = [1.0, -1.0, 1.0j, -1.0j]
-    residuals = []
     ells = sorted({1, 2, 4, 8, 16, 32, ell_max, ell_max // 2} - {0})
-    k = fam.measures[0].total.shape[0]
-    for ell in ells:
-        rhs = np.zeros((k, k), dtype=np.complex128)
-        for sign, seq in zip(signs, seqs):
-            for zeta, r_proj in seq.term(ell):
-                rhs += sign * zeta * fam.extend_at(r_proj, inter)
-        residuals.append((ell, frob_norm(lhs - rhs)))
+    sums = _riemann_sums(fam, list(zip(signs, seqs)), ells, inter)
+    residuals = [(ell, frob_norm(lhs - rhs)) for ell, rhs in zip(ells, sums)]
     dim = family.algebra.ambient_dim
     bound = 10.0 * (1.0 + dim) / ell_max
     final = residuals[-1][1]
@@ -352,6 +358,28 @@ def condition3_check(
     )
 
 
+def _riemann_sums(
+    fam: FamilyMeasures, weighted_seqs: list, ells: list, delta: BorelSet
+) -> np.ndarray:
+    """For each ell, the Riemann sum over (w, seq) in ``weighted_seqs`` and
+    over the cells (zeta, R) of seq.term(ell) of w * zeta * E_R(Delta).
+
+    Every cell of every ell is extended in one ``extend_at`` call, so the
+    assignment is evaluated once; the result has shape (len(ells), k, k).
+    """
+    cells = [
+        (i, w * zeta, r_proj)
+        for i, ell in enumerate(ells)
+        for w, seq in weighted_seqs
+        for zeta, r_proj in seq.term(ell)
+    ]
+    weights = np.zeros((len(ells), len(cells)), dtype=np.complex128)
+    for j, (i, w, _) in enumerate(cells):
+        weights[i, j] = w
+    values = fam.extend_at(np.stack([r for _, _, r in cells]), delta)
+    return np.tensordot(weights, values, axes=1)
+
+
 def _family_index(family: ProjectionFamily, p: np.ndarray) -> int:
     for i, member in enumerate(family.members):
         if member.shape == p.shape and frob_norm(member - p) <= TAU_PROJ:
@@ -361,7 +389,7 @@ def _family_index(family: ProjectionFamily, p: np.ndarray) -> int:
 
 def _fit_decay_rate(residuals) -> float:
     """Slope of -log(residual) vs log(ell); inf when already at round-off."""
-    pts = [(ell, r) for ell, r in residuals if r > 1e-12]
+    pts = [(ell, r) for ell, r in residuals if r > RESIDUAL_FLOOR]
     if len(pts) < 2:
         return float("inf")
     xs = np.log([ell for ell, _ in pts])
@@ -395,7 +423,7 @@ def assemble_from_family(
         space=space, w1=w1, target_dim=k, atom_images=atom_images
     )
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
-    member_coeffs = np.stack([w1.coefficients(p) for p in family.members])
+    member_coeffs = w1.coefficients(np.stack(family.members))
     for x, imgs in atom_images.items():
         want = np.stack([e.atom(x) for e in fam.measures])
         got = np.tensordot(member_coeffs, imgs, axes=(1, 0))
@@ -418,37 +446,36 @@ def extension_by_limit(
     value is FamilyMeasures.extend_at, and the two agree within TAU_LIM.
     """
     seq = limiting_sequence(a, ell_max=1, zeta_rule=zeta_rule)
-    k = fam.measures[0].total.shape[0]
-    out = np.zeros((k, k), dtype=np.complex128)
-    for zeta, r_proj in seq.term(ell):
-        out += zeta * fam.extend_at(r_proj, delta)
-    return out
+    return _riemann_sums(fam, [(1.0, seq)], [ell], delta)[0]
 
 
 def integrate(
     m: NonNegSpectralMeasure, field_: OperatorField, delta: BorelSet
 ) -> np.ndarray:
-    """Integral of an operator field: sum_i sum_{x in Delta} f_i(x) Phi_x(A_i)."""
+    """Integral of an operator field: sum_i sum_{x in Delta} f_i(x) Phi_x(A_i).
+
+    The scalars f_i are evaluated on the stored atoms in Delta only; the
+    coordinates of every A_i come from one stacked ``coefficients`` call, and
+    the weights sum_i f_i(x) c_i(A_i) meet the image stack in one contraction.
+    """
     if delta.cofinite:
         raise InfiniteSet("bounded integration needs a finite set")
-    out = np.zeros((m.target_dim, m.target_dim), dtype=np.complex128)
-    for f, a in field_.terms:
-        coeffs = m.w1.coefficients(a)
-        for x, imgs in m.atom_images.items():
-            if x in delta:
-                out += complex(f(x)) * np.tensordot(coeffs, imgs, axes=(0, 0))
-    return out
+    inside = [i for i, x in enumerate(m.labels) if x in delta]
+    fvals = np.array(
+        [[complex(f(m.labels[i])) for i in inside] for f, _ in field_.terms],
+        dtype=np.complex128,
+    )
+    coeffs = m.w1.coefficients(np.stack([a for _, a in field_.terms]))
+    return np.tensordot(
+        fvals.T @ coeffs, m.images[inside], axes=([0, 1], [0, 1])
+    )
 
 
 def positivity_deficit(m: NonNegSpectralMeasure, a: np.ndarray) -> float:
     """Most negative eigenvalue over atoms of Phi_x(A) for positive A."""
-    worst = 0.0
-    for x in m.atom_images:
-        val = m.apply(x, a)
-        val = (val + adjoint(val)) / 2.0
-        lo = float(np.linalg.eigvalsh(val)[0])
-        worst = min(worst, lo)
-    return -worst
+    values = m._values(a)
+    herm = (values + np.conj(np.swapaxes(values, 1, 2))) / 2.0
+    return -float(np.linalg.eigvalsh(herm)[:, 0].min(initial=0.0))
 
 
 def support_nnsm(m: NonNegSpectralMeasure) -> BorelSet:

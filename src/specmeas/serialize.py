@@ -13,9 +13,10 @@ import numpy as np
 
 from .algebra import VonNeumannAlgebra, bicommutant
 from .errors import InvalidDocument
-from .linalg import as_matrix
+from .linalg import as_matrix, frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import NonNegSpectralMeasure
+from .tolerances import TAU_ALG
 
 
 def matrix_to_doc(a: np.ndarray) -> dict:
@@ -135,11 +136,28 @@ def nnsm_from_doc(doc: dict):
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
+    _require_orthonormal_basis(w1)
     m = NonNegSpectralMeasure(
         space=space, w1=w1, target_dim=target_dim, atom_images=atom_images
     )
     e_id = m.measure_for(m.w1.identity())
     return m, e_id.validate()
+
+
+def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
+    """Coordinates are inner products with the basis, so a W1 basis must be
+    trace-orthonormal: its Gram matrix must be the identity within TAU_ALG."""
+    shape = (w1.ambient_dim, w1.ambient_dim)
+    bad = [b.shape for b in w1.basis if b.shape != shape]
+    if bad:
+        raise InvalidDocument(f"W1 basis matrices must be {shape}, got {bad}")
+    basis = w1.basis_matrix
+    gap = frob_norm(basis.conj() @ basis.T - np.eye(w1.dim))
+    if gap > TAU_ALG:
+        raise InvalidDocument(
+            f"W1 basis is not trace-orthonormal: its Gram matrix is "
+            f"{gap:.3e} from the identity"
+        )
 
 
 def block_model_to_doc(model) -> dict:

@@ -16,3 +16,8 @@ TAU_EXT = 1e-7      # linear-extension well-definedness disagreement
 TAU_RANK = 1e-10    # absolute singular-value cutoff for rank and null spaces
 TAU_MEAS = 1e-9     # measure regularity deficit
 TAU_LIM = 1e-5      # limiting-sequence limit agreement
+TAU_MATCH = 1e-6    # joint-value tuples closer than this name the same atom
+TAU_IDENTITY = 1e-10  # Frobenius distance at which a member is the identity
+TAU_EXACT = 1e-12   # two routes that form the same finite sums must agree
+TAU_NORM_SLACK = 1e-9  # allowed excess of a witnessed norm bound over one
+RESIDUAL_FLOOR = 1e-12  # residuals at or below this are round-off

@@ -54,6 +54,38 @@ def test_membership_and_coefficients():
         w.coefficients(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def _m2_algebra():
+    e12 = np.zeros((2, 2), dtype=complex)
+    e12[0, 1] = 1.0
+    return algebra.bicommutant([e12], 2)
+
+
+@pytest.mark.parametrize("w", [diag_algebra(3), _m2_algebra()], ids=["diag3", "m2"])
+def test_stacked_coefficients_match_per_matrix_reference(w):
+    rng = np.random.default_rng(31)
+    stack = np.stack([
+        w.random_hermitian_element(rng) + 1j * w.random_hermitian_element(rng)
+        for _ in range(5)
+    ])
+    got = w.coefficients(stack)
+    assert got.shape == (5, w.dim)
+    for row, a in zip(got, stack):
+        want = np.array([np.vdot(b, a) for b in w.basis])
+        assert np.allclose(row, want, rtol=0, atol=1e-12)
+        assert np.allclose(w.coefficients(a), row, rtol=0, atol=1e-12)
+
+
+def test_stacked_coefficients_reject_one_matrix_off_the_span():
+    w = diag_algebra(2)
+    inside = np.diag([2.0, 3.0 + 1.0j])
+    off = np.array([[0, 1], [0, 0]], dtype=complex)
+    w.coefficients(np.stack([inside, inside]))
+    with pytest.raises(NotInSpan):
+        w.coefficients(np.stack([inside, off, inside]))
+    with pytest.raises(NotInSpan):
+        w.coefficients(np.stack([inside, np.full((2, 2), np.nan)]))
+
+
 def test_enumerate_projections_diag2():
     w = diag_algebra(2)
     fam = algebra.enumerate_projections_abelian(w)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from specmeas import cli, measure, serialize
+from specmeas import cli, harness, measure, serialize
 from specmeas.harness import Caps
 
 
@@ -126,3 +126,16 @@ def test_check_measure_unequal_atom_dims_no_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "document[InvalidDocument]" in proc.stderr
+
+
+def test_check_measure_rejects_non_orthonormal_w1_basis(capsys, tmp_path):
+    # basis and images both scaled by 2: every stored map is unchanged as a
+    # set of pairs, but coordinates read off the basis would be off by 4
+    doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 3).payload["oracle"])
+    for mat in doc["w1"]["basis"] + [img for _, imgs in doc["atom_maps"] for img in imgs]:
+        mat["data"] = [[2.0 * re, 2.0 * im] for re, im in mat["data"]]
+    path = tmp_path / "scaled.json"
+    serialize.dump(doc, path)
+    code, _, err = run(capsys, "check-measure", str(path))
+    assert code == 1
+    assert "document[InvalidDocument]" in err

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
 from specmeas.errors import InfiniteSet, NotSpanning
+from specmeas.tolerances import TAU_ALG
 
 from conftest import tensor_model
 
@@ -188,3 +189,111 @@ def test_tensor_model_product_rule_random(seed, h_dim, n_atoms):
     fam = family_for(m, seed=seed + 1)
     rep = nnsm.check_nnsm(m, fam, set_pairs=4, seed=seed)
     assert rep.passed
+
+
+# Per-atom reference loops for the stacked NNSM contractions: coordinates by
+# one vdot per basis element, then one weighted image sum per (term, atom).
+# The stacked routes sum in another order, so agreement is up to a tolerance
+# fixed from complex128 round-off on these O(10)-sized sums.
+REF_TOL = 1e-12
+
+
+def _ref_phi(m, x, a):
+    coeffs = [np.vdot(b, a) for b in m.w1.basis]
+    return sum(c * img for c, img in zip(coeffs, m.atom_images[x]))
+
+
+def _ref_integrate(m, field_, delta):
+    out = np.zeros((m.target_dim,) * 2, dtype=complex)
+    for f, a in field_.terms:
+        for x in m.atom_images:
+            if x in delta:
+                out += complex(f(x)) * _ref_phi(m, x, a)
+    return out
+
+
+def _close(got, want):
+    return linalg.frob_norm(got - want) <= REF_TOL * (1 + linalg.frob_norm(want))
+
+
+def _model_with_unstored_label(seed):
+    # label 3 belongs to the space but has no stored atom images
+    m, _, rng = tensor_model(seed=seed, n_atoms=3)
+    space = measure.DiscreteSpace(labels=(0, 1, 2, 3))
+    m = nnsm.NonNegSpectralMeasure(
+        space=space, w1=m.w1, target_dim=m.target_dim, atom_images=m.atom_images
+    )
+    return m, rng
+
+
+def _random_field(rng, m, n_terms):
+    terms = []
+    for _ in range(n_terms):
+        fv = {x: complex(*rng.standard_normal(2)) for x in m.space.points()}
+        a = m.w1.random_hermitian_element(rng) + 1j * m.w1.random_hermitian_element(rng)
+        terms.append((lambda y, fv=fv: fv[y], a))
+    return nnsm.OperatorField(terms=tuple(terms))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_nnsm_matches_per_atom_reference(seed):
+    m, rng = _model_with_unstored_label(seed)
+    sets = [measure.whole_space(m.space), measure.borel(m.space, {0, 2, 3}),
+            measure.borel(m.space, {3}), measure.borel(m.space, set())]
+    for delta in sets:
+        for n_terms in (1, 2, 4):
+            field_ = _random_field(rng, m, n_terms)
+            assert _close(nnsm.integrate(m, field_, delta),
+                          _ref_integrate(m, field_, delta))
+        a = m.w1.random_hermitian_element(rng)
+        want = sum((_ref_phi(m, x, a) for x in m.atom_images if x in delta),
+                   np.zeros((m.target_dim,) * 2, dtype=complex))
+        assert _close(m.m_a(a, delta), want)
+    p = algebra.sample_projections(m.w1, n=3, seed=seed).members[-1]
+    e_p = m.measure_for(p)
+    assert set(e_p.atoms) == {0, 1, 2}
+    for x in e_p.atoms:
+        assert _close(e_p.atoms[x], _ref_phi(m, x, p))
+    assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.atom_images))
+    assert linalg.frob_norm(m.apply(3, p)) == 0.0
+    assert _close(m.total_of_identity(), np.eye(m.target_dim))
+
+
+def test_integrate_makes_one_coefficients_call(monkeypatch):
+    m, rng = _model_with_unstored_label(seed=14)
+    shapes = []
+    original = algebra.VonNeumannAlgebra.coefficients
+
+    def counted(self, a, tol=TAU_ALG):
+        shapes.append(np.shape(a))
+        return original(self, a, tol)
+
+    monkeypatch.setattr(algebra.VonNeumannAlgebra, "coefficients", counted)
+    for n_terms in (1, 3, 7):
+        field_ = _random_field(rng, m, n_terms)
+        shapes.clear()
+        nnsm.integrate(m, field_, measure.borel(m.space, {1, 3}))
+        assert shapes == [(n_terms, m.w1.ambient_dim, m.w1.ambient_dim)]
+
+
+def test_condition3_matches_per_cell_reference():
+    # condition3_check extends every Riemann cell of every ell in one stacked
+    # extend_at call; the reference extends one cell at a time
+    m, _, _ = tensor_model(seed=6)
+    fam = family_for(m)
+    fm = family_measures(m, fam)
+    p, q = fam.members[2], fam.members[3]
+    d1 = measure.borel(m.space, {0, 1})
+    d2 = measure.borel(m.space, {1, 2})
+    rep = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
+    lhs = measure.evaluate(m.measure_for(p), d1) @ measure.evaluate(m.measure_for(q), d2)
+    seqs = [algebra.limiting_sequence(part, ell_max=64)
+            for part in linalg.star_decompose(p @ q)]
+    inter = d1.intersect(d2)
+    for ell, resid in rep.residual_by_ell:
+        rhs = sum(
+            sign * zeta * fm.extend_at(r_proj, inter)
+            for sign, seq in zip([1.0, -1.0, 1.0j, -1.0j], seqs)
+            for zeta, r_proj in seq.term(ell)
+        )
+        assert abs(linalg.frob_norm(lhs - rhs) - resid) <= 1e-10
