@@ -293,7 +293,8 @@ def decompose_over_family(
     proj = adjoint(u) @ flat
     coeffs = v @ (proj / s[:, None])
     resid = np.linalg.norm(flat - u @ proj, axis=0)
-    if np.any(resid > tol * (1.0 + np.linalg.norm(flat, axis=0))):
+    # written so that a NaN residual (a non-finite stack) fails as well
+    if not np.all(resid <= tol * (1.0 + np.linalg.norm(flat, axis=0))):
         raise NotInSpan(f"decomposition residual {max(resid):.3e}")
     return coeffs[:, 0] if single else coeffs
 

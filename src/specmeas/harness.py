@@ -602,11 +602,16 @@ def _unit_coeff(model):
 
 
 def _truncate_to_eps(coeffs, eps):
-    for horizon in range(1, len(coeffs) + 1):
-        member, tail = blocks.truncate_to_horizon(coeffs, None, horizon)
-        if tail <= eps:
-            return member, tail
-    return blocks.truncate_to_horizon(coeffs, None, len(coeffs))
+    """Truncate at the smallest horizon h >= 1 whose tail is within eps;
+    the tail norms of every h come from one reverse cumulative sum."""
+    count = len(coeffs)
+    mass = np.zeros(count + 1)  # blocks at or past count pool at the end
+    for n, v in coeffs.items():
+        mass[min(n, count)] += np.vdot(v, v).real
+    tails = np.sqrt(np.cumsum(mass[::-1])[::-1])
+    within = np.flatnonzero(tails[1:] <= eps)
+    horizon = int(within[0]) + 1 if within.size else count
+    return blocks.truncate_to_horizon(coeffs, None, horizon)
 
 
 def _random_domain_vector(rng, model, supp=3) -> blocks.DomainVector:
@@ -711,10 +716,9 @@ def _random_unbounded_field(rng, model) -> blocks.UnboundedField:
 
 
 def _rho_field(model, field_, x):
-    out = blocks.DomainVector({})
-    for f, a in field_.terms:
-        out = out.add(blocks.rho_apply(model, f, a, x))
-    return out
+    return blocks.vector_sum(
+        blocks.rho_apply(model, f, a, x) for f, a in field_.terms
+    )
 
 
 def _finish(scenario, checks, t0) -> VerificationReport:

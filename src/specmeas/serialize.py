@@ -137,6 +137,7 @@ def nnsm_from_doc(doc: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
     _require_orthonormal_basis(w1)
+    _require_atom_maps(space, w1, target_dim, atom_images)
     m = NonNegSpectralMeasure(
         space=space, w1=w1, target_dim=target_dim, atom_images=atom_images
     )
@@ -158,6 +159,19 @@ def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
             f"W1 basis is not trace-orthonormal: its Gram matrix is "
             f"{gap:.3e} from the identity"
         )
+
+
+def _require_atom_maps(space, w1, target_dim, atom_images) -> None:
+    """Every atom label lies in the space and maps each W1 basis element to
+    a target_dim x target_dim image."""
+    shape = (w1.dim, target_dim, target_dim)
+    for x, imgs in atom_images.items():
+        if x not in space:
+            raise InvalidDocument(f"atom label {x!r} not in the space")
+        if imgs.shape != shape:
+            raise InvalidDocument(
+                f"atom {x!r} images have shape {imgs.shape}, expected {shape}"
+            )
 
 
 def block_model_to_doc(model) -> dict:

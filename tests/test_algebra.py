@@ -316,3 +316,15 @@ def test_commutant_dimension_identity(seed, n):
     assert w.dim == n
     assert c.dim == n
     assert w.closure_residual() <= 1e-8
+
+
+def test_decompose_over_family_rejects_non_finite_stack():
+    fam = algebra.enumerate_projections_abelian(diag_algebra(3))
+    inside = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    algebra.decompose_over_family(fam, np.stack([inside, inside]))
+    with pytest.raises(NotInSpan):
+        algebra.decompose_over_family(
+            fam, np.stack([inside, np.full((3, 3), np.nan)])
+        )
+    with pytest.raises(NotInSpan), np.errstate(invalid="ignore"):
+        algebra.decompose_over_family(fam, np.full((1, 3, 3), np.inf))

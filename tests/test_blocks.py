@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, blocks, linalg, measure
+from specmeas.errors import ShapeMismatch
 
 
 def number_model(horizon: int = 32) -> blocks.BlockModel:
@@ -166,6 +167,10 @@ def test_d_alpha_fails_outside_k():
     rep = blocks.d_alpha_check(x, model, k, probes=40)
     assert rep.status == "fail"
     assert not rep.passed
+    # the probes are read off the generator table, which ends at the horizon
+    for n in (-1, model.horizon):
+        with pytest.raises(ShapeMismatch):
+            blocks.d_alpha_check(blocks.basis_vector(n, 1), model, k)
 
 
 def test_integrability_check():
@@ -179,6 +184,7 @@ def test_integrability_check():
     )
     rep = blocks.integrability_check(model, bad)
     assert not rep.passed
+    assert blocks.integrability_check(model, bad, horizon=0).passed  # no blocks
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,3 +211,230 @@ def test_domain_inclusion_bound(seed, n):
     lhs = blocks.rho_apply(model, f, a, x).norm()
     rhs = linalg.op_norm(a) * blocks.rho_apply(model, f, model.w.identity(), x).norm()
     assert lhs <= rhs + 1e-9 * (1 + rhs)
+
+
+# ---------------------------------------------------------------------------
+# array-native routes against per-point references
+
+
+def _psi_reference(f, a, model, x):
+    """psi(f, A) x the per-eigenpair way: split Re A and Im A into positive
+    parts, diagonalize each part again and add one rho_apply per eigenpair."""
+    out = blocks.DomainVector({})
+    re = (a + linalg.adjoint(a)) / 2.0
+    im = (a - linalg.adjoint(a)) / 2.0j
+    for h, unit in ((re, 1.0), (im, 1.0j)):
+        plus, minus = linalg.positive_negative_parts(h)
+        for part, sign in ((plus, unit), (minus, -unit)):
+            if linalg.frob_norm(part) == 0.0:
+                continue
+            for lam, proj in linalg.eig_hermitian(part).pairs:
+                if lam != 0.0:
+                    out = out.add(
+                        blocks.rho_apply(model, f, proj, x).scale(sign * lam))
+    return out
+
+
+def _psi_cases(rng, dim=3):
+    h = linalg.random_hermitian(rng, dim)
+    u = linalg.random_unitary(rng, dim)
+    # eigenvalues 1 and 1 + 1e-9 merge into one cluster; so do -2 and -2 - 1e-9
+    degen = u @ np.diag([1.0, 1.0 + 1e-9, -2.0]) @ linalg.adjoint(u)
+    degen_im = u @ np.diag([-2.0, -2.0 - 1e-9, 0.5]) @ linalg.adjoint(u)
+    g = linalg.random_complex(rng, dim, dim)
+    psd = g @ linalg.adjoint(g)
+    psd = (psd + linalg.adjoint(psd)) / 2.0  # exactly hermitian: Im A = 0
+    return {
+        "hermitian": h,
+        "skew-hermitian": 1j * h,
+        "degenerate": degen + 1j * degen_im,
+        "psd": psd,  # Re A has no negative part
+        "negative-imaginary": -1j * psd,
+        "general": g,
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_psi_matches_per_eigenpair_reference(seed):
+    model, rng = matrix_model(dim=3, seed=seed)
+    for name, a in _psi_cases(rng).items():
+        for gen in ("num", "decay"):
+            x = random_vector(rng, model, supp=4)
+            f = model.generators[gen]
+            got = blocks.psi_apply(f, a, model, x)
+            want = _psi_reference(f, a, model, x)
+            assert got.support == want.support, name
+            assert got.sub(want).norm() <= 1e-12 * (1.0 + want.norm()), name
+
+
+def test_psi_one_eig_per_nonzero_hermitian_part(monkeypatch):
+    model, rng = matrix_model(dim=3, seed=7)
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return linalg.eig_hermitian(a, *args, **kwargs)
+
+    monkeypatch.setattr(blocks, "eig_hermitian", counted)
+    cases = _psi_cases(rng)
+    # nonzero Hermitian parts (Re A, Im A) of each case
+    parts = {"hermitian": 1, "skew-hermitian": 1, "degenerate": 2, "psd": 1,
+             "negative-imaginary": 1, "general": 2}
+    x = random_vector(rng, model, supp=4)
+    for name, a in cases.items():
+        calls.clear()
+        blocks.psi_apply(model.generators["num"], a, model, x)
+        assert len(calls) == parts[name], name
+    calls.clear()
+    blocks.psi_apply(model.generators["num"], np.zeros((3, 3), complex), model, x)
+    assert calls == []
+    # a field: one decomposition per nonzero part of each matrix term
+    terms = tuple((model.generators["decay"], a) for a in cases.values())
+    calls.clear()
+    blocks.i_m_apply(blocks.UnboundedField(terms=terms), model, x)
+    assert len(calls) == sum(parts.values())
+
+
+def _unequal_scalar_model(horizon=12):
+    """Scalar C' model whose block dimensions vary (1, 2, 3, 1, 2, 3, ...)."""
+    return blocks.BlockModel(
+        space=measure.DiscreteSpace(horizon=horizon),
+        block_dims=tuple(1 + n % 3 for n in range(horizon)),
+        generators={"num": lambda n: float(n), "osc": lambda n: (-1.0) ** n,
+                    "rot": lambda n: np.exp(0.3j * n)},
+    )
+
+
+def _reference_models():
+    yield number_model(horizon=16)
+    yield _unequal_scalar_model()
+    yield matrix_model(dim=2, seed=11)[0]
+    yield matrix_model(dim=3, seed=12)[0]
+
+
+def _d_alpha_reference(x, model, k, probes, seed):
+    """(certified, residuals, status) with one per-point closure per probe."""
+    rng = np.random.default_rng(seed)
+    certified = not x.support or all(n in k for n in x.support)
+    names = sorted(model.generators)
+    norm_x = x.norm()
+    k_points = [n for n in range(model.horizon) if n in k]
+    residuals = []
+    for _ in range(probes):
+        poly = blocks._random_star_polynomial(rng, names, degree=2)
+
+        def f(n, poly=poly):
+            total = 0.0 + 0.0j
+            for coeff, factors in poly:
+                term = coeff
+                for name, conj in factors:
+                    v = model.generator_value(name, n)
+                    term *= np.conj(v) if conj else v
+                total += term
+            return total
+
+        unit = 1.0 + 0.0j if model.w is None else model.w.identity()
+        y = blocks.rho_apply(model, f, unit, x)
+        alpha = max((abs(f(n)) for n in k_points), default=0.0)
+        residuals.append(max(0.0, y.norm() - alpha * norm_x))
+    sampled_pass = all(r <= 1e-8 * (1.0 + norm_x) for r in residuals)
+    status = ("certified" if certified and sampled_pass
+              else "sampled-pass" if sampled_pass else "fail")
+    return certified, residuals, status
+
+
+def test_d_alpha_matches_per_point_reference():
+    rng = np.random.default_rng(21)
+    statuses = set()
+    for model in _reference_models():
+        for t in range(12):
+            x = random_vector(rng, model, supp=int(rng.integers(0, 4)))
+            k = measure.borel(model.space,
+                              [n for n in range(model.horizon) if rng.random() < 0.6])
+            rep = blocks.d_alpha_check(x, model, k, probes=10, seed=t)
+            certified, residuals, status = _d_alpha_reference(x, model, k, 10, t)
+            assert rep.certified == certified
+            assert rep.status == status
+            got = [r for _, r in rep.probe_residuals]
+            scale = 1.0 + x.norm() * max(1.0, max(residuals))
+            assert np.allclose(got, residuals, rtol=0.0, atol=1e-12 * scale)
+            statuses.add(status)
+    assert statuses == {"certified", "sampled-pass", "fail"}
+
+
+def _integrability_reference(model, field_):
+    """(worst_block, worst_residual, passed), one block action at a time."""
+    worst_block, worst, passed = 0, 0.0, True
+    for n in range(model.horizon):
+        dim = model.block_dim(n)
+        b = np.zeros((dim, dim), dtype=complex)
+        for f, a in field_.terms:
+            b += complex(f(n)) * (a if isinstance(a, np.ndarray) else a * np.eye(dim))
+        comm = b @ linalg.adjoint(b) - linalg.adjoint(b) @ b
+        resid = linalg.frob_norm(comm) / (1.0 + linalg.frob_norm(b) ** 2)
+        if resid > worst:
+            worst_block, worst = n, resid
+        passed = passed and resid <= 1e-8
+    return worst_block, worst, passed
+
+
+def _spike(n_bad):
+    return lambda n: 1.0 if n == n_bad else 0.0
+
+
+def test_integrability_matches_per_block_reference():
+    rng = np.random.default_rng(22)
+    for model in _reference_models():
+        names = sorted(model.generators)
+        fields = []
+        for name in names:
+            g = model.generators[name]
+            if model.w is None:
+                fields.append(((g, complex(rng.standard_normal(), 1.0)),))
+            else:
+                d = model.w.ambient_dim
+                fields.append(((g, linalg.random_hermitian(rng, d)),))
+                fields.append(((g, model.w.identity()),
+                               (_spike(5), linalg.random_complex(rng, d, d))))
+        for terms in fields:
+            field_ = blocks.UnboundedField(terms=terms)
+            rep = blocks.integrability_check(model, field_)
+            block, resid, passed = _integrability_reference(model, field_)
+            assert rep.passed == passed
+            assert abs(rep.worst_residual - resid) <= 1e-12
+            # a scalar c acts on a d-block as c*I, which is normal: the
+            # per-block products leave round-off (~1e-17) whose argmax names
+            # no block, so the worst block is compared above round-off only
+            if resid > 1e-12:
+                assert rep.worst_block == block
+    # the injected spike is found at its block
+    assert not passed and block == 5
+
+
+def test_domain_vector_keeps_non_finite_components():
+    x = blocks.DomainVector({0: [1, 0], 3: [np.nan, 1]})
+    assert x.support == frozenset({0, 3})
+    diff = x.sub(blocks.DomainVector({0: [1, 0]}))
+    assert np.isnan(diff.norm())
+    # exactly-zero components are still dropped
+    assert blocks.DomainVector({0: [0, 0], 1: [0, 1e-300]}).support == {1}
+
+
+def test_integrability_fails_non_finite_field():
+    model, _ = matrix_model(seed=8)
+    a = linalg.random_hermitian(np.random.default_rng(8), 2)
+    everywhere = blocks.UnboundedField(terms=((lambda n: np.nan, a),))
+    with np.errstate(invalid="ignore"):
+        rep = blocks.integrability_check(model, everywhere)
+    assert not rep.passed and rep.worst_block == 0
+    assert np.isnan(rep.worst_residual)
+    # a hermitian field that is non-finite on block 6 only names that block
+    at_six = blocks.UnboundedField(
+        terms=((lambda n: np.inf if n == 6 else float(n), a),))
+    with np.errstate(invalid="ignore"):
+        rep = blocks.integrability_check(model, at_six)
+    assert not rep.passed and rep.worst_block == 6
+    scalar = blocks.UnboundedField(terms=((lambda n: np.nan, 1.0 + 0.0j),))
+    with np.errstate(invalid="ignore"):
+        rep = blocks.integrability_check(_unequal_scalar_model(), scalar)
+    assert not rep.passed and rep.worst_block == 0

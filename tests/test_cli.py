@@ -139,3 +139,25 @@ def test_check_measure_rejects_non_orthonormal_w1_basis(capsys, tmp_path):
     code, _, err = run(capsys, "check-measure", str(path))
     assert code == 1
     assert "document[InvalidDocument]" in err
+
+
+@pytest.mark.parametrize("mutation", ["label", "stack-length", "target-dim"])
+def test_check_measure_rejects_bad_atom_maps_no_traceback(tmp_path, mutation):
+    # an atom outside the space, or an image stack that does not map each
+    # W1 basis element to a target_dim x target_dim matrix
+    doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 3).payload["oracle"])
+    if mutation == "label":
+        doc["atom_maps"][0][0] = 99
+    elif mutation == "stack-length":
+        doc["atom_maps"][0][1] = doc["atom_maps"][0][1][:-1]
+    else:
+        doc["target_dim"] += 1
+    path = tmp_path / f"{mutation}.json"
+    serialize.dump(doc, path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specmeas.cli", "check-measure", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "document[InvalidDocument]" in proc.stderr

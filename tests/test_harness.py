@@ -176,3 +176,32 @@ def test_check_measure_file(tmp_path):
     bad = tmp_path / "bad.json"
     serialize.dump(bad_doc, bad)
     assert not harness.check_measure_file(bad).passed
+
+
+def _truncate_reference(coeffs, eps):
+    """Truncate at horizons 1, 2, ... until the tail is within eps."""
+    from specmeas import blocks
+
+    for horizon in range(1, len(coeffs) + 1):
+        member, tail = blocks.truncate_to_horizon(coeffs, None, horizon)
+        if tail <= eps:
+            return member, tail
+    return blocks.truncate_to_horizon(coeffs, None, len(coeffs))
+
+
+def test_truncate_to_eps_matches_per_horizon_reference():
+    rng = np.random.default_rng(23)
+    geometric = {n: np.full(1 + n % 3, 0.5 ** n) for n in range(40)}
+    flat = {n: rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            for n in range(12)}
+    gapped = {0: np.array([1.0]), 2: np.array([1e-3]), 7: np.array([1e-6]),
+              30: np.array([1e-9])}  # keys past len(coeffs) pool at its end
+    cases = [(c, eps) for c in (geometric, flat, gapped)
+             for eps in (10.0, 1e-2, 1e-4, 1e-9, 1e-10, 1e-20, 0.0)]
+    cases.append(({}, 1e-4))
+    for coeffs, eps in cases:
+        member, tail = harness._truncate_to_eps(coeffs, eps)
+        want_member, want_tail = _truncate_reference(coeffs, eps)
+        assert member.support == want_member.support
+        assert tail == want_tail
+        assert member.sub(want_member).norm() == 0.0
