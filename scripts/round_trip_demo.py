@@ -3,16 +3,18 @@
 
 Generates a seeded tensor-model measure, writes it to JSON, reloads it,
 rebuilds it from its own compressions, and prints the verification report.
+Exits 1 when the document check or the pipeline fails, 0 otherwise.
 """
 
 import argparse
+import sys
 import tempfile
 
 from specmeas import serialize
 from specmeas.harness import check_measure_file, gen_scenario, verify_theorem_b
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None,
@@ -35,7 +37,8 @@ def main() -> None:
     for c in report.checks:
         if not c.passed:
             print(f"  FAIL {c.name}: {c.residual:.3e} > {c.tol:.3e}")
+    return 0 if file_report.passed and report.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

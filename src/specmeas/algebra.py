@@ -33,7 +33,14 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-from .tolerances import DELTA_CLUSTER, TAU_ALG, TAU_EXT, TAU_RANK
+from .tolerances import (
+    CELL_EDGE_SLACK,
+    DELTA_CLUSTER,
+    LIMIT_BOUND_SLACK,
+    TAU_ALG,
+    TAU_EXT,
+    TAU_RANK,
+)
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
@@ -371,7 +378,7 @@ class LimitingSequence:
         cells: dict[int, list] = {}
         for lam, proj in self._dec.pairs:
             # cell j covers (a-1 + (j-1)*mesh, a-1 + j*mesh]
-            j = int(math.ceil((lam - (a - 1.0)) / mesh - 1e-12))
+            j = int(math.ceil((lam - (a - 1.0)) / mesh - CELL_EDGE_SLACK))
             j = min(max(j, 1), ncells)
             cells.setdefault(j, []).append(proj)
         out = []
@@ -406,7 +413,7 @@ def limiting_sequence(
     # The 1/ell bound is structural for the right-endpoint rule; verify the
     # stored range anyway and refuse silently wrong constructions.
     for ell in (1, ell_max):
-        if seq.error(ell) > 1.0 / ell + 1e-12 * (1.0 + abs(hi)):
+        if seq.error(ell) > 1.0 / ell + LIMIT_BOUND_SLACK * (1.0 + abs(hi)):
             raise AssertionError("limiting sequence failed its 1/ell bound")
     return seq
 

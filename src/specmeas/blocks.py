@@ -18,6 +18,7 @@ from .algebra import VonNeumannAlgebra, limiting_sequence
 from .errors import DimMismatch, ShapeMismatch
 from .linalg import adjoint, eig_hermitian, require_square
 from .measure import BorelSet, DiscreteSpace, borel
+from .nnsm import OperatorField
 from .tolerances import TAU_LIM, TAU_RECON
 
 
@@ -139,66 +140,6 @@ def basis_vector(n: int, dim: int, slot: int = 0) -> DomainVector:
     return DomainVector({n: v})
 
 
-@dataclass(frozen=True)
-class UnboundedField:
-    """Finite sum of terms f (x) A with f a function of the block index.
-
-    A is an ndarray for matrix-algebra models, or a complex scalar for
-    scalar models.  Boundedness over the space is intensional: values are
-    only ever needed on finite supports.
-    """
-
-    terms: tuple  # of (callable, ndarray | complex)
-
-    def star(self) -> "UnboundedField":
-        out = []
-        for f, a in self.terms:
-            a_star = adjoint(a) if isinstance(a, np.ndarray) else np.conj(a)
-            out.append((_conj(f), a_star))
-        return UnboundedField(terms=tuple(out))
-
-    def product(self, other: "UnboundedField") -> "UnboundedField":
-        out = []
-        for f, a in self.terms:
-            for g, b in other.terms:
-                ab = a @ b if isinstance(a, np.ndarray) else a * b
-                out.append((_times(f, g), ab))
-        return UnboundedField(terms=tuple(out))
-
-    def combine(self, alpha: complex, other: "UnboundedField",
-                beta: complex) -> "UnboundedField":
-        left = tuple((_scaled(f, alpha), a) for f, a in self.terms)
-        right = tuple((_scaled(g, beta), b) for g, b in other.terms)
-        return UnboundedField(terms=left + right)
-
-    def block_actions(self, horizon: int) -> np.ndarray:
-        """The (horizon, d, d) stack of matrices by which the field acts on
-        blocks 0..horizon-1.  d is the size of the matrix coefficients, or 1
-        for a field with only scalar ones: such a field acts on block n as
-        c_n times the identity, stacked as the 1x1 block c_n."""
-        dim = next((a.shape[0] for _, a in self.terms
-                    if isinstance(a, np.ndarray)), 1)
-        out = np.zeros((horizon, dim, dim), dtype=np.complex128)
-        eye = np.eye(dim)
-        for f, a in self.terms:
-            fv = np.array([complex(f(n)) for n in range(horizon)])
-            coeff = a if isinstance(a, np.ndarray) else a * eye
-            out += fv[:, None, None] * coeff
-        return out
-
-
-def _conj(f):
-    return lambda n: np.conj(f(n))
-
-
-def _times(f, g):
-    return lambda n: f(n) * g(n)
-
-
-def _scaled(f, lam):
-    return lambda n: lam * f(n)
-
-
 def bounding_sequence(model: BlockModel, fs: list, n: int) -> BorelSet:
     """Delta_n = {k <= horizon : |f_j(k)| <= n for all j}.
 
@@ -212,34 +153,21 @@ def bounding_sequence(model: BlockModel, fs: list, n: int) -> BorelSet:
     return borel(model.space, members)
 
 
-def spectral_integral_apply(f, model: BlockModel, x: DomainVector,
-                            atom=None) -> tuple[bool, DomainVector]:
+def spectral_integral_apply(f, model: BlockModel,
+                            x: DomainVector) -> DomainVector:
     """Apply the spectral integral of f to a finitely supported vector.
 
-    ``atom`` optionally maps a block index to the projection E({n}) acting
-    within the block (default: the identity, the canonical blockwise
-    resolution).  Finitely supported vectors are always in the domain.
+    The blockwise resolution E({n}) is the identity on block n, so block n
+    of the result is f(n) x_n.  Finitely supported vectors are always in the
+    domain; in this model they are exactly D0, with the support as the
+    compact witness.
     """
-    out = {}
-    for n, v in x.components.items():
-        fn = complex(f(n))
-        if atom is None:
-            out[n] = fn * v
-        else:
-            out[n] = fn * (atom(n) @ v)
-    return True, DomainVector(out)
+    return DomainVector(
+        {n: complex(f(n)) * v for n, v in x.components.items()}
+    )
 
 
-def d0_membership(x: DomainVector) -> tuple[bool, frozenset]:
-    """Membership in D0 with the support as the compact witness.
-
-    In the blockwise model D0 is exactly the set of finitely supported
-    vectors, so every DomainVector is a member.
-    """
-    return True, x.support
-
-
-def truncate_to_horizon(coeffs, dims, horizon: int) -> tuple[DomainVector, float]:
+def truncate_to_horizon(coeffs, horizon: int) -> tuple[DomainVector, float]:
     """D0 density witness: truncate target block coefficients at a horizon.
 
     ``coeffs`` maps block index -> component array for an (infinitely
@@ -346,7 +274,7 @@ def _limit_certificate(f, parts, zero, x,
     )
 
 
-def i_m_apply(field_: UnboundedField, model: BlockModel,
+def i_m_apply(field_: OperatorField, model: BlockModel,
               x: DomainVector) -> DomainVector:
     """Integral of a field applied on D0: termwise preintegral sum.
 
@@ -356,7 +284,7 @@ def i_m_apply(field_: UnboundedField, model: BlockModel,
     return vector_sum(psi_apply(f, a, model, x) for f, a in field_.terms)
 
 
-def adjoint_on_d0(field_: UnboundedField, model: BlockModel,
+def adjoint_on_d0(field_: OperatorField, model: BlockModel,
                   x: DomainVector) -> DomainVector:
     """Action of the integral of F* (conjugate functions, adjoint operators)."""
     return i_m_apply(field_.star(), model, x)
@@ -464,6 +392,22 @@ def _poly_evaluator(model: BlockModel, monomials):
     return lambda n: values[n]
 
 
+def _block_actions(field_: OperatorField, horizon: int) -> np.ndarray:
+    """The (horizon, d, d) stack of matrices by which the field acts on
+    blocks 0..horizon-1.  d is the size of the matrix coefficients, or 1
+    for a field with only scalar ones: such a field acts on block n as
+    c_n times the identity, stacked as the 1x1 block c_n."""
+    dim = next((a.shape[0] for _, a in field_.terms
+                if isinstance(a, np.ndarray)), 1)
+    out = np.zeros((horizon, dim, dim), dtype=np.complex128)
+    eye = np.eye(dim)
+    for f, a in field_.terms:
+        fv = np.array([complex(f(n)) for n in range(horizon)])
+        coeff = a if isinstance(a, np.ndarray) else a * eye
+        out += fv[:, None, None] * coeff
+    return out
+
+
 @dataclass(frozen=True)
 class IntegrabilityReport:
     worst_block: int
@@ -472,7 +416,7 @@ class IntegrabilityReport:
 
 
 def integrability_check(
-    model: BlockModel, field_: UnboundedField, horizon: int | None = None
+    model: BlockModel, field_: OperatorField, horizon: int | None = None
 ) -> IntegrabilityReport:
     """Blockwise normality of the field's action (integrability proxy).
 
@@ -483,7 +427,7 @@ def integrability_check(
     horizon = model.horizon if horizon is None else min(horizon, model.horizon)
     if horizon < 1:
         return IntegrabilityReport(worst_block=0, worst_residual=0.0, passed=True)
-    b = field_.block_actions(horizon)
+    b = _block_actions(field_, horizon)
     b_star = np.conj(np.swapaxes(b, 1, 2))
     resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(1, 2)) / (
         1.0 + np.linalg.norm(b, axis=(1, 2)) ** 2

@@ -17,11 +17,11 @@ from .errors import CapExceeded, SpecmeasError
 from .harness import (
     Caps,
     FAULT_CLASSES,
-    VerificationReport,
     check_measure_file,
     fault_report,
     run_suite,
 )
+from .nnsm import VerificationReport
 
 KIND_BY_COMMAND = {
     "verify-a": "A",
@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--count", type=int, default=1)
         p.add_argument("--caps", type=parse_caps, default=Caps())
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--timing", action="store_true",
                        help="keep wall-clock times in reports")
 
@@ -141,7 +140,7 @@ def _parse_kinds(text: str):
 
 
 def _cmd_verify(args, kind: str) -> int:
-    reports = run_suite(kind, args.seed, args.count, args.caps, jobs=args.jobs)
+    reports = run_suite(kind, args.seed, args.count, args.caps)
     reports = [_strip_timing(r, args.timing) for r in reports]
     return 0 if _emit(reports, sys.stdout) else 1
 
@@ -194,7 +193,7 @@ def _cmd_report(args) -> int:
     reports = []
     for kind in kinds:
         reports.extend(
-            run_suite(kind, args.seed, args.count, args.caps, jobs=args.jobs)
+            run_suite(kind, args.seed, args.count, args.caps)
         )
     reports = sorted(
         (_strip_timing(r, args.timing) for r in reports),

@@ -9,7 +9,6 @@ residual; a failing stage never aborts the pipeline.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,18 +40,21 @@ from .nnsm import (
     FamilyMeasures,
     NonNegSpectralMeasure,
     OperatorField,
+    VerificationReport,
     assemble_from_family,
+    check_entry,
     condition1_check,
     condition2_check,
     condition3_check,
     integrate,
+    random_sets,
 )
 from .tolerances import (
+    MIN_DECAY_RATE,
     TAU_EXACT,
     TAU_EXT,
     TAU_IDENTITY,
     TAU_MATCH,
-    TAU_NORM_SLACK,
     TAU_RECON,
 )
 
@@ -99,52 +101,8 @@ class Scenario:
         return tag if self.fault is None else f"{tag}-fault:{self.fault}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    scenario: str
-    checks: tuple  # of CheckEntry
-    wall_ms: int = 0
-    schema: int = 1
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def worst_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-    def to_doc(self) -> dict:
-        return {
-            "schema": self.schema,
-            "scenario": self.scenario,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": float(c.residual),
-                    "tol": float(c.tol),
-                    "pass": bool(c.passed),
-                    "flags": list(c.flags),
-                }
-                for c in self.checks
-            ],
-            "pass": self.passed,
-            "wall_ms": int(self.wall_ms),
-        }
-
-
-def _entry(name, residual, tol, flags=()) -> CheckEntry:
-    return CheckEntry(
-        name=name, residual=float(residual), tol=float(tol),
-        passed=bool(residual <= tol), flags=tuple(flags),
-    )
-
-
 def _bool_entry(name, ok: bool, flags=()) -> CheckEntry:
-    return CheckEntry(
-        name=name, residual=0.0 if ok else 1.0, tol=0.5,
-        passed=bool(ok), flags=tuple(flags),
-    )
+    return check_entry(name, 0.0 if ok else 1.0, 0.5, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +307,7 @@ def _non_normal_field(model, n_bad, magnitude):
 
     # the bare nilpotent spike keeps the non-normality visible against the
     # scale-aware residual regardless of the generators' growth
-    return blocks.UnboundedField(terms=((spike, nil),))
+    return OperatorField(terms=((spike, nil),))
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +371,14 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
         rhs = np.zeros((d, d), dtype=np.complex128)
         for vals, proj in atlas.points:
             rhs += _monomial_on_values(vals, coeff, mono, names) * proj
-        checks.append(_entry(
+        checks.append(check_entry(
             f"represent[poly{t}]", frob_norm(lhs - rhs),
             TAU_RECON * (1.0 + frob_norm(lhs)),
         ))
     # (ii) atoms lie in the generated algebra
     w = bicommutant([images[n] for n in names], d)
     for i, (_, proj) in enumerate(atlas.points):
-        checks.append(_entry(
+        checks.append(check_entry(
             f"atom-membership[{i}]", w.membership_residual(proj), TAU_RECON,
         ))
     # (iii) uniqueness: a permuted independent reconstruction must agree
@@ -430,7 +388,7 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
         match = [p for v, p in atlas.points
                  if max(abs(a - b) for a, b in zip(v, vals_i)) < TAU_MATCH]
         resid = frob_norm(match[0] - proj_i) if match else 1.0
-        checks.append(_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
+        checks.append(check_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
     return _finish(scenario, checks, t0)
 
 
@@ -467,7 +425,7 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     # (1)+(2): compressions from ρ, each a spectral measure
     fm = _derive_family_measures(rho, oracle, seed=scenario.seed + 3)
     for i, e_p in enumerate(fm.measures):
-        checks.append(_entry(
+        checks.append(check_entry(
             f"compression[P{i}]", e_p.validate(),
             TAU_RECON * (1.0 + frob_norm(e_p.total)),
         ))
@@ -492,11 +450,11 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
         resid = max(
             frob_norm(g - w) for g, w in zip(got, want)
         )
-        checks.append(_entry(
+        checks.append(check_entry(
             f"reconstruction[{x}]", resid, TAU_EXT * (1.0 + frob_norm(want[0])),
         ))
     # (5) normalization
-    checks.append(_entry(
+    checks.append(check_entry(
         "normalization",
         frob_norm(rebuilt.total_of_identity() - np.eye(rebuilt.target_dim)),
         TAU_RECON * (1.0 + rebuilt.target_dim),
@@ -506,7 +464,7 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
         field_ = _random_field(rng, oracle)
         lhs = rho(field_)
         rhs = integrate(rebuilt, field_, whole)
-        checks.append(_entry(
+        checks.append(check_entry(
             f"represent[F{t}]", frob_norm(lhs - rhs),
             TAU_RECON * (1.0 + frob_norm(lhs)),
         ))
@@ -520,7 +478,7 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
         rho_b_id = rho(OperatorField(terms=((b, oracle.w1.identity()),)))
         bound = op_norm(rho_b_id) * op_norm(a)
         excess = op_norm(rho_b_a) - bound
-        checks.append(_entry(
+        checks.append(check_entry(
             f"rho_b-bound[{t}]", max(0.0, excess), TAU_RECON * (1.0 + bound),
         ))
     return _finish(scenario, checks, t0)
@@ -562,7 +520,7 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     for eps in (1e-4, 1e-10):
         coeffs = {n: np.full(model.block_dim(n), 0.5 ** n) for n in range(model.horizon)}
         member, tail = _truncate_to_eps(coeffs, eps)
-        checks.append(_entry(f"density[eps={eps:g}]", tail, eps))
+        checks.append(check_entry(f"density[eps={eps:g}]", tail, eps))
         k = borel(model.space, member.support)
         rep = blocks.d_alpha_check(member, model, k, probes=8,
                                    seed=scenario.seed + 5)
@@ -576,25 +534,24 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         poly = blocks._random_star_polynomial(rng, names, degree=3)
         f = blocks._poly_evaluator(model, poly)
         lhs = blocks.rho_apply(model, f, _unit_coeff(model), x)
-        ok, rhs = blocks.spectral_integral_apply(f, model, x)
-        resid = lhs.sub(rhs).norm() if ok else 1.0
-        checks.append(_entry(
-            f"represent[x{t}]", resid, TAU_EXACT * (1.0 + lhs.norm()),
+        rhs = blocks.spectral_integral_apply(f, model, x)
+        checks.append(check_entry(
+            f"represent[x{t}]", lhs.sub(rhs).norm(),
+            TAU_EXACT * (1.0 + lhs.norm()),
         ))
     # (iv) compact support of E_{x,x} inside the membership witness
     for t in range(4):
         x = _random_domain_vector(rng, model)
-        member, witness = blocks.d0_membership(x)
-        k = borel(model.space, witness)
+        k = borel(model.space, x.support)
         rep = blocks.d_alpha_check(x, model, k, probes=4, seed=scenario.seed + 6)
-        ok = member and rep.status == "certified" and x.support <= k.members
+        ok = rep.status == "certified" and x.support <= k.members
         checks.append(_bool_entry(f"compact-support[x{t}]", ok, flags=rep.flags))
     return _finish(scenario, checks, t0)
 
 
-def _generator_field(model, name) -> blocks.UnboundedField:
+def _generator_field(model, name) -> OperatorField:
     coeff = _unit_coeff(model)
-    return blocks.UnboundedField(terms=((model.generators[name], coeff),))
+    return OperatorField(terms=((model.generators[name], coeff),))
 
 
 def _unit_coeff(model):
@@ -611,7 +568,7 @@ def _truncate_to_eps(coeffs, eps):
     tails = np.sqrt(np.cumsum(mass[::-1])[::-1])
     within = np.flatnonzero(tails[1:] <= eps)
     horizon = int(within[0]) + 1 if within.size else count
-    return blocks.truncate_to_horizon(coeffs, None, horizon)
+    return blocks.truncate_to_horizon(coeffs, horizon)
 
 
 def _random_domain_vector(rng, model, supp=3) -> blocks.DomainVector:
@@ -646,21 +603,20 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
             f"integrable[injected;block{rep.worst_block}]", rep.passed,
         ))
     for i, p in enumerate(fam.members):
-        f = blocks.UnboundedField(terms=((model.generators[names[0]], p),))
+        f = OperatorField(terms=((model.generators[names[0]], p),))
         rep = blocks.integrability_check(model, f)
         checks.append(_bool_entry(f"integrable[P{i}]", rep.passed))
     # (2) the blockwise compression E_P has atoms acting as P per block;
     # cross-block orthogonality is structural, so the atom laws remain
     for i, p in enumerate(fam.members):
         worst = max(frob_norm(p @ p - p), frob_norm(p - adjoint(p)))
-        checks.append(_entry(f"compression[P{i}]", worst, TAU_RECON))
+        checks.append(check_entry(f"compression[P{i}]", worst, TAU_RECON))
     # (3) support containment for certified vectors
     for t in range(3):
         x = _random_domain_vector(rng, model)
-        _, witness = blocks.d0_membership(x)
-        k = borel(model.space, witness)
+        k = borel(model.space, x.support)
         y = blocks.truncation_projection(model, k, x)
-        checks.append(_entry(
+        checks.append(check_entry(
             f"support-containment[x{t}]", x.sub(y).norm(), TAU_EXACT,
         ))
     # (5) representation check on D0
@@ -669,7 +625,7 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         field_ = _random_unbounded_field(rng, model)
         lhs = _rho_field(model, field_, x)
         rhs = blocks.i_m_apply(field_, model, x)
-        checks.append(_entry(
+        checks.append(check_entry(
             f"represent[x{t}]", lhs.sub(rhs).norm(),
             TAU_EXACT * (1.0 + lhs.norm()),
         ))
@@ -680,7 +636,7 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         a = model.w.random_hermitian_element(rng)
         lhs = blocks.rho_apply(model, g, a, x).norm()
         rhs = op_norm(a) * blocks.rho_apply(model, g, model.w.identity(), x).norm()
-        checks.append(_entry(
+        checks.append(check_entry(
             f"domain-inclusion[{t}]", max(0.0, lhs - rhs),
             TAU_RECON * (1.0 + rhs),
         ))
@@ -693,14 +649,14 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         val = abs(blocks.rho_apply(model, g, a, x).inner(y))
         bound = op_norm(a) * blocks.rho_apply(
             model, g, model.w.identity(), x).norm() * y.norm()
-        checks.append(_entry(
+        checks.append(check_entry(
             f"functional-bound[{t}]", max(0.0, val - bound),
             TAU_RECON * (1.0 + bound),
         ))
     return _finish(scenario, checks, t0)
 
 
-def _random_unbounded_field(rng, model) -> blocks.UnboundedField:
+def _random_unbounded_field(rng, model) -> OperatorField:
     names = sorted(model.generators)
     terms = []
     for _ in range(int(rng.integers(1, 3))):
@@ -712,7 +668,7 @@ def _random_unbounded_field(rng, model) -> blocks.UnboundedField:
         else:
             a = complex(rng.standard_normal(), rng.standard_normal())
         terms.append((g, a))
-    return blocks.UnboundedField(terms=tuple(terms))
+    return OperatorField(terms=tuple(terms))
 
 
 def _rho_field(model, field_, x):
@@ -741,17 +697,10 @@ def run_scenario(kind: str, seed: int, caps: Caps = Caps()) -> VerificationRepor
 
 
 def run_suite(
-    kind: str, seed: int, count: int, caps: Caps = Caps(), jobs: int = 1
+    kind: str, seed: int, count: int, caps: Caps = Caps()
 ) -> list[VerificationReport]:
     """Independent scenarios seed..seed+count-1, reports sorted by id."""
-    seeds = list(range(seed, seed + count))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(
-                lambda s: run_scenario(kind, s, caps), seeds
-            ))
-    else:
-        reports = [run_scenario(kind, s, caps) for s in seeds]
+    reports = [run_scenario(kind, s, caps) for s in range(seed, seed + count)]
     return sorted(reports, key=lambda r: r.scenario)
 
 
@@ -767,34 +716,20 @@ def characterization_reports(
     )
     rng = np.random.default_rng(scenario.seed + 10)
     checks: list[CheckEntry] = []
-    rep1 = condition1_check(fm, trials=8, seed=scenario.seed + 11)
-    for e in rep1.entries:
-        checks.append(e)
-    deltas = _some_sets(oracle.space, rng, 4)
-    rep2 = condition2_check(fm, deltas)
-    for name, k in rep2.per_set:
-        checks.append(_entry(f"condition2[{name}]", k, 1.0 + TAU_NORM_SLACK))
+    checks += condition1_check(fm, trials=8, seed=scenario.seed + 11).checks
+    checks += condition2_check(fm, random_sets(oracle.space, rng, 4)).checks
     for t in range(tuples):
         p = fam.members[int(rng.integers(len(fam.members)))]
         q = fam.members[int(rng.integers(len(fam.members)))]
-        d1, d2 = _some_sets(oracle.space, rng, 2)
+        d1, d2 = random_sets(oracle.space, rng, 2)
         rep3 = condition3_check(fm, p, q, d1, d2, ell_max=64)
         checks.append(_bool_entry(
             f"condition3[tuple{t};rate={rep3.fitted_rate:.2f}]",
-            rep3.passed and (rep3.fitted_rate >= 0.8),
+            rep3.passed and (rep3.fitted_rate >= MIN_DECAY_RATE),
         ))
     return [VerificationReport(
         scenario=f"{scenario.scenario_id}-conditions", checks=tuple(checks),
     )]
-
-
-def _some_sets(space, rng, count):
-    pts = space.points()
-    out = []
-    for _ in range(count):
-        mask = rng.random(len(pts)) < 0.5
-        out.append(borel(space, [p for p, m in zip(pts, mask) if m]))
-    return out
 
 
 def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationReport:
@@ -869,7 +804,7 @@ def check_measure_file(path) -> VerificationReport:
         else:
             _, resid = measure_from_doc(doc)
             kind = "spectral-measure"
-        checks.append(_entry(
+        checks.append(check_entry(
             f"{kind}-invariants", resid, TAU_RECON * 10.0,
         ))
     except (InvalidDocument, KeyError, TypeError) as exc:

@@ -111,14 +111,6 @@ class SpectralDecomposition:
             out += lam * p
         return out
 
-    def resolution_at(self, lam: float) -> np.ndarray:
-        """E(lam): sum of eigenprojections with eigenvalue <= lam."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for mu, p in self.pairs:
-            if mu <= lam:
-                out += p
-        return out
-
     def validate(self, source: np.ndarray | None = None) -> float:
         """Return the worst invariant residual (0 is perfect)."""
         worst = 0.0

@@ -21,8 +21,15 @@ from .algebra import (
 )
 from .errors import AlgebraMismatch, InfiniteSet, NotSpanning
 from .linalg import adjoint, frob_norm, require_square, star_decompose
-from .measure import BorelSet, DiscreteSpace, SpectralMeasure, borel, support
-from .tolerances import RESIDUAL_FLOOR, TAU_EXT, TAU_LIM, TAU_PROJ, TAU_RECON
+from .measure import BorelSet, DiscreteSpace, SpectralMeasure, borel
+from .tolerances import (
+    CONDITION3_CONSTANT,
+    RESIDUAL_FLOOR,
+    TAU_EXT,
+    TAU_NORM_SLACK,
+    TAU_PROJ,
+    TAU_RECON,
+)
 
 
 @dataclass(frozen=True)
@@ -92,15 +99,19 @@ class NonNegSpectralMeasure:
             1.0 + self.target_dim
         )
 
-    def support(self) -> BorelSet:
-        return support(self.measure_for(self.w1.identity()))
-
 
 @dataclass(frozen=True)
 class OperatorField:
-    """Finite sum of terms f_i (x) A_i with f_i scalar and A_i in W1."""
+    """Finite sum of elementary tensors f_i (x) A_i in B (x) W1.
 
-    terms: tuple  # of (callable, ndarray)
+    f_i is a scalar function of the point.  A_i is an ndarray in W1, or a
+    complex scalar for scalar block models, where it stays a scalar.  The
+    bounded theory integrates a field against an NNSM (``integrate``), the
+    unbounded one applies it to finitely supported vectors
+    (``blocks.i_m_apply``).
+    """
+
+    terms: tuple  # of (callable, ndarray | complex)
 
     def __add__(self, other: "OperatorField") -> "OperatorField":
         return OperatorField(terms=self.terms + other.terms)
@@ -114,21 +125,16 @@ class OperatorField:
         out = []
         for f, a in self.terms:
             for g, b in other.terms:
-                out.append((_pointwise_product(f, g), a @ b))
+                ab = a @ b if isinstance(a, np.ndarray) else a * b
+                out.append((_pointwise_product(f, g), ab))
         return OperatorField(terms=tuple(out))
 
     def star(self) -> "OperatorField":
-        return OperatorField(
-            terms=tuple((_conjugated(f), adjoint(a)) for f, a in self.terms)
-        )
-
-    def value(self, x) -> np.ndarray:
-        """f_F(x): the W1-valued value of the field at an atom."""
-        d = self.terms[0][1].shape[0]
-        out = np.zeros((d, d), dtype=np.complex128)
+        out = []
         for f, a in self.terms:
-            out += complex(f(x)) * a
-        return out
+            a_star = adjoint(a) if isinstance(a, np.ndarray) else np.conj(a)
+            out.append((_conjugated(f), a_star))
+        return OperatorField(terms=tuple(out))
 
 
 def _scaled(f, lam):
@@ -179,27 +185,53 @@ class CheckEntry:
     flags: tuple = ()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    entries: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    @property
-    def worst_residual(self) -> float:
-        return max((e.residual for e in self.entries), default=0.0)
-
-
-def _entry(name, residual, tol, flags=()) -> CheckEntry:
+def check_entry(name, residual, tol, flags=()) -> CheckEntry:
+    """A named check that passes when residual <= tol."""
     return CheckEntry(
         name=name, residual=float(residual), tol=float(tol),
         passed=bool(residual <= tol), flags=tuple(flags),
     )
 
 
-def _random_sets(space: DiscreteSpace, rng: np.random.Generator, count: int):
+@dataclass(frozen=True)
+class VerificationReport:
+    """A labelled list of checks; passes when every check passes."""
+
+    scenario: str
+    checks: tuple  # of CheckEntry
+    wall_ms: int = 0
+    schema: int = 1
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def worst_residual(self) -> float:
+        return max((c.residual for c in self.checks), default=0.0)
+
+    def to_doc(self) -> dict:
+        return {
+            "schema": self.schema,
+            "scenario": self.scenario,
+            "checks": [
+                {
+                    "name": c.name,
+                    "residual": float(c.residual),
+                    "tol": float(c.tol),
+                    "pass": bool(c.passed),
+                    "flags": list(c.flags),
+                }
+                for c in self.checks
+            ],
+            "pass": self.passed,
+            "wall_ms": int(self.wall_ms),
+        }
+
+
+def random_sets(space: DiscreteSpace, rng: np.random.Generator, count: int):
+    """``count`` random subsets of a finite space, each point in with
+    probability 1/2; takes one draw of len(space) uniforms per set."""
     pts = space.points()
     out = []
     for _ in range(count):
@@ -213,7 +245,7 @@ def check_nnsm(
     family: ProjectionFamily,
     set_pairs: int = 8,
     seed: int = 0,
-) -> CheckReport:
+) -> VerificationReport:
     """Validate the defining identity of an NNSM against a projection family.
 
     Per projection: the compression must be a spectral measure (orthogonal
@@ -225,11 +257,11 @@ def check_nnsm(
     entries = []
     for i, p in enumerate(family.members):
         e_p = m.measure_for(p)
-        entries.append(_entry(
+        entries.append(check_entry(
             f"spectral-measure[P{i}]", e_p.validate(),
             TAU_RECON * (1.0 + frob_norm(e_p.total)),
         ))
-    sets = _random_sets(m.space, rng, 2 * set_pairs)
+    sets = random_sets(m.space, rng, 2 * set_pairs)
     from .measure import evaluate
 
     for t in range(set_pairs):
@@ -240,16 +272,16 @@ def check_nnsm(
         lhs = evaluate(m.measure_for(p), d1) @ evaluate(m.measure_for(q), d2)
         rhs = m.m_a(p @ q, d1.intersect(d2))
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
-        entries.append(_entry(
+        entries.append(check_entry(
             f"product-rule[P{i},P{j},pair{t}]", frob_norm(lhs - rhs),
             TAU_RECON * scale,
         ))
-    return CheckReport(entries=tuple(entries))
+    return VerificationReport(scenario="check-nnsm", checks=tuple(entries))
 
 
 def condition1_check(
     fam: FamilyMeasures, trials: int = 16, seed: int = 0
-) -> CheckReport:
+) -> VerificationReport:
     """Linear relations among projections must transfer to the measures.
 
     Seeded random combinations T = sum lambda_i P_i are re-expressed by their
@@ -263,7 +295,7 @@ def condition1_check(
         raise NotSpanning("condition (1) checks need a spanning family")
     rng = np.random.default_rng(seed)
     space = fam.measures[0].space
-    deltas = _random_sets(space, rng, trials)
+    deltas = random_sets(space, rng, trials)
     entries = []
     for t in range(trials):
         lam = rng.standard_normal(len(family.members))
@@ -279,33 +311,32 @@ def condition1_check(
             c * evaluate(e, delta) for c, e in zip(mu, fam.measures)
         )
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
-        entries.append(_entry(
+        entries.append(check_entry(
             f"condition1[trial{t}]", frob_norm(lhs - rhs), TAU_EXT * scale,
         ))
-    return CheckReport(entries=tuple(entries))
+    return VerificationReport(scenario="condition1", checks=tuple(entries))
 
 
-@dataclass(frozen=True)
-class Condition2Report:
-    per_set: tuple  # of (set description, witnessed k_Delta)
+def condition2_check(
+    fam: FamilyMeasures, deltas: list[BorelSet]
+) -> VerificationReport:
+    """Witness the uniform bound k_Delta = sup_P ||E_P(Delta)|| per set.
 
-    @property
-    def worst_bound(self) -> float:
-        return max((k for _, k in self.per_set), default=0.0)
-
-
-def condition2_check(fam: FamilyMeasures, deltas: list[BorelSet]) -> Condition2Report:
-    """Witness the uniform bound k_Delta = sup_P ||E_P(Delta)|| per set."""
+    Entry ``condition2[delta{i}]`` carries k_Delta for the i-th set and
+    passes when it is at most one (up to TAU_NORM_SLACK).
+    """
     from .linalg import op_norm
     from .measure import evaluate
 
-    per_set = []
+    entries = []
     for i, delta in enumerate(deltas):
         k = max(
             (op_norm(evaluate(e, delta)) for e in fam.measures), default=0.0
         )
-        per_set.append((f"delta{i}", float(k)))
-    return Condition2Report(per_set=tuple(per_set))
+        entries.append(check_entry(
+            f"condition2[delta{i}]", k, 1.0 + TAU_NORM_SLACK,
+        ))
+    return VerificationReport(scenario="condition2", checks=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -331,8 +362,8 @@ def condition3_check(
 
     PQ is split into four positive parts; at each ell the Riemann sum of
     linear-extension values over D1 n D2 is compared with E_P(D1) E_Q(D2).
-    Passes when the ell_max residual is <= c/ell_max with c = 10*(1+dim)
-    and the log-log decay rate is recorded.
+    Passes when the ell_max residual is <= c/ell_max with
+    c = CONDITION3_CONSTANT * (1+dim); the log-log decay rate is recorded.
     """
     from .measure import evaluate
 
@@ -348,7 +379,7 @@ def condition3_check(
     sums = _riemann_sums(fam, list(zip(signs, seqs)), ells, inter)
     residuals = [(ell, frob_norm(lhs - rhs)) for ell, rhs in zip(ells, sums)]
     dim = family.algebra.ambient_dim
-    bound = 10.0 * (1.0 + dim) / ell_max
+    bound = CONDITION3_CONSTANT * (1.0 + dim) / ell_max
     final = residuals[-1][1]
     rate = _fit_decay_rate(residuals)
     return Condition3Report(
@@ -476,7 +507,3 @@ def positivity_deficit(m: NonNegSpectralMeasure, a: np.ndarray) -> float:
     values = m._values(a)
     herm = (values + np.conj(np.swapaxes(values, 1, 2))) / 2.0
     return -float(np.linalg.eigvalsh(herm)[:, 0].min(initial=0.0))
-
-
-def support_nnsm(m: NonNegSpectralMeasure) -> BorelSet:
-    return m.support()

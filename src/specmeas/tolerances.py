@@ -21,3 +21,7 @@ TAU_IDENTITY = 1e-10  # Frobenius distance at which a member is the identity
 TAU_EXACT = 1e-12   # two routes that form the same finite sums must agree
 TAU_NORM_SLACK = 1e-9  # allowed excess of a witnessed norm bound over one
 RESIDUAL_FLOOR = 1e-12  # residuals at or below this are round-off
+MIN_DECAY_RATE = 0.8   # least fitted log-log decay rate of condition (3)
+CONDITION3_CONSTANT = 10.0  # c in condition (3)'s bound c*(1+dim)/ell_max
+CELL_EDGE_SLACK = 1e-12  # meshes past a cell's right edge that stay in it
+LIMIT_BOUND_SLACK = 1e-12  # relative slack on S_l's 1/ell error bound

@@ -65,16 +65,16 @@ def test_criterion_3_characterization_conditions():
         rep1 = nnsm.condition1_check(fm, trials=8, seed=seed)
         assert rep1.worst_residual <= 1e-7
         rng = np.random.default_rng(seed + 20)
-        deltas = [measure.whole_space(oracle.space)] + harness._some_sets(
+        deltas = [measure.whole_space(oracle.space)] + nnsm.random_sets(
             oracle.space, rng, 3)
         rep2 = nnsm.condition2_check(fm, deltas)
         # the identity is a family member, so k_X is witnessed as exactly 1
-        assert abs(rep2.per_set[0][1] - 1.0) <= 1e-9
-        assert rep2.worst_bound <= 1.0 + 1e-9
+        assert abs(rep2.checks[0].residual - 1.0) <= 1e-9
+        assert rep2.worst_residual <= 1.0 + 1e-9
         for _ in range(5):
             p = fam.members[int(rng.integers(len(fam.members)))]
             q = fam.members[int(rng.integers(len(fam.members)))]
-            d1, d2 = harness._some_sets(oracle.space, rng, 2)
+            d1, d2 = nnsm.random_sets(oracle.space, rng, 2)
             rep3 = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
             assert rep3.final_residual <= 10.0 / 64.0
             assert rep3.fitted_rate >= 0.8
@@ -118,7 +118,7 @@ def test_criterion_5_integration_laws():
     worst = 0.0
     for t in range(1000):
         m = models[t % len(models)]
-        delta = harness._some_sets(m.space, rng, 1)[0]
+        delta = nnsm.random_sets(m.space, rng, 1)[0]
         whole = measure.whole_space(m.space)
         f = _random_field(rng, m)
         g = _random_field(rng, m)
@@ -170,7 +170,7 @@ def test_criterion_6_domain_laws():
         # adjoint inner-product identity
         r1 = abs(ifx.inner(y) - x.inner(blocks.adjoint_on_d0(ff, model, y)))
         # additivity
-        r2 = blocks.i_m_apply(ff.combine(1.0, gg, 1.0), model, x).sub(
+        r2 = blocks.i_m_apply(ff + gg, model, x).sub(
             ifx.add(igx)).norm()
         # product law
         r3 = blocks.i_m_apply(ff.product(gg), model, x).sub(
@@ -224,7 +224,7 @@ def _random_ufield(rng, model):
         else:
             a = complex(rng.standard_normal(), rng.standard_normal())
         terms.append((g, a))
-    return blocks.UnboundedField(terms=tuple(terms))
+    return nnsm.OperatorField(terms=tuple(terms))
 
 
 def test_criterion_7_unbounded_pipelines_and_faults():

@@ -143,13 +143,9 @@ def test_characterization_reports_pass():
     assert k_entries and all(c.residual <= 1.0 + 1e-9 for c in k_entries)
 
 
-def test_run_suite_sorted_and_parallel_equal():
-    serial = harness.run_suite("A", 0, 6, jobs=1)
-    parallel = harness.run_suite("A", 0, 6, jobs=3)
-    assert [r.scenario for r in serial] == sorted(r.scenario for r in serial)
-    assert [r.to_doc() | {"wall_ms": 0} for r in serial] == [
-        r.to_doc() | {"wall_ms": 0} for r in parallel
-    ]
+def test_run_suite_sorted():
+    reports = harness.run_suite("A", 0, 6)
+    assert [r.scenario for r in reports] == sorted(r.scenario for r in reports)
 
 
 def test_report_doc_schema():
@@ -183,10 +179,10 @@ def _truncate_reference(coeffs, eps):
     from specmeas import blocks
 
     for horizon in range(1, len(coeffs) + 1):
-        member, tail = blocks.truncate_to_horizon(coeffs, None, horizon)
+        member, tail = blocks.truncate_to_horizon(coeffs, horizon)
         if tail <= eps:
             return member, tail
-    return blocks.truncate_to_horizon(coeffs, None, len(coeffs))
+    return blocks.truncate_to_horizon(coeffs, len(coeffs))
 
 
 def test_truncate_to_eps_matches_per_horizon_reference():

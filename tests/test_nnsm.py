@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
 from specmeas.errors import InfiniteSet, NotSpanning
-from specmeas.tolerances import TAU_ALG
+from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
 from conftest import tensor_model
 
@@ -24,7 +24,7 @@ def test_tensor_model_is_valid_nnsm():
     m, _, _ = tensor_model(seed=1)
     fam = family_for(m)
     report = nnsm.check_nnsm(m, fam)
-    assert report.passed, [e for e in report.entries if not e.passed]
+    assert report.passed, [e for e in report.checks if not e.passed]
     assert m.normalized
 
 
@@ -61,7 +61,55 @@ def test_condition2_unit_bound():
               measure.whole_space(space)]
     rep = nnsm.condition2_check(fm, deltas)
     # compressions of projections have norm at most one
-    assert rep.worst_bound <= 1.0 + 1e-9
+    assert rep.worst_residual <= 1.0 + 1e-9
+
+
+def test_condition2_entries_match_reference_and_can_fail():
+    m, _, _ = tensor_model(seed=5)
+    fm = family_measures(m, family_for(m))
+    space = m.space
+    deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
+              measure.whole_space(space), measure.borel(space, ())]
+    rep = nnsm.condition2_check(fm, deltas)
+    assert [c.name for c in rep.checks] == [
+        f"condition2[delta{i}]" for i in range(len(deltas))]
+    for c, delta in zip(rep.checks, deltas):
+        want = max(linalg.op_norm(measure.evaluate(e, delta))
+                   for e in fm.measures)
+        assert c.residual == want
+        assert c.tol == 1.0 + TAU_NORM_SLACK
+        assert c.passed == (want <= 1.0 + TAU_NORM_SLACK)
+    assert rep.passed
+    # doubling the largest compression pushes k_X to 2
+    i = max(range(len(fm.measures)),
+            key=lambda j: linalg.op_norm(fm.measures[j].total))
+    e = fm.measures[i]
+    doubled = measure.SpectralMeasure(
+        space=space, atoms={x: 2.0 * p for x, p in e.atoms.items()},
+        total=2.0 * e.total,
+    )
+    measures = fm.measures[:i] + (doubled,) + fm.measures[i + 1:]
+    bad = nnsm.condition2_check(
+        nnsm.FamilyMeasures(family=fm.family, measures=measures), deltas)
+    assert not bad.passed
+    assert bad.checks[2].residual == pytest.approx(2.0)
+    assert not bad.checks[2].passed and bad.checks[3].passed
+
+
+def test_operator_field_keeps_scalar_coefficients_scalar():
+    f = nnsm.OperatorField(terms=((lambda n: float(n), 2.0 - 1.0j),))
+    g = nnsm.OperatorField(terms=((lambda n: 1.0j, 0.5 + 0.5j),))
+    fields = (f.star(), f.product(g), f.scale(3.0), f + g,
+              f.star().product(g.scale(1.0j)))
+    for field_ in fields:
+        for _, a in field_.terms:
+            assert isinstance(a, complex)  # not a 0-d array
+    ((fs, cs),) = f.star().terms
+    assert cs == 2.0 + 1.0j and fs(3) == 3.0
+    ((fp, cp),) = f.product(g).terms
+    assert cp == (2.0 - 1.0j) * (0.5 + 0.5j) and fp(2) == 2.0j
+    ((fl, cl),) = f.scale(3.0).terms
+    assert cl == 2.0 - 1.0j and fl(2) == 6.0
 
 
 def test_condition3_converges():
