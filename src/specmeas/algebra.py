@@ -122,7 +122,12 @@ class VonNeumannAlgebra:
 
     def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
         coeffs = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        a = sum(c * b for c, b in zip(coeffs, self.basis))
+        # summed row by row, in the basis order, rather than by a matmul:
+        # the element is then bit-for-bit the sequential sum over the basis,
+        # and the projections sampled from it do not move
+        a = (coeffs[:, None] * self.basis_matrix).sum(axis=0).reshape(
+            self.ambient_dim, self.ambient_dim
+        )
         return (a + adjoint(a)) / 2.0
 
     def identity(self) -> np.ndarray:

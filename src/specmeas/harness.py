@@ -398,16 +398,21 @@ def _derive_family_measures(
     """E_P from the representation alone: E_P({x}) = ρ(1_x ⊗ P)."""
     fam = sample_projections(oracle.w1, n=n, seed=seed)
     space = oracle.space
-    measures = []
-    for p in fam.members:
-        atoms = {x: rho(_indicator_field(space, x, p)) for x in space.points()}
-        total = sum(atoms.values(),
-                    np.zeros((oracle.target_dim,) * 2, dtype=np.complex128))
-        measures.append(SpectralMeasure(space=space, atoms=atoms, total=total))
-    return FamilyMeasures(family=fam, measures=tuple(measures))
+    points = space.points()
+    k = oracle.target_dim
+    # one ρ call over every (member, atom) indicator field
+    values = rho([
+        _indicator_field(x, p) for p in fam.members for x in points
+    ]).reshape(len(fam.members), len(points), k, k)
+    measures = tuple(
+        SpectralMeasure(space=space, atoms=dict(zip(points, atoms)),
+                        total=atoms.sum(axis=0))
+        for atoms in values
+    )
+    return FamilyMeasures(family=fam, measures=measures)
 
 
-def _indicator_field(space, x, a) -> OperatorField:
+def _indicator_field(x, a) -> OperatorField:
     return OperatorField(terms=((lambda y, x=x: 1.0 if y == x else 0.0, a),))
 
 
@@ -417,8 +422,8 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
     whole = whole_space(oracle.space)
 
-    def rho(field_: OperatorField) -> np.ndarray:
-        return integrate(oracle, field_, whole)
+    def rho(fields: list) -> np.ndarray:
+        return integrate(oracle, fields, whole)
 
     checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 2)
@@ -460,24 +465,27 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
         TAU_RECON * (1.0 + rebuilt.target_dim),
     ))
     # (6) representation on random fields
-    for t in range(20):
-        field_ = _random_field(rng, oracle)
-        lhs = rho(field_)
-        rhs = integrate(rebuilt, field_, whole)
+    fields = [_random_field(rng, oracle) for _ in range(20)]
+    for t, (lhs, rhs) in enumerate(zip(rho(fields),
+                                       integrate(rebuilt, fields, whole))):
         checks.append(check_entry(
             f"represent[F{t}]", frob_norm(lhs - rhs),
             TAU_RECON * (1.0 + frob_norm(lhs)),
         ))
-    # (7) boundedness witness for rho_b
-    for t in range(5):
+    # (7) boundedness witness for rho_b: fields b (x) A and b (x) id per t
+    elements, fields = [], []
+    for _ in range(5):
         fvals = {x: complex(rng.standard_normal(), rng.standard_normal())
                  for x in oracle.space.points()}
         b = lambda x, fv=fvals: fv[x]
         a = oracle.w1.random_hermitian_element(rng)
-        rho_b_a = rho(OperatorField(terms=((b, a),)))
-        rho_b_id = rho(OperatorField(terms=((b, oracle.w1.identity()),)))
-        bound = op_norm(rho_b_id) * op_norm(a)
-        excess = op_norm(rho_b_a) - bound
+        elements.append(a)
+        fields += [OperatorField(terms=((b, a),)),
+                   OperatorField(terms=((b, oracle.w1.identity()),))]
+    rho_b = rho(fields)
+    for t, a in enumerate(elements):
+        bound = op_norm(rho_b[2 * t + 1]) * op_norm(a)
+        excess = op_norm(rho_b[2 * t]) - bound
         checks.append(check_entry(
             f"rho_b-bound[{t}]", max(0.0, excess), TAU_RECON * (1.0 + bound),
         ))

@@ -149,14 +149,24 @@ class SpectralMeasure:
         return p
 
     def validate(self) -> float:
-        """Worst invariant residual: projections, orthogonality, total."""
-        worst = 0.0
-        labels = sorted(self.atoms, key=repr)
-        for i, x in enumerate(labels):
-            p = self.atoms[x]
-            worst = max(worst, frob_norm(p @ p - p), frob_norm(p - adjoint(p)))
-            for y in labels[:i]:
-                worst = max(worst, frob_norm(p @ self.atoms[y]))
+        """Worst invariant residual: projections, orthogonality, total.
+
+        The idempotence, hermiticity and pairwise-orthogonality residual
+        matrices of the atoms are stacked, and their norms taken in one call.
+        """
+        n = len(self.atoms)
+        stack = np.array(
+            [self.atoms[x] for x in sorted(self.atoms, key=repr)],
+            dtype=np.complex128,
+        ).reshape(n, self.dim, self.dim)
+        # every pair (later, earlier) of atoms in label order
+        later, earlier = np.nonzero(np.tri(n, k=-1, dtype=bool))
+        residuals = np.concatenate([
+            stack @ stack - stack,
+            stack - np.conj(np.swapaxes(stack, 1, 2)),
+            stack[later] @ stack[earlier],
+        ])
+        worst = float(np.linalg.norm(residuals, axis=(1, 2)).max(initial=0.0))
         worst = max(worst, frob_norm(self.total @ self.total - self.total))
         if self.space.is_finite:
             worst = max(worst, frob_norm(self._atom_sum() - self.total))

@@ -19,7 +19,7 @@ from .algebra import (
     limiting_sequence,
     linear_extend,
 )
-from .errors import AlgebraMismatch, InfiniteSet, NotSpanning
+from .errors import AlgebraMismatch, InfiniteSet, NotSpanning, SpaceMismatch
 from .linalg import adjoint, frob_norm, require_square, star_decompose
 from .measure import BorelSet, DiscreteSpace, SpectralMeasure, borel
 from .tolerances import (
@@ -86,6 +86,8 @@ class NonNegSpectralMeasure:
 
     def m_a(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
         """M_A(Delta) = sum over atoms in Delta of Phi_x(A)."""
+        if delta.space != self.space:
+            raise SpaceMismatch("set over a different space")
         inside = np.array([x in delta for x in self.labels], dtype=float)
         return np.tensordot(inside, self._values(a), axes=1)
 
@@ -296,20 +298,17 @@ def condition1_check(
     rng = np.random.default_rng(seed)
     space = fam.measures[0].space
     deltas = random_sets(space, rng, trials)
+    lams = np.array(
+        [rng.standard_normal(len(family.members)) for _ in range(trials)]
+    )
+    targets = np.tensordot(lams, np.stack(family.members), axes=1)
+    mus = decompose_over_family(family, targets).T
     entries = []
-    for t in range(trials):
-        lam = rng.standard_normal(len(family.members))
-        target = sum(
-            c * p for c, p in zip(lam, family.members)
-        )
-        mu = decompose_over_family(family, target)
-        delta = deltas[t]
-        lhs = sum(
-            c * evaluate(e, delta) for c, e in zip(lam, fam.measures)
-        )
-        rhs = sum(
-            c * evaluate(e, delta) for c, e in zip(mu, fam.measures)
-        )
+    for t, (lam, mu, delta) in enumerate(zip(lams, mus, deltas)):
+        # the family is evaluated once; lhs and rhs contract the same stack
+        values = np.stack([evaluate(e, delta) for e in fam.measures])
+        lhs = np.tensordot(lam, values, axes=1)
+        rhs = np.tensordot(mu, values, axes=1)
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
         entries.append(check_entry(
             f"condition1[trial{t}]", frob_norm(lhs - rhs), TAU_EXT * scale,
@@ -481,25 +480,42 @@ def extension_by_limit(
 
 
 def integrate(
-    m: NonNegSpectralMeasure, field_: OperatorField, delta: BorelSet
+    m: NonNegSpectralMeasure, fields, delta: BorelSet
 ) -> np.ndarray:
-    """Integral of an operator field: sum_i sum_{x in Delta} f_i(x) Phi_x(A_i).
+    """Integral of an operator field, sum_i sum_{x in Delta} f_i(x) Phi_x(A_i),
+    as a (k, k) array; or of each field of a sequence, as an (n_fields, k, k)
+    stack.  A field with no terms integrates to zero.
 
     The scalars f_i are evaluated on the stored atoms in Delta only; the
-    coordinates of every A_i come from one stacked ``coefficients`` call, and
-    the weights sum_i f_i(x) c_i(A_i) meet the image stack in one contraction.
+    coordinates of every A_i of every field come from one stacked
+    ``coefficients`` call, and each field's weights sum_i f_i(x) c(A_i) meet
+    the image stack in one contraction.
     """
+    if delta.space != m.space:
+        raise SpaceMismatch("set over a different space")
     if delta.cofinite:
         raise InfiniteSet("bounded integration needs a finite set")
-    inside = [i for i, x in enumerate(m.labels) if x in delta]
-    fvals = np.array(
-        [[complex(f(m.labels[i])) for i in inside] for f, _ in field_.terms],
-        dtype=np.complex128,
-    )
-    coeffs = m.w1.coefficients(np.stack([a for _, a in field_.terms]))
-    return np.tensordot(
-        fvals.T @ coeffs, m.images[inside], axes=([0, 1], [0, 1])
-    )
+    single = isinstance(fields, OperatorField)
+    batch = [fields] if single else list(fields)
+    terms = [t for f in batch for t in f.terms]
+    out = np.zeros((len(batch),) + (m.target_dim,) * 2, dtype=np.complex128)
+    if terms:
+        inside = [i for i, x in enumerate(m.labels) if x in delta]
+        fvals = np.array(
+            [[complex(f(m.labels[i])) for i in inside] for f, _ in terms],
+            dtype=np.complex128,
+        )
+        coeffs = m.w1.coefficients(np.stack([a for _, a in terms]))
+        products = fvals[:, :, None] * coeffs[:, None, :]
+        # row n of ``picks`` selects the terms of field n
+        owner = np.repeat(np.arange(len(batch)), [len(f.terms) for f in batch])
+        picks = owner == np.arange(len(batch))[:, None]
+        weights = picks @ products.reshape(len(terms), len(inside) * m.w1.dim)
+        out = np.tensordot(
+            weights.reshape(len(batch), len(inside), m.w1.dim),
+            m.images[inside], axes=([1, 2], [0, 1]),
+        )
+    return out[0] if single else out
 
 
 def positivity_deficit(m: NonNegSpectralMeasure, a: np.ndarray) -> float:

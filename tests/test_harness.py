@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from specmeas import harness, measure, serialize
+from specmeas import algebra, harness, linalg, measure, nnsm, serialize
 from specmeas.errors import CapExceeded
+from specmeas.tolerances import TAU_EXT
 
 
 def test_caps_enforced():
@@ -201,3 +202,88 @@ def test_truncate_to_eps_matches_per_horizon_reference():
         assert member.support == want_member.support
         assert tail == want_tail
         assert member.sub(want_member).norm() == 0.0
+
+
+def test_verify_b_makes_four_integrate_calls(monkeypatch):
+    # one ρ call derives every E_P atom, one ρ and one rebuilt call cover the
+    # represent fields, and one ρ call covers the rho_b-bound fields
+    calls = []
+    original = harness.integrate
+
+    def counted(m, fields, delta):
+        calls.append(len(fields))
+        return original(m, fields, delta)
+
+    monkeypatch.setattr(harness, "integrate", counted)
+    for seed in range(10):
+        calls.clear()
+        sc = harness.gen_scenario("B", seed)
+        rep = harness.verify_theorem_b(sc)
+        assert rep.passed
+        # the first call holds one indicator field per (member, atom)
+        assert len(calls) == 4 and calls[1:] == [20, 20, 10], seed
+        assert calls[0] % len(sc.space.points()) == 0
+
+
+def test_derived_measures_match_per_atom_rho_loop():
+    for seed in (0, 3, 7):
+        oracle = harness.gen_scenario("B", seed).payload["oracle"]
+        whole = measure.whole_space(oracle.space)
+        fm = harness._derive_family_measures(
+            lambda fields: nnsm.integrate(oracle, fields, whole), oracle,
+            seed=seed + 3,
+        )
+        for p, e_p in zip(fm.family.members, fm.measures):
+            total = np.zeros((oracle.target_dim,) * 2, dtype=complex)
+            for x in oracle.space.points():
+                indicator = nnsm.OperatorField(
+                    terms=((lambda y, x=x: 1.0 if y == x else 0.0, p),))
+                want = nnsm.integrate(oracle, indicator, whole)
+                total += want
+                assert np.linalg.norm(e_p.atoms[x] - want) <= 1e-12 * (
+                    1 + np.linalg.norm(want))
+            assert np.linalg.norm(e_p.total - total) <= 1e-12 * (
+                1 + np.linalg.norm(total))
+
+
+def _condition1_reference(fam, trials, seed):
+    """condition1_check's residuals with each E_P(Delta) evaluated twice per
+    trial, once for lhs and once for rhs, and one decomposition per trial."""
+    rng = np.random.default_rng(seed)
+    deltas = nnsm.random_sets(fam.measures[0].space, rng, trials)
+    out = []
+    for t in range(trials):
+        lam = rng.standard_normal(len(fam.family.members))
+        target = sum(c * p for c, p in zip(lam, fam.family.members))
+        mu = algebra.decompose_over_family(fam.family, target)
+        lhs = sum(c * measure.evaluate(e, deltas[t])
+                  for c, e in zip(lam, fam.measures))
+        rhs = sum(c * measure.evaluate(e, deltas[t])
+                  for c, e in zip(mu, fam.measures))
+        out.append((linalg.frob_norm(lhs - rhs),
+                    1.0 + max(linalg.frob_norm(lhs), linalg.frob_norm(rhs))))
+    return out
+
+
+def test_condition1_matches_two_pass_reference():
+
+    sc = harness._gen_b_nondegenerate(2, harness.Caps())
+    oracle = sc.payload["oracle"]
+    fam = algebra.sample_projections(oracle.w1, n=10, seed=11)
+    measures = [oracle.measure_for(p) for p in fam.members]
+    fm = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
+    # a corrupted compression: the relations no longer transfer
+    atoms = dict(measures[1].atoms)
+    atoms[0] = atoms[0] + 0.25 * np.eye(oracle.target_dim)
+    measures[1] = measure.SpectralMeasure(
+        space=oracle.space, atoms=atoms, total=measures[1].total)
+    broken = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
+    for fam_measures, passes in ((fm, True), (broken, False)):
+        rep = nnsm.condition1_check(fam_measures, trials=12, seed=5)
+        want = _condition1_reference(fam_measures, trials=12, seed=5)
+        assert [c.name for c in rep.checks] == [
+            f"condition1[trial{t}]" for t in range(12)]
+        for c, (resid, scale) in zip(rep.checks, want):
+            assert abs(c.residual - resid) <= 1e-12 * scale
+            assert c.tol == pytest.approx(TAU_EXT * scale, rel=1e-12)
+        assert rep.passed == passes

@@ -90,6 +90,65 @@ def test_validate_flags_overlapping_atoms():
     assert bad.validate() > 1e-6
 
 
+def _validate_reference(e):
+    """SpectralMeasure.validate as a per-atom loop over every atom pair."""
+    worst = 0.0
+    labels = sorted(e.atoms, key=repr)
+    for i, x in enumerate(labels):
+        p = e.atoms[x]
+        worst = max(worst, linalg.frob_norm(p @ p - p),
+                    linalg.frob_norm(p - linalg.adjoint(p)))
+        for y in labels[:i]:
+            worst = max(worst, linalg.frob_norm(p @ e.atoms[y]))
+    worst = max(worst, linalg.frob_norm(e.total @ e.total - e.total))
+    gap = e.total - sum(e.atoms.values())
+    if e.space.is_finite:
+        return max(worst, linalg.frob_norm(gap))
+    herm = (gap + linalg.adjoint(gap)) / 2.0
+    return max(worst, -float(np.linalg.eigvalsh(herm)[0]))
+
+
+def test_batched_validate_matches_per_pair_reference_and_can_fail():
+    rng = np.random.default_rng(31)
+    u = linalg.random_unitary(rng, 6)
+    cols = [u[:, [0, 1]], u[:, [2]], u[:, [3, 4]], u[:, [5]]]
+    projs = [c @ linalg.adjoint(c) for c in cols]
+    space = measure.DiscreteSpace(labels=("w", "x", "y", "z"))
+    good = dict(zip(space.labels, projs))
+    # atom "y" overlaps atom "w"; atom "x" is no longer idempotent
+    overlap = dict(good, y=projs[2] + projs[0])
+    scaled = dict(good, x=1.05 * projs[1])
+    countable = measure.DiscreteSpace(horizon=10)
+    cases = [
+        (measure.SpectralMeasure(space=space, atoms=good), False),
+        (measure.SpectralMeasure(space=space, atoms=overlap,
+                                 total=np.eye(6, dtype=complex)), True),
+        (measure.SpectralMeasure(space=space, atoms=scaled,
+                                 total=np.eye(6, dtype=complex)), True),
+        (measure.SpectralMeasure(space=countable, atoms=dict(enumerate(projs)),
+                                 total=np.eye(6, dtype=complex)), False),
+        (measure.SpectralMeasure(space=space, atoms={"x": projs[1]}), False),
+    ]
+    for e, faulty in cases:
+        got = e.validate()
+        assert abs(got - _validate_reference(e)) <= 1e-12
+        assert (got > 1e-3) == faulty
+    # the planted atom's idempotence residual is the worst one
+    assert cases[2][0].validate() == pytest.approx(
+        linalg.frob_norm(scaled["x"] @ scaled["x"] - scaled["x"]), rel=1e-12)
+    # two rank-2 atoms tilted by theta in two planes: on a countable space
+    # the pair residual sqrt(2) cos(theta) is the worst one, ahead of the
+    # total's deficit cos(theta)
+    c, s = np.cos(0.3), np.sin(0.3)
+    v = np.eye(4)[:, [0, 2]]
+    w = np.array([[c, 0.0], [s, 0.0], [0.0, c], [0.0, s]])
+    tilted = measure.SpectralMeasure(
+        space=countable, atoms={0: v @ v.T + 0j, 1: w @ w.T + 0j},
+        total=np.eye(4, dtype=complex))
+    assert abs(tilted.validate() - _validate_reference(tilted)) <= 1e-12
+    assert tilted.validate() == pytest.approx(np.sqrt(2.0) * c, rel=1e-12)
+
+
 def test_countable_total_dominates():
     space = measure.DiscreteSpace(horizon=8)
     atoms = {n: np.diag([1.0 if i == n else 0.0 for i in range(8)]).astype(complex)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
-from specmeas.errors import InfiniteSet, NotSpanning
+from specmeas.errors import InfiniteSet, NotSpanning, SpaceMismatch
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
 from conftest import tensor_model
@@ -322,6 +322,58 @@ def test_integrate_makes_one_coefficients_call(monkeypatch):
         shapes.clear()
         nnsm.integrate(m, field_, measure.borel(m.space, {1, 3}))
         assert shapes == [(n_terms, m.w1.ambient_dim, m.w1.ambient_dim)]
+    # a batch of fields also makes one call, over every term of every field
+    batch = [_random_field(rng, m, n_terms) for n_terms in (1, 3, 7)]
+    shapes.clear()
+    nnsm.integrate(m, batch, measure.borel(m.space, {1, 3}))
+    assert shapes == [(11, m.w1.ambient_dim, m.w1.ambient_dim)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_integrate_matches_per_field_reference(seed):
+    m, rng = _model_with_unstored_label(seed)
+    sets = [measure.whole_space(m.space), measure.borel(m.space, {0, 2, 3}),
+            measure.borel(m.space, {3}), measure.borel(m.space, set())]
+    k = m.target_dim
+    for delta in sets:
+        for n_fields in (1, 3, 7):
+            batch = [_random_field(rng, m, 1 + (seed + i) % 4)
+                     for i in range(n_fields)]
+            got = nnsm.integrate(m, batch, delta)
+            assert got.shape == (n_fields, k, k)
+            for g, field_ in zip(got, batch):
+                assert _close(g, _ref_integrate(m, field_, delta))
+            # one field alone gives the (k, k) value its batch row holds
+            alone = nnsm.integrate(m, batch[-1], delta)
+            assert alone.shape == (k, k) and _close(alone, got[-1])
+
+
+def test_integrate_empty_field_and_empty_batch():
+    m, rng = _model_with_unstored_label(seed=15)
+    k = m.target_dim
+    whole = measure.whole_space(m.space)
+    empty = nnsm.OperatorField(terms=())
+    zero = nnsm.integrate(m, empty, whole)
+    assert zero.shape == (k, k) and not zero.any()
+    assert nnsm.integrate(m, [], whole).shape == (0, k, k)
+    f, g = _random_field(rng, m, 2), _random_field(rng, m, 3)
+    got = nnsm.integrate(m, [f, empty, g], whole)
+    assert not got[1].any()
+    assert _close(got[0], _ref_integrate(m, f, whole))
+    assert _close(got[2], _ref_integrate(m, g, whole))
+
+
+def test_integrate_and_m_a_reject_a_set_from_another_space():
+    m, rng = _model_with_unstored_label(seed=16)
+    other = measure.DiscreteSpace(labels=tuple(range(7)))
+    foreign = measure.whole_space(other)
+    field_ = nnsm.OperatorField(terms=((lambda x: 1.0, m.w1.identity()),))
+    with pytest.raises(SpaceMismatch):
+        nnsm.integrate(m, field_, foreign)
+    with pytest.raises(SpaceMismatch):
+        nnsm.integrate(m, [field_], foreign)
+    with pytest.raises(SpaceMismatch):
+        m.m_a(m.w1.identity(), foreign)
 
 
 def test_condition3_matches_per_cell_reference():
