@@ -15,21 +15,17 @@ import numpy as np
 
 from .errors import (
     InconsistentAssignment,
-    NotAbelian,
     NotCommuting,
     NotInSpan,
     NotNormal,
     ShapeMismatch,
-    TooLarge,
 )
 from .linalg import (
     adjoint,
-    as_matrix,
     eig_hermitian,
     frob_norm,
     is_projection,
     op_norm,
-    random_hermitian,
     require_hermitian,
     require_square,
 )
@@ -110,16 +106,6 @@ class VonNeumannAlgebra:
     def membership_residual(self, a: np.ndarray) -> float:
         return float(self._project(_vec(a))[1])
 
-    def contains(self, a: np.ndarray, tol: float = TAU_ALG) -> bool:
-        return self.membership_residual(as_matrix(a)) <= tol * (1.0 + frob_norm(a))
-
-    def is_abelian(self, tol: float = TAU_ALG) -> bool:
-        for i, a in enumerate(self.basis):
-            for b in self.basis[:i]:
-                if frob_norm(a @ b - b @ a) > tol:
-                    return False
-        return True
-
     def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
         coeffs = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         # summed row by row, in the basis order, rather than by a matmul:
@@ -132,17 +118,6 @@ class VonNeumannAlgebra:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
-
-    def closure_residual(self) -> float:
-        """Worst residual of span closure under product, adjoint, identity."""
-        worst = 0.0
-        for a in self.basis:
-            worst = max(worst, self.membership_residual(adjoint(a)))
-            for b in self.basis:
-                worst = max(worst, self.membership_residual(a @ b))
-        if self.contains_identity:
-            worst = max(worst, self.membership_residual(self.identity()))
-        return worst
 
 
 def _span_to_algebra(vecs: np.ndarray, dim: int) -> VonNeumannAlgebra:
@@ -228,25 +203,6 @@ class ProjectionFamily:
         targets = np.stack([_vec(b) for b in self.algebra.basis], axis=1)
         coeffs, *_ = np.linalg.lstsq(cols, targets, rcond=None)
         return float(np.linalg.norm(cols @ coeffs - targets, axis=0).max())
-
-
-def enumerate_projections_abelian(w: VonNeumannAlgebra) -> ProjectionFamily:
-    """All 2^m projections of an abelian algebra with m minimal projections."""
-    if not w.is_abelian():
-        raise NotAbelian("algebra basis does not pairwise commute")
-    atlas = joint_diagonalize(list(w.basis), ambient_dim=w.ambient_dim)
-    minimal = [p for _, p in atlas.points]
-    m = len(minimal)
-    if m > 16:
-        raise TooLarge(f"{m} minimal projections; 2^{m} exceeds enumeration cap")
-    members = []
-    for mask in range(2**m):
-        p = np.zeros((w.ambient_dim, w.ambient_dim), dtype=np.complex128)
-        for i in range(m):
-            if mask & (1 << i):
-                p = p + minimal[i]
-        members.append(p)
-    return ProjectionFamily(algebra=w, members=tuple(members), spans_algebra=True)
 
 
 def sample_projections(

@@ -5,6 +5,8 @@ supported vectors form the dense domain.  Algebra generators act diagonally:
 the image of b (x) A on block n is f_b(n) * A, where f_b is the generator's
 scalar value function.  Closures are never materialized; every operator is
 evaluated on finitely supported vectors, where all sums are finite and exact.
+A preintegral psi(f, A) is summed exactly over the spectral decompositions of
+the positive parts of Re A and Im A (``linalg.positive_negative_parts``).
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import VonNeumannAlgebra, limiting_sequence
+from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
-from .linalg import adjoint, eig_hermitian, require_square
-from .measure import BorelSet, DiscreteSpace, borel
+from .linalg import adjoint, positive_negative_parts, require_square
+from .measure import BorelSet, DiscreteSpace
 from .nnsm import OperatorField
-from .tolerances import TAU_LIM, TAU_RECON
+from .tolerances import TAU_RECON
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,6 @@ class DomainVector:
     def support(self) -> frozenset:
         return frozenset(self.components)
 
-    def component(self, n: int, dim: int) -> np.ndarray:
-        v = self.components.get(n)
-        if v is None:
-            return np.zeros(dim, dtype=np.complex128)
-        return v
-
     def norm(self) -> float:
         return float(
             np.sqrt(sum(np.vdot(v, v).real for v in self.components.values()))
@@ -134,27 +130,7 @@ def vector_sum(vectors) -> DomainVector:
     return DomainVector(out)
 
 
-def basis_vector(n: int, dim: int, slot: int = 0) -> DomainVector:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[slot] = 1.0
-    return DomainVector({n: v})
-
-
-def bounding_sequence(model: BlockModel, fs: list, n: int) -> BorelSet:
-    """Delta_n = {k <= horizon : |f_j(k)| <= n for all j}.
-
-    Evaluated up to the model horizon; the sets increase in n and exhaust
-    the space since every f is finite pointwise.
-    """
-    members = [
-        k for k in range(model.horizon)
-        if all(abs(complex(f(k))) <= n for f in fs)
-    ]
-    return borel(model.space, members)
-
-
-def spectral_integral_apply(f, model: BlockModel,
-                            x: DomainVector) -> DomainVector:
+def spectral_integral_apply(f, x: DomainVector) -> DomainVector:
     """Apply the spectral integral of f to a finitely supported vector.
 
     The blockwise resolution E({n}) is the identity on block n, so block n
@@ -201,77 +177,38 @@ def _blockwise(f, op: np.ndarray, x: DomainVector) -> DomainVector:
     return DomainVector(dict(zip(support, fv[:, None] * (xs @ op.T))))
 
 
-@dataclass(frozen=True)
-class PsiCertificate:
-    """Limiting-sequence convergence evidence for a preintegral value."""
-
-    residual_by_ell: tuple  # of (ell, residual against the exact value)
-    converged: bool
-
-
-def psi_apply(
-    f, a, model: BlockModel, x: DomainVector, certify: bool = False
-):
+def psi_apply(f, a, model: BlockModel, x: DomainVector) -> DomainVector:
     """Preintegral psi(f, A) x on a finitely supported vector.
 
     A is split into four positive parts; each positive part has a finite
     spectral decomposition sum lambda_k P_k and psi(f, B) x is the exact sum
     of lambda_k f(n) P_k x_n.  The parts, with their signs, sum to one
     operator, applied to the stacked support in one contraction; the value
-    equals the direct blockwise action.  With ``certify`` the
-    limiting-sequence route psi(f, S_l(B)) x is evaluated at growing l and
-    its approach to the exact value is reported.
+    equals the direct blockwise action.
     """
     if not isinstance(a, np.ndarray):
-        value = rho_apply(model, f, a, x)
-        if not certify:
-            return value
-        return value, PsiCertificate(residual_by_ell=((1, 0.0),), converged=True)
+        return rho_apply(model, f, a, x)
     a = require_square(a)
     parts = _positive_parts(a)
     zero = np.zeros(a.shape, dtype=np.complex128)
-    result = _blockwise(f, sum((sign * b for sign, b in parts), zero), x)
-    if not certify:
-        return result
-    return result, _limit_certificate(f, parts, zero, x, result)
+    return _blockwise(f, sum((sign * b for sign, b in parts), zero), x)
 
 
 def _positive_parts(a: np.ndarray) -> list:
     """The nonzero positive parts of A as (sign, B): A = sum sign * B.
 
-    Re A and Im A are each diagonalized once, when nonzero; the positive and
-    the negative eigenvalues of that one decomposition give the two parts.
+    Re A and Im A are each split once, when nonzero, into their positive
+    and negative parts.
     """
     parts = []
     for h, unit in (((a + adjoint(a)) / 2.0, 1.0),
                     ((a - adjoint(a)) / 2.0j, 1.0j)):
         if not h.any():
             continue
-        pairs = eig_hermitian(h).pairs
-        lam = np.array([mu for mu, _ in pairs])
-        projs = np.stack([p for _, p in pairs])
-        for weights, sign in ((np.maximum(lam, 0.0), unit),
-                              (np.maximum(-lam, 0.0), -unit)):
-            if weights.any():
-                parts.append((sign, np.tensordot(weights, projs, axes=1)))
+        for part, sign in zip(positive_negative_parts(h), (unit, -unit)):
+            if part.any():
+                parts.append((sign, part))
     return parts
-
-
-def _limit_certificate(f, parts, zero, x,
-                       exact: DomainVector) -> PsiCertificate:
-    """Evaluate psi via S_l for the positive parts of A at a few l."""
-    seqs = [(limiting_sequence(b, ell_max=1), sign) for sign, b in parts]
-    residuals = []
-    scale = 1.0 + exact.norm()
-    for ell in (4, 64, 1 << 20):
-        op = sum((sign * zeta * r_proj for seq, sign in seqs
-                  for zeta, r_proj in seq.term(ell)), zero)
-        approx = _blockwise(f, op, x)
-        residuals.append((ell, approx.sub(exact).norm() / scale))
-    return PsiCertificate(
-        residual_by_ell=tuple(residuals),
-        converged=residuals[-1][1] <= TAU_LIM,
-    )
 
 
 def i_m_apply(field_: OperatorField, model: BlockModel,
@@ -282,12 +219,6 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
     so this is the closure's action there.
     """
     return vector_sum(psi_apply(f, a, model, x) for f, a in field_.terms)
-
-
-def adjoint_on_d0(field_: OperatorField, model: BlockModel,
-                  x: DomainVector) -> DomainVector:
-    """Action of the integral of F* (conjugate functions, adjoint operators)."""
-    return i_m_apply(field_.star(), model, x)
 
 
 def truncation_projection(model: BlockModel, k: BorelSet,

@@ -17,18 +17,6 @@ class EigSolverFailure(SpecmeasError):
     pass
 
 
-class NotPositive(SpecmeasError):
-    pass
-
-
-class NotAbelian(SpecmeasError):
-    pass
-
-
-class TooLarge(SpecmeasError):
-    pass
-
-
 class NotInSpan(SpecmeasError):
     pass
 
@@ -53,10 +41,6 @@ class DimMismatch(SpecmeasError):
     pass
 
 
-class UnboundedOnSet(SpecmeasError):
-    pass
-
-
 class AlgebraMismatch(SpecmeasError):
     pass
 
@@ -66,10 +50,6 @@ class InfiniteSet(SpecmeasError):
 
 
 class NotSpanning(SpecmeasError):
-    pass
-
-
-class NotInD0(SpecmeasError):
     pass
 
 

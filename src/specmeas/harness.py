@@ -542,7 +542,7 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         poly = blocks._random_star_polynomial(rng, names, degree=3)
         f = blocks._poly_evaluator(model, poly)
         lhs = blocks.rho_apply(model, f, _unit_coeff(model), x)
-        rhs = blocks.spectral_integral_apply(f, model, x)
+        rhs = blocks.spectral_integral_apply(f, x)
         checks.append(check_entry(
             f"represent[x{t}]", lhs.sub(rhs).norm(),
             TAU_EXACT * (1.0 + lhs.norm()),

@@ -2,8 +2,7 @@
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128.  The functions here
 supply the substrate for everything else: hermitian eigendecomposition with
-cluster merging, positive/negative and real/imaginary splittings, positive
-square roots and the scale-aware comparison helpers.
+cluster merging, and the positive/negative and real/imaginary splittings.
 """
 
 from __future__ import annotations
@@ -12,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EigSolverFailure,
-    NonHermitianInput,
-    NotPositive,
-    ShapeMismatch,
-)
-from .tolerances import DELTA_CLUSTER, TAU_HERM, TAU_PROJ, TAU_PSD, TAU_RECON
+from .errors import EigSolverFailure, NonHermitianInput, ShapeMismatch
+from .tolerances import DELTA_CLUSTER, TAU_HERM, TAU_PROJ
 
 
 def as_matrix(a) -> np.ndarray:
@@ -51,16 +45,6 @@ def frob_norm(a) -> float:
 def op_norm(a) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
-
-
-def approx_eq(a, b, tol: float = TAU_RECON) -> bool:
-    """Relative Frobenius comparison: ||a-b||_F <= tol*(1+max(||a||,||b||))."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    scale = 1.0 + max(frob_norm(a), frob_norm(b))
-    return frob_norm(a - b) <= tol * scale
 
 
 def hermiticity_residual(a: np.ndarray) -> float:
@@ -161,17 +145,16 @@ def eig_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> SpectralDecomposition
 
 
 def positive_negative_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a hermitian matrix as A = A_+ - A_- with A_± psd and A_+A_- = 0."""
-    dec = eig_hermitian(a)
-    n = dec.dim
-    plus = np.zeros((n, n), dtype=np.complex128)
-    minus = np.zeros((n, n), dtype=np.complex128)
-    for lam, p in dec.pairs:
-        if lam >= 0:
-            plus += lam * p
-        else:
-            minus += -lam * p
-    return plus, minus
+    """Split a hermitian matrix as A = A_+ - A_- with A_± psd and A_+A_- = 0.
+
+    One eigendecomposition; each part weights the eigenprojection stack by
+    max(±lambda, 0) in one contraction.
+    """
+    pairs = eig_hermitian(a).pairs
+    lam = np.array([mu for mu, _ in pairs])
+    projs = np.stack([p for _, p in pairs])
+    return (np.tensordot(np.maximum(lam, 0.0), projs, axes=1),
+            np.tensordot(np.maximum(-lam, 0.0), projs, axes=1))
 
 
 def star_decompose(
@@ -184,23 +167,6 @@ def star_decompose(
     re_plus, re_minus = positive_negative_parts(re)
     im_plus, im_minus = positive_negative_parts(im)
     return re_plus, re_minus, im_plus, im_minus
-
-
-def positive_sqrt(a: np.ndarray) -> np.ndarray:
-    """Positive square root of a psd hermitian matrix."""
-    dec = eig_hermitian(a)
-    scale = 1.0 + max(abs(v) for v in dec.eigenvalues)
-    out = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for lam, p in dec.pairs:
-        if lam < -TAU_PSD * scale:
-            raise NotPositive(f"eigenvalue {lam:.3e} below -{TAU_PSD:.0e}*scale")
-        out += np.sqrt(max(lam, 0.0)) * p
-    return out
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(require_hermitian(a))
-    return float(vals[0])
 
 
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

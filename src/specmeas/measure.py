@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, SpaceMismatch, UnboundedOnSet
+from .errors import SpaceMismatch
 from .linalg import adjoint, frob_norm, require_square
-from .tolerances import TAU_MEAS, TAU_PROJ
+from .tolerances import TAU_PROJ
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,6 @@ class BorelSet:
             return BorelSet(self.space, self.members | other.members, cofinite=True)
         fin, cof = (self, other) if not self.cofinite else (other, self)
         return BorelSet(self.space, fin.members - cof.members)
-
-    def union(self, other: "BorelSet") -> "BorelSet":
-        _same_space(self, other)
-        if not self.cofinite and not other.cofinite:
-            return BorelSet(self.space, self.members | other.members)
-        if self.cofinite and other.cofinite:
-            return BorelSet(self.space, self.members & other.members, cofinite=True)
-        fin, cof = (self, other) if not self.cofinite else (other, self)
-        return BorelSet(self.space, cof.members - fin.members, cofinite=True)
-
-    def complement(self) -> "BorelSet":
-        if self.space.is_finite:
-            rest = frozenset(self.space.labels) - self.members
-            return BorelSet(self.space, rest)
-        return BorelSet(self.space, self.members, cofinite=not self.cofinite)
 
 
 def _same_space(a: BorelSet, b: BorelSet) -> None:
@@ -193,79 +178,6 @@ def evaluate(e: SpectralMeasure, delta: BorelSet) -> np.ndarray:
     return out
 
 
-def integrate_bounded(e: SpectralMeasure, f, delta: BorelSet) -> np.ndarray:
-    """Sum of f(x) E_x over Delta.
-
-    For cofinite Delta the sum runs over the stored atoms (the measure is
-    finitely supported at desk scale); f must be finite on every atom hit.
-    """
-    if delta.space != e.space:
-        raise SpaceMismatch("set over a different space")
-    out = np.zeros((e.dim, e.dim), dtype=np.complex128)
-    for x, p in e.atoms.items():
-        if x in delta:
-            fx = complex(f(x))
-            if not np.isfinite(fx):
-                raise UnboundedOnSet(f"f({x!r}) is not finite")
-            out += fx * p
-    return out
-
-
-def scalar_measure(e: SpectralMeasure, h1: np.ndarray, h2: np.ndarray,
-                   delta: BorelSet) -> complex:
-    """E_{h1,h2}(Delta) = <E(Delta) h1, h2>."""
-    h1 = np.asarray(h1, dtype=np.complex128).reshape(-1)
-    h2 = np.asarray(h2, dtype=np.complex128).reshape(-1)
-    if h1.shape[0] != e.dim or h2.shape[0] != e.dim:
-        raise DimMismatch(f"vectors must have dim {e.dim}")
-    return complex(np.vdot(h2, evaluate(e, delta) @ h1))
-
-
 def support(e: SpectralMeasure, tol: float = TAU_PROJ) -> BorelSet:
     labels = [x for x, p in e.atoms.items() if frob_norm(p) > tol]
     return BorelSet(e.space, frozenset(labels))
-
-
-def support_vector(e: SpectralMeasure, h: np.ndarray,
-                   tol: float = TAU_PROJ) -> BorelSet:
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    if h.shape[0] != e.dim:
-        raise DimMismatch(f"vector must have dim {e.dim}")
-    bound = tol * float(np.vdot(h, h).real + 1e-300)
-    labels = [
-        x for x, p in e.atoms.items()
-        if float(np.vdot(h, p @ h).real) > bound
-    ]
-    return BorelSet(e.space, frozenset(labels))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    horizon: int
-    total_mass: float
-    sup_over_truncations: float
-    deficit: float
-    regular: bool
-
-
-def check_regularity(e: SpectralMeasure, h: np.ndarray,
-                     horizon: int) -> RegularityReport:
-    """Compare sup over finite truncations of E_{h,h} with the total mass."""
-    if e.space.is_finite:
-        raise SpaceMismatch("regularity checks run on countable spaces")
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    total_mass = float(np.vdot(h, e.total @ h).real)
-    sup = 0.0
-    running = 0.0
-    for n in range(horizon):
-        running += float(np.vdot(h, e.atom(n) @ h).real)
-        sup = max(sup, running)
-    deficit = total_mass - sup
-    norm2 = float(np.vdot(h, h).real)
-    return RegularityReport(
-        horizon=horizon,
-        total_mass=total_mass,
-        sup_over_truncations=sup,
-        deficit=deficit,
-        regular=deficit <= TAU_MEAS * (1.0 + norm2),
-    )

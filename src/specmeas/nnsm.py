@@ -94,13 +94,6 @@ class NonNegSpectralMeasure:
     def total_of_identity(self) -> np.ndarray:
         return self._values(self.w1.identity()).sum(axis=0)
 
-    @property
-    def normalized(self) -> bool:
-        eye = np.eye(self.target_dim)
-        return frob_norm(self.total_of_identity() - eye) <= TAU_RECON * (
-            1.0 + self.target_dim
-        )
-
 
 @dataclass(frozen=True)
 class OperatorField:
@@ -149,10 +142,6 @@ def _pointwise_product(f, g):
 
 def _conjugated(f):
     return lambda x: np.conj(f(x))
-
-
-def indicator(delta: BorelSet):
-    return lambda x: 1.0 if x in delta else 0.0
 
 
 @dataclass(frozen=True)
@@ -344,10 +333,6 @@ class Condition3Report:
     fitted_rate: float
     passed: bool
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_by_ell[-1][1]
-
 
 def condition3_check(
     fam: FamilyMeasures,
@@ -473,7 +458,7 @@ def extension_by_limit(
     """E_A(Delta) as the limiting-sequence value at a large ell.
 
     For positive A this realizes lim_l E_{S_l(A)}(Delta); the companion exact
-    value is FamilyMeasures.extend_at, and the two agree within TAU_LIM.
+    value is FamilyMeasures.extend_at.
     """
     seq = limiting_sequence(a, ell_max=1, zeta_rule=zeta_rule)
     return _riemann_sums(fam, [(1.0, seq)], [ell], delta)[0]

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .algebra import VonNeumannAlgebra, bicommutant
+from .algebra import VonNeumannAlgebra
 from .errors import InvalidDocument
 from .linalg import as_matrix, frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
@@ -90,22 +90,6 @@ def _label(x):
     return tuple(x) if isinstance(x, list) else x
 
 
-def algebra_to_doc(w: VonNeumannAlgebra) -> dict:
-    return {
-        "ambient_dim": w.ambient_dim,
-        "generators": [matrix_to_doc(b) for b in w.basis],
-    }
-
-
-def algebra_from_doc(doc: dict) -> VonNeumannAlgebra:
-    try:
-        dim = int(doc["ambient_dim"])
-        gens = [matrix_from_doc(m) for m in doc["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidDocument(f"malformed algebra document: {exc}") from exc
-    return bicommutant(gens, dim)
-
-
 def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
     return {
         "space": space_to_doc(m.space),
@@ -174,77 +158,19 @@ def _require_atom_maps(space, w1, target_dim, atom_images) -> None:
             )
 
 
-def block_model_to_doc(model) -> dict:
-    from .blocks import BlockModel  # noqa: F401  (type reference)
-
-    prefix = list(model.block_dims)
-    gens = []
-    for name in sorted(model.generators):
-        rule = getattr(model.generators[name], "rule_doc", None)
-        if rule is None:
-            raise InvalidDocument(
-                f"generator {name!r} has no named rule; cannot serialize"
-            )
-        gens.append({"name": name, **rule})
-    return {
-        "horizon": model.horizon,
-        "block_dims": {"prefix": prefix, "repeat": prefix[-1]},
-        "generators": gens,
-        "w": algebra_to_doc(model.w) if model.w is not None else None,
-    }
-
-
-def block_model_from_doc(doc: dict):
-    from .blocks import BlockModel
-
-    try:
-        horizon = int(doc["horizon"])
-        dims_doc = doc["block_dims"]
-        prefix = [int(d) for d in dims_doc["prefix"]]
-        repeat = int(dims_doc["repeat"])
-        dims = tuple((prefix + [repeat] * horizon)[:horizon])
-        gens = {
-            g["name"]: generator_rule(g) for g in doc["generators"]
-        }
-        w = algebra_from_doc(doc["w"]) if doc.get("w") else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"malformed block-model document: {exc}") from exc
-    return BlockModel(
-        space=DiscreteSpace(horizon=horizon),
-        block_dims=dims,
-        generators=gens,
-        w=w,
-    )
-
-
 def generator_rule(doc: dict):
     """Named generator-value primitives: poly, exp-index, bounded-const."""
     kind = doc.get("kind")
     if kind == "poly":
         coeffs = [complex(re, im) for re, im in doc["coeffs"]]
-
-        def f(n: int) -> complex:
-            return sum(c * n**j for j, c in enumerate(coeffs))
-
-        rule = {"kind": "poly", "coeffs": doc["coeffs"]}
-    elif kind == "exp-index":
+        return lambda n: sum(c * n**j for j, c in enumerate(coeffs))
+    if kind == "exp-index":
         rate = float(doc["rate"])
-
-        def f(n: int) -> complex:
-            return complex(np.exp(rate * n))
-
-        rule = {"kind": "exp-index", "rate": rate}
-    elif kind == "bounded-const":
+        return lambda n: complex(np.exp(rate * n))
+    if kind == "bounded-const":
         value = complex(doc["value"][0], doc["value"][1])
-
-        def f(n: int) -> complex:
-            return value
-
-        rule = {"kind": "bounded-const", "value": doc["value"]}
-    else:
-        raise InvalidDocument(f"unknown generator rule {kind!r}")
-    f.rule_doc = rule
-    return f
+        return lambda n: value
+    raise InvalidDocument(f"unknown generator rule {kind!r}")
 
 
 def dump(doc: dict, path) -> None:

@@ -8,14 +8,10 @@ scale-invariant (A and 1e6*A behave identically).
 TAU_HERM = 1e-10    # hermiticity residual, Frobenius, relative
 TAU_PROJ = 1e-8     # idempotency / orthogonality of projections
 TAU_RECON = 1e-8    # reconstruction residuals (spectral sums, products)
-TAU_EIG = 1e-9      # eigenvalue accuracy, relative to 1 + op norm
 DELTA_CLUSTER = 1e-7  # eigenvalue clustering gap, relative to 1 + op norm
-TAU_PSD = 1e-9      # allowed negative slack on eigenvalues of psd matrices
-TAU_ALG = 1e-8      # algebra membership / closure residuals
+TAU_ALG = 1e-8      # algebra membership residuals
 TAU_EXT = 1e-7      # linear-extension well-definedness disagreement
 TAU_RANK = 1e-10    # absolute singular-value cutoff for rank and null spaces
-TAU_MEAS = 1e-9     # measure regularity deficit
-TAU_LIM = 1e-5      # limiting-sequence limit agreement
 TAU_MATCH = 1e-6    # joint-value tuples closer than this name the same atom
 TAU_IDENTITY = 1e-10  # Frobenius distance at which a member is the identity
 TAU_EXACT = 1e-12   # two routes that form the same finite sums must agree

@@ -39,8 +39,8 @@ def random_vector(rng, model: blocks.BlockModel, supp=3) -> blocks.DomainVector:
 
 
 def test_domain_vector_arithmetic():
-    x = blocks.basis_vector(0, 1)
-    y = blocks.basis_vector(3, 1)
+    x = blocks.DomainVector({0: np.array([1.0])})
+    y = blocks.DomainVector({3: np.array([1.0])})
     z = x.add(y.scale(2.0))
     assert z.norm() == pytest.approx(np.sqrt(5.0))
     assert z.sub(x).norm() == pytest.approx(2.0)
@@ -55,15 +55,15 @@ def test_number_operator_action():
     y = blocks.rho_apply(model, model.generators["num"], 1.0, x)
     # block 0 is killed, block 5 picks up the factor 5
     assert y.support == frozenset({5})
-    assert y.component(5, 1)[0] == pytest.approx(10.0)
+    assert y.components[5][0] == pytest.approx(10.0)
 
 
 def test_spectral_integral_and_d0():
     model = number_model()
     x = blocks.DomainVector({2: np.array([1.0]), 7: np.array([1.0])})
-    y = blocks.spectral_integral_apply(lambda n: n * n, model, x)
-    assert y.component(2, 1)[0] == pytest.approx(4.0)
-    assert y.component(7, 1)[0] == pytest.approx(49.0)
+    y = blocks.spectral_integral_apply(lambda n: n * n, x)
+    assert y.components[2][0] == pytest.approx(4.0)
+    assert y.components[7][0] == pytest.approx(49.0)
     assert x.support == frozenset({2, 7})
 
 
@@ -75,16 +75,6 @@ def test_truncate_to_horizon_density():
     exact_tail = np.sqrt(sum(0.25**n for n in range(20, 40)))
     assert tail == pytest.approx(exact_tail)
     assert tail <= 1e-5
-
-
-def test_bounding_sequence_monotone():
-    model = number_model(horizon=20)
-    fs = [model.generators["num"]]
-    d3 = blocks.bounding_sequence(model, fs, 3)
-    d7 = blocks.bounding_sequence(model, fs, 7)
-    assert d3.members == frozenset(range(4))
-    assert d7.members == frozenset(range(8))
-    assert d3.members <= d7.members
 
 
 def test_psi_scalar_matches_rho():
@@ -101,13 +91,19 @@ def test_psi_matrix_exact_and_certified():
     x = random_vector(rng, model)
     a = linalg.random_complex(rng, 2, 2)
     f = model.generators["decay"]
-    got, cert = blocks.psi_apply(f, a, model, x, certify=True)
+    got = blocks.psi_apply(f, a, model, x)
     want = blocks.rho_apply(model, f, a, x)
     assert got.sub(want).norm() <= 1e-12 * (1 + want.norm())
-    assert cert.converged
-    # limiting-sequence residuals shrink with ell
-    rs = [r for _, r in cert.residual_by_ell]
-    assert rs[-1] <= 1e-5
+    # the limiting-sequence route psi(f, S_l(B)) x over the four positive
+    # parts B of A approaches the exact value as ell grows
+    parts = zip((1.0, -1.0, 1.0j, -1.0j), linalg.star_decompose(a))
+    seqs = [(sign, algebra.limiting_sequence(b, ell_max=1)) for sign, b in parts]
+    rs = []
+    for ell in (4, 64, 1 << 20):
+        op = sum(sign * seq.approximant(ell) for sign, seq in seqs)
+        approx = blocks.rho_apply(model, f, op, x)
+        rs.append(approx.sub(got).norm() / (1.0 + got.norm()))
+    assert rs[0] >= rs[-1] and rs[-1] <= 1e-5
 
 
 def test_i_m_linearity_and_star():
@@ -125,7 +121,7 @@ def test_i_m_linearity_and_star():
     assert lhs.sub(rhs).norm() <= 1e-10 * (1 + rhs.norm())
     # adjoint law <I(F)x, y> = <x, I(F*)y>
     lhs_ip = blocks.i_m_apply(ff, model, x).inner(y)
-    rhs_ip = x.inner(blocks.adjoint_on_d0(ff, model, y))
+    rhs_ip = x.inner(blocks.i_m_apply(ff.star(), model, y))
     assert abs(lhs_ip - rhs_ip) <= 1e-10 * (1 + abs(rhs_ip))
 
 
@@ -169,7 +165,8 @@ def test_d_alpha_fails_outside_k():
     # the probes are read off the generator table, which ends at the horizon
     for n in (-1, model.horizon):
         with pytest.raises(ShapeMismatch):
-            blocks.d_alpha_check(blocks.basis_vector(n, 1), model, k)
+            blocks.d_alpha_check(blocks.DomainVector({n: np.array([1.0])}),
+                                 model, k)
 
 
 def test_integrability_check():
@@ -269,12 +266,14 @@ def test_psi_matches_per_eigenpair_reference(seed):
 def test_psi_one_eig_per_nonzero_hermitian_part(monkeypatch):
     model, rng = matrix_model(dim=3, seed=7)
     calls = []
+    eig_hermitian = linalg.eig_hermitian
 
     def counted(a, *args, **kwargs):
         calls.append(a.shape)
-        return linalg.eig_hermitian(a, *args, **kwargs)
+        return eig_hermitian(a, *args, **kwargs)
 
-    monkeypatch.setattr(blocks, "eig_hermitian", counted)
+    # psi_apply reaches eig_hermitian through linalg.positive_negative_parts
+    monkeypatch.setattr(linalg, "eig_hermitian", counted)
     cases = _psi_cases(rng)
     # nonzero Hermitian parts (Re A, Im A) of each case
     parts = {"hermitian": 1, "skew-hermitian": 1, "degenerate": 2, "psd": 1,

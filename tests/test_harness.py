@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specmeas import algebra, harness, linalg, measure, nnsm, serialize
+from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
 from specmeas.errors import CapExceeded
 from specmeas.tolerances import TAU_EXT
 
@@ -93,13 +93,12 @@ def test_verify_c_bounded_generator():
     sc = harness.Scenario(
         kind="Cprime", seed=5, dims=(1,) * 16,
         space=measure.DiscreteSpace(horizon=16),
-        payload={"model": serialize.block_model_from_doc({
-            "horizon": 16,
-            "block_dims": {"prefix": [1], "repeat": 1},
-            "generators": [
-                {"name": "g0", "kind": "exp-index", "rate": -0.7}],
-            "w": None,
-        })},
+        payload={"model": blocks.BlockModel(
+            space=measure.DiscreteSpace(horizon=16),
+            block_dims=(1,) * 16,
+            generators={"g0": serialize.generator_rule(
+                {"kind": "exp-index", "rate": -0.7})},
+        )},
     )
     rep = harness.verify_theorem_c(sc)
     assert rep.passed

@@ -25,7 +25,9 @@ def test_tensor_model_is_valid_nnsm():
     fam = family_for(m)
     report = nnsm.check_nnsm(m, fam)
     assert report.passed, [e for e in report.checks if not e.passed]
-    assert m.normalized
+    eye = np.eye(m.target_dim)
+    assert linalg.frob_norm(m.total_of_identity() - eye) <= 1e-8 * (
+        1 + m.target_dim)
 
 
 def test_compression_of_zero_and_identity():
@@ -122,7 +124,7 @@ def test_condition3_converges():
     d2 = measure.borel(m.space, {1, 2})
     rep = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
     assert rep.passed
-    assert rep.final_residual <= 10.0 * (1 + m.w1.ambient_dim) / 64.0
+    assert rep.residual_by_ell[-1][1] <= 10.0 * (1 + m.w1.ambient_dim) / 64.0
     # residuals decay like 1/ell or better (or sit at round-off)
     assert rep.fitted_rate >= 0.8
 
@@ -193,12 +195,12 @@ def test_integrate_positivity():
     m, _, rng = tensor_model(seed=11)
     c = linalg.random_complex(rng, m.w1.ambient_dim, m.w1.ambient_dim)
     pos = c @ linalg.adjoint(c)
-    if not m.w1.contains(pos):
+    if m.w1.membership_residual(pos) > TAU_ALG * (1 + linalg.frob_norm(pos)):
         pos = m.w1.identity()
     assert nnsm.positivity_deficit(m, pos) <= 1e-9
     field = nnsm.OperatorField(terms=((lambda x: 1.0, pos),))
     val = nnsm.integrate(m, field, measure.whole_space(m.space))
-    assert linalg.min_eigenvalue((val + linalg.adjoint(val)) / 2) >= -1e-9
+    assert np.linalg.eigvalsh((val + linalg.adjoint(val)) / 2)[0] >= -1e-9
 
 
 def test_integrate_rejects_cofinite():
