@@ -3,8 +3,11 @@
 The Hilbert space is a countable direct sum of finite blocks; finitely
 supported vectors form the dense domain.  Algebra generators act diagonally:
 the image of b (x) A on block n is f_b(n) * A, where f_b is the generator's
-scalar value function.  Closures are never materialized; every operator is
-evaluated on finitely supported vectors, where all sums are finite and exact.
+scalar value function.  Every scalar function is passed as its value row,
+f(n) for each block n below the horizon; the generators are evaluated into
+such rows once per model (``BlockModel.generator_rows``).  Closures are
+never materialized; every operator is evaluated on finitely supported
+vectors, where all sums are finite and exact.
 A preintegral psi(f, A) is summed exactly over the spectral decompositions of
 the positive parts of Re A and Im A (``linalg.positive_negative_parts``).
 """
@@ -28,10 +31,10 @@ from .tolerances import TAU_RECON
 class BlockModel:
     """Countable block-diagonal carrier for unbounded representations.
 
-    ``generators`` maps a generator name to a callable n -> complex.  When
-    ``w`` is present all blocks share its ambient dimension and b (x) A acts
-    blockwise as f_b(n) * A; when it is None the model is scalar and block
-    dimensions may vary.
+    ``generators`` maps a generator name to a callable n -> complex, read
+    once into ``generator_rows``.  When ``w`` is present all blocks share
+    its ambient dimension and b (x) A acts blockwise as f_b(n) * A; when it
+    is None the model is scalar and block dimensions may vary.
     """
 
     space: DiscreteSpace
@@ -59,19 +62,15 @@ class BlockModel:
     def block_dim(self, n: int) -> int:
         return self.block_dims[n]
 
-    def generator_value(self, name: str, n: int) -> complex:
-        return complex(self.generators[name](n))
-
     @cached_property
-    def generator_table(self) -> np.ndarray:
-        """(generators, horizon) values: row i holds f_b(n) for n below the
-        horizon, with b the i-th generator name in sorted order."""
-        names = sorted(self.generators)
-        return np.array(
-            [[self.generator_value(b, n) for n in range(self.horizon)]
-             for b in names],
-            dtype=np.complex128,
-        ).reshape(len(names), self.horizon)
+    def generator_rows(self) -> dict:
+        """Generator name -> its value row, f_b(n) for n below the horizon:
+        the one place where the generators are evaluated."""
+        return {
+            b: np.array([complex(f(n)) for n in range(self.horizon)],
+                        dtype=np.complex128)
+            for b, f in self.generators.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -130,16 +129,31 @@ def vector_sum(vectors) -> DomainVector:
     return DomainVector(out)
 
 
-def spectral_integral_apply(f, x: DomainVector) -> DomainVector:
-    """Apply the spectral integral of f to a finitely supported vector.
+def _values_at(values, support, horizon: int) -> np.ndarray:
+    """A value row's entries at the blocks of ``support``, in its order.  The
+    row must hold a value for every block below ``horizon``, where the
+    support must lie; otherwise ShapeMismatch."""
+    row = np.asarray(values, dtype=np.complex128)
+    if row.ndim != 1 or len(row) < horizon:
+        raise ShapeMismatch(f"a value row needs one value per block below "
+                            f"the horizon ({horizon})")
+    if len(support) and not 0 <= min(support) <= max(support) < horizon:
+        raise ShapeMismatch("vector supported outside the value row")
+    return row[support]
+
+
+def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
+    """Apply the spectral integral of f, given by its value row, to a
+    finitely supported vector.
 
     The blockwise resolution E({n}) is the identity on block n, so block n
     of the result is f(n) x_n.  Finitely supported vectors are always in the
     domain; in this model they are exactly D0, with the support as the
     compact witness.
     """
+    fv = _values_at(values, list(x.components), len(values))
     return DomainVector(
-        {n: complex(f(n)) * v for n, v in x.components.items()}
+        {n: complex(c) * v for (n, v), c in zip(x.components.items(), fv)}
     )
 
 
@@ -157,41 +171,35 @@ def truncate_to_horizon(coeffs, horizon: int) -> tuple[DomainVector, float]:
     return DomainVector(kept), float(np.sqrt(tail))
 
 
-def rho_apply(model: BlockModel, f, a, x: DomainVector) -> DomainVector:
-    """rho(b (x) A) x: block n of the result is f(n) * A x_n (exact)."""
-    if isinstance(a, np.ndarray):
-        return _blockwise(f, a, x)
-    return DomainVector(
-        {n: complex(f(n)) * a * v for n, v in x.components.items()}
-    )
-
-
-def _blockwise(f, op: np.ndarray, x: DomainVector) -> DomainVector:
-    """Block n of the result is f(n) * op x_n: one contraction of op with
-    the stacked support components."""
+def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:
+    """rho(b (x) A) x: block n of the result is f(n) * A x_n (exact), with f
+    given by its value row ``values``; a matrix A meets the stacked support
+    components in one contraction."""
     support = list(x.components)
+    fv = _values_at(values, support, model.horizon)
+    if not isinstance(a, np.ndarray):
+        return DomainVector({n: complex(c) * a * v
+                             for (n, v), c in zip(x.components.items(), fv)})
     if not support:
         return DomainVector({})
-    fv = np.array([complex(f(n)) for n in support])
     xs = np.stack([x.components[n] for n in support])
-    return DomainVector(dict(zip(support, fv[:, None] * (xs @ op.T))))
+    return DomainVector(dict(zip(support, fv[:, None] * (xs @ a.T))))
 
 
-def psi_apply(f, a, model: BlockModel, x: DomainVector) -> DomainVector:
+def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
     """Preintegral psi(f, A) x on a finitely supported vector.
 
     A is split into four positive parts; each positive part has a finite
-    spectral decomposition sum lambda_k P_k and psi(f, B) x is the exact sum
-    of lambda_k f(n) P_k x_n.  The parts, with their signs, sum to one
-    operator, applied to the stacked support in one contraction; the value
-    equals the direct blockwise action.
+    spectral decomposition sum λ_k P_k and psi(f, B) x is the exact sum
+    of λ_k f(n) P_k x_n.  The parts, with their signs, sum to one
+    operator, which ``rho_apply`` applies; the value equals the direct
+    blockwise action.
     """
-    if not isinstance(a, np.ndarray):
-        return rho_apply(model, f, a, x)
-    a = require_square(a)
-    parts = _positive_parts(a)
-    zero = np.zeros(a.shape, dtype=np.complex128)
-    return _blockwise(f, sum((sign * b for sign, b in parts), zero), x)
+    if isinstance(a, np.ndarray):
+        a = require_square(a)
+        zero = np.zeros(a.shape, dtype=np.complex128)
+        a = sum((sign * b for sign, b in _positive_parts(a)), zero)
+    return rho_apply(model, values, a, x)
 
 
 def _positive_parts(a: np.ndarray) -> list:
@@ -218,7 +226,7 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
     The closure agrees with the preintegral on finitely supported vectors,
     so this is the closure's action there.
     """
-    return vector_sum(psi_apply(f, a, model, x) for f, a in field_.terms)
+    return vector_sum(psi_apply(v, a, model, x) for v, a in field_.terms)
 
 
 def truncation_projection(model: BlockModel, k: BorelSet,
@@ -235,10 +243,6 @@ class DAlphaReport:
     probe_residuals: tuple  # of (probe name, max(0, ||rho(b)x|| - alpha_K(b)||x||))
     status: str  # "certified" | "sampled-pass" | "fail"
     flags: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
 
 def d_alpha_check(
@@ -304,23 +308,15 @@ def _random_star_polynomial(rng: np.random.Generator, names, degree: int):
 
 
 def _poly_values(model: BlockModel, monomials) -> np.ndarray:
-    """A *-polynomial's values at every block below the horizon, evaluated
-    over the model's generator table."""
-    table = model.generator_table
-    row = {name: i for i, name in enumerate(sorted(model.generators))}
+    """A *-polynomial's value row, over the model's generator rows."""
     total = np.zeros(model.horizon, dtype=np.complex128)
     for coeff, factors in monomials:
         term = np.full(model.horizon, coeff, dtype=np.complex128)
         for name, conj in factors:
-            v = table[row[name]]
+            v = model.generator_rows[name]
             term = term * (np.conj(v) if conj else v)
         total = total + term
     return total
-
-
-def _poly_evaluator(model: BlockModel, monomials):
-    values = _poly_values(model, monomials)
-    return lambda n: values[n]
 
 
 def _block_actions(field_: OperatorField, horizon: int) -> np.ndarray:
@@ -332,10 +328,9 @@ def _block_actions(field_: OperatorField, horizon: int) -> np.ndarray:
                 if isinstance(a, np.ndarray)), 1)
     out = np.zeros((horizon, dim, dim), dtype=np.complex128)
     eye = np.eye(dim)
-    for f, a in field_.terms:
-        fv = np.array([complex(f(n)) for n in range(horizon)])
+    for v, a in field_.terms:
         coeff = a if isinstance(a, np.ndarray) else a * eye
-        out += fv[:, None, None] * coeff
+        out += _values_at(v, range(horizon), horizon)[:, None, None] * coeff
     return out
 
 
@@ -347,18 +342,18 @@ class IntegrabilityReport:
 
 
 def integrability_check(
-    model: BlockModel, field_: OperatorField, horizon: int | None = None
+    model: BlockModel, field_: OperatorField
 ) -> IntegrabilityReport:
     """Blockwise normality of the field's action (integrability proxy).
 
-    The commutator norms of every block action are taken in one batch.  A
-    non-finite residual fails and names the worst block: argmax returns the
-    first NaN, or else the first largest residual.
+    Every value row of the field must cover the model's horizon, or
+    ShapeMismatch is raised.  The commutator norms of every block action
+    are taken in one batch.  A non-finite residual fails and names the worst
+    block: argmax returns the first NaN, or else the first largest residual.
     """
-    horizon = model.horizon if horizon is None else min(horizon, model.horizon)
-    if horizon < 1:
+    if model.horizon < 1:
         return IntegrabilityReport(worst_block=0, worst_residual=0.0, passed=True)
-    b = _block_actions(field_, horizon)
+    b = _block_actions(field_, model.horizon)
     b_star = np.conj(np.swapaxes(b, 1, 2))
     resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(1, 2)) / (
         1.0 + np.linalg.norm(b, axis=(1, 2)) ** 2

@@ -4,6 +4,8 @@ An NNSM assigns to every atom x of a discrete space a linear map
 Phi_x: W1 -> B(K), stored through the images of W1's trace-orthonormal basis.
 Compressions M_P(Delta) = M(Delta)(P) are spectral measures, and the product
 rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the family together.
+Operator fields store each scalar function as its value table over the
+space's points, so integrating one reads the stored atoms' columns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .algebra import (
     limiting_sequence,
     linear_extend,
 )
-from .errors import AlgebraMismatch, InfiniteSet, NotSpanning, SpaceMismatch
+from .errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
+                     ShapeMismatch, SpaceMismatch)
 from .linalg import adjoint, frob_norm, require_square, star_decompose
 from .measure import BorelSet, DiscreteSpace, SpectralMeasure, borel
 from .tolerances import (
@@ -99,49 +102,37 @@ class NonNegSpectralMeasure:
 class OperatorField:
     """Finite sum of elementary tensors f_i (x) A_i in B (x) W1.
 
-    f_i is a scalar function of the point.  A_i is an ndarray in W1, or a
-    complex scalar for scalar block models, where it stays a scalar.  The
-    bounded theory integrates a field against an NNSM (``integrate``), the
-    unbounded one applies it to finitely supported vectors
-    (``blocks.i_m_apply``).
+    f_i is a scalar function on the space, stored as its value table: a 1-d
+    complex128 array indexed like ``space.points()``, that is the labels of
+    a finite space or range(horizon) of a countable one.  A_i is an ndarray
+    in W1, or a complex scalar for scalar block models, where it stays a
+    scalar.  The bounded theory integrates a field against an NNSM
+    (``integrate``), the unbounded one applies it to finitely supported
+    vectors (``blocks.i_m_apply``).
     """
 
-    terms: tuple  # of (callable, ndarray | complex)
+    terms: tuple  # of (values ndarray, ndarray | complex)
 
     def __add__(self, other: "OperatorField") -> "OperatorField":
         return OperatorField(terms=self.terms + other.terms)
 
     def scale(self, lam: complex) -> "OperatorField":
-        return OperatorField(
-            terms=tuple((_scaled(f, lam), a) for f, a in self.terms)
-        )
+        return OperatorField(terms=tuple((lam * v, a) for v, a in self.terms))
 
     def product(self, other: "OperatorField") -> "OperatorField":
         out = []
-        for f, a in self.terms:
-            for g, b in other.terms:
+        for v, a in self.terms:
+            for w, b in other.terms:
                 ab = a @ b if isinstance(a, np.ndarray) else a * b
-                out.append((_pointwise_product(f, g), ab))
+                out.append((v * w, ab))
         return OperatorField(terms=tuple(out))
 
     def star(self) -> "OperatorField":
         out = []
-        for f, a in self.terms:
+        for v, a in self.terms:
             a_star = adjoint(a) if isinstance(a, np.ndarray) else np.conj(a)
-            out.append((_conjugated(f), a_star))
+            out.append((np.conj(v), a_star))
         return OperatorField(terms=tuple(out))
-
-
-def _scaled(f, lam):
-    return lambda x: lam * f(x)
-
-
-def _pointwise_product(f, g):
-    return lambda x: f(x) * g(x)
-
-
-def _conjugated(f):
-    return lambda x: np.conj(f(x))
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,7 @@ def condition1_check(
 ) -> VerificationReport:
     """Linear relations among projections must transfer to the measures.
 
-    Seeded random combinations T = sum lambda_i P_i are re-expressed by their
+    Seeded random combinations T = sum λ_i P_i are re-expressed by their
     minimum-norm coordinates over the family; the two coefficient vectors
     must induce the same measure values on every atom.
     """
@@ -471,10 +462,12 @@ def integrate(
     as a (k, k) array; or of each field of a sequence, as an (n_fields, k, k)
     stack.  A field with no terms integrates to zero.
 
-    The scalars f_i are evaluated on the stored atoms in Delta only; the
-    coordinates of every A_i of every field come from one stacked
-    ``coefficients`` call, and each field's weights sum_i f_i(x) c(A_i) meet
-    the image stack in one contraction.
+    Each f_i is a value row with one entry per point of the space; a row of
+    another length, or a stored atom in Delta that is not among the points
+    (past a countable space's horizon), raises ShapeMismatch.  The columns of the stored atoms in
+    Delta are read from the rows, the coordinates of every A_i of every field
+    come from one stacked ``coefficients`` call, and each field's weights
+    sum_i f_i(x) c(A_i) meet the image stack in one contraction.
     """
     if delta.space != m.space:
         raise SpaceMismatch("set over a different space")
@@ -485,11 +478,15 @@ def integrate(
     terms = [t for f in batch for t in f.terms]
     out = np.zeros((len(batch),) + (m.target_dim,) * 2, dtype=np.complex128)
     if terms:
+        points = m.space.points()
+        rows = [np.asarray(v, dtype=np.complex128) for v, _ in terms]
         inside = [i for i, x in enumerate(m.labels) if x in delta]
-        fvals = np.array(
-            [[complex(f(m.labels[i])) for i in inside] for f, _ in terms],
-            dtype=np.complex128,
-        )
+        if any(r.shape != (len(points),) for r in rows) or any(
+                m.labels[i] not in points for i in inside):
+            raise ShapeMismatch(f"value rows index the space's {len(points)} "
+                                "points; Delta's stored atoms must be among them")
+        columns = [points.index(m.labels[i]) for i in inside]
+        fvals = np.stack(rows)[:, columns]
         coeffs = m.w1.coefficients(np.stack([a for _, a in terms]))
         products = fvals[:, :, None] * coeffs[:, None, :]
         # row n of ``picks`` selects the terms of field n

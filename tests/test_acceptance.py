@@ -132,8 +132,9 @@ def test_criterion_5_integration_laws():
         r2 = linalg.frob_norm(nnsm.integrate(m, f.scale(lam), delta) - lam * i_f)
         # (iii) indicator: int chi_D (x) A dM = M_A(D)
         a = m.w1.random_hermitian_element(rng)
-        chi = nnsm.OperatorField(
-            terms=((lambda x, d=delta: 1.0 if x in d else 0.0, a),))
+        chi = nnsm.OperatorField(terms=(
+            (np.array([1.0 if x in delta else 0.0 for x in m.space.points()]),
+             a),))
         r3 = linalg.frob_norm(nnsm.integrate(m, chi, whole) - m.m_a(a, delta))
         # (v) multiplicativity on a common set
         r5 = linalg.frob_norm(
@@ -150,9 +151,9 @@ def test_criterion_5_integration_laws():
 def _random_field(rng, m):
     terms = []
     for _ in range(int(rng.integers(1, 3))):
-        fvals = {x: complex(rng.standard_normal(), rng.standard_normal())
-                 for x in m.space.points()}
-        terms.append((lambda y, fv=fvals: fv[y], m.w1.random_hermitian_element(rng)))
+        fvals = np.array([complex(rng.standard_normal(), rng.standard_normal())
+                          for _ in m.space.points()])
+        terms.append((fvals, m.w1.random_hermitian_element(rng)))
     return nnsm.OperatorField(terms=tuple(terms))
 
 
@@ -218,7 +219,7 @@ def _random_ufield(rng, model):
     names = sorted(model.generators)
     terms = []
     for _ in range(int(rng.integers(1, 3))):
-        g = model.generators[names[int(rng.integers(len(names)))]]
+        g = model.generator_rows[names[int(rng.integers(len(names)))]]
         if model.w is not None:
             d = model.w.ambient_dim
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -52,7 +52,7 @@ def test_domain_vector_arithmetic():
 def test_number_operator_action():
     model = number_model()
     x = blocks.DomainVector({0: np.array([1.0]), 5: np.array([2.0])})
-    y = blocks.rho_apply(model, model.generators["num"], 1.0, x)
+    y = blocks.rho_apply(model, model.generator_rows["num"], 1.0, x)
     # block 0 is killed, block 5 picks up the factor 5
     assert y.support == frozenset({5})
     assert y.components[5][0] == pytest.approx(10.0)
@@ -61,7 +61,7 @@ def test_number_operator_action():
 def test_spectral_integral_and_d0():
     model = number_model()
     x = blocks.DomainVector({2: np.array([1.0]), 7: np.array([1.0])})
-    y = blocks.spectral_integral_apply(lambda n: n * n, x)
+    y = blocks.spectral_integral_apply(np.arange(model.horizon) ** 2, x)
     assert y.components[2][0] == pytest.approx(4.0)
     assert y.components[7][0] == pytest.approx(49.0)
     assert x.support == frozenset({2, 7})
@@ -80,7 +80,7 @@ def test_truncate_to_horizon_density():
 def test_psi_scalar_matches_rho():
     model = number_model()
     x = blocks.DomainVector({1: np.array([1.0]), 4: np.array([1.0j])})
-    f = model.generators["num"]
+    f = model.generator_rows["num"]
     got = blocks.psi_apply(f, 2.0 + 0.0j, model, x)
     want = blocks.rho_apply(model, f, 2.0 + 0.0j, x)
     assert got.sub(want).norm() <= 1e-14
@@ -90,7 +90,7 @@ def test_psi_matrix_exact_and_certified():
     model, rng = matrix_model(seed=3)
     x = random_vector(rng, model)
     a = linalg.random_complex(rng, 2, 2)
-    f = model.generators["decay"]
+    f = model.generator_rows["decay"]
     got = blocks.psi_apply(f, a, model, x)
     want = blocks.rho_apply(model, f, a, x)
     assert got.sub(want).norm() <= 1e-12 * (1 + want.norm())
@@ -112,8 +112,8 @@ def test_i_m_linearity_and_star():
     y = random_vector(rng, model)
     a = linalg.random_complex(rng, 2, 2)
     b = linalg.random_complex(rng, 2, 2)
-    ff = OperatorField(terms=((model.generators["num"], a),))
-    gg = OperatorField(terms=((model.generators["decay"], b),))
+    ff = OperatorField(terms=((model.generator_rows["num"], a),))
+    gg = OperatorField(terms=((model.generator_rows["decay"], b),))
     combo = ff.scale(2.0) + gg.scale(-1.0j)
     lhs = blocks.i_m_apply(combo, model, x)
     rhs = blocks.i_m_apply(ff, model, x).scale(2.0).add(
@@ -130,8 +130,8 @@ def test_i_m_product_on_d0():
     x = random_vector(rng, model)
     a = linalg.random_complex(rng, 2, 2)
     b = linalg.random_complex(rng, 2, 2)
-    ff = OperatorField(terms=((model.generators["num"], a),))
-    gg = OperatorField(terms=((model.generators["decay"], b),))
+    ff = OperatorField(terms=((model.generator_rows["num"], a),))
+    gg = OperatorField(terms=((model.generator_rows["decay"], b),))
     lhs = blocks.i_m_apply(ff.product(gg), model, x)
     rhs = blocks.i_m_apply(ff, model, blocks.i_m_apply(gg, model, x))
     assert lhs.sub(rhs).norm() <= 1e-9 * (1 + rhs.norm())
@@ -161,8 +161,7 @@ def test_d_alpha_fails_outside_k():
     x = blocks.DomainVector({20: np.array([1.0])})
     rep = blocks.d_alpha_check(x, model, k, probes=40)
     assert rep.status == "fail"
-    assert not rep.passed
-    # the probes are read off the generator table, which ends at the horizon
+    # the probes are read off the generator rows, which end at the horizon
     for n in (-1, model.horizon):
         with pytest.raises(ShapeMismatch):
             blocks.d_alpha_check(blocks.DomainVector({n: np.array([1.0])}),
@@ -173,14 +172,18 @@ def test_integrability_check():
     model, rng = matrix_model(seed=6)
     # hermitian coefficient: blockwise normal
     h = linalg.random_hermitian(rng, 2)
-    good = OperatorField(terms=((model.generators["num"], h),))
+    good = OperatorField(terms=((model.generator_rows["num"], h),))
     assert blocks.integrability_check(model, good).passed
     bad = OperatorField(
-        terms=((model.generators["num"], np.array([[0, 1], [0, 0]], dtype=complex)),)
+        terms=((model.generator_rows["num"],
+                np.array([[0, 1], [0, 0]], dtype=complex)),)
     )
     rep = blocks.integrability_check(model, bad)
     assert not rep.passed
-    assert blocks.integrability_check(model, bad, horizon=0).passed  # no blocks
+    empty = blocks.BlockModel(space=measure.DiscreteSpace(horizon=0),
+                              block_dims=(), generators={}, w=model.w)
+    no_blocks = OperatorField(terms=((np.zeros(0), bad.terms[0][1]),))
+    assert blocks.integrability_check(empty, no_blocks).passed  # no blocks
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,7 +193,7 @@ def test_psi_additive_in_operator(seed):
     x = random_vector(rng, model)
     a = linalg.random_complex(rng, 2, 2)
     b = linalg.random_complex(rng, 2, 2)
-    f = model.generators["decay"]
+    f = model.generator_rows["decay"]
     lhs = blocks.psi_apply(f, a + b, model, x)
     rhs = blocks.psi_apply(f, a, model, x).add(blocks.psi_apply(f, b, model, x))
     assert lhs.sub(rhs).norm() <= 1e-9 * (1 + rhs.norm())
@@ -203,7 +206,7 @@ def test_domain_inclusion_bound(seed, n):
     model, rng = matrix_model(horizon=32, seed=seed)
     x = blocks.DomainVector({int(n): rng.standard_normal(2) + 0j})
     a = linalg.random_complex(rng, 2, 2)
-    f = model.generators["num"]
+    f = model.generator_rows["num"]
     lhs = blocks.rho_apply(model, f, a, x).norm()
     rhs = linalg.op_norm(a) * blocks.rho_apply(model, f, model.w.identity(), x).norm()
     assert lhs <= rhs + 1e-9 * (1 + rhs)
@@ -256,7 +259,7 @@ def test_psi_matches_per_eigenpair_reference(seed):
     for name, a in _psi_cases(rng).items():
         for gen in ("num", "decay"):
             x = random_vector(rng, model, supp=4)
-            f = model.generators[gen]
+            f = model.generator_rows[gen]
             got = blocks.psi_apply(f, a, model, x)
             want = _psi_reference(f, a, model, x)
             assert got.support == want.support, name
@@ -281,13 +284,14 @@ def test_psi_one_eig_per_nonzero_hermitian_part(monkeypatch):
     x = random_vector(rng, model, supp=4)
     for name, a in cases.items():
         calls.clear()
-        blocks.psi_apply(model.generators["num"], a, model, x)
+        blocks.psi_apply(model.generator_rows["num"], a, model, x)
         assert len(calls) == parts[name], name
     calls.clear()
-    blocks.psi_apply(model.generators["num"], np.zeros((3, 3), complex), model, x)
+    blocks.psi_apply(model.generator_rows["num"], np.zeros((3, 3), complex),
+                     model, x)
     assert calls == []
     # a field: one decomposition per nonzero part of each matrix term
-    terms = tuple((model.generators["decay"], a) for a in cases.values())
+    terms = tuple((model.generator_rows["decay"], a) for a in cases.values())
     calls.clear()
     blocks.i_m_apply(OperatorField(terms=terms), model, x)
     assert len(calls) == sum(parts.values())
@@ -311,7 +315,8 @@ def _reference_models():
 
 
 def _d_alpha_reference(x, model, k, probes, seed):
-    """(certified, residuals, status) with one per-point closure per probe."""
+    """(certified, residuals, status) with the probe polynomial evaluated
+    point by point from the generator callables."""
     rng = np.random.default_rng(seed)
     certified = not x.support or all(n in k for n in x.support)
     names = sorted(model.generators)
@@ -326,13 +331,14 @@ def _d_alpha_reference(x, model, k, probes, seed):
             for coeff, factors in poly:
                 term = coeff
                 for name, conj in factors:
-                    v = model.generator_value(name, n)
+                    v = complex(model.generators[name](n))
                     term *= np.conj(v) if conj else v
                 total += term
             return total
 
         unit = 1.0 + 0.0j if model.w is None else model.w.identity()
-        y = blocks.rho_apply(model, f, unit, x)
+        row = [f(n) for n in range(model.horizon)]
+        y = blocks.rho_apply(model, row, unit, x)
         alpha = max((abs(f(n)) for n in k_points), default=0.0)
         residuals.append(max(0.0, y.norm() - alpha * norm_x))
     sampled_pass = all(r <= 1e-8 * (1.0 + norm_x) for r in residuals)
@@ -366,8 +372,8 @@ def _integrability_reference(model, field_):
     for n in range(model.horizon):
         dim = model.block_dim(n)
         b = np.zeros((dim, dim), dtype=complex)
-        for f, a in field_.terms:
-            b += complex(f(n)) * (a if isinstance(a, np.ndarray) else a * np.eye(dim))
+        for v, a in field_.terms:
+            b += v[n] * (a if isinstance(a, np.ndarray) else a * np.eye(dim))
         comm = b @ linalg.adjoint(b) - linalg.adjoint(b) @ b
         resid = linalg.frob_norm(comm) / (1.0 + linalg.frob_norm(b) ** 2)
         if resid > worst:
@@ -376,8 +382,10 @@ def _integrability_reference(model, field_):
     return worst_block, worst, passed
 
 
-def _spike(n_bad):
-    return lambda n: 1.0 if n == n_bad else 0.0
+def _spike(model, n_bad):
+    row = np.zeros(model.horizon, dtype=complex)
+    row[n_bad] = 1.0
+    return row
 
 
 def test_integrability_matches_per_block_reference():
@@ -386,14 +394,15 @@ def test_integrability_matches_per_block_reference():
         names = sorted(model.generators)
         fields = []
         for name in names:
-            g = model.generators[name]
+            g = model.generator_rows[name]
             if model.w is None:
                 fields.append(((g, complex(rng.standard_normal(), 1.0)),))
             else:
                 d = model.w.ambient_dim
                 fields.append(((g, linalg.random_hermitian(rng, d)),))
                 fields.append(((g, model.w.identity()),
-                               (_spike(5), linalg.random_complex(rng, d, d))))
+                               (_spike(model, 5),
+                                linalg.random_complex(rng, d, d))))
         for terms in fields:
             field_ = OperatorField(terms=terms)
             rep = blocks.integrability_check(model, field_)
@@ -421,18 +430,54 @@ def test_domain_vector_keeps_non_finite_components():
 def test_integrability_fails_non_finite_field():
     model, _ = matrix_model(seed=8)
     a = linalg.random_hermitian(np.random.default_rng(8), 2)
-    everywhere = OperatorField(terms=((lambda n: np.nan, a),))
+    everywhere = OperatorField(terms=((np.full(model.horizon, np.nan), a),))
     with np.errstate(invalid="ignore"):
         rep = blocks.integrability_check(model, everywhere)
     assert not rep.passed and rep.worst_block == 0
     assert np.isnan(rep.worst_residual)
     # a hermitian field that is non-finite on block 6 only names that block
-    at_six = OperatorField(
-        terms=((lambda n: np.inf if n == 6 else float(n), a),))
+    row = np.arange(model.horizon, dtype=complex)
+    row[6] = np.inf
+    at_six = OperatorField(terms=((row, a),))
     with np.errstate(invalid="ignore"):
         rep = blocks.integrability_check(model, at_six)
     assert not rep.passed and rep.worst_block == 6
-    scalar = OperatorField(terms=((lambda n: np.nan, 1.0 + 0.0j),))
+    scalar_model = _unequal_scalar_model()
+    scalar = OperatorField(
+        terms=((np.full(scalar_model.horizon, np.nan), 1.0 + 0.0j),))
     with np.errstate(invalid="ignore"):
-        rep = blocks.integrability_check(_unequal_scalar_model(), scalar)
+        rep = blocks.integrability_check(scalar_model, scalar)
     assert not rep.passed and rep.worst_block == 0
+
+
+def test_generator_rows_evaluate_each_generator_once_per_block():
+    model, _ = matrix_model(horizon=12, seed=9)
+    rows = model.generator_rows
+    assert rows is model.generator_rows  # cached on the model
+    for name, f in model.generators.items():
+        assert rows[name].dtype == np.complex128
+        assert np.array_equal(rows[name], [complex(f(n)) for n in range(12)])
+
+
+def test_value_rows_must_cover_the_horizon():
+    model, rng = matrix_model(horizon=16, seed=10)
+    x = blocks.DomainVector({3: np.array([1.0, 2.0])})
+    a = linalg.random_complex(rng, 2, 2)
+    short = model.generator_rows["num"][:15]
+    for apply in (lambda: blocks.rho_apply(model, short, a, x),
+                  lambda: blocks.rho_apply(model, short, 2.0 + 0.0j, x),
+                  lambda: blocks.psi_apply(short, a, model, x),
+                  lambda: blocks.integrability_check(
+                      model, OperatorField(terms=((short, a),)))):
+        with pytest.raises(ShapeMismatch):
+            apply()
+    # a row covers the horizon, but the vector must live below it
+    row = model.generator_rows["num"]
+    for n in (-1, model.horizon):
+        outside = blocks.DomainVector({n: np.array([1.0, 0.0])})
+        with pytest.raises(ShapeMismatch):
+            blocks.rho_apply(model, row, a, outside)
+        with pytest.raises(ShapeMismatch):
+            blocks.spectral_integral_apply(row, outside)
+    with pytest.raises(ShapeMismatch):
+        blocks.rho_apply(model, np.ones((16, 1)), a, x)  # not a row

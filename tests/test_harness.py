@@ -104,6 +104,31 @@ def test_verify_c_bounded_generator():
     assert rep.passed
 
 
+def test_verify_c_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch):
+    """represent[x*] applies rho once per factor of the *-polynomial and
+    compares with the spectral integral of its values; a relative 1e-6 bump
+    of one generator's row on the rho side alone must fail it."""
+    sc = harness.gen_scenario("Cprime", 1)
+    model = sc.payload["model"]
+    assert sorted(model.generator_rows) == ["g0", "g1"]
+    clean = harness.verify_theorem_c(sc)
+    represent = [c for c in clean.checks if c.name.startswith("represent[x")]
+    assert len(represent) == 6 and all(c.passed for c in represent)
+    assert any(c.residual > 0.0 for c in represent)  # not one formula twice
+    g0 = model.generator_rows["g0"]
+    rho_apply = blocks.rho_apply
+
+    def bumped(model_, values, a, x):
+        if np.array_equal(values, g0) or np.array_equal(values, np.conj(g0)):
+            values = values * (1.0 + 1e-6)
+        return rho_apply(model_, values, a, x)
+
+    monkeypatch.setattr(blocks, "rho_apply", bumped)
+    rep = harness.verify_theorem_c(sc)
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed and all(n.startswith("represent[x") for n in failed)
+
+
 def test_verify_d_scalar_matches_c():
     sc = harness.gen_scenario("Cprime", 9)
     rep_c = harness.verify_theorem_c(sc)
@@ -234,9 +259,11 @@ def test_derived_measures_match_per_atom_rho_loop():
         )
         for p, e_p in zip(fm.family.members, fm.measures):
             total = np.zeros((oracle.target_dim,) * 2, dtype=complex)
-            for x in oracle.space.points():
-                indicator = nnsm.OperatorField(
-                    terms=((lambda y, x=x: 1.0 if y == x else 0.0, p),))
+            points = oracle.space.points()
+            for i, x in enumerate(points):
+                row = np.zeros(len(points))
+                row[i] = 1.0
+                indicator = nnsm.OperatorField(terms=((row, p),))
                 want = nnsm.integrate(oracle, indicator, whole)
                 total += want
                 assert np.linalg.norm(e_p.atoms[x] - want) <= 1e-12 * (

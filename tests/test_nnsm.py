@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
-from specmeas.errors import InfiniteSet, NotSpanning, SpaceMismatch
+from specmeas.errors import InfiniteSet, NotSpanning, ShapeMismatch, SpaceMismatch
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
 from conftest import tensor_model
@@ -99,19 +99,28 @@ def test_condition2_entries_match_reference_and_can_fail():
 
 
 def test_operator_field_keeps_scalar_coefficients_scalar():
-    f = nnsm.OperatorField(terms=((lambda n: float(n), 2.0 - 1.0j),))
-    g = nnsm.OperatorField(terms=((lambda n: 1.0j, 0.5 + 0.5j),))
+    fv = np.arange(4, dtype=complex) * (1.0 + 1.0j)
+    gv = np.full(4, 1.0j)
+    f = nnsm.OperatorField(terms=((fv, 2.0 - 1.0j),))
+    g = nnsm.OperatorField(terms=((gv, 0.5 + 0.5j),))
     fields = (f.star(), f.product(g), f.scale(3.0), f + g,
               f.star().product(g.scale(1.0j)))
     for field_ in fields:
-        for _, a in field_.terms:
+        for v, a in field_.terms:
             assert isinstance(a, complex)  # not a 0-d array
+            assert v.shape == (4,) and v.dtype == np.complex128
+    # the value rows follow the array algebra: conj, pointwise product, scale
     ((fs, cs),) = f.star().terms
-    assert cs == 2.0 + 1.0j and fs(3) == 3.0
+    assert cs == 2.0 + 1.0j and np.array_equal(fs, np.conj(fv))
+    assert fs[3] == 3.0 - 3.0j
     ((fp, cp),) = f.product(g).terms
-    assert cp == (2.0 - 1.0j) * (0.5 + 0.5j) and fp(2) == 2.0j
+    assert cp == (2.0 - 1.0j) * (0.5 + 0.5j) and np.array_equal(fp, fv * gv)
+    assert fp[2] == -2.0 + 2.0j
     ((fl, cl),) = f.scale(3.0).terms
-    assert cl == 2.0 - 1.0j and fl(2) == 6.0
+    assert cl == 2.0 - 1.0j and np.array_equal(fl, 3.0 * fv)
+    assert fl[2] == 6.0 + 6.0j
+    (_, cf), (_, cg) = (f + g).terms
+    assert (cf, cg) == (2.0 - 1.0j, 0.5 + 0.5j)
 
 
 def test_condition3_converges():
@@ -174,8 +183,9 @@ def test_integrate_laws():
     delta = measure.whole_space(m.space)
     a = m.w1.random_hermitian_element(rng)
     b = m.w1.random_hermitian_element(rng)
-    f = nnsm.OperatorField(terms=((lambda x: float(x + 1), a),))
-    g = nnsm.OperatorField(terms=((lambda x: 1.0 / (x + 1), b),))
+    pts = np.array(m.space.points(), dtype=complex)
+    f = nnsm.OperatorField(terms=((pts + 1.0, a),))
+    g = nnsm.OperatorField(terms=((1.0 / (pts + 1.0), b),))
     i_f = nnsm.integrate(m, f, delta)
     i_g = nnsm.integrate(m, g, delta)
     # additivity
@@ -198,7 +208,7 @@ def test_integrate_positivity():
     if m.w1.membership_residual(pos) > TAU_ALG * (1 + linalg.frob_norm(pos)):
         pos = m.w1.identity()
     assert nnsm.positivity_deficit(m, pos) <= 1e-9
-    field = nnsm.OperatorField(terms=((lambda x: 1.0, pos),))
+    field = nnsm.OperatorField(terms=((np.ones(len(m.space.points())), pos),))
     val = nnsm.integrate(m, field, measure.whole_space(m.space))
     assert np.linalg.eigvalsh((val + linalg.adjoint(val)) / 2)[0] >= -1e-9
 
@@ -211,7 +221,7 @@ def test_integrate_rejects_cofinite():
         space=space, w1=m.w1, target_dim=m.target_dim,
         atom_images={i: m.atom_images[i] for i in range(3)},
     )
-    field = nnsm.OperatorField(terms=((lambda x: 1.0, m.w1.identity()),))
+    field = nnsm.OperatorField(terms=((np.ones(5), m.w1.identity()),))
     with pytest.raises(InfiniteSet):
         nnsm.integrate(m2, field, cof)
 
@@ -255,10 +265,11 @@ def _ref_phi(m, x, a):
 
 def _ref_integrate(m, field_, delta):
     out = np.zeros((m.target_dim,) * 2, dtype=complex)
-    for f, a in field_.terms:
+    points = m.space.points()
+    for v, a in field_.terms:
         for x in m.atom_images:
             if x in delta:
-                out += complex(f(x)) * _ref_phi(m, x, a)
+                out += v[points.index(x)] * _ref_phi(m, x, a)
     return out
 
 
@@ -279,9 +290,10 @@ def _model_with_unstored_label(seed):
 def _random_field(rng, m, n_terms):
     terms = []
     for _ in range(n_terms):
-        fv = {x: complex(*rng.standard_normal(2)) for x in m.space.points()}
+        fv = np.array([complex(*rng.standard_normal(2))
+                       for _ in m.space.points()])
         a = m.w1.random_hermitian_element(rng) + 1j * m.w1.random_hermitian_element(rng)
-        terms.append((lambda y, fv=fv: fv[y], a))
+        terms.append((fv, a))
     return nnsm.OperatorField(terms=tuple(terms))
 
 
@@ -369,7 +381,8 @@ def test_integrate_and_m_a_reject_a_set_from_another_space():
     m, rng = _model_with_unstored_label(seed=16)
     other = measure.DiscreteSpace(labels=tuple(range(7)))
     foreign = measure.whole_space(other)
-    field_ = nnsm.OperatorField(terms=((lambda x: 1.0, m.w1.identity()),))
+    field_ = nnsm.OperatorField(
+        terms=((np.ones(len(m.space.points())), m.w1.identity()),))
     with pytest.raises(SpaceMismatch):
         nnsm.integrate(m, field_, foreign)
     with pytest.raises(SpaceMismatch):
@@ -399,3 +412,32 @@ def test_condition3_matches_per_cell_reference():
             for zeta, r_proj in seq.term(ell)
         )
         assert abs(linalg.frob_norm(lhs - rhs) - resid) <= 1e-10
+
+
+def test_integrate_rejects_rows_of_the_wrong_length():
+    m, rng = _model_with_unstored_label(seed=17)
+    whole = measure.whole_space(m.space)
+    n_points = len(m.space.points())
+    good = _random_field(rng, m, 2)
+    for length in (n_points - 1, n_points + 1):
+        bad = nnsm.OperatorField(terms=((np.ones(length), m.w1.identity()),))
+        with pytest.raises(ShapeMismatch):
+            nnsm.integrate(m, bad, whole)
+        with pytest.raises(ShapeMismatch):
+            nnsm.integrate(m, [good, bad], whole)
+    # over a countable space the rows end at the horizon: an atom past it
+    # has no column
+    countable = measure.DiscreteSpace(horizon=2)
+    past = nnsm.NonNegSpectralMeasure(
+        space=countable, w1=m.w1, target_dim=m.target_dim,
+        atom_images={0: m.atom_images[0], 5: m.atom_images[1]},
+    )
+    field_ = nnsm.OperatorField(terms=((np.ones(2), m.w1.identity()),))
+    with pytest.raises(ShapeMismatch):
+        nnsm.integrate(past, field_, measure.borel(countable, {0, 5}))
+    assert nnsm.integrate(past, field_, measure.borel(countable, {0})).any()
+    # the unstored label's column is read off the row like any other point
+    unit = np.zeros(n_points)
+    unit[m.space.points().index(3)] = 1.0
+    only_3 = nnsm.OperatorField(terms=((unit, m.w1.identity()),))
+    assert not nnsm.integrate(m, only_3, whole).any()
