@@ -226,12 +226,9 @@ def sample_projections(
             break
         h = w.random_hermitian_element(rng)
         dec = eig_hermitian(h)
-        lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+        lo, hi = dec.values[0], dec.values[-1]
         t = rng.uniform(lo, hi) if hi > lo else lo
-        p = sum(
-            (pr for lam, pr in dec.pairs if lam >= t),
-            np.zeros((d, d), dtype=np.complex128),
-        )
+        p = dec.projections[dec.values >= t].sum(axis=0)
         if is_projection(p):
             members.append(p)
     return ProjectionFamily(
@@ -337,7 +334,9 @@ class LimitingSequence:
         mesh = self.mesh(ell)
         ncells = 2 ** self.refinement_level(ell)
         cells: dict[int, list] = {}
-        for lam, proj in self._dec.pairs:
+        # scalar arithmetic per eigenvalue: at d <= 16 one np.ceil over the
+        # values plus a masked sum per cell made each call about 3x slower
+        for lam, proj in zip(self._dec.values.tolist(), self._dec.projections):
             # cell j covers (a-1 + (j-1)*mesh, a-1 + j*mesh]
             j = int(math.ceil((lam - (a - 1.0)) / mesh - CELL_EDGE_SLACK))
             j = min(max(j, 1), ncells)
@@ -367,7 +366,7 @@ def limiting_sequence(
     """Limiting sequence of a hermitian matrix, valid for every ell >= 1."""
     a = require_hermitian(a)
     dec = eig_hermitian(a)
-    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    lo, hi = dec.values[0], dec.values[-1]
     seq = LimitingSequence(
         source=a, interval=(float(lo), float(hi)), zeta_rule=zeta_rule, _dec=dec
     )

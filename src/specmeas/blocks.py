@@ -9,7 +9,7 @@ such rows once per model (``BlockModel.generator_rows``).  Closures are
 never materialized; every operator is evaluated on finitely supported
 vectors, where all sums are finite and exact.
 A preintegral psi(f, A) is summed exactly over the spectral decompositions of
-the positive parts of Re A and Im A (``linalg.positive_negative_parts``).
+the four positive parts of A (``linalg.star_decompose``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
-from .linalg import adjoint, positive_negative_parts, require_square
+from .linalg import star_decompose
 from .measure import BorelSet, DiscreteSpace
 from .nnsm import OperatorField
 from .tolerances import TAU_RECON
@@ -196,27 +196,8 @@ def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
     blockwise action.
     """
     if isinstance(a, np.ndarray):
-        a = require_square(a)
-        zero = np.zeros(a.shape, dtype=np.complex128)
-        a = sum((sign * b for sign, b in _positive_parts(a)), zero)
+        a = sum(sign * b for sign, b in zip((1, -1, 1j, -1j), star_decompose(a)))
     return rho_apply(model, values, a, x)
-
-
-def _positive_parts(a: np.ndarray) -> list:
-    """The nonzero positive parts of A as (sign, B): A = sum sign * B.
-
-    Re A and Im A are each split once, when nonzero, into their positive
-    and negative parts.
-    """
-    parts = []
-    for h, unit in (((a + adjoint(a)) / 2.0, 1.0),
-                    ((a - adjoint(a)) / 2.0j, 1.0j)):
-        if not h.any():
-            continue
-        for part, sign in zip(positive_negative_parts(h), (unit, -unit)):
-            if part.any():
-                parts.append((sign, part))
-    return parts
 
 
 def i_m_apply(field_: OperatorField, model: BlockModel,

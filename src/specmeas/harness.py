@@ -49,12 +49,12 @@ from .nnsm import (
     condition3_check,
     integrate,
     random_sets,
+    _family_index,
 )
 from .tolerances import (
     MIN_DECAY_RATE,
     TAU_EXACT,
     TAU_EXT,
-    TAU_IDENTITY,
     TAU_MATCH,
     TAU_RECON,
 )
@@ -405,11 +405,7 @@ def _derive_family_measures(
     values = rho([
         OperatorField(terms=((row, p),)) for p in fam.members for row in one_hot
     ]).reshape(len(fam.members), len(points), k, k)
-    measures = tuple(
-        SpectralMeasure(space=space, atoms=dict(zip(points, atoms)),
-                        total=atoms.sum(axis=0))
-        for atoms in values
-    )
+    measures = tuple(SpectralMeasure(space, points, atoms) for atoms in values)
     return FamilyMeasures(family=fam, measures=measures)
 
 
@@ -432,7 +428,7 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
             TAU_RECON * (1.0 + frob_norm(e_p.total)),
         ))
     # (3) support containment in supp(E_id)
-    id_idx = _identity_index(fm.family)
+    id_idx = _family_index(fm.family, oracle.w1.identity())
     supp_id = support(fm.measures[id_idx]).members
     for i, e_p in enumerate(fm.measures):
         ok = support(e_p).members <= supp_id
@@ -486,14 +482,6 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
             f"rho_b-bound[{t}]", max(0.0, excess), TAU_RECON * (1.0 + bound),
         ))
     return _finish(scenario, checks, t0)
-
-
-def _identity_index(fam: ProjectionFamily) -> int:
-    eye = np.eye(fam.algebra.ambient_dim)
-    for i, p in enumerate(fam.members):
-        if frob_norm(p - eye) <= TAU_IDENTITY:
-            return i
-    raise SpecmeasError("family lacks the identity")
 
 
 def _random_field(rng, m: NonNegSpectralMeasure) -> OperatorField:
@@ -771,13 +759,13 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
             algebra=fam.algebra, members=aug, spans_algebra=True,
         )
         measures = [oracle.measure_for(p) for p in fam.members]
-        idx = _identity_index(fam)
-        bump = bad.payload["measure_bump"]
-        atoms = dict(measures[idx].atoms)
-        lbl = sorted(atoms, key=repr)[0]
-        atoms[lbl] = atoms[lbl] + bump * np.eye(oracle.target_dim)
+        idx = _family_index(fam, eye)
+        e_id = measures[idx]
+        atoms = e_id.atoms.copy()
+        first = e_id.labels.index(min(e_id.labels, key=repr))
+        atoms[first] += bad.payload["measure_bump"] * np.eye(oracle.target_dim)
         measures[idx] = SpectralMeasure(
-            space=oracle.space, atoms=atoms, total=measures[idx].total,
+            oracle.space, e_id.labels, atoms, total=e_id.total,
         )
         fm = FamilyMeasures(family=fam, measures=tuple(measures))
         rep = condition1_check(fm, trials=24, seed=seed + 13)

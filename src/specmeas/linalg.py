@@ -3,6 +3,9 @@
 Matrices are plain ``numpy.ndarray`` of dtype complex128.  The functions here
 supply the substrate for everything else: hermitian eigendecomposition with
 cluster merging, and the positive/negative and real/imaginary splittings.
+A resolution is stored as one (n, d, d) stack of projections beside the
+array of its values; ``resolution_residual`` checks any such stack in one
+batch.
 """
 
 from __future__ import annotations
@@ -71,43 +74,41 @@ def is_projection(p: np.ndarray, tol: float = TAU_PROJ) -> bool:
     return frob_norm(p @ p - p) <= tol and frob_norm(p - adjoint(p)) <= tol
 
 
+def resolution_residual(stack: np.ndarray) -> float:
+    """Worst idempotence, hermiticity or pairwise-orthogonality residual of
+    an (n, d, d) projection stack: the norms of P_i P_i - P_i, P_i - P_i* and
+    P_i P_j (i > j) are taken in one call; an empty stack gives 0."""
+    later, earlier = np.nonzero(np.tri(len(stack), k=-1, dtype=bool))
+    residuals = np.concatenate([
+        stack @ stack - stack,
+        stack - np.conj(np.swapaxes(stack, 1, 2)),
+        stack[later] @ stack[earlier],
+    ])
+    return float(np.linalg.norm(residuals, axis=(1, 2)).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Resolution of identity of a hermitian matrix.
 
-    ``pairs`` holds (eigenvalue, eigenprojection) with strictly increasing
-    eigenvalues and mutually orthogonal projections summing to the identity.
+    ``values[i]`` is the eigenvalue of ``projections[i]``, strictly
+    increasing in i; the (n, d, d) stack ``projections`` holds mutually
+    orthogonal eigenprojections summing to the identity.
     """
 
-    pairs: tuple[tuple[float, np.ndarray], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.pairs[0][1].shape[0]
-
-    @property
-    def eigenvalues(self) -> list[float]:
-        return [lam for lam, _ in self.pairs]
+    values: np.ndarray
+    projections: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, p in self.pairs:
-            out += lam * p
-        return out
+        return np.tensordot(self.values, self.projections, axes=1)
 
     def validate(self, source: np.ndarray | None = None) -> float:
         """Return the worst invariant residual (0 is perfect)."""
-        worst = 0.0
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for i, (lam_i, p_i) in enumerate(self.pairs):
-            worst = max(worst, frob_norm(p_i @ p_i - p_i))
-            worst = max(worst, frob_norm(p_i - adjoint(p_i)))
-            total += p_i
-            if i > 0 and lam_i <= self.pairs[i - 1][0]:
-                worst = max(worst, 1.0)
-            for _, p_j in self.pairs[:i]:
-                worst = max(worst, frob_norm(p_i @ p_j))
-        worst = max(worst, frob_norm(total - np.eye(self.dim)))
+        worst = resolution_residual(self.projections)
+        if np.any(np.diff(self.values) <= 0):
+            worst = max(worst, 1.0)
+        eye = np.eye(self.projections.shape[1])
+        worst = max(worst, frob_norm(self.projections.sum(axis=0) - eye))
         if source is not None:
             scale = 1.0 + frob_norm(source)
             worst = max(worst, frob_norm(self.reconstruct() - source) / scale)
@@ -128,7 +129,7 @@ def eig_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> SpectralDecomposition
         raise EigSolverFailure(str(exc)) from exc
     scale = 1.0 + max(abs(vals[0]), abs(vals[-1]))
     gap = DELTA_CLUSTER * scale
-    pairs: list[tuple[float, np.ndarray]] = []
+    values, projections = [], []
     i = 0
     n = len(vals)
     while i < n:
@@ -137,11 +138,10 @@ def eig_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> SpectralDecomposition
             j += 1
         block = vecs[:, i:j]
         proj = block @ adjoint(block)
-        proj = (proj + adjoint(proj)) / 2.0
-        lam = float(np.mean(vals[i:j]))
-        pairs.append((lam, proj))
+        projections.append((proj + adjoint(proj)) / 2.0)
+        values.append(float(np.mean(vals[i:j])))
         i = j
-    return SpectralDecomposition(pairs=tuple(pairs))
+    return SpectralDecomposition(np.array(values), np.stack(projections))
 
 
 def positive_negative_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,23 +150,25 @@ def positive_negative_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One eigendecomposition; each part weights the eigenprojection stack by
     max(±lambda, 0) in one contraction.
     """
-    pairs = eig_hermitian(a).pairs
-    lam = np.array([mu for mu, _ in pairs])
-    projs = np.stack([p for _, p in pairs])
-    return (np.tensordot(np.maximum(lam, 0.0), projs, axes=1),
-            np.tensordot(np.maximum(-lam, 0.0), projs, axes=1))
+    dec = eig_hermitian(a)
+    return (np.tensordot(np.maximum(dec.values, 0.0), dec.projections, axes=1),
+            np.tensordot(np.maximum(-dec.values, 0.0), dec.projections, axes=1))
 
 
 def star_decompose(
     a: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose A = re+ - re- + i*im+ - i*im- into four psd parts."""
+    """Decompose A = re+ - re- + i*im+ - i*im- into four psd parts.
+
+    A zero hermitian half splits into two zero parts without an
+    eigendecomposition.
+    """
     a = require_square(a)
-    re = (a + adjoint(a)) / 2.0
-    im = (a - adjoint(a)) / 2.0j
-    re_plus, re_minus = positive_negative_parts(re)
-    im_plus, im_minus = positive_negative_parts(im)
-    return re_plus, re_minus, im_plus, im_minus
+    zero = np.zeros_like(a)
+    parts = ()
+    for h in ((a + adjoint(a)) / 2.0, (a - adjoint(a)) / 2.0j):
+        parts += positive_negative_parts(h) if h.any() else (zero, zero)
+    return parts
 
 
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -2,17 +2,18 @@
 
 Spaces are finite label sets or a countable index set with an explicit
 truncation horizon.  Every measure is purely atomic; compact sets are exactly
-the finite subsets.
+the finite subsets.  A spectral measure stores its atoms as one projection
+stack with a label index, so E(Delta) is a masked sum over the stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpaceMismatch
-from .linalg import adjoint, frob_norm, require_square
+from .errors import ShapeMismatch, SpaceMismatch
+from .linalg import adjoint, frob_norm, resolution_residual
 from .tolerances import TAU_PROJ
 
 
@@ -97,87 +98,67 @@ def whole_space(space: DiscreteSpace) -> BorelSet:
 class SpectralMeasure:
     """Projection-valued measure on a discrete space.
 
-    ``total`` is E(X), stored explicitly: compressions E_P of a non-negative
-    spectral measure have totals that vary with P (E_0 = 0), so E(X) is not
-    forced to be the identity.
+    ``atoms[i]`` is E({labels[i]}): the atoms are one (n_atoms, k, k) stack
+    indexed by distinct labels, and a point without a label has the zero
+    atom.  ``total`` is E(X), stored explicitly and by default the sum of the
+    atoms: compressions E_P of a non-negative spectral measure have totals
+    that vary with P (E_0 = 0), so E(X) is not forced to be the identity.
     """
 
     space: DiscreteSpace
-    atoms: dict = field(default_factory=dict)  # label -> projection ndarray
+    labels: tuple
+    atoms: np.ndarray
     total: np.ndarray = None
 
     def __post_init__(self):
-        for x, p in self.atoms.items():
+        labels = tuple(self.labels)
+        atoms = np.asarray(self.atoms, dtype=np.complex128)
+        for x in labels:
             if x not in self.space:
                 raise SpaceMismatch(f"atom label {x!r} not in the space")
-            require_square(p)
+        if len(set(labels)) != len(labels):
+            raise SpaceMismatch("atom labels must be distinct")
+        if (atoms.ndim != 3 or len(atoms) != len(labels)
+                or atoms.shape[1] != atoms.shape[2] or atoms.shape[1] < 1):
+            raise ShapeMismatch(f"expected {len(labels)} square atoms, got "
+                                f"a stack of shape {atoms.shape}")
+        if not np.all(np.isfinite(atoms)):
+            raise ShapeMismatch("atoms have non-finite entries")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "atoms", atoms)
         if self.total is None:
-            object.__setattr__(self, "total", self._atom_sum())
-
-    @property
-    def dim(self) -> int:
-        return self.total.shape[0]
-
-    def _atom_sum(self) -> np.ndarray:
-        if not self.atoms:
-            raise ValueError("measure needs at least one atom or an explicit total")
-        d = next(iter(self.atoms.values())).shape[0]
-        out = np.zeros((d, d), dtype=np.complex128)
-        for p in self.atoms.values():
-            out += p
-        return out
-
-    def atom(self, label) -> np.ndarray:
-        p = self.atoms.get(label)
-        if p is None:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return p
+            object.__setattr__(self, "total", atoms.sum(axis=0))
 
     def validate(self) -> float:
-        """Worst invariant residual: projections, orthogonality, total.
-
-        The idempotence, hermiticity and pairwise-orthogonality residual
-        matrices of the atoms are stacked, and their norms taken in one call.
-        """
-        n = len(self.atoms)
-        stack = np.array(
-            [self.atoms[x] for x in sorted(self.atoms, key=repr)],
-            dtype=np.complex128,
-        ).reshape(n, self.dim, self.dim)
-        # every pair (later, earlier) of atoms in label order
-        later, earlier = np.nonzero(np.tri(n, k=-1, dtype=bool))
-        residuals = np.concatenate([
-            stack @ stack - stack,
-            stack - np.conj(np.swapaxes(stack, 1, 2)),
-            stack[later] @ stack[earlier],
-        ])
-        worst = float(np.linalg.norm(residuals, axis=(1, 2)).max(initial=0.0))
-        worst = max(worst, frob_norm(self.total @ self.total - self.total))
+        """Worst invariant residual: projections, orthogonality, total."""
+        worst = max(resolution_residual(self.atoms),
+                    frob_norm(self.total @ self.total - self.total))
+        gap = self.total - self.atoms.sum(axis=0)
         if self.space.is_finite:
-            worst = max(worst, frob_norm(self._atom_sum() - self.total))
-        else:
-            # partial sums monotone and dominated by the total
-            gap = self.total - self._atom_sum()
-            worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(
-                (gap + adjoint(gap)) / 2.0)[0])))
-        return worst
+            return max(worst, frob_norm(gap))
+        # partial sums monotone and dominated by the total
+        return max(worst, -float(np.linalg.eigvalsh((gap + adjoint(gap)) / 2.0)[0]))
 
 
 def evaluate(e: SpectralMeasure, delta: BorelSet) -> np.ndarray:
     """E(Delta) = sum of atoms in Delta (cofinite: total minus complement)."""
     if delta.space != e.space:
         raise SpaceMismatch("set over a different space")
-    if delta.cofinite:
-        out = e.total.copy()
-        for x in delta.members:
-            out -= e.atom(x)
-        return out
-    out = np.zeros((e.dim, e.dim), dtype=np.complex128)
-    for x in delta.members:
-        out += e.atom(x)
-    return out
+    return evaluate_atoms(e.labels, e.atoms, e.total, delta)
+
+
+def evaluate_atoms(labels, atoms, total, delta: BorelSet) -> np.ndarray:
+    """E(Delta) from atoms stacked on axis -3 with one label each, and E(X).
+
+    The atoms whose labels lie in Delta are summed in one masked sum; for a
+    cofinite Delta the atoms of its complement are subtracted from ``total``.
+    Leading axes of ``atoms`` and ``total`` batch measures that share labels.
+    """
+    mask = np.array([x in delta.members for x in labels], dtype=bool)
+    inside = atoms[..., mask, :, :].sum(axis=-3)
+    return total - inside if delta.cofinite else inside
 
 
 def support(e: SpectralMeasure, tol: float = TAU_PROJ) -> BorelSet:
-    labels = [x for x, p in e.atoms.items() if frob_norm(p) > tol]
-    return BorelSet(e.space, frozenset(labels))
+    norms = np.linalg.norm(e.atoms, axis=(1, 2))
+    return borel(e.space, [x for x, n in zip(e.labels, norms) if n > tol])

@@ -3,7 +3,9 @@
 An NNSM assigns to every atom x of a discrete space a linear map
 Phi_x: W1 -> B(K), stored through the images of W1's trace-orthonormal basis.
 Compressions M_P(Delta) = M(Delta)(P) are spectral measures, and the product
-rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the family together.
+rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the family together.  The
+compressions along a projection family share their atom labels, so they
+stack into one array and E_P(Delta) for every member is one masked sum.
 Operator fields store each scalar function as its value table over the
 space's points, so integrating one reads the stored atoms' columns.
 """
@@ -24,7 +26,8 @@ from .algebra import (
 from .errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
                      ShapeMismatch, SpaceMismatch)
 from .linalg import adjoint, frob_norm, require_square, star_decompose
-from .measure import BorelSet, DiscreteSpace, SpectralMeasure, borel
+from .measure import (BorelSet, DiscreteSpace, SpectralMeasure, borel,
+                      evaluate, evaluate_atoms)
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -81,11 +84,7 @@ class NonNegSpectralMeasure:
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
         """The compression M_P as a SpectralMeasure."""
-        values = self._values(p)
-        return SpectralMeasure(
-            space=self.space, atoms=dict(zip(self.labels, values)),
-            total=values.sum(axis=0),
-        )
+        return SpectralMeasure(self.space, self.labels, self._values(p))
 
     def m_a(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
         """M_A(Delta) = sum over atoms in Delta of Phi_x(A)."""
@@ -137,14 +136,36 @@ class OperatorField:
 
 @dataclass(frozen=True)
 class FamilyMeasures:
-    """A projection family together with the spectral measures E_P."""
+    """A projection family together with the spectral measures E_P.
+
+    The measures must share their space and atom labels.  Construction
+    stacks their atoms once into ``atoms`` of shape (n_members, n_atoms, k, k),
+    axis 1 indexed by ``labels``, and their totals into ``totals``, so that
+    E_P(Delta) for every member is one masked sum (``values_at``).
+    """
 
     family: ProjectionFamily
     measures: tuple  # of SpectralMeasure, aligned with family.members
+    labels: tuple = field(init=False, repr=False, compare=False)
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    totals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.measures) != len(self.family.members):
             raise AlgebraMismatch("one measure per family member required")
+        first = self.measures[0]
+        if any(e.labels != first.labels or e.space != first.space
+               for e in self.measures):
+            raise AlgebraMismatch("the measures must share space and labels")
+        object.__setattr__(self, "labels", first.labels)
+        object.__setattr__(self, "atoms", np.stack([e.atoms for e in self.measures]))
+        object.__setattr__(self, "totals", np.stack([e.total for e in self.measures]))
+
+    def values_at(self, delta: BorelSet) -> np.ndarray:
+        """E_P(Delta) for every member P, as an (n_members, k, k) stack."""
+        if delta.space != self.measures[0].space:
+            raise SpaceMismatch("set over a different space")
+        return evaluate_atoms(self.labels, self.atoms, self.totals, delta)
 
     def extend_at(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
         """E_A(Delta) by linear extension over the family (exact route), or
@@ -152,10 +173,7 @@ class FamilyMeasures:
 
         The assignment P_i -> E_P_i(Delta) is evaluated once per call.
         """
-        from .measure import evaluate
-
-        assignment = [evaluate(e, delta) for e in self.measures]
-        return linear_extend(self.family, assignment, a)
+        return linear_extend(self.family, self.values_at(delta), a)
 
 
 @dataclass(frozen=True)
@@ -244,8 +262,6 @@ def check_nnsm(
             TAU_RECON * (1.0 + frob_norm(e_p.total)),
         ))
     sets = random_sets(m.space, rng, 2 * set_pairs)
-    from .measure import evaluate
-
     for t in range(set_pairs):
         i = int(rng.integers(len(family.members)))
         j = int(rng.integers(len(family.members)))
@@ -270,8 +286,6 @@ def condition1_check(
     minimum-norm coordinates over the family; the two coefficient vectors
     must induce the same measure values on every atom.
     """
-    from .measure import evaluate
-
     family = fam.family
     if not family.spans_algebra:
         raise NotSpanning("condition (1) checks need a spanning family")
@@ -286,7 +300,7 @@ def condition1_check(
     entries = []
     for t, (lam, mu, delta) in enumerate(zip(lams, mus, deltas)):
         # the family is evaluated once; lhs and rhs contract the same stack
-        values = np.stack([evaluate(e, delta) for e in fam.measures])
+        values = fam.values_at(delta)
         lhs = np.tensordot(lam, values, axes=1)
         rhs = np.tensordot(mu, values, axes=1)
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
@@ -305,13 +319,10 @@ def condition2_check(
     passes when it is at most one (up to TAU_NORM_SLACK).
     """
     from .linalg import op_norm
-    from .measure import evaluate
 
     entries = []
     for i, delta in enumerate(deltas):
-        k = max(
-            (op_norm(evaluate(e, delta)) for e in fam.measures), default=0.0
-        )
+        k = max((op_norm(v) for v in fam.values_at(delta)), default=0.0)
         entries.append(check_entry(
             f"condition2[delta{i}]", k, 1.0 + TAU_NORM_SLACK,
         ))
@@ -340,12 +351,10 @@ def condition3_check(
     Passes when the ell_max residual is <= c/ell_max with
     c = CONDITION3_CONSTANT * (1+dim); the log-log decay rate is recorded.
     """
-    from .measure import evaluate
-
     family = fam.family
     i_p = _family_index(family, p)
     i_q = _family_index(family, q)
-    lhs = evaluate(fam.measures[i_p], d1) @ evaluate(fam.measures[i_q], d2)
+    lhs = fam.values_at(d1)[i_p] @ fam.values_at(d2)[i_q]
     inter = d1.intersect(d2)
     parts = star_decompose(p @ q)
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]
@@ -410,32 +419,29 @@ def assemble_from_family(
     """Build the unique NNSM with M_P = E_P over a spanning family.
 
     Phi_x is the linear extension of P -> E_P({x}) to W1: one linear_extend
-    call per atom checks the atom's assignment once against the member
-    relations (condition (1) certifies well-definedness; a violation raises
-    InconsistentAssignment) and maps the whole W1 basis in one contraction.
+    call per atom, on the atom's column of the family's stack, checks the
+    assignment once against the member relations (condition (1) certifies
+    well-definedness; a violation raises InconsistentAssignment) and maps
+    the whole W1 basis in one contraction.
     """
     family = fam.family
     if not family.spans_algebra:
         raise NotSpanning("assembly needs a spanning family")
-    space = fam.measures[0].space
-    k = fam.measures[0].total.shape[0]
-    labels = sorted({x for e in fam.measures for x in e.atoms}, key=repr)
     basis = np.stack(w1.basis)
-    atom_images = {
-        x: linear_extend(family, [e.atom(x) for e in fam.measures], basis)
-        for x in labels
-    }
+    images = [linear_extend(family, column, basis)
+              for column in np.swapaxes(fam.atoms, 0, 1)]
     m = NonNegSpectralMeasure(
-        space=space, w1=w1, target_dim=k, atom_images=atom_images
+        space=fam.measures[0].space, w1=w1, target_dim=fam.atoms.shape[-1],
+        atom_images=dict(zip(fam.labels, images)),
     )
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
-    member_coeffs = w1.coefficients(np.stack(family.members))
-    for x, imgs in atom_images.items():
-        want = np.stack([e.atom(x) for e in fam.measures])
-        got = np.tensordot(member_coeffs, imgs, axes=(1, 0))
-        miss = np.linalg.norm(got - want, axis=(1, 2))
-        if np.any(miss > TAU_EXT * (1.0 + np.linalg.norm(want, axis=(1, 2)))):
-            raise NotSpanning(f"reassembly misses E_P({x!r}) by {max(miss):.3e}")
+    got = np.tensordot(w1.coefficients(np.stack(family.members)), m.images,
+                       axes=(1, 1))
+    miss = np.linalg.norm(got - fam.atoms, axis=(2, 3))
+    bad = miss > TAU_EXT * (1.0 + np.linalg.norm(fam.atoms, axis=(2, 3)))
+    if np.any(bad):
+        x = fam.labels[np.nonzero(bad)[1][0]]
+        raise NotSpanning(f"reassembly misses E_P({x!r}) by {miss.max():.3e}")
     return m
 
 

@@ -59,10 +59,7 @@ def space_from_doc(doc: dict) -> DiscreteSpace:
 def measure_to_doc(e: SpectralMeasure) -> dict:
     return {
         "space": space_to_doc(e.space),
-        "atoms": [
-            [x, matrix_to_doc(p)]
-            for x, p in sorted(e.atoms.items(), key=lambda kv: repr(kv[0]))
-        ],
+        "atoms": [[x, matrix_to_doc(p)] for x, p in zip(e.labels, e.atoms)],
         "total": matrix_to_doc(e.total),
     }
 
@@ -71,23 +68,30 @@ def measure_from_doc(doc: dict):
     """Load a spectral measure; returns (measure, worst invariant residual)."""
     try:
         space = space_from_doc(doc["space"])
-        atoms = {_label(x): matrix_from_doc(m) for x, m in doc["atoms"]}
+        labels = _distinct_labels(x for x, _ in doc["atoms"])
+        atoms = [matrix_from_doc(m) for _, m in doc["atoms"]]
         total = matrix_from_doc(doc["total"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed measure document: {exc}") from exc
-    shapes = {m.shape for m in (*atoms.values(), total)}
+    shapes = {m.shape for m in (*atoms, total)}
     if len(shapes) != 1 or any(rows != cols for rows, cols in shapes):
         raise InvalidDocument(
             f"measure matrices must be square and of one dimension, got "
             f"shapes {sorted(shapes)}"
         )
-    e = SpectralMeasure(space=space, atoms=atoms, total=total)
+    stack = np.array(atoms, dtype=np.complex128).reshape((-1,) + total.shape)
+    e = SpectralMeasure(space, labels, stack, total=total)
     return e, e.validate()
 
 
-def _label(x):
-    # JSON round-trips tuples as lists; labels must stay hashable.
-    return tuple(x) if isinstance(x, list) else x
+def _distinct_labels(raw) -> tuple:
+    """Atom labels, each once; JSON round-trips tuples as lists, and labels
+    must stay hashable."""
+    labels = tuple(tuple(x) if isinstance(x, list) else x for x in raw)
+    if len(set(labels)) != len(labels):
+        repeated = sorted({repr(x) for x in labels if labels.count(x) > 1})
+        raise InvalidDocument(f"repeated atom labels {', '.join(repeated)}")
+    return labels
 
 
 def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
@@ -114,10 +118,11 @@ def nnsm_from_doc(doc: dict):
             basis=tuple(matrix_from_doc(m) for m in doc["w1"]["basis"]),
         )
         target_dim = int(doc["target_dim"])
-        atom_images = {
-            _label(x): np.stack([matrix_from_doc(img) for img in imgs])
-            for x, imgs in doc["atom_maps"]
-        }
+        labels = _distinct_labels(x for x, _ in doc["atom_maps"])
+        atom_images = dict(zip(labels, (
+            np.stack([matrix_from_doc(img) for img in imgs])
+            for _, imgs in doc["atom_maps"]
+        )))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
     _require_orthonormal_basis(w1)

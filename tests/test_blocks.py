@@ -227,7 +227,8 @@ def _psi_reference(f, a, model, x):
         for part, sign in ((plus, unit), (minus, -unit)):
             if linalg.frob_norm(part) == 0.0:
                 continue
-            for lam, proj in linalg.eig_hermitian(part).pairs:
+            dec = linalg.eig_hermitian(part)
+            for lam, proj in zip(dec.values, dec.projections):
                 if lam != 0.0:
                     out = out.add(
                         blocks.rho_apply(model, f, proj, x).scale(sign * lam))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specmeas import cli, harness, measure, serialize
+from specmeas.errors import InvalidDocument
 from specmeas.harness import Caps
 
 
@@ -57,9 +58,8 @@ def test_caps_parsing():
 def test_check_measure_good_and_bad(capsys, tmp_path):
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(
-        space=space,
-        atoms={0: np.diag([1.0, 0.0]).astype(complex),
-               1: np.diag([0.0, 1.0]).astype(complex)},
+        space, (0, 1),
+        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     good = tmp_path / "good.json"
     serialize.dump(serialize.measure_to_doc(e), good)
@@ -70,6 +70,39 @@ def test_check_measure_good_and_bad(capsys, tmp_path):
     code, out, err = run(capsys, "check-measure", str(bad))
     assert code == 1
     assert "document[InvalidDocument]" in err
+
+
+def _check_rejected(capsys, path):
+    code, _, err = run(capsys, "check-measure", str(path))
+    assert code == 1
+    assert "document[InvalidDocument]" in err and "Traceback" not in err
+
+
+def test_check_measure_rejects_a_repeated_measure_label(capsys, tmp_path):
+    e = measure.SpectralMeasure(
+        measure.DiscreteSpace(labels=(0, 1)), (0, 1),
+        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
+    )
+    doc = serialize.measure_to_doc(e)
+    doc["atoms"].insert(0, [0, serialize.matrix_to_doc(5.0 * np.ones((2, 2)))])
+    with pytest.raises(InvalidDocument, match="repeated atom labels 0"):
+        serialize.measure_from_doc(doc)
+    path = tmp_path / "repeated.json"
+    serialize.dump(doc, path)
+    _check_rejected(capsys, path)
+
+
+def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):
+    doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 4).payload["oracle"])
+    label, images = doc["atom_maps"][0]
+    scaled = [serialize.matrix_to_doc(7.0 * serialize.matrix_from_doc(img))
+              for img in images]
+    doc["atom_maps"].insert(0, [label, scaled])
+    with pytest.raises(InvalidDocument, match=f"repeated atom labels {label!r}"):
+        serialize.nnsm_from_doc(doc)
+    path = tmp_path / "repeated.json"
+    serialize.dump(doc, path)
+    _check_rejected(capsys, path)
 
 
 def test_report_json_and_text(capsys, tmp_path):

@@ -185,9 +185,8 @@ def test_report_doc_schema():
 def test_check_measure_file(tmp_path):
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(
-        space=space,
-        atoms={0: np.diag([1.0, 0.0]).astype(complex),
-               1: np.diag([0.0, 1.0]).astype(complex)},
+        space, (0, 1),
+        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     good = tmp_path / "good.json"
     serialize.dump(serialize.measure_to_doc(e), good)
@@ -266,7 +265,7 @@ def test_derived_measures_match_per_atom_rho_loop():
                 indicator = nnsm.OperatorField(terms=((row, p),))
                 want = nnsm.integrate(oracle, indicator, whole)
                 total += want
-                assert np.linalg.norm(e_p.atoms[x] - want) <= 1e-12 * (
+                assert np.linalg.norm(e_p.atoms[i] - want) <= 1e-12 * (
                     1 + np.linalg.norm(want))
             assert np.linalg.norm(e_p.total - total) <= 1e-12 * (
                 1 + np.linalg.norm(total))
@@ -299,10 +298,10 @@ def test_condition1_matches_two_pass_reference():
     measures = [oracle.measure_for(p) for p in fam.members]
     fm = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
     # a corrupted compression: the relations no longer transfer
-    atoms = dict(measures[1].atoms)
+    atoms = measures[1].atoms.copy()
     atoms[0] = atoms[0] + 0.25 * np.eye(oracle.target_dim)
     measures[1] = measure.SpectralMeasure(
-        space=oracle.space, atoms=atoms, total=measures[1].total)
+        oracle.space, measures[1].labels, atoms, total=measures[1].total)
     broken = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
     for fam_measures, passes in ((fm, True), (broken, False)):
         rep = nnsm.condition1_check(fam_measures, trials=12, seed=5)

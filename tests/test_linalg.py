@@ -9,26 +9,26 @@ from specmeas.errors import NonHermitianInput
 
 def test_eig_diagonal_merges_degenerate():
     dec = linalg.eig_hermitian(np.diag([2.0, 2.0, 5.0]).astype(complex))
-    assert dec.eigenvalues == pytest.approx([2.0, 5.0])
-    assert np.trace(dec.pairs[0][1]).real == pytest.approx(2.0)
-    assert np.trace(dec.pairs[1][1]).real == pytest.approx(1.0)
+    assert dec.values == pytest.approx([2.0, 5.0])
+    assert np.trace(dec.projections[0]).real == pytest.approx(2.0)
+    assert np.trace(dec.projections[1]).real == pytest.approx(1.0)
 
 
 def test_eig_identity():
     dec = linalg.eig_hermitian(np.eye(3, dtype=complex))
-    assert len(dec.pairs) == 1
-    assert np.allclose(dec.pairs[0][1], np.eye(3))
+    assert len(dec.values) == len(dec.projections) == 1
+    assert np.allclose(dec.projections[0], np.eye(3))
 
 
 def test_eig_pauli_x():
     # hand eigensolve of [[0,1],[1,0]]: eigenvalues -1, 1 with P± = (1/2)[[1,±1],[±1,1]]
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     dec = linalg.eig_hermitian(a)
-    assert dec.eigenvalues == pytest.approx([-1.0, 1.0])
+    assert dec.values == pytest.approx([-1.0, 1.0])
     p_minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
     p_plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    assert np.allclose(dec.pairs[0][1], p_minus)
-    assert np.allclose(dec.pairs[1][1], p_plus)
+    assert np.allclose(dec.projections[0], p_minus)
+    assert np.allclose(dec.projections[1], p_plus)
 
 
 def test_eig_rejects_nonhermitian():
@@ -87,6 +87,19 @@ def test_eig_reconstructs_and_resolves(seed, n):
     a = linalg.random_hermitian(rng, n)
     dec = linalg.eig_hermitian(a)
     assert dec.validate(source=a) <= 1e-8
+
+
+def test_validate_trips_on_a_non_orthogonal_pair():
+    dec = linalg.eig_hermitian(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    assert dec.validate() <= 1e-12
+    # P_1 becomes the projection onto (e_0 + e_1)/sqrt(2): still a hermitian
+    # idempotent, but ||P_1 P_0|| = 1/sqrt(2)
+    v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    tilted = dec.projections.copy()
+    tilted[1] = np.outer(v, v)
+    assert linalg.resolution_residual(tilted) == pytest.approx(np.sqrt(0.5))
+    bad = linalg.SpectralDecomposition(dec.values, tilted)
+    assert bad.validate() >= np.sqrt(0.5)
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import linalg, measure
-from specmeas.errors import SpaceMismatch
+from specmeas.errors import ShapeMismatch, SpaceMismatch
 
 
 def two_point_measure():
     space = measure.DiscreteSpace(labels=("a", "b"))
     e = measure.SpectralMeasure(
-        space=space,
-        atoms={
-            "a": np.diag([1.0, 0.0]).astype(complex),
-            "b": np.diag([0.0, 1.0]).astype(complex),
-        },
+        space, ("a", "b"),
+        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     return space, e
 
@@ -58,23 +55,34 @@ def test_evaluate_additive():
 def test_validate_flags_overlapping_atoms():
     space = measure.DiscreteSpace(labels=("a", "b"))
     p = np.diag([1.0, 0.0]).astype(complex)
-    bad = measure.SpectralMeasure(space=space, atoms={"a": p, "b": p},
+    bad = measure.SpectralMeasure(space, ("a", "b"), [p, p],
                                   total=np.eye(2, dtype=complex))
     assert bad.validate() > 1e-6
+
+
+def test_constructor_rejects_repeated_labels_and_a_stack_of_another_length():
+    space = measure.DiscreteSpace(labels=("a", "b"))
+    p = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(SpaceMismatch, match="distinct"):
+        measure.SpectralMeasure(space, ("a", "a"), [p, np.eye(2) - p])
+    for labels, atoms in ((("a", "b"), [p]), (("a",), [p, p]),
+                          (("a", "b"), np.zeros((2, 2, 3)))):
+        with pytest.raises(ShapeMismatch):
+            measure.SpectralMeasure(space, labels, atoms)
+    with pytest.raises(ShapeMismatch, match="non-finite"):
+        measure.SpectralMeasure(space, ("a",), [np.full((2, 2), np.nan)])
 
 
 def _validate_reference(e):
     """SpectralMeasure.validate as a per-atom loop over every atom pair."""
     worst = 0.0
-    labels = sorted(e.atoms, key=repr)
-    for i, x in enumerate(labels):
-        p = e.atoms[x]
+    for i, p in enumerate(e.atoms):
         worst = max(worst, linalg.frob_norm(p @ p - p),
                     linalg.frob_norm(p - linalg.adjoint(p)))
-        for y in labels[:i]:
-            worst = max(worst, linalg.frob_norm(p @ e.atoms[y]))
+        for q in e.atoms[:i]:
+            worst = max(worst, linalg.frob_norm(p @ q))
     worst = max(worst, linalg.frob_norm(e.total @ e.total - e.total))
-    gap = e.total - sum(e.atoms.values())
+    gap = e.total - sum(e.atoms)
     if e.space.is_finite:
         return max(worst, linalg.frob_norm(gap))
     herm = (gap + linalg.adjoint(gap)) / 2.0
@@ -87,20 +95,23 @@ def test_batched_validate_matches_per_pair_reference_and_can_fail():
     cols = [u[:, [0, 1]], u[:, [2]], u[:, [3, 4]], u[:, [5]]]
     projs = [c @ linalg.adjoint(c) for c in cols]
     space = measure.DiscreteSpace(labels=("w", "x", "y", "z"))
-    good = dict(zip(space.labels, projs))
+    labels = space.labels
+    good = np.array(projs)
     # atom "y" overlaps atom "w"; atom "x" is no longer idempotent
-    overlap = dict(good, y=projs[2] + projs[0])
-    scaled = dict(good, x=1.05 * projs[1])
+    overlap = good.copy()
+    overlap[2] = projs[2] + projs[0]
+    scaled = good.copy()
+    scaled[1] = 1.05 * projs[1]
     countable = measure.DiscreteSpace(horizon=10)
     cases = [
-        (measure.SpectralMeasure(space=space, atoms=good), False),
-        (measure.SpectralMeasure(space=space, atoms=overlap,
+        (measure.SpectralMeasure(space, labels, good), False),
+        (measure.SpectralMeasure(space, labels, overlap,
                                  total=np.eye(6, dtype=complex)), True),
-        (measure.SpectralMeasure(space=space, atoms=scaled,
+        (measure.SpectralMeasure(space, labels, scaled,
                                  total=np.eye(6, dtype=complex)), True),
-        (measure.SpectralMeasure(space=countable, atoms=dict(enumerate(projs)),
+        (measure.SpectralMeasure(countable, range(4), good,
                                  total=np.eye(6, dtype=complex)), False),
-        (measure.SpectralMeasure(space=space, atoms={"x": projs[1]}), False),
+        (measure.SpectralMeasure(space, ("x",), good[[1]]), False),
     ]
     for e, faulty in cases:
         got = e.validate()
@@ -108,7 +119,7 @@ def test_batched_validate_matches_per_pair_reference_and_can_fail():
         assert (got > 1e-3) == faulty
     # the planted atom's idempotence residual is the worst one
     assert cases[2][0].validate() == pytest.approx(
-        linalg.frob_norm(scaled["x"] @ scaled["x"] - scaled["x"]), rel=1e-12)
+        linalg.frob_norm(scaled[1] @ scaled[1] - scaled[1]), rel=1e-12)
     # two rank-2 atoms tilted by theta in two planes: on a countable space
     # the pair residual sqrt(2) cos(theta) is the worst one, ahead of the
     # total's deficit cos(theta)
@@ -116,7 +127,7 @@ def test_batched_validate_matches_per_pair_reference_and_can_fail():
     v = np.eye(4)[:, [0, 2]]
     w = np.array([[c, 0.0], [s, 0.0], [0.0, c], [0.0, s]])
     tilted = measure.SpectralMeasure(
-        space=countable, atoms={0: v @ v.T + 0j, 1: w @ w.T + 0j},
+        countable, (0, 1), [v @ v.T + 0j, w @ w.T + 0j],
         total=np.eye(4, dtype=complex))
     assert abs(tilted.validate() - _validate_reference(tilted)) <= 1e-12
     assert tilted.validate() == pytest.approx(np.sqrt(2.0) * c, rel=1e-12)
@@ -124,9 +135,9 @@ def test_batched_validate_matches_per_pair_reference_and_can_fail():
 
 def test_countable_total_dominates():
     space = measure.DiscreteSpace(horizon=8)
-    atoms = {n: np.diag([1.0 if i == n else 0.0 for i in range(8)]).astype(complex)
-             for n in range(4)}
-    e = measure.SpectralMeasure(space=space, atoms=atoms,
+    atoms = [np.diag([1.0 if i == n else 0.0 for i in range(8)]).astype(complex)
+             for n in range(4)]
+    e = measure.SpectralMeasure(space, range(4), atoms,
                                 total=np.eye(8, dtype=complex))
     assert e.validate() <= 1e-12
 
@@ -147,12 +158,12 @@ def test_random_measure_additivity_and_multiplicativity(seed, npts):
     for i in range(n):
         groups[int(rng.integers(0, npts))].append(i)
     space = measure.DiscreteSpace(labels=tuple(range(npts)))
-    atoms = {}
-    for k, grp in enumerate(groups):
+    atoms = []
+    for grp in groups:
         d = np.zeros(n)
         d[grp] = 1.0
-        atoms[k] = u @ np.diag(d).astype(complex) @ linalg.adjoint(u)
-    e = measure.SpectralMeasure(space=space, atoms=atoms)
+        atoms.append(u @ np.diag(d).astype(complex) @ linalg.adjoint(u))
+    e = measure.SpectralMeasure(space, space.labels, atoms)
     assert e.validate() <= 1e-10
     d1 = measure.borel(space, set(int(x) for x in rng.integers(0, npts, 2)))
     d2 = measure.borel(space, set(int(x) for x in rng.integers(0, npts, 2)))

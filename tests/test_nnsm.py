@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
-from specmeas.errors import InfiniteSet, NotSpanning, ShapeMismatch, SpaceMismatch
+from specmeas.errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
+                             ShapeMismatch, SpaceMismatch)
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
 from conftest import tensor_model
@@ -87,8 +88,7 @@ def test_condition2_entries_match_reference_and_can_fail():
             key=lambda j: linalg.op_norm(fm.measures[j].total))
     e = fm.measures[i]
     doubled = measure.SpectralMeasure(
-        space=space, atoms={x: 2.0 * p for x, p in e.atoms.items()},
-        total=2.0 * e.total,
+        space, e.labels, 2.0 * e.atoms, total=2.0 * e.total,
     )
     measures = fm.measures[:i] + (doubled,) + fm.measures[i + 1:]
     bad = nnsm.condition2_check(
@@ -226,16 +226,51 @@ def test_integrate_rejects_cofinite():
         nnsm.integrate(m2, field, cof)
 
 
+def test_family_measures_need_shared_labels():
+    m, _, _ = tensor_model(seed=6)
+    fam = family_for(m)
+    measures = [m.measure_for(p) for p in fam.members]
+    e = measures[1]
+    # the same atoms in another label order, and one atom dropped
+    for labels, atoms in ((e.labels[::-1], e.atoms[::-1]),
+                          (e.labels[1:], e.atoms[1:])):
+        changed = list(measures)
+        changed[1] = measure.SpectralMeasure(e.space, labels, atoms, total=e.total)
+        with pytest.raises(AlgebraMismatch):
+            nnsm.FamilyMeasures(family=fam, measures=tuple(changed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_family_values_equal_per_member_evaluate(seed):
+    m, _, rng = tensor_model(seed=seed, n_atoms=4)
+    fam = family_for(m, seed=seed)
+    fm = family_measures(m, fam)
+    sets = nnsm.random_sets(m.space, rng, 6) + [
+        measure.borel(m.space, ()), measure.whole_space(m.space)]
+    # the same compressions over a countable space, for cofinite sets
+    countable = measure.DiscreteSpace(horizon=10)
+    fm_countable = nnsm.FamilyMeasures(family=fam, measures=tuple(
+        measure.SpectralMeasure(countable, e.labels, e.atoms, total=e.total)
+        for e in fm.measures))
+    cofinite = [measure.BorelSet(countable, frozenset(members), cofinite=True)
+                for members in ((), (1,), (0, 2, 7))]
+    for family_measures_, deltas in ((fm, sets), (fm_countable, cofinite)):
+        for delta in deltas:
+            values = family_measures_.values_at(delta)
+            assert values.shape == (len(fam.members),) + (m.target_dim,) * 2
+            for value, e in zip(values, family_measures_.measures):
+                assert np.array_equal(value, measure.evaluate(e, delta))
+
+
 def test_condition1_detects_broken_linearity():
     # corrupt one compression so linear relations no longer transfer
     m, _, _ = tensor_model(seed=13)
     fam = family_for(m)
     measures = [m.measure_for(p) for p in fam.members]
-    bad_atoms = dict(measures[1].atoms)
-    lbl = next(iter(bad_atoms))
-    bad_atoms[lbl] = bad_atoms[lbl] + 0.25 * np.eye(m.target_dim)
+    bad_atoms = measures[1].atoms.copy()
+    bad_atoms[0] = bad_atoms[0] + 0.25 * np.eye(m.target_dim)
     measures[1] = measure.SpectralMeasure(
-        space=m.space, atoms=bad_atoms, total=measures[1].total
+        m.space, measures[1].labels, bad_atoms, total=measures[1].total
     )
     fm = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
     rep = nnsm.condition1_check(fm, trials=24)
@@ -313,9 +348,9 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
         assert _close(m.m_a(a, delta), want)
     p = algebra.sample_projections(m.w1, n=3, seed=seed).members[-1]
     e_p = m.measure_for(p)
-    assert set(e_p.atoms) == {0, 1, 2}
-    for x in e_p.atoms:
-        assert _close(e_p.atoms[x], _ref_phi(m, x, p))
+    assert e_p.labels == (0, 1, 2)
+    for x, atom in zip(e_p.labels, e_p.atoms):
+        assert _close(atom, _ref_phi(m, x, p))
     assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.atom_images))
     assert linalg.frob_norm(m.apply(3, p)) == 0.0
     assert _close(m.total_of_identity(), np.eye(m.target_dim))

@@ -46,13 +46,13 @@ def test_space_round_trip():
 def test_measure_round_trip_reports_residual():
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(
-        space=space,
-        atoms={0: np.diag([1.0, 0.0]).astype(complex),
-               1: np.diag([0.0, 1.0]).astype(complex)},
+        space, (0, 1),
+        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     back, resid = serialize.measure_from_doc(serialize.measure_to_doc(e))
     assert resid <= 1e-12
-    assert np.array_equal(back.atom(0), e.atom(0))
+    assert back.labels == e.labels
+    assert np.array_equal(back.atoms, e.atoms)
     assert np.array_equal(back.total, e.total)
 
 
