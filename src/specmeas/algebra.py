@@ -334,7 +334,7 @@ class LimitingSequence:
         mesh = self.mesh(ell)
         ncells = 2 ** self.refinement_level(ell)
         cells: dict[int, list] = {}
-        # scalar arithmetic per eigenvalue: at d <= 16 one np.ceil over the
+        # scalar arithmetic per eigenvalue: at d = 4 one np.ceil over the
         # values plus a masked sum per cell made each call about 3x slower
         for lam, proj in zip(self._dec.values.tolist(), self._dec.projections):
             # cell j covers (a-1 + (j-1)*mesh, a-1 + j*mesh]

@@ -354,7 +354,7 @@ def condition3_check(
     family = fam.family
     i_p = _family_index(family, p)
     i_q = _family_index(family, q)
-    lhs = fam.values_at(d1)[i_p] @ fam.values_at(d2)[i_q]
+    lhs = evaluate(fam.measures[i_p], d1) @ evaluate(fam.measures[i_q], d2)
     inter = d1.intersect(d2)
     parts = star_decompose(p @ q)
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]

@@ -259,6 +259,7 @@ def test_derived_measures_match_per_atom_rho_loop():
         for p, e_p in zip(fm.family.members, fm.measures):
             total = np.zeros((oracle.target_dim,) * 2, dtype=complex)
             points = oracle.space.points()
+            assert e_p.labels == tuple(points)
             for i, x in enumerate(points):
                 row = np.zeros(len(points))
                 row[i] = 1.0
