@@ -331,8 +331,8 @@ class LimitingSequence:
     def term(self, ell: int) -> list[tuple[float, np.ndarray]]:
         """The (zeta, R) cells of S_l with nonzero resolution increment."""
         a, _ = self.interval
-        mesh = self.mesh(ell)
         ncells = 2 ** self.refinement_level(ell)
+        mesh = self.span / ncells
         cells: dict[int, list] = {}
         # scalar arithmetic per eigenvalue: at d = 4 one np.ceil over the
         # values plus a masked sum per cell made each call about 3x slower

@@ -1,7 +1,10 @@
 """Blockwise-countable model of the unbounded theory.
 
-The Hilbert space is a countable direct sum of finite blocks; finitely
-supported vectors form the dense domain.  Algebra generators act diagonally:
+The Hilbert space is a countable direct sum of finite blocks, all of the
+model's ``block_dim``; finitely supported vectors form the dense domain.
+Operators act below the model's horizon, so a domain vector is one
+(horizon, block_dim) array whose row n is its component on block n.
+Algebra generators act diagonally:
 the image of b (x) A on block n is f_b(n) * A, where f_b is the generator's
 scalar value function.  Every scalar function is passed as its value row,
 f(n) for each block n below the horizon; the generators are evaluated into
@@ -32,35 +35,26 @@ class BlockModel:
     """Countable block-diagonal carrier for unbounded representations.
 
     ``generators`` maps a generator name to a callable n -> complex, read
-    once into ``generator_rows``.  When ``w`` is present all blocks share
-    its ambient dimension and b (x) A acts blockwise as f_b(n) * A; when it
-    is None the model is scalar and block dimensions may vary.
+    once into ``generator_rows``.  Every block has dimension ``block_dim``:
+    the ambient dimension of ``w``, on which b (x) A acts blockwise as
+    f_b(n) * A, or 1 when ``w`` is None and the model is scalar.
     """
 
     space: DiscreteSpace
-    block_dims: tuple
     generators: dict  # name -> callable int -> complex
     w: VonNeumannAlgebra | None = None
 
     def __post_init__(self):
         if self.space.is_finite:
             raise ShapeMismatch("block models live over countable spaces")
-        if len(self.block_dims) != self.space.horizon:
-            raise ShapeMismatch("one block dimension per point up to the horizon")
-        if any(d < 1 for d in self.block_dims):
-            raise ShapeMismatch("block dimensions must be >= 1")
-        if self.w is not None:
-            if any(d != self.w.ambient_dim for d in self.block_dims):
-                raise ShapeMismatch(
-                    "with a nontrivial algebra all blocks share its dimension"
-                )
 
     @property
     def horizon(self) -> int:
         return self.space.horizon
 
-    def block_dim(self, n: int) -> int:
-        return self.block_dims[n]
+    @property
+    def block_dim(self) -> int:
+        return 1 if self.w is None else self.w.ambient_dim
 
     @cached_property
     def generator_rows(self) -> dict:
@@ -75,29 +69,27 @@ class BlockModel:
 
 @dataclass(frozen=True)
 class DomainVector:
-    """Finitely supported vector: per supported block, a dense component."""
+    """Finitely supported vector below a model's horizon: a (horizon,
+    block_dim) complex array whose row n is the component on block n."""
 
-    components: dict  # block index -> ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for n, v in self.components.items():
-            v = np.asarray(v, dtype=np.complex128).reshape(-1)
-            if v.any():  # only exactly-zero blocks drop; NaN blocks stay
-                clean[n] = v
-        object.__setattr__(self, "components", clean)
+        block = np.asarray(self.block, dtype=np.complex128)
+        if block.ndim != 2:
+            raise ShapeMismatch("a domain vector is a (blocks, dim) array")
+        object.__setattr__(self, "block", block)
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self.components)
+        """Blocks with a nonzero entry; a NaN entry counts as nonzero."""
+        return frozenset(np.flatnonzero(self.block.any(axis=1)).tolist())
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(sum(np.vdot(v, v).real for v in self.components.values()))
-        )
+        return float(np.sqrt(np.vdot(self.block, self.block).real))
 
     def scale(self, lam: complex) -> "DomainVector":
-        return DomainVector({n: lam * v for n, v in self.components.items()})
+        return DomainVector(lam * self.block)
 
     def add(self, other: "DomainVector") -> "DomainVector":
         return vector_sum((self, other))
@@ -106,84 +98,55 @@ class DomainVector:
         return self.add(other.scale(-1.0))
 
     def inner(self, other: "DomainVector") -> complex:
-        """<self, other> summed over common blocks."""
-        total = 0.0 + 0.0j
-        for n, v in self.components.items():
-            u = other.components.get(n)
-            if u is not None:
-                total += np.vdot(u, v)  # conjugates u
-        return complex(total)
+        """<self, other>, conjugate-linear in ``other``."""
+        return complex(np.vdot(other.block, self.block))
 
 
 def vector_sum(vectors) -> DomainVector:
-    """Sum of domain vectors, built as one DomainVector."""
-    out = {}
-    for x in vectors:
-        for n, v in x.components.items():
-            if n not in out:
-                out[n] = v
-            elif out[n].shape != v.shape:
-                raise DimMismatch(f"block {n} dims differ")
-            else:
-                out[n] = out[n] + v
-    return DomainVector(out)
+    """Sum of domain vectors of one shape, added in the given order."""
+    parts = [x.block for x in vectors]
+    if len({b.shape for b in parts}) != 1:
+        raise DimMismatch("a sum needs domain vectors of one shape")
+    return DomainVector(sum(parts[1:], parts[0]))
 
 
-def _values_at(values, support, horizon: int) -> np.ndarray:
-    """A value row's entries at the blocks of ``support``, in its order.  The
-    row must hold a value for every block below ``horizon``, where the
-    support must lie; otherwise ShapeMismatch."""
+def _values_at(values, horizon: int) -> np.ndarray:
+    """A value row's entries at blocks 0..horizon-1; the row must hold a
+    value for every block below ``horizon``, otherwise ShapeMismatch."""
     row = np.asarray(values, dtype=np.complex128)
     if row.ndim != 1 or len(row) < horizon:
         raise ShapeMismatch(f"a value row needs one value per block below "
                             f"the horizon ({horizon})")
-    if len(support) and not 0 <= min(support) <= max(support) < horizon:
-        raise ShapeMismatch("vector supported outside the value row")
-    return row[support]
+    return row[:horizon]
+
+
+def _require_rows(x: DomainVector, horizon: int) -> None:
+    if len(x.block) != horizon:
+        raise ShapeMismatch(f"a domain vector needs one row per block below "
+                            f"the horizon ({horizon}), got {len(x.block)}")
 
 
 def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
     """Apply the spectral integral of f, given by its value row, to a
-    finitely supported vector.
+    finitely supported vector with one row per value.
 
     The blockwise resolution E({n}) is the identity on block n, so block n
     of the result is f(n) x_n.  Finitely supported vectors are always in the
     domain; in this model they are exactly D0, with the support as the
     compact witness.
     """
-    fv = _values_at(values, list(x.components), len(values))
-    return DomainVector(
-        {n: complex(c) * v for (n, v), c in zip(x.components.items(), fv)}
-    )
-
-
-def truncate_to_horizon(coeffs, horizon: int) -> tuple[DomainVector, float]:
-    """D0 density witness: truncate target block coefficients at a horizon.
-
-    ``coeffs`` maps block index -> component array for an (infinitely
-    supported) target; returns the member and the discarded tail mass.
-    """
-    kept = {n: v for n, v in coeffs.items() if n < horizon}
-    tail = sum(
-        float(np.vdot(np.asarray(v), np.asarray(v)).real)
-        for n, v in coeffs.items() if n >= horizon
-    )
-    return DomainVector(kept), float(np.sqrt(tail))
+    _require_rows(x, len(values))
+    return DomainVector(_values_at(values, len(values))[:, None] * x.block)
 
 
 def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:
     """rho(b (x) A) x: block n of the result is f(n) * A x_n (exact), with f
-    given by its value row ``values``; a matrix A meets the stacked support
-    components in one contraction."""
-    support = list(x.components)
-    fv = _values_at(values, support, model.horizon)
+    given by its value row ``values``; one broadcast over every block."""
+    _require_rows(x, model.horizon)
+    fv = _values_at(values, model.horizon)[:, None]
     if not isinstance(a, np.ndarray):
-        return DomainVector({n: complex(c) * a * v
-                             for (n, v), c in zip(x.components.items(), fv)})
-    if not support:
-        return DomainVector({})
-    xs = np.stack([x.components[n] for n in support])
-    return DomainVector(dict(zip(support, fv[:, None] * (xs @ a.T))))
+        return DomainVector(fv * a * x.block)
+    return DomainVector(fv * (x.block @ a.T))
 
 
 def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
@@ -210,12 +173,10 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
     return vector_sum(psi_apply(v, a, model, x) for v, a in field_.terms)
 
 
-def truncation_projection(model: BlockModel, k: BorelSet,
-                          x: DomainVector) -> DomainVector:
+def truncation_projection(k: BorelSet, x: DomainVector) -> DomainVector:
     """M(K)(id) x: keep blocks inside K."""
-    return DomainVector(
-        {n: v for n, v in x.components.items() if n in k}
-    )
+    inside = np.array([n in k for n in range(len(x.block))], dtype=bool)
+    return DomainVector(np.where(inside[:, None], x.block, 0.0))
 
 
 @dataclass(frozen=True)
@@ -240,15 +201,13 @@ def d_alpha_check(
     sup_{n in K} |f_b(n)|^2 ||x||^2.  NECESSARY (sampled): the inequality is
     probed on random *-polynomials in the generators.
     """
+    _require_rows(x, model.horizon)
     rng = np.random.default_rng(seed)
     support = sorted(x.support)
-    if support and not 0 <= support[0] <= support[-1] < model.horizon:
-        raise ShapeMismatch("vector supported outside the model's blocks")
     certified = all(n in k for n in support)  # the zero vector is a member
     names = sorted(model.generators)
     norm_x = x.norm()
-    mass = np.array([np.vdot(x.components[n], x.components[n]).real
-                     for n in support])
+    mass = np.einsum("nd,nd->n", np.conj(x.block), x.block).real[support]
     k_points = [n for n in range(model.horizon) if n in k]
     residuals = []
     for t in range(probes):
@@ -311,7 +270,7 @@ def _block_actions(field_: OperatorField, horizon: int) -> np.ndarray:
     eye = np.eye(dim)
     for v, a in field_.terms:
         coeff = a if isinstance(a, np.ndarray) else a * eye
-        out += _values_at(v, range(horizon), horizon)[:, None, None] * coeff
+        out += _values_at(v, horizon)[:, None, None] * coeff
     return out
 
 

@@ -210,19 +210,17 @@ def _gen_c(seed, rng, caps, with_algebra: bool) -> Scenario:
         w = bicommutant(
             [random_hermitian(rng, dim), random_hermitian(rng, dim)], dim
         )
-        block_dims = (dim,) * horizon
     else:
         w = None
-        block_dims = (1,) * horizon
     model = blocks.BlockModel(
         space=DiscreteSpace(horizon=horizon),
-        block_dims=block_dims,
         generators=gens,
         w=w,
     )
     kind = "D" if with_algebra else "Cprime"
     return Scenario(
-        kind=kind, seed=seed, dims=block_dims, space=model.space,
+        kind=kind, seed=seed, dims=(model.block_dim,) * horizon,
+        space=model.space,
         payload={"model": model},
     )
 
@@ -233,7 +231,6 @@ def number_operator_scenario(horizon: int = 32) -> Scenario:
 
     model = blocks.BlockModel(
         space=DiscreteSpace(horizon=horizon),
-        block_dims=(1,) * horizon,
         generators={"num": generator_rule(
             {"kind": "poly", "coeffs": [[0.0, 0.0], [1.0, 0.0]]})},
     )
@@ -512,7 +509,8 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         ))
     # (ii) density of the compactly dominated domain
     for eps in (1e-4, 1e-10):
-        coeffs = {n: np.full(model.block_dim(n), 0.5 ** n) for n in range(model.horizon)}
+        coeffs = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
+                           model.block_dim, axis=1)
         member, tail = _truncate_to_eps(coeffs, eps)
         checks.append(check_entry(f"density[eps={eps:g}]", tail, eps))
         k = borel(model.space, member.support)
@@ -562,25 +560,27 @@ def _unit_coeff(model):
 
 
 def _truncate_to_eps(coeffs, eps):
-    """Truncate at the smallest horizon h >= 1 whose tail is within eps;
-    the tail norms of every h come from one reverse cumulative sum."""
-    count = len(coeffs)
-    mass = np.zeros(count + 1)  # blocks at or past count pool at the end
-    for n, v in coeffs.items():
-        mass[min(n, count)] += np.vdot(v, v).real
+    """D0 density witness for the (infinitely supported) target whose block
+    coefficients are the rows of ``coeffs``: keep the rows below the
+    smallest horizon h >= 1 whose tail is within eps, and return that member
+    with its tail norm.  The tail norms of every h come from one reverse
+    cumulative sum; the returned tail sums the dropped rows in order."""
+    mass = [float(np.vdot(v, v).real) for v in coeffs]
     tails = np.sqrt(np.cumsum(mass[::-1])[::-1])
     within = np.flatnonzero(tails[1:] <= eps)
-    horizon = int(within[0]) + 1 if within.size else count
-    return blocks.truncate_to_horizon(coeffs, horizon)
+    horizon = int(within[0]) + 1 if within.size else len(coeffs)
+    kept = np.array(coeffs, dtype=np.complex128)
+    kept[horizon:] = 0.0
+    return blocks.DomainVector(kept), float(np.sqrt(sum(mass[horizon:])))
 
 
 def _random_domain_vector(rng, model, supp=3) -> blocks.DomainVector:
     picks = rng.choice(model.horizon, size=min(supp, model.horizon), replace=False)
-    comps = {}
+    block = np.zeros((model.horizon, model.block_dim), dtype=np.complex128)
     for n in picks:
-        d = model.block_dim(int(n))
-        comps[int(n)] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return blocks.DomainVector(comps)
+        block[n] = (rng.standard_normal(model.block_dim)
+                    + 1j * rng.standard_normal(model.block_dim))
+    return blocks.DomainVector(block)
 
 
 def verify_theorem_d(scenario: Scenario) -> VerificationReport:
@@ -596,7 +596,6 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         return VerificationReport(
             scenario=scenario.scenario_id, checks=rep.checks, wall_ms=rep.wall_ms,
         )
-    dim = model.w.ambient_dim
     # (1) rho_P integrability per sampled projection
     fam = sample_projections(model.w, n=6, seed=scenario.seed + 8)
     fields = scenario.payload.get("field")
@@ -618,7 +617,7 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     for t in range(3):
         x = _random_domain_vector(rng, model)
         k = borel(model.space, x.support)
-        y = blocks.truncation_projection(model, k, x)
+        y = blocks.truncation_projection(k, x)
         checks.append(check_entry(
             f"support-containment[x{t}]", x.sub(y).norm(), TAU_EXACT,
         ))

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
-from .errors import InvalidDocument
+from .errors import InvalidDocument, ShapeMismatch, SpaceMismatch
 from .linalg import as_matrix, frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import NonNegSpectralMeasure
@@ -80,7 +80,10 @@ def measure_from_doc(doc: dict):
             f"shapes {sorted(shapes)}"
         )
     stack = np.array(atoms, dtype=np.complex128).reshape((-1,) + total.shape)
-    e = SpectralMeasure(space, labels, stack, total=total)
+    try:
+        e = SpectralMeasure(space, labels, stack, total=total)
+    except (SpaceMismatch, ShapeMismatch) as exc:
+        raise InvalidDocument(f"invalid measure document: {exc}") from exc
     return e, e.validate()
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from specmeas import algebra, linalg, measure, nnsm
+from specmeas import algebra, blocks, linalg, measure, nnsm
 
 
 def tensor_model(seed: int, h_dim: int = 2, n_atoms: int = 3, unitary: bool = True):
@@ -32,3 +32,12 @@ def tensor_model(seed: int, h_dim: int = 2, n_atoms: int = 3, unitary: bool = Tr
         space=space, w1=w1, target_dim=k, atom_images=atom_images
     )
     return m, u, rng
+
+
+def domain_vector(model, comps) -> blocks.DomainVector:
+    """The vector of a block model with component comps[n] on block n and
+    zero on every other block below the horizon."""
+    block = np.zeros((model.horizon, model.block_dim), dtype=complex)
+    for n, v in comps.items():
+        block[n] = v
+    return blocks.DomainVector(block)

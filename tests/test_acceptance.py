@@ -11,7 +11,7 @@ import numpy as np
 
 from specmeas import algebra, blocks, cli, harness, linalg, measure, nnsm
 
-from conftest import tensor_model
+from conftest import domain_vector, tensor_model
 
 
 def _line(n: int, label: str, ok: bool, detail: str = ""):
@@ -181,7 +181,7 @@ def test_criterion_6_domain_laws():
         worst = max(worst, resid / scale ** 2)
         assert resid <= 1e-9 * scale ** 2, (t, resid, scale)
     # density witnesses down to 1e-10
-    coeffs = {n: np.array([0.5 ** n]) for n in range(64)}
+    coeffs = 0.5 ** np.arange(64.0)[:, None]
     for eps in (1e-2, 1e-6, 1e-10):
         member, tail = harness._truncate_to_eps(coeffs, eps)
         assert tail <= eps
@@ -200,7 +200,6 @@ def _random_block_model(rng, max_blocks, max_dim):
         )
     return blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=horizon),
-        block_dims=(dim,) * horizon,
         generators={"num": lambda n: float(n), "osc": lambda n: (-1.0) ** n},
         w=w,
     )
@@ -208,9 +207,9 @@ def _random_block_model(rng, max_blocks, max_dim):
 
 def _random_vec(rng, model):
     supp = rng.choice(model.horizon, size=min(3, model.horizon), replace=False)
-    return blocks.DomainVector({
-        int(n): rng.standard_normal(model.block_dim(int(n)))
-        + 1j * rng.standard_normal(model.block_dim(int(n)))
+    return domain_vector(model, {
+        int(n): rng.standard_normal(model.block_dim)
+        + 1j * rng.standard_normal(model.block_dim)
         for n in supp
     })
 

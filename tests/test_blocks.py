@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import algebra, blocks, linalg, measure
+from specmeas import algebra, blocks, harness, linalg, measure
 from specmeas.nnsm import OperatorField
-from specmeas.errors import ShapeMismatch
+from specmeas.errors import DimMismatch, ShapeMismatch
+
+from conftest import domain_vector
 
 
 def number_model(horizon: int = 32) -> blocks.BlockModel:
     """Scalar model with the coordinate generator n (number operator)."""
     return blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=horizon),
-        block_dims=(1,) * horizon,
         generators={"num": lambda n: float(n)},
     )
 
@@ -23,7 +24,6 @@ def matrix_model(horizon: int = 16, dim: int = 2, seed: int = 0):
     w = algebra.bicommutant(gens, dim)
     model = blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=horizon),
-        block_dims=(dim,) * horizon,
         generators={"num": lambda n: float(n), "decay": lambda n: 0.5**n},
         w=w,
     )
@@ -33,44 +33,64 @@ def matrix_model(horizon: int = 16, dim: int = 2, seed: int = 0):
 def random_vector(rng, model: blocks.BlockModel, supp=3) -> blocks.DomainVector:
     comps = {}
     for n in rng.choice(model.horizon, size=min(supp, model.horizon), replace=False):
-        d = model.block_dim(int(n))
+        d = model.block_dim
         comps[int(n)] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return blocks.DomainVector(comps)
+    return domain_vector(model, comps)
 
 
 def test_domain_vector_arithmetic():
-    x = blocks.DomainVector({0: np.array([1.0])})
-    y = blocks.DomainVector({3: np.array([1.0])})
+    model = number_model()
+    x = domain_vector(model, {0: 1.0})
+    y = domain_vector(model, {3: 1.0})
     z = x.add(y.scale(2.0))
     assert z.norm() == pytest.approx(np.sqrt(5.0))
     assert z.sub(x).norm() == pytest.approx(2.0)
     assert z.inner(x) == pytest.approx(1.0)
     # zero components are dropped
     assert x.sub(x).support == frozenset()
+    with pytest.raises(ShapeMismatch):
+        blocks.DomainVector(np.ones(3))  # one row per block, not a flat vector
+
+
+def test_vector_sum_matches_per_block_reference():
+    model, rng = matrix_model(dim=3, seed=13)
+    xs = [random_vector(rng, model, supp=5) for _ in range(3)]
+    # per block, the components of the vectors supported there, added in
+    # vector order
+    want = {}
+    for x in xs:
+        for n in sorted(x.support):
+            want[n] = want[n] + x.block[n] if n in want else x.block[n]
+    got = blocks.vector_sum(xs)
+    assert got.support == frozenset(want)
+    assert np.array_equal(got.block, domain_vector(model, want).block)
+    with pytest.raises(DimMismatch):
+        blocks.vector_sum([xs[0], domain_vector(number_model(), {})])
 
 
 def test_number_operator_action():
     model = number_model()
-    x = blocks.DomainVector({0: np.array([1.0]), 5: np.array([2.0])})
+    x = domain_vector(model, {0: 1.0, 5: 2.0})
     y = blocks.rho_apply(model, model.generator_rows["num"], 1.0, x)
     # block 0 is killed, block 5 picks up the factor 5
     assert y.support == frozenset({5})
-    assert y.components[5][0] == pytest.approx(10.0)
+    assert y.block[5, 0] == pytest.approx(10.0)
 
 
 def test_spectral_integral_and_d0():
     model = number_model()
-    x = blocks.DomainVector({2: np.array([1.0]), 7: np.array([1.0])})
+    x = domain_vector(model, {2: 1.0, 7: 1.0})
     y = blocks.spectral_integral_apply(np.arange(model.horizon) ** 2, x)
-    assert y.components[2][0] == pytest.approx(4.0)
-    assert y.components[7][0] == pytest.approx(49.0)
+    assert y.block[2, 0] == pytest.approx(4.0)
+    assert y.block[7, 0] == pytest.approx(49.0)
     assert x.support == frozenset({2, 7})
 
 
 def test_truncate_to_horizon_density():
-    # geometric tail: truncation converges in norm
-    coeffs = {n: np.array([0.5**n]) for n in range(40)}
-    member, tail = blocks.truncate_to_horizon(coeffs, horizon=20)
+    # geometric tail: truncation converges in norm; the tail from block 20
+    # on is 1.1e-6 and from block 19 on 2.2e-6
+    coeffs = 0.5 ** np.arange(40.0)[:, None]
+    member, tail = harness._truncate_to_eps(coeffs, 2e-6)
     assert member.support == frozenset(range(20))
     exact_tail = np.sqrt(sum(0.25**n for n in range(20, 40)))
     assert tail == pytest.approx(exact_tail)
@@ -79,7 +99,7 @@ def test_truncate_to_horizon_density():
 
 def test_psi_scalar_matches_rho():
     model = number_model()
-    x = blocks.DomainVector({1: np.array([1.0]), 4: np.array([1.0j])})
+    x = domain_vector(model, {1: 1.0, 4: 1.0j})
     f = model.generator_rows["num"]
     got = blocks.psi_apply(f, 2.0 + 0.0j, model, x)
     want = blocks.rho_apply(model, f, 2.0 + 0.0j, x)
@@ -139,16 +159,16 @@ def test_i_m_product_on_d0():
 
 def test_truncation_projection():
     model = number_model()
-    x = blocks.DomainVector({1: np.array([1.0]), 9: np.array([1.0])})
+    x = domain_vector(model, {1: 1.0, 9: 1.0})
     k = measure.borel(model.space, range(5))
-    y = blocks.truncation_projection(model, k, x)
+    y = blocks.truncation_projection(k, x)
     assert y.support == frozenset({1})
 
 
 def test_d_alpha_certified_inside_k():
     model = number_model()
     k = measure.borel(model.space, range(10))
-    x = blocks.DomainVector({2: np.array([1.0]), 8: np.array([1.0])})
+    x = domain_vector(model, {2: 1.0, 8: 1.0})
     rep = blocks.d_alpha_check(x, model, k)
     assert rep.status == "certified"
     assert "sampled-necessity" in rep.flags
@@ -158,14 +178,9 @@ def test_d_alpha_fails_outside_k():
     model = number_model()
     k = measure.borel(model.space, range(3))
     # mass at block 20 where |num| = 20 > alpha_K = 2: some probe must exceed
-    x = blocks.DomainVector({20: np.array([1.0])})
+    x = domain_vector(model, {20: 1.0})
     rep = blocks.d_alpha_check(x, model, k, probes=40)
     assert rep.status == "fail"
-    # the probes are read off the generator rows, which end at the horizon
-    for n in (-1, model.horizon):
-        with pytest.raises(ShapeMismatch):
-            blocks.d_alpha_check(blocks.DomainVector({n: np.array([1.0])}),
-                                 model, k)
 
 
 def test_integrability_check():
@@ -181,7 +196,7 @@ def test_integrability_check():
     rep = blocks.integrability_check(model, bad)
     assert not rep.passed
     empty = blocks.BlockModel(space=measure.DiscreteSpace(horizon=0),
-                              block_dims=(), generators={}, w=model.w)
+                              generators={}, w=model.w)
     no_blocks = OperatorField(terms=((np.zeros(0), bad.terms[0][1]),))
     assert blocks.integrability_check(empty, no_blocks).passed  # no blocks
 
@@ -204,7 +219,7 @@ def test_psi_additive_in_operator(seed):
 def test_domain_inclusion_bound(seed, n):
     # ||rho(b (x) A) x|| <= ||A||_op * ||rho(b) x|| blockwise
     model, rng = matrix_model(horizon=32, seed=seed)
-    x = blocks.DomainVector({int(n): rng.standard_normal(2) + 0j})
+    x = domain_vector(model, {int(n): rng.standard_normal(2)})
     a = linalg.random_complex(rng, 2, 2)
     f = model.generator_rows["num"]
     lhs = blocks.rho_apply(model, f, a, x).norm()
@@ -219,7 +234,7 @@ def test_domain_inclusion_bound(seed, n):
 def _psi_reference(f, a, model, x):
     """psi(f, A) x the per-eigenpair way: split Re A and Im A into positive
     parts, diagonalize each part again and add one rho_apply per eigenpair."""
-    out = blocks.DomainVector({})
+    out = domain_vector(model, {})
     re = (a + linalg.adjoint(a)) / 2.0
     im = (a - linalg.adjoint(a)) / 2.0j
     for h, unit in ((re, 1.0), (im, 1.0j)):
@@ -298,19 +313,8 @@ def test_psi_one_eig_per_nonzero_hermitian_part(monkeypatch):
     assert len(calls) == sum(parts.values())
 
 
-def _unequal_scalar_model(horizon=12):
-    """Scalar C' model whose block dimensions vary (1, 2, 3, 1, 2, 3, ...)."""
-    return blocks.BlockModel(
-        space=measure.DiscreteSpace(horizon=horizon),
-        block_dims=tuple(1 + n % 3 for n in range(horizon)),
-        generators={"num": lambda n: float(n), "osc": lambda n: (-1.0) ** n,
-                    "rot": lambda n: np.exp(0.3j * n)},
-    )
-
-
 def _reference_models():
     yield number_model(horizon=16)
-    yield _unequal_scalar_model()
     yield matrix_model(dim=2, seed=11)[0]
     yield matrix_model(dim=3, seed=12)[0]
 
@@ -371,7 +375,7 @@ def _integrability_reference(model, field_):
     """(worst_block, worst_residual, passed), one block action at a time."""
     worst_block, worst, passed = 0, 0.0, True
     for n in range(model.horizon):
-        dim = model.block_dim(n)
+        dim = model.block_dim
         b = np.zeros((dim, dim), dtype=complex)
         for v, a in field_.terms:
             b += v[n] * (a if isinstance(a, np.ndarray) else a * np.eye(dim))
@@ -420,12 +424,13 @@ def test_integrability_matches_per_block_reference():
 
 
 def test_domain_vector_keeps_non_finite_components():
-    x = blocks.DomainVector({0: [1, 0], 3: [np.nan, 1]})
+    model, _ = matrix_model(horizon=4)
+    x = domain_vector(model, {0: [1, 0], 3: [np.nan, 1]})
     assert x.support == frozenset({0, 3})
-    diff = x.sub(blocks.DomainVector({0: [1, 0]}))
+    diff = x.sub(domain_vector(model, {0: [1, 0]}))
     assert np.isnan(diff.norm())
-    # exactly-zero components are still dropped
-    assert blocks.DomainVector({0: [0, 0], 1: [0, 1e-300]}).support == {1}
+    # only exactly-zero components are outside the support
+    assert domain_vector(model, {0: [0, 0], 1: [0, 1e-300]}).support == {1}
 
 
 def test_integrability_fails_non_finite_field():
@@ -443,12 +448,6 @@ def test_integrability_fails_non_finite_field():
     with np.errstate(invalid="ignore"):
         rep = blocks.integrability_check(model, at_six)
     assert not rep.passed and rep.worst_block == 6
-    scalar_model = _unequal_scalar_model()
-    scalar = OperatorField(
-        terms=((np.full(scalar_model.horizon, np.nan), 1.0 + 0.0j),))
-    with np.errstate(invalid="ignore"):
-        rep = blocks.integrability_check(scalar_model, scalar)
-    assert not rep.passed and rep.worst_block == 0
 
 
 def test_generator_rows_evaluate_each_generator_once_per_block():
@@ -462,7 +461,7 @@ def test_generator_rows_evaluate_each_generator_once_per_block():
 
 def test_value_rows_must_cover_the_horizon():
     model, rng = matrix_model(horizon=16, seed=10)
-    x = blocks.DomainVector({3: np.array([1.0, 2.0])})
+    x = domain_vector(model, {3: [1.0, 2.0]})
     a = linalg.random_complex(rng, 2, 2)
     short = model.generator_rows["num"][:15]
     for apply in (lambda: blocks.rho_apply(model, short, a, x),
@@ -472,13 +471,19 @@ def test_value_rows_must_cover_the_horizon():
                       model, OperatorField(terms=((short, a),)))):
         with pytest.raises(ShapeMismatch):
             apply()
-    # a row covers the horizon, but the vector must live below it
+    # a row covers the horizon, but the vector needs one row per block
+    # below it: no more and no fewer
     row = model.generator_rows["num"]
-    for n in (-1, model.horizon):
-        outside = blocks.DomainVector({n: np.array([1.0, 0.0])})
+    k = measure.borel(model.space, range(4))
+    for rows in (model.horizon - 1, model.horizon + 1):
+        wrong = blocks.DomainVector(np.ones((rows, 2)))
         with pytest.raises(ShapeMismatch):
-            blocks.rho_apply(model, row, a, outside)
+            blocks.rho_apply(model, row, a, wrong)
         with pytest.raises(ShapeMismatch):
-            blocks.spectral_integral_apply(row, outside)
+            blocks.rho_apply(model, row, 2.0 + 0.0j, wrong)
+        with pytest.raises(ShapeMismatch):
+            blocks.spectral_integral_apply(row, wrong)
+        with pytest.raises(ShapeMismatch):
+            blocks.d_alpha_check(wrong, model, k)
     with pytest.raises(ShapeMismatch):
         blocks.rho_apply(model, np.ones((16, 1)), a, x)  # not a row

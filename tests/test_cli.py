@@ -92,6 +92,25 @@ def test_check_measure_rejects_a_repeated_measure_label(capsys, tmp_path):
     _check_rejected(capsys, path)
 
 
+@pytest.mark.parametrize("space, label", [
+    ({"kind": "finite", "labels": [0, 1]}, 5),
+    ({"kind": "countable", "horizon": 4}, -1),
+])
+def test_check_measure_rejects_a_measure_label_outside_the_space(
+        capsys, tmp_path, space, label):
+    doc = {
+        "space": space,
+        "atoms": [[0, serialize.matrix_to_doc(np.diag([1.0, 0.0]))],
+                  [label, serialize.matrix_to_doc(np.diag([0.0, 1.0]))]],
+        "total": serialize.matrix_to_doc(np.eye(2)),
+    }
+    with pytest.raises(InvalidDocument, match=f"atom label {label} not in the space"):
+        serialize.measure_from_doc(doc)
+    path = tmp_path / "outside.json"
+    serialize.dump(doc, path)
+    _check_rejected(capsys, path)
+
+
 def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):
     doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 4).payload["oracle"])
     label, images = doc["atom_maps"][0]

@@ -95,7 +95,6 @@ def test_verify_c_bounded_generator():
         space=measure.DiscreteSpace(horizon=16),
         payload={"model": blocks.BlockModel(
             space=measure.DiscreteSpace(horizon=16),
-            block_dims=(1,) * 16,
             generators={"g0": serialize.generator_rule(
                 {"kind": "exp-index", "rate": -0.7})},
         )},
@@ -199,26 +198,31 @@ def test_check_measure_file(tmp_path):
 
 
 def _truncate_reference(coeffs, eps):
-    """Truncate at horizons 1, 2, ... until the tail is within eps."""
-    from specmeas import blocks
-
-    for horizon in range(1, len(coeffs) + 1):
-        member, tail = blocks.truncate_to_horizon(coeffs, horizon)
+    """Truncate at horizons 1, 2, ... until the tail, the norm of the rows
+    from the horizon on, is within eps."""
+    horizon, tail = len(coeffs), 0.0
+    for h in range(1, len(coeffs) + 1):
+        tail = float(np.sqrt(sum(float(np.vdot(v, v).real)
+                                 for v in coeffs[h:])))
         if tail <= eps:
-            return member, tail
-    return blocks.truncate_to_horizon(coeffs, len(coeffs))
+            horizon = h
+            break
+    kept = np.array(coeffs, dtype=complex)
+    kept[horizon:] = 0.0
+    return blocks.DomainVector(kept), tail
 
 
 def test_truncate_to_eps_matches_per_horizon_reference():
     rng = np.random.default_rng(23)
-    geometric = {n: np.full(1 + n % 3, 0.5 ** n) for n in range(40)}
-    flat = {n: rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            for n in range(12)}
-    gapped = {0: np.array([1.0]), 2: np.array([1e-3]), 7: np.array([1e-6]),
-              30: np.array([1e-9])}  # keys past len(coeffs) pool at its end
+    # rows of 1, 2 or 3 nonzero entries
+    geometric = np.array([[0.5 ** n if j <= n % 3 else 0.0 for j in range(3)]
+                          for n in range(40)])
+    flat = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+    gapped = np.zeros((31, 1))
+    gapped[[0, 2, 7, 30], 0] = (1.0, 1e-3, 1e-6, 1e-9)
     cases = [(c, eps) for c in (geometric, flat, gapped)
              for eps in (10.0, 1e-2, 1e-4, 1e-9, 1e-10, 1e-20, 0.0)]
-    cases.append(({}, 1e-4))
+    cases.append((np.zeros((0, 1)), 1e-4))
     for coeffs, eps in cases:
         member, tail = harness._truncate_to_eps(coeffs, eps)
         want_member, want_tail = _truncate_reference(coeffs, eps)
