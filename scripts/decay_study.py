@@ -29,11 +29,10 @@ def main() -> None:
 
     print(f"operator approximants, dim {args.dim}, seed {args.seed}")
     print(f"{'ell':>6} {'1/ell':>12} {'right error':>14} {'mid error':>14}")
-    ell = 1
-    while ell <= args.ell_max:
-        print(f"{ell:>6} {1.0 / ell:>12.3e} {seq.error(ell):>14.3e} "
-              f"{mid.error(ell):>14.3e}")
-        ell *= 2
+    ells = 2 ** np.arange(int(np.log2(args.ell_max)) + 1)
+    for ell, right_err, mid_err in zip(ells, seq.error(ells), mid.error(ells)):
+        print(f"{ell:>6} {1.0 / ell:>12.3e} {right_err:>14.3e} "
+              f"{mid_err:>14.3e}")
 
     sc = gen_scenario("B", args.seed)
     oracle = sc.payload["oracle"]

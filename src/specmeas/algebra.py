@@ -2,13 +2,16 @@
 
 Provides bicommutant closure, projection enumeration/sampling, linear
 extension from projection families, limiting sequences of hermitian
-operators, and joint diagonalization of commuting normal matrices.
+operators, and joint diagonalization of commuting normal matrices.  Both
+resolutions are projection stacks: a limiting sequence is its operator's
+eigen-resolution plus a tag grid over ell, and a joint diagonalization is a
+table of joint values beside its eigenprojection stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    SpectralDecomposition,
     adjoint,
     eig_hermitian,
     frob_norm,
@@ -296,26 +300,23 @@ def linear_extend(
 class LimitingSequence:
     """Riemann-sum approximants S_l of a hermitian operator.
 
-    Partitions are nested dyadic refinements of [a-1, b] where [a, b] covers
-    the spectrum.  zeta is the right endpoint of each cell by default ("mid"
-    picks midpoints).  Cells with a vanishing resolution increment are not
-    stored; the number of stored terms is at most the number of distinct
-    eigenvalues.
+    Partitions are nested dyadic refinements of [a-1, b], where a and b are
+    the least and the greatest eigenvalue.  Over the eigen-resolution
+    A = sum_i lambda_i P_i, S_l(A) = sum_i zeta_i(l) P_i, where the tag
+    zeta_i(l) is the right endpoint of the cell that holds lambda_i ("mid"
+    picks its midpoint).  So a sequence is its ``resolution`` plus one
+    (n_ell, n_values) tag grid, ``term(ells)``; eigenvalues that share a
+    cell share a tag.
     """
 
     source: np.ndarray
-    interval: tuple[float, float]
+    resolution: SpectralDecomposition
     zeta_rule: str = "right"
-    _dec: "object" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._dec is None:
-            object.__setattr__(self, "_dec", eig_hermitian(self.source))
 
     @property
     def span(self) -> float:
-        a, b = self.interval
-        return b - (a - 1.0)
+        values = self.resolution.values
+        return float(values[-1] - (values[0] - 1.0))
 
     def refinement_level(self, ell: int) -> int:
         """Dyadic level: mesh <= min(1/ell, span) and strictly below 1."""
@@ -325,39 +326,28 @@ class LimitingSequence:
             r += 1
         return r
 
-    def mesh(self, ell: int) -> float:
-        return self.span / 2 ** self.refinement_level(ell)
+    def mesh(self, ells) -> np.ndarray:
+        """The cell width at each ell of ``ells``."""
+        levels = np.array([self.refinement_level(ell) for ell in ells])
+        return self.span / 2.0**levels
 
-    def term(self, ell: int) -> list[tuple[float, np.ndarray]]:
-        """The (zeta, R) cells of S_l with nonzero resolution increment."""
-        a, _ = self.interval
-        ncells = 2 ** self.refinement_level(ell)
-        mesh = self.span / ncells
-        cells: dict[int, list] = {}
-        # scalar arithmetic per eigenvalue: at d = 4 one np.ceil over the
-        # values plus a masked sum per cell made each call about 3x slower
-        for lam, proj in zip(self._dec.values.tolist(), self._dec.projections):
-            # cell j covers (a-1 + (j-1)*mesh, a-1 + j*mesh]
-            j = int(math.ceil((lam - (a - 1.0)) / mesh - CELL_EDGE_SLACK))
-            j = min(max(j, 1), ncells)
-            cells.setdefault(j, []).append(proj)
-        out = []
-        for j in sorted(cells):
-            right = (a - 1.0) + j * mesh
-            zeta = right if self.zeta_rule == "right" else right - mesh / 2.0
-            r_proj = sum(cells[j])
-            out.append((zeta, r_proj))
-        return out
+    def term(self, ells) -> np.ndarray:
+        """The (len(ells), n_values) tag grid: entry (l, i) is zeta_i(ells[l])."""
+        mesh = self.mesh(ells)[:, None]
+        left = self.resolution.values[0] - 1.0
+        # cell j covers (left + (j-1)*mesh, left + j*mesh], j = 1..span/mesh
+        j = np.ceil((self.resolution.values - left) / mesh - CELL_EDGE_SLACK)
+        right = left + np.clip(j, 1.0, self.span / mesh) * mesh
+        return right if self.zeta_rule == "right" else right - mesh / 2.0
 
-    def approximant(self, ell: int) -> np.ndarray:
-        n = self.source.shape[0]
-        s = np.zeros((n, n), dtype=np.complex128)
-        for zeta, r_proj in self.term(ell):
-            s += zeta * r_proj
-        return s
+    def approximants(self, ells) -> np.ndarray:
+        """The (len(ells), d, d) stack of S_l(A) for l in ``ells``."""
+        return np.tensordot(self.term(ells), self.resolution.projections, axes=1)
 
-    def error(self, ell: int) -> float:
-        return op_norm(self.source - self.approximant(ell))
+    def error(self, ells) -> np.ndarray:
+        """||A - S_l(A)|| for each l in ``ells``, from one batched SVD."""
+        return np.linalg.norm(self.source - self.approximants(ells), ord=2,
+                              axis=(1, 2))
 
 
 def limiting_sequence(
@@ -365,16 +355,14 @@ def limiting_sequence(
 ) -> LimitingSequence:
     """Limiting sequence of a hermitian matrix, valid for every ell >= 1."""
     a = require_hermitian(a)
-    dec = eig_hermitian(a)
-    lo, hi = dec.values[0], dec.values[-1]
-    seq = LimitingSequence(
-        source=a, interval=(float(lo), float(hi)), zeta_rule=zeta_rule, _dec=dec
-    )
+    seq = LimitingSequence(source=a, resolution=eig_hermitian(a),
+                           zeta_rule=zeta_rule)
     # The 1/ell bound is structural for the right-endpoint rule; verify the
     # stored range anyway and refuse silently wrong constructions.
-    for ell in (1, ell_max):
-        if seq.error(ell) > 1.0 / ell + LIMIT_BOUND_SLACK * (1.0 + abs(hi)):
-            raise AssertionError("limiting sequence failed its 1/ell bound")
+    ells = np.array([1, ell_max])
+    slack = LIMIT_BOUND_SLACK * (1.0 + abs(seq.resolution.values[-1]))
+    if np.any(seq.error(ells) > 1.0 / ells + slack):
+        raise AssertionError("limiting sequence failed its 1/ell bound")
     return seq
 
 
@@ -382,22 +370,18 @@ def limiting_sequence(
 class CharacterAtlas:
     """Joint eigenstructure of commuting normals.
 
-    Each point is (values, projection): one complex value per generator and
-    the joint eigenprojection.  Projections are mutually orthogonal and sum
-    to the identity; distinct points have distinct value tuples.
+    Row i of the (n_points, n_generators) table ``values`` holds the joint
+    eigenvalues of point i, one per generator, and ``projections[i]`` of the
+    (n_points, d, d) stack is its joint eigenprojection.  The projections
+    are mutually orthogonal and sum to the identity; distinct points have
+    distinct value rows.
     """
 
-    points: tuple[tuple[tuple[complex, ...], np.ndarray], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.points[0][1].shape[0]
+    values: np.ndarray
+    projections: np.ndarray
 
     def reconstruct(self, gen_index: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for values, proj in self.points:
-            out += values[gen_index] * proj
-        return out
+        return np.tensordot(self.values[:, gen_index], self.projections, axes=1)
 
 
 def _split_by_hermitian(
@@ -437,7 +421,8 @@ def joint_diagonalize(
         if ambient_dim is None:
             raise ShapeMismatch("ambient_dim required for an empty generator list")
         return CharacterAtlas(
-            points=(((), np.eye(ambient_dim, dtype=np.complex128)),)
+            values=np.zeros((1, 0), dtype=np.complex128),
+            projections=np.eye(ambient_dim, dtype=np.complex128)[None],
         )
     n_dim = normals[0].shape[0]
     if ambient_dim is not None and ambient_dim != n_dim:
@@ -458,26 +443,21 @@ def joint_diagonalize(
         im = (m - adjoint(m)) / 2.0j
         blocks = _split_by_hermitian(blocks, re, gap)
         blocks = _split_by_hermitian(blocks, im, gap)
-    raw = []
-    for v in blocks:
-        values = []
-        for m in normals:
-            b = adjoint(v) @ m @ v
-            values.append(complex(np.trace(b)) / v.shape[1])
-        raw.append((tuple(values), v))
     # Merge blocks whose value tuples coincide (within the cluster gap).
     merged: list[tuple[tuple[complex, ...], list[np.ndarray]]] = []
-    for values, v in raw:
+    for v in blocks:
+        values = tuple(complex(np.trace(adjoint(v) @ m @ v)) / v.shape[1]
+                       for m in normals)
         for mv, vs in merged:
             if all(abs(a - b) < gap for a, b in zip(values, mv)):
                 vs.append(v)
                 break
         else:
             merged.append((values, [v]))
-    points = []
-    for values, vs in merged:
-        v = np.hstack(vs)
-        proj = v @ adjoint(v)
-        points.append((values, (proj + adjoint(proj)) / 2.0))
-    points.sort(key=lambda it: tuple((z.real, z.imag) for z in it[0]))
-    return CharacterAtlas(points=tuple(points))
+    merged.sort(key=lambda it: tuple((z.real, z.imag) for z in it[0]))
+    cols = [np.hstack(vs) for _, vs in merged]
+    projs = np.stack([v @ adjoint(v) for v in cols])
+    return CharacterAtlas(
+        values=np.array([values for values, _ in merged], dtype=np.complex128),
+        projections=(projs + np.conj(np.swapaxes(projs, 1, 2))) / 2.0,
+    )

@@ -141,8 +141,10 @@ def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
 
 def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:
     """rho(b (x) A) x: block n of the result is f(n) * A x_n (exact), with f
-    given by its value row ``values``; one broadcast over every block."""
+    given by its value row ``values``; one broadcast over every block.  A
+    matrix A must be (block_dim, block_dim), or ShapeMismatch is raised."""
     _require_rows(x, model.horizon)
+    _require_coefficient(model, a)
     fv = _values_at(values, model.horizon)[:, None]
     if not isinstance(a, np.ndarray):
         return DomainVector(fv * a * x.block)
@@ -259,18 +261,26 @@ def _poly_values(model: BlockModel, monomials) -> np.ndarray:
     return total
 
 
-def _block_actions(field_: OperatorField, horizon: int) -> np.ndarray:
-    """The (horizon, d, d) stack of matrices by which the field acts on
-    blocks 0..horizon-1.  d is the size of the matrix coefficients, or 1
-    for a field with only scalar ones: such a field acts on block n as
-    c_n times the identity, stacked as the 1x1 block c_n."""
-    dim = next((a.shape[0] for _, a in field_.terms
-                if isinstance(a, np.ndarray)), 1)
-    out = np.zeros((horizon, dim, dim), dtype=np.complex128)
-    eye = np.eye(dim)
+def _require_coefficient(model: BlockModel, a) -> None:
+    """A matrix coefficient must act on one block: (block_dim, block_dim)."""
+    d = model.block_dim
+    if isinstance(a, np.ndarray) and a.shape != (d, d):
+        raise ShapeMismatch(f"a matrix coefficient acts on one block, shape "
+                            f"({d}, {d}); got {a.shape}")
+
+
+def _block_actions(field_: OperatorField, model: BlockModel) -> np.ndarray:
+    """The (horizon, block_dim, block_dim) stack of matrices by which the
+    field acts on the model's blocks; a scalar coefficient c acts as c
+    times the identity.  A matrix coefficient of another shape raises
+    ShapeMismatch."""
+    d = model.block_dim
+    out = np.zeros((model.horizon, d, d), dtype=np.complex128)
+    eye = np.eye(d)
     for v, a in field_.terms:
+        _require_coefficient(model, a)
         coeff = a if isinstance(a, np.ndarray) else a * eye
-        out += _values_at(v, horizon)[:, None, None] * coeff
+        out += _values_at(v, model.horizon)[:, None, None] * coeff
     return out
 
 
@@ -286,14 +296,15 @@ def integrability_check(
 ) -> IntegrabilityReport:
     """Blockwise normality of the field's action (integrability proxy).
 
-    Every value row of the field must cover the model's horizon, or
-    ShapeMismatch is raised.  The commutator norms of every block action
-    are taken in one batch.  A non-finite residual fails and names the worst
-    block: argmax returns the first NaN, or else the first largest residual.
+    Every value row of the field must cover the model's horizon, and every
+    matrix coefficient act on one block, or ShapeMismatch is raised.  The
+    commutator norms of every block action are taken in one batch.  A
+    non-finite residual fails and names the worst block: argmax returns the
+    first NaN, or else the first largest residual.
     """
     if model.horizon < 1:
         return IntegrabilityReport(worst_block=0, worst_residual=0.0, passed=True)
-    b = _block_actions(field_, model.horizon)
+    b = _block_actions(field_, model)
     b_star = np.conj(np.swapaxes(b, 1, 2))
     resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(1, 2)) / (
         1.0 + np.linalg.norm(b, axis=(1, 2)) ** 2

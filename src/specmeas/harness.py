@@ -91,7 +91,6 @@ class Scenario:
 
     kind: str  # "A" | "B" | "Cprime" | "D"
     seed: int
-    dims: tuple
     space: DiscreteSpace
     payload: dict = field(default_factory=dict)
     fault: str | None = None
@@ -140,7 +139,7 @@ def _gen_a(seed, rng, caps) -> Scenario:
         images[f"b{g}"] = u @ np.diag(diag) @ adjoint(u)
     space = DiscreteSpace(labels=tuple(range(n_pts)))
     return Scenario(
-        kind="A", seed=seed, dims=(d,), space=space,
+        kind="A", seed=seed, space=space,
         payload={"images": images, "values": values},
     )
 
@@ -180,7 +179,7 @@ def _gen_b(seed, rng, caps) -> Scenario:
         space=space, w1=w1, target_dim=k, atom_images=dict(enumerate(images))
     )
     return Scenario(
-        kind="B", seed=seed, dims=(h, k), space=space,
+        kind="B", seed=seed, space=space,
         payload={"oracle": oracle},
     )
 
@@ -219,8 +218,7 @@ def _gen_c(seed, rng, caps, with_algebra: bool) -> Scenario:
     )
     kind = "D" if with_algebra else "Cprime"
     return Scenario(
-        kind=kind, seed=seed, dims=(model.block_dim,) * horizon,
-        space=model.space,
+        kind=kind, seed=seed, space=model.space,
         payload={"model": model},
     )
 
@@ -235,7 +233,7 @@ def number_operator_scenario(horizon: int = 32) -> Scenario:
             {"kind": "poly", "coeffs": [[0.0, 0.0], [1.0, 0.0]]})},
     )
     return Scenario(
-        kind="Cprime", seed=-1, dims=(1,) * horizon, space=model.space,
+        kind="Cprime", seed=-1, space=model.space,
         payload={"model": model},
     )
 
@@ -269,7 +267,7 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
             atom_images=imgs,
         )
         return Scenario(
-            kind=scenario.kind, seed=scenario.seed, dims=scenario.dims,
+            kind=scenario.kind, seed=scenario.seed,
             space=scenario.space, payload={"oracle": bad}, fault=fault,
         )
     if fault == "broken-condition1":
@@ -278,7 +276,7 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
         payload = dict(scenario.payload)
         payload["measure_bump"] = magnitude
         return Scenario(
-            kind=scenario.kind, seed=scenario.seed, dims=scenario.dims,
+            kind=scenario.kind, seed=scenario.seed,
             space=scenario.space, payload=payload, fault=fault,
         )
     if fault == "non-normal-block":
@@ -287,7 +285,7 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
         payload = dict(scenario.payload)
         payload["field"] = _non_normal_field(model, n_bad, magnitude)
         return Scenario(
-            kind=scenario.kind, seed=scenario.seed, dims=scenario.dims,
+            kind=scenario.kind, seed=scenario.seed,
             space=scenario.space, payload=payload, fault=fault,
         )
     raise ValueError(f"unknown fault class {fault!r}")
@@ -365,26 +363,32 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
     # (i) representation on the *-polynomial test set
     for t, (coeff, mono) in enumerate(_star_monomials(names, rng, count=6)):
         lhs = _monomial_on_matrices(images, coeff, mono, d)
-        rhs = np.zeros((d, d), dtype=np.complex128)
-        for vals, proj in atlas.points:
-            rhs += _monomial_on_values(vals, coeff, mono, names) * proj
+        # scalar weights per point (an array loop may fuse multiply-adds),
+        # summed over the projection stack in point order
+        weights = np.array([_monomial_on_values(vals, coeff, mono, names)
+                            for vals in atlas.values.tolist()])
+        rhs = (weights[:, None, None] * atlas.projections).sum(axis=0)
         checks.append(check_entry(
             f"represent[poly{t}]", frob_norm(lhs - rhs),
             TAU_RECON * (1.0 + frob_norm(lhs)),
         ))
     # (ii) atoms lie in the generated algebra
     w = bicommutant([images[n] for n in names], d)
-    for i, (_, proj) in enumerate(atlas.points):
+    for i, proj in enumerate(atlas.projections):
         checks.append(check_entry(
             f"atom-membership[{i}]", w.membership_residual(proj), TAU_RECON,
         ))
-    # (iii) uniqueness: a permuted independent reconstruction must agree
-    order = list(rng.permutation(len(atlas.points)))
-    for i, j in enumerate(order):
-        vals_i, proj_i = atlas.points[j]
-        match = [p for v, p in atlas.points
-                 if max(abs(a - b) for a, b in zip(v, vals_i)) < TAU_MATCH]
-        resid = frob_norm(match[0] - proj_i) if match else 1.0
+    # (iii) uniqueness: diagonalizing the generators again, in a permuted
+    # order, must give every point back with the same projection; points
+    # match when their value rows agree within TAU_MATCH
+    order = rng.permutation(len(names))
+    again = joint_diagonalize([images[names[g]] for g in order])
+    again_values = again.values[:, np.argsort(order)]
+    dist = np.abs(atlas.values[:, None] - again_values[None]).max(axis=2)
+    near = dist < TAU_MATCH
+    miss = np.linalg.norm(
+        atlas.projections - again.projections[near.argmax(axis=1)], axis=(1, 2))
+    for i, resid in enumerate(np.where(near.any(axis=1), miss, 1.0)):
         checks.append(check_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
     return _finish(scenario, checks, t0)
 
@@ -787,7 +791,7 @@ def _gen_b_nondegenerate(seed: int, caps: Caps) -> Scenario:
     # walk deterministic sub-seeds until the algebra has dim >= 2
     for j in range(64):
         sc = gen_scenario("B", (seed << 6) + j, caps)
-        if sc.dims[0] >= 2:
+        if sc.payload["oracle"].w1.ambient_dim >= 2:
             return sc
     raise SpecmeasError("could not generate a nondegenerate kind-B scenario")
 

@@ -376,23 +376,16 @@ def condition3_check(
 def _riemann_sums(
     fam: FamilyMeasures, weighted_seqs: list, ells: list, delta: BorelSet
 ) -> np.ndarray:
-    """For each ell, the Riemann sum over (w, seq) in ``weighted_seqs`` and
-    over the cells (zeta, R) of seq.term(ell) of w * zeta * E_R(Delta).
+    """For each ell, the Riemann sum over (w, seq) in ``weighted_seqs`` of
+    w * E_{S_l}(Delta), as a (len(ells), k, k) stack.
 
-    Every cell of every ell is extended in one ``extend_at`` call, so the
-    assignment is evaluated once; the result has shape (len(ells), k, k).
+    Extension is linear, so E_{S_l}(Delta) = sum_i zeta_i(l) E_{P_i}(Delta)
+    over seq's eigenprojections P_i: every sequence's projection stack is
+    extended in one ``extend_at`` call and contracted with the tag grids.
     """
-    cells = [
-        (i, w * zeta, r_proj)
-        for i, ell in enumerate(ells)
-        for w, seq in weighted_seqs
-        for zeta, r_proj in seq.term(ell)
-    ]
-    weights = np.zeros((len(ells), len(cells)), dtype=np.complex128)
-    for j, (i, w, _) in enumerate(cells):
-        weights[i, j] = w
-    values = fam.extend_at(np.stack([r for _, _, r in cells]), delta)
-    return np.tensordot(weights, values, axes=1)
+    grid = np.hstack([w * seq.term(ells) for w, seq in weighted_seqs])
+    stack = np.concatenate([seq.resolution.projections for _, seq in weighted_seqs])
+    return np.tensordot(grid, fam.extend_at(stack, delta), axes=1)
 
 
 def _family_index(family: ProjectionFamily, p: np.ndarray) -> int:

@@ -205,8 +205,8 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
 def test_limiting_sequence_identity():
     # identity on C^2: spectrum {1}, interval [1,1], S_l hits it exactly
     seq = algebra.limiting_sequence(np.eye(2, dtype=complex))
-    for ell in (1, 2, 4, 64):
-        assert seq.error(ell) <= 1.0 / ell
+    ells = np.array([1, 2, 4, 64])
+    assert np.all(seq.error(ells) <= 1.0 / ells)
 
 
 def test_limiting_sequence_diag_hand_values():
@@ -214,9 +214,11 @@ def test_limiting_sequence_diag_hand_values():
     seq = algebra.limiting_sequence(a, zeta_rule="right")
     # interval [-1, 1]; at mesh 1/2 the cells are (-1,-.5],(-.5,0],(0,.5],(.5,1]
     # with right endpoints: 0 -> 0, 1 -> 1, exact already
-    assert seq.error(2) == pytest.approx(0.0, abs=1e-15)
-    approx = seq.approximant(2)
-    assert np.allclose(approx, a)
+    assert seq.error([2]) == pytest.approx([0.0], abs=1e-15)
+    assert np.array_equal(seq.term([2]), [[0.0, 1.0]])
+    approx = seq.approximants([2])
+    assert approx.shape == (1, 2, 2)
+    assert np.allclose(approx[0], a)
 
 
 def test_limiting_sequence_mid_rule():
@@ -224,8 +226,8 @@ def test_limiting_sequence_mid_rule():
     seq = algebra.limiting_sequence(a, zeta_rule="mid")
     # interval [-0.75, 0.25], width 1: level for l=1 uses mesh <= 1
     # but mesh must be < 1 strictly? enforced: error <= 1/l always
-    for ell in (1, 2, 4, 8, 16):
-        assert seq.error(ell) <= 1.0 / ell
+    ells = np.array([1, 2, 4, 8, 16])
+    assert np.all(seq.error(ells) <= 1.0 / ells)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,22 +236,25 @@ def test_limiting_sequence_bound_random(seed, n, ell):
     rng = np.random.default_rng(seed)
     a = linalg.random_hermitian(rng, n)
     seq = algebra.limiting_sequence(a)
-    assert seq.error(ell) <= 1.0 / ell + 1e-12
-    term = seq.term(ell)
-    # projections in each term are mutually orthogonal and sum below identity
-    total = np.zeros((n, n), dtype=complex)
-    for _, p in term:
-        assert linalg.is_projection(p)
-        total = total + p
-    assert np.linalg.eigvalsh(np.eye(n) - total)[0] >= -1e-9
+    assert seq.error([ell])[0] <= 1.0 / ell + 1e-12
+    tags = seq.term([ell])
+    values = seq.resolution.values
+    assert tags.shape == (1, len(values))
+    # the right rule tags each eigenvalue with the right edge of its cell,
+    # at most one mesh above it (up to round-off at the edges); cells are
+    # ordered, so tags do not decrease
+    mesh = seq.mesh([ell])[0]
+    assert np.all(tags[0] - values >= -1e-12)
+    assert np.all(tags[0] - values <= mesh + 1e-12)
+    assert np.all(np.diff(tags[0]) >= 0.0)
 
 
 def test_joint_diagonalize_single():
     a = np.diag([1.0, 1.0, 2.0]).astype(complex)
     atlas = algebra.joint_diagonalize([a])
-    assert len(atlas.points) == 2
-    vals = [pt[0][0] for pt in atlas.points]
-    assert sorted(v.real for v in vals) == pytest.approx([1.0, 2.0])
+    assert atlas.values.shape == (2, 1)
+    assert atlas.projections.shape == (2, 3, 3)
+    assert atlas.values[:, 0].real == pytest.approx([1.0, 2.0])
     assert np.allclose(atlas.reconstruct(0), a)
 
 
@@ -257,17 +262,21 @@ def test_joint_diagonalize_pair_splits_degeneracy():
     a = np.diag([1.0, 1.0, 2.0]).astype(complex)
     b = np.diag([0.0, 3.0, 3.0]).astype(complex)
     atlas = algebra.joint_diagonalize([a, b])
-    assert len(atlas.points) == 3
-    got = sorted((v[0].real, v[1].real) for v, _ in atlas.points)
-    assert got == pytest.approx([(1.0, 0.0), (1.0, 3.0), (2.0, 3.0)])
+    assert atlas.values.shape == (3, 2)
+    # the points are sorted by their value rows
+    assert np.allclose(atlas.values, [[1.0, 0.0], [1.0, 3.0], [2.0, 3.0]])
 
 
 def test_joint_diagonalize_normal_complex_values():
     a = np.diag([1.0 + 1.0j, 2.0]).astype(complex)
     atlas = algebra.joint_diagonalize([a])
-    vals = sorted((v[0] for v, _ in atlas.points), key=lambda z: (z.real, z.imag))
-    assert vals[0] == pytest.approx(1.0 + 1.0j)
-    assert vals[1] == pytest.approx(2.0)
+    assert atlas.values[:, 0] == pytest.approx([1.0 + 1.0j, 2.0])
+
+
+def test_joint_diagonalize_without_generators_is_one_point():
+    atlas = algebra.joint_diagonalize([], ambient_dim=3)
+    assert atlas.values.shape == (1, 0)
+    assert np.array_equal(atlas.projections, np.eye(3)[None])
 
 
 def test_joint_diagonalize_rejects_noncommuting():
@@ -292,12 +301,13 @@ def test_joint_diagonalize_random_commuting(seed, n):
         d = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         mats.append(u @ d @ linalg.adjoint(u))
     atlas = algebra.joint_diagonalize(mats)
-    total = np.zeros((n, n), dtype=complex)
-    for _, p in atlas.points:
-        assert linalg.is_projection(p)
-        total = total + p
-    assert np.allclose(total, np.eye(n), atol=1e-8)
+    assert atlas.values.shape == (len(atlas.projections), 2)
+    assert linalg.resolution_residual(atlas.projections) <= 1e-8
+    assert np.allclose(atlas.projections.sum(axis=0), np.eye(n), atol=1e-8)
     for i, m in enumerate(mats):
+        # the stack form against the per-point sum of value times projection
+        per_point = sum(v * p for v, p in zip(atlas.values[:, i], atlas.projections))
+        assert np.allclose(atlas.reconstruct(i), per_point, atol=1e-12)
         assert linalg.frob_norm(atlas.reconstruct(i) - m) <= 1e-8 * (1 + linalg.frob_norm(m))
 
 

@@ -118,9 +118,9 @@ def test_psi_matrix_exact_and_certified():
     # parts B of A approaches the exact value as ell grows
     parts = zip((1.0, -1.0, 1.0j, -1.0j), linalg.star_decompose(a))
     seqs = [(sign, algebra.limiting_sequence(b, ell_max=1)) for sign, b in parts]
+    ops = sum(sign * seq.approximants([4, 64, 1 << 20]) for sign, seq in seqs)
     rs = []
-    for ell in (4, 64, 1 << 20):
-        op = sum(sign * seq.approximant(ell) for sign, seq in seqs)
+    for op in ops:
         approx = blocks.rho_apply(model, f, op, x)
         rs.append(approx.sub(got).norm() / (1.0 + got.norm()))
     assert rs[0] >= rs[-1] and rs[-1] <= 1e-5
@@ -457,6 +457,28 @@ def test_generator_rows_evaluate_each_generator_once_per_block():
     for name, f in model.generators.items():
         assert rows[name].dtype == np.complex128
         assert np.array_equal(rows[name], [complex(f(n)) for n in range(12)])
+
+
+def test_matrix_coefficients_must_fit_the_block_dim():
+    # the number-operator model has 1x1 blocks: a 3x3 coefficient is no
+    # block action, whatever the field's other terms say
+    model = harness.number_operator_scenario().payload["model"]
+    row = model.generator_rows["num"]
+    x = domain_vector(model, {2: 1.0})
+    wide = OperatorField(terms=((row, np.eye(3, dtype=complex)),))
+    for apply in (lambda: blocks.integrability_check(model, wide),
+                  lambda: blocks.i_m_apply(wide, model, x),
+                  lambda: blocks.rho_apply(model, row, np.eye(3), x)):
+        with pytest.raises(ShapeMismatch):
+            apply()
+    # on a 2x2 matrix model a scalar term acts as c times the 2x2 identity
+    matrix, rng = matrix_model(seed=11)
+    a = linalg.random_hermitian(rng, 2)
+    mixed = OperatorField(terms=((row[:16], a), (row[:16], 2.0 + 0.0j)))
+    assert blocks.integrability_check(matrix, mixed).passed
+    with pytest.raises(ShapeMismatch):
+        blocks.integrability_check(
+            matrix, OperatorField(terms=((row[:16], np.eye(3)),)))
 
 
 def test_value_rows_must_cover_the_horizon():

@@ -21,8 +21,22 @@ def test_gen_scenario_deterministic():
     for kind in ("A", "B", "Cprime", "D"):
         s1 = harness.gen_scenario(kind, 42)
         s2 = harness.gen_scenario(kind, 42)
-        assert s1.dims == s2.dims
+        assert s1.space == s2.space
         assert s1.scenario_id == s2.scenario_id
+        arrays1, arrays2 = _payload_arrays(s1), _payload_arrays(s2)
+        assert len(arrays1) == len(arrays2)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays1, arrays2))
+
+
+def _payload_arrays(sc):
+    """The arrays that a scenario's payload is generated as."""
+    if sc.kind == "A":
+        return [sc.payload["images"][n] for n in sorted(sc.payload["images"])]
+    if sc.kind == "B":
+        return list(sc.payload["oracle"].images)
+    model = sc.payload["model"]
+    rows = [model.generator_rows[n] for n in sorted(model.generators)]
+    return rows + (list(model.w.basis) if model.w is not None else [])
 
 
 def test_kind_a_single_point_is_character():
@@ -43,7 +57,7 @@ def test_verify_a_diagonal_hand_case():
     # rho(x) = diag(1,2): E has atoms at 1 and 2; rho(x^2) = diag(1,4)
     space = measure.DiscreteSpace(labels=(0, 1))
     sc = harness.Scenario(
-        kind="A", seed=0, dims=(2,), space=space,
+        kind="A", seed=0, space=space,
         payload={"images": {"b0": np.diag([1.0, 2.0]).astype(complex)},
                  "values": [(1.0,), (2.0,)]},
     )
@@ -56,12 +70,37 @@ def test_verify_a_unitary_generator():
     # unitary diag(1, i): atom values on the unit circle
     space = measure.DiscreteSpace(labels=(0, 1))
     sc = harness.Scenario(
-        kind="A", seed=1, dims=(2,), space=space,
+        kind="A", seed=1, space=space,
         payload={"images": {"b0": np.diag([1.0, 1.0j]).astype(complex)},
                  "values": [(1.0,), (1.0j,)]},
     )
     rep = harness.verify_theorem_a(sc)
     assert rep.passed
+
+
+def test_verify_a_uniqueness_fails_on_a_disagreeing_diagonalization(monkeypatch):
+    """uniqueness[atom*] diagonalizes the generators a second time; when the
+    second atlas swaps two projections, the points still match by value but
+    their projections differ, and the check must fail."""
+    scenarios = (harness.gen_scenario("A", seed) for seed in range(40))
+    sc = next(sc for sc in scenarios if len(sc.space.points()) >= 2)
+    assert harness.verify_theorem_a(sc).passed
+    calls = []
+    real = harness.joint_diagonalize
+
+    def swapping(normals):
+        atlas = real(normals)
+        calls.append(normals)
+        if len(calls) == 2:
+            projs = atlas.projections[[1, 0, *range(2, len(atlas.projections))]]
+            atlas = algebra.CharacterAtlas(atlas.values, projs)
+        return atlas
+
+    monkeypatch.setattr(harness, "joint_diagonalize", swapping)
+    rep = harness.verify_theorem_a(sc)
+    assert len(calls) == 2
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {"uniqueness[atom0]", "uniqueness[atom1]"}
 
 
 def test_verify_b_oracle_round_trip():
@@ -76,7 +115,7 @@ def test_verify_b_scalar_algebra_reduces_to_a():
     # find a kind-B scenario with W1 = scalars
     for seed in range(50):
         sc = harness.gen_scenario("B", seed)
-        if sc.dims[0] == 1:
+        if sc.payload["oracle"].w1.ambient_dim == 1:
             rep = harness.verify_theorem_b(sc)
             assert rep.passed
             return
@@ -91,7 +130,7 @@ def test_verify_c_number_operator():
 
 def test_verify_c_bounded_generator():
     sc = harness.Scenario(
-        kind="Cprime", seed=5, dims=(1,) * 16,
+        kind="Cprime", seed=5,
         space=measure.DiscreteSpace(horizon=16),
         payload={"model": blocks.BlockModel(
             space=measure.DiscreteSpace(horizon=16),

@@ -426,9 +426,27 @@ def test_integrate_and_m_a_reject_a_set_from_another_space():
         m.m_a(m.w1.identity(), foreign)
 
 
+def _per_cell_terms(part, ell):
+    """The (zeta, R) cells of S_l(part) with a nonzero resolution increment,
+    built cell by cell from the interval and the eigenvalues: the cells are
+    the dyadic refinement of [lo - 1, hi] with mesh < min(1/ell, 1)."""
+    dec = linalg.eig_hermitian(part)
+    left, hi = dec.values[0] - 1.0, dec.values[-1]
+    ncells = 2
+    while (hi - left) / ncells >= min(1.0 / ell, 1.0):
+        ncells *= 2
+    mesh = (hi - left) / ncells
+    cells = {}
+    for lam, proj in zip(dec.values, dec.projections):
+        j = min(max(int(np.ceil((lam - left) / mesh - 1e-12)), 1), ncells)
+        cells[j] = cells.get(j, 0) + proj
+    return [(left + j * mesh, r_proj) for j, r_proj in sorted(cells.items())]
+
+
 def test_condition3_matches_per_cell_reference():
-    # condition3_check extends every Riemann cell of every ell in one stacked
-    # extend_at call; the reference extends one cell at a time
+    # condition3_check extends each part's eigenprojection stack once and
+    # contracts it with the tag grids; the reference extends the summed
+    # projection of one Riemann cell at a time
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
     fm = family_measures(m, fam)
@@ -437,14 +455,13 @@ def test_condition3_matches_per_cell_reference():
     d2 = measure.borel(m.space, {1, 2})
     rep = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
     lhs = measure.evaluate(m.measure_for(p), d1) @ measure.evaluate(m.measure_for(q), d2)
-    seqs = [algebra.limiting_sequence(part, ell_max=64)
-            for part in linalg.star_decompose(p @ q)]
+    parts = linalg.star_decompose(p @ q)
     inter = d1.intersect(d2)
     for ell, resid in rep.residual_by_ell:
         rhs = sum(
             sign * zeta * fm.extend_at(r_proj, inter)
-            for sign, seq in zip([1.0, -1.0, 1.0j, -1.0j], seqs)
-            for zeta, r_proj in seq.term(ell)
+            for sign, part in zip([1.0, -1.0, 1.0j, -1.0j], parts)
+            for zeta, r_proj in _per_cell_terms(part, ell)
         )
         assert abs(linalg.frob_norm(lhs - rhs) - resid) <= 1e-10
 
