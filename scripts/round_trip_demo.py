@@ -7,6 +7,7 @@ Exits 1 when the document check or the pipeline fails, 0 otherwise.
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
@@ -23,7 +24,10 @@ def main() -> int:
 
     scenario = gen_scenario("B", args.seed)
     oracle = scenario.payload["oracle"]
-    path = args.out or tempfile.mktemp(suffix=".json", prefix="nnsm-")
+    path = args.out
+    if path is None:
+        fd, path = tempfile.mkstemp(suffix=".json", prefix="nnsm-")
+        os.close(fd)
     serialize.dump(serialize.nnsm_to_doc(oracle), path)
     print(f"oracle written to {path}")
 

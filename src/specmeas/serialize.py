@@ -1,13 +1,18 @@
 """File formats shared across the repository.
 
-All documents are JSON.  Matrices are stored as {rows, cols, data} with data
-a flat row-major list of [re, im] pairs; Python's float serialization is
-shortest-round-trip, so values survive a round trip losslessly.
+All documents are JSON, written on one line; readers accept any JSON
+whitespace, so indented files load too.  Matrices are stored as
+{rows, cols, data} with data a flat row-major list of [re, im] pairs.  Each
+part of a pair is a JSON number or boolean (an integer of any size within
+float range); strings, null, lists and non-finite values are rejected.
+Python's float serialization is shortest-round-trip, so values (-0.0 and
+subnormals included) survive a round trip losslessly.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -20,25 +25,40 @@ from .tolerances import TAU_ALG
 
 
 def matrix_to_doc(a: np.ndarray) -> dict:
-    a = as_matrix(a)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
-    }
+    a = np.ascontiguousarray(as_matrix(a))
+    return {"rows": a.shape[0], "cols": a.shape[1],
+            "data": a.view(np.float64).reshape(-1, 2).tolist()}
 
 
-def matrix_from_doc(doc: dict) -> np.ndarray:
+def matrices_from_doc(docs: list, shape=None, what="matrix documents") -> np.ndarray:
+    """Decode a list of matrix documents of one shape into an (n, rows, cols)
+    complex128 stack with one numpy conversion; ``shape``, when given, is the
+    stack's required shape.  Raises InvalidDocument for any malformed input."""
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidDocument(f"malformed matrix document: {exc}") from exc
-    if rows < 1 or cols < 1 or len(data) != rows * cols:
-        raise InvalidDocument("matrix document shape/data mismatch")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        dims = {(int(m["rows"]), int(m["cols"]), len(m["data"])) for m in docs}
+        pairs = list(chain.from_iterable(m["data"] for m in docs))
+        arity = set(map(len, pairs))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDocument(f"malformed {what}: {exc}") from exc
+    if len(dims) != 1:
+        raise InvalidDocument(f"{what} differ in (rows, cols, len(data)): {sorted(dims)}")
+    ((rows, cols, size),) = dims
+    if rows < 1 or cols < 1 or size != rows * cols or arity != {2}:
+        raise InvalidDocument(f"{what}: shape/data mismatch")
+    if shape is not None and (len(docs), rows, cols) != shape:
+        raise InvalidDocument(
+            f"{what} have shape {(len(docs), rows, cols)}, expected {shape}")
+    # numpy parses numeric strings, so the types are checked first
+    values = list(chain.from_iterable(pairs))
+    try:
+        if not all(issubclass(t, (int, float)) for t in set(map(type, values))):
+            raise TypeError("data entries must be pairs of JSON numbers")
+        flat = np.fromiter(values, dtype=np.float64, count=len(values))
+    except (TypeError, OverflowError) as exc:
+        raise InvalidDocument(f"{what}: {exc}") from exc
     if not np.all(np.isfinite(flat)):
-        raise InvalidDocument("matrix document has non-finite entries")
-    return flat.reshape(rows, cols)
+        raise InvalidDocument(f"{what} have non-finite entries")
+    return flat.view(np.complex128).reshape(len(docs), rows, cols)
 
 
 def space_to_doc(space: DiscreteSpace) -> dict:
@@ -48,6 +68,8 @@ def space_to_doc(space: DiscreteSpace) -> dict:
 
 
 def space_from_doc(doc: dict) -> DiscreteSpace:
+    if not isinstance(doc, dict):
+        raise InvalidDocument(f"space document must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "finite":
         return DiscreteSpace(labels=tuple(doc["labels"]))
@@ -69,19 +91,11 @@ def measure_from_doc(doc: dict):
     try:
         space = space_from_doc(doc["space"])
         labels = _distinct_labels(x for x, _ in doc["atoms"])
-        atoms = [matrix_from_doc(m) for _, m in doc["atoms"]]
-        total = matrix_from_doc(doc["total"])
-    except (KeyError, TypeError, ValueError) as exc:
+        stack = matrices_from_doc([m for _, m in doc["atoms"]] + [doc["total"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed measure document: {exc}") from exc
-    shapes = {m.shape for m in (*atoms, total)}
-    if len(shapes) != 1 or any(rows != cols for rows, cols in shapes):
-        raise InvalidDocument(
-            f"measure matrices must be square and of one dimension, got "
-            f"shapes {sorted(shapes)}"
-        )
-    stack = np.array(atoms, dtype=np.complex128).reshape((-1,) + total.shape)
     try:
-        e = SpectralMeasure(space, labels, stack, total=total)
+        e = SpectralMeasure(space, labels, stack[:-1], total=stack[-1])
     except (SpaceMismatch, ShapeMismatch) as exc:
         raise InvalidDocument(f"invalid measure document: {exc}") from exc
     return e, e.validate()
@@ -116,20 +130,22 @@ def nnsm_from_doc(doc: dict):
     """Load an NNSM; returns (measure, worst compression residual)."""
     try:
         space = space_from_doc(doc["space"])
-        w1 = VonNeumannAlgebra(
-            ambient_dim=int(doc["w1"]["ambient_dim"]),
-            basis=tuple(matrix_from_doc(m) for m in doc["w1"]["basis"]),
-        )
+        d, basis = int(doc["w1"]["ambient_dim"]), doc["w1"]["basis"]
+        w1 = VonNeumannAlgebra(ambient_dim=d, basis=tuple(
+            matrices_from_doc(basis, (len(basis), d, d), "W1 basis matrices")))
         target_dim = int(doc["target_dim"])
         labels = _distinct_labels(x for x, _ in doc["atom_maps"])
-        atom_images = dict(zip(labels, (
-            np.stack([matrix_from_doc(img) for img in imgs])
-            for _, imgs in doc["atom_maps"]
-        )))
-    except (KeyError, TypeError, ValueError) as exc:
+        shape = (w1.dim, target_dim, target_dim)
+        atom_images = {
+            x: matrices_from_doc(imgs, shape, f"atom {x!r} images")
+            for x, (_, imgs) in zip(labels, doc["atom_maps"])
+        }
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
     _require_orthonormal_basis(w1)
-    _require_atom_maps(space, w1, target_dim, atom_images)
+    for x in labels:
+        if x not in space:
+            raise InvalidDocument(f"atom label {x!r} not in the space")
     m = NonNegSpectralMeasure(
         space=space, w1=w1, target_dim=target_dim, atom_images=atom_images
     )
@@ -140,10 +156,6 @@ def nnsm_from_doc(doc: dict):
 def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
     """Coordinates are inner products with the basis, so a W1 basis must be
     trace-orthonormal: its Gram matrix must be the identity within TAU_ALG."""
-    shape = (w1.ambient_dim, w1.ambient_dim)
-    bad = [b.shape for b in w1.basis if b.shape != shape]
-    if bad:
-        raise InvalidDocument(f"W1 basis matrices must be {shape}, got {bad}")
     basis = w1.basis_matrix
     gap = frob_norm(basis.conj() @ basis.T - np.eye(w1.dim))
     if gap > TAU_ALG:
@@ -151,19 +163,6 @@ def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
             f"W1 basis is not trace-orthonormal: its Gram matrix is "
             f"{gap:.3e} from the identity"
         )
-
-
-def _require_atom_maps(space, w1, target_dim, atom_images) -> None:
-    """Every atom label lies in the space and maps each W1 basis element to
-    a target_dim x target_dim image."""
-    shape = (w1.dim, target_dim, target_dim)
-    for x, imgs in atom_images.items():
-        if x not in space:
-            raise InvalidDocument(f"atom label {x!r} not in the space")
-        if imgs.shape != shape:
-            raise InvalidDocument(
-                f"atom {x!r} images have shape {imgs.shape}, expected {shape}"
-            )
 
 
 def generator_rule(doc: dict):
@@ -183,13 +182,14 @@ def generator_rule(doc: dict):
 
 def dump(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load(path) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, bad UTF-8 or an integer past Python's digit
+        # limit (all ValueError), or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InvalidDocument(f"not valid JSON: {exc}") from exc

@@ -114,8 +114,8 @@ def test_check_measure_rejects_a_measure_label_outside_the_space(
 def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):
     doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 4).payload["oracle"])
     label, images = doc["atom_maps"][0]
-    scaled = [serialize.matrix_to_doc(7.0 * serialize.matrix_from_doc(img))
-              for img in images]
+    scaled = [serialize.matrix_to_doc(7.0 * m)
+              for m in serialize.matrices_from_doc(images)]
     doc["atom_maps"].insert(0, [label, scaled])
     with pytest.raises(InvalidDocument, match=f"repeated atom labels {label!r}"):
         serialize.nnsm_from_doc(doc)
@@ -171,6 +171,24 @@ def test_check_measure_unequal_atom_dims_no_traceback(tmp_path):
     }
     path = tmp_path / "mixed.json"
     serialize.dump(doc, path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specmeas.cli", "check-measure", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "document[InvalidDocument]" in proc.stderr
+
+
+def test_check_measure_rejects_an_entry_beyond_float_range(tmp_path):
+    # 10**400 is a valid JSON number, but no float can hold it
+    doc = {
+        "space": {"kind": "finite", "labels": [0]},
+        "atoms": [[0, {"rows": 1, "cols": 1, "data": [[10**400, 0]]}]],
+        "total": {"rows": 1, "cols": 1, "data": [[1, 0]]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "specmeas.cli", "check-measure", str(path)],
         capture_output=True, text=True,
