@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     SpectralDecomposition,
     adjoint,
+    clusters,
     eig_hermitian,
     frob_norm,
     is_projection,
@@ -396,13 +397,7 @@ def _split_by_hermitian(
         b = adjoint(v) @ h @ v
         b = (b + adjoint(b)) / 2.0
         vals, vecs = np.linalg.eigh(b)
-        i = 0
-        while i < len(vals):
-            j = i + 1
-            while j < len(vals) and vals[j] - vals[j - 1] < gap:
-                j += 1
-            new_blocks.append(v @ vecs[:, i:j])
-            i = j
+        new_blocks += [v @ vecs[:, i:j] for i, j in clusters(vals, gap)]
     return new_blocks
 
 

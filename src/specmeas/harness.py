@@ -31,7 +31,6 @@ from .linalg import (
 )
 from .measure import (
     DiscreteSpace,
-    SpectralMeasure,
     borel,
     support,
     whole_space,
@@ -47,6 +46,7 @@ from .nnsm import (
     condition1_check,
     condition2_check,
     condition3_check,
+    family_measures,
     integrate,
     random_sets,
     _family_index,
@@ -175,9 +175,7 @@ def _gen_b(seed, rng, caps) -> Scenario:
     for x in range(n_atoms):
         placed[x, :, x::n_atoms, x::n_atoms] = basis
     images = u @ placed @ adjoint(u)
-    oracle = NonNegSpectralMeasure(
-        space=space, w1=w1, target_dim=k, atom_images=dict(enumerate(images))
-    )
+    oracle = NonNegSpectralMeasure(space, w1, space.labels, images)
     return Scenario(
         kind="B", seed=seed, space=space,
         payload={"oracle": oracle},
@@ -256,16 +254,13 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
     if fault in ("non-idempotent-projection", "denormalized-m"):
         oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
         x = scenario.space.points()[int(rng.integers(len(scenario.space.points())))]
-        imgs = {k: v.copy() for k, v in oracle.atom_images.items()}
+        images = oracle.images.copy()
+        i = oracle.labels.index(x)
         if fault == "denormalized-m":
-            imgs[x] = (1.0 + magnitude) * imgs[x]
+            images[i] = (1.0 + magnitude) * images[i]
         else:
-            bump = magnitude * np.eye(oracle.target_dim)
-            imgs[x] = np.stack([img + bump for img in imgs[x]])
-        bad = NonNegSpectralMeasure(
-            space=oracle.space, w1=oracle.w1, target_dim=oracle.target_dim,
-            atom_images=imgs,
-        )
+            images[i] = images[i] + magnitude * np.eye(oracle.target_dim)
+        bad = NonNegSpectralMeasure(oracle.space, oracle.w1, oracle.labels, images)
         return Scenario(
             kind=scenario.kind, seed=scenario.seed,
             space=scenario.space, payload={"oracle": bad}, fault=fault,
@@ -406,8 +401,7 @@ def _derive_family_measures(
     values = rho([
         OperatorField(terms=((row, p),)) for p in fam.members for row in one_hot
     ]).reshape(len(fam.members), len(points), k, k)
-    measures = tuple(SpectralMeasure(space, points, atoms) for atoms in values)
-    return FamilyMeasures(family=fam, measures=measures)
+    return FamilyMeasures(fam, space, points, values)
 
 
 def verify_theorem_b(scenario: Scenario) -> VerificationReport:
@@ -423,15 +417,16 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     rng = np.random.default_rng(scenario.seed + 2)
     # (1)+(2): compressions from ρ, each a spectral measure
     fm = _derive_family_measures(rho, oracle, seed=scenario.seed + 3)
-    for i, e_p in enumerate(fm.measures):
+    measures = [fm.measure(i) for i in range(len(fm.family.members))]
+    for i, e_p in enumerate(measures):
         checks.append(check_entry(
             f"compression[P{i}]", e_p.validate(),
             TAU_RECON * (1.0 + frob_norm(e_p.total)),
         ))
     # (3) support containment in supp(E_id)
     id_idx = _family_index(fm.family, oracle.w1.identity())
-    supp_id = support(fm.measures[id_idx]).members
-    for i, e_p in enumerate(fm.measures):
+    supp_id = support(measures[id_idx]).members
+    for i, e_p in enumerate(measures):
         ok = support(e_p).members <= supp_id
         checks.append(_bool_entry(f"support-containment[P{i}]", ok))
     # (4) assemble M; (round trip vs the oracle atom maps)
@@ -440,15 +435,9 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     except SpecmeasError as exc:
         checks.append(_bool_entry(f"assemble[{type(exc).__name__}]", False))
         return _finish(scenario, checks, t0)
-    for x in oracle.space.points():
-        want = oracle.atom_images.get(x)
-        got = rebuilt.atom_images.get(x)
-        if want is None or got is None:
-            checks.append(_bool_entry(f"reconstruction[{x}]", want is got))
-            continue
-        resid = max(
-            frob_norm(g - w) for g, w in zip(got, want)
-        )
+    # both measures are labelled by space.points(), in order
+    for x, want, got in zip(oracle.labels, oracle.images, rebuilt.images):
+        resid = max(frob_norm(g - w) for g, w in zip(got, want))
         checks.append(check_entry(
             f"reconstruction[{x}]", resid, TAU_EXT * (1.0 + frob_norm(want[0])),
         ))
@@ -716,10 +705,7 @@ def characterization_reports(
     """Conditions (1)-(3) on a kind-B oracle family, one report per facet."""
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
     fam = sample_projections(oracle.w1, n=10, seed=scenario.seed + 9)
-    fm = FamilyMeasures(
-        family=fam,
-        measures=tuple(oracle.measure_for(p) for p in fam.members),
-    )
+    fm = family_measures(oracle, fam)
     rng = np.random.default_rng(scenario.seed + 10)
     checks: list[CheckEntry] = []
     checks += condition1_check(fm, trials=8, seed=scenario.seed + 11).checks
@@ -761,16 +747,13 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         fam = ProjectionFamily(
             algebra=fam.algebra, members=aug, spans_algebra=True,
         )
-        measures = [oracle.measure_for(p) for p in fam.members]
-        idx = _family_index(fam, eye)
-        e_id = measures[idx]
-        atoms = e_id.atoms.copy()
-        first = e_id.labels.index(min(e_id.labels, key=repr))
-        atoms[first] += bad.payload["measure_bump"] * np.eye(oracle.target_dim)
-        measures[idx] = SpectralMeasure(
-            oracle.space, e_id.labels, atoms, total=e_id.total,
-        )
-        fm = FamilyMeasures(family=fam, measures=tuple(measures))
+        fm = family_measures(oracle, fam)
+        # the bump leaves E_id(X) as it was
+        atoms = fm.atoms.copy()
+        first = fm.labels.index(min(fm.labels, key=repr))
+        atoms[_family_index(fam, eye), first] += (
+            bad.payload["measure_bump"] * np.eye(oracle.target_dim))
+        fm = FamilyMeasures(fam, fm.space, fm.labels, atoms, fm.totals)
         rep = condition1_check(fm, trials=24, seed=seed + 13)
         detected = not rep.passed
         detail = "condition1"

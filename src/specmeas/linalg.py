@@ -128,20 +128,21 @@ def eig_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> SpectralDecomposition
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigSolverFailure(str(exc)) from exc
     scale = 1.0 + max(abs(vals[0]), abs(vals[-1]))
-    gap = DELTA_CLUSTER * scale
     values, projections = [], []
-    i = 0
-    n = len(vals)
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] < gap:
-            j += 1
+    for i, j in clusters(vals, DELTA_CLUSTER * scale):
         block = vecs[:, i:j]
         proj = block @ adjoint(block)
         projections.append((proj + adjoint(proj)) / 2.0)
         values.append(float(np.mean(vals[i:j])))
-        i = j
     return SpectralDecomposition(np.array(values), np.stack(projections))
+
+
+def clusters(vals: np.ndarray, gap: float) -> list[tuple[int, int]]:
+    """(start, stop) index pairs of the clusters of ascending ``vals``: a
+    cluster closes where the next value is at least ``gap`` above the last."""
+    v = vals.tolist()
+    bounds = [0, *(j for j in range(1, len(v)) if v[j] - v[j - 1] >= gap), len(v)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def positive_negative_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

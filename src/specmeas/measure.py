@@ -22,8 +22,8 @@ class DiscreteSpace:
     """Finite or countable discrete space.
 
     Finite spaces carry explicit labels.  Countable spaces are indexed by the
-    non-negative integers and iterate up to ``horizon``; all limits handled
-    by callers are monotone in the horizon.
+    non-negative integers and iterate up to ``horizon``, an int >= 0 (not a
+    bool); all limits handled by callers are monotone in the horizon.
     """
 
     labels: tuple | None = None
@@ -34,6 +34,9 @@ class DiscreteSpace:
             raise ValueError("exactly one of labels / horizon must be given")
         if self.labels is not None and len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
+        if self.horizon is not None and (type(self.horizon) is not int
+                                         or self.horizon < 0):
+            raise ValueError(f"horizon must be a non-negative int, got {self.horizon!r}")
 
     @property
     def is_finite(self) -> bool:
@@ -94,6 +97,28 @@ def whole_space(space: DiscreteSpace) -> BorelSet:
     return BorelSet(space, frozenset(), cofinite=True)
 
 
+def labelled_stack(space: DiscreteSpace, labels, stack, frame: tuple):
+    """The one rule for a measure's format: distinct labels in ``space``
+    beside a finite stack of k x k matrices whose leading axes have shape
+    ``frame``.  Returns the labels as a tuple and the stack as complex128; a
+    repeated label or one outside the space raises SpaceMismatch, a stack of
+    another shape or with non-finite entries ShapeMismatch."""
+    labels = tuple(labels)
+    for x in labels:
+        if x not in space:
+            raise SpaceMismatch(f"atom label {x!r} not in the space")
+    if len(set(labels)) != len(labels):
+        raise SpaceMismatch("atom labels must be distinct")
+    stack = np.asarray(stack, dtype=np.complex128)
+    if (stack.shape[:-2] != tuple(frame) or stack.ndim != len(frame) + 2
+            or stack.shape[-1] != stack.shape[-2] or stack.shape[-1] < 1):
+        raise ShapeMismatch(f"expected a stack of shape {tuple(frame)} + (k, k), "
+                            f"got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ShapeMismatch("stack has non-finite entries")
+    return labels, stack
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Projection-valued measure on a discrete space.
@@ -111,19 +136,8 @@ class SpectralMeasure:
     total: np.ndarray = None
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        atoms = np.asarray(self.atoms, dtype=np.complex128)
-        for x in labels:
-            if x not in self.space:
-                raise SpaceMismatch(f"atom label {x!r} not in the space")
-        if len(set(labels)) != len(labels):
-            raise SpaceMismatch("atom labels must be distinct")
-        if (atoms.ndim != 3 or len(atoms) != len(labels)
-                or atoms.shape[1] != atoms.shape[2] or atoms.shape[1] < 1):
-            raise ShapeMismatch(f"expected {len(labels)} square atoms, got "
-                                f"a stack of shape {atoms.shape}")
-        if not np.all(np.isfinite(atoms)):
-            raise ShapeMismatch("atoms have non-finite entries")
+        labels, atoms = labelled_stack(
+            self.space, self.labels, self.atoms, (len(self.labels),))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atoms", atoms)
         if self.total is None:

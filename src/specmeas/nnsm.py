@@ -1,18 +1,20 @@
 """Non-negative spectral measures and bounded integration.
 
 An NNSM assigns to every atom x of a discrete space a linear map
-Phi_x: W1 -> B(K), stored through the images of W1's trace-orthonormal basis.
-Compressions M_P(Delta) = M(Delta)(P) are spectral measures, and the product
-rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the family together.  The
-compressions along a projection family share their atom labels, so they
-stack into one array and E_P(Delta) for every member is one masked sum.
+Phi_x: W1 -> B(K), stored through the images of W1's trace-orthonormal basis
+as distinct labels beside one (n_atoms, dim W1, k, k) stack, the format of a
+SpectralMeasure.  Compressions M_P(Delta) = M(Delta)(P) are spectral
+measures, and the product rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the
+family together.  The compressions along a projection family share the
+NNSM's labels, so they are one (n_members, n_atoms, k, k) atom stack and
+E_P(Delta) for every member is one masked sum.
 Operator fields store each scalar function as its value table over the
 space's points, so integrating one reads the stored atoms' columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
                      ShapeMismatch, SpaceMismatch)
 from .linalg import adjoint, frob_norm, require_square, star_decompose
 from .measure import (BorelSet, DiscreteSpace, SpectralMeasure, borel,
-                      evaluate, evaluate_atoms)
+                      evaluate, evaluate_atoms, labelled_stack)
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -42,33 +44,27 @@ from .tolerances import (
 class NonNegSpectralMeasure:
     """Atomic non-negative spectral measure M: Bor(X) -> B(W1, B(K)).
 
-    ``atom_images[x]`` is an array of shape (dim W1, k, k): the image under
-    Phi_x of each basis element of W1.  Construction stacks them once, in
-    the dict's order, into ``images`` of shape (n_atoms, dim W1, k, k) with
-    ``labels[i]`` the atom of ``images[i]``; ``atom_images`` must not be
-    mutated afterwards, or the stack goes stale.  Phi_x(A) for every atom at
-    once is then one contraction of A's coordinates against the stack.
+    ``images[i]`` is Phi_x for the atom x = ``labels[i]``, stored as the
+    (dim W1, k, k) images of W1's basis elements: the labels are distinct
+    points of ``space`` beside one (n_atoms, dim W1, k, k) stack, and a
+    point without a label has the zero map.  Phi_x(A) for every atom at
+    once is one contraction of A's coordinates against the stack.
     """
 
     space: DiscreteSpace
     w1: VonNeumannAlgebra
-    target_dim: int
-    atom_images: dict = field(default_factory=dict)
-    labels: tuple = field(init=False, repr=False, compare=False)
-    images: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple
+    images: np.ndarray
 
     def __post_init__(self):
-        shape = (self.w1.dim, self.target_dim, self.target_dim)
-        for x, imgs in self.atom_images.items():
-            if imgs.shape != shape:
-                raise AlgebraMismatch(
-                    f"atom {x!r} images have shape {imgs.shape}"
-                )
-        images = np.array(
-            list(self.atom_images.values()), dtype=np.complex128
-        ).reshape((len(self.atom_images),) + shape)
-        object.__setattr__(self, "labels", tuple(self.atom_images))
+        labels, images = labelled_stack(
+            self.space, self.labels, self.images, (len(self.labels), self.w1.dim))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "images", images)
+
+    @property
+    def target_dim(self) -> int:
+        return self.images.shape[-1]
 
     def _values(self, a: np.ndarray) -> np.ndarray:
         """Phi_x(A) for every stored atom x, as an (n_atoms, k, k) stack."""
@@ -77,10 +73,9 @@ class NonNegSpectralMeasure:
     def apply(self, label, a: np.ndarray) -> np.ndarray:
         """Phi_x(A) for A in W1."""
         coeffs = self.w1.coefficients(require_square(a))
-        imgs = self.atom_images.get(label)
-        if imgs is None:
+        if label not in self.labels:
             return np.zeros((self.target_dim, self.target_dim), dtype=np.complex128)
-        return np.tensordot(coeffs, imgs, axes=(0, 0))
+        return np.tensordot(coeffs, self.images[self.labels.index(label)], axes=(0, 0))
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
         """The compression M_P as a SpectralMeasure."""
@@ -138,32 +133,37 @@ class OperatorField:
 class FamilyMeasures:
     """A projection family together with the spectral measures E_P.
 
-    The measures must share their space and atom labels.  Construction
-    stacks their atoms once into ``atoms`` of shape (n_members, n_atoms, k, k),
-    axis 1 indexed by ``labels``, and their totals into ``totals``, so that
-    E_P(Delta) for every member is one masked sum (``values_at``).
+    ``atoms[i, j]`` is E_{P_i}({labels[j]}) for the i-th family member: the
+    labels are distinct points of ``space`` beside one
+    (n_members, n_atoms, k, k) stack, and ``totals[i]`` is E_{P_i}(X), by
+    default the sum of the member's atoms.  E_P(Delta) for every member is
+    one masked sum (``values_at``); ``measure(i)`` is the i-th member's
+    measure on its own.
     """
 
     family: ProjectionFamily
-    measures: tuple  # of SpectralMeasure, aligned with family.members
-    labels: tuple = field(init=False, repr=False, compare=False)
-    atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    totals: np.ndarray = field(init=False, repr=False, compare=False)
+    space: DiscreteSpace
+    labels: tuple
+    atoms: np.ndarray
+    totals: np.ndarray = None
 
     def __post_init__(self):
-        if len(self.measures) != len(self.family.members):
-            raise AlgebraMismatch("one measure per family member required")
-        first = self.measures[0]
-        if any(e.labels != first.labels or e.space != first.space
-               for e in self.measures):
-            raise AlgebraMismatch("the measures must share space and labels")
-        object.__setattr__(self, "labels", first.labels)
-        object.__setattr__(self, "atoms", np.stack([e.atoms for e in self.measures]))
-        object.__setattr__(self, "totals", np.stack([e.total for e in self.measures]))
+        labels, atoms = labelled_stack(
+            self.space, self.labels, self.atoms,
+            (len(self.family.members), len(self.labels)))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "atoms", atoms)
+        if self.totals is None:
+            object.__setattr__(self, "totals", atoms.sum(axis=1))
+
+    def measure(self, i: int) -> SpectralMeasure:
+        """E_{P_i} as a SpectralMeasure."""
+        return SpectralMeasure(self.space, self.labels, self.atoms[i],
+                               total=self.totals[i])
 
     def values_at(self, delta: BorelSet) -> np.ndarray:
         """E_P(Delta) for every member P, as an (n_members, k, k) stack."""
-        if delta.space != self.measures[0].space:
+        if delta.space != self.space:
             raise SpaceMismatch("set over a different space")
         return evaluate_atoms(self.labels, self.atoms, self.totals, delta)
 
@@ -174,6 +174,13 @@ class FamilyMeasures:
         The assignment P_i -> E_P_i(Delta) is evaluated once per call.
         """
         return linear_extend(self.family, self.values_at(delta), a)
+
+
+def family_measures(m: NonNegSpectralMeasure, family: ProjectionFamily) -> FamilyMeasures:
+    """The compressions M_P of ``m`` along ``family``, one ``measure_for``
+    call per member, stacked on the NNSM's labels."""
+    return FamilyMeasures(family, m.space, m.labels, np.stack(
+        [m.measure_for(p).atoms for p in family.members]))
 
 
 @dataclass(frozen=True)
@@ -290,8 +297,7 @@ def condition1_check(
     if not family.spans_algebra:
         raise NotSpanning("condition (1) checks need a spanning family")
     rng = np.random.default_rng(seed)
-    space = fam.measures[0].space
-    deltas = random_sets(space, rng, trials)
+    deltas = random_sets(fam.space, rng, trials)
     lams = np.array(
         [rng.standard_normal(len(family.members)) for _ in range(trials)]
     )
@@ -354,7 +360,7 @@ def condition3_check(
     family = fam.family
     i_p = _family_index(family, p)
     i_q = _family_index(family, q)
-    lhs = evaluate(fam.measures[i_p], d1) @ evaluate(fam.measures[i_q], d2)
+    lhs = evaluate(fam.measure(i_p), d1) @ evaluate(fam.measure(i_q), d2)
     inter = d1.intersect(d2)
     parts = star_decompose(p @ q)
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]
@@ -423,10 +429,7 @@ def assemble_from_family(
     basis = np.stack(w1.basis)
     images = [linear_extend(family, column, basis)
               for column in np.swapaxes(fam.atoms, 0, 1)]
-    m = NonNegSpectralMeasure(
-        space=fam.measures[0].space, w1=w1, target_dim=fam.atoms.shape[-1],
-        atom_images=dict(zip(fam.labels, images)),
-    )
+    m = NonNegSpectralMeasure(fam.space, w1, fam.labels, np.stack(images))
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
     got = np.tensordot(w1.coefficients(np.stack(family.members)), m.images,
                        axes=(1, 1))

@@ -74,7 +74,7 @@ def space_from_doc(doc: dict) -> DiscreteSpace:
     if kind == "finite":
         return DiscreteSpace(labels=tuple(doc["labels"]))
     if kind == "countable":
-        return DiscreteSpace(horizon=int(doc["horizon"]))
+        return DiscreteSpace(horizon=doc["horizon"])
     raise InvalidDocument(f"unknown space kind {kind!r}")
 
 
@@ -121,36 +121,36 @@ def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
         "target_dim": m.target_dim,
         "atom_maps": [
             [x, [matrix_to_doc(img) for img in imgs]]
-            for x, imgs in sorted(m.atom_images.items(), key=lambda kv: repr(kv[0]))
+            for x, imgs in sorted(zip(m.labels, m.images), key=lambda kv: repr(kv[0]))
         ],
     }
 
 
 def nnsm_from_doc(doc: dict):
-    """Load an NNSM; returns (measure, worst compression residual)."""
+    """Load an NNSM; returns (measure, worst invariant residual): the worse of
+    E_id's resolution residual and the distance of M(X)(1) from the identity."""
     try:
         space = space_from_doc(doc["space"])
         d, basis = int(doc["w1"]["ambient_dim"]), doc["w1"]["basis"]
         w1 = VonNeumannAlgebra(ambient_dim=d, basis=tuple(
             matrices_from_doc(basis, (len(basis), d, d), "W1 basis matrices")))
-        target_dim = int(doc["target_dim"])
+        k = int(doc["target_dim"])
         labels = _distinct_labels(x for x, _ in doc["atom_maps"])
-        shape = (w1.dim, target_dim, target_dim)
-        atom_images = {
-            x: matrices_from_doc(imgs, shape, f"atom {x!r} images")
-            for x, (_, imgs) in zip(labels, doc["atom_maps"])
-        }
+        if any(len(imgs) != w1.dim for _, imgs in doc["atom_maps"]):
+            raise InvalidDocument(f"each atom needs {w1.dim} images, one per W1 basis element")
+        flat = [m for _, imgs in doc["atom_maps"] for m in imgs]
+        shape = (len(flat), k, k)
+        images = (matrices_from_doc(flat, shape, "atom images") if flat
+                  else np.zeros(shape)).reshape(len(labels), w1.dim, k, k)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
     _require_orthonormal_basis(w1)
-    for x in labels:
-        if x not in space:
-            raise InvalidDocument(f"atom label {x!r} not in the space")
-    m = NonNegSpectralMeasure(
-        space=space, w1=w1, target_dim=target_dim, atom_images=atom_images
-    )
+    try:
+        m = NonNegSpectralMeasure(space, w1, labels, images)
+    except (SpaceMismatch, ShapeMismatch) as exc:
+        raise InvalidDocument(f"invalid NNSM document: {exc}") from exc
     e_id = m.measure_for(m.w1.identity())
-    return m, e_id.validate()
+    return m, max(e_id.validate(), frob_norm(e_id.total - np.eye(k)))
 
 
 def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:

@@ -20,17 +20,13 @@ def tensor_model(seed: int, h_dim: int = 2, n_atoms: int = 3, unitary: bool = Tr
     k = h_dim * n_atoms
     u = linalg.random_unitary(rng, k) if unitary else np.eye(k, dtype=complex)
     space = measure.DiscreteSpace(labels=tuple(range(n_atoms)))
-    atom_images = {}
+    images = np.zeros((n_atoms, w1.dim, k, k), dtype=complex)
     for x in range(n_atoms):
         d_x = np.zeros((n_atoms, n_atoms), dtype=complex)
         d_x[x, x] = 1.0
-        imgs = np.stack(
-            [u @ np.kron(b, d_x) @ linalg.adjoint(u) for b in w1.basis]
-        )
-        atom_images[x] = imgs
-    m = nnsm.NonNegSpectralMeasure(
-        space=space, w1=w1, target_dim=k, atom_images=atom_images
-    )
+        for i, b in enumerate(w1.basis):
+            images[x, i] = u @ np.kron(b, d_x) @ linalg.adjoint(u)
+    m = nnsm.NonNegSpectralMeasure(space, w1, space.labels, images)
     return m, u, rng
 
 

@@ -58,10 +58,7 @@ def test_criterion_3_characterization_conditions():
         sc = harness.gen_scenario("B", seed)
         oracle = sc.payload["oracle"]
         fam = algebra.sample_projections(oracle.w1, n=10, seed=seed + 9)
-        fm = nnsm.FamilyMeasures(
-            family=fam,
-            measures=tuple(oracle.measure_for(p) for p in fam.members),
-        )
+        fm = nnsm.family_measures(oracle, fam)
         rep1 = nnsm.condition1_check(fm, trials=8, seed=seed)
         assert rep1.worst_residual <= 1e-7
         rng = np.random.default_rng(seed + 20)
@@ -100,8 +97,7 @@ def test_criterion_4_limiting_sequences():
     for seed in range(25):
         m, _, mrng = tensor_model(seed=seed)
         fam = algebra.sample_projections(m.w1, n=10, seed=seed)
-        fm = nnsm.FamilyMeasures(
-            family=fam, measures=tuple(m.measure_for(p) for p in fam.members))
+        fm = nnsm.family_measures(m, fam)
         a = m.w1.random_hermitian_element(mrng)
         delta = measure.borel(m.space, {0, 2})
         exact = fm.extend_at(a, delta)

@@ -184,9 +184,7 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
     oracle = scenario.payload["oracle"]
     assert oracle.w1.ambient_dim == 4 and oracle.w1.dim == 16
     fam = algebra.sample_projections(oracle.w1, n=10, seed=3)
-    fm = nnsm.FamilyMeasures(
-        family=fam, measures=tuple(oracle.measure_for(p) for p in fam.members),
-    )
+    fm = nnsm.family_measures(oracle, fam)
     calls = []
     svd = np.linalg.svd
 
@@ -198,8 +196,8 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
     rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     nnsm.assemble_from_family(fm, oracle.w1)
     assert len(calls) == 1
-    for x, want in oracle.atom_images.items():
-        assert np.abs(rebuilt.atom_images[x] - want).max() <= 1e-8
+    assert rebuilt.labels == oracle.labels
+    assert np.abs(rebuilt.images - oracle.images).max() <= 1e-8
 
 
 def test_limiting_sequence_identity():

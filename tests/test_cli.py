@@ -111,6 +111,35 @@ def test_check_measure_rejects_a_measure_label_outside_the_space(
     _check_rejected(capsys, path)
 
 
+@pytest.mark.parametrize("horizon", [-5, "7", True])
+def test_check_measure_rejects_a_horizon_that_is_not_a_non_negative_int(
+        capsys, tmp_path, horizon):
+    doc = {
+        "space": {"kind": "countable", "horizon": horizon},
+        "atoms": [[0, serialize.matrix_to_doc(np.eye(2))]],
+        "total": serialize.matrix_to_doc(np.eye(2)),
+    }
+    with pytest.raises(InvalidDocument, match="horizon must be a non-negative int"):
+        serialize.measure_from_doc(doc)
+    path = tmp_path / "horizon.json"
+    serialize.dump(doc, path)
+    _check_rejected(capsys, path)
+
+
+def test_check_measure_fails_an_nnsm_that_maps_nothing(capsys, tmp_path):
+    # M(X)(1) of an NNSM without atoms is 0, not the identity
+    doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 3).payload["oracle"])
+    doc["atom_maps"] = []
+    m, resid = serialize.nnsm_from_doc(doc)
+    assert m.images.shape == (0, m.w1.dim, doc["target_dim"], doc["target_dim"])
+    assert resid == pytest.approx(np.sqrt(doc["target_dim"]))
+    path = tmp_path / "empty.json"
+    serialize.dump(doc, path)
+    code, out, err = run(capsys, "check-measure", str(path))
+    assert code == 1
+    assert "failed invariants: nnsm-invariants" in err and "Traceback" not in err
+
+
 def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):
     doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 4).payload["oracle"])
     label, images = doc["atom_maps"][0]

@@ -299,7 +299,8 @@ def test_derived_measures_match_per_atom_rho_loop():
             lambda fields: nnsm.integrate(oracle, fields, whole), oracle,
             seed=seed + 3,
         )
-        for p, e_p in zip(fm.family.members, fm.measures):
+        for i_p, p in enumerate(fm.family.members):
+            e_p = fm.measure(i_p)
             total = np.zeros((oracle.target_dim,) * 2, dtype=complex)
             points = oracle.space.points()
             assert e_p.labels == tuple(points)
@@ -319,16 +320,17 @@ def _condition1_reference(fam, trials, seed):
     """condition1_check's residuals with each E_P(Delta) evaluated twice per
     trial, once for lhs and once for rhs, and one decomposition per trial."""
     rng = np.random.default_rng(seed)
-    deltas = nnsm.random_sets(fam.measures[0].space, rng, trials)
+    deltas = nnsm.random_sets(fam.space, rng, trials)
+    measures = [fam.measure(i) for i in range(len(fam.family.members))]
     out = []
     for t in range(trials):
         lam = rng.standard_normal(len(fam.family.members))
         target = sum(c * p for c, p in zip(lam, fam.family.members))
         mu = algebra.decompose_over_family(fam.family, target)
         lhs = sum(c * measure.evaluate(e, deltas[t])
-                  for c, e in zip(lam, fam.measures))
+                  for c, e in zip(lam, measures))
         rhs = sum(c * measure.evaluate(e, deltas[t])
-                  for c, e in zip(mu, fam.measures))
+                  for c, e in zip(mu, measures))
         out.append((linalg.frob_norm(lhs - rhs),
                     1.0 + max(linalg.frob_norm(lhs), linalg.frob_norm(rhs))))
     return out
@@ -339,14 +341,11 @@ def test_condition1_matches_two_pass_reference():
     sc = harness._gen_b_nondegenerate(2, harness.Caps())
     oracle = sc.payload["oracle"]
     fam = algebra.sample_projections(oracle.w1, n=10, seed=11)
-    measures = [oracle.measure_for(p) for p in fam.members]
-    fm = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
+    fm = nnsm.family_measures(oracle, fam)
     # a corrupted compression: the relations no longer transfer
-    atoms = measures[1].atoms.copy()
-    atoms[0] = atoms[0] + 0.25 * np.eye(oracle.target_dim)
-    measures[1] = measure.SpectralMeasure(
-        oracle.space, measures[1].labels, atoms, total=measures[1].total)
-    broken = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
+    atoms = fm.atoms.copy()
+    atoms[1, 0] = atoms[1, 0] + 0.25 * np.eye(oracle.target_dim)
+    broken = nnsm.FamilyMeasures(fam, oracle.space, fm.labels, atoms, fm.totals)
     for fam_measures, passes in ((fm, True), (broken, False)):
         rep = nnsm.condition1_check(fam_measures, trials=12, seed=5)
         want = _condition1_reference(fam_measures, trials=12, seed=5)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import linalg, measure
+from specmeas import algebra, linalg, measure, nnsm
 from specmeas.errors import ShapeMismatch, SpaceMismatch
 
 
@@ -61,16 +61,32 @@ def test_validate_flags_overlapping_atoms():
 
 
 def test_constructor_rejects_repeated_labels_and_a_stack_of_another_length():
+    # SpectralMeasure, NonNegSpectralMeasure and FamilyMeasures share one
+    # rule; each builder puts the per-label k x k matrices into its own stack
+    # shape, here over a one-dimensional W1 and a one-member family
     space = measure.DiscreteSpace(labels=("a", "b"))
     p = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(SpaceMismatch, match="distinct"):
-        measure.SpectralMeasure(space, ("a", "a"), [p, np.eye(2) - p])
-    for labels, atoms in ((("a", "b"), [p]), (("a",), [p, p]),
-                          (("a", "b"), np.zeros((2, 2, 3)))):
-        with pytest.raises(ShapeMismatch):
-            measure.SpectralMeasure(space, labels, atoms)
-    with pytest.raises(ShapeMismatch, match="non-finite"):
-        measure.SpectralMeasure(space, ("a",), [np.full((2, 2), np.nan)])
+    w1 = algebra.VonNeumannAlgebra(ambient_dim=1, basis=(np.eye(1, dtype=complex),))
+    family = algebra.ProjectionFamily(algebra=w1, members=(np.eye(1),))
+    builders = (
+        lambda labels, atoms: measure.SpectralMeasure(space, labels, atoms),
+        lambda labels, atoms: nnsm.NonNegSpectralMeasure(
+            space, w1, labels, np.asarray(atoms)[:, None]),
+        lambda labels, atoms: nnsm.FamilyMeasures(
+            family, space, labels, np.asarray(atoms)[None]),
+    )
+    for build in builders:
+        with pytest.raises(SpaceMismatch, match="distinct"):
+            build(("a", "a"), [p, np.eye(2) - p])
+        with pytest.raises(SpaceMismatch, match="'c' not in the space"):
+            build(("a", "c"), [p, np.eye(2) - p])
+        for labels, atoms in ((("a", "b"), [p]), (("a",), [p, p]),
+                              (("a", "b"), np.zeros((2, 2, 3)))):
+            with pytest.raises(ShapeMismatch):
+                build(labels, atoms)
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            build(("a",), [np.full((2, 2), np.nan)])
+        assert build(("b", "a"), [np.eye(2) - p, p]).labels == ("b", "a")
 
 
 def _validate_reference(e):

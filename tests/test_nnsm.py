@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
-from specmeas.errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
-                             ShapeMismatch, SpaceMismatch)
+from specmeas.errors import (InfiniteSet, NotSpanning, ShapeMismatch,
+                             SpaceMismatch)
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
 from conftest import tensor_model
@@ -13,12 +13,6 @@ from conftest import tensor_model
 
 def family_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> algebra.ProjectionFamily:
     return algebra.sample_projections(m.w1, n=10, seed=seed)
-
-
-def family_measures(m, fam):
-    return nnsm.FamilyMeasures(
-        family=fam, measures=tuple(m.measure_for(p) for p in fam.members)
-    )
 
 
 def test_tensor_model_is_valid_nnsm():
@@ -52,13 +46,13 @@ def test_m_a_linear_in_a():
 
 def test_condition1_passes_on_model():
     m, _, _ = tensor_model(seed=4)
-    fm = family_measures(m, family_for(m))
+    fm = nnsm.family_measures(m, family_for(m))
     assert nnsm.condition1_check(fm).passed
 
 
 def test_condition2_unit_bound():
     m, _, _ = tensor_model(seed=5)
-    fm = family_measures(m, family_for(m))
+    fm = nnsm.family_measures(m, family_for(m))
     space = m.space
     deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
               measure.whole_space(space)]
@@ -69,30 +63,29 @@ def test_condition2_unit_bound():
 
 def test_condition2_entries_match_reference_and_can_fail():
     m, _, _ = tensor_model(seed=5)
-    fm = family_measures(m, family_for(m))
+    fm = nnsm.family_measures(m, family_for(m))
     space = m.space
     deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
               measure.whole_space(space), measure.borel(space, ())]
     rep = nnsm.condition2_check(fm, deltas)
     assert [c.name for c in rep.checks] == [
         f"condition2[delta{i}]" for i in range(len(deltas))]
+    measures = [fm.measure(i) for i in range(len(fm.family.members))]
     for c, delta in zip(rep.checks, deltas):
         want = max(linalg.op_norm(measure.evaluate(e, delta))
-                   for e in fm.measures)
+                   for e in measures)
         assert c.residual == want
         assert c.tol == 1.0 + TAU_NORM_SLACK
         assert c.passed == (want <= 1.0 + TAU_NORM_SLACK)
     assert rep.passed
     # doubling the largest compression pushes k_X to 2
-    i = max(range(len(fm.measures)),
-            key=lambda j: linalg.op_norm(fm.measures[j].total))
-    e = fm.measures[i]
-    doubled = measure.SpectralMeasure(
-        space, e.labels, 2.0 * e.atoms, total=2.0 * e.total,
-    )
-    measures = fm.measures[:i] + (doubled,) + fm.measures[i + 1:]
+    i = max(range(len(measures)),
+            key=lambda j: linalg.op_norm(measures[j].total))
+    atoms, totals = fm.atoms.copy(), fm.totals.copy()
+    atoms[i] *= 2.0
+    totals[i] *= 2.0
     bad = nnsm.condition2_check(
-        nnsm.FamilyMeasures(family=fm.family, measures=measures), deltas)
+        nnsm.FamilyMeasures(fm.family, space, fm.labels, atoms, totals), deltas)
     assert not bad.passed
     assert bad.checks[2].residual == pytest.approx(2.0)
     assert not bad.checks[2].passed and bad.checks[3].passed
@@ -126,7 +119,7 @@ def test_operator_field_keeps_scalar_coefficients_scalar():
 def test_condition3_converges():
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
-    fm = family_measures(m, fam)
+    fm = nnsm.family_measures(m, fam)
     p = fam.members[2]
     q = fam.members[3]
     d1 = measure.borel(m.space, {0, 1})
@@ -141,7 +134,7 @@ def test_condition3_converges():
 def test_assemble_round_trip():
     m, _, rng = tensor_model(seed=7)
     fam = family_for(m)
-    fm = family_measures(m, fam)
+    fm = nnsm.family_measures(m, fam)
     rebuilt = nnsm.assemble_from_family(fm, m.w1)
     for x in m.space.points():
         for _ in range(3):
@@ -158,9 +151,7 @@ def test_assemble_needs_spanning_family():
         members=(np.zeros((m.w1.ambient_dim,) * 2, dtype=complex),),
         spans_algebra=False,
     )
-    fm = nnsm.FamilyMeasures(
-        family=small, measures=(m.measure_for(small.members[0]),)
-    )
+    fm = nnsm.family_measures(m, small)
     with pytest.raises(NotSpanning):
         nnsm.assemble_from_family(fm, m.w1)
 
@@ -168,7 +159,7 @@ def test_assemble_needs_spanning_family():
 def test_extension_by_limit_matches_exact():
     m, _, rng = tensor_model(seed=9)
     fam = family_for(m)
-    fm = family_measures(m, fam)
+    fm = nnsm.family_measures(m, fam)
     a = m.w1.random_hermitian_element(rng)
     delta = measure.borel(m.space, {0, 2})
     exact = fm.extend_at(a, delta)
@@ -217,62 +208,42 @@ def test_integrate_rejects_cofinite():
     m, _, _ = tensor_model(seed=12)
     space = measure.DiscreteSpace(horizon=5)
     cof = measure.BorelSet(space, frozenset({0}), cofinite=True)
-    m2 = nnsm.NonNegSpectralMeasure(
-        space=space, w1=m.w1, target_dim=m.target_dim,
-        atom_images={i: m.atom_images[i] for i in range(3)},
-    )
+    m2 = nnsm.NonNegSpectralMeasure(space, m.w1, m.labels, m.images)
     field = nnsm.OperatorField(terms=((np.ones(5), m.w1.identity()),))
     with pytest.raises(InfiniteSet):
         nnsm.integrate(m2, field, cof)
-
-
-def test_family_measures_need_shared_labels():
-    m, _, _ = tensor_model(seed=6)
-    fam = family_for(m)
-    measures = [m.measure_for(p) for p in fam.members]
-    e = measures[1]
-    # the same atoms in another label order, and one atom dropped
-    for labels, atoms in ((e.labels[::-1], e.atoms[::-1]),
-                          (e.labels[1:], e.atoms[1:])):
-        changed = list(measures)
-        changed[1] = measure.SpectralMeasure(e.space, labels, atoms, total=e.total)
-        with pytest.raises(AlgebraMismatch):
-            nnsm.FamilyMeasures(family=fam, measures=tuple(changed))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_family_values_equal_per_member_evaluate(seed):
     m, _, rng = tensor_model(seed=seed, n_atoms=4)
     fam = family_for(m, seed=seed)
-    fm = family_measures(m, fam)
+    fm = nnsm.family_measures(m, fam)
     sets = nnsm.random_sets(m.space, rng, 6) + [
         measure.borel(m.space, ()), measure.whole_space(m.space)]
     # the same compressions over a countable space, for cofinite sets
     countable = measure.DiscreteSpace(horizon=10)
-    fm_countable = nnsm.FamilyMeasures(family=fam, measures=tuple(
-        measure.SpectralMeasure(countable, e.labels, e.atoms, total=e.total)
-        for e in fm.measures))
+    fm_countable = nnsm.FamilyMeasures(
+        fam, countable, fm.labels, fm.atoms, fm.totals)
     cofinite = [measure.BorelSet(countable, frozenset(members), cofinite=True)
                 for members in ((), (1,), (0, 2, 7))]
     for family_measures_, deltas in ((fm, sets), (fm_countable, cofinite)):
         for delta in deltas:
             values = family_measures_.values_at(delta)
             assert values.shape == (len(fam.members),) + (m.target_dim,) * 2
-            for value, e in zip(values, family_measures_.measures):
-                assert np.array_equal(value, measure.evaluate(e, delta))
+            for i, value in enumerate(values):
+                assert np.array_equal(value, measure.evaluate(
+                    family_measures_.measure(i), delta))
 
 
 def test_condition1_detects_broken_linearity():
     # corrupt one compression so linear relations no longer transfer
     m, _, _ = tensor_model(seed=13)
     fam = family_for(m)
-    measures = [m.measure_for(p) for p in fam.members]
-    bad_atoms = measures[1].atoms.copy()
-    bad_atoms[0] = bad_atoms[0] + 0.25 * np.eye(m.target_dim)
-    measures[1] = measure.SpectralMeasure(
-        m.space, measures[1].labels, bad_atoms, total=measures[1].total
-    )
-    fm = nnsm.FamilyMeasures(family=fam, measures=tuple(measures))
+    fm = nnsm.family_measures(m, fam)
+    bad_atoms = fm.atoms.copy()
+    bad_atoms[1, 0] = bad_atoms[1, 0] + 0.25 * np.eye(m.target_dim)
+    fm = nnsm.FamilyMeasures(fam, m.space, fm.labels, bad_atoms, fm.totals)
     rep = nnsm.condition1_check(fm, trials=24)
     assert not rep.passed
 
@@ -295,14 +266,14 @@ REF_TOL = 1e-12
 
 def _ref_phi(m, x, a):
     coeffs = [np.vdot(b, a) for b in m.w1.basis]
-    return sum(c * img for c, img in zip(coeffs, m.atom_images[x]))
+    return sum(c * img for c, img in zip(coeffs, m.images[m.labels.index(x)]))
 
 
 def _ref_integrate(m, field_, delta):
     out = np.zeros((m.target_dim,) * 2, dtype=complex)
     points = m.space.points()
     for v, a in field_.terms:
-        for x in m.atom_images:
+        for x in m.labels:
             if x in delta:
                 out += v[points.index(x)] * _ref_phi(m, x, a)
     return out
@@ -316,9 +287,7 @@ def _model_with_unstored_label(seed):
     # label 3 belongs to the space but has no stored atom images
     m, _, rng = tensor_model(seed=seed, n_atoms=3)
     space = measure.DiscreteSpace(labels=(0, 1, 2, 3))
-    m = nnsm.NonNegSpectralMeasure(
-        space=space, w1=m.w1, target_dim=m.target_dim, atom_images=m.atom_images
-    )
+    m = nnsm.NonNegSpectralMeasure(space, m.w1, m.labels, m.images)
     return m, rng
 
 
@@ -343,7 +312,7 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
             assert _close(nnsm.integrate(m, field_, delta),
                           _ref_integrate(m, field_, delta))
         a = m.w1.random_hermitian_element(rng)
-        want = sum((_ref_phi(m, x, a) for x in m.atom_images if x in delta),
+        want = sum((_ref_phi(m, x, a) for x in m.labels if x in delta),
                    np.zeros((m.target_dim,) * 2, dtype=complex))
         assert _close(m.m_a(a, delta), want)
     p = algebra.sample_projections(m.w1, n=3, seed=seed).members[-1]
@@ -351,7 +320,7 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
     assert e_p.labels == (0, 1, 2)
     for x, atom in zip(e_p.labels, e_p.atoms):
         assert _close(atom, _ref_phi(m, x, p))
-    assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.atom_images))
+    assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.labels))
     assert linalg.frob_norm(m.apply(3, p)) == 0.0
     assert _close(m.total_of_identity(), np.eye(m.target_dim))
 
@@ -449,7 +418,7 @@ def test_condition3_matches_per_cell_reference():
     # projection of one Riemann cell at a time
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
-    fm = family_measures(m, fam)
+    fm = nnsm.family_measures(m, fam)
     p, q = fam.members[2], fam.members[3]
     d1 = measure.borel(m.space, {0, 1})
     d2 = measure.borel(m.space, {1, 2})
@@ -480,10 +449,7 @@ def test_integrate_rejects_rows_of_the_wrong_length():
     # over a countable space the rows end at the horizon: an atom past it
     # has no column
     countable = measure.DiscreteSpace(horizon=2)
-    past = nnsm.NonNegSpectralMeasure(
-        space=countable, w1=m.w1, target_dim=m.target_dim,
-        atom_images={0: m.atom_images[0], 5: m.atom_images[1]},
-    )
+    past = nnsm.NonNegSpectralMeasure(countable, m.w1, (0, 5), m.images[:2])
     field_ = nnsm.OperatorField(terms=((np.ones(2), m.w1.identity()),))
     with pytest.raises(ShapeMismatch):
         nnsm.integrate(past, field_, measure.borel(countable, {0, 5}))
