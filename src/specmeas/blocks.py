@@ -1,33 +1,41 @@
 """Blockwise-countable model of the unbounded theory.
 
 The Hilbert space is a countable direct sum of finite blocks, all of the
-model's ``block_dim``; finitely supported vectors form the dense domain.
+model's ``block_dim``, the ambient dimension of its coefficient algebra W;
+finitely supported vectors form the dense domain.  A scalar model is the
+model over W = C*1, whose blocks are one-dimensional.
 Operators act below the model's horizon, so a domain vector is one
 (horizon, block_dim) array whose row n is its component on block n.
 Algebra generators act diagonally:
 the image of b (x) A on block n is f_b(n) * A, where f_b is the generator's
-scalar value function.  Every scalar function is passed as its value row,
+scalar value function and A a (block_dim, block_dim) matrix.  Every scalar
+function is passed as its value row,
 f(n) for each block n below the horizon; the generators are evaluated into
 such rows once per model (``BlockModel.generator_rows``).  Closures are
 never materialized; every operator is evaluated on finitely supported
 vectors, where all sums are finite and exact.
-A preintegral psi(f, A) is summed exactly over the spectral decompositions of
-the four positive parts of A (``linalg.star_decompose``).
+A preintegral psi(f, A) is read off the field's block actions f(n) * A,
+never through ``rho_apply``, so the two sides of a representation check
+take separate routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
-from .linalg import star_decompose
 from .measure import BorelSet, DiscreteSpace
 from .nnsm import OperatorField
 from .tolerances import TAU_RECON
+
+
+def scalars() -> VonNeumannAlgebra:
+    """The one-dimensional algebra C*1, the coefficients of a scalar model."""
+    return VonNeumannAlgebra(ambient_dim=1, basis=(np.eye(1, dtype=np.complex128),))
 
 
 @dataclass(frozen=True)
@@ -37,12 +45,13 @@ class BlockModel:
     ``generators`` maps a generator name to a callable n -> complex, read
     once into ``generator_rows``.  Every block has dimension ``block_dim``:
     the ambient dimension of ``w``, on which b (x) A acts blockwise as
-    f_b(n) * A, or 1 when ``w`` is None and the model is scalar.
+    f_b(n) * A.  By default ``w`` is the one-dimensional algebra C*1 and
+    the model is scalar.
     """
 
     space: DiscreteSpace
     generators: dict  # name -> callable int -> complex
-    w: VonNeumannAlgebra | None = None
+    w: VonNeumannAlgebra = field(default_factory=scalars)
 
     def __post_init__(self):
         if self.space.is_finite:
@@ -54,7 +63,7 @@ class BlockModel:
 
     @property
     def block_dim(self) -> int:
-        return 1 if self.w is None else self.w.ambient_dim
+        return self.w.ambient_dim
 
     @cached_property
     def generator_rows(self) -> dict:
@@ -142,27 +151,21 @@ def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
 def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:
     """rho(b (x) A) x: block n of the result is f(n) * A x_n (exact), with f
     given by its value row ``values``; one broadcast over every block.  A
-    matrix A must be (block_dim, block_dim), or ShapeMismatch is raised."""
+    must be a (block_dim, block_dim) matrix, or ShapeMismatch is raised."""
     _require_rows(x, model.horizon)
     _require_coefficient(model, a)
     fv = _values_at(values, model.horizon)[:, None]
-    if not isinstance(a, np.ndarray):
-        return DomainVector(fv * a * x.block)
     return DomainVector(fv * (x.block @ a.T))
 
 
 def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
-    """Preintegral psi(f, A) x on a finitely supported vector.
-
-    A is split into four positive parts; each positive part has a finite
-    spectral decomposition sum λ_k P_k and psi(f, B) x is the exact sum
-    of λ_k f(n) P_k x_n.  The parts, with their signs, sum to one
-    operator, which ``rho_apply`` applies; the value equals the direct
-    blockwise action.
-    """
-    if isinstance(a, np.ndarray):
-        a = sum(sign * b for sign, b in zip((1, -1, 1j, -1j), star_decompose(a)))
-    return rho_apply(model, values, a, x)
+    """Preintegral psi(f, A) x on a finitely supported vector, read off the
+    block actions of the field f (x) A: block n of the result is
+    (f(n) * A) x_n, one contraction over every block.  The value row and A
+    are checked as in ``rho_apply``, which this route never calls."""
+    _require_rows(x, model.horizon)
+    acts = _block_actions(OperatorField(terms=((values, a),)), model)
+    return DomainVector(np.einsum("nij,nj->ni", acts, x.block))
 
 
 def i_m_apply(field_: OperatorField, model: BlockModel,
@@ -262,25 +265,24 @@ def _poly_values(model: BlockModel, monomials) -> np.ndarray:
 
 
 def _require_coefficient(model: BlockModel, a) -> None:
-    """A matrix coefficient must act on one block: (block_dim, block_dim)."""
+    """A coefficient is a matrix acting on one block: a (block_dim,
+    block_dim) ndarray, also on a scalar model."""
     d = model.block_dim
-    if isinstance(a, np.ndarray) and a.shape != (d, d):
-        raise ShapeMismatch(f"a matrix coefficient acts on one block, shape "
-                            f"({d}, {d}); got {a.shape}")
+    shape = getattr(a, "shape", None)
+    if shape != (d, d):
+        raise ShapeMismatch(f"a coefficient acts on one block as a ({d}, {d}) "
+                            f"matrix; got {type(a).__name__} of shape {shape}")
 
 
 def _block_actions(field_: OperatorField, model: BlockModel) -> np.ndarray:
-    """The (horizon, block_dim, block_dim) stack of matrices by which the
-    field acts on the model's blocks; a scalar coefficient c acts as c
-    times the identity.  A matrix coefficient of another shape raises
-    ShapeMismatch."""
+    """The (horizon, block_dim, block_dim) stack of matrices f(n) * A,
+    summed over the terms, by which the field acts on the model's blocks.
+    A coefficient of another shape raises ShapeMismatch."""
     d = model.block_dim
     out = np.zeros((model.horizon, d, d), dtype=np.complex128)
-    eye = np.eye(d)
     for v, a in field_.terms:
         _require_coefficient(model, a)
-        coeff = a if isinstance(a, np.ndarray) else a * eye
-        out += _values_at(v, model.horizon)[:, None, None] * coeff
+        out += _values_at(v, model.horizon)[:, None, None] * a
     return out
 
 
@@ -297,7 +299,7 @@ def integrability_check(
     """Blockwise normality of the field's action (integrability proxy).
 
     Every value row of the field must cover the model's horizon, and every
-    matrix coefficient act on one block, or ShapeMismatch is raised.  The
+    coefficient act on one block, or ShapeMismatch is raised.  The
     commutator norms of every block action are taken in one batch.  A
     non-finite residual fails and names the worst block: argmax returns the
     first NaN, or else the first largest residual.

@@ -32,14 +32,6 @@ KIND_BY_COMMAND = {
 KIND_BY_LETTER = {"a": "A", "b": "B", "c": "Cprime", "d": "D"}
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SPECREP_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def parse_caps(text: str) -> Caps:
     """Caps from "h=4,k=16,x=6,n=32" (any subset of keys)."""
     kwargs = {}
@@ -65,9 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
         "against seeded scenarios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse converts a string default with ``type``, so a SPECREP_SEED
+    # that is no integer is a usage error (exit 2)
+    seed = os.environ.get("SPECREP_SEED", "0")
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--count", type=int, default=1)
         p.add_argument("--caps", type=parse_caps, default=Caps())
         p.add_argument("--timing", action="store_true",
@@ -80,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run random scenarios until a deadline")
     p.add_argument("--kinds", default="a,b,c,d")
     p.add_argument("--seconds", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--caps", type=parse_caps, default=Caps())
     p.add_argument("--faults", action="store_true",
                    help="interleave fault-injection scenarios")

@@ -202,13 +202,12 @@ def _gen_c(seed, rng, caps, with_algebra: bool) -> Scenario:
                 {"kind": "bounded-const",
                  "value": [float(rng.integers(-2, 3)), float(rng.integers(-2, 3))]}
             )
+    w = blocks.scalars()
     if with_algebra:
         dim = int(rng.integers(2, 4))
         w = bicommutant(
             [random_hermitian(rng, dim), random_hermitian(rng, dim)], dim
         )
-    else:
-        w = None
     model = blocks.BlockModel(
         space=DiscreteSpace(horizon=horizon),
         generators=gens,
@@ -287,9 +286,9 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
 
 
 def _non_normal_field(model, n_bad, magnitude):
-    if model.w is None:
+    dim = model.block_dim
+    if dim < 2:
         raise ValueError("non-normal block faults need a matrix block model")
-    dim = model.w.ambient_dim
     nil = np.zeros((dim, dim), dtype=np.complex128)
     nil[0, 1] = magnitude
 
@@ -492,7 +491,7 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     rng = np.random.default_rng(scenario.seed + 4)
     names = sorted(model.generators)
     # (i) integrability: blockwise normality per generator
-    unit = _unit_coeff(model)
+    unit = model.w.identity()
     field_list = [OperatorField(terms=((model.generator_rows[n], unit),))
                   for n in names]
     for i, f in enumerate(field_list):
@@ -537,7 +536,7 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
 def _rho_polynomial(model, monomials, x) -> blocks.DomainVector:
     """ρ(p) x for a *-polynomial p: per monomial, one ρ per factor, right to
     left, on the generator's row (conjugated for an adjoint factor)."""
-    unit = _unit_coeff(model)
+    unit = model.w.identity()
     out = []
     for coeff, factors in monomials:
         y = x
@@ -546,10 +545,6 @@ def _rho_polynomial(model, monomials, x) -> blocks.DomainVector:
             y = blocks.rho_apply(model, np.conj(row) if conj else row, unit, y)
         out.append(y.scale(coeff))
     return blocks.vector_sum(out)
-
-
-def _unit_coeff(model):
-    return model.w.identity() if model.w is not None else 1.0 + 0.0j
 
 
 def _truncate_to_eps(coeffs, eps):
@@ -583,12 +578,6 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 7)
     names = sorted(model.generators)
-    if model.w is None:
-        # the W = scalars reduction: delegate wholesale to the C' pipeline
-        rep = verify_theorem_c(scenario)
-        return VerificationReport(
-            scenario=scenario.scenario_id, checks=rep.checks, wall_ms=rep.wall_ms,
-        )
     # (1) rho_P integrability per sampled projection
     fam = sample_projections(model.w, n=6, seed=scenario.seed + 8)
     fields = scenario.payload.get("field")
@@ -656,12 +645,9 @@ def _random_unbounded_field(rng, model) -> OperatorField:
     terms = []
     for _ in range(int(rng.integers(1, 3))):
         g = model.generator_rows[names[int(rng.integers(len(names)))]]
-        if model.w is not None:
-            dim = model.w.ambient_dim
-            a = (rng.standard_normal((dim, dim))
-                 + 1j * rng.standard_normal((dim, dim)))
-        else:
-            a = complex(rng.standard_normal(), rng.standard_normal())
+        dim = model.block_dim
+        a = (rng.standard_normal((dim, dim))
+             + 1j * rng.standard_normal((dim, dim)))
         terms.append((g, a))
     return OperatorField(terms=tuple(terms))
 

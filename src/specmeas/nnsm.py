@@ -98,14 +98,14 @@ class OperatorField:
 
     f_i is a scalar function on the space, stored as its value table: a 1-d
     complex128 array indexed like ``space.points()``, that is the labels of
-    a finite space or range(horizon) of a countable one.  A_i is an ndarray
-    in W1, or a complex scalar for scalar block models, where it stays a
-    scalar.  The bounded theory integrates a field against an NNSM
-    (``integrate``), the unbounded one applies it to finitely supported
-    vectors (``blocks.i_m_apply``).
+    a finite space or range(horizon) of a countable one.  A_i is a square
+    ndarray in W1; a scalar block model's coefficients are 1x1 matrices.
+    The bounded theory integrates a field against an NNSM (``integrate``),
+    the unbounded one applies it to finitely supported vectors
+    (``blocks.i_m_apply``).
     """
 
-    terms: tuple  # of (values ndarray, ndarray | complex)
+    terms: tuple  # of (values ndarray, coefficient ndarray)
 
     def __add__(self, other: "OperatorField") -> "OperatorField":
         return OperatorField(terms=self.terms + other.terms)
@@ -114,19 +114,12 @@ class OperatorField:
         return OperatorField(terms=tuple((lam * v, a) for v, a in self.terms))
 
     def product(self, other: "OperatorField") -> "OperatorField":
-        out = []
-        for v, a in self.terms:
-            for w, b in other.terms:
-                ab = a @ b if isinstance(a, np.ndarray) else a * b
-                out.append((v * w, ab))
-        return OperatorField(terms=tuple(out))
+        return OperatorField(terms=tuple(
+            (v * w, a @ b) for v, a in self.terms for w, b in other.terms))
 
     def star(self) -> "OperatorField":
-        out = []
-        for v, a in self.terms:
-            a_star = adjoint(a) if isinstance(a, np.ndarray) else np.conj(a)
-            out.append((np.conj(v), a_star))
-        return OperatorField(terms=tuple(out))
+        return OperatorField(terms=tuple(
+            (np.conj(v), adjoint(a)) for v, a in self.terms))
 
 
 @dataclass(frozen=True)
@@ -177,10 +170,10 @@ class FamilyMeasures:
 
 
 def family_measures(m: NonNegSpectralMeasure, family: ProjectionFamily) -> FamilyMeasures:
-    """The compressions M_P of ``m`` along ``family``, one ``measure_for``
-    call per member, stacked on the NNSM's labels."""
-    return FamilyMeasures(family, m.space, m.labels, np.stack(
-        [m.measure_for(p).atoms for p in family.members]))
+    """The compressions M_P of ``m`` along ``family``, one contraction per
+    member, stacked on the NNSM's labels and validated once."""
+    return FamilyMeasures(family, m.space, m.labels,
+                          np.stack([m._values(p) for p in family.members]))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,9 @@ def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
 
 def nnsm_from_doc(doc: dict):
     """Load an NNSM; returns (measure, worst invariant residual): the worse of
-    E_id's resolution residual and the distance of M(X)(1) from the identity."""
+    E_id's resolution residual and the distance of M(X)(1) from the identity.
+    Without atoms M(X)(1) = 0, whose distance sqrt(k) is read off the target
+    dimension without building a k x k matrix."""
     try:
         space = space_from_doc(doc["space"])
         d, basis = int(doc["w1"]["ambient_dim"]), doc["w1"]["basis"]
@@ -149,6 +151,8 @@ def nnsm_from_doc(doc: dict):
         m = NonNegSpectralMeasure(space, w1, labels, images)
     except (SpaceMismatch, ShapeMismatch) as exc:
         raise InvalidDocument(f"invalid NNSM document: {exc}") from exc
+    if not labels:
+        return m, float(np.sqrt(k))
     e_id = m.measure_for(m.w1.identity())
     return m, max(e_id.validate(), frob_norm(e_id.total - np.eye(k)))
 
@@ -186,10 +190,14 @@ def dump(doc: dict, path) -> None:
 
 
 def load(path) -> dict:
+    """A document: a JSON object, or InvalidDocument."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         # JSONDecodeError, bad UTF-8 or an integer past Python's digit
         # limit (all ValueError), or nesting past the recursion limit
         except (ValueError, RecursionError) as exc:
             raise InvalidDocument(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidDocument(f"a document is a JSON object, got {type(doc).__name__}")
+    return doc

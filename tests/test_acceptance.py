@@ -189,7 +189,7 @@ def test_criterion_6_domain_laws():
 def _random_block_model(rng, max_blocks, max_dim):
     horizon = int(rng.integers(4, max_blocks + 1))
     dim = int(rng.integers(1, max_dim + 1))
-    w = None
+    w = blocks.scalars()
     if dim > 1:
         w = algebra.bicommutant(
             [linalg.random_hermitian(rng, dim), linalg.random_hermitian(rng, dim)],
@@ -216,11 +216,8 @@ def _random_ufield(rng, model):
     terms = []
     for _ in range(int(rng.integers(1, 3))):
         g = model.generator_rows[names[int(rng.integers(len(names)))]]
-        if model.w is not None:
-            d = model.w.ambient_dim
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        else:
-            a = complex(rng.standard_normal(), rng.standard_normal())
+        d = model.block_dim
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         terms.append((g, a))
     return nnsm.OperatorField(terms=tuple(terms))
 

@@ -71,7 +71,7 @@ def test_vector_sum_matches_per_block_reference():
 def test_number_operator_action():
     model = number_model()
     x = domain_vector(model, {0: 1.0, 5: 2.0})
-    y = blocks.rho_apply(model, model.generator_rows["num"], 1.0, x)
+    y = blocks.rho_apply(model, model.generator_rows["num"], np.eye(1), x)
     # block 0 is killed, block 5 picks up the factor 5
     assert y.support == frozenset({5})
     assert y.block[5, 0] == pytest.approx(10.0)
@@ -98,11 +98,13 @@ def test_truncate_to_horizon_density():
 
 
 def test_psi_scalar_matches_rho():
+    # a scalar model's coefficients are 1x1 matrices
     model = number_model()
     x = domain_vector(model, {1: 1.0, 4: 1.0j})
     f = model.generator_rows["num"]
-    got = blocks.psi_apply(f, 2.0 + 0.0j, model, x)
-    want = blocks.rho_apply(model, f, 2.0 + 0.0j, x)
+    two = np.array([[2.0 + 0.0j]])
+    got = blocks.psi_apply(f, two, model, x)
+    want = blocks.rho_apply(model, f, two, x)
     assert got.sub(want).norm() <= 1e-14
 
 
@@ -232,21 +234,20 @@ def test_domain_inclusion_bound(seed, n):
 
 
 def _psi_reference(f, a, model, x):
-    """psi(f, A) x the per-eigenpair way: split Re A and Im A into positive
-    parts, diagonalize each part again and add one rho_apply per eigenpair."""
+    """psi(f, A) x the per-eigenpair way: split A into Re A and Im A and add
+    one rho_apply per eigenpair (lam, v v*) of each, the positive part's
+    pairs with lam > 0 and the negative part's with lam < 0.  The pairs are
+    numpy's unclustered ones, so the reference stays exact on degenerate
+    spectra, where clustering would move it by the cluster width."""
     out = domain_vector(model, {})
     re = (a + linalg.adjoint(a)) / 2.0
     im = (a - linalg.adjoint(a)) / 2.0j
     for h, unit in ((re, 1.0), (im, 1.0j)):
-        plus, minus = linalg.positive_negative_parts(h)
-        for part, sign in ((plus, unit), (minus, -unit)):
-            if linalg.frob_norm(part) == 0.0:
-                continue
-            dec = linalg.eig_hermitian(part)
-            for lam, proj in zip(dec.values, dec.projections):
-                if lam != 0.0:
-                    out = out.add(
-                        blocks.rho_apply(model, f, proj, x).scale(sign * lam))
+        lams, vecs = np.linalg.eigh(h)
+        for lam, v in zip(lams, vecs.T):
+            if lam != 0.0:
+                proj = np.outer(v, np.conj(v))
+                out = out.add(blocks.rho_apply(model, f, proj, x).scale(unit * lam))
     return out
 
 
@@ -282,35 +283,30 @@ def test_psi_matches_per_eigenpair_reference(seed):
             assert got.sub(want).norm() <= 1e-12 * (1.0 + want.norm()), name
 
 
-def test_psi_one_eig_per_nonzero_hermitian_part(monkeypatch):
+def test_psi_reads_block_actions_without_eig_or_rho(monkeypatch):
+    # psi_apply is the oracle side of D's representation check: it reads
+    # the field's block actions and takes neither an eigendecomposition
+    # nor the rho_apply route it is compared with
     model, rng = matrix_model(dim=3, seed=7)
     calls = []
-    eig_hermitian = linalg.eig_hermitian
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eig_hermitian(a, *args, **kwargs)
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("psi_apply left its own route")
 
-    # psi_apply reaches eig_hermitian through linalg.positive_negative_parts
-    monkeypatch.setattr(linalg, "eig_hermitian", counted)
+    monkeypatch.setattr(linalg, "eig_hermitian", refused)
+    monkeypatch.setattr(blocks, "rho_apply", refused)
     cases = _psi_cases(rng)
-    # nonzero Hermitian parts (Re A, Im A) of each case
-    parts = {"hermitian": 1, "skew-hermitian": 1, "degenerate": 2, "psd": 1,
-             "negative-imaginary": 1, "general": 2}
     x = random_vector(rng, model, supp=4)
+    f = model.generator_rows["num"]
     for name, a in cases.items():
-        calls.clear()
-        blocks.psi_apply(model.generator_rows["num"], a, model, x)
-        assert len(calls) == parts[name], name
-    calls.clear()
-    blocks.psi_apply(model.generator_rows["num"], np.zeros((3, 3), complex),
-                     model, x)
-    assert calls == []
-    # a field: one decomposition per nonzero part of each matrix term
+        got = blocks.psi_apply(f, a, model, x)
+        want = f[:, None] * np.einsum("ij,nj->ni", a, x.block)
+        assert np.allclose(got.block, want, rtol=0.0,
+                           atol=1e-13 * (1.0 + np.abs(want).max())), name
     terms = tuple((model.generator_rows["decay"], a) for a in cases.values())
-    calls.clear()
     blocks.i_m_apply(OperatorField(terms=terms), model, x)
-    assert len(calls) == sum(parts.values())
+    assert calls == []
 
 
 def _reference_models():
@@ -341,7 +337,7 @@ def _d_alpha_reference(x, model, k, probes, seed):
                 total += term
             return total
 
-        unit = 1.0 + 0.0j if model.w is None else model.w.identity()
+        unit = model.w.identity()
         row = [f(n) for n in range(model.horizon)]
         y = blocks.rho_apply(model, row, unit, x)
         alpha = max((abs(f(n)) for n in k_points), default=0.0)
@@ -378,7 +374,7 @@ def _integrability_reference(model, field_):
         dim = model.block_dim
         b = np.zeros((dim, dim), dtype=complex)
         for v, a in field_.terms:
-            b += v[n] * (a if isinstance(a, np.ndarray) else a * np.eye(dim))
+            b += v[n] * a
         comm = b @ linalg.adjoint(b) - linalg.adjoint(b) @ b
         resid = linalg.frob_norm(comm) / (1.0 + linalg.frob_norm(b) ** 2)
         if resid > worst:
@@ -400,8 +396,9 @@ def test_integrability_matches_per_block_reference():
         fields = []
         for name in names:
             g = model.generator_rows[name]
-            if model.w is None:
-                fields.append(((g, complex(rng.standard_normal(), 1.0)),))
+            if model.block_dim == 1:
+                fields.append(((g, np.array([[complex(rng.standard_normal(),
+                                                      1.0)]])),))
             else:
                 d = model.w.ambient_dim
                 fields.append(((g, linalg.random_hermitian(rng, d)),))
@@ -414,9 +411,9 @@ def test_integrability_matches_per_block_reference():
             block, resid, passed = _integrability_reference(model, field_)
             assert rep.passed == passed
             assert abs(rep.worst_residual - resid) <= 1e-12
-            # a scalar c acts on a d-block as c*I, which is normal: the
-            # per-block products leave round-off (~1e-17) whose argmax names
-            # no block, so the worst block is compared above round-off only
+            # a normal block action (a 1x1 or Hermitian coefficient) leaves
+            # round-off (~1e-17) whose argmax names no block, so the worst
+            # block is compared above round-off only
             if resid > 1e-12:
                 assert rep.worst_block == block
     # the injected spike is found at its block
@@ -471,14 +468,24 @@ def test_matrix_coefficients_must_fit_the_block_dim():
                   lambda: blocks.rho_apply(model, row, np.eye(3), x)):
         with pytest.raises(ShapeMismatch):
             apply()
-    # on a 2x2 matrix model a scalar term acts as c times the 2x2 identity
+    # every coefficient is a (block_dim, block_dim) matrix: a Python or
+    # numpy scalar is none, on the 1x1 model as on a 2x2 one
     matrix, rng = matrix_model(seed=11)
     a = linalg.random_hermitian(rng, 2)
-    mixed = OperatorField(terms=((row[:16], a), (row[:16], 2.0 + 0.0j)))
-    assert blocks.integrability_check(matrix, mixed).passed
+    assert blocks.integrability_check(
+        matrix, OperatorField(terms=((row[:16], a),))).passed
+    for model_, c in ((model, 2.0 + 0.0j), (model, np.complex128(2.0)),
+                      (matrix, 2.0 + 0.0j), (matrix, np.eye(3))):
+        scalar = OperatorField(terms=((model_.generator_rows["num"], c),))
+        vec = domain_vector(model_, {2: np.ones(model_.block_dim)})
+        for apply in (lambda: blocks.integrability_check(model_, scalar),
+                      lambda: blocks.i_m_apply(scalar, model_, vec),
+                      lambda: blocks.rho_apply(model_, scalar.terms[0][0], c, vec)):
+            with pytest.raises(ShapeMismatch):
+                apply()
     with pytest.raises(ShapeMismatch):
         blocks.integrability_check(
-            matrix, OperatorField(terms=((row[:16], np.eye(3)),)))
+            matrix, OperatorField(terms=((row[:16], a), (row[:16], 2.0 + 0.0j))))
 
 
 def test_value_rows_must_cover_the_horizon():
@@ -487,7 +494,6 @@ def test_value_rows_must_cover_the_horizon():
     a = linalg.random_complex(rng, 2, 2)
     short = model.generator_rows["num"][:15]
     for apply in (lambda: blocks.rho_apply(model, short, a, x),
-                  lambda: blocks.rho_apply(model, short, 2.0 + 0.0j, x),
                   lambda: blocks.psi_apply(short, a, model, x),
                   lambda: blocks.integrability_check(
                       model, OperatorField(terms=((short, a),)))):
@@ -502,7 +508,7 @@ def test_value_rows_must_cover_the_horizon():
         with pytest.raises(ShapeMismatch):
             blocks.rho_apply(model, row, a, wrong)
         with pytest.raises(ShapeMismatch):
-            blocks.rho_apply(model, row, 2.0 + 0.0j, wrong)
+            blocks.psi_apply(row, a, model, wrong)
         with pytest.raises(ShapeMismatch):
             blocks.spectral_integral_apply(row, wrong)
         with pytest.raises(ShapeMismatch):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def test_env_seed_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-a")
     assert code == 0
     assert json.loads(out.splitlines()[0])["scenario"] == "A-11"
+
+
+def test_env_seed_that_is_no_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPECREP_SEED", "abc")
+    for argv in (["verify-a"], ["fuzz", "--seconds", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid int value: 'abc'" in err and "Traceback" not in err
+    # an explicit --seed still wins over the environment
+    code, out, _ = run(capsys, "verify-a", "--seed", "4")
+    assert code == 0 and json.loads(out.splitlines()[0])["scenario"] == "A-4"
 
 
 def test_caps_parsing():
@@ -138,6 +150,26 @@ def test_check_measure_fails_an_nnsm_that_maps_nothing(capsys, tmp_path):
     code, out, err = run(capsys, "check-measure", str(path))
     assert code == 1
     assert "failed invariants: nnsm-invariants" in err and "Traceback" not in err
+
+
+def test_an_nnsm_without_atoms_is_checked_without_k_by_k_arrays():
+    # a 160-byte document that claims a large target space: with no atoms
+    # M(X)(1) = 0, so its distance sqrt(k) from the identity needs no
+    # k x k matrix (one complex 1500 x 1500 array is 36 MB)
+    k = 1500
+    doc = {"space": {"kind": "finite", "labels": [0]},
+           "w1": {"ambient_dim": 1,
+                  "basis": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]},
+           "target_dim": k, "atom_maps": []}
+    tracemalloc.start()
+    try:
+        m, resid = serialize.nnsm_from_doc(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert m.images.shape == (0, 1, k, k)
+    assert resid == np.sqrt(k)
 
 
 def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):

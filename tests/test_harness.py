@@ -36,7 +36,7 @@ def _payload_arrays(sc):
         return list(sc.payload["oracle"].images)
     model = sc.payload["model"]
     rows = [model.generator_rows[n] for n in sorted(model.generators)]
-    return rows + (list(model.w.basis) if model.w is not None else [])
+    return rows + list(model.w.basis)
 
 
 def test_kind_a_single_point_is_character():
@@ -167,18 +167,31 @@ def test_verify_c_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch)
     assert failed and all(n.startswith("represent[x") for n in failed)
 
 
-def test_verify_d_scalar_matches_c():
-    sc = harness.gen_scenario("Cprime", 9)
-    rep_c = harness.verify_theorem_c(sc)
-    rep_d = harness.verify_theorem_d(sc)
-    assert [c.name for c in rep_c.checks] == [c.name for c in rep_d.checks]
-    assert [c.residual for c in rep_c.checks] == [c.residual for c in rep_d.checks]
-
-
 def test_verify_d_matrix_model():
     sc = harness.gen_scenario("D", 7)
     rep = harness.verify_theorem_d(sc)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("fault", ["transposed", "dropped-f"])
+def test_verify_d_represent_fails_on_a_wrong_rho(monkeypatch, fault):
+    """D's represent[x*] compares rho with the field's block actions, a
+    route of its own: a rho that applies A^T, or drops the value row f,
+    must fail it while every other check still passes."""
+    sc = harness.gen_scenario("D", 3)
+    clean = harness.verify_theorem_d(sc)
+    assert clean.passed
+    rho_apply = blocks.rho_apply
+
+    def wrong(model_, values, a, x):
+        if fault == "transposed":
+            return rho_apply(model_, values, a.T, x)
+        return rho_apply(model_, np.ones_like(values), a, x)
+
+    monkeypatch.setattr(blocks, "rho_apply", wrong)
+    rep = harness.verify_theorem_d(sc)
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed and all(n.startswith("represent[x") for n in failed)
 
 
 @pytest.mark.parametrize("fault", harness.FAULT_CLASSES)

@@ -91,29 +91,30 @@ def test_condition2_entries_match_reference_and_can_fail():
     assert not bad.checks[2].passed and bad.checks[3].passed
 
 
-def test_operator_field_keeps_scalar_coefficients_scalar():
+def test_operator_field_one_by_one_coefficients():
+    # a scalar model's coefficients are 1x1 matrices, and stay 1x1
     fv = np.arange(4, dtype=complex) * (1.0 + 1.0j)
     gv = np.full(4, 1.0j)
-    f = nnsm.OperatorField(terms=((fv, 2.0 - 1.0j),))
-    g = nnsm.OperatorField(terms=((gv, 0.5 + 0.5j),))
+    f = nnsm.OperatorField(terms=((fv, np.array([[2.0 - 1.0j]])),))
+    g = nnsm.OperatorField(terms=((gv, np.array([[0.5 + 0.5j]])),))
     fields = (f.star(), f.product(g), f.scale(3.0), f + g,
               f.star().product(g.scale(1.0j)))
     for field_ in fields:
         for v, a in field_.terms:
-            assert isinstance(a, complex)  # not a 0-d array
+            assert a.shape == (1, 1) and a.dtype == np.complex128
             assert v.shape == (4,) and v.dtype == np.complex128
     # the value rows follow the array algebra: conj, pointwise product, scale
     ((fs, cs),) = f.star().terms
-    assert cs == 2.0 + 1.0j and np.array_equal(fs, np.conj(fv))
+    assert cs[0, 0] == 2.0 + 1.0j and np.array_equal(fs, np.conj(fv))
     assert fs[3] == 3.0 - 3.0j
     ((fp, cp),) = f.product(g).terms
-    assert cp == (2.0 - 1.0j) * (0.5 + 0.5j) and np.array_equal(fp, fv * gv)
+    assert cp[0, 0] == (2.0 - 1.0j) * (0.5 + 0.5j) and np.array_equal(fp, fv * gv)
     assert fp[2] == -2.0 + 2.0j
     ((fl, cl),) = f.scale(3.0).terms
-    assert cl == 2.0 - 1.0j and np.array_equal(fl, 3.0 * fv)
+    assert cl[0, 0] == 2.0 - 1.0j and np.array_equal(fl, 3.0 * fv)
     assert fl[2] == 6.0 + 6.0j
     (_, cf), (_, cg) = (f + g).terms
-    assert (cf, cg) == (2.0 - 1.0j, 0.5 + 0.5j)
+    assert (cf[0, 0], cg[0, 0]) == (2.0 - 1.0j, 0.5 + 0.5j)
 
 
 def test_condition3_converges():

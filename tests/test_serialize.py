@@ -161,9 +161,15 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
+TOP_LEVEL = (5, None, [1, 2], "abc")
+
+
 def _mutate(doc, mutation, pick, value):
-    """Apply one mutation in place; ``pick`` chooses where, counted from the
-    end of the document."""
+    """Apply one mutation and return the mutated document; ``pick`` chooses
+    where, counted from the end of the document.  "top-level" replaces the
+    whole document by a JSON value that is no object."""
+    if mutation == "top-level":
+        return TOP_LEVEL[pick % len(TOP_LEVEL)]
     nodes = list(_nodes(doc))
 
     def get(path):
@@ -194,10 +200,11 @@ def _mutate(doc, mutation, pick, value):
         atoms.append(json.loads(json.dumps(atoms[pick % len(atoms)])))
     elif mutation == "outside-label":
         atoms[pick % len(atoms)][0] = -1
+    return doc
 
 
 MUTATIONS = ("none", "drop-key", "number", "rows", "cols", "truncate",
-             "repeat-label", "outside-label")
+             "repeat-label", "outside-label", "top-level")
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,16 +213,23 @@ MUTATIONS = ("none", "drop-key", "number", "rows", "cols", "truncate",
        value=st.sampled_from(("1.5", None, [1.0], 10**400, float("nan"), 0.5)))
 @example(base="measure", mutation="number", pick=0, value=10**400)
 @example(base="nnsm", mutation="number", pick=0, value=10**400)
+@example(base="measure", mutation="top-level", pick=0, value=None)
+@example(base="measure", mutation="top-level", pick=1, value=None)
+@example(base="measure", mutation="top-level", pick=2, value=None)
+@example(base="measure", mutation="top-level", pick=3, value=None)
 def test_check_measure_survives_document_mutations(base, mutation, pick, value):
     # pick 0 of "number" is the document's last matrix entry; an unmutated
-    # document passes
-    doc = json.loads(_base_document(base))
-    _mutate(doc, mutation, pick, value)
+    # document passes; picks 0-3 of "top-level" are 5, null, [1, 2], "abc"
+    doc = _mutate(json.loads(_base_document(base)), mutation, pick, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         serialize.dump(doc, path)
         code = cli.run_cli(["check-measure", path])
+        checks = harness.check_measure_file(path).checks
     if mutation == "none":
         assert code == 0
+    elif mutation == "top-level":
+        assert code == 1
+        assert [c.name for c in checks] == ["document[InvalidDocument]"]
     else:
         assert code in (0, 1, 2)
