@@ -17,8 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    EigSolverFailure,
     InconsistentAssignment,
     NotCommuting,
+    NonHermitianInput,
     NotInSpan,
     NotNormal,
     ShapeMismatch,
@@ -31,6 +33,7 @@ from .linalg import (
     frob_norm,
     is_projection,
     op_norm,
+    range_projection,
     require_hermitian,
     require_square,
 )
@@ -40,6 +43,7 @@ from .tolerances import (
     LIMIT_BOUND_SLACK,
     TAU_ALG,
     TAU_EXT,
+    TAU_HERM,
     TAU_RANK,
 )
 
@@ -111,15 +115,21 @@ class VonNeumannAlgebra:
     def membership_residual(self, a: np.ndarray) -> float:
         return float(self._project(_vec(a))[1])
 
-    def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
-        coeffs = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
+    def hermitian_elements(self, draws: np.ndarray) -> np.ndarray:
+        """The (n, d, d) stack of hermitian parts of sum_j c_j B_j, one per
+        (2, dim) slice of the (n, 2, dim) real ``draws``, with
+        c = draws[:, 0] + 1j * draws[:, 1]."""
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
         # summed row by row, in the basis order, rather than by a matmul:
-        # the element is then bit-for-bit the sequential sum over the basis,
-        # and the projections sampled from it do not move
-        a = (coeffs[:, None] * self.basis_matrix).sum(axis=0).reshape(
-            self.ambient_dim, self.ambient_dim
+        # each element is then bit-for-bit the sequential sum over the
+        # basis, and the projections sampled from it do not move
+        a = (coeffs[:, :, None] * self.basis_matrix).sum(axis=1).reshape(
+            len(draws), self.ambient_dim, self.ambient_dim
         )
-        return (a + adjoint(a)) / 2.0
+        return (a + np.conj(np.swapaxes(a, 1, 2))) / 2.0
+
+    def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
+        return self.hermitian_elements(rng.standard_normal((1, 2, self.dim)))[0]
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
@@ -137,22 +147,23 @@ def commutant_of_matrices(mats: list[np.ndarray], dim: int) -> VonNeumannAlgebra
     for m in mats:
         if m.shape[0] != dim:
             raise ShapeMismatch(f"generator dim {m.shape[0]} != ambient {dim}")
+    kept = [(m, norm) for m in mats if (norm := frob_norm(m)) > 1e-300]
+    if not kept:
+        return _span_to_algebra(np.eye(dim * dim, dtype=np.complex128), dim)
+    # each generator, then its adjoint, unit-normalized so that genuine
+    # constraints have O(1) singular values
+    s = np.stack([m for m, _ in kept])
+    norms = np.array([norm for _, norm in kept])[:, None, None]
+    t = np.stack([s / norms, np.conj(np.swapaxes(s, 1, 2)) / norms], axis=1)
+    t = t.reshape(-1, dim, dim)
+    # vec(XT - TX) in row-major layout: entry ((i, k), (j, l)) of T's rows
+    # is eye[i, j] T[l, k] - T[i, j] eye[k, l], the products that
+    # kron(eye, T.T) - kron(T, eye) forms, taken for every T at once
     eye = np.eye(dim)
-    rows = []
-    for s in mats:
-        norm = frob_norm(s)
-        if norm <= 1e-300:
-            continue
-        for t in (s / norm, adjoint(s) / norm):
-            # vec(XT - TX) in row-major layout; unit-normalized so that
-            # genuine constraints have O(1) singular values
-            rows.append(np.kron(eye, t.T) - np.kron(t, eye))
-    if rows:
-        constraint = np.vstack(rows)
-        null = _null_space(constraint)
-    else:
-        null = np.eye(dim * dim, dtype=np.complex128)
-    return _span_to_algebra(null, dim)
+    eye_t = eye[None, :, None, :, None] * np.swapaxes(t, 1, 2)[:, None, :, None, :]
+    t_eye = t[:, :, None, :, None] * eye[None, None, :, None, :]
+    constraint = (eye_t - t_eye).reshape(-1, dim * dim)
+    return _span_to_algebra(_null_space(constraint), dim)
 
 
 def commutant(w: VonNeumannAlgebra) -> VonNeumannAlgebra:
@@ -217,28 +228,77 @@ def sample_projections(
 
     Always includes 0 and the identity; keeps sampling until the members span
     the algebra when a spanning set of projections exists (or a retry cap is
-    hit).  Deterministic for a fixed seed.
+    hit).  Deterministic for a fixed seed.  Attempts run a chunk at a time:
+    the n + 2 - len(members) that are certain to be made while the family
+    is short, then one at a time until the members span.
     """
     rng = np.random.default_rng(seed)
     d = w.ambient_dim
     members: list[np.ndarray] = [np.zeros((d, d), dtype=np.complex128)]
     if w.contains_identity:
         members.append(w.identity())
+    cap = 8 * (n + w.dim) + 64
     attempts = 0
-    while len(members) < n + 2 or not _spans(members, w):
-        attempts += 1
-        if attempts > 8 * (n + w.dim) + 64:
+    while True:
+        short = n + 2 - len(members)
+        spans = short <= 0 and _spans(members, w)
+        if spans or attempts == cap:
             break
-        h = w.random_hermitian_element(rng)
-        dec = eig_hermitian(h)
-        lo, hi = dec.values[0], dec.values[-1]
-        t = rng.uniform(lo, hi) if hi > lo else lo
-        p = dec.projections[dec.values >= t].sum(axis=0)
-        if is_projection(p):
-            members.append(p)
-    return ProjectionFamily(
-        algebra=w, members=tuple(members), spans_algebra=_spans(members, w)
-    )
+        size = min(max(short, 1), cap - attempts)
+        attempts += size
+        members += _sampled_members(w, rng, size)
+    if short > 0:
+        spans = _spans(members, w)
+    return ProjectionFamily(algebra=w, members=tuple(members), spans_algebra=spans)
+
+
+def _sampled_members(
+    w: VonNeumannAlgebra, rng: np.random.Generator, size: int
+) -> list[np.ndarray]:
+    """The projections kept from ``size`` attempts.
+
+    Each attempt draws a hermitian element h of w (two standard_normal(dim)
+    draws) and a uniform u, and proposes the sum of h's eigenprojections
+    whose (cluster-merged) eigenvalue is at least lo + (hi - lo) u, where lo
+    and hi are the least and the greatest; a proposal is kept when it is a
+    projection within TAU_PROJ.  Every attempt is drawn first, then the
+    chunk is decomposed by one stacked eigh.
+    """
+    draws = np.empty((size, 2, w.dim))
+    u = np.empty(size)
+    for i in range(size):
+        rng.standard_normal(out=draws[i])
+        u[i] = rng.random()
+    h = w.hermitian_elements(draws)
+    # eig_hermitian's input checks, over the whole chunk
+    if not np.all(np.isfinite(h)):
+        raise ShapeMismatch("matrix has non-finite entries")
+    herm = np.linalg.norm(h - np.conj(np.swapaxes(h, 1, 2)), axis=(1, 2))
+    if np.any(herm > TAU_HERM * (1.0 + np.linalg.norm(h, axis=(1, 2)))):
+        raise NonHermitianInput(f"hermiticity residual {herm.max():.3e}")
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigSolverFailure(str(exc)) from exc
+    # every rank-one eigenprojection v v* of the chunk, symmetrized as
+    # range_projection symmetrizes a cluster's projection
+    cols = np.swapaxes(vecs, 1, 2)
+    rank_one = cols[..., :, None] @ np.conj(cols[..., None, :])
+    rank_one = (rank_one + np.conj(np.swapaxes(rank_one, 2, 3))) / 2.0
+    proposals = []
+    for v, vec, ones, frac in zip(vals, vecs, rank_one, u):
+        bounds = clusters(v, DELTA_CLUSTER * (1.0 + max(abs(v[0]), abs(v[-1]))))
+        if len(bounds) == len(v):
+            means, projs = v, ones
+        else:
+            means = [float(np.mean(v[i:j])) for i, j in bounds]
+            projs = np.stack([ones[i] if j == i + 1 else
+                              range_projection(vec[:, i:j]) for i, j in bounds])
+        t = means[0] + (means[-1] - means[0]) * frac
+        # the clusters at or above t; none when round-off puts t above hi
+        proposals.append(projs[np.searchsorted(means, t):].sum(axis=0))
+    keep = is_projection(np.stack(proposals))
+    return [p for p, kept in zip(proposals, keep) if kept]
 
 
 def _spans(members: list[np.ndarray], w: VonNeumannAlgebra) -> bool:

@@ -69,9 +69,13 @@ def require_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> np.ndarray:
     return (a + adjoint(a)) / 2.0
 
 
-def is_projection(p: np.ndarray, tol: float = TAU_PROJ) -> bool:
-    p = require_square(p)
-    return frob_norm(p @ p - p) <= tol and frob_norm(p - adjoint(p)) <= tol
+def is_projection(stack: np.ndarray, tol: float = TAU_PROJ) -> np.ndarray:
+    """Whether each matrix of an (n, d, d) stack is a hermitian projection:
+    the Frobenius norms of P P - P and P - P* are both at most ``tol``."""
+    idempotence = np.linalg.norm(stack @ stack - stack, axis=(1, 2))
+    hermiticity = np.linalg.norm(stack - np.conj(np.swapaxes(stack, 1, 2)),
+                                 axis=(1, 2))
+    return (idempotence <= tol) & (hermiticity <= tol)
 
 
 def resolution_residual(stack: np.ndarray) -> float:
@@ -130,11 +134,16 @@ def eig_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> SpectralDecomposition
     scale = 1.0 + max(abs(vals[0]), abs(vals[-1]))
     values, projections = [], []
     for i, j in clusters(vals, DELTA_CLUSTER * scale):
-        block = vecs[:, i:j]
-        proj = block @ adjoint(block)
-        projections.append((proj + adjoint(proj)) / 2.0)
+        projections.append(range_projection(vecs[:, i:j]))
         values.append(float(np.mean(vals[i:j])))
     return SpectralDecomposition(np.array(values), np.stack(projections))
+
+
+def range_projection(block: np.ndarray) -> np.ndarray:
+    """The projection onto the span of the orthonormal columns of ``block``,
+    symmetrized to absorb round-off."""
+    proj = block @ adjoint(block)
+    return (proj + adjoint(proj)) / 2.0
 
 
 def clusters(vals: np.ndarray, gap: float) -> list[tuple[int, int]]:

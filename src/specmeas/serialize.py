@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
-from .errors import InvalidDocument, ShapeMismatch, SpaceMismatch
+from .errors import InvalidDocument, NotInSpan, ShapeMismatch, SpaceMismatch
 from .linalg import as_matrix, frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import NonNegSpectralMeasure
@@ -146,7 +146,7 @@ def nnsm_from_doc(doc: dict):
                   else np.zeros(shape)).reshape(len(labels), w1.dim, k, k)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
-    _require_orthonormal_basis(w1)
+    _require_unital_orthonormal_basis(w1)
     try:
         m = NonNegSpectralMeasure(space, w1, labels, images)
     except (SpaceMismatch, ShapeMismatch) as exc:
@@ -157,9 +157,10 @@ def nnsm_from_doc(doc: dict):
     return m, max(e_id.validate(), frob_norm(e_id.total - np.eye(k)))
 
 
-def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
+def _require_unital_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
     """Coordinates are inner products with the basis, so a W1 basis must be
-    trace-orthonormal: its Gram matrix must be the identity within TAU_ALG."""
+    trace-orthonormal: its Gram matrix must be the identity within TAU_ALG.
+    A von Neumann algebra is unital, so its span must hold the identity."""
     basis = w1.basis_matrix
     gap = frob_norm(basis.conj() @ basis.T - np.eye(w1.dim))
     if gap > TAU_ALG:
@@ -167,6 +168,10 @@ def _require_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
             f"W1 basis is not trace-orthonormal: its Gram matrix is "
             f"{gap:.3e} from the identity"
         )
+    try:
+        w1.coefficients(w1.identity())
+    except NotInSpan as exc:
+        raise InvalidDocument(f"W1 does not contain the identity: {exc}") from exc
 
 
 def generator_rule(doc: dict):

@@ -10,7 +10,7 @@ from specmeas.errors import (
     NotInSpan,
     NotNormal,
 )
-from specmeas.tolerances import TAU_EXT, TAU_RANK
+from specmeas.tolerances import TAU_ALG, TAU_EXT, TAU_PROJ, TAU_RANK
 
 
 def diag_algebra(n: int) -> algebra.VonNeumannAlgebra:
@@ -95,6 +95,75 @@ def test_stacked_coefficients_reject_one_matrix_off_the_span():
         w.coefficients(np.stack([inside, off, inside]))
     with pytest.raises(NotInSpan):
         w.coefficients(np.stack([inside, np.full((2, 2), np.nan)]))
+
+
+def _reference_sample(w, n, seed):
+    """The per-attempt sampler that sample_projections batches: per attempt
+    one element, one eig_hermitian and, unless the element has a single
+    eigenvalue cluster, one uniform threshold draw."""
+    rng = np.random.default_rng(seed)
+    d = w.ambient_dim
+
+    def spans(members):
+        fam = algebra.ProjectionFamily(algebra=w, members=tuple(members))
+        return fam.span_deficit() <= TAU_ALG
+
+    members = [np.zeros((d, d), dtype=complex)]
+    if w.contains_identity:
+        members.append(w.identity())
+    attempts = 0
+    while len(members) < n + 2 or not spans(members):
+        attempts += 1
+        if attempts > 8 * (n + w.dim) + 64:
+            break
+        coeffs = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
+        a = (coeffs[:, None] * w.basis_matrix).sum(axis=0).reshape(d, d)
+        dec = linalg.eig_hermitian((a + linalg.adjoint(a)) / 2.0)
+        lo, hi = dec.values[0], dec.values[-1]
+        t = rng.uniform(lo, hi) if hi > lo else lo
+        p = dec.projections[dec.values >= t].sum(axis=0)
+        if (linalg.frob_norm(p @ p - p) <= TAU_PROJ
+                and linalg.frob_norm(p - linalg.adjoint(p)) <= TAU_PROJ):
+            members.append(p)
+    return members, spans(members)
+
+
+def _sampled_algebras():
+    """(algebra, n): every (ambient_dim, dim) that kinds B (n = 10) and D
+    (n = 6) reach at the default caps, a maximal abelian algebra or the full
+    matrix algebra on C^h; then M_3 with n + 2 < dim, and two algebras whose
+    elements have a repeated eigenvalue: the scalars on C^2 (one cluster)
+    and {U diag(a, a, b) U*} (a two-vector and a one-vector cluster)."""
+    for h in range(1, 5):
+        rng = np.random.default_rng(h)
+        yield algebra.bicommutant([linalg.random_hermitian(rng, h)], h), 10
+        if h > 1:
+            gens = [linalg.random_hermitian(rng, h) for _ in range(2)]
+            full = algebra.bicommutant(gens, h)
+            yield full, 10
+            if h < 4:
+                yield full, 6
+    rng = np.random.default_rng(5)
+    yield algebra.bicommutant([linalg.random_hermitian(rng, 3) for _ in range(2)], 3), 1
+    yield algebra.bicommutant([np.eye(2)], 2), 10
+    u = linalg.random_unitary(rng, 3)
+    yield algebra.bicommutant([u @ np.diag([1.0, 1.0, 2.0]) @ linalg.adjoint(u)], 3), 10
+
+
+def test_sample_projections_matches_the_per_attempt_loop():
+    shapes = set()
+    for w, n in _sampled_algebras():
+        shapes.add((w.ambient_dim, w.dim, n))
+        for seed in range(4):
+            fam = algebra.sample_projections(w, n=n, seed=seed)
+            members, spans = _reference_sample(w, n, seed)
+            assert fam.spans_algebra == spans
+            assert len(fam.members) == len(members)
+            for got, want in zip(fam.members, members):
+                assert got.tobytes() == want.tobytes()
+    assert shapes == {(1, 1, 10), (2, 2, 10), (2, 4, 10), (2, 4, 6), (3, 3, 10),
+                      (3, 9, 10), (3, 9, 6), (3, 9, 1), (4, 4, 10), (4, 16, 10),
+                      (2, 1, 10), (3, 2, 10)}
 
 
 def test_sample_projections_spans():
@@ -326,6 +395,52 @@ def test_commutant_dimension_identity(seed, n):
     closure += [a @ b for a in w.basis for b in w.basis]
     closure.append(np.eye(n))
     assert max(w.membership_residual(m) for m in closure) <= 1e-8
+
+
+def _kron_constraint(mats, dim):
+    """The constraint rows vec(XT - TX) built with two np.kron per
+    normalized generator and adjoint."""
+    eye = np.eye(dim)
+    rows = []
+    for s in mats:
+        norm = linalg.frob_norm(s)
+        if norm <= 1e-300:
+            continue
+        for t in (s / norm, linalg.adjoint(s) / norm):
+            rows.append(np.kron(eye, t.T) - np.kron(t, eye))
+    return np.vstack(rows)
+
+
+def test_commutant_constraint_is_the_kron_formula(monkeypatch):
+    rng = np.random.default_rng(17)
+    e12 = np.zeros((3, 3), dtype=complex)
+    e12[0, 1] = 1.0
+    cases = [
+        # a zero generator beside two that are kept
+        ([linalg.random_hermitian(rng, 3), np.zeros((3, 3)),
+          linalg.random_hermitian(rng, 3)], 3),
+        # non-hermitian generators: a matrix unit and a random complex one
+        ([e12, linalg.random_complex(rng, 3, 3)], 3),
+        ([np.array([[2.0 - 1.5j]])], 1),
+        ([linalg.random_complex(rng, 4, 4)], 4),
+    ]
+    for h in range(1, 5):
+        # the second commutant of a bicommutant, on its orthonormal basis
+        w = algebra.bicommutant([linalg.random_hermitian(rng, h)
+                                 for _ in range(2)], h)
+        cases.append((list(w.basis), h))
+    seen = []
+    null_space = algebra._null_space
+    monkeypatch.setattr(algebra, "_null_space",
+                        lambda a: seen.append(a) or null_space(a))
+    for mats, dim in cases:
+        seen.clear()
+        algebra.commutant_of_matrices(mats, dim)
+        want = _kron_constraint(mats, dim)
+        assert seen[0].shape == want.shape
+        assert seen[0].tobytes() == want.tobytes()
+    # only zero generators: no constraint, the full matrix algebra
+    assert algebra.commutant_of_matrices([np.zeros((2, 2))], 2).dim == 4
 
 
 def test_decompose_over_family_rejects_non_finite_stack():

@@ -272,6 +272,28 @@ def test_check_measure_rejects_non_orthonormal_w1_basis(capsys, tmp_path):
     assert "document[InvalidDocument]" in err
 
 
+def test_check_measure_rejects_a_w1_without_the_identity(tmp_path):
+    # one trace-orthonormal basis element (E12 + E21)/sqrt(2): the basis
+    # passes the Gram test, but a von Neumann algebra holds the identity
+    r = 0.5**0.5
+    doc = {"space": {"kind": "finite", "labels": [0]},
+           "w1": {"ambient_dim": 2, "basis": [serialize.matrix_to_doc(
+               np.array([[0.0, r], [r, 0.0]]))]},
+           "target_dim": 1,
+           "atom_maps": [[0, [serialize.matrix_to_doc(np.eye(1))]]]}
+    with pytest.raises(InvalidDocument, match="W1 does not contain the identity"):
+        serialize.nnsm_from_doc(doc)
+    path = tmp_path / "no-identity.json"
+    serialize.dump(doc, path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specmeas.cli", "check-measure", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "document[InvalidDocument]" in proc.stderr
+
+
 @pytest.mark.parametrize("mutation", ["label", "stack-length", "target-dim"])
 def test_check_measure_rejects_bad_atom_maps_no_traceback(tmp_path, mutation):
     # an atom outside the space, or an image stack that does not map each

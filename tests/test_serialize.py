@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specmeas import cli, harness, linalg, measure, serialize
@@ -200,11 +200,21 @@ def _mutate(doc, mutation, pick, value):
         atoms.append(json.loads(json.dumps(atoms[pick % len(atoms)])))
     elif mutation == "outside-label":
         atoms[pick % len(atoms)][0] = -1
+    elif mutation == "no-identity":
+        # W1 becomes the span of one trace-orthonormal element that is not
+        # a multiple of the identity, (E12 + E21)/sqrt(2), and each atom
+        # keeps its first image
+        d = doc["w1"]["ambient_dim"]
+        b = np.zeros((d, d))
+        b[0, 1] = b[1, 0] = 0.5**0.5
+        doc["w1"]["basis"] = [serialize.matrix_to_doc(b)]
+        for atom in atoms:
+            atom[1] = atom[1][:1]
     return doc
 
 
 MUTATIONS = ("none", "drop-key", "number", "rows", "cols", "truncate",
-             "repeat-label", "outside-label", "top-level")
+             "repeat-label", "outside-label", "top-level", "no-identity")
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,13 +223,16 @@ MUTATIONS = ("none", "drop-key", "number", "rows", "cols", "truncate",
        value=st.sampled_from(("1.5", None, [1.0], 10**400, float("nan"), 0.5)))
 @example(base="measure", mutation="number", pick=0, value=10**400)
 @example(base="nnsm", mutation="number", pick=0, value=10**400)
+@example(base="nnsm", mutation="no-identity", pick=0, value=None)
 @example(base="measure", mutation="top-level", pick=0, value=None)
 @example(base="measure", mutation="top-level", pick=1, value=None)
 @example(base="measure", mutation="top-level", pick=2, value=None)
 @example(base="measure", mutation="top-level", pick=3, value=None)
 def test_check_measure_survives_document_mutations(base, mutation, pick, value):
     # pick 0 of "number" is the document's last matrix entry; an unmutated
-    # document passes; picks 0-3 of "top-level" are 5, null, [1, 2], "abc"
+    # document passes; picks 0-3 of "top-level" are 5, null, [1, 2], "abc";
+    # only an NNSM document has a W1 to take the identity from
+    assume(base == "nnsm" or mutation != "no-identity")
     doc = _mutate(json.loads(_base_document(base)), mutation, pick, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
@@ -228,7 +241,7 @@ def test_check_measure_survives_document_mutations(base, mutation, pick, value):
         checks = harness.check_measure_file(path).checks
     if mutation == "none":
         assert code == 0
-    elif mutation == "top-level":
+    elif mutation in ("top-level", "no-identity"):
         assert code == 1
         assert [c.name for c in checks] == ["document[InvalidDocument]"]
     else:
