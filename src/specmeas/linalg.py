@@ -5,7 +5,8 @@ supply the substrate for everything else: hermitian eigendecomposition with
 cluster merging, and the positive/negative and real/imaginary splittings.
 A resolution is stored as one (n, d, d) stack of projections beside the
 array of its values; ``resolution_residual`` checks any such stack in one
-batch.
+batch.  The norms and ``resolution_residual`` also take a stack of inputs
+with leading axes and return one value per leading index.
 """
 
 from __future__ import annotations
@@ -41,13 +42,22 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(a.T)
 
 
-def frob_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), "fro"))
+def frob_norm(a):
+    """Frobenius norm of a matrix, or the array of the norms of each matrix
+    of an (..., d, d) stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim > 2:
+        return np.linalg.norm(a, axis=(-2, -1))
+    return float(np.linalg.norm(a, "fro"))
 
 
-def op_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
+def op_norm(a):
+    """Largest singular value of a matrix, or the array of those of each
+    matrix of an (..., d, d) stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim > 2:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    return float(np.linalg.norm(a, 2))
 
 
 def hermiticity_residual(a: np.ndarray) -> float:
@@ -78,17 +88,24 @@ def is_projection(stack: np.ndarray, tol: float = TAU_PROJ) -> np.ndarray:
     return (idempotence <= tol) & (hermiticity <= tol)
 
 
-def resolution_residual(stack: np.ndarray) -> float:
+def resolution_residual(stack: np.ndarray):
     """Worst idempotence, hermiticity or pairwise-orthogonality residual of
     an (n, d, d) projection stack: the norms of P_i P_i - P_i, P_i - P_i* and
-    P_i P_j (i > j) are taken in one call; an empty stack gives 0."""
-    later, earlier = np.nonzero(np.tri(len(stack), k=-1, dtype=bool))
-    residuals = np.concatenate([
-        stack @ stack - stack,
-        stack - np.conj(np.swapaxes(stack, 1, 2)),
-        stack[later] @ stack[earlier],
-    ])
-    return float(np.linalg.norm(residuals, axis=(1, 2)).max(initial=0.0))
+    P_i P_j (i > j) are taken in one call; an empty stack gives 0.  An
+    (..., n, d, d) stack gives the array of the worst residual of each
+    (n, d, d) stack in it."""
+    def worst(residuals):
+        return np.linalg.norm(residuals, axis=(-2, -1)).max(axis=-1, initial=0.0)
+
+    later, earlier = np.nonzero(np.tri(stack.shape[-3], k=-1, dtype=bool))
+    # each kind of residual is reduced before the next is formed, so a
+    # stack of stacks holds the temporaries of one kind at a time
+    out = np.max([
+        worst(stack @ stack - stack),
+        worst(stack - np.conj(np.swapaxes(stack, -1, -2))),
+        worst(stack[..., later, :, :] @ stack[..., earlier, :, :]),
+    ], axis=0)
+    return float(out) if stack.ndim == 3 else out
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, SpaceMismatch
-from .linalg import adjoint, frob_norm, resolution_residual
-from .tolerances import TAU_PROJ
+from .linalg import frob_norm, resolution_residual
 
 
 @dataclass(frozen=True)
@@ -119,6 +118,22 @@ def labelled_stack(space: DiscreteSpace, labels, stack, frame: tuple):
     return labels, stack
 
 
+def stack_total(atoms: np.ndarray, total=None) -> np.ndarray:
+    """E(X) beside an atom stack whose atoms run along axis -3: by default
+    the sum of the atoms.  An explicit ``total`` follows the stack's format
+    rule: the stack's shape without that axis and finite entries, or
+    ShapeMismatch."""
+    if total is None:
+        return atoms.sum(axis=-3)
+    total = np.asarray(total, dtype=np.complex128)
+    want = atoms.shape[:-3] + atoms.shape[-2:]
+    if total.shape != want:
+        raise ShapeMismatch(f"expected a total of shape {want}, got {total.shape}")
+    if not np.all(np.isfinite(total)):
+        raise ShapeMismatch("total has non-finite entries")
+    return total
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Projection-valued measure on a discrete space.
@@ -140,18 +155,26 @@ class SpectralMeasure:
             self.space, self.labels, self.atoms, (len(self.labels),))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atoms", atoms)
-        if self.total is None:
-            object.__setattr__(self, "total", atoms.sum(axis=0))
+        object.__setattr__(self, "total", stack_total(atoms, self.total))
 
     def validate(self) -> float:
         """Worst invariant residual: projections, orthogonality, total."""
-        worst = max(resolution_residual(self.atoms),
-                    frob_norm(self.total @ self.total - self.total))
-        gap = self.total - self.atoms.sum(axis=0)
-        if self.space.is_finite:
-            return max(worst, frob_norm(gap))
-        # partial sums monotone and dominated by the total
-        return max(worst, -float(np.linalg.eigvalsh((gap + adjoint(gap)) / 2.0)[0]))
+        return float(measure_residual(self.space, self.atoms, self.total))
+
+
+def measure_residual(space: DiscreteSpace, atoms: np.ndarray, total: np.ndarray):
+    """Worst invariant residual of the measure with atoms ``atoms`` (on axis
+    -3) and total ``total``: the atoms' resolution residual, the total's
+    idempotence, and the gap between the total and the atoms' sum (a
+    countable space's partial sums need only be dominated by the total).
+    Leading axes batch measures, with one residual per leading index."""
+    worst = np.maximum(resolution_residual(atoms),
+                       frob_norm(total @ total - total))
+    gap = total - atoms.sum(axis=-3)
+    if space.is_finite:
+        return np.maximum(worst, frob_norm(gap))
+    herm = (gap + np.conj(np.swapaxes(gap, -1, -2))) / 2.0
+    return np.maximum(worst, -np.linalg.eigvalsh(herm)[..., 0])
 
 
 def evaluate(e: SpectralMeasure, delta: BorelSet) -> np.ndarray:
@@ -171,8 +194,3 @@ def evaluate_atoms(labels, atoms, total, delta: BorelSet) -> np.ndarray:
     mask = np.array([x in delta.members for x in labels], dtype=bool)
     inside = atoms[..., mask, :, :].sum(axis=-3)
     return total - inside if delta.cofinite else inside
-
-
-def support(e: SpectralMeasure, tol: float = TAU_PROJ) -> BorelSet:
-    norms = np.linalg.norm(e.atoms, axis=(1, 2))
-    return borel(e.space, [x for x, n in zip(e.labels, norms) if n > tol])

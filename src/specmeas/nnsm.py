@@ -29,7 +29,8 @@ from .errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
                      ShapeMismatch, SpaceMismatch)
 from .linalg import adjoint, frob_norm, require_square, star_decompose
 from .measure import (BorelSet, DiscreteSpace, SpectralMeasure, borel,
-                      evaluate, evaluate_atoms, labelled_stack)
+                      evaluate, evaluate_atoms, labelled_stack,
+                      measure_residual, stack_total)
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -146,13 +147,18 @@ class FamilyMeasures:
             (len(self.family.members), len(self.labels)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atoms", atoms)
-        if self.totals is None:
-            object.__setattr__(self, "totals", atoms.sum(axis=1))
+        object.__setattr__(self, "totals", stack_total(atoms, self.totals))
 
     def measure(self, i: int) -> SpectralMeasure:
         """E_{P_i} as a SpectralMeasure."""
         return SpectralMeasure(self.space, self.labels, self.atoms[i],
                                total=self.totals[i])
+
+    def validate(self) -> np.ndarray:
+        """Worst invariant residual of each member's E_P, as an
+        (n_members,) array, by SpectralMeasure.validate's rule over the
+        whole stack at once."""
+        return measure_residual(self.space, self.atoms, self.totals)
 
     def values_at(self, delta: BorelSet) -> np.ndarray:
         """E_P(Delta) for every member P, as an (n_members, k, k) stack."""
@@ -191,6 +197,13 @@ def check_entry(name, residual, tol, flags=()) -> CheckEntry:
         name=name, residual=float(residual), tol=float(tol),
         passed=bool(residual <= tol), flags=tuple(flags),
     )
+
+
+def family_entries(names, residuals, tols) -> list[CheckEntry]:
+    """One check per name from a family's residual and tol arrays, in
+    order."""
+    return [check_entry(name, r, t)
+            for name, r, t in zip(names, residuals, tols, strict=True)]
 
 
 @dataclass(frozen=True)
@@ -254,20 +267,17 @@ def check_nnsm(
     if family.algebra.ambient_dim != m.w1.ambient_dim:
         raise AlgebraMismatch("family lives in a different algebra")
     rng = np.random.default_rng(seed)
-    entries = []
-    for i, p in enumerate(family.members):
-        e_p = m.measure_for(p)
-        entries.append(check_entry(
-            f"spectral-measure[P{i}]", e_p.validate(),
-            TAU_RECON * (1.0 + frob_norm(e_p.total)),
-        ))
+    fam = family_measures(m, family)
+    entries = family_entries(
+        [f"spectral-measure[P{i}]" for i in range(len(family.members))],
+        fam.validate(), TAU_RECON * (1.0 + frob_norm(fam.totals)))
     sets = random_sets(m.space, rng, 2 * set_pairs)
     for t in range(set_pairs):
         i = int(rng.integers(len(family.members)))
         j = int(rng.integers(len(family.members)))
         p, q = family.members[i], family.members[j]
         d1, d2 = sets[2 * t], sets[2 * t + 1]
-        lhs = evaluate(m.measure_for(p), d1) @ evaluate(m.measure_for(q), d2)
+        lhs = fam.values_at(d1)[i] @ fam.values_at(d2)[j]
         rhs = m.m_a(p @ q, d1.intersect(d2))
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
         entries.append(check_entry(

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
-from specmeas.errors import CapExceeded
-from specmeas.tolerances import TAU_EXT
+from specmeas.errors import CapExceeded, SpecmeasError
+from specmeas.tolerances import TAU_EXT, TAU_PROJ, TAU_RECON
 
 
 def test_caps_enforced():
@@ -368,3 +370,189 @@ def test_condition1_matches_two_pass_reference():
             assert abs(c.residual - resid) <= 1e-12 * scale
             assert c.tol == pytest.approx(TAU_EXT * scale, rel=1e-12)
         assert rep.passed == passes
+
+
+def _random_terms_reference(rng, m, count):
+    """``count`` (value row, W1 element) pairs drawn one scalar at a time:
+    per pair the row's real and imaginary parts point by point, then one
+    random_hermitian_element call."""
+    pairs = []
+    for _ in range(count):
+        row = np.array([complex(rng.standard_normal(), rng.standard_normal())
+                        for _ in m.space.points()])
+        pairs.append((row, m.w1.random_hermitian_element(rng)))
+    return pairs
+
+
+def _random_field_reference(rng, m):
+    count = int(rng.integers(1, 4))
+    return nnsm.OperatorField(terms=tuple(_random_terms_reference(rng, m, count)))
+
+
+def test_batched_field_draws_equal_the_scalar_draw_loop():
+    caps = harness.Caps()
+    gen = np.random.default_rng(17)
+    for h in range(1, caps.h_dim + 1):
+        for full in {False, h > 1}:
+            gens = [linalg.random_hermitian(gen, h) for _ in range(1 + full)]
+            w1 = algebra.bicommutant(gens, h)
+            for n_atoms in range(1, min(caps.space, caps.k_dim // h) + 1):
+                m = SimpleNamespace(
+                    space=measure.DiscreteSpace(labels=tuple(range(n_atoms))),
+                    w1=w1)
+                seed = int(gen.integers(2**32))
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(20):
+                    got = harness._random_field(rng, m).terms
+                    want = _random_field_reference(ref, m).terms
+                    assert len(got) == len(want)
+                    for (v, a), (w, b) in zip(got, want):
+                        assert np.array_equal(v, w) and np.array_equal(a, b)
+                rows, elements = harness._random_terms(rng, m, 5)
+                want = _random_terms_reference(ref, m, 5)
+                assert np.array_equal(rows, [w for w, _ in want])
+                assert np.array_equal(elements, [b for _, b in want])
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _verify_b_reference(scenario):
+    """verify_theorem_b's checks with one norm call per check and one
+    validated SpectralMeasure per family member, fields drawn one scalar at
+    a time."""
+    oracle = scenario.payload["oracle"]
+    whole = measure.whole_space(oracle.space)
+    frob, op = linalg.frob_norm, linalg.op_norm
+
+    def rho(fields):
+        return nnsm.integrate(oracle, fields, whole)
+
+    def support(e):
+        return {x for x, a in zip(e.labels, e.atoms) if frob(a) > TAU_PROJ}
+
+    checks = []
+    rng = np.random.default_rng(scenario.seed + 2)
+    fm = harness._derive_family_measures(rho, oracle, seed=scenario.seed + 3)
+    measures = [fm.measure(i) for i in range(len(fm.family.members))]
+    for i, e_p in enumerate(measures):
+        checks.append(nnsm.check_entry(
+            f"compression[P{i}]", e_p.validate(),
+            TAU_RECON * (1.0 + frob(e_p.total))))
+    id_idx = harness._family_index(fm.family, oracle.w1.identity())
+    supp_id = support(measures[id_idx])
+    for i, e_p in enumerate(measures):
+        checks.append(harness._bool_entry(
+            f"support-containment[P{i}]", support(e_p) <= supp_id))
+    try:
+        rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
+    except SpecmeasError as exc:
+        checks.append(harness._bool_entry(f"assemble[{type(exc).__name__}]", False))
+        return checks
+    for x, want, got in zip(oracle.labels, oracle.images, rebuilt.images):
+        checks.append(nnsm.check_entry(
+            f"reconstruction[{x}]", max(frob(g - w) for g, w in zip(got, want)),
+            TAU_EXT * (1.0 + frob(want[0]))))
+    checks.append(nnsm.check_entry(
+        "normalization",
+        frob(rebuilt.total_of_identity() - np.eye(rebuilt.target_dim)),
+        TAU_RECON * (1.0 + rebuilt.target_dim)))
+    fields = [_random_field_reference(rng, oracle) for _ in range(20)]
+    for t, (lhs, rhs) in enumerate(zip(rho(fields),
+                                       nnsm.integrate(rebuilt, fields, whole))):
+        checks.append(nnsm.check_entry(
+            f"represent[F{t}]", frob(lhs - rhs), TAU_RECON * (1.0 + frob(lhs))))
+    pairs = _random_terms_reference(rng, oracle, 5)
+    rho_b = rho([nnsm.OperatorField(terms=((b, c),))
+                 for b, a in pairs for c in (a, oracle.w1.identity())])
+    for t, (_, a) in enumerate(pairs):
+        bound = op(rho_b[2 * t + 1]) * op(a)
+        checks.append(nnsm.check_entry(
+            f"rho_b-bound[{t}]", max(0.0, op(rho_b[2 * t]) - bound),
+            TAU_RECON * (1.0 + bound)))
+    return checks
+
+
+def _b_reference_scenarios():
+    for seed in [*range(40), *range(300000, 300020)]:
+        yield harness.gen_scenario("B", seed)
+    for fault in ("non-idempotent-projection", "denormalized-m"):
+        for seed in range(6):
+            yield harness.inject_fault(harness.gen_scenario("B", seed), fault)
+
+
+def test_batched_verify_b_matches_per_check_reference():
+    faulted = 0
+    for sc in _b_reference_scenarios():
+        got = harness.verify_theorem_b(sc).checks
+        want = _verify_b_reference(sc)
+        assert [c.name for c in got] == [c.name for c in want], sc.scenario_id
+        assert [c.passed for c in got] == [c.passed for c in want], sc.scenario_id
+        for c, r in zip(got, want):
+            for value, ref in ((c.residual, r.residual), (c.tol, r.tol)):
+                assert abs(value - ref) <= 1e-15 * max(abs(value), abs(ref)), (
+                    sc.scenario_id, c.name)
+        faulted += sc.fault is not None and not all(c.passed for c in got)
+    assert faulted == 12
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):
+    sc = harness.gen_scenario("B", 5)
+    n_atoms = len(sc.space.points())
+    report = harness.verify_theorem_b(sc)
+    assert n_atoms >= 2 and not _failed(report)
+    n_members = sum(c.name.startswith("compression[") for c in report.checks)
+    derive, assemble = harness._derive_family_measures, harness.assemble_from_family
+    clean = {}
+
+    def derive_bumped(rho, oracle, seed):
+        # one member's atom off by 1e-3 id (the first member is the zero
+        # projection); the clean compressions are still what M is
+        # assembled from
+        fm = clean["fm"] = derive(rho, oracle, seed)
+        atoms = fm.atoms.copy()
+        atoms[bump["i"], bump["x"]] += 1e-3 * np.eye(oracle.target_dim)
+        return nnsm.FamilyMeasures(fm.family, fm.space, fm.labels, atoms)
+
+    monkeypatch.setattr(harness, "_derive_family_measures", derive_bumped)
+    monkeypatch.setattr(harness, "assemble_from_family",
+                        lambda fm, w1: assemble(clean["fm"], w1))
+    for i in range(n_members):
+        bump = {"i": i, "x": i % n_atoms}
+        assert _failed(harness.verify_theorem_b(sc)) == {f"compression[P{i}]"}
+    monkeypatch.undo()
+
+    # one rebuilt atom map off: the rows that integrate the rebuilt measure
+    # (normalization, represent) see it too, but no other atom's
+    # reconstruction row, nor any row computed before assembly
+    for x in range(n_atoms):
+        def assemble_bumped(fm, w1, x=x):
+            m = assemble(fm, w1)
+            images = m.images.copy()
+            images[x] *= 1.0 + 1e-3
+            return nnsm.NonNegSpectralMeasure(m.space, m.w1, m.labels, images)
+
+        monkeypatch.setattr(harness, "assemble_from_family", assemble_bumped)
+        failed = _failed(harness.verify_theorem_b(sc))
+        assert {f for f in failed if not f.startswith(
+            ("normalization", "represent["))} == {f"reconstruction[{x}]"}
+    monkeypatch.undo()
+
+    # one field's integral against the rebuilt measure off: the third
+    # integrate call is the rebuilt side of represent[F*]
+    integrate = harness.integrate
+    for t in (0, 7, 19):
+        calls = []
+
+        def integrate_bumped(m, fields, delta, t=t):
+            out = integrate(m, fields, delta)
+            calls.append(len(fields))
+            if len(calls) == 3:
+                out = out.copy()
+                out[t] += 1e-3 * np.eye(m.target_dim)
+            return out
+
+        monkeypatch.setattr(harness, "integrate", integrate_bumped)
+        assert _failed(harness.verify_theorem_b(sc)) == {f"represent[F{t}]"}

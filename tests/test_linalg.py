@@ -110,3 +110,39 @@ def test_tolerances_are_scale_aware(seed):
     for s in (1.0, 1e6):
         dec = linalg.eig_hermitian(s * a)
         assert dec.validate(source=s * a) <= 1e-8
+
+
+def test_stacked_norms_equal_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    stack = (rng.standard_normal((3, 4, 5, 5))
+             + 1j * rng.standard_normal((3, 4, 5, 5)))
+    frob, op = linalg.frob_norm(stack), linalg.op_norm(stack)
+    assert frob.shape == op.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        want = linalg.frob_norm(stack[idx])
+        assert abs(frob[idx] - want) <= 1e-15 * want
+        # one LAPACK call per matrix either way: bit for bit
+        assert op[idx] == linalg.op_norm(stack[idx])
+    assert isinstance(linalg.frob_norm(stack[0, 0]), float)
+    assert isinstance(linalg.op_norm(stack[0, 0]), float)
+
+
+def test_stacked_resolution_residual_equals_per_stack_calls():
+    rng = np.random.default_rng(6)
+    dec = linalg.eig_hermitian(linalg.random_hermitian(rng, 4))
+    projs = dec.projections
+    tilted = projs.copy()
+    tilted[-1] = 1.01 * tilted[-1]
+    overlapping = projs.copy()
+    overlapping[0] = overlapping[0] + overlapping[1]
+    stacks = np.stack([projs, tilted, overlapping])
+    got = linalg.resolution_residual(stacks)
+    assert got.shape == (3,)
+    for value, stack in zip(got, stacks):
+        want = linalg.resolution_residual(stack)
+        assert abs(value - want) <= 1e-15 * (1.0 + want)
+    assert got[0] <= 1e-12 < got[1] < got[2]
+    # an empty resolution in every stack gives 0 each
+    assert np.array_equal(
+        linalg.resolution_residual(np.zeros((2, 0, 3, 3), dtype=complex)),
+        np.zeros(2))

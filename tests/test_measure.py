@@ -158,9 +158,18 @@ def test_countable_total_dominates():
     assert e.validate() <= 1e-12
 
 
-def test_support():
-    space, e = two_point_measure()
-    assert measure.support(e).members == frozenset({"a", "b"})
+def test_explicit_total_follows_the_format_rule():
+    space = measure.DiscreteSpace(labels=(0, 1))
+    atoms = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    nan_total = np.eye(2, dtype=complex)
+    nan_total[0, 0] = np.nan
+    with pytest.raises(ShapeMismatch, match="non-finite"):
+        measure.SpectralMeasure(space, (0, 1), atoms, total=nan_total)
+    with pytest.raises(ShapeMismatch, match="shape"):
+        measure.SpectralMeasure(space, (0, 1), atoms,
+                                total=np.eye(3, dtype=complex))
+    e = measure.SpectralMeasure(space, (0, 1), atoms, total=np.eye(2))
+    assert e.total.dtype == np.complex128 and e.validate() == 0.0
 
 
 @settings(max_examples=50, deadline=None)

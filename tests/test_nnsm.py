@@ -460,3 +460,33 @@ def test_integrate_rejects_rows_of_the_wrong_length():
     unit[m.space.points().index(3)] = 1.0
     only_3 = nnsm.OperatorField(terms=((unit, m.w1.identity()),))
     assert not nnsm.integrate(m, only_3, whole).any()
+
+
+@pytest.mark.parametrize("countable", [False, True])
+def test_family_validate_matches_per_member_measures(countable):
+    m, _, _ = tensor_model(seed=3, n_atoms=4)
+    fm = nnsm.family_measures(m, family_for(m, seed=2))
+    atoms = fm.atoms.copy()
+    atoms[2, 1] = 1.001 * atoms[2, 1]
+    atoms[4, 3] = atoms[4, 3] + atoms[4, 0]
+    space = measure.DiscreteSpace(horizon=10) if countable else m.space
+    for stack, bad in ((fm.atoms, set()), (atoms, {2, 4})):
+        totals = fm.totals if countable else None
+        fam_measures = nnsm.FamilyMeasures(fm.family, space, fm.labels, stack,
+                                           totals)
+        got = fam_measures.validate()
+        assert got.shape == (len(fm.family.members),)
+        for i, value in enumerate(got):
+            want = fam_measures.measure(i).validate()
+            assert abs(value - want) <= 1e-15 * (1.0 + want)
+        assert {i for i, v in enumerate(got) if v > 1e-6} == bad
+
+
+def test_family_totals_follow_the_format_rule():
+    m, _, _ = tensor_model(seed=3)
+    fm = nnsm.family_measures(m, family_for(m))
+    nan_totals = fm.totals.copy()
+    nan_totals[1, 0, 0] = np.nan
+    for totals in (nan_totals, fm.totals[:-1], fm.totals[:, :-1, :-1]):
+        with pytest.raises(ShapeMismatch):
+            nnsm.FamilyMeasures(fm.family, fm.space, fm.labels, fm.atoms, totals)
