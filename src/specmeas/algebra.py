@@ -1,7 +1,8 @@
 """Finite-dimensional von Neumann algebras as concrete matrix *-subalgebras.
 
-Provides bicommutant closure, projection enumeration/sampling, linear
-extension from projection families, limiting sequences of hermitian
+Provides the generated algebra {gens}'' (grown as the span of words in the
+generators and their adjoints), projection sampling, linear extension from
+projection families (one SVD per family), limiting sequences of hermitian
 operators, and joint diagonalization of commuting normal matrices.  Both
 resolutions are projection stacks: a limiting sequence is its operator's
 eigen-resolution plus a tag grid over ell, and a joint diagonalization is a
@@ -52,19 +53,6 @@ def _vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _null_space(a: np.ndarray, cutoff: float = TAU_RANK) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of a.
-
-    The cutoff is absolute; callers normalize their constraint rows so that
-    genuine constraints have singular values of order one while round-off
-    noise stays many orders below the cutoff.  ``a`` must have at least as
-    many rows as columns, or the thin SVD misses part of the null space.
-    """
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > cutoff))
-    return adjoint(vh)[:, rank:]
-
-
 @dataclass(frozen=True)
 class VonNeumannAlgebra:
     """*-closed unital matrix algebra with a trace-orthonormal basis.
@@ -74,19 +62,17 @@ class VonNeumannAlgebra:
     """
 
     ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     contains_identity: bool = True
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
+    @property
     def basis_matrix(self) -> np.ndarray:
         """(dim, d^2) matrix whose rows are the vectorized basis elements."""
-        return np.array([_vec(b) for b in self.basis], dtype=np.complex128).reshape(
-            self.dim, self.ambient_dim**2
-        )
+        return self.basis.reshape(self.dim, self.ambient_dim**2)
 
     def _project(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of the rows of ``flat`` and their distances to the span."""
@@ -135,45 +121,35 @@ class VonNeumannAlgebra:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
 
-def _span_to_algebra(vecs: np.ndarray, dim: int) -> VonNeumannAlgebra:
-    """Build an algebra from an orthonormal set of vectorized matrices."""
-    basis = tuple(vecs[:, j].reshape(dim, dim) for j in range(vecs.shape[1]))
-    return VonNeumannAlgebra(ambient_dim=dim, basis=basis)
-
-
-def commutant_of_matrices(mats: list[np.ndarray], dim: int) -> VonNeumannAlgebra:
-    """Commutant {X : XS = SX for all S in mats and their adjoints}."""
-    mats = [require_square(m) for m in mats]
-    for m in mats:
-        if m.shape[0] != dim:
-            raise ShapeMismatch(f"generator dim {m.shape[0]} != ambient {dim}")
-    kept = [(m, norm) for m in mats if (norm := frob_norm(m)) > 1e-300]
-    if not kept:
-        return _span_to_algebra(np.eye(dim * dim, dtype=np.complex128), dim)
-    # each generator, then its adjoint, unit-normalized so that genuine
-    # constraints have O(1) singular values
-    s = np.stack([m for m, _ in kept])
-    norms = np.array([norm for _, norm in kept])[:, None, None]
-    t = np.stack([s / norms, np.conj(np.swapaxes(s, 1, 2)) / norms], axis=1)
-    t = t.reshape(-1, dim, dim)
-    # vec(XT - TX) in row-major layout: entry ((i, k), (j, l)) of T's rows
-    # is eye[i, j] T[l, k] - T[i, j] eye[k, l], the products that
-    # kron(eye, T.T) - kron(T, eye) forms, taken for every T at once
-    eye = np.eye(dim)
-    eye_t = eye[None, :, None, :, None] * np.swapaxes(t, 1, 2)[:, None, :, None, :]
-    t_eye = t[:, :, None, :, None] * eye[None, None, :, None, :]
-    constraint = (eye_t - t_eye).reshape(-1, dim * dim)
-    return _span_to_algebra(_null_space(constraint), dim)
-
-
-def commutant(w: VonNeumannAlgebra) -> VonNeumannAlgebra:
-    return commutant_of_matrices(list(w.basis), w.ambient_dim)
-
-
 def bicommutant(generators: list[np.ndarray], ambient_dim: int) -> VonNeumannAlgebra:
-    """The von Neumann algebra generated by ``generators``: {gens}''."""
-    first = commutant_of_matrices(list(generators), ambient_dim)
-    return commutant(first)
+    """The von Neumann algebra generated by ``generators``: {gens}''.
+
+    In finite dimensions {gens}'' is the unital *-algebra that the generators
+    and their adjoints span (von Neumann's double commutant theorem), so the
+    basis grows as the span of words.  It starts from I/sqrt(d); each layer
+    multiplies the previous layer by every nonzero generator and its
+    adjoint, each of unit Frobenius norm, projects the basis out of the
+    products twice and keeps the directions whose singular value is above
+    TAU_RANK.  A layer that adds nothing ends the growth.
+    """
+    d = ambient_dim
+    gens = [require_square(m) for m in generators]
+    for m in gens:
+        if m.shape[0] != d:
+            raise ShapeMismatch(f"generator dim {m.shape[0]} != ambient {d}")
+    kept = [m / norm for m in gens if (norm := frob_norm(m)) > 1e-300]
+    letters = np.array(kept + [adjoint(m) for m in kept])
+    basis = np.eye(d, dtype=np.complex128)[None] / math.sqrt(d)
+    layer = basis
+    while len(letters) and len(layer):
+        words = (layer[:, None] @ letters).reshape(-1, d * d)
+        flat = basis.reshape(len(basis), -1)
+        for _ in range(2):
+            words = words - (words @ flat.conj().T) @ flat
+        _, s, vh = np.linalg.svd(words, full_matrices=False)
+        layer = vh[s > TAU_RANK].reshape(-1, d, d)
+        basis = np.concatenate([basis, layer])
+    return VonNeumannAlgebra(ambient_dim=d, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -182,7 +158,6 @@ class ProjectionFamily:
 
     algebra: VonNeumannAlgebra
     members: tuple[np.ndarray, ...]
-    spans_algebra: bool = False
 
     def __len__(self) -> int:
         return len(self.members)
@@ -212,13 +187,18 @@ class ProjectionFamily:
         return worst
 
     def span_deficit(self) -> float:
-        """Worst distance from an algebra basis element to the member span."""
+        """Worst distance from an algebra basis element to the member span,
+        read off the kept factors: ||B - u u* B|| over the basis columns B."""
         if not self.members:
             return math.inf
-        cols = np.stack([_vec(p) for p in self.members], axis=1)
-        targets = np.stack([_vec(b) for b in self.algebra.basis], axis=1)
-        coeffs, *_ = np.linalg.lstsq(cols, targets, rcond=None)
-        return float(np.linalg.norm(cols @ coeffs - targets, axis=0).max())
+        u = self.factors[0]
+        targets = self.algebra.basis_matrix.T
+        return float(np.linalg.norm(targets - u @ (adjoint(u) @ targets),
+                                    axis=0).max())
+
+    @cached_property
+    def spans_algebra(self) -> bool:
+        return self.span_deficit() <= TAU_ALG
 
 
 def sample_projections(
@@ -230,7 +210,8 @@ def sample_projections(
     the algebra when a spanning set of projections exists (or a retry cap is
     hit).  Deterministic for a fixed seed.  Attempts run a chunk at a time:
     the n + 2 - len(members) that are certain to be made while the family
-    is short, then one at a time until the members span.
+    is short, then one at a time until the members span.  The family that
+    passed (or was last) is returned with the factors its test computed.
     """
     rng = np.random.default_rng(seed)
     d = w.ambient_dim
@@ -240,16 +221,13 @@ def sample_projections(
     cap = 8 * (n + w.dim) + 64
     attempts = 0
     while True:
+        family = ProjectionFamily(algebra=w, members=tuple(members))
         short = n + 2 - len(members)
-        spans = short <= 0 and _spans(members, w)
-        if spans or attempts == cap:
-            break
+        if (short <= 0 and family.spans_algebra) or attempts == cap:
+            return family
         size = min(max(short, 1), cap - attempts)
         attempts += size
         members += _sampled_members(w, rng, size)
-    if short > 0:
-        spans = _spans(members, w)
-    return ProjectionFamily(algebra=w, members=tuple(members), spans_algebra=spans)
 
 
 def _sampled_members(
@@ -299,11 +277,6 @@ def _sampled_members(
         proposals.append(projs[np.searchsorted(means, t):].sum(axis=0))
     keep = is_projection(np.stack(proposals))
     return [p for p, kept in zip(proposals, keep) if kept]
-
-
-def _spans(members: list[np.ndarray], w: VonNeumannAlgebra) -> bool:
-    fam = ProjectionFamily(algebra=w, members=tuple(members))
-    return fam.span_deficit() <= TAU_ALG
 
 
 def decompose_over_family(

@@ -35,7 +35,7 @@ from .tolerances import TAU_RECON
 
 def scalars() -> VonNeumannAlgebra:
     """The one-dimensional algebra C*1, the coefficients of a scalar model."""
-    return VonNeumannAlgebra(ambient_dim=1, basis=(np.eye(1, dtype=np.complex128),))
+    return VonNeumannAlgebra(ambient_dim=1, basis=np.eye(1, dtype=np.complex128)[None])
 
 
 @dataclass(frozen=True)

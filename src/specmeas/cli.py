@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -208,12 +209,28 @@ def _cmd_report(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _usage_problem(args) -> str | None:
+    """Why the parsed arguments ask for no work, or None: a count below one
+    or a deadline that is not a positive, finite number of seconds."""
+    count = getattr(args, "count", 1)
+    if count < 1:
+        return f"argument --count: must be at least 1, got {count}"
+    seconds = getattr(args, "seconds", 1.0)
+    if not (math.isfinite(seconds) and seconds > 0):
+        return f"argument --seconds: must be positive and finite, got {seconds}"
+    return None
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"specrep {args.command}: error: {problem}", file=sys.stderr)
+        return 2
     try:
         if args.command in KIND_BY_COMMAND:
             return _cmd_verify(args, KIND_BY_COMMAND[args.command])

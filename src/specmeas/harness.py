@@ -171,10 +171,9 @@ def _gen_b(seed, rng, caps) -> Scenario:
     space = DiscreteSpace(labels=tuple(range(n_atoms)))
     # Phi_x(b) = U (b (x) D_x) U* with D_x the x-th diagonal unit: b sits on
     # the rows and columns x, x + n_atoms, ... of atom x's block
-    basis = np.stack(w1.basis)
     placed = np.zeros((n_atoms, w1.dim, k, k), dtype=np.complex128)
     for x in range(n_atoms):
-        placed[x, :, x::n_atoms, x::n_atoms] = basis
+        placed[x, :, x::n_atoms, x::n_atoms] = w1.basis
     images = u @ placed @ adjoint(u)
     oracle = NonNegSpectralMeasure(space, w1, space.labels, images)
     return Scenario(
@@ -733,9 +732,7 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         # identity, so a bump on E_id must surface as a condition-1 violation
         eye = np.eye(oracle.w1.ambient_dim, dtype=np.complex128)
         aug = fam.members + tuple(eye - p for p in fam.members[2:])
-        fam = ProjectionFamily(
-            algebra=fam.algebra, members=aug, spans_algebra=True,
-        )
+        fam = ProjectionFamily(algebra=fam.algebra, members=aug)
         fm = family_measures(oracle, fam)
         # the bump leaves E_id(X) as it was
         atoms = fm.atoms.copy()

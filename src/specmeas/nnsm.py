@@ -429,8 +429,7 @@ def assemble_from_family(
     family = fam.family
     if not family.spans_algebra:
         raise NotSpanning("assembly needs a spanning family")
-    basis = np.stack(w1.basis)
-    images = [linear_extend(family, column, basis)
+    images = [linear_extend(family, column, w1.basis)
               for column in np.swapaxes(fam.atoms, 0, 1)]
     m = NonNegSpectralMeasure(fam.space, w1, fam.labels, np.stack(images))
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})

@@ -134,8 +134,8 @@ def nnsm_from_doc(doc: dict):
     try:
         space = space_from_doc(doc["space"])
         d, basis = int(doc["w1"]["ambient_dim"]), doc["w1"]["basis"]
-        w1 = VonNeumannAlgebra(ambient_dim=d, basis=tuple(
-            matrices_from_doc(basis, (len(basis), d, d), "W1 basis matrices")))
+        w1 = VonNeumannAlgebra(ambient_dim=d, basis=matrices_from_doc(
+            basis, (len(basis), d, d), "W1 basis matrices"))
         k = int(doc["target_dim"])
         labels = _distinct_labels(x for x, _ in doc["atom_maps"])
         if any(len(imgs) != w1.dim for _, imgs in doc["atom_maps"]):

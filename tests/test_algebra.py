@@ -13,6 +13,32 @@ from specmeas.errors import (
 from specmeas.tolerances import TAU_ALG, TAU_EXT, TAU_PROJ, TAU_RANK
 
 
+def _reference_commutant(mats, dim: int) -> np.ndarray:
+    """The (dim, d, d) orthonormal basis stack of {X : XS = SX for every S in
+    ``mats`` and its adjoint}: the null space of the Kronecker constraint
+    rows vec(XT - TX), one block per unit-normalized generator and adjoint,
+    cut at TAU_RANK.  An oracle for bicommutant that shares none of its
+    span-of-words route."""
+    eye = np.eye(dim)
+    rows = []
+    for s in mats:
+        norm = linalg.frob_norm(s)
+        if norm <= 1e-300:
+            continue
+        for t in (s / norm, linalg.adjoint(s) / norm):
+            rows.append(np.kron(eye, t.T) - np.kron(t, eye))
+    if not rows:
+        return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    _, sv, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    return vh[int(np.sum(sv > TAU_RANK)):].conj().reshape(-1, dim, dim)
+
+
+def _reference_bicommutant(mats, dim: int) -> algebra.VonNeumannAlgebra:
+    """{mats}'' as the commutant of the commutant: two null-space SVDs."""
+    basis = _reference_commutant(_reference_commutant(mats, dim), dim)
+    return algebra.VonNeumannAlgebra(ambient_dim=dim, basis=basis)
+
+
 def diag_algebra(n: int) -> algebra.VonNeumannAlgebra:
     gens = [np.diag([1.0 if i == j else 0.0 for j in range(n)]).astype(complex) for i in range(n)]
     return algebra.bicommutant(gens, n)
@@ -24,9 +50,7 @@ def all_diagonal_projections(n: int) -> algebra.ProjectionFamily:
         np.diag([float(mask >> i & 1) for i in range(n)]).astype(complex)
         for mask in range(2**n)
     )
-    return algebra.ProjectionFamily(
-        algebra=diag_algebra(n), members=members, spans_algebra=True
-    )
+    return algebra.ProjectionFamily(algebra=diag_algebra(n), members=members)
 
 
 def test_bicommutant_full_matrix_algebra():
@@ -39,8 +63,7 @@ def test_bicommutant_full_matrix_algebra():
 def test_bicommutant_scalars():
     w = algebra.bicommutant([np.eye(3, dtype=complex)], 3)
     assert w.dim == 1
-    c = algebra.commutant(w)
-    assert c.dim == 9
+    assert len(_reference_commutant(w.basis, 3)) == 9
 
 
 def test_diagonal_algebra_self_commutant():
@@ -49,7 +72,8 @@ def test_diagonal_algebra_self_commutant():
     for a in w.basis:
         for b in w.basis:
             assert linalg.frob_norm(a @ b - b @ a) <= 1e-8
-    c = algebra.commutant(w)
+    c = algebra.VonNeumannAlgebra(ambient_dim=3,
+                                  basis=_reference_commutant(w.basis, 3))
     assert c.dim == 3
     for b in w.basis:
         c.coefficients(b)  # raises NotInSpan off the commutant
@@ -105,8 +129,11 @@ def _reference_sample(w, n, seed):
     d = w.ambient_dim
 
     def spans(members):
-        fam = algebra.ProjectionFamily(algebra=w, members=tuple(members))
-        return fam.span_deficit() <= TAU_ALG
+        # a least-squares fit of the basis, independent of the family's SVD
+        cols = np.stack([p.reshape(-1) for p in members], axis=1)
+        targets = w.basis_matrix.T
+        coeffs, *_ = np.linalg.lstsq(cols, targets, rcond=None)
+        return np.linalg.norm(cols @ coeffs - targets, axis=0).max() <= TAU_ALG
 
     members = [np.zeros((d, d), dtype=complex)]
     if w.contains_identity:
@@ -252,8 +279,7 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
     scenario = harness.gen_scenario("B", 0, harness.Caps())
     oracle = scenario.payload["oracle"]
     assert oracle.w1.ambient_dim == 4 and oracle.w1.dim == 16
-    fam = algebra.sample_projections(oracle.w1, n=10, seed=3)
-    fm = nnsm.family_measures(oracle, fam)
+    sampled = algebra.sample_projections(oracle.w1, n=10, seed=3)
     calls = []
     svd = np.linalg.svd
 
@@ -262,6 +288,13 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(algebra.np.linalg, "svd", counting_svd)
+    # the sampler's spanning test factored the family it returns
+    nnsm.assemble_from_family(nnsm.family_measures(oracle, sampled), oracle.w1)
+    assert len(calls) == 0
+    # a fresh family: its span test and both assemblies share one SVD
+    fam = algebra.ProjectionFamily(algebra=oracle.w1, members=sampled.members)
+    fm = nnsm.family_measures(oracle, fam)
+    assert fam.spans_algebra
     rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     nnsm.assemble_from_family(fm, oracle.w1)
     assert len(calls) == 1
@@ -378,6 +411,25 @@ def test_joint_diagonalize_random_commuting(seed, n):
         assert linalg.frob_norm(atlas.reconstruct(i) - m) <= 1e-8 * (1 + linalg.frob_norm(m))
 
 
+def _assert_is_the_generated_algebra(w, mats, dim):
+    """w has the oracle's dimension and projector, an orthonormal basis, and
+    its span holds I and is closed under products and adjoints."""
+    ref = _reference_bicommutant(mats, dim)
+    assert w.ambient_dim == dim and w.basis.shape == (ref.dim, dim, dim)
+    assert w.basis.dtype == np.complex128
+    proj = w.basis_matrix.T @ w.basis_matrix.conj()
+    ref_proj = ref.basis_matrix.T @ ref.basis_matrix.conj()
+    assert np.abs(proj - ref_proj).max() <= 1e-8
+    gram = w.basis_matrix.conj() @ w.basis_matrix.T
+    assert np.abs(gram - np.eye(w.dim)).max() <= 1e-10
+    closure = np.concatenate([
+        np.conj(np.swapaxes(w.basis, 1, 2)),
+        (w.basis[:, None] @ w.basis[None]).reshape(-1, dim, dim),
+        np.eye(dim)[None],
+    ])
+    w.coefficients(closure)  # raises NotInSpan off the span
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 5))
 def test_commutant_dimension_identity(seed, n):
@@ -386,61 +438,58 @@ def test_commutant_dimension_identity(seed, n):
     rng = np.random.default_rng(seed)
     a = linalg.random_hermitian(rng, n)
     w = algebra.bicommutant([a], n)
-    c = algebra.commutant(w)
     # generic random hermitian has simple spectrum
     assert w.dim == n
-    assert c.dim == n
-    # the span is closed under product, adjoint and the identity
-    closure = [linalg.adjoint(a) for a in w.basis]
-    closure += [a @ b for a in w.basis for b in w.basis]
-    closure.append(np.eye(n))
-    assert max(w.membership_residual(m) for m in closure) <= 1e-8
+    assert len(_reference_commutant(w.basis, n)) == n
+    _assert_is_the_generated_algebra(w, [a], n)
 
 
-def _kron_constraint(mats, dim):
-    """The constraint rows vec(XT - TX) built with two np.kron per
-    normalized generator and adjoint."""
-    eye = np.eye(dim)
-    rows = []
-    for s in mats:
-        norm = linalg.frob_norm(s)
-        if norm <= 1e-300:
-            continue
-        for t in (s / norm, linalg.adjoint(s) / norm):
-            rows.append(np.kron(eye, t.T) - np.kron(t, eye))
-    return np.vstack(rows)
+def _kind_a_generators():
+    """The generator lists of the first kind-A scenario of each shape
+    (ambient dim, generator count, point count) at the default caps."""
+    seen = {}
+    for seed in range(400):
+        scenario = harness.gen_scenario("A", seed)
+        images = scenario.payload["images"]
+        gens = [images[name] for name in sorted(images)]
+        shape = (gens[0].shape[0], len(gens), len(scenario.space.labels))
+        seen.setdefault(shape, gens)
+    assert set(seen) == {(d, g, p) for d in range(1, 5) for g in range(1, 4)
+                         for p in range(1, d + 1)}
+    return list(seen.values())
 
 
-def test_commutant_constraint_is_the_kron_formula(monkeypatch):
-    rng = np.random.default_rng(17)
+def test_bicommutant_matches_the_two_commutant_route():
+    rng = np.random.default_rng(23)
+    cases = [(gens, gens[0].shape[0]) for gens in _kind_a_generators()]
+    # kinds B and D: one hermitian generator (a maximal abelian algebra) or
+    # two (the full matrix algebra)
+    for h in range(1, 5):
+        cases.append(([linalg.random_hermitian(rng, h)], h))
+        if h > 1:
+            cases.append(([linalg.random_hermitian(rng, h) for _ in range(2)], h))
     e12 = np.zeros((3, 3), dtype=complex)
     e12[0, 1] = 1.0
-    cases = [
-        # a zero generator beside two that are kept
-        ([linalg.random_hermitian(rng, 3), np.zeros((3, 3)),
-          linalg.random_hermitian(rng, 3)], 3),
-        # non-hermitian generators: a matrix unit and a random complex one
-        ([e12, linalg.random_complex(rng, 3, 3)], 3),
-        ([np.array([[2.0 - 1.5j]])], 1),
-        ([linalg.random_complex(rng, 4, 4)], 4),
+    x = linalg.random_hermitian(rng, 3)
+    for d in range(2, 7):
+        # a repeated eigenvalue: {U diag(a, ..., a, b) U*}, dimension 2
+        u = linalg.random_unitary(rng, d)
+        diag = np.diag([1.0] * (d - 1) + [2.0])
+        cases.append(([u @ diag @ linalg.adjoint(u)], d))
+    cases += [
+        ([np.eye(d, dtype=complex)], d) for d in range(1, 5)
+    ] + [
+        ([np.zeros((3, 3))], 3),
+        ([np.zeros((3, 3)), x], 3),
+        ([e12], 3),  # non-hermitian: M_2 + C
+        ([np.kron(np.eye(2), x)], 6),
+        ([np.kron(np.eye(2), x), np.kron(np.eye(2), linalg.random_hermitian(rng, 3))], 6),
+        ([], 3),
     ]
-    for h in range(1, 5):
-        # the second commutant of a bicommutant, on its orthonormal basis
-        w = algebra.bicommutant([linalg.random_hermitian(rng, h)
-                                 for _ in range(2)], h)
-        cases.append((list(w.basis), h))
-    seen = []
-    null_space = algebra._null_space
-    monkeypatch.setattr(algebra, "_null_space",
-                        lambda a: seen.append(a) or null_space(a))
     for mats, dim in cases:
-        seen.clear()
-        algebra.commutant_of_matrices(mats, dim)
-        want = _kron_constraint(mats, dim)
-        assert seen[0].shape == want.shape
-        assert seen[0].tobytes() == want.tobytes()
-    # only zero generators: no constraint, the full matrix algebra
-    assert algebra.commutant_of_matrices([np.zeros((2, 2))], 2).dim == 4
+        _assert_is_the_generated_algebra(algebra.bicommutant(mats, dim), mats, dim)
+    assert algebra.bicommutant([e12], 3).dim == 5
+    assert algebra.bicommutant([], 3).dim == 1
 
 
 def test_decompose_over_family_rejects_non_finite_stack():

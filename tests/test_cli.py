@@ -58,6 +58,26 @@ def test_env_seed_that_is_no_integer_is_a_usage_error(capsys, monkeypatch):
     assert code == 0 and json.loads(out.splitlines()[0])["scenario"] == "A-4"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-a", "--count", "0"], "--count: must be at least 1, got 0"),
+    (["verify-d", "--count", "-3"], "--count: must be at least 1, got -3"),
+    (["report", "--count", "-2"], "--count: must be at least 1, got -2"),
+    (["fuzz", "--seconds", "-1"], "--seconds: must be positive and finite"),
+    (["fuzz", "--seconds", "0"], "--seconds: must be positive and finite"),
+    (["fuzz", "--seconds", "nan"], "--seconds: must be positive and finite"),
+    (["fuzz", "--seconds", "inf"], "--seconds: must be positive and finite"),
+])
+def test_a_run_that_asks_for_no_work_is_a_usage_error(capsys, tmp_path, argv,
+                                                       message):
+    out_file = tmp_path / "r.json"
+    if argv[0] == "report":
+        argv = argv + ["--out", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_caps_parsing():
     caps = cli.parse_caps("h=2,k=8,x=4,n=16")
     assert caps == Caps(h_dim=2, k_dim=8, space=4, horizon=16)

@@ -66,7 +66,7 @@ def test_constructor_rejects_repeated_labels_and_a_stack_of_another_length():
     # shape, here over a one-dimensional W1 and a one-member family
     space = measure.DiscreteSpace(labels=("a", "b"))
     p = np.diag([1.0, 0.0]).astype(complex)
-    w1 = algebra.VonNeumannAlgebra(ambient_dim=1, basis=(np.eye(1, dtype=complex),))
+    w1 = algebra.VonNeumannAlgebra(ambient_dim=1, basis=np.eye(1, dtype=complex)[None])
     family = algebra.ProjectionFamily(algebra=w1, members=(np.eye(1),))
     builders = (
         lambda labels, atoms: measure.SpectralMeasure(space, labels, atoms),

@@ -150,8 +150,8 @@ def test_assemble_needs_spanning_family():
     small = algebra.ProjectionFamily(
         algebra=m.w1,
         members=(np.zeros((m.w1.ambient_dim,) * 2, dtype=complex),),
-        spans_algebra=False,
     )
+    assert not small.spans_algebra
     fm = nnsm.family_measures(m, small)
     with pytest.raises(NotSpanning):
         nnsm.assemble_from_family(fm, m.w1)
