@@ -17,17 +17,22 @@ vectors, where all sums are finite and exact.
 A preintegral psi(f, A) is read off the field's block actions f(n) * A,
 never through ``rho_apply``, so the two sides of a representation check
 take separate routes.
+The checks work per family: ``d_alpha_check`` evaluates all of its probe
+*-polynomials as one (probes, blocks) value stack over the model's factor
+rows, on the blocks it reads (x's support and K), and
+``integrability_check`` takes the block actions of a sequence of fields as
+one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
-from .errors import DimMismatch, ShapeMismatch
+from .errors import DimMismatch, ShapeMismatch, SpaceMismatch
 from .measure import BorelSet, DiscreteSpace
 from .nnsm import OperatorField
 from .tolerances import TAU_RECON
@@ -74,6 +79,18 @@ class BlockModel:
                         dtype=np.complex128)
             for b, f in self.generators.items()
         }
+
+    @cached_property
+    def factor_rows(self) -> np.ndarray:
+        """The value rows a ``d_alpha_check`` probe's factors can take, one
+        per ``_draw_probes`` code: f_b and conj(f_b) for each generator b in
+        sorted order, then the constant 1."""
+        rows = [self.generator_rows[b] for b in sorted(self.generators)]
+        table = np.ones((2 * len(rows) + 1, self.horizon), dtype=np.complex128)
+        if rows:
+            table[0:-1:2] = rows
+            table[1:-1:2] = np.conj(rows)
+        return table
 
 
 @dataclass(frozen=True)
@@ -164,7 +181,7 @@ def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
     (f(n) * A) x_n, one contraction over every block.  The value row and A
     are checked as in ``rho_apply``, which this route never calls."""
     _require_rows(x, model.horizon)
-    acts = _block_actions(OperatorField(terms=((values, a),)), model)
+    acts = _block_actions([OperatorField(terms=((values, a),))], model)[0]
     return DomainVector(np.einsum("nij,nj->ni", acts, x.block))
 
 
@@ -179,9 +196,19 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
 
 
 def truncation_projection(k: BorelSet, x: DomainVector) -> DomainVector:
-    """M(K)(id) x: keep blocks inside K."""
-    inside = np.array([n in k for n in range(len(x.block))], dtype=bool)
-    return DomainVector(np.where(inside[:, None], x.block, 0.0))
+    """M(K)(id) x: keep blocks inside K.  K must be a set over the space of
+    x's blocks, or SpaceMismatch is raised."""
+    return DomainVector(np.where(_mask(k, len(x.block))[:, None], x.block, 0.0))
+
+
+def _mask(k: BorelSet, horizon: int) -> np.ndarray:
+    """K's indicator on blocks 0..horizon-1, read from its members; K must
+    be a set over the countable space of that horizon."""
+    if k.space.horizon != horizon:
+        raise SpaceMismatch("set over a different space")
+    inside = np.zeros(horizon, dtype=bool)
+    inside[[n for n in k.members if n < horizon]] = True
+    return ~inside if k.cofinite else inside
 
 
 @dataclass(frozen=True)
@@ -204,26 +231,36 @@ def d_alpha_check(
     SUFFICIENT: support(x) inside K certifies membership exactly, since
     blockwise ||rho(b) x||^2 = sum |f_b(n)|^2 ||x_n||^2 is dominated by
     sup_{n in K} |f_b(n)|^2 ||x||^2.  NECESSARY (sampled): the inequality is
-    probed on random *-polynomials in the generators.
+    probed on random *-polynomials in the generators.  The probes come from
+    one structured draw of a private rng seeded by ``seed``
+    (``_draw_probes``) and are evaluated as one (probes, blocks) value
+    stack over the model's factor rows, on the blocks of x's support and
+    then those of K below the horizon, so every probe's excess, alpha_K and
+    the status are array operations.  A non-finite probe residual fails.  K must be a set over the model's space (SpaceMismatch
+    otherwise), and ``probes`` non-negative (ValueError otherwise).
     """
     _require_rows(x, model.horizon)
-    rng = np.random.default_rng(seed)
-    support = sorted(x.support)
-    certified = all(n in k for n in support)  # the zero vector is a member
-    names = sorted(model.generators)
+    if probes < 0:
+        raise ValueError(f"probes must be non-negative, got {probes}")
+    inside = _mask(k, model.horizon)
+    support = np.flatnonzero(x.block.any(axis=1))
+    certified = bool(inside[support].all())  # the zero vector is a member
     norm_x = x.norm()
-    mass = np.einsum("nd,nd->n", np.conj(x.block), x.block).real[support]
-    k_points = [n for n in range(model.horizon) if n in k]
-    residuals = []
-    for t in range(probes):
-        poly = _random_star_polynomial(rng, names, degree=2)
-        vals = _poly_values(model, poly)
-        y_norm = np.sqrt(np.sum(np.abs(vals[support]) ** 2 * mass))
-        alpha = np.max(np.abs(vals[k_points]), initial=0.0)
-        excess = y_norm - alpha * norm_x
-        residuals.append((f"probe{t}", max(0.0, float(excess))))
-    tol = TAU_RECON * (1.0 + norm_x)
-    sampled_pass = all(r <= tol for _, r in residuals)
+    xs = x.block[support]
+    mass = np.einsum("nd,nd->n", np.conj(xs), xs).real
+    # each monomial is its coefficient times its factors, left to right,
+    # and each probe sums its monomial slots in order
+    table = model.factor_rows[:, np.concatenate((support, np.flatnonzero(inside)))]
+    codes, coeffs = _draw_probes(seed, len(model.generators), probes)
+    terms = coeffs[..., None]
+    for s in range(codes.shape[-1]):
+        terms = terms * table[codes[..., s]]
+    vals = np.abs(terms.sum(axis=1))
+    y_norm = np.sqrt(np.sum(vals[:, :len(support)] ** 2 * mass, axis=1))
+    alpha = np.max(vals[:, len(support):], axis=1, initial=0.0)
+    # np.maximum keeps a NaN excess, which then fails every comparison
+    residuals = np.maximum(0.0, y_norm - alpha * norm_x)
+    sampled_pass = bool(np.all(residuals <= TAU_RECON * (1.0 + norm_x)))
     if certified and sampled_pass:
         status = "certified"
     elif sampled_pass:
@@ -232,10 +269,41 @@ def d_alpha_check(
         status = "fail"
     return DAlphaReport(
         certified=certified,
-        probe_residuals=tuple(residuals),
+        probe_residuals=tuple((f"probe{t}", r)
+                              for t, r in enumerate(residuals.tolist())),
         status=status,
         flags=("sampled-necessity",),
     )
+
+
+@lru_cache(maxsize=64)
+def _draw_probes(seed: int, n_names: int, probes: int):
+    """``probes`` random *-polynomials in ``n_names`` generators, with the
+    distribution of ``_random_star_polynomial(degree=2)``, from two calls of
+    an rng seeded by ``seed``.  The draw depends on nothing else, so it is
+    cached: a pipeline that probes several vectors with one seed draws once.
+
+    Returns read-only (codes, coeffs) over 3 monomial slots of 2 factor
+    slots each per probe: monomial m of probe t is coeffs[t, m] times the
+    factors that codes[t, m] names, left to right.  A code c < 2 * n_names
+    is generator c // 2 of the sorted names, adjoint when c is odd; the code
+    2 * n_names is the constant 1 (``BlockModel.factor_rows`` in this
+    order).  A probe uses its first 1..3 monomial slots and a monomial its
+    first 0..2 factor slots; each count, and each generator pick, is
+    floor(n * u) (+ 1 for the monomial count) of a uniform u in [0, 1).
+    Unused factor slots hold the constant 1, unused monomial slots the
+    coefficient 0, so both add exact ones and zeros.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.random((probes, 3, 4))  # monomial count, degree, two picks
+    used = 3.0 * u[:, :1, 0] >= np.arange(3)
+    real = 3.0 * u[..., 1:2] >= np.arange(1, 3)
+    codes = np.where(real & used[..., None],
+                     (2 * n_names * u[..., 2:]).astype(int), 2 * n_names)
+    coeffs = rng.standard_normal((probes, 3, 2)).view(np.complex128)[..., 0]
+    coeffs = coeffs * used
+    codes.flags.writeable = coeffs.flags.writeable = False
+    return codes, coeffs
 
 
 def _random_star_polynomial(rng: np.random.Generator, names, degree: int):
@@ -274,15 +342,17 @@ def _require_coefficient(model: BlockModel, a) -> None:
                             f"matrix; got {type(a).__name__} of shape {shape}")
 
 
-def _block_actions(field_: OperatorField, model: BlockModel) -> np.ndarray:
-    """The (horizon, block_dim, block_dim) stack of matrices f(n) * A,
-    summed over the terms, by which the field acts on the model's blocks.
-    A coefficient of another shape raises ShapeMismatch."""
+def _block_actions(fields, model: BlockModel) -> np.ndarray:
+    """The (fields, horizon, block_dim, block_dim) stack of matrices
+    f(n) * A, summed over each field's terms, by which each field of a
+    sequence acts on the model's blocks.  A coefficient of another shape
+    raises ShapeMismatch."""
     d = model.block_dim
-    out = np.zeros((model.horizon, d, d), dtype=np.complex128)
-    for v, a in field_.terms:
-        _require_coefficient(model, a)
-        out += _values_at(v, model.horizon)[:, None, None] * a
+    out = np.zeros((len(fields), model.horizon, d, d), dtype=np.complex128)
+    for i, field_ in enumerate(fields):
+        for v, a in field_.terms:
+            _require_coefficient(model, a)
+            out[i] += _values_at(v, model.horizon)[:, None, None] * a
     return out
 
 
@@ -293,27 +363,32 @@ class IntegrabilityReport:
     passed: bool
 
 
-def integrability_check(
-    model: BlockModel, field_: OperatorField
-) -> IntegrabilityReport:
-    """Blockwise normality of the field's action (integrability proxy).
+def integrability_check(model: BlockModel, fields):
+    """Blockwise normality of a field's action (integrability proxy), as an
+    IntegrabilityReport; or of each field of a sequence, as a list of them.
 
-    Every value row of the field must cover the model's horizon, and every
+    Every value row of a field must cover the model's horizon, and every
     coefficient act on one block, or ShapeMismatch is raised.  The
-    commutator norms of every block action are taken in one batch.  A
-    non-finite residual fails and names the worst block: argmax returns the
-    first NaN, or else the first largest residual.
+    commutator norms of every block action of every field are taken in one
+    batch.  A non-finite residual fails and names the worst block: argmax
+    returns the first NaN, or else the first largest residual.
     """
-    if model.horizon < 1:
-        return IntegrabilityReport(worst_block=0, worst_residual=0.0, passed=True)
-    b = _block_actions(field_, model)
-    b_star = np.conj(np.swapaxes(b, 1, 2))
-    resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(1, 2)) / (
-        1.0 + np.linalg.norm(b, axis=(1, 2)) ** 2
-    )
-    worst = int(np.argmax(resid))
-    return IntegrabilityReport(
-        worst_block=worst,
-        worst_residual=float(resid[worst]),
-        passed=bool(np.all(resid <= TAU_RECON)),
-    )
+    single = isinstance(fields, OperatorField)
+    batch = [fields] if single else list(fields)
+    if model.horizon < 1 or not batch:
+        reports = [IntegrabilityReport(worst_block=0, worst_residual=0.0,
+                                       passed=True) for _ in batch]
+    else:
+        b = _block_actions(batch, model)
+        b_star = np.conj(np.swapaxes(b, -1, -2))
+        resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(-2, -1)) / (
+            1.0 + np.linalg.norm(b, axis=(-2, -1)) ** 2
+        )
+        worst = np.argmax(resid, axis=1)
+        reports = [
+            IntegrabilityReport(worst_block=w, worst_residual=r, passed=p)
+            for w, r, p in zip(worst.tolist(),
+                               resid[np.arange(len(batch)), worst].tolist(),
+                               np.all(resid <= TAU_RECON, axis=1).tolist())
+        ]
+    return reports[0] if single else reports

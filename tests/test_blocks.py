@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from specmeas import algebra, blocks, harness, linalg, measure
 from specmeas.nnsm import OperatorField
-from specmeas.errors import DimMismatch, ShapeMismatch
+from specmeas.errors import DimMismatch, ShapeMismatch, SpaceMismatch
 
 from conftest import domain_vector
 
@@ -315,17 +315,28 @@ def _reference_models():
     yield matrix_model(dim=3, seed=12)[0]
 
 
+def _probe_polynomials(names, probes, seed):
+    """The probes of d_alpha_check's draw at ``seed``, as *-polynomials in
+    the form of ``_random_star_polynomial``: lists of
+    (coeff, ((name, conj?), ...)) monomials, without the unused slots."""
+    codes, coeffs = blocks._draw_probes(seed, len(names), probes)
+    return [
+        [(complex(c), tuple((names[f // 2], bool(f % 2))
+                            for f in row if f < 2 * len(names)))
+         for c, row in zip(cs, rows) if c != 0]
+        for cs, rows in zip(coeffs.tolist(), codes.tolist())
+    ]
+
+
 def _d_alpha_reference(x, model, k, probes, seed):
-    """(certified, residuals, status) with the probe polynomial evaluated
-    point by point from the generator callables."""
-    rng = np.random.default_rng(seed)
+    """(certified, residuals, status) with each probe polynomial of the
+    check's draw evaluated point by point from the generator callables."""
     certified = not x.support or all(n in k for n in x.support)
     names = sorted(model.generators)
     norm_x = x.norm()
     k_points = [n for n in range(model.horizon) if n in k]
     residuals = []
-    for _ in range(probes):
-        poly = blocks._random_star_polynomial(rng, names, degree=2)
+    for poly in _probe_polynomials(names, probes, seed):
 
         def f(n, poly=poly):
             total = 0.0 + 0.0j
@@ -365,6 +376,69 @@ def test_d_alpha_matches_per_point_reference():
             assert np.allclose(got, residuals, rtol=0.0, atol=1e-12 * scale)
             statuses.add(status)
     assert statuses == {"certified", "sampled-pass", "fail"}
+
+
+def test_probe_draw_covers_the_star_polynomial_distribution():
+    names = ["a", "b", "c"]
+    polys = _probe_polynomials(names, 400, seed=5)
+    codes, coeffs = blocks._draw_probes(5, 3, 400)
+    # unused monomial slots follow the used ones, with coefficient 0 and
+    # the constant factor only
+    used = coeffs != 0
+    assert np.array_equal(used, np.sort(used, axis=1)[:, ::-1])
+    assert np.all(codes[~used] == 6)
+    counts = {len(p) for p in polys}
+    degrees = {len(factors) for p in polys for _, factors in p}
+    picks = {f for p in polys for _, factors in p for f in factors}
+    assert counts == {1, 2, 3}
+    assert degrees == {0, 1, 2}
+    assert picks == {(n, conj) for n in names for conj in (False, True)}
+    # the empirical frequencies sit near the uniform 1/3 of the scalar draw
+    for k in (1, 2, 3):
+        assert abs(sum(len(p) == k for p in polys) / 400 - 1 / 3) < 0.08
+    # no generators: every probe is a constant
+    codes, _ = blocks._draw_probes(5, 0, 50)
+    assert np.all(codes == 0)
+
+
+def test_d_alpha_fails_a_nan_probe():
+    # f is NaN at block 2: a probe with a generator factor is NaN there, and
+    # a NaN residual fails like any other
+    model = blocks.BlockModel(
+        space=measure.DiscreteSpace(horizon=8),
+        generators={"g": lambda n: np.nan if n == 2 else float(n)},
+    )
+    x = domain_vector(model, {2: 1.0})
+    k = measure.borel(model.space, [2])
+    with np.errstate(invalid="ignore"):
+        rep = blocks.d_alpha_check(x, model, k, probes=20, seed=0)
+    assert rep.certified
+    assert rep.status == "fail"
+    assert any(np.isnan(r) for _, r in rep.probe_residuals)
+
+
+def test_k_must_be_a_set_over_the_model_space():
+    model = number_model(horizon=16)
+    x = domain_vector(model, {1: 1.0, 9: 1.0})
+    wider = measure.borel(measure.DiscreteSpace(horizon=model.horizon + 5),
+                          range(10))
+    with pytest.raises(SpaceMismatch):
+        blocks.d_alpha_check(x, model, wider)
+    with pytest.raises(SpaceMismatch):
+        blocks.truncation_projection(wider, x)
+    # a cofinite K over the right space keeps what lies outside its holes
+    holes = measure.BorelSet(model.space, frozenset({9}), cofinite=True)
+    assert blocks.truncation_projection(holes, x).support == frozenset({1})
+
+
+def test_d_alpha_rejects_a_negative_probe_count():
+    model = number_model()
+    x = domain_vector(model, {2: 1.0})
+    k = measure.borel(model.space, range(5))
+    with pytest.raises(ValueError):
+        blocks.d_alpha_check(x, model, k, probes=-1)
+    rep = blocks.d_alpha_check(x, model, k, probes=0)
+    assert rep.status == "certified" and rep.probe_residuals == ()
 
 
 def _integrability_reference(model, field_):
@@ -418,6 +492,61 @@ def test_integrability_matches_per_block_reference():
                 assert rep.worst_block == block
     # the injected spike is found at its block
     assert not passed and block == 5
+
+
+def test_integrability_of_a_list_matches_per_field_calls():
+    rng = np.random.default_rng(23)
+    model, _ = matrix_model(seed=24)
+    row = model.generator_rows["num"]
+    nan_row = row.copy()
+    nan_row[3] = np.nan
+    fields = [
+        OperatorField(terms=((row, linalg.random_hermitian(rng, 2)),)),
+        OperatorField(terms=((row, linalg.random_complex(rng, 2, 2)),)),
+        OperatorField(terms=((nan_row, linalg.random_hermitian(rng, 2)),)),
+        OperatorField(terms=((_spike(model, 7),
+                              np.array([[0, 1], [0, 0]], dtype=complex)),)),
+    ]
+    with np.errstate(invalid="ignore"):
+        got = blocks.integrability_check(model, fields)
+        want = [blocks.integrability_check(model, f) for f in fields]
+    assert isinstance(got, list) and len(got) == len(fields)
+    for g, w in zip(got, want):
+        assert isinstance(w, blocks.IntegrabilityReport)
+        assert g.worst_block == w.worst_block
+        assert g.passed == w.passed
+        assert (g.worst_residual == w.worst_residual
+                or np.isnan(g.worst_residual) and np.isnan(w.worst_residual))
+    assert [g.passed for g in got] == [True, False, False, False]
+    assert got[2].worst_block == 3 and got[3].worst_block == 7
+    assert blocks.integrability_check(model, []) == []
+    empty = blocks.BlockModel(space=measure.DiscreteSpace(horizon=0),
+                              generators={}, w=model.w)
+    none = OperatorField(terms=((np.zeros(0), model.w.identity()),))
+    assert blocks.integrability_check(empty, [none, none]) == [
+        blocks.integrability_check(empty, none)] * 2
+
+
+def test_random_domain_vector_matches_the_per_pick_draw():
+    def per_pick(rng, model, supp=3):
+        picks = rng.choice(model.horizon, size=min(supp, model.horizon),
+                           replace=False)
+        block = np.zeros((model.horizon, model.block_dim), dtype=np.complex128)
+        for n in picks:
+            block[n] = (rng.standard_normal(model.block_dim)
+                        + 1j * rng.standard_normal(model.block_dim))
+        return blocks.DomainVector(block)
+
+    models = [number_model(horizon=2), number_model(),
+              matrix_model(dim=2)[0], matrix_model(horizon=5, dim=3)[0]]
+    for seed in range(20):
+        for model in models:
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = harness._random_domain_vector(a, model)
+            want = per_pick(b, model)
+            assert got.block.tobytes() == want.block.tobytes()
+            # both leave the stream at the same place
+            assert a.random() == b.random()
 
 
 def test_domain_vector_keeps_non_finite_components():
