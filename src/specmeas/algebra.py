@@ -18,10 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    EigSolverFailure,
     InconsistentAssignment,
     NotCommuting,
-    NonHermitianInput,
     NotInSpan,
     NotNormal,
     ShapeMismatch,
@@ -32,8 +30,8 @@ from .linalg import (
     clusters,
     eig_hermitian,
     frob_norm,
-    is_projection,
     op_norm,
+    projection_residual,
     range_projection,
     require_hermitian,
     require_square,
@@ -44,7 +42,7 @@ from .tolerances import (
     LIMIT_BOUND_SLACK,
     TAU_ALG,
     TAU_EXT,
-    TAU_HERM,
+    TAU_PROJ,
     TAU_RANK,
 )
 
@@ -79,11 +77,11 @@ class VonNeumannAlgebra:
         coeffs = flat @ self.basis_matrix.conj().T
         return coeffs, np.linalg.norm(flat - coeffs @ self.basis_matrix, axis=-1)
 
-    def coefficients(self, a: np.ndarray, tol: float = TAU_ALG) -> np.ndarray:
+    def coefficients(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of ``a`` in the basis, or of each matrix in an
         (n, d, d) stack ``a`` (one row of the result per matrix).
 
-        Raises NotInSpan when a target is farther than ``tol`` from the span.
+        Raises NotInSpan when a target is farther than TAU_ALG from the span.
         """
         single = np.ndim(a) == 2
         stack = require_square(a)[None] if single else np.asarray(a)
@@ -94,7 +92,7 @@ class VonNeumannAlgebra:
         flat = stack.reshape(len(stack), -1)
         coeffs, resid = self._project(flat)
         # written so that a NaN residual (a non-finite stack) fails as well
-        if not np.all(resid <= tol * (1.0 + np.linalg.norm(flat, axis=1))):
+        if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=1))):
             raise NotInSpan(f"membership residual {max(resid):.3e}")
         return coeffs[0] if single else coeffs
 
@@ -163,6 +161,12 @@ class ProjectionFamily:
         return len(self.members)
 
     @cached_property
+    def stack(self) -> np.ndarray:
+        """The members as one (n, d, d) stack; n is 0 for an empty family."""
+        d = self.algebra.ambient_dim
+        return np.array(self.members, dtype=np.complex128).reshape(-1, d, d)
+
+    @cached_property
     def factors(self) -> tuple:
         """(u, s, v, null): one SVD of the stacked member columns vec(P_i),
         cut at the absolute TAU_RANK and kept on the family.
@@ -171,17 +175,18 @@ class ProjectionFamily:
         ``null`` are an orthonormal basis of the member relations
         {c : sum c_i P_i = 0}.
         """
-        cols = np.stack([_vec(p) for p in self.members], axis=1)
+        cols = self.stack.reshape(len(self), -1).T
         u, s, vh = np.linalg.svd(cols)
         r = int(np.sum(s > TAU_RANK))
         v = adjoint(vh)
         return u[:, :r], s[:r], v[:, :r], v[:, r:]
 
     def validate(self) -> float:
-        worst = 0.0
-        for p in self.members:
-            worst = max(worst, frob_norm(p @ p - p), frob_norm(p - adjoint(p)))
-            worst = max(worst, self.algebra.membership_residual(p))
+        """Worst member, membership and (when spanning) span residual."""
+        flat = self.stack.reshape(len(self), self.algebra.ambient_dim**2)
+        _, distance = self.algebra._project(flat)
+        worst = max(projection_residual(self.stack).max(initial=0.0),
+                    distance.max(initial=0.0))
         if self.spans_algebra:
             worst = max(worst, self.span_deficit())
         return worst
@@ -240,54 +245,30 @@ def _sampled_members(
     whose (cluster-merged) eigenvalue is at least lo + (hi - lo) u, where lo
     and hi are the least and the greatest; a proposal is kept when it is a
     projection within TAU_PROJ.  Every attempt is drawn first, then the
-    chunk is decomposed by one stacked eigh.
+    chunk is decomposed by one eig_hermitian call.
     """
     draws = np.empty((size, 2, w.dim))
     u = np.empty(size)
     for i in range(size):
         rng.standard_normal(out=draws[i])
         u[i] = rng.random()
-    h = w.hermitian_elements(draws)
-    # eig_hermitian's input checks, over the whole chunk
-    if not np.all(np.isfinite(h)):
-        raise ShapeMismatch("matrix has non-finite entries")
-    herm = np.linalg.norm(h - np.conj(np.swapaxes(h, 1, 2)), axis=(1, 2))
-    if np.any(herm > TAU_HERM * (1.0 + np.linalg.norm(h, axis=(1, 2)))):
-        raise NonHermitianInput(f"hermiticity residual {herm.max():.3e}")
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigSolverFailure(str(exc)) from exc
-    # every rank-one eigenprojection v v* of the chunk, symmetrized as
-    # range_projection symmetrizes a cluster's projection
-    cols = np.swapaxes(vecs, 1, 2)
-    rank_one = cols[..., :, None] @ np.conj(cols[..., None, :])
-    rank_one = (rank_one + np.conj(np.swapaxes(rank_one, 2, 3))) / 2.0
     proposals = []
-    for v, vec, ones, frac in zip(vals, vecs, rank_one, u):
-        bounds = clusters(v, DELTA_CLUSTER * (1.0 + max(abs(v[0]), abs(v[-1]))))
-        if len(bounds) == len(v):
-            means, projs = v, ones
-        else:
-            means = [float(np.mean(v[i:j])) for i, j in bounds]
-            projs = np.stack([ones[i] if j == i + 1 else
-                              range_projection(vec[:, i:j]) for i, j in bounds])
-        t = means[0] + (means[-1] - means[0]) * frac
+    for dec, frac in zip(eig_hermitian(w.hermitian_elements(draws)), u):
+        lo, hi = dec.values[0], dec.values[-1]
         # the clusters at or above t; none when round-off puts t above hi
-        proposals.append(projs[np.searchsorted(means, t):].sum(axis=0))
-    keep = is_projection(np.stack(proposals))
-    return [p for p, kept in zip(proposals, keep) if kept]
+        cut = np.searchsorted(dec.values, lo + (hi - lo) * frac)
+        proposals.append(dec.projections[cut:].sum(axis=0))
+    proposals = np.stack(proposals)
+    return list(proposals[projection_residual(proposals) <= TAU_PROJ])
 
 
-def decompose_over_family(
-    family: ProjectionFamily, a: np.ndarray, tol: float = TAU_ALG
-) -> np.ndarray:
+def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray:
     """Minimum-norm coordinates over the members of ``a``, or of each matrix
     in an (n, d, d) stack ``a`` (one column of the result per matrix).
 
     The family's pseudo-inverse is applied factor by factor, since forming
     it first loses digits to 1/s on ill-conditioned families.  Raises
-    NotInSpan when a target is farther than ``tol`` from the span.
+    NotInSpan when a target is farther than TAU_ALG from the span.
     """
     single = np.ndim(a) == 2
     stack = require_square(a)[None] if single else a
@@ -297,7 +278,7 @@ def decompose_over_family(
     coeffs = v @ (proj / s[:, None])
     resid = np.linalg.norm(flat - u @ proj, axis=0)
     # written so that a NaN residual (a non-finite stack) fails as well
-    if not np.all(resid <= tol * (1.0 + np.linalg.norm(flat, axis=0))):
+    if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=0))):
         raise NotInSpan(f"decomposition residual {max(resid):.3e}")
     return coeffs[:, 0] if single else coeffs
 
@@ -306,13 +287,12 @@ def linear_extend(
     family: ProjectionFamily,
     assignment: list[np.ndarray],
     a: np.ndarray,
-    tol: float = TAU_EXT,
 ) -> np.ndarray:
     """Extend P_i -> assignment[i] linearly to ``a`` in the family's span,
     or to each matrix of an (n, d, d) stack ``a``.
 
     The extension is well defined exactly when the assignment sends every
-    member relation sum c_i P_i = 0 to zero; a violation beyond ``tol``
+    member relation sum c_i P_i = 0 to zero; a violation beyond TAU_EXT
     raises InconsistentAssignment.  Any two coordinate vectors of ``a``
     differ by such a relation, so the value is the contraction of the
     assignment with the minimum-norm coordinates of ``a``.
@@ -323,7 +303,7 @@ def linear_extend(
     null = family.factors[-1]
     viol = np.tensordot(null.T, values, axes=(1, 0))
     worst = max(np.linalg.norm(viol, axis=(1, 2)), default=0.0)
-    if worst > tol * (1.0 + max(np.linalg.norm(values, axis=(1, 2)))):
+    if worst > TAU_EXT * (1.0 + max(np.linalg.norm(values, axis=(1, 2)))):
         raise InconsistentAssignment(
             f"assignment breaks a member relation by {worst:.3e}"
         )
@@ -437,7 +417,6 @@ def _split_by_hermitian(
 def joint_diagonalize(
     normals: list[np.ndarray],
     ambient_dim: int | None = None,
-    tol: float = TAU_ALG,
 ) -> CharacterAtlas:
     """Joint eigenprojections and eigenvalue tuples of commuting normals.
 
@@ -457,12 +436,12 @@ def joint_diagonalize(
         raise ShapeMismatch("ambient_dim disagrees with generator shape")
     scale = 1.0 + max(op_norm(m) for m in normals)
     for i, a in enumerate(normals):
-        if frob_norm(a @ adjoint(a) - adjoint(a) @ a) > tol * scale**2:
+        if frob_norm(a @ adjoint(a) - adjoint(a) @ a) > TAU_ALG * scale**2:
             raise NotNormal(f"generator {i} is not normal")
         for k, b in enumerate(normals[:i]):
-            if frob_norm(a @ b - b @ a) > tol * scale**2:
+            if frob_norm(a @ b - b @ a) > TAU_ALG * scale**2:
                 raise NotCommuting(f"generators {k} and {i} do not commute")
-            if frob_norm(a @ adjoint(b) - adjoint(b) @ a) > tol * scale**2:
+            if frob_norm(a @ adjoint(b) - adjoint(b) @ a) > TAU_ALG * scale**2:
                 raise NotCommuting(f"generator {i} vs adjoint of {k}")
     gap = DELTA_CLUSTER * scale
     blocks = [np.eye(n_dim, dtype=np.complex128)]
@@ -484,8 +463,7 @@ def joint_diagonalize(
             merged.append((values, [v]))
     merged.sort(key=lambda it: tuple((z.real, z.imag) for z in it[0]))
     cols = [np.hstack(vs) for _, vs in merged]
-    projs = np.stack([v @ adjoint(v) for v in cols])
     return CharacterAtlas(
         values=np.array([values for values, _ in merged], dtype=np.complex128),
-        projections=(projs + np.conj(np.swapaxes(projs, 1, 2))) / 2.0,
+        projections=np.stack([range_projection(v) for v in cols]),
     )

@@ -210,8 +210,11 @@ def _cmd_report(args) -> int:
 
 
 def _usage_problem(args) -> str | None:
-    """Why the parsed arguments ask for no work, or None: a count below one
-    or a deadline that is not a positive, finite number of seconds."""
+    """Why the parsed arguments ask for no work, or None: a negative seed, a
+    count below one or a deadline that is not positive and finite."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        return f"argument --seed: must be non-negative, got {seed}"
     count = getattr(args, "count", 1)
     if count < 1:
         return f"argument --count: must be at least 1, got {count}"

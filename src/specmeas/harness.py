@@ -26,6 +26,7 @@ from .linalg import (
     adjoint,
     frob_norm,
     op_norm,
+    projection_residual,
     random_hermitian,
     random_unitary,
 )
@@ -64,6 +65,7 @@ MAX_H_DIM = 4
 MAX_K_DIM = 16
 MAX_SPACE = 8
 MAX_HORIZON = 64
+MIN_HORIZON = 8  # the least horizon that C' and D draw
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,10 @@ class Caps:
             raise CapExceeded(f"horizon cap {self.horizon} > {MAX_HORIZON}")
         if min(self.h_dim, self.k_dim, self.space, self.horizon) < 1:
             raise CapExceeded("caps must be positive")
+        if self.horizon < MIN_HORIZON:
+            raise CapExceeded(f"horizon cap {self.horizon} < {MIN_HORIZON}")
+        if self.k_dim < self.h_dim:  # kind B fits an atom of dim H into K
+            raise CapExceeded(f"dim K cap {self.k_dim} < dim H cap {self.h_dim}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ def _gen_b(seed, rng, caps) -> Scenario:
 
 
 def _gen_c(seed, rng, caps, with_algebra: bool) -> Scenario:
-    horizon = int(rng.integers(8, caps.horizon + 1))
+    horizon = int(rng.integers(MIN_HORIZON, caps.horizon + 1))
     from .serialize import generator_rule
 
     n_gen = int(rng.integers(1, 3))
@@ -598,9 +604,9 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         checks.append(_bool_entry(f"integrable[P{i}]", rep.passed))
     # (2) the blockwise compression E_P has atoms acting as P per block;
     # cross-block orthogonality is structural, so the atom laws remain
-    for i, p in enumerate(fam.members):
-        worst = max(frob_norm(p @ p - p), frob_norm(p - adjoint(p)))
-        checks.append(check_entry(f"compression[P{i}]", worst, TAU_RECON))
+    checks += family_entries(
+        [f"compression[P{i}]" for i in range(len(fam))],
+        projection_residual(fam.stack), np.full(len(fam), TAU_RECON))
     # (3) support containment for certified vectors
     for t in range(3):
         x = _random_domain_vector(rng, model)

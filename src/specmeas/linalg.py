@@ -5,8 +5,10 @@ supply the substrate for everything else: hermitian eigendecomposition with
 cluster merging, and the positive/negative and real/imaginary splittings.
 A resolution is stored as one (n, d, d) stack of projections beside the
 array of its values; ``resolution_residual`` checks any such stack in one
-batch.  The norms and ``resolution_residual`` also take a stack of inputs
-with leading axes and return one value per leading index.
+batch.  Stacked routes: ``require_hermitian`` and ``eig_hermitian`` take a
+matrix or an (n, d, d) stack (a stack gives a list of decompositions); the
+norms, ``projection_residual`` and ``resolution_residual`` take leading axes
+and return one value per leading index.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NonHermitianInput, ShapeMismatch
-from .tolerances import DELTA_CLUSTER, TAU_HERM, TAU_PROJ
+from .tolerances import DELTA_CLUSTER, TAU_HERM
 
 
 def as_matrix(a) -> np.ndarray:
@@ -60,32 +62,33 @@ def op_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def hermiticity_residual(a: np.ndarray) -> float:
-    a = require_square(a)
-    return frob_norm(a - adjoint(a)) / (1.0 + frob_norm(a))
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate hermiticity of a matrix, or of each matrix of an (n, d, d)
+    stack, and return the symmetrized input.
 
-
-def require_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> np.ndarray:
-    """Validate hermiticity and return the symmetrized matrix.
-
-    Symmetrization absorbs accumulated round-off; residuals beyond ``tol``
-    are genuine errors and raise.
+    Symmetrization absorbs accumulated round-off; a residual
+    ||A - A*|| / (1 + ||A||) beyond TAU_HERM is a genuine error and raises.
     """
-    a = require_square(a)
-    if hermiticity_residual(a) > tol:
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim == 3 and a.shape[1] == a.shape[2] and a.size:
+        as_matrix(a.reshape(-1, a.shape[2]))  # finiteness, in one call
+    else:
+        a = require_square(a)
+    adj = np.conj(np.swapaxes(a, -1, -2))
+    residual = np.max(frob_norm(a - adj) / (1.0 + frob_norm(a)))
+    if residual > TAU_HERM:
         raise NonHermitianInput(
-            f"hermiticity residual {hermiticity_residual(a):.3e} exceeds {tol:.1e}"
+            f"hermiticity residual {residual:.3e} exceeds {TAU_HERM:.1e}"
         )
-    return (a + adjoint(a)) / 2.0
+    return (a + adj) / 2.0
 
 
-def is_projection(stack: np.ndarray, tol: float = TAU_PROJ) -> np.ndarray:
-    """Whether each matrix of an (n, d, d) stack is a hermitian projection:
-    the Frobenius norms of P P - P and P - P* are both at most ``tol``."""
-    idempotence = np.linalg.norm(stack @ stack - stack, axis=(1, 2))
-    hermiticity = np.linalg.norm(stack - np.conj(np.swapaxes(stack, 1, 2)),
-                                 axis=(1, 2))
-    return (idempotence <= tol) & (hermiticity <= tol)
+def projection_residual(a):
+    """The worse of ||P P - P|| and ||P - P*|| (Frobenius) for a matrix, or
+    the array of those of each matrix of an (..., d, d) stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.maximum(frob_norm(a @ a - a),
+                      frob_norm(a - np.conj(np.swapaxes(a, -1, -2))))
 
 
 def resolution_residual(stack: np.ndarray):
@@ -94,17 +97,14 @@ def resolution_residual(stack: np.ndarray):
     P_i P_j (i > j) are taken in one call; an empty stack gives 0.  An
     (..., n, d, d) stack gives the array of the worst residual of each
     (n, d, d) stack in it."""
-    def worst(residuals):
-        return np.linalg.norm(residuals, axis=(-2, -1)).max(axis=-1, initial=0.0)
-
     later, earlier = np.nonzero(np.tri(stack.shape[-3], k=-1, dtype=bool))
     # each kind of residual is reduced before the next is formed, so a
     # stack of stacks holds the temporaries of one kind at a time
-    out = np.max([
-        worst(stack @ stack - stack),
-        worst(stack - np.conj(np.swapaxes(stack, -1, -2))),
-        worst(stack[..., later, :, :] @ stack[..., earlier, :, :]),
-    ], axis=0)
+    out = np.maximum(
+        projection_residual(stack).max(axis=-1, initial=0.0),
+        np.linalg.norm(stack[..., later, :, :] @ stack[..., earlier, :, :],
+                       axis=(-2, -1)).max(axis=-1, initial=0.0),
+    )
     return float(out) if stack.ndim == 3 else out
 
 
@@ -136,24 +136,35 @@ class SpectralDecomposition:
         return worst
 
 
-def eig_hermitian(a: np.ndarray, tol: float = TAU_HERM) -> SpectralDecomposition:
-    """Eigendecomposition of a hermitian matrix with near-degenerate merging.
+def eig_hermitian(a: np.ndarray):
+    """Eigendecomposition of a hermitian matrix with near-degenerate merging,
+    or the list of those of each matrix of an (n, d, d) stack.
 
     Eigenvalues closer than DELTA_CLUSTER*(1+||A||_2) are merged into a single
     projection; otherwise degenerate subspaces would split into factors that
-    are not idempotent within TAU_PROJ.
+    are not idempotent within TAU_PROJ.  A stack takes one eigh and one
+    rank-one product; only a cluster of two or more forms its own projection.
     """
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a)
+    stack = a[None] if a.ndim == 2 else a
     try:
-        vals, vecs = np.linalg.eigh(a)
+        vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigSolverFailure(str(exc)) from exc
-    scale = 1.0 + max(abs(vals[0]), abs(vals[-1]))
-    values, projections = [], []
-    for i, j in clusters(vals, DELTA_CLUSTER * scale):
-        projections.append(range_projection(vecs[:, i:j]))
-        values.append(float(np.mean(vals[i:j])))
-    return SpectralDecomposition(np.array(values), np.stack(projections))
+    # every rank-one eigenprojection v v*, symmetrized as range_projection
+    # symmetrizes a cluster's projection
+    cols = np.swapaxes(vecs, -1, -2)
+    rank_one = cols[..., :, None] @ np.conj(cols[..., None, :])
+    rank_one = (rank_one + np.conj(np.swapaxes(rank_one, -1, -2))) / 2.0
+    out = []
+    for v, vec, ones in zip(vals, vecs, rank_one):
+        bounds = clusters(v, DELTA_CLUSTER * (1.0 + max(abs(v[0]), abs(v[-1]))))
+        if len(bounds) < len(v):
+            v = np.array([np.mean(v[i:j]) for i, j in bounds])
+            ones = np.stack([ones[i] if j == i + 1 else
+                             range_projection(vec[:, i:j]) for i, j in bounds])
+        out.append(SpectralDecomposition(v, ones))
+    return out[0] if a.ndim == 2 else out
 
 
 def range_projection(block: np.ndarray) -> np.ndarray:

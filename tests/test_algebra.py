@@ -200,6 +200,21 @@ def test_sample_projections_spans():
     assert fam.validate() <= 1e-8
 
 
+def test_projection_family_stack_and_validate():
+    w = algebra.bicommutant([linalg.random_hermitian(np.random.default_rng(5), 3)], 3)
+    empty = algebra.ProjectionFamily(algebra=w, members=())
+    assert empty.stack.shape == (0, 3, 3)
+    assert empty.validate() == 0.0
+    fam = algebra.sample_projections(w, n=8, seed=0)
+    assert np.array_equal(fam.stack, np.stack(fam.members))
+    # a member that is no projection, or lies outside w, trips validate
+    off = np.zeros((3, 3), dtype=complex)
+    off[0, 1] = 1.0
+    for bad in (1.01 * fam.members[-1], off):
+        broken = algebra.ProjectionFamily(algebra=w, members=fam.members + (bad,))
+        assert broken.validate() >= 1e-3
+
+
 def test_linear_extend_consistent_and_inconsistent():
     fam = all_diagonal_projections(2)
     assert fam.span_deficit() <= 1e-10

@@ -48,11 +48,13 @@ def test_env_seed_default(capsys, monkeypatch):
 
 
 def test_env_seed_that_is_no_integer_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SPECREP_SEED", "abc")
-    for argv in (["verify-a"], ["fuzz", "--seconds", "0"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "invalid int value: 'abc'" in err and "Traceback" not in err
+    for value, message in (("abc", "invalid int value: 'abc'"),
+                           ("-1", "--seed: must be non-negative, got -1")):
+        monkeypatch.setenv("SPECREP_SEED", value)
+        for argv in (["verify-a"], ["verify-d"], ["fuzz", "--seconds", "0.1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert message in err and "Traceback" not in err
     # an explicit --seed still wins over the environment
     code, out, _ = run(capsys, "verify-a", "--seed", "4")
     assert code == 0 and json.loads(out.splitlines()[0])["scenario"] == "A-4"
@@ -66,6 +68,9 @@ def test_env_seed_that_is_no_integer_is_a_usage_error(capsys, monkeypatch):
     (["fuzz", "--seconds", "0"], "--seconds: must be positive and finite"),
     (["fuzz", "--seconds", "nan"], "--seconds: must be positive and finite"),
     (["fuzz", "--seconds", "inf"], "--seconds: must be positive and finite"),
+    (["verify-a", "--seed", "-5"], "--seed: must be non-negative, got -5"),
+    (["fuzz", "--seed", "-3"], "--seed: must be non-negative, got -3"),
+    (["report", "--seed", "-1"], "--seed: must be non-negative, got -1"),
 ])
 def test_a_run_that_asks_for_no_work_is_a_usage_error(capsys, tmp_path, argv,
                                                        message):
@@ -85,6 +90,14 @@ def test_caps_parsing():
         cli.parse_caps("h=9")
     with pytest.raises(Exception):
         cli.parse_caps("zz=2")
+
+
+def test_caps_the_generators_cannot_honour_are_a_usage_error(capsys):
+    for caps, message in (("n=7", "horizon cap 7 < 8"),
+                          ("k=3", "dim K cap 3 < dim H cap 4")):
+        code, out, err = run(capsys, "verify-d", "--caps", caps)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
 
 
 def test_check_measure_good_and_bad(capsys, tmp_path):

@@ -17,6 +17,17 @@ def test_caps_enforced():
         harness.Caps(space=9)
     with pytest.raises(CapExceeded):
         harness.Caps(horizon=65)
+    # C' and D draw a horizon of at least 8, and B fits an atom of dim H
+    # into K
+    for horizon in range(1, harness.MIN_HORIZON):
+        with pytest.raises(CapExceeded):
+            harness.Caps(horizon=horizon)
+    harness.Caps(horizon=harness.MIN_HORIZON)
+    with pytest.raises(CapExceeded):
+        harness.Caps(k_dim=3)
+    with pytest.raises(CapExceeded):
+        harness.Caps(h_dim=2, k_dim=1)
+    harness.Caps(h_dim=2, k_dim=2)
 
 
 def test_gen_scenario_deterministic():

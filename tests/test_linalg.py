@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import linalg
-from specmeas.errors import NonHermitianInput
+from specmeas import algebra, linalg
+from specmeas.errors import NonHermitianInput, ShapeMismatch
 
 
 def test_eig_diagonal_merges_degenerate():
@@ -146,3 +146,66 @@ def test_stacked_resolution_residual_equals_per_stack_calls():
     assert np.array_equal(
         linalg.resolution_residual(np.zeros((2, 0, 3, 3), dtype=complex)),
         np.zeros(2))
+
+
+def _hermitian_stacks():
+    """Stacks for the stacked eig_hermitian route: 1x1 matrices, 3x3
+    matrices with a repeated eigenvalue (a two-vector cluster, and a
+    multiple of the identity) beside generic ones, and sampler elements of
+    the full matrix algebra on C^4."""
+    rng = np.random.default_rng(11)
+    yield rng.standard_normal((3, 1, 1)).astype(complex)
+    u = linalg.random_unitary(rng, 3)
+    repeated = u @ np.diag([1.0, 1.0, 2.0]) @ linalg.adjoint(u)
+    yield np.stack([repeated, linalg.random_hermitian(rng, 3),
+                    2.0 * np.eye(3, dtype=complex), repeated])
+    w = algebra.bicommutant([linalg.random_hermitian(rng, 4) for _ in range(2)], 4)
+    yield w.hermitian_elements(rng.standard_normal((5, 2, w.dim)))
+
+
+def test_stacked_eig_hermitian_equals_per_matrix_calls():
+    clustered = 0
+    for stack in _hermitian_stacks():
+        got = linalg.eig_hermitian(stack)
+        assert isinstance(got, list) and len(got) == len(stack)
+        for dec, a in zip(got, stack):
+            want = linalg.eig_hermitian(a)
+            assert dec.values.tobytes() == want.values.tobytes()
+            assert dec.projections.tobytes() == want.projections.tobytes()
+            assert dec.validate(source=a) <= 1e-8
+            clustered += len(dec.values) < len(a)
+    assert clustered == 3
+
+
+def test_stacked_require_hermitian_checks_every_member():
+    rng = np.random.default_rng(12)
+    stack = np.stack([linalg.random_hermitian(rng, 3) for _ in range(4)])
+    got = linalg.require_hermitian(stack)
+    for member, a in zip(got, stack):
+        assert member.tobytes() == linalg.require_hermitian(a).tobytes()
+    bad = stack.copy()
+    bad[2, 0, 1] += 1e-3
+    with pytest.raises(NonHermitianInput):
+        linalg.require_hermitian(bad)
+    bad = stack.copy()
+    bad[1, 2, 2] = np.nan
+    with pytest.raises(ShapeMismatch):
+        linalg.require_hermitian(bad)
+    with pytest.raises(ShapeMismatch):
+        linalg.require_hermitian(np.zeros((2, 3, 4), dtype=complex))
+
+
+def test_projection_residual_is_the_worse_of_the_two_norms():
+    rng = np.random.default_rng(13)
+    dec = linalg.eig_hermitian(linalg.random_hermitian(rng, 4))
+    p = dec.projections[0] + dec.projections[1]
+    stack = np.stack([p, 1.01 * p, p + 1e-3 * linalg.random_complex(rng, 4, 4),
+                      np.zeros((4, 4), dtype=complex)])
+    got = linalg.projection_residual(stack)
+    assert got.shape == (4,)
+    for value, q in zip(got, stack):
+        want = max(linalg.frob_norm(q @ q - q),
+                   linalg.frob_norm(q - linalg.adjoint(q)))
+        assert abs(value - want) <= 1e-15 * (1.0 + want)
+        assert abs(linalg.projection_residual(q) - want) <= 1e-15 * (1.0 + want)
+    assert got[0] <= 1e-12 and got[3] == 0.0 and got[1] > 1e-3 and got[2] > 1e-4
