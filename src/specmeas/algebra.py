@@ -47,10 +47,6 @@ from .tolerances import (
 )
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1)
-
-
 @dataclass(frozen=True)
 class VonNeumannAlgebra:
     """*-closed unital matrix algebra with a trace-orthonormal basis.
@@ -96,8 +92,11 @@ class VonNeumannAlgebra:
             raise NotInSpan(f"membership residual {max(resid):.3e}")
         return coeffs[0] if single else coeffs
 
-    def membership_residual(self, a: np.ndarray) -> float:
-        return float(self._project(_vec(a))[1])
+    def membership_residual(self, a: np.ndarray):
+        """Distance of a matrix, or of each matrix of an (n, d, d) stack, to
+        the span."""
+        resid = self._project(np.reshape(a, (*np.shape(a)[:-2], -1)))[1]
+        return float(resid) if np.ndim(a) == 2 else resid
 
     def hermitian_elements(self, draws: np.ndarray) -> np.ndarray:
         """The (n, d, d) stack of hermitian parts of sum_j c_j B_j, one per

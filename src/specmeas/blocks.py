@@ -17,6 +17,10 @@ vectors, where all sums are finite and exact.
 A preintegral psi(f, A) is read off the field's block actions f(n) * A,
 never through ``rho_apply``, so the two sides of a representation check
 take separate routes.
+A *-polynomial is (codes, coeffs): one coefficient per monomial, and its
+factors as rows of the table [f_0, conj f_0, f_1, conj f_1, ..., 1]
+(``factor_table``; ``BlockModel.factor_rows`` for the generators), evaluated
+by ``star_values``.
 The checks work per family: ``d_alpha_check`` evaluates all of its probe
 *-polynomials as one (probes, blocks) value stack over the model's factor
 rows, on the blocks it reads (x's support and K), and
@@ -82,15 +86,9 @@ class BlockModel:
 
     @cached_property
     def factor_rows(self) -> np.ndarray:
-        """The value rows a ``d_alpha_check`` probe's factors can take, one
-        per ``_draw_probes`` code: f_b and conj(f_b) for each generator b in
-        sorted order, then the constant 1."""
-        rows = [self.generator_rows[b] for b in sorted(self.generators)]
-        table = np.ones((2 * len(rows) + 1, self.horizon), dtype=np.complex128)
-        if rows:
-            table[0:-1:2] = rows
-            table[1:-1:2] = np.conj(rows)
-        return table
+        """The ``factor_table`` of the generator rows in sorted order."""
+        return factor_table([self.generator_rows[b] for b in sorted(self.generators)],
+                            np.ones(self.horizon))
 
 
 @dataclass(frozen=True)
@@ -233,11 +231,13 @@ def d_alpha_check(
     sup_{n in K} |f_b(n)|^2 ||x||^2.  NECESSARY (sampled): the inequality is
     probed on random *-polynomials in the generators.  The probes come from
     one structured draw of a private rng seeded by ``seed``
-    (``_draw_probes``) and are evaluated as one (probes, blocks) value
-    stack over the model's factor rows, on the blocks of x's support and
-    then those of K below the horizon, so every probe's excess, alpha_K and
-    the status are array operations.  A non-finite probe residual fails.  K must be a set over the model's space (SpaceMismatch
-    otherwise), and ``probes`` non-negative (ValueError otherwise).
+    (``_draw_probes``) and are evaluated by ``star_values`` as one
+    (probes, blocks) value stack over the model's factor rows, on the
+    blocks of x's support and then those of K below the horizon, so every
+    probe's excess, alpha_K and the status are array operations.  A
+    non-finite probe residual fails.  K must be a set over the model's space
+    (SpaceMismatch otherwise), and ``probes`` non-negative (ValueError
+    otherwise).
     """
     _require_rows(x, model.horizon)
     if probes < 0:
@@ -248,14 +248,9 @@ def d_alpha_check(
     norm_x = x.norm()
     xs = x.block[support]
     mass = np.einsum("nd,nd->n", np.conj(xs), xs).real
-    # each monomial is its coefficient times its factors, left to right,
-    # and each probe sums its monomial slots in order
     table = model.factor_rows[:, np.concatenate((support, np.flatnonzero(inside)))]
-    codes, coeffs = _draw_probes(seed, len(model.generators), probes)
-    terms = coeffs[..., None]
-    for s in range(codes.shape[-1]):
-        terms = terms * table[codes[..., s]]
-    vals = np.abs(terms.sum(axis=1))
+    vals = np.abs(star_values(*_draw_probes(seed, len(model.generators), probes),
+                              table))
     y_norm = np.sqrt(np.sum(vals[:, :len(support)] ** 2 * mass, axis=1))
     alpha = np.max(vals[:, len(support):], axis=1, initial=0.0)
     # np.maximum keeps a NaN excess, which then fails every comparison
@@ -283,16 +278,12 @@ def _draw_probes(seed: int, n_names: int, probes: int):
     an rng seeded by ``seed``.  The draw depends on nothing else, so it is
     cached: a pipeline that probes several vectors with one seed draws once.
 
-    Returns read-only (codes, coeffs) over 3 monomial slots of 2 factor
-    slots each per probe: monomial m of probe t is coeffs[t, m] times the
-    factors that codes[t, m] names, left to right.  A code c < 2 * n_names
-    is generator c // 2 of the sorted names, adjoint when c is odd; the code
-    2 * n_names is the constant 1 (``BlockModel.factor_rows`` in this
-    order).  A probe uses its first 1..3 monomial slots and a monomial its
-    first 0..2 factor slots; each count, and each generator pick, is
-    floor(n * u) (+ 1 for the monomial count) of a uniform u in [0, 1).
-    Unused factor slots hold the constant 1, unused monomial slots the
-    coefficient 0, so both add exact ones and zeros.
+    Returns read-only (codes, coeffs) over the sorted names, 3 monomial
+    slots of 2 factor slots per probe.  A probe uses its first 1..3 monomial
+    slots and a monomial its first 0..2 factor slots; each count, and each
+    generator pick, is floor(n * u) (+ 1 for the monomial count) of a
+    uniform u in [0, 1).  Unused factor slots hold the constant 1, unused
+    monomial slots the coefficient 0: exact ones and zeros.
     """
     rng = np.random.default_rng(seed)
     u = rng.random((probes, 3, 4))  # monomial count, degree, two picks
@@ -306,30 +297,51 @@ def _draw_probes(seed: int, n_names: int, probes: int):
     return codes, coeffs
 
 
-def _random_star_polynomial(rng: np.random.Generator, names, degree: int):
-    """Random *-polynomial: list of (coeff, ((name, conj?) ...)) monomials."""
-    monomials = []
+def _random_star_polynomial(rng: np.random.Generator, n_names: int, degree: int):
+    """Random *-polynomial in ``n_names`` generators as (codes, coeffs):
+    1..3 monomials of 0..``degree`` factors, each drawn one scalar at a time
+    (degree, a generator and an adjoint flag per factor, coefficient)."""
+    monomials, coeffs = [], []
     for _ in range(int(rng.integers(1, 4))):
         deg = int(rng.integers(0, degree + 1))
-        factors = tuple(
-            (names[int(rng.integers(len(names)))], bool(rng.integers(2)))
-            for _ in range(deg)
-        ) if names else ()
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        monomials.append((coeff, factors))
-    return monomials
+        monomials.append([(int(rng.integers(n_names)), int(rng.integers(2)))
+                          for _ in range(deg)] if n_names else [])
+        coeffs.append(complex(rng.standard_normal(), rng.standard_normal()))
+    return star_codes(monomials, n_names, degree), np.array(coeffs)
 
 
-def _poly_values(model: BlockModel, monomials) -> np.ndarray:
-    """A *-polynomial's value row, over the model's generator rows."""
-    total = np.zeros(model.horizon, dtype=np.complex128)
-    for coeff, factors in monomials:
-        term = np.full(model.horizon, coeff, dtype=np.complex128)
-        for name, conj in factors:
-            v = model.generator_rows[name]
-            term = term * (np.conj(v) if conj else v)
-        total = total + term
-    return total
+def star_codes(monomials, n_names: int, slots: int) -> np.ndarray:
+    """The (len(monomials), slots) codes of monomials given as lists of
+    (generator index, adjoint?) factors; unused slots name the constant."""
+    codes = np.full((len(monomials), slots), 2 * n_names)
+    for m, factors in enumerate(monomials):
+        for s, (g, adj) in enumerate(factors):
+            codes[m, s] = 2 * g + adj
+    return codes
+
+
+def factor_table(factors, unit) -> np.ndarray:
+    """[f_0, f_0*, f_1, f_1*, ..., unit]: the rows that the codes 0, 1, ...,
+    2 * len(factors) name.  Factors of ``unit``'s shape are value rows
+    (adjoint: the conjugate) or square matrices (the conjugate transpose)."""
+    unit = np.asarray(unit, dtype=np.complex128)
+    f = np.reshape(np.asarray(factors, dtype=np.complex128), (-1, *unit.shape))
+    table = np.empty((2 * len(f) + 1, *unit.shape), dtype=np.complex128)
+    table[0:-1:2] = f
+    table[1:-1:2] = np.conj(f if unit.ndim == 1 else np.swapaxes(f, -1, -2))
+    table[-1] = unit
+    return table
+
+
+def star_values(codes, coeffs, table) -> np.ndarray:
+    """The (..., n) values of *-polynomials (codes (..., m, slots), slots
+    >= 1, and coeffs (..., m)) over a ``factor_table`` of length-n value
+    rows: per monomial its coefficient times its factors, left to right,
+    summed over the monomials in order."""
+    terms = coeffs[..., None]
+    for s in range(codes.shape[-1]):
+        terms = terms * table[codes[..., s]]
+    return terms.sum(axis=-2)
 
 
 def _require_coefficient(model: BlockModel, a) -> None:

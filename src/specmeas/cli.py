@@ -18,6 +18,7 @@ from .errors import CapExceeded, SpecmeasError
 from .harness import (
     Caps,
     FAULT_CLASSES,
+    MIN_FAULT_H_DIM,
     check_measure_file,
     fault_report,
     run_suite,
@@ -51,6 +52,16 @@ def parse_caps(text: str) -> Caps:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _parse_kinds(text: str):
+    kinds = []
+    for letter in text.split(","):
+        letter = letter.strip().lower()
+        if letter not in KIND_BY_LETTER:
+            raise argparse.ArgumentTypeError(f"unknown kind {letter!r}")
+        kinds.append(KIND_BY_LETTER[letter])
+    return kinds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specrep",
@@ -74,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
 
     p = sub.add_parser("fuzz", help="run random scenarios until a deadline")
-    p.add_argument("--kinds", default="a,b,c,d")
+    p.add_argument("--kinds", type=_parse_kinds, default="a,b,c,d")
     p.add_argument("--seconds", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--caps", type=parse_caps, default=Caps())
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run suites and write an aggregate report")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--kinds", default="a,b,c,d")
+    p.add_argument("--kinds", type=_parse_kinds, default="a,b,c,d")
     add_common(p)
     return parser
 
@@ -125,16 +136,6 @@ def _text_report(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kinds(text: str):
-    kinds = []
-    for letter in text.split(","):
-        letter = letter.strip().lower()
-        if letter not in KIND_BY_LETTER:
-            raise argparse.ArgumentTypeError(f"unknown kind {letter!r}")
-        kinds.append(KIND_BY_LETTER[letter])
-    return kinds
-
-
 def _cmd_verify(args, kind: str) -> int:
     reports = run_suite(kind, args.seed, args.count, args.caps)
     reports = [_strip_timing(r, args.timing) for r in reports]
@@ -142,16 +143,11 @@ def _cmd_verify(args, kind: str) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    try:
-        kinds = _parse_kinds(args.kinds)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     deadline = time.monotonic() + args.seconds
     seed = args.seed
     ran, failures = 0, []
     while time.monotonic() < deadline:
-        for kind in kinds:
+        for kind in args.kinds:
             rep = run_suite(kind, seed, 1, args.caps)[0]
             ran += 1
             if not rep.passed:
@@ -181,13 +177,8 @@ def _cmd_check_measure(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        kinds = _parse_kinds(args.kinds)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     reports = []
-    for kind in kinds:
+    for kind in args.kinds:
         reports.extend(
             run_suite(kind, args.seed, args.count, args.caps)
         )
@@ -211,7 +202,8 @@ def _cmd_report(args) -> int:
 
 def _usage_problem(args) -> str | None:
     """Why the parsed arguments ask for no work, or None: a negative seed, a
-    count below one or a deadline that is not positive and finite."""
+    count below one, a deadline that is not positive and finite, or fault
+    injection under a dim H cap below MIN_FAULT_H_DIM."""
     seed = getattr(args, "seed", 0)
     if seed < 0:
         return f"argument --seed: must be non-negative, got {seed}"
@@ -221,6 +213,9 @@ def _usage_problem(args) -> str | None:
     seconds = getattr(args, "seconds", 1.0)
     if not (math.isfinite(seconds) and seconds > 0):
         return f"argument --seconds: must be positive and finite, got {seconds}"
+    if getattr(args, "faults", False) and args.caps.h_dim < MIN_FAULT_H_DIM:
+        return (f"argument --faults: needs a dim H cap of at least "
+                f"{MIN_FAULT_H_DIM}, got h={args.caps.h_dim}")
     return None
 
 

@@ -66,6 +66,7 @@ MAX_K_DIM = 16
 MAX_SPACE = 8
 MAX_HORIZON = 64
 MIN_HORIZON = 8  # the least horizon that C' and D draw
+MIN_FAULT_H_DIM = 2  # condition (1) and a non-normal block need matrices
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ def _gen_c(seed, rng, caps, with_algebra: bool) -> Scenario:
             )
     w = blocks.scalars()
     if with_algebra:
-        dim = int(rng.integers(2, 4))
+        # 2..3, within the cap; at h >= 3 this is the draw integers(2, 4)
+        dim = int(rng.integers(min(2, caps.h_dim), min(3, caps.h_dim) + 1))
         w = bicommutant(
             [random_hermitian(rng, dim), random_hermitian(rng, dim)], dim
         )
@@ -306,41 +308,24 @@ def _non_normal_field(model, n_bad, magnitude):
 
 
 # ---------------------------------------------------------------------------
-# *-polynomial helpers (kind A / Cprime test sets)
+# *-polynomial test set (kind A)
 
 
-def _star_monomials(names, rng, count, degree=3):
-    """Deterministic test set: generators, pairwise products, adjoints, and
-    ``count`` random monomial combinations up to the given degree."""
-    base = [((n, False),) for n in names]
-    base += [((n, True),) for n in names]
-    base += [((a, False), (b, False)) for a in names for b in names]
-    out = [(1.0 + 0.0j, m) for m in base]
+def _star_monomials(n_names, rng, count, degree=3):
+    """One-monomial *-polynomials as (codes, coeffs): the generators, their
+    adjoints, the pairwise products, and ``count`` random monomials of
+    degree 1..``degree``, drawn one scalar at a time."""
+    gens = range(n_names)
+    monomials = [[(g, adj)] for adj in (0, 1) for g in gens]
+    monomials += [[(a, 0), (b, 0)] for a in gens for b in gens]
+    coeffs = [1.0 + 0.0j] * len(monomials)
     for _ in range(count):
         deg = int(rng.integers(1, degree + 1))
-        mono = tuple(
-            (names[int(rng.integers(len(names)))], bool(rng.integers(2)))
-            for _ in range(deg)
-        )
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        out.append((coeff, mono))
-    return out
-
-
-def _monomial_on_matrices(images, coeff, mono, dim):
-    out = coeff * np.eye(dim, dtype=np.complex128)
-    for name, conj in mono:
-        m = images[name]
-        out = out @ (adjoint(m) if conj else m)
-    return out
-
-
-def _monomial_on_values(values, coeff, mono, names):
-    out = coeff
-    for name, conj in mono:
-        v = values[names.index(name)]
-        out *= np.conj(v) if conj else v
-    return out
+        monomials.append([(int(rng.integers(n_names)), int(rng.integers(2)))
+                          for _ in range(deg)])
+        coeffs.append(complex(rng.standard_normal(), rng.standard_normal()))
+    codes = blocks.star_codes(monomials, n_names, degree)
+    return codes[:, None], np.array(coeffs)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +338,32 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
     images: dict = scenario.payload["images"]
     names = sorted(images)
     d = images[names[0]].shape[0]
-    checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 1)
     try:
         atlas = joint_diagonalize([images[n] for n in names])
     except SpecmeasError as exc:
-        checks.append(_bool_entry(f"diagonalize[{type(exc).__name__}]", False))
-        return _finish(scenario, checks, t0)
-    # (i) representation on the *-polynomial test set
-    for t, (coeff, mono) in enumerate(_star_monomials(names, rng, count=6)):
-        lhs = _monomial_on_matrices(images, coeff, mono, d)
-        # scalar weights per point (an array loop may fuse multiply-adds),
-        # summed over the projection stack in point order
-        weights = np.array([_monomial_on_values(vals, coeff, mono, names)
-                            for vals in atlas.values.tolist()])
-        rhs = (weights[:, None, None] * atlas.projections).sum(axis=0)
-        checks.append(check_entry(
-            f"represent[poly{t}]", frob_norm(lhs - rhs),
-            TAU_RECON * (1.0 + frob_norm(lhs)),
-        ))
+        return _finish(scenario, [_bool_entry(
+            f"diagonalize[{type(exc).__name__}]", False)], t0)
+    # (i) representation on the *-polynomial test set: a product over the
+    # code slots of the images' table against the atlas-weighted projections
+    codes, coeffs = _star_monomials(len(names), rng, count=6)
+    mats = blocks.factor_table([images[n] for n in names], np.eye(d))
+    lhs = coeffs[..., None, None] * np.eye(d)
+    for s in range(codes.shape[-1]):
+        lhs = lhs @ mats[codes[..., s]]
+    lhs = lhs.sum(axis=1)
+    weights = blocks.star_values(
+        codes, coeffs, blocks.factor_table(atlas.values.T, np.ones(len(atlas.values))))
+    rhs = (weights[..., None, None] * atlas.projections).sum(axis=1)
+    checks = family_entries(
+        [f"represent[poly{t}]" for t in range(len(codes))],
+        frob_norm(lhs - rhs), TAU_RECON * (1.0 + frob_norm(lhs)))
     # (ii) atoms lie in the generated algebra
     w = bicommutant([images[n] for n in names], d)
-    for i, proj in enumerate(atlas.projections):
-        checks.append(check_entry(
-            f"atom-membership[{i}]", w.membership_residual(proj), TAU_RECON,
-        ))
+    n_pts = len(atlas.projections)
+    checks += family_entries(
+        [f"atom-membership[{i}]" for i in range(n_pts)],
+        w.membership_residual(atlas.projections), np.full(n_pts, TAU_RECON))
     # (iii) uniqueness: diagonalizing the generators again, in a permuted
     # order, must give every point back with the same projection; points
     # match when their value rows agree within TAU_MATCH
@@ -388,8 +374,9 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
     near = dist < TAU_MATCH
     miss = np.linalg.norm(
         atlas.projections - again.projections[near.argmax(axis=1)], axis=(1, 2))
-    for i, resid in enumerate(np.where(near.any(axis=1), miss, 1.0)):
-        checks.append(check_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
+    checks += family_entries(
+        [f"uniqueness[atom{i}]" for i in range(n_pts)],
+        np.where(near.any(axis=1), miss, 1.0), np.full(n_pts, TAU_EXT))
     return _finish(scenario, checks, t0)
 
 
@@ -522,9 +509,10 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     # (iii) exact representation on finitely supported vectors
     for t in range(6):
         x = _random_domain_vector(rng, model)
-        poly = blocks._random_star_polynomial(rng, names, degree=3)
-        lhs = _rho_polynomial(model, poly, x)
-        rhs = blocks.spectral_integral_apply(blocks._poly_values(model, poly), x)
+        codes, coeffs = blocks._random_star_polynomial(rng, len(names), degree=3)
+        lhs = _rho_polynomial(model, codes, coeffs, x)
+        rhs = blocks.spectral_integral_apply(
+            blocks.star_values(codes, coeffs, model.factor_rows), x)
         # the tolerance scales with the spectral side, the route-free one
         checks.append(check_entry(
             f"represent[x{t}]", lhs.sub(rhs).norm(),
@@ -540,16 +528,17 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     return _finish(scenario, checks, t0)
 
 
-def _rho_polynomial(model, monomials, x) -> blocks.DomainVector:
-    """ρ(p) x for a *-polynomial p: per monomial, one ρ per factor, right to
-    left, on the generator's row (conjugated for an adjoint factor)."""
+def _rho_polynomial(model, codes, coeffs, x) -> blocks.DomainVector:
+    """ρ(p) x for a *-polynomial p as (codes, coeffs): per monomial, one ρ
+    per non-constant factor, right to left, on its ``factor_rows`` row."""
     unit = model.w.identity()
+    table = model.factor_rows
     out = []
-    for coeff, factors in monomials:
+    for row, coeff in zip(codes.tolist(), coeffs.tolist()):
         y = x
-        for name, conj in reversed(factors):
-            row = model.generator_rows[name]
-            y = blocks.rho_apply(model, np.conj(row) if conj else row, unit, y)
+        for c in reversed(row):
+            if c != len(table) - 1:  # the table's last row is the constant 1
+                y = blocks.rho_apply(model, table[c], unit, y)
         out.append(y.scale(coeff))
     return blocks.vector_sum(out)
 
@@ -726,6 +715,8 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
     """Inject one fault class and report whether a named check caught it."""
     if fault not in FAULT_CLASSES:
         raise ValueError(f"unknown fault class {fault!r}")
+    if caps.h_dim < MIN_FAULT_H_DIM:
+        raise CapExceeded(f"fault injection needs dim H cap >= {MIN_FAULT_H_DIM}")
     if fault == "non-normal-block":
         base = gen_scenario("D", seed, caps)
         bad = inject_fault(base, fault)

@@ -315,17 +315,20 @@ def _reference_models():
     yield matrix_model(dim=3, seed=12)[0]
 
 
-def _probe_polynomials(names, probes, seed):
-    """The probes of d_alpha_check's draw at ``seed``, as *-polynomials in
-    the form of ``_random_star_polynomial``: lists of
+def _decode(codes, coeffs, names):
+    """*-polynomials in (codes, coeffs) form as lists of
     (coeff, ((name, conj?), ...)) monomials, without the unused slots."""
-    codes, coeffs = blocks._draw_probes(seed, len(names), probes)
     return [
         [(complex(c), tuple((names[f // 2], bool(f % 2))
                             for f in row if f < 2 * len(names)))
          for c, row in zip(cs, rows) if c != 0]
-        for cs, rows in zip(coeffs.tolist(), codes.tolist())
+        for cs, rows in zip(np.asarray(coeffs).tolist(), np.asarray(codes).tolist())
     ]
+
+
+def _probe_polynomials(names, probes, seed):
+    """The probes of d_alpha_check's draw at ``seed``, decoded."""
+    return _decode(*blocks._draw_probes(seed, len(names), probes), names)
 
 
 def _d_alpha_reference(x, model, k, probes, seed):
@@ -399,6 +402,79 @@ def test_probe_draw_covers_the_star_polynomial_distribution():
     # no generators: every probe is a constant
     codes, _ = blocks._draw_probes(5, 0, 50)
     assert np.all(codes == 0)
+
+
+def _random_star_polynomial_reference(rng, names, degree):
+    """The tuple-form draw: a list of (coeff, ((name, conj?), ...))
+    monomials, one scalar draw at a time."""
+    monomials = []
+    for _ in range(int(rng.integers(1, 4))):
+        deg = int(rng.integers(0, degree + 1))
+        factors = tuple(
+            (names[int(rng.integers(len(names)))], bool(rng.integers(2)))
+            for _ in range(deg)
+        ) if names else ()
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        monomials.append((coeff, factors))
+    return monomials
+
+
+def test_random_star_polynomial_codes_decode_to_the_tuple_draw():
+    degrees = set()
+    for n_names in range(4):
+        names = ["a", "b", "c"][:n_names]
+        for degree in (1, 2, 3):
+            for seed in range(40):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                codes, coeffs = blocks._random_star_polynomial(rng, n_names, degree)
+                want = _random_star_polynomial_reference(ref, names, degree)
+                assert codes.shape == (len(want), degree)
+                assert _decode(codes[None], coeffs[None], names) == [want]
+                assert rng.bit_generator.state == ref.bit_generator.state
+                degrees |= {len(factors) for _, factors in want}
+    assert degrees == {0, 1, 2, 3}
+
+
+def _star_values_reference(codes, coeffs, table):
+    """Each polynomial's value at each point, one complex scalar at a time."""
+    lead = coeffs.shape[:-1]
+    out = np.zeros((*lead, table.shape[1]), dtype=np.complex128)
+    for idx in np.ndindex(*lead):
+        for n in range(table.shape[1]):
+            total = 0j
+            for coeff, row in zip(coeffs[idx], codes[idx]):
+                term = complex(coeff)
+                for c in row:
+                    term *= complex(table[c, n])
+                total += term
+            out[idx + (n,)] = total
+    return out
+
+
+def test_star_values_matches_a_per_point_loop():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((2, 7, 2)).view(np.complex128)[..., 0]
+    table = blocks.factor_table(rows, np.ones(7))
+    assert np.array_equal(table, [rows[0], np.conj(rows[0]), rows[1],
+                                  np.conj(rows[1]), np.ones(7)])
+    # (2, 4) polynomials of 3 monomials of 2 slots; the first polynomial's
+    # monomials are constant only, and the last slot of every monomial is
+    # the constant
+    codes = rng.integers(0, 5, size=(2, 4, 3, 2))
+    codes[0, 0] = 4
+    codes[..., 1] = 4
+    coeffs = rng.standard_normal((2, 4, 3, 2)).view(np.complex128)[..., 0]
+    got = blocks.star_values(codes, coeffs, table)
+    assert got.shape == (2, 4, 7)
+    assert np.allclose(got[0, 0], coeffs[0, 0].sum(), rtol=1e-15, atol=0.0)
+    want = _star_values_reference(codes, coeffs, table)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+    # a matrix table holds the adjoints and ends with the identity
+    mats = rng.standard_normal((2, 3, 3, 2)).view(np.complex128)[..., 0]
+    table = blocks.factor_table(mats, np.eye(3))
+    assert np.array_equal(table[1], mats[0].conj().T)
+    assert np.array_equal(table[3], mats[1].conj().T)
+    assert np.array_equal(table[4], np.eye(3))
 
 
 def test_d_alpha_fails_a_nan_probe():

@@ -253,6 +253,24 @@ def test_fuzz_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "fuzz", "--kinds", "q", "--seconds", "0.1")
     assert code == 2
     assert "unknown kind" in err
+    # report parses --kinds the same way
+    code, _, err = run(capsys, "report", "--out", "unused.json", "--kinds", "q")
+    assert code == 2
+    assert "argument --kinds: unknown kind 'q'" in err
+
+
+def test_fuzz_faults_below_the_least_h_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fuzz", "--faults", "--caps", "h=1",
+                         "--seconds", "1")
+    assert code == 2
+    assert "argument --faults: needs a dim H cap of at least 2, got h=1" in err
+    assert out == ""
+    # without --faults the same cap runs every kind
+    code, out, _ = run(capsys, "fuzz", "--caps", "h=1", "--seconds", "0.2")
+    assert code == 0 and "0 failed" in out
+    code, out, _ = run(capsys, "fuzz", "--kinds", "d", "--faults", "--caps",
+                       "h=2", "--seconds", "0.5")
+    assert code == 0 and "0 failed" in out
 
 
 def test_check_measure_unequal_atom_dims_no_traceback(tmp_path):

@@ -116,6 +116,114 @@ def test_verify_a_uniqueness_fails_on_a_disagreeing_diagonalization(monkeypatch)
     assert failed == {"uniqueness[atom0]", "uniqueness[atom1]"}
 
 
+def _star_monomials_reference(names, rng, count):
+    """Kind A's test set as (coeff, ((name, conj?), ...)) monomials."""
+    monomials = [((n, False),) for n in names] + [((n, True),) for n in names]
+    monomials += [((a, False), (b, False)) for a in names for b in names]
+    polys = [(1.0 + 0.0j, m) for m in monomials]
+    for _ in range(count):
+        deg = int(rng.integers(1, 4))
+        mono = tuple((names[int(rng.integers(len(names)))], bool(rng.integers(2)))
+                     for _ in range(deg))
+        polys.append((complex(rng.standard_normal(), rng.standard_normal()), mono))
+    return polys
+
+
+def test_star_monomial_codes_decode_to_the_tuple_draw():
+    for n_names in (1, 2, 3):
+        names = ["b0", "b1", "b2"][:n_names]
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            codes, coeffs = harness._star_monomials(n_names, rng, count=6)
+            want = _star_monomials_reference(names, ref, 6)
+            assert codes.shape == (len(want), 1, 3)
+            assert coeffs.shape == (len(want), 1)
+            got = [(complex(c[0]), tuple((names[f // 2], bool(f % 2))
+                                         for f in row[0] if f < 2 * n_names))
+                   for c, row in zip(coeffs.tolist(), codes.tolist())]
+            assert got == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _verify_a_reference(scenario):
+    """verify_theorem_a's checks with the *-polynomials as tuples of
+    (name, conj?) factors drawn one scalar at a time, one matrix product
+    chain and one scalar weight loop per check, and one norm call per
+    check."""
+    images = scenario.payload["images"]
+    names = sorted(images)
+    d = images[names[0]].shape[0]
+    rng = np.random.default_rng(scenario.seed + 1)
+    atlas = algebra.joint_diagonalize([images[n] for n in names])
+    polys = _star_monomials_reference(names, rng, 6)
+    checks = []
+    for t, (coeff, mono) in enumerate(polys):
+        lhs = coeff * np.eye(d, dtype=np.complex128)
+        for name, conj in mono:
+            lhs = lhs @ (linalg.adjoint(images[name]) if conj else images[name])
+        weights = []
+        for vals in atlas.values.tolist():
+            w = coeff
+            for name, conj in mono:
+                v = vals[names.index(name)]
+                w *= np.conj(v) if conj else v
+            weights.append(w)
+        rhs = sum(w * p for w, p in zip(weights, atlas.projections))
+        checks.append(nnsm.check_entry(
+            f"represent[poly{t}]", linalg.frob_norm(lhs - rhs),
+            TAU_RECON * (1.0 + linalg.frob_norm(lhs))))
+    w = algebra.bicommutant([images[n] for n in names], d)
+    for i, proj in enumerate(atlas.projections):
+        checks.append(nnsm.check_entry(
+            f"atom-membership[{i}]", w.membership_residual(proj), TAU_RECON))
+    order = rng.permutation(len(names))
+    again = algebra.joint_diagonalize([images[names[g]] for g in order])
+    again_values = again.values[:, np.argsort(order)]
+    for i, (vals, proj) in enumerate(zip(atlas.values, atlas.projections)):
+        match = [j for j, v in enumerate(again_values)
+                 if np.abs(vals - v).max() < harness.TAU_MATCH]
+        resid = (linalg.frob_norm(proj - again.projections[match[0]])
+                 if match else 1.0)
+        checks.append(nnsm.check_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
+    return checks
+
+
+def test_verify_a_families_match_the_tuple_reference():
+    """Names and pass flags equal the reference's; residuals and tols agree
+    within round-off (the stacked products and norms sum in another
+    order)."""
+    scenarios = [harness.gen_scenario("A", seed)
+                 for seed in [*range(60), *range(300000, 300020)]]
+    widths = set()
+    for sc in scenarios:
+        got = harness.verify_theorem_a(sc).checks
+        want = _verify_a_reference(sc)
+        assert [c.name for c in got] == [c.name for c in want], sc.scenario_id
+        assert [c.passed for c in got] == [c.passed for c in want], sc.scenario_id
+        for c, r in zip(got, want):
+            assert abs(c.tol - r.tol) <= 1e-15 * r.tol, (sc.scenario_id, c.name)
+            assert abs(c.residual - r.residual) <= 1e-6 * r.tol, (
+                sc.scenario_id, c.name)
+        widths.add((len(sc.payload["images"]), len(sc.space.points())))
+    # one to three generators, one to four points
+    assert {g for g, _ in widths} == {1, 2, 3}
+    assert {n for _, n in widths} == {1, 2, 3, 4}
+
+
+def test_atom_membership_takes_a_matrix_or_a_stack():
+    sc = harness.gen_scenario("A", 3)
+    images = [sc.payload["images"][n] for n in sorted(sc.payload["images"])]
+    w = algebra.bicommutant(images, images[0].shape[0])
+    stack = np.concatenate([algebra.joint_diagonalize(images).projections,
+                            np.ones((1, *images[0].shape))])
+    got = w.membership_residual(stack)
+    assert got.shape == (len(stack),)
+    for a, r in zip(stack, got):
+        assert isinstance(w.membership_residual(a), float)
+        assert abs(w.membership_residual(a) - r) <= 1e-15
+    assert got[-1] > 0.1 and np.all(got[:-1] <= TAU_RECON)
+
+
 def test_verify_b_oracle_round_trip():
     sc = harness.gen_scenario("B", 7)
     rep = harness.verify_theorem_b(sc)
@@ -212,6 +320,38 @@ def test_fault_detection(fault):
     for seed in range(3):
         rep = harness.fault_report(fault, seed)
         assert rep.passed, f"{fault} undetected at seed {seed}"
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_kind_d_block_dim_honours_the_h_cap(h):
+    caps = harness.Caps(h_dim=h)
+    dims = {harness.gen_scenario("D", seed, caps).payload["model"].block_dim
+            for seed in range(40)}
+    assert dims == ({h} if h < 3 else {2, 3})
+    # at h >= 3 the draw is the default one
+    if h >= 3:
+        for seed in range(10):
+            want = harness.gen_scenario("D", seed).payload["model"]
+            got = harness.gen_scenario("D", seed, caps).payload["model"]
+            assert np.array_equal(got.w.basis, want.w.basis)
+    assert harness.verify_theorem_d(harness.gen_scenario("D", 5, caps)).passed
+
+
+def test_fault_injection_needs_the_least_h_cap(monkeypatch):
+    low = harness.Caps(h_dim=harness.MIN_FAULT_H_DIM - 1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a scenario was generated")
+
+    monkeypatch.setattr(harness, "gen_scenario", refused)
+    for fault in harness.FAULT_CLASSES:
+        with pytest.raises(CapExceeded, match="fault injection needs dim H cap"):
+            harness.fault_report(fault, 0, low)
+    monkeypatch.undo()
+    least = harness.Caps(h_dim=harness.MIN_FAULT_H_DIM)
+    for fault in harness.FAULT_CLASSES:
+        for seed in range(4):
+            assert harness.fault_report(fault, seed, least).passed, (fault, seed)
 
 
 def test_fault_residual_scales_with_injection():
