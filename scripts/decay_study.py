@@ -37,7 +37,7 @@ def main() -> None:
     sc = gen_scenario("B", args.seed)
     oracle = sc.payload["oracle"]
     fam = algebra.sample_projections(oracle.w1, n=10, seed=args.seed)
-    fm = nnsm.family_measures(oracle, fam)
+    fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
     p, q = fam.members[1], fam.members[-1]
     d1 = measure.borel(oracle.space, oracle.space.points()[: 2])
     d2 = measure.whole_space(oracle.space)

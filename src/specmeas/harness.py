@@ -9,7 +9,7 @@ residual; a failing stage never aborts the pipeline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -32,6 +32,7 @@ from .linalg import (
 )
 from .measure import (
     DiscreteSpace,
+    SpectralMeasure,
     borel,
     whole_space,
 )
@@ -47,13 +48,13 @@ from .nnsm import (
     condition2_check,
     condition3_check,
     family_entries,
-    family_measures,
     integrate,
     random_sets,
     _family_index,
 )
 from .tolerances import (
     MIN_DECAY_RATE,
+    TAU_DOC,
     TAU_EXACT,
     TAU_EXT,
     TAU_MATCH,
@@ -393,7 +394,7 @@ def _derive_family_measures(
     values = rho([
         OperatorField(terms=((row, p),)) for p in fam.members for row in one_hot
     ]).reshape(len(fam.members), len(points), k, k)
-    return FamilyMeasures(fam, space, points, values)
+    return FamilyMeasures(fam, SpectralMeasure(space, points, values))
 
 
 def verify_theorem_b(scenario: Scenario) -> VerificationReport:
@@ -411,14 +412,15 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     rng = np.random.default_rng(scenario.seed + 2)
     # (1)+(2): compressions from ρ, each a spectral measure
     fm = _derive_family_measures(rho, oracle, seed=scenario.seed + 3)
+    comp = fm.compressions
     members = [f"P{i}" for i in range(len(fm.family.members))]
     checks = family_entries(
         [f"compression[{p}]" for p in members],
-        fm.validate(), TAU_RECON * (1.0 + frob_norm(fm.totals)))
+        comp.validate(), TAU_RECON * (1.0 + frob_norm(comp.total)))
     # (3) support containment in supp(E_id): the atoms of norm above
     # TAU_PROJ of each E_P lie among those of E_id
     id_idx = _family_index(fm.family, oracle.w1.identity())
-    inside = frob_norm(fm.atoms) > TAU_PROJ
+    inside = frob_norm(comp.atoms) > TAU_PROJ
     outside_id = (inside & ~inside[id_idx]).any(axis=1)
     checks += [_bool_entry(f"support-containment[{p}]", not out)
                for p, out in zip(members, outside_id.tolist())]
@@ -692,7 +694,7 @@ def characterization_reports(
     """Conditions (1)-(3) on a kind-B oracle family, one report per facet."""
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
     fam = sample_projections(oracle.w1, n=10, seed=scenario.seed + 9)
-    fm = family_measures(oracle, fam)
+    fm = FamilyMeasures(fam, oracle.measure_for(fam.stack))
     rng = np.random.default_rng(scenario.seed + 10)
     checks: list[CheckEntry] = []
     checks += condition1_check(fm, trials=8, seed=scenario.seed + 11).checks
@@ -734,13 +736,13 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         eye = np.eye(oracle.w1.ambient_dim, dtype=np.complex128)
         aug = fam.members + tuple(eye - p for p in fam.members[2:])
         fam = ProjectionFamily(algebra=fam.algebra, members=aug)
-        fm = family_measures(oracle, fam)
+        comp = oracle.measure_for(fam.stack)
         # the bump leaves E_id(X) as it was
-        atoms = fm.atoms.copy()
-        first = fm.labels.index(min(fm.labels, key=repr))
+        atoms = comp.atoms.copy()
+        first = comp.labels.index(min(comp.labels, key=repr))
         atoms[_family_index(fam, eye), first] += (
             bad.payload["measure_bump"] * np.eye(oracle.target_dim))
-        fm = FamilyMeasures(fam, fm.space, fm.labels, atoms, fm.totals)
+        fm = FamilyMeasures(fam, replace(comp, atoms=atoms))
         rep = condition1_check(fm, trials=24, seed=seed + 13)
         detected = not rep.passed
         detail = "condition1"
@@ -781,7 +783,7 @@ def check_measure_file(path) -> VerificationReport:
             _, resid = measure_from_doc(doc)
             kind = "spectral-measure"
         checks.append(check_entry(
-            f"{kind}-invariants", resid, TAU_RECON * 10.0,
+            f"{kind}-invariants", resid, TAU_DOC,
         ))
     except (InvalidDocument, KeyError, TypeError) as exc:
         checks.append(_bool_entry(f"document[{type(exc).__name__}]", False))

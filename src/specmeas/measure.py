@@ -3,7 +3,9 @@
 Spaces are finite label sets or a countable index set with an explicit
 truncation horizon.  Every measure is purely atomic; compact sets are exactly
 the finite subsets.  A spectral measure stores its atoms as one projection
-stack with a label index, so E(Delta) is a masked sum over the stack.
+stack with a label index, with optional leading axes that batch measures
+over shared labels; ``evaluate`` is the one route to E(Delta), a masked sum
+over the stack.
 """
 
 from __future__ import annotations
@@ -118,31 +120,19 @@ def labelled_stack(space: DiscreteSpace, labels, stack, frame: tuple):
     return labels, stack
 
 
-def stack_total(atoms: np.ndarray, total=None) -> np.ndarray:
-    """E(X) beside an atom stack whose atoms run along axis -3: by default
-    the sum of the atoms.  An explicit ``total`` follows the stack's format
-    rule: the stack's shape without that axis and finite entries, or
-    ShapeMismatch."""
-    if total is None:
-        return atoms.sum(axis=-3)
-    total = np.asarray(total, dtype=np.complex128)
-    want = atoms.shape[:-3] + atoms.shape[-2:]
-    if total.shape != want:
-        raise ShapeMismatch(f"expected a total of shape {want}, got {total.shape}")
-    if not np.all(np.isfinite(total)):
-        raise ShapeMismatch("total has non-finite entries")
-    return total
-
-
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Projection-valued measure on a discrete space.
+    """Projection-valued measure on a discrete space, or a stack of them.
 
-    ``atoms[i]`` is E({labels[i]}): the atoms are one (n_atoms, k, k) stack
-    indexed by distinct labels, and a point without a label has the zero
-    atom.  ``total`` is E(X), stored explicitly and by default the sum of the
-    atoms: compressions E_P of a non-negative spectral measure have totals
-    that vary with P (E_0 = 0), so E(X) is not forced to be the identity.
+    ``atoms[..., i, :, :]`` is E({labels[i]}): the atoms are one
+    (..., n_atoms, k, k) stack indexed by distinct labels, and a point
+    without a label has the zero atom.  Leading axes batch measures that
+    share the labels, such as the compressions E_P of one NNSM along a
+    projection family.  ``total`` is E(X), of shape (..., k, k), stored
+    explicitly and by default the sum of the atoms: compressions have
+    totals that vary with P (E_0 = 0), so E(X) is not forced to be the
+    identity.  An explicit total of another shape or with non-finite
+    entries raises ShapeMismatch.
     """
 
     space: DiscreteSpace
@@ -151,46 +141,47 @@ class SpectralMeasure:
     total: np.ndarray = None
 
     def __post_init__(self):
+        batch = np.shape(self.atoms)[:-3]
         labels, atoms = labelled_stack(
-            self.space, self.labels, self.atoms, (len(self.labels),))
+            self.space, self.labels, self.atoms, batch + (len(self.labels),))
+        if self.total is None:
+            total = atoms.sum(axis=-3)
+        else:
+            total = np.asarray(self.total, dtype=np.complex128)
+            want = batch + atoms.shape[-2:]
+            if total.shape != want:
+                raise ShapeMismatch(
+                    f"expected a total of shape {want}, got {total.shape}")
+            if not np.all(np.isfinite(total)):
+                raise ShapeMismatch("total has non-finite entries")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "total", stack_total(atoms, self.total))
+        object.__setattr__(self, "total", total)
 
-    def validate(self) -> float:
-        """Worst invariant residual: projections, orthogonality, total."""
-        return float(measure_residual(self.space, self.atoms, self.total))
-
-
-def measure_residual(space: DiscreteSpace, atoms: np.ndarray, total: np.ndarray):
-    """Worst invariant residual of the measure with atoms ``atoms`` (on axis
-    -3) and total ``total``: the atoms' resolution residual, the total's
-    idempotence, and the gap between the total and the atoms' sum (a
-    countable space's partial sums need only be dominated by the total).
-    Leading axes batch measures, with one residual per leading index."""
-    worst = np.maximum(resolution_residual(atoms),
-                       frob_norm(total @ total - total))
-    gap = total - atoms.sum(axis=-3)
-    if space.is_finite:
-        return np.maximum(worst, frob_norm(gap))
-    herm = (gap + np.conj(np.swapaxes(gap, -1, -2))) / 2.0
-    return np.maximum(worst, -np.linalg.eigvalsh(herm)[..., 0])
+    def validate(self):
+        """Worst invariant residual: the atoms' resolution residual, the
+        total's idempotence, and the gap between the total and the atoms'
+        sum (a countable space's partial sums need only be dominated by the
+        total).  A float, or one residual per leading index of a batch."""
+        worst = np.maximum(resolution_residual(self.atoms),
+                           frob_norm(self.total @ self.total - self.total))
+        gap = self.total - self.atoms.sum(axis=-3)
+        if self.space.is_finite:
+            worst = np.maximum(worst, frob_norm(gap))
+        else:
+            herm = (gap + np.conj(np.swapaxes(gap, -1, -2))) / 2.0
+            worst = np.maximum(worst, -np.linalg.eigvalsh(herm)[..., 0])
+        return float(worst) if np.ndim(worst) == 0 else worst
 
 
 def evaluate(e: SpectralMeasure, delta: BorelSet) -> np.ndarray:
-    """E(Delta) = sum of atoms in Delta (cofinite: total minus complement)."""
-    if delta.space != e.space:
-        raise SpaceMismatch("set over a different space")
-    return evaluate_atoms(e.labels, e.atoms, e.total, delta)
-
-
-def evaluate_atoms(labels, atoms, total, delta: BorelSet) -> np.ndarray:
-    """E(Delta) from atoms stacked on axis -3 with one label each, and E(X).
+    """E(Delta) as a (..., k, k) array, one matrix per leading index of e.
 
     The atoms whose labels lie in Delta are summed in one masked sum; for a
-    cofinite Delta the atoms of its complement are subtracted from ``total``.
-    Leading axes of ``atoms`` and ``total`` batch measures that share labels.
+    cofinite Delta the atoms of its complement are subtracted from E(X).
     """
-    mask = np.array([x in delta.members for x in labels], dtype=bool)
-    inside = atoms[..., mask, :, :].sum(axis=-3)
-    return total - inside if delta.cofinite else inside
+    if delta.space != e.space:
+        raise SpaceMismatch("set over a different space")
+    mask = np.array([x in delta.members for x in e.labels], dtype=bool)
+    inside = e.atoms[..., mask, :, :].sum(axis=-3)
+    return e.total - inside if delta.cofinite else inside

@@ -6,8 +6,9 @@ as distinct labels beside one (n_atoms, dim W1, k, k) stack, the format of a
 SpectralMeasure.  Compressions M_P(Delta) = M(Delta)(P) are spectral
 measures, and the product rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the
 family together.  The compressions along a projection family share the
-NNSM's labels, so they are one (n_members, n_atoms, k, k) atom stack and
-E_P(Delta) for every member is one masked sum.
+NNSM's labels, so they are one SpectralMeasure batched over the members,
+and E_P(Delta) for every member is one ``measure.evaluate`` call; M_A(Delta)
+for any A in W1 is ``evaluate(m.measure_for(A), Delta)``.
 Operator fields store each scalar function as its value table over the
 space's points, so integrating one reads the stored atoms' columns.
 """
@@ -27,10 +28,9 @@ from .algebra import (
 )
 from .errors import (AlgebraMismatch, InfiniteSet, NotSpanning,
                      ShapeMismatch, SpaceMismatch)
-from .linalg import adjoint, frob_norm, require_square, star_decompose
+from .linalg import adjoint, frob_norm, op_norm, require_square, star_decompose
 from .measure import (BorelSet, DiscreteSpace, SpectralMeasure, borel,
-                      evaluate, evaluate_atoms, labelled_stack,
-                      measure_residual, stack_total)
+                      evaluate, labelled_stack)
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -79,15 +79,13 @@ class NonNegSpectralMeasure:
         return np.tensordot(coeffs, self.images[self.labels.index(label)], axes=(0, 0))
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
-        """The compression M_P as a SpectralMeasure."""
-        return SpectralMeasure(self.space, self.labels, self._values(p))
-
-    def m_a(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
-        """M_A(Delta) = sum over atoms in Delta of Phi_x(A)."""
-        if delta.space != self.space:
-            raise SpaceMismatch("set over a different space")
-        inside = np.array([x in delta for x in self.labels], dtype=float)
-        return np.tensordot(inside, self._values(a), axes=1)
+        """The compression M_P as a SpectralMeasure, or for an (n, d, d)
+        stack ``p`` one SpectralMeasure batched over the stack.  Each matrix
+        is contracted on its own: one contraction over the whole stack sums
+        in another order and moves round-off."""
+        values = (self._values(p) if np.ndim(p) == 2
+                  else np.stack([self._values(x) for x in p]))
+        return SpectralMeasure(self.space, self.labels, values)
 
     def total_of_identity(self) -> np.ndarray:
         return self._values(self.w1.identity()).sum(axis=0)
@@ -125,46 +123,13 @@ class OperatorField:
 
 @dataclass(frozen=True)
 class FamilyMeasures:
-    """A projection family together with the spectral measures E_P.
-
-    ``atoms[i, j]`` is E_{P_i}({labels[j]}) for the i-th family member: the
-    labels are distinct points of ``space`` beside one
-    (n_members, n_atoms, k, k) stack, and ``totals[i]`` is E_{P_i}(X), by
-    default the sum of the member's atoms.  E_P(Delta) for every member is
-    one masked sum (``values_at``); ``measure(i)`` is the i-th member's
-    measure on its own.
+    """A projection family beside its compressions: ``compressions`` is one
+    SpectralMeasure batched over the members, E_{P_i} at leading index i.
+    The compressions of an NNSM ``m`` are ``m.measure_for(family.stack)``.
     """
 
     family: ProjectionFamily
-    space: DiscreteSpace
-    labels: tuple
-    atoms: np.ndarray
-    totals: np.ndarray = None
-
-    def __post_init__(self):
-        labels, atoms = labelled_stack(
-            self.space, self.labels, self.atoms,
-            (len(self.family.members), len(self.labels)))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "totals", stack_total(atoms, self.totals))
-
-    def measure(self, i: int) -> SpectralMeasure:
-        """E_{P_i} as a SpectralMeasure."""
-        return SpectralMeasure(self.space, self.labels, self.atoms[i],
-                               total=self.totals[i])
-
-    def validate(self) -> np.ndarray:
-        """Worst invariant residual of each member's E_P, as an
-        (n_members,) array, by SpectralMeasure.validate's rule over the
-        whole stack at once."""
-        return measure_residual(self.space, self.atoms, self.totals)
-
-    def values_at(self, delta: BorelSet) -> np.ndarray:
-        """E_P(Delta) for every member P, as an (n_members, k, k) stack."""
-        if delta.space != self.space:
-            raise SpaceMismatch("set over a different space")
-        return evaluate_atoms(self.labels, self.atoms, self.totals, delta)
+    compressions: SpectralMeasure
 
     def extend_at(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
         """E_A(Delta) by linear extension over the family (exact route), or
@@ -172,14 +137,7 @@ class FamilyMeasures:
 
         The assignment P_i -> E_P_i(Delta) is evaluated once per call.
         """
-        return linear_extend(self.family, self.values_at(delta), a)
-
-
-def family_measures(m: NonNegSpectralMeasure, family: ProjectionFamily) -> FamilyMeasures:
-    """The compressions M_P of ``m`` along ``family``, one contraction per
-    member, stacked on the NNSM's labels and validated once."""
-    return FamilyMeasures(family, m.space, m.labels,
-                          np.stack([m._values(p) for p in family.members]))
+        return linear_extend(self.family, evaluate(self.compressions, delta), a)
 
 
 @dataclass(frozen=True)
@@ -267,18 +225,18 @@ def check_nnsm(
     if family.algebra.ambient_dim != m.w1.ambient_dim:
         raise AlgebraMismatch("family lives in a different algebra")
     rng = np.random.default_rng(seed)
-    fam = family_measures(m, family)
+    comp = m.measure_for(family.stack)
     entries = family_entries(
         [f"spectral-measure[P{i}]" for i in range(len(family.members))],
-        fam.validate(), TAU_RECON * (1.0 + frob_norm(fam.totals)))
+        comp.validate(), TAU_RECON * (1.0 + frob_norm(comp.total)))
     sets = random_sets(m.space, rng, 2 * set_pairs)
     for t in range(set_pairs):
         i = int(rng.integers(len(family.members)))
         j = int(rng.integers(len(family.members)))
         p, q = family.members[i], family.members[j]
         d1, d2 = sets[2 * t], sets[2 * t + 1]
-        lhs = fam.values_at(d1)[i] @ fam.values_at(d2)[j]
-        rhs = m.m_a(p @ q, d1.intersect(d2))
+        lhs = evaluate(comp, d1)[i] @ evaluate(comp, d2)[j]
+        rhs = evaluate(m.measure_for(p @ q), d1.intersect(d2))
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
         entries.append(check_entry(
             f"product-rule[P{i},P{j},pair{t}]", frob_norm(lhs - rhs),
@@ -300,7 +258,7 @@ def condition1_check(
     if not family.spans_algebra:
         raise NotSpanning("condition (1) checks need a spanning family")
     rng = np.random.default_rng(seed)
-    deltas = random_sets(fam.space, rng, trials)
+    deltas = random_sets(fam.compressions.space, rng, trials)
     lams = np.array(
         [rng.standard_normal(len(family.members)) for _ in range(trials)]
     )
@@ -309,7 +267,7 @@ def condition1_check(
     entries = []
     for t, (lam, mu, delta) in enumerate(zip(lams, mus, deltas)):
         # the family is evaluated once; lhs and rhs contract the same stack
-        values = fam.values_at(delta)
+        values = evaluate(fam.compressions, delta)
         lhs = np.tensordot(lam, values, axes=1)
         rhs = np.tensordot(mu, values, axes=1)
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
@@ -327,11 +285,9 @@ def condition2_check(
     Entry ``condition2[delta{i}]`` carries k_Delta for the i-th set and
     passes when it is at most one (up to TAU_NORM_SLACK).
     """
-    from .linalg import op_norm
-
     entries = []
     for i, delta in enumerate(deltas):
-        k = max((op_norm(v) for v in fam.values_at(delta)), default=0.0)
+        k = op_norm(evaluate(fam.compressions, delta)).max(initial=0.0)
         entries.append(check_entry(
             f"condition2[delta{i}]", k, 1.0 + TAU_NORM_SLACK,
         ))
@@ -363,7 +319,8 @@ def condition3_check(
     family = fam.family
     i_p = _family_index(family, p)
     i_q = _family_index(family, q)
-    lhs = evaluate(fam.measure(i_p), d1) @ evaluate(fam.measure(i_q), d2)
+    comp = fam.compressions
+    lhs = evaluate(comp, d1)[i_p] @ evaluate(comp, d2)[i_q]
     inter = d1.intersect(d2)
     parts = star_decompose(p @ q)
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]
@@ -426,19 +383,19 @@ def assemble_from_family(
     well-definedness; a violation raises InconsistentAssignment) and maps
     the whole W1 basis in one contraction.
     """
-    family = fam.family
+    family, comp = fam.family, fam.compressions
     if not family.spans_algebra:
         raise NotSpanning("assembly needs a spanning family")
     images = [linear_extend(family, column, w1.basis)
-              for column in np.swapaxes(fam.atoms, 0, 1)]
-    m = NonNegSpectralMeasure(fam.space, w1, fam.labels, np.stack(images))
+              for column in np.swapaxes(comp.atoms, 0, 1)]
+    m = NonNegSpectralMeasure(comp.space, w1, comp.labels, np.stack(images))
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
     got = np.tensordot(w1.coefficients(np.stack(family.members)), m.images,
                        axes=(1, 1))
-    miss = np.linalg.norm(got - fam.atoms, axis=(2, 3))
-    bad = miss > TAU_EXT * (1.0 + np.linalg.norm(fam.atoms, axis=(2, 3)))
+    miss = np.linalg.norm(got - comp.atoms, axis=(2, 3))
+    bad = miss > TAU_EXT * (1.0 + np.linalg.norm(comp.atoms, axis=(2, 3)))
     if np.any(bad):
-        x = fam.labels[np.nonzero(bad)[1][0]]
+        x = comp.labels[np.nonzero(bad)[1][0]]
         raise NotSpanning(f"reassembly misses E_P({x!r}) by {miss.max():.3e}")
     return m
 

@@ -8,6 +8,7 @@ scale-invariant (A and 1e6*A behave identically).
 TAU_HERM = 1e-10    # hermiticity residual, Frobenius, relative
 TAU_PROJ = 1e-8     # idempotency / orthogonality of projections
 TAU_RECON = 1e-8    # reconstruction residuals (spectral sums, products)
+TAU_DOC = 1e-7      # invariant residual of a measure read from a document
 DELTA_CLUSTER = 1e-7  # eigenvalue clustering gap, relative to 1 + op norm
 TAU_ALG = 1e-8      # algebra membership residuals
 TAU_EXT = 1e-7      # linear-extension well-definedness disagreement

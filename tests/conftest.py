@@ -30,6 +30,13 @@ def tensor_model(seed: int, h_dim: int = 2, n_atoms: int = 3, unitary: bool = Tr
     return m, u, rng
 
 
+def member_measure(batch: measure.SpectralMeasure, i: int) -> measure.SpectralMeasure:
+    """The i-th measure of a SpectralMeasure batched on one leading axis,
+    built on its own from its slices."""
+    return measure.SpectralMeasure(batch.space, batch.labels, batch.atoms[i],
+                                   total=batch.total[i])
+
+
 def domain_vector(model, comps) -> blocks.DomainVector:
     """The vector of a block model with component comps[n] on block n and
     zero on every other block below the horizon."""

@@ -58,7 +58,7 @@ def test_criterion_3_characterization_conditions():
         sc = harness.gen_scenario("B", seed)
         oracle = sc.payload["oracle"]
         fam = algebra.sample_projections(oracle.w1, n=10, seed=seed + 9)
-        fm = nnsm.family_measures(oracle, fam)
+        fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
         rep1 = nnsm.condition1_check(fm, trials=8, seed=seed)
         assert rep1.worst_residual <= 1e-7
         rng = np.random.default_rng(seed + 20)
@@ -97,7 +97,7 @@ def test_criterion_4_limiting_sequences():
     for seed in range(25):
         m, _, mrng = tensor_model(seed=seed)
         fam = algebra.sample_projections(m.w1, n=10, seed=seed)
-        fm = nnsm.family_measures(m, fam)
+        fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
         a = m.w1.random_hermitian_element(mrng)
         delta = measure.borel(m.space, {0, 2})
         exact = fm.extend_at(a, delta)
@@ -132,7 +132,8 @@ def test_criterion_5_integration_laws():
         chi = nnsm.OperatorField(terms=(
             (np.array([1.0 if x in delta else 0.0 for x in m.space.points()]),
              a),))
-        r3 = linalg.frob_norm(nnsm.integrate(m, chi, whole) - m.m_a(a, delta))
+        r3 = linalg.frob_norm(nnsm.integrate(m, chi, whole)
+                              - measure.evaluate(m.measure_for(a), delta))
         # (v) multiplicativity on a common set
         r5 = linalg.frob_norm(
             nnsm.integrate(m, f.product(g), delta) - i_f @ i_g)

@@ -304,11 +304,12 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
 
     monkeypatch.setattr(algebra.np.linalg, "svd", counting_svd)
     # the sampler's spanning test factored the family it returns
-    nnsm.assemble_from_family(nnsm.family_measures(oracle, sampled), oracle.w1)
+    nnsm.assemble_from_family(
+        nnsm.FamilyMeasures(sampled, oracle.measure_for(sampled.stack)), oracle.w1)
     assert len(calls) == 0
     # a fresh family: its span test and both assemblies share one SVD
     fam = algebra.ProjectionFamily(algebra=oracle.w1, members=sampled.members)
-    fm = nnsm.family_measures(oracle, fam)
+    fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
     assert fam.spans_algebra
     rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     nnsm.assemble_from_family(fm, oracle.w1)

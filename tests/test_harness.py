@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
 from specmeas.errors import CapExceeded, SpecmeasError
 from specmeas.tolerances import TAU_EXT, TAU_PROJ, TAU_RECON
+
+from conftest import member_measure
 
 
 def test_caps_enforced():
@@ -466,7 +469,7 @@ def test_derived_measures_match_per_atom_rho_loop():
             seed=seed + 3,
         )
         for i_p, p in enumerate(fm.family.members):
-            e_p = fm.measure(i_p)
+            e_p = member_measure(fm.compressions, i_p)
             total = np.zeros((oracle.target_dim,) * 2, dtype=complex)
             points = oracle.space.points()
             assert e_p.labels == tuple(points)
@@ -486,8 +489,9 @@ def _condition1_reference(fam, trials, seed):
     """condition1_check's residuals with each E_P(Delta) evaluated twice per
     trial, once for lhs and once for rhs, and one decomposition per trial."""
     rng = np.random.default_rng(seed)
-    deltas = nnsm.random_sets(fam.space, rng, trials)
-    measures = [fam.measure(i) for i in range(len(fam.family.members))]
+    deltas = nnsm.random_sets(fam.compressions.space, rng, trials)
+    measures = [member_measure(fam.compressions, i)
+                for i in range(len(fam.family.members))]
     out = []
     for t in range(trials):
         lam = rng.standard_normal(len(fam.family.members))
@@ -507,11 +511,12 @@ def test_condition1_matches_two_pass_reference():
     sc = harness._gen_b_nondegenerate(2, harness.Caps())
     oracle = sc.payload["oracle"]
     fam = algebra.sample_projections(oracle.w1, n=10, seed=11)
-    fm = nnsm.family_measures(oracle, fam)
+    comp = oracle.measure_for(fam.stack)
+    fm = nnsm.FamilyMeasures(fam, comp)
     # a corrupted compression: the relations no longer transfer
-    atoms = fm.atoms.copy()
+    atoms = comp.atoms.copy()
     atoms[1, 0] = atoms[1, 0] + 0.25 * np.eye(oracle.target_dim)
-    broken = nnsm.FamilyMeasures(fam, oracle.space, fm.labels, atoms, fm.totals)
+    broken = nnsm.FamilyMeasures(fam, replace(comp, atoms=atoms))
     for fam_measures, passes in ((fm, True), (broken, False)):
         rep = nnsm.condition1_check(fam_measures, trials=12, seed=5)
         want = _condition1_reference(fam_measures, trials=12, seed=5)
@@ -583,7 +588,8 @@ def _verify_b_reference(scenario):
     checks = []
     rng = np.random.default_rng(scenario.seed + 2)
     fm = harness._derive_family_measures(rho, oracle, seed=scenario.seed + 3)
-    measures = [fm.measure(i) for i in range(len(fm.family.members))]
+    measures = [member_measure(fm.compressions, i)
+                for i in range(len(fm.family.members))]
     for i, e_p in enumerate(measures):
         checks.append(nnsm.check_entry(
             f"compression[P{i}]", e_p.validate(),
@@ -663,9 +669,11 @@ def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):
         # projection); the clean compressions are still what M is
         # assembled from
         fm = clean["fm"] = derive(rho, oracle, seed)
-        atoms = fm.atoms.copy()
+        comp = fm.compressions
+        atoms = comp.atoms.copy()
         atoms[bump["i"], bump["x"]] += 1e-3 * np.eye(oracle.target_dim)
-        return nnsm.FamilyMeasures(fm.family, fm.space, fm.labels, atoms)
+        return nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
+            comp.space, comp.labels, atoms))
 
     monkeypatch.setattr(harness, "_derive_family_measures", derive_bumped)
     monkeypatch.setattr(harness, "assemble_from_family",

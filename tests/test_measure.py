@@ -61,19 +61,18 @@ def test_validate_flags_overlapping_atoms():
 
 
 def test_constructor_rejects_repeated_labels_and_a_stack_of_another_length():
-    # SpectralMeasure, NonNegSpectralMeasure and FamilyMeasures share one
+    # SpectralMeasure, batched or not, and NonNegSpectralMeasure share one
     # rule; each builder puts the per-label k x k matrices into its own stack
-    # shape, here over a one-dimensional W1 and a one-member family
+    # shape, here over a one-dimensional W1 and a batch of one measure
     space = measure.DiscreteSpace(labels=("a", "b"))
     p = np.diag([1.0, 0.0]).astype(complex)
     w1 = algebra.VonNeumannAlgebra(ambient_dim=1, basis=np.eye(1, dtype=complex)[None])
-    family = algebra.ProjectionFamily(algebra=w1, members=(np.eye(1),))
     builders = (
         lambda labels, atoms: measure.SpectralMeasure(space, labels, atoms),
         lambda labels, atoms: nnsm.NonNegSpectralMeasure(
             space, w1, labels, np.asarray(atoms)[:, None]),
-        lambda labels, atoms: nnsm.FamilyMeasures(
-            family, space, labels, np.asarray(atoms)[None]),
+        lambda labels, atoms: measure.SpectralMeasure(
+            space, labels, np.asarray(atoms)[None]),
     )
     for build in builders:
         with pytest.raises(SpaceMismatch, match="distinct"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,16 @@ from specmeas.errors import (InfiniteSet, NotSpanning, ShapeMismatch,
                              SpaceMismatch)
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
-from conftest import tensor_model
+from conftest import member_measure, tensor_model
 
 
 def family_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> algebra.ProjectionFamily:
     return algebra.sample_projections(m.w1, n=10, seed=seed)
+
+
+def family_measures_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> nnsm.FamilyMeasures:
+    fam = family_for(m, seed)
+    return nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
 
 
 def test_tensor_model_is_valid_nnsm():
@@ -39,20 +46,23 @@ def test_m_a_linear_in_a():
     a = m.w1.random_hermitian_element(rng)
     b = m.w1.random_hermitian_element(rng)
     delta = measure.borel(m.space, {0, 2})
-    lhs = m.m_a(2.0 * a + 1j * b, delta)
-    rhs = 2.0 * m.m_a(a, delta) + 1j * m.m_a(b, delta)
+    def m_a(x):
+        return measure.evaluate(m.measure_for(x), delta)
+
+    lhs = m_a(2.0 * a + 1j * b)
+    rhs = 2.0 * m_a(a) + 1j * m_a(b)
     assert linalg.frob_norm(lhs - rhs) <= 1e-10 * (1 + linalg.frob_norm(rhs))
 
 
 def test_condition1_passes_on_model():
     m, _, _ = tensor_model(seed=4)
-    fm = nnsm.family_measures(m, family_for(m))
+    fm = family_measures_for(m)
     assert nnsm.condition1_check(fm).passed
 
 
 def test_condition2_unit_bound():
     m, _, _ = tensor_model(seed=5)
-    fm = nnsm.family_measures(m, family_for(m))
+    fm = family_measures_for(m)
     space = m.space
     deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
               measure.whole_space(space)]
@@ -63,14 +73,15 @@ def test_condition2_unit_bound():
 
 def test_condition2_entries_match_reference_and_can_fail():
     m, _, _ = tensor_model(seed=5)
-    fm = nnsm.family_measures(m, family_for(m))
+    fm = family_measures_for(m)
     space = m.space
     deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
               measure.whole_space(space), measure.borel(space, ())]
     rep = nnsm.condition2_check(fm, deltas)
     assert [c.name for c in rep.checks] == [
         f"condition2[delta{i}]" for i in range(len(deltas))]
-    measures = [fm.measure(i) for i in range(len(fm.family.members))]
+    comp = fm.compressions
+    measures = [member_measure(comp, i) for i in range(len(fm.family.members))]
     for c, delta in zip(rep.checks, deltas):
         want = max(linalg.op_norm(measure.evaluate(e, delta))
                    for e in measures)
@@ -81,11 +92,12 @@ def test_condition2_entries_match_reference_and_can_fail():
     # doubling the largest compression pushes k_X to 2
     i = max(range(len(measures)),
             key=lambda j: linalg.op_norm(measures[j].total))
-    atoms, totals = fm.atoms.copy(), fm.totals.copy()
+    atoms, totals = comp.atoms.copy(), comp.total.copy()
     atoms[i] *= 2.0
     totals[i] *= 2.0
-    bad = nnsm.condition2_check(
-        nnsm.FamilyMeasures(fm.family, space, fm.labels, atoms, totals), deltas)
+    bad = nnsm.condition2_check(nnsm.FamilyMeasures(
+        fm.family, measure.SpectralMeasure(space, comp.labels, atoms, totals)),
+        deltas)
     assert not bad.passed
     assert bad.checks[2].residual == pytest.approx(2.0)
     assert not bad.checks[2].passed and bad.checks[3].passed
@@ -120,7 +132,7 @@ def test_operator_field_one_by_one_coefficients():
 def test_condition3_converges():
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
-    fm = nnsm.family_measures(m, fam)
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     p = fam.members[2]
     q = fam.members[3]
     d1 = measure.borel(m.space, {0, 1})
@@ -135,7 +147,7 @@ def test_condition3_converges():
 def test_assemble_round_trip():
     m, _, rng = tensor_model(seed=7)
     fam = family_for(m)
-    fm = nnsm.family_measures(m, fam)
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     rebuilt = nnsm.assemble_from_family(fm, m.w1)
     for x in m.space.points():
         for _ in range(3):
@@ -152,7 +164,7 @@ def test_assemble_needs_spanning_family():
         members=(np.zeros((m.w1.ambient_dim,) * 2, dtype=complex),),
     )
     assert not small.spans_algebra
-    fm = nnsm.family_measures(m, small)
+    fm = nnsm.FamilyMeasures(small, m.measure_for(small.stack))
     with pytest.raises(NotSpanning):
         nnsm.assemble_from_family(fm, m.w1)
 
@@ -160,7 +172,7 @@ def test_assemble_needs_spanning_family():
 def test_extension_by_limit_matches_exact():
     m, _, rng = tensor_model(seed=9)
     fam = family_for(m)
-    fm = nnsm.family_measures(m, fam)
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     a = m.w1.random_hermitian_element(rng)
     delta = measure.borel(m.space, {0, 2})
     exact = fm.extend_at(a, delta)
@@ -217,34 +229,50 @@ def test_integrate_rejects_cofinite():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_family_values_equal_per_member_evaluate(seed):
+    # the compressions batched over the members evaluate each member as its
+    # slices do on their own
     m, _, rng = tensor_model(seed=seed, n_atoms=4)
-    fam = family_for(m, seed=seed)
-    fm = nnsm.family_measures(m, fam)
+    comp = family_measures_for(m, seed=seed).compressions
     sets = nnsm.random_sets(m.space, rng, 6) + [
         measure.borel(m.space, ()), measure.whole_space(m.space)]
     # the same compressions over a countable space, for cofinite sets
     countable = measure.DiscreteSpace(horizon=10)
-    fm_countable = nnsm.FamilyMeasures(
-        fam, countable, fm.labels, fm.atoms, fm.totals)
+    comp_countable = measure.SpectralMeasure(
+        countable, comp.labels, comp.atoms, comp.total)
     cofinite = [measure.BorelSet(countable, frozenset(members), cofinite=True)
                 for members in ((), (1,), (0, 2, 7))]
-    for family_measures_, deltas in ((fm, sets), (fm_countable, cofinite)):
+    for batch, deltas in ((comp, sets), (comp_countable, cofinite)):
         for delta in deltas:
-            values = family_measures_.values_at(delta)
-            assert values.shape == (len(fam.members),) + (m.target_dim,) * 2
+            values = measure.evaluate(batch, delta)
+            assert values.shape == (len(comp.atoms),) + (m.target_dim,) * 2
             for i, value in enumerate(values):
                 assert np.array_equal(value, measure.evaluate(
-                    family_measures_.measure(i), delta))
+                    member_measure(batch, i), delta))
+
+
+def test_measure_for_a_stack_equals_the_stacked_single_measures():
+    # each matrix of the stack is contracted on its own, so the batched
+    # compressions are bit-equal to the single ones stacked
+    for seed in range(4):
+        m, _, rng = tensor_model(seed=seed, n_atoms=4)
+        stack = np.concatenate([
+            family_for(m, seed=seed).stack,
+            [m.w1.random_hermitian_element(rng) for _ in range(3)]])
+        batch = m.measure_for(stack)
+        singles = [m.measure_for(p) for p in stack]
+        assert batch.labels == m.labels
+        assert np.array_equal(batch.atoms, np.stack([e.atoms for e in singles]))
+        assert np.array_equal(batch.total, np.stack([e.total for e in singles]))
 
 
 def test_condition1_detects_broken_linearity():
     # corrupt one compression so linear relations no longer transfer
     m, _, _ = tensor_model(seed=13)
     fam = family_for(m)
-    fm = nnsm.family_measures(m, fam)
-    bad_atoms = fm.atoms.copy()
+    comp = m.measure_for(fam.stack)
+    bad_atoms = comp.atoms.copy()
     bad_atoms[1, 0] = bad_atoms[1, 0] + 0.25 * np.eye(m.target_dim)
-    fm = nnsm.FamilyMeasures(fam, m.space, fm.labels, bad_atoms, fm.totals)
+    fm = nnsm.FamilyMeasures(fam, replace(comp, atoms=bad_atoms))
     rep = nnsm.condition1_check(fm, trials=24)
     assert not rep.passed
 
@@ -315,7 +343,7 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
         a = m.w1.random_hermitian_element(rng)
         want = sum((_ref_phi(m, x, a) for x in m.labels if x in delta),
                    np.zeros((m.target_dim,) * 2, dtype=complex))
-        assert _close(m.m_a(a, delta), want)
+        assert _close(measure.evaluate(m.measure_for(a), delta), want)
     p = algebra.sample_projections(m.w1, n=3, seed=seed).members[-1]
     e_p = m.measure_for(p)
     assert e_p.labels == (0, 1, 2)
@@ -393,7 +421,7 @@ def test_integrate_and_m_a_reject_a_set_from_another_space():
     with pytest.raises(SpaceMismatch):
         nnsm.integrate(m, [field_], foreign)
     with pytest.raises(SpaceMismatch):
-        m.m_a(m.w1.identity(), foreign)
+        measure.evaluate(m.measure_for(m.w1.identity()), foreign)
 
 
 def _per_cell_terms(part, ell):
@@ -419,7 +447,7 @@ def test_condition3_matches_per_cell_reference():
     # projection of one Riemann cell at a time
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
-    fm = nnsm.family_measures(m, fam)
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     p, q = fam.members[2], fam.members[3]
     d1 = measure.borel(m.space, {0, 1})
     d2 = measure.borel(m.space, {1, 2})
@@ -465,28 +493,28 @@ def test_integrate_rejects_rows_of_the_wrong_length():
 @pytest.mark.parametrize("countable", [False, True])
 def test_family_validate_matches_per_member_measures(countable):
     m, _, _ = tensor_model(seed=3, n_atoms=4)
-    fm = nnsm.family_measures(m, family_for(m, seed=2))
-    atoms = fm.atoms.copy()
+    fm = family_measures_for(m, seed=2)
+    comp = fm.compressions
+    atoms = comp.atoms.copy()
     atoms[2, 1] = 1.001 * atoms[2, 1]
     atoms[4, 3] = atoms[4, 3] + atoms[4, 0]
     space = measure.DiscreteSpace(horizon=10) if countable else m.space
-    for stack, bad in ((fm.atoms, set()), (atoms, {2, 4})):
-        totals = fm.totals if countable else None
-        fam_measures = nnsm.FamilyMeasures(fm.family, space, fm.labels, stack,
-                                           totals)
-        got = fam_measures.validate()
+    for stack, bad in ((comp.atoms, set()), (atoms, {2, 4})):
+        total = comp.total if countable else None
+        batch = measure.SpectralMeasure(space, comp.labels, stack, total)
+        got = batch.validate()
         assert got.shape == (len(fm.family.members),)
         for i, value in enumerate(got):
-            want = fam_measures.measure(i).validate()
+            want = member_measure(batch, i).validate()
             assert abs(value - want) <= 1e-15 * (1.0 + want)
         assert {i for i, v in enumerate(got) if v > 1e-6} == bad
 
 
 def test_family_totals_follow_the_format_rule():
     m, _, _ = tensor_model(seed=3)
-    fm = nnsm.family_measures(m, family_for(m))
-    nan_totals = fm.totals.copy()
-    nan_totals[1, 0, 0] = np.nan
-    for totals in (nan_totals, fm.totals[:-1], fm.totals[:, :-1, :-1]):
+    comp = family_measures_for(m).compressions
+    nan_total = comp.total.copy()
+    nan_total[1, 0, 0] = np.nan
+    for total in (nan_total, comp.total[:-1], comp.total[:, :-1, :-1]):
         with pytest.raises(ShapeMismatch):
-            nnsm.FamilyMeasures(fm.family, fm.space, fm.labels, fm.atoms, totals)
+            measure.SpectralMeasure(comp.space, comp.labels, comp.atoms, total)
