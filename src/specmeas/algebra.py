@@ -284,29 +284,40 @@ def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray
 
 def linear_extend(
     family: ProjectionFamily,
-    assignment: list[np.ndarray],
+    assignment,
     a: np.ndarray,
 ) -> np.ndarray:
     """Extend P_i -> assignment[i] linearly to ``a`` in the family's span,
-    or to each matrix of an (n, d, d) stack ``a``.
+    or to each matrix of an (m, d, d) stack ``a``.
 
-    The extension is well defined exactly when the assignment sends every
-    member relation sum c_i P_i = 0 to zero; a violation beyond TAU_EXT
-    raises InconsistentAssignment.  Any two coordinate vectors of ``a``
-    differ by such a relation, so the value is the contraction of the
-    assignment with the minimum-norm coordinates of ``a``.
+    The assignment is (n_members, *batch, k, k), the result (*batch, [m,]
+    k, k).  The extension is well defined exactly when the assignment sends
+    every member relation sum c_i P_i = 0 to zero; a violation beyond
+    TAU_EXT (1 + max_i ||assignment[i]||), per batch index, raises
+    InconsistentAssignment.  Any two coordinate vectors of ``a`` differ by
+    such a relation, so the value is the contraction of the assignment with
+    the minimum-norm coordinates of ``a``.
     """
-    if len(assignment) != len(family.members):
+    values = np.asarray(assignment)
+    if len(values) != len(family.members):
         raise ShapeMismatch("assignment length != family size")
-    values = np.stack(assignment)
-    null = family.factors[-1]
-    viol = np.tensordot(null.T, values, axes=(1, 0))
-    worst = max(np.linalg.norm(viol, axis=(1, 2)), default=0.0)
-    if worst > TAU_EXT * (1.0 + max(np.linalg.norm(values, axis=(1, 2)))):
+    viol = np.tensordot(family.factors[-1].T, values, axes=(1, 0))
+    worst = np.linalg.norm(viol, axis=(-2, -1)).max(axis=0, initial=0.0)
+    scale = 1.0 + np.linalg.norm(values, axis=(-2, -1)).max(axis=0)
+    # written so that a NaN assignment fails as well
+    if not np.all(worst <= TAU_EXT * scale):
         raise InconsistentAssignment(
-            f"assignment breaks a member relation by {worst:.3e}"
+            f"assignment breaks a member relation by {worst.max():.3e}"
         )
-    return np.tensordot(decompose_over_family(family, a), values, axes=(0, 0))
+    coords = decompose_over_family(family, a)
+    # one (m, n) @ (n, k^2) product per batch index, on a contiguous copy
+    # (a strided one sums in another order at k = 1): each value is the
+    # unbatched one, where one product over the whole batch moves round-off
+    n, *batch, k, _ = values.shape
+    flat = np.ascontiguousarray(np.moveaxis(values, 0, -3)).reshape(
+        *batch, n, k * k)
+    return np.matmul(coords.reshape(n, -1).T, flat).reshape(
+        *batch, *np.shape(a)[:-2], k, k)
 
 
 @dataclass(frozen=True)

@@ -269,28 +269,19 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
         else:
             images[i] = images[i] + magnitude * np.eye(oracle.target_dim)
         bad = NonNegSpectralMeasure(oracle.space, oracle.w1, oracle.labels, images)
-        return Scenario(
-            kind=scenario.kind, seed=scenario.seed,
-            space=scenario.space, payload={"oracle": bad}, fault=fault,
-        )
+        return replace(scenario, payload={"oracle": bad}, fault=fault)
     if fault == "broken-condition1":
         # the compressions themselves get corrupted after derivation, no
         # linear Phi_x can express the fault; record the directive only
         payload = dict(scenario.payload)
         payload["measure_bump"] = magnitude
-        return Scenario(
-            kind=scenario.kind, seed=scenario.seed,
-            space=scenario.space, payload=payload, fault=fault,
-        )
+        return replace(scenario, payload=payload, fault=fault)
     if fault == "non-normal-block":
         model: blocks.BlockModel = scenario.payload["model"]
         n_bad = int(rng.integers(model.horizon))
         payload = dict(scenario.payload)
         payload["field"] = _non_normal_field(model, n_bad, magnitude)
-        return Scenario(
-            kind=scenario.kind, seed=scenario.seed,
-            space=scenario.space, payload=payload, fault=fault,
-        )
+        return replace(scenario, payload=payload, fault=fault)
     raise ValueError(f"unknown fault class {fault!r}")
 
 
@@ -439,18 +430,18 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     # (5) normalization
     checks.append(check_entry(
         "normalization",
-        frob_norm(rebuilt.total_of_identity() - np.eye(rebuilt.target_dim)),
+        frob_norm(rebuilt.measure_for(oracle.w1.identity()).total
+                  - np.eye(rebuilt.target_dim)),
         TAU_RECON * (1.0 + rebuilt.target_dim),
     ))
     # (6) representation on random fields
-    fields = [_random_field(rng, oracle) for _ in range(20)]
+    fields, rows, elements = _random_fields(rng, oracle, 20, 5)
     lhs = rho(fields)
     checks += family_entries(
         [f"represent[F{t}]" for t in range(len(fields))],
         frob_norm(lhs - integrate(rebuilt, fields, whole)),
         TAU_RECON * (1.0 + frob_norm(lhs)))
     # (7) boundedness witness for rho_b: fields b (x) A and b (x) id per t
-    rows, elements = _random_terms(rng, oracle, 5)
     unit = oracle.w1.identity()
     rho_b = op_norm(rho([OperatorField(terms=((b, c),))
                          for b, a in zip(rows, elements) for c in (a, unit)]))
@@ -461,23 +452,25 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     return _finish(scenario, checks, t0)
 
 
-def _random_terms(rng, m: NonNegSpectralMeasure, count: int):
-    """``count`` pairs of a value row over the space's points and a
-    hermitian element of W1, from one ``standard_normal`` draw.  Each pair
-    takes the row's real and imaginary parts point by point, then the
-    element's 2 * dim W1 draws: the stream of one scalar draw per real
-    number and one ``random_hermitian_element`` call per element."""
+def _random_fields(rng, m: NonNegSpectralMeasure, n_fields: int, count: int):
+    """``n_fields`` random operator fields, then ``count`` (value row,
+    hermitian element of W1) pairs, as (fields, rows, elements).  A field
+    draws its term count by integers(1, 4), then a standard_normal row per
+    term: a value row's real and imaginary parts point by point, then an
+    element's 2 * dim W1 draws.  Every row is drawn first, in that stream
+    order, and one hermitian_elements call builds every element."""
     n = len(m.space.points())
-    draws = rng.standard_normal((count, 2 * n + 2 * m.w1.dim))
+    width = 2 * n + 2 * m.w1.dim
+    per_field = [rng.standard_normal((int(rng.integers(1, 4)), width))
+                 for _ in range(n_fields)]
+    draws = np.concatenate(per_field + [rng.standard_normal((count, width))])
     rows = np.ascontiguousarray(draws[:, :2 * n]).view(np.complex128)
     elements = m.w1.hermitian_elements(
-        draws[:, 2 * n:].reshape(count, 2, m.w1.dim))
-    return rows, elements
-
-
-def _random_field(rng, m: NonNegSpectralMeasure) -> OperatorField:
-    rows, elements = _random_terms(rng, m, int(rng.integers(1, 4)))
-    return OperatorField(terms=tuple(zip(rows, elements)))
+        draws[:, 2 * n:].reshape(len(draws), 2, m.w1.dim))
+    ends = np.cumsum([0] + [len(d) for d in per_field])
+    fields = [OperatorField(terms=tuple(zip(rows[i:j], elements[i:j])))
+              for i, j in zip(ends[:-1], ends[1:])]
+    return fields, rows[ends[-1]:], elements[ends[-1]:]
 
 
 def verify_theorem_c(scenario: Scenario) -> VerificationReport:

@@ -80,15 +80,13 @@ class NonNegSpectralMeasure:
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
         """The compression M_P as a SpectralMeasure, or for an (n, d, d)
-        stack ``p`` one SpectralMeasure batched over the stack.  Each matrix
-        is contracted on its own: one contraction over the whole stack sums
-        in another order and moves round-off."""
-        values = (self._values(p) if np.ndim(p) == 2
-                  else np.stack([self._values(x) for x in p]))
+        stack ``p`` one SpectralMeasure batched over the stack (n may be 0).
+        Each matrix is contracted on its own: one contraction over the whole
+        stack sums in another order and moves round-off."""
+        values = (self._values(p) if np.ndim(p) == 2 else np.array(
+            [self._values(x) for x in p], dtype=np.complex128).reshape(
+                len(p), len(self.labels), self.target_dim, self.target_dim))
         return SpectralMeasure(self.space, self.labels, values)
-
-    def total_of_identity(self) -> np.ndarray:
-        return self._values(self.w1.identity()).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -224,6 +222,8 @@ def check_nnsm(
     """
     if family.algebra.ambient_dim != m.w1.ambient_dim:
         raise AlgebraMismatch("family lives in a different algebra")
+    if not family.members:
+        raise NotSpanning("the product rule needs a family member")
     rng = np.random.default_rng(seed)
     comp = m.measure_for(family.stack)
     entries = family_entries(
@@ -259,10 +259,8 @@ def condition1_check(
         raise NotSpanning("condition (1) checks need a spanning family")
     rng = np.random.default_rng(seed)
     deltas = random_sets(fam.compressions.space, rng, trials)
-    lams = np.array(
-        [rng.standard_normal(len(family.members)) for _ in range(trials)]
-    )
-    targets = np.tensordot(lams, np.stack(family.members), axes=1)
+    lams = np.array([rng.standard_normal(len(family)) for _ in range(trials)])
+    targets = np.tensordot(lams, family.stack, axes=1)
     mus = decompose_over_family(family, targets).T
     entries = []
     for t, (lam, mu, delta) in enumerate(zip(lams, mus, deltas)):
@@ -378,20 +376,18 @@ def assemble_from_family(
     """Build the unique NNSM with M_P = E_P over a spanning family.
 
     Phi_x is the linear extension of P -> E_P({x}) to W1: one linear_extend
-    call per atom, on the atom's column of the family's stack, checks the
-    assignment once against the member relations (condition (1) certifies
-    well-definedness; a violation raises InconsistentAssignment) and maps
-    the whole W1 basis in one contraction.
+    call, with the compression atoms as an assignment batched over the
+    atoms, checks each atom against the member relations (condition (1)
+    certifies well-definedness; a violation raises InconsistentAssignment)
+    and maps the W1 basis to the (n_atoms, dim W1, k, k) image stack.
     """
     family, comp = fam.family, fam.compressions
     if not family.spans_algebra:
         raise NotSpanning("assembly needs a spanning family")
-    images = [linear_extend(family, column, w1.basis)
-              for column in np.swapaxes(comp.atoms, 0, 1)]
-    m = NonNegSpectralMeasure(comp.space, w1, comp.labels, np.stack(images))
+    m = NonNegSpectralMeasure(comp.space, w1, comp.labels,
+                              linear_extend(family, comp.atoms, w1.basis))
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
-    got = np.tensordot(w1.coefficients(np.stack(family.members)), m.images,
-                       axes=(1, 1))
+    got = np.tensordot(w1.coefficients(family.stack), m.images, axes=(1, 1))
     miss = np.linalg.norm(got - comp.atoms, axis=(2, 3))
     bad = miss > TAU_EXT * (1.0 + np.linalg.norm(comp.atoms, axis=(2, 3)))
     if np.any(bad):

@@ -290,6 +290,68 @@ def test_relation_violation_threshold():
         algebra.linear_extend(fam, bumped(2.0 * TAU_EXT * scale), a)
 
 
+def _batched_assignments():
+    """(family, assignment) pairs with batch axes: P -> X P X* over a (2, 3)
+    grid of X per family of ``_families``, at k = 1 and 3, and the
+    (n_members, n_atoms, k, k) compression atoms of B oracles."""
+    for fam, rng in _families():
+        h = fam.algebra.ambient_dim
+        for k in (1, 3):
+            x = rng.standard_normal((2, 3, k, h)) + 1j * rng.standard_normal(
+                (2, 3, k, h))
+            x_star = np.conj(np.swapaxes(x, -1, -2))
+            yield fam, np.stack([x @ p @ x_star for p in fam.members])
+    for seed in range(12):
+        oracle = harness.gen_scenario("B", seed).payload["oracle"]
+        fam = algebra.sample_projections(oracle.w1, n=10, seed=seed + 3)
+        yield fam, oracle.measure_for(fam.stack).atoms
+
+
+def test_batched_extension_equals_per_assignment_calls():
+    # each batch index is contracted at the unbatched shape and layout, so
+    # the values are the per-assignment ones bit for bit, and those are the
+    # values of the contraction that a list assignment went through before
+    # batch axes were taken (kind B's outputs rest on these bits)
+    for fam, assignment in _batched_assignments():
+        batch, k = assignment.shape[1:-2], assignment.shape[-1]
+        w = fam.algebra
+        for a in (w.basis, w.basis[-1], fam.stack[-1:]):
+            got = algebra.linear_extend(fam, assignment, a)
+            assert got.shape == (*batch, *np.shape(a)[:-2], k, k)
+            coords = algebra.decompose_over_family(fam, a)
+            for index in np.ndindex(batch):
+                column = list(assignment[(slice(None), *index)])
+                want = algebra.linear_extend(fam, column, a)
+                assert np.array_equal(got[index], want)
+                reference = np.tensordot(coords, np.stack(column), axes=(0, 0))
+                assert np.array_equal(want, reference)
+
+
+def test_relation_violation_is_scaled_per_batch_index():
+    fam = all_diagonal_projections(3)
+    small = np.stack([p.copy() for p in fam.members])
+    large = 1e6 * small  # consistent: P -> 1e6 P is linear
+    scale = 1.0 + max(linalg.frob_norm(v) for v in small)
+    relation = fam.factors[-1][:, 0]
+    unit = np.zeros((3, 3), dtype=complex)
+    unit[0, 1] = 1.0
+    a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    bump = np.conj(relation)[:, None, None] * unit
+    within = np.stack([large, small + 0.5 * TAU_EXT * scale * bump], axis=1)
+    algebra.linear_extend(fam, within, a)
+    # the large atom's scale must not hide the small atom's violation
+    broken = np.stack([large, small + 2.0 * TAU_EXT * scale * bump], axis=1)
+    with pytest.raises(InconsistentAssignment):
+        algebra.linear_extend(fam, broken, a)
+    with pytest.raises(InconsistentAssignment):
+        algebra.linear_extend(fam, broken[:, ::-1], a)
+    # a NaN entry in one atom's assignment fails the check, not the value
+    poisoned = within.copy()
+    poisoned[3, 1, 0, 0] = np.nan
+    with pytest.raises(InconsistentAssignment):
+        algebra.linear_extend(fam, poisoned, a)
+
+
 def test_assembly_takes_one_svd_per_family(monkeypatch):
     scenario = harness.gen_scenario("B", 0, harness.Caps())
     oracle = scenario.payload["oracle"]

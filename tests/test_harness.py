@@ -558,17 +558,45 @@ def test_batched_field_draws_equal_the_scalar_draw_loop():
                     w1=w1)
                 seed = int(gen.integers(2**32))
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                for _ in range(20):
-                    got = harness._random_field(rng, m).terms
+                fields, rows, elements = harness._random_fields(rng, m, 20, 5)
+                assert len(fields) == 20
+                for field_ in fields:
+                    got = field_.terms
                     want = _random_field_reference(ref, m).terms
                     assert len(got) == len(want)
                     for (v, a), (w, b) in zip(got, want):
                         assert np.array_equal(v, w) and np.array_equal(a, b)
-                rows, elements = harness._random_terms(rng, m, 5)
                 want = _random_terms_reference(ref, m, 5)
                 assert np.array_equal(rows, [w for w, _ in want])
                 assert np.array_equal(elements, [b for _, b in want])
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_b_fields_make_one_hermitian_elements_call(monkeypatch):
+    draws, calls = [], []
+    helper = harness._random_fields
+    original = algebra.VonNeumannAlgebra.hermitian_elements
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return original(self, rows)
+
+    def drawn(*args):
+        before = len(calls)
+        out = helper(*args)
+        draws.append(calls[before:])
+        return out
+
+    monkeypatch.setattr(algebra.VonNeumannAlgebra, "hermitian_elements", counted)
+    monkeypatch.setattr(harness, "_random_fields", drawn)
+    for seed in range(3):
+        rep = harness.run_scenario("B", seed)
+        fields = sum(1 for c in rep.checks if c.name.startswith("represent["))
+        assert fields == 20
+    # one call per scenario, over every term of the 20 fields and the 5 pairs
+    assert len(draws) == 3
+    for made in draws:
+        assert len(made) == 1 and 20 + 5 <= made[0] <= 3 * 20 + 5
 
 
 def _verify_b_reference(scenario):
@@ -610,7 +638,8 @@ def _verify_b_reference(scenario):
             TAU_EXT * (1.0 + frob(want[0]))))
     checks.append(nnsm.check_entry(
         "normalization",
-        frob(rebuilt.total_of_identity() - np.eye(rebuilt.target_dim)),
+        frob(rebuilt.measure_for(oracle.w1.identity()).total
+             - np.eye(rebuilt.target_dim)),
         TAU_RECON * (1.0 + rebuilt.target_dim)))
     fields = [_random_field_reference(rng, oracle) for _ in range(20)]
     for t, (lhs, rhs) in enumerate(zip(rho(fields),
@@ -653,6 +682,33 @@ def test_batched_verify_b_matches_per_check_reference():
 
 def _failed(report):
     return {c.name for c in report.checks if not c.passed}
+
+
+def test_assembly_rejects_a_broken_relation_at_every_atom(monkeypatch):
+    # E_{P0}({x}) bumped by 1e-3 id, P0 the zero projection: the relation
+    # 1 * P0 = 0 is broken at atom x alone, and the one batched relation
+    # check in assemble_from_family must catch it at every x, the last too
+    derive = harness._derive_family_measures
+    most = 0
+    for seed in range(6):
+        sc = harness.gen_scenario("B", seed)
+        n_atoms = len(sc.space.points())
+        most = max(most, n_atoms)
+        for x in range(n_atoms):
+            def derive_bumped(rho, oracle, seed, x=x):
+                fm = derive(rho, oracle, seed)
+                assert not fm.family.members[0].any()
+                comp = fm.compressions
+                atoms = comp.atoms.copy()
+                atoms[0, x] += 1e-3 * np.eye(oracle.target_dim)
+                return nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
+                    comp.space, comp.labels, atoms))
+
+            monkeypatch.setattr(harness, "_derive_family_measures", derive_bumped)
+            checks = harness.verify_theorem_b(sc).checks
+            assert checks[-1].name == "assemble[InconsistentAssignment]"
+            assert not checks[-1].passed
+    assert most >= 3
 
 
 def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):

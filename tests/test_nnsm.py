@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import algebra, linalg, measure, nnsm
+from specmeas import algebra, harness, linalg, measure, nnsm
 from specmeas.errors import (InfiniteSet, NotSpanning, ShapeMismatch,
                              SpaceMismatch)
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
@@ -28,7 +28,8 @@ def test_tensor_model_is_valid_nnsm():
     report = nnsm.check_nnsm(m, fam)
     assert report.passed, [e for e in report.checks if not e.passed]
     eye = np.eye(m.target_dim)
-    assert linalg.frob_norm(m.total_of_identity() - eye) <= 1e-8 * (
+    total = m.measure_for(m.w1.identity()).total
+    assert linalg.frob_norm(total - eye) <= 1e-8 * (
         1 + m.target_dim)
 
 
@@ -265,6 +266,20 @@ def test_measure_for_a_stack_equals_the_stacked_single_measures():
         assert np.array_equal(batch.total, np.stack([e.total for e in singles]))
 
 
+def test_empty_family_is_an_empty_batch_and_a_typed_error():
+    oracle = harness.gen_scenario("B", 0).payload["oracle"]
+    for m in (tensor_model(seed=5)[0], oracle):
+        empty = algebra.ProjectionFamily(algebra=m.w1, members=())
+        assert empty.stack.shape == (0, m.w1.ambient_dim, m.w1.ambient_dim)
+        batch = m.measure_for(empty.stack)
+        k = m.target_dim
+        assert batch.labels == m.labels
+        assert batch.atoms.shape == (0, len(m.labels), k, k)
+        assert batch.total.shape == (0, k, k)
+        with pytest.raises(NotSpanning):
+            nnsm.check_nnsm(m, empty)
+
+
 def test_condition1_detects_broken_linearity():
     # corrupt one compression so linear relations no longer transfer
     m, _, _ = tensor_model(seed=13)
@@ -351,7 +366,7 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
         assert _close(atom, _ref_phi(m, x, p))
     assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.labels))
     assert linalg.frob_norm(m.apply(3, p)) == 0.0
-    assert _close(m.total_of_identity(), np.eye(m.target_dim))
+    assert _close(m.measure_for(m.w1.identity()).total, np.eye(m.target_dim))
 
 
 def test_integrate_makes_one_coefficients_call(monkeypatch):
