@@ -111,9 +111,6 @@ class VonNeumannAlgebra:
         )
         return (a + np.conj(np.swapaxes(a, 1, 2))) / 2.0
 
-    def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
-        return self.hermitian_elements(rng.standard_normal((1, 2, self.dim)))[0]
-
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 

@@ -21,17 +21,20 @@ A *-polynomial is (codes, coeffs): one coefficient per monomial, and its
 factors as rows of the table [f_0, conj f_0, f_1, conj f_1, ..., 1]
 (``factor_table``; ``BlockModel.factor_rows`` for the generators), evaluated
 by ``star_values``.
-The checks work per family: ``d_alpha_check`` evaluates all of its probe
-*-polynomials as one (probes, blocks) value stack over the model's factor
-rows, on the blocks it reads (x's support and K), and
-``integrability_check`` takes the block actions of a sequence of fields as
-one stack.
+The checks work per family.  A stack of vectors is one (..., horizon,
+block_dim) array, with ``norm`` and ``inner`` per leading index;
+``rho_apply``, ``psi_apply`` and ``i_m_apply`` broadcast value rows (...,
+horizon) and coefficients (..., block_dim, block_dim) over it, so a family
+is one call with a row, a coefficient and a vector per check.
+``d_alpha_check`` takes a stack with one K per vector, and
+``integrability_check`` a sequence of fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -94,23 +97,30 @@ class BlockModel:
 @dataclass(frozen=True)
 class DomainVector:
     """Finitely supported vector below a model's horizon: a (horizon,
-    block_dim) complex array whose row n is the component on block n."""
+    block_dim) complex array whose row n is the component on block n; or a
+    stack of them, (..., horizon, block_dim), one per leading index."""
 
     block: np.ndarray
 
     def __post_init__(self):
         block = np.asarray(self.block, dtype=np.complex128)
-        if block.ndim != 2:
-            raise ShapeMismatch("a domain vector is a (blocks, dim) array")
+        if block.ndim < 2:
+            raise ShapeMismatch("a domain vector is a (..., blocks, dim) array")
         object.__setattr__(self, "block", block)
 
     @property
-    def support(self) -> frozenset:
-        """Blocks with a nonzero entry; a NaN entry counts as nonzero."""
-        return frozenset(np.flatnonzero(self.block.any(axis=1)).tolist())
+    def support(self):
+        """Blocks with a nonzero entry; a NaN entry counts as nonzero.  For
+        a stack, a tuple of them, one per vector in C order."""
+        nonzero = self.block.any(axis=-1)
+        rows = nonzero.reshape(math.prod(nonzero.shape[:-1]), nonzero.shape[-1])
+        sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in rows)
+        return sets if nonzero.ndim > 1 else sets[0]
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.block, self.block).real))
+    def norm(self):
+        """||x||, or the array of the norms of a stack's vectors."""
+        r = np.sqrt(_vdot(self.block, self.block).real)
+        return r if r.ndim else float(r)
 
     def scale(self, lam: complex) -> "DomainVector":
         return DomainVector(lam * self.block)
@@ -121,33 +131,48 @@ class DomainVector:
     def sub(self, other: "DomainVector") -> "DomainVector":
         return self.add(other.scale(-1.0))
 
-    def inner(self, other: "DomainVector") -> complex:
-        """<self, other>, conjugate-linear in ``other``."""
-        return complex(np.vdot(other.block, self.block))
+    def inner(self, other: "DomainVector"):
+        """<self, other>, conjugate-linear in ``other``; per vector for
+        stacks."""
+        r = _vdot(other.block, self.block)
+        return r if r.ndim else complex(r)
 
 
-def vector_sum(vectors) -> DomainVector:
-    """Sum of domain vectors of one shape, added in the given order."""
+def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot of each pair of (..., horizon, block_dim) vectors, bit for
+    bit: one matmul of the conjugated, flattened rows of x against those of
+    y, which takes one BLAS dot per pair, as np.vdot does."""
+    rows = np.conj(x).reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
+    cols = y.reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1], 1)
+    return (rows @ cols)[..., 0, 0]
+
+
+def vector_sum(vectors, shape=None) -> DomainVector:
+    """Sum of domain vectors of one shape, added in the given order; with
+    no vectors, the zero vector of ``shape``."""
     parts = [x.block for x in vectors]
+    if not parts and shape is not None:
+        return DomainVector(np.zeros(shape, dtype=np.complex128))
     if len({b.shape for b in parts}) != 1:
         raise DimMismatch("a sum needs domain vectors of one shape")
     return DomainVector(sum(parts[1:], parts[0]))
 
 
 def _values_at(values, horizon: int) -> np.ndarray:
-    """A value row's entries at blocks 0..horizon-1; the row must hold a
-    value for every block below ``horizon``, otherwise ShapeMismatch."""
+    """A value row's entries at blocks 0..horizon-1, or those of each row of
+    a (..., n) stack; a row must hold a value for every block below
+    ``horizon``, otherwise ShapeMismatch."""
     row = np.asarray(values, dtype=np.complex128)
-    if row.ndim != 1 or len(row) < horizon:
+    if row.ndim < 1 or row.shape[-1] < horizon:
         raise ShapeMismatch(f"a value row needs one value per block below "
                             f"the horizon ({horizon})")
-    return row[:horizon]
+    return row[..., :horizon]
 
 
 def _require_rows(x: DomainVector, horizon: int) -> None:
-    if len(x.block) != horizon:
+    if x.block.shape[-2] != horizon:
         raise ShapeMismatch(f"a domain vector needs one row per block below "
-                            f"the horizon ({horizon}), got {len(x.block)}")
+                            f"the horizon ({horizon}), got {x.block.shape[-2]}")
 
 
 def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
@@ -159,18 +184,20 @@ def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
     domain; in this model they are exactly D0, with the support as the
     compact witness.
     """
-    _require_rows(x, len(values))
-    return DomainVector(_values_at(values, len(values))[:, None] * x.block)
+    horizon = np.shape(values)[-1]
+    _require_rows(x, horizon)
+    return DomainVector(_values_at(values, horizon)[..., None] * x.block)
 
 
 def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:
     """rho(b (x) A) x: block n of the result is f(n) * A x_n (exact), with f
-    given by its value row ``values``; one broadcast over every block.  A
-    must be a (block_dim, block_dim) matrix, or ShapeMismatch is raised."""
+    given by its value row ``values``; one broadcast over every block and
+    every stack axis.  A must be (block_dim, block_dim) matrices, or
+    ShapeMismatch is raised."""
     _require_rows(x, model.horizon)
     _require_coefficient(model, a)
-    fv = _values_at(values, model.horizon)[:, None]
-    return DomainVector(fv * (x.block @ a.T))
+    fv = _values_at(values, model.horizon)[..., None]
+    return DomainVector(fv * (x.block @ np.swapaxes(a, -1, -2)))
 
 
 def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
@@ -179,34 +206,48 @@ def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
     (f(n) * A) x_n, one contraction over every block.  The value row and A
     are checked as in ``rho_apply``, which this route never calls."""
     _require_rows(x, model.horizon)
-    acts = _block_actions([OperatorField(terms=((values, a),))], model)[0]
-    return DomainVector(np.einsum("nij,nj->ni", acts, x.block))
+    acts = _term_actions(values, a, model)
+    return DomainVector(np.einsum("...nij,...nj->...ni", acts, x.block))
 
 
 def i_m_apply(field_: OperatorField, model: BlockModel,
               x: DomainVector) -> DomainVector:
-    """Integral of a field applied on D0: termwise preintegral sum.
+    """Integral of a field applied on D0: termwise preintegral sum, the
+    zero vector of x's shape for a field without terms.
 
     The closure agrees with the preintegral on finitely supported vectors,
     so this is the closure's action there.
     """
-    return vector_sum(psi_apply(v, a, model, x) for v, a in field_.terms)
+    return vector_sum((psi_apply(v, a, model, x) for v, a in field_.terms),
+                      x.block.shape)
 
 
-def truncation_projection(k: BorelSet, x: DomainVector) -> DomainVector:
-    """M(K)(id) x: keep blocks inside K.  K must be a set over the space of
-    x's blocks, or SpaceMismatch is raised."""
-    return DomainVector(np.where(_mask(k, len(x.block))[:, None], x.block, 0.0))
+def truncation_projection(k, x: DomainVector) -> DomainVector:
+    """M(K)(id) x: keep blocks inside K; for a stack, a sequence of sets,
+    one K per vector.  K must be a set over the space of x's blocks, or
+    SpaceMismatch is raised."""
+    inside = _mask(k, x.block.shape[:-1])
+    return DomainVector(np.where(inside[..., None], x.block, 0.0))
 
 
-def _mask(k: BorelSet, horizon: int) -> np.ndarray:
-    """K's indicator on blocks 0..horizon-1, read from its members; K must
-    be a set over the countable space of that horizon."""
-    if k.space.horizon != horizon:
-        raise SpaceMismatch("set over a different space")
-    inside = np.zeros(horizon, dtype=bool)
-    inside[[n for n in k.members if n < horizon]] = True
-    return ~inside if k.cofinite else inside
+def _mask(k, shape: tuple) -> np.ndarray:
+    """K's indicator on blocks 0..shape[-1]-1, read from its members; for a
+    sequence of sets, one K per vector of leading shape ``shape[:-1]``
+    (ShapeMismatch otherwise), their indicators in that shape.  Each K must
+    be a set over that countable space (SpaceMismatch)."""
+    single = isinstance(k, BorelSet)
+    ks = [k] if single else list(k)
+    if not single and len(ks) != math.prod(shape[:-1]):
+        raise ShapeMismatch("a stack of vectors needs one K per vector")
+    horizon = shape[-1]
+    inside = np.zeros((len(ks), horizon), dtype=bool)
+    for row, one in zip(inside, ks):
+        if one.space.horizon != horizon:
+            raise SpaceMismatch("set over a different space")
+        row[[n for n in one.members if n < horizon]] = True
+        if one.cofinite:
+            row[:] = ~row
+    return inside[0] if single else inside.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -217,68 +258,59 @@ class DAlphaReport:
     flags: tuple = ()
 
 
-def d_alpha_check(
-    x: DomainVector,
-    model: BlockModel,
-    k: BorelSet,
-    probes: int = 20,
-    seed: int = 0,
-) -> DAlphaReport:
-    """Membership test for the compactly-dominated vectors D_{alpha_K}.
+def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
+                  seed: int = 0):
+    """Membership test for the compactly-dominated vectors D_{alpha_K}, as
+    a DAlphaReport; for a (vectors, horizon, block_dim) stack with one K
+    per vector, as a list of them.
 
     SUFFICIENT: support(x) inside K certifies membership exactly, since
     blockwise ||rho(b) x||^2 = sum |f_b(n)|^2 ||x_n||^2 is dominated by
     sup_{n in K} |f_b(n)|^2 ||x||^2.  NECESSARY (sampled): the inequality is
-    probed on random *-polynomials in the generators.  The probes come from
-    one structured draw of a private rng seeded by ``seed``
-    (``_draw_probes``) and are evaluated by ``star_values`` as one
-    (probes, blocks) value stack over the model's factor rows, on the
-    blocks of x's support and then those of K below the horizon, so every
-    probe's excess, alpha_K and the status are array operations.  A
-    non-finite probe residual fails.  K must be a set over the model's space
-    (SpaceMismatch otherwise), and ``probes`` non-negative (ValueError
+    probed on random *-polynomials in the generators, one structured draw
+    of a private rng seeded by ``seed`` (``_draw_probes``) for the stack,
+    evaluated by ``star_values`` as one (probes, blocks) value stack over
+    the model's factor rows and read on each vector's support and K.  A
+    non-finite probe residual fails.  Each K must be a set over the model's
+    space (SpaceMismatch otherwise), and ``probes`` non-negative (ValueError
     otherwise).
     """
     _require_rows(x, model.horizon)
     if probes < 0:
         raise ValueError(f"probes must be non-negative, got {probes}")
-    inside = _mask(k, model.horizon)
-    support = np.flatnonzero(x.block.any(axis=1))
-    certified = bool(inside[support].all())  # the zero vector is a member
-    norm_x = x.norm()
-    xs = x.block[support]
-    mass = np.einsum("nd,nd->n", np.conj(xs), xs).real
-    table = model.factor_rows[:, np.concatenate((support, np.flatnonzero(inside)))]
+    single = x.block.ndim == 2
+    xs = x.block[None] if single else x.block
+    inside = _mask([k] if single else k, xs.shape[:-1])[:, None]
+    support = xs.any(axis=-1)[:, None]
+    certified = ~np.any(support & ~inside, axis=-1)  # the zero vector is a member
+    norm_x = DomainVector(xs).norm()[:, None]
+    mass = np.einsum("vnd,vnd->vn", np.conj(xs), xs).real[:, None]
     vals = np.abs(star_values(*_draw_probes(seed, len(model.generators), probes),
-                              table))
-    y_norm = np.sqrt(np.sum(vals[:, :len(support)] ** 2 * mass, axis=1))
-    alpha = np.max(vals[:, len(support):], axis=1, initial=0.0)
+                              model.factor_rows))
+    y_norm = np.sqrt(np.sum(np.where(support, vals ** 2, 0.0) * mass, axis=-1))
+    alpha = np.max(np.where(inside, vals, 0.0), axis=-1, initial=0.0)
     # np.maximum keeps a NaN excess, which then fails every comparison
     residuals = np.maximum(0.0, y_norm - alpha * norm_x)
-    sampled_pass = bool(np.all(residuals <= TAU_RECON * (1.0 + norm_x)))
-    if certified and sampled_pass:
-        status = "certified"
-    elif sampled_pass:
-        status = "sampled-pass"
-    else:
-        status = "fail"
-    return DAlphaReport(
-        certified=certified,
-        probe_residuals=tuple((f"probe{t}", r)
-                              for t, r in enumerate(residuals.tolist())),
-        status=status,
-        flags=("sampled-necessity",),
-    )
+    sampled_pass = np.all(residuals <= TAU_RECON * (1.0 + norm_x), axis=-1)
+    reports = [
+        DAlphaReport(
+            certified=c,
+            probe_residuals=tuple((f"probe{t}", r) for t, r in enumerate(res)),
+            status="certified" if c and p else "sampled-pass" if p else "fail",
+            flags=("sampled-necessity",),
+        )
+        for c, p, res in zip(certified[:, 0].tolist(), sampled_pass.tolist(),
+                             residuals.tolist())
+    ]
+    return reports[0] if single else reports
 
 
-@lru_cache(maxsize=64)
 def _draw_probes(seed: int, n_names: int, probes: int):
     """``probes`` random *-polynomials in ``n_names`` generators, with the
     distribution of ``_random_star_polynomial(degree=2)``, from two calls of
-    an rng seeded by ``seed``.  The draw depends on nothing else, so it is
-    cached: a pipeline that probes several vectors with one seed draws once.
+    an rng seeded by ``seed``; ``d_alpha_check`` draws once per stack.
 
-    Returns read-only (codes, coeffs) over the sorted names, 3 monomial
+    Returns (codes, coeffs) over the sorted names, 3 monomial
     slots of 2 factor slots per probe.  A probe uses its first 1..3 monomial
     slots and a monomial its first 0..2 factor slots; each count, and each
     generator pick, is floor(n * u) (+ 1 for the monomial count) of a
@@ -292,9 +324,7 @@ def _draw_probes(seed: int, n_names: int, probes: int):
     codes = np.where(real & used[..., None],
                      (2 * n_names * u[..., 2:]).astype(int), 2 * n_names)
     coeffs = rng.standard_normal((probes, 3, 2)).view(np.complex128)[..., 0]
-    coeffs = coeffs * used
-    codes.flags.writeable = coeffs.flags.writeable = False
-    return codes, coeffs
+    return codes, coeffs * used
 
 
 def _random_star_polynomial(rng: np.random.Generator, n_names: int, degree: int):
@@ -345,26 +375,31 @@ def star_values(codes, coeffs, table) -> np.ndarray:
 
 
 def _require_coefficient(model: BlockModel, a) -> None:
-    """A coefficient is a matrix acting on one block: a (block_dim,
+    """A coefficient is a matrix acting on one block: a (..., block_dim,
     block_dim) ndarray, also on a scalar model."""
     d = model.block_dim
     shape = getattr(a, "shape", None)
-    if shape != (d, d):
+    if shape is None or shape[-2:] != (d, d):
         raise ShapeMismatch(f"a coefficient acts on one block as a ({d}, {d}) "
                             f"matrix; got {type(a).__name__} of shape {shape}")
+
+
+def _term_actions(values, a, model: BlockModel) -> np.ndarray:
+    """The (..., horizon, block_dim, block_dim) matrices f(n) * A by which
+    a term f (x) A, or a stack of terms, acts on the model's blocks."""
+    _require_coefficient(model, a)
+    return _values_at(values, model.horizon)[..., None, None] * a[..., None, :, :]
 
 
 def _block_actions(fields, model: BlockModel) -> np.ndarray:
     """The (fields, horizon, block_dim, block_dim) stack of matrices
     f(n) * A, summed over each field's terms, by which each field of a
-    sequence acts on the model's blocks.  A coefficient of another shape
-    raises ShapeMismatch."""
+    sequence acts on the model's blocks."""
     d = model.block_dim
     out = np.zeros((len(fields), model.horizon, d, d), dtype=np.complex128)
     for i, field_ in enumerate(fields):
         for v, a in field_.terms:
-            _require_coefficient(model, a)
-            out[i] += _values_at(v, model.horizon)[:, None, None] * a
+            out[i] += _term_actions(v, a, model)
     return out
 
 

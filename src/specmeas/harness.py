@@ -335,7 +335,7 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
         atlas = joint_diagonalize([images[n] for n in names])
     except SpecmeasError as exc:
         return _finish(scenario, [_bool_entry(
-            f"diagonalize[{type(exc).__name__}]", False)], t0)
+            f"diagonalize[{type(exc).__name__}]", False, flags=(str(exc),))], t0)
     # (i) representation on the *-polynomial test set: a product over the
     # code slots of the images' table against the atlas-weighted projections
     codes, coeffs = _star_monomials(len(names), rng, count=6)
@@ -419,7 +419,8 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     try:
         rebuilt = assemble_from_family(fm, oracle.w1)
     except SpecmeasError as exc:
-        checks.append(_bool_entry(f"assemble[{type(exc).__name__}]", False))
+        checks.append(_bool_entry(f"assemble[{type(exc).__name__}]", False,
+                                  flags=(str(exc),)))
         return _finish(scenario, checks, t0)
     # both measures are labelled by space.points(), in order; the worst
     # basis image per atom
@@ -480,6 +481,11 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 4)
     names = sorted(model.generators)
+    # every draw first, in stream order; then one stack per check family
+    represent = [(_random_domain_vector(rng, model),
+                  blocks._random_star_polynomial(rng, len(names), degree=3))
+                 for _ in range(6)]
+    compact = _stacked([_random_domain_vector(rng, model) for _ in range(4)])
     # (i) integrability: blockwise normality per generator
     unit = model.w.identity()
     field_list = [OperatorField(terms=((model.generator_rows[n], unit),))
@@ -488,54 +494,74 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         checks.append(_bool_entry(
             f"integrable[field{i};block{rep.worst_block}]", rep.passed,
         ))
-    # (ii) density of the compactly dominated domain
-    for eps in (1e-4, 1e-10):
-        coeffs = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
-                           model.block_dim, axis=1)
-        member, tail = _truncate_to_eps(coeffs, eps)
+    # (ii) density of the compactly dominated domain: both witnesses of the
+    # target 0.5^n, probed as one stack
+    target = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
+                       model.block_dim, axis=1)
+    epsilons = (1e-4, 1e-10)
+    members, tails = zip(*(_truncate_to_eps(target, eps) for eps in epsilons))
+    members = _stacked(members)
+    reps = blocks.d_alpha_check(members, model, _supports(model, members),
+                                probes=8, seed=scenario.seed + 5)
+    for eps, tail, rep in zip(epsilons, tails, reps):
         checks.append(check_entry(f"density[eps={eps:g}]", tail, eps))
-        k = borel(model.space, member.support)
-        rep = blocks.d_alpha_check(member, model, k, probes=8,
-                                   seed=scenario.seed + 5)
         checks.append(_bool_entry(
             f"density-witness-certified[eps={eps:g}]", rep.status == "certified",
             flags=rep.flags,
         ))
-    # (iii) exact representation on finitely supported vectors
-    for t in range(6):
-        x = _random_domain_vector(rng, model)
-        codes, coeffs = blocks._random_star_polynomial(rng, len(names), degree=3)
-        lhs = _rho_polynomial(model, codes, coeffs, x)
-        rhs = blocks.spectral_integral_apply(
-            blocks.star_values(codes, coeffs, model.factor_rows), x)
-        # the tolerance scales with the spectral side, the route-free one
-        checks.append(check_entry(
-            f"represent[x{t}]", lhs.sub(rhs).norm(),
-            TAU_EXACT * (1.0 + rhs.norm()),
-        ))
+    # (iii) exact representation on finitely supported vectors; the
+    # tolerance scales with the spectral side, the route-free one.  A
+    # polynomial with fewer monomials is padded with constant monomials of
+    # coefficient 0, exact zeros in every sum
+    xs = _stacked([x for x, _ in represent])
+    codes = _ragged_stack([c for _, (c, _) in represent], len(model.factor_rows) - 1)
+    coeffs = _ragged_stack([a for _, (_, a) in represent])
+    lhs = _rho_polynomial(model, codes, coeffs, xs)
+    rhs = blocks.spectral_integral_apply(
+        blocks.star_values(codes, coeffs, model.factor_rows), xs)
+    checks += family_entries([f"represent[x{t}]" for t in range(len(codes))],
+                             lhs.sub(rhs).norm(), TAU_EXACT * (1.0 + rhs.norm()))
     # (iv) compact support of E_{x,x} inside the membership witness
-    for t in range(4):
-        x = _random_domain_vector(rng, model)
-        k = borel(model.space, x.support)
-        rep = blocks.d_alpha_check(x, model, k, probes=4, seed=scenario.seed + 6)
-        ok = rep.status == "certified" and x.support <= k.members
+    ks = _supports(model, compact)
+    reps = blocks.d_alpha_check(compact, model, ks, probes=4,
+                                seed=scenario.seed + 6)
+    for t, (rep, k, supp) in enumerate(zip(reps, ks, compact.support)):
+        ok = rep.status == "certified" and supp <= k.members
         checks.append(_bool_entry(f"compact-support[x{t}]", ok, flags=rep.flags))
     return _finish(scenario, checks, t0)
 
 
+def _stacked(vectors) -> blocks.DomainVector:
+    return blocks.DomainVector(np.stack([x.block for x in vectors]))
+
+
+def _supports(model, xs: blocks.DomainVector) -> list:
+    """One Borel set per vector of a stack: the vector's support."""
+    return [borel(model.space, supp) for supp in xs.support]
+
+
+def _ragged_stack(arrays, fill=0):
+    """One stack of arrays whose leading lengths differ, each padded to
+    the longest with ``fill``."""
+    out = np.full((len(arrays), max(map(len, arrays)), *arrays[0].shape[1:]),
+                  fill, dtype=arrays[0].dtype)
+    for row, a in zip(out, arrays):
+        row[:len(a)] = a
+    return out
+
+
 def _rho_polynomial(model, codes, coeffs, x) -> blocks.DomainVector:
-    """ρ(p) x for a *-polynomial p as (codes, coeffs): per monomial, one ρ
-    per non-constant factor, right to left, on its ``factor_rows`` row."""
+    """ρ(p) x for each *-polynomial of a (checks, monomials, slots) code
+    stack, on its vector of a (checks, ...) stack: one ρ per factor slot,
+    right to left, on each monomial's ``factor_rows`` row (the constant's
+    row of ones is exact), then per monomial its coefficient, the monomials
+    summed in order."""
     unit = model.w.identity()
-    table = model.factor_rows
-    out = []
-    for row, coeff in zip(codes.tolist(), coeffs.tolist()):
-        y = x
-        for c in reversed(row):
-            if c != len(table) - 1:  # the table's last row is the constant 1
-                y = blocks.rho_apply(model, table[c], unit, y)
-        out.append(y.scale(coeff))
-    return blocks.vector_sum(out)
+    y = blocks.DomainVector(x.block[:, None])
+    for s in reversed(range(codes.shape[-1])):
+        y = blocks.rho_apply(model, model.factor_rows[codes[..., s]], unit, y)
+    terms = np.moveaxis(coeffs[..., None, None] * y.block, 1, 0)
+    return blocks.DomainVector(sum(terms[1:], terms[0]))
 
 
 def _truncate_to_eps(coeffs, eps):
@@ -543,24 +569,28 @@ def _truncate_to_eps(coeffs, eps):
     coefficients are the rows of ``coeffs``: keep the rows below the
     smallest horizon h >= 1 whose tail is within eps, and return that member
     with its tail norm.  The tail norms of every h come from one reverse
-    cumulative sum; the returned tail sums the dropped rows in order."""
-    mass = [float(np.vdot(v, v).real) for v in coeffs]
+    cumulative sum; the returned tail sums the dropped rows in order.  The
+    rows' masses are the inner products of a stack of one-block vectors."""
+    kept = np.array(coeffs, dtype=np.complex128)
+    rows = blocks.DomainVector(kept[:, None])
+    mass = rows.inner(rows).real
     tails = np.sqrt(np.cumsum(mass[::-1])[::-1])
     within = np.flatnonzero(tails[1:] <= eps)
     horizon = int(within[0]) + 1 if within.size else len(coeffs)
-    kept = np.array(coeffs, dtype=np.complex128)
     kept[horizon:] = 0.0
-    return blocks.DomainVector(kept), float(np.sqrt(sum(mass[horizon:])))
+    return blocks.DomainVector(kept), float(np.sqrt(sum(mass[horizon:].tolist())))
 
 
 def _random_domain_vector(rng, model, supp=3) -> blocks.DomainVector:
     """A vector supported on ``supp`` distinct random blocks.  One draw
     holds, per pick, the real and then the imaginary parts of its component:
     the stream of two ``standard_normal(block_dim)`` calls per pick."""
-    picks = rng.choice(model.horizon, size=min(supp, model.horizon), replace=False)
-    parts = rng.standard_normal((len(picks), 2, model.block_dim))
-    block = np.zeros((model.horizon, model.block_dim), dtype=np.complex128)
-    block[picks] = parts[:, 0] + 1j * parts[:, 1]
+    horizon, dim = model.horizon, model.block_dim
+    picks = rng.choice(horizon, size=min(supp, horizon), replace=False)
+    parts = rng.standard_normal((len(picks), 2, dim))
+    block = np.zeros((horizon, dim), dtype=np.complex128)
+    # the float view of block n holds (re, im) pairs: the draw transposed
+    block.view(np.float64).reshape(horizon, dim, 2)[picks] = parts.swapaxes(1, 2)
     return blocks.DomainVector(block)
 
 
@@ -571,6 +601,19 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 7)
     names = sorted(model.generators)
+    # every draw first, in stream order; then one stack per check family.
+    # An element is one (2, dim W) standard normal draw, and one
+    # hermitian_elements call makes all eight
+    contained = _stacked([_random_domain_vector(rng, model) for _ in range(3)])
+    represent = [(_random_domain_vector(rng, model),
+                  _random_unbounded_field(rng, model)) for _ in range(6)]
+    bounds = [(_random_domain_vector(rng, model),
+               model.generator_rows[names[int(rng.integers(len(names)))]],
+               rng.standard_normal((2, model.w.dim))) for _ in range(4)]
+    bounds += [(_random_domain_vector(rng, model), _random_domain_vector(rng, model),
+                rng.standard_normal((2, model.w.dim))) for _ in range(4)]
+    elements = model.w.hermitian_elements(np.array([e for *_, e in bounds]))
+    unit = model.w.identity()
     # (1) rho_P integrability per sampled projection
     fam = sample_projections(model.w, n=6, seed=scenario.seed + 8)
     # one batch: the injected field, if any, then one field per projection
@@ -592,47 +635,37 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         [f"compression[P{i}]" for i in range(len(fam))],
         projection_residual(fam.stack), np.full(len(fam), TAU_RECON))
     # (3) support containment for certified vectors
-    for t in range(3):
-        x = _random_domain_vector(rng, model)
-        k = borel(model.space, x.support)
-        y = blocks.truncation_projection(k, x)
-        checks.append(check_entry(
-            f"support-containment[x{t}]", x.sub(y).norm(), TAU_EXACT,
-        ))
-    # (5) representation check on D0
-    for t in range(6):
-        x = _random_domain_vector(rng, model)
-        field_ = _random_unbounded_field(rng, model)
-        lhs = _rho_field(model, field_, x)
-        rhs = blocks.i_m_apply(field_, model, x)
-        checks.append(check_entry(
-            f"represent[x{t}]", lhs.sub(rhs).norm(),
-            TAU_EXACT * (1.0 + lhs.norm()),
-        ))
-    # (6) domain inclusion: ||rho(b (x) A)x|| <= ||A|| ||rho(b (x) id)x||
-    for t in range(4):
-        x = _random_domain_vector(rng, model)
-        g = model.generator_rows[names[int(rng.integers(len(names)))]]
-        a = model.w.random_hermitian_element(rng)
-        lhs = blocks.rho_apply(model, g, a, x).norm()
-        rhs = op_norm(a) * blocks.rho_apply(model, g, model.w.identity(), x).norm()
-        checks.append(check_entry(
-            f"domain-inclusion[{t}]", max(0.0, lhs - rhs),
-            TAU_RECON * (1.0 + rhs),
-        ))
-    # (7) blockwise functional boundedness witness
-    for t in range(4):
-        x = _random_domain_vector(rng, model)
-        y = _random_domain_vector(rng, model)
-        g = model.generator_rows[names[0]]
-        a = model.w.random_hermitian_element(rng)
-        val = abs(blocks.rho_apply(model, g, a, x).inner(y))
-        bound = op_norm(a) * blocks.rho_apply(
-            model, g, model.w.identity(), x).norm() * y.norm()
-        checks.append(check_entry(
-            f"functional-bound[{t}]", max(0.0, val - bound),
-            TAU_RECON * (1.0 + bound),
-        ))
+    y = blocks.truncation_projection(_supports(model, contained), contained)
+    checks += family_entries(
+        [f"support-containment[x{t}]" for t in range(len(contained.block))],
+        contained.sub(y).norm(), np.full(len(contained.block), TAU_EXACT))
+    # (5) representation check on D0, the fields' terms stacked slot by slot
+    xs = _stacked([x for x, _ in represent])
+    field_ = _stacked_field([f for _, f in represent])
+    lhs = _rho_field(model, field_, xs)
+    checks += family_entries(
+        [f"represent[x{t}]" for t in range(len(represent))],
+        lhs.sub(blocks.i_m_apply(field_, model, xs)).norm(),
+        TAU_EXACT * (1.0 + lhs.norm()))
+    # (6) domain inclusion, ||rho(b (x) A)x|| <= ||A|| ||rho(b (x) id)x||,
+    # and (7) the blockwise functional boundedness witness,
+    # |<rho(b (x) A)x, y>| <= ||A|| ||rho(b (x) id)x|| ||y||, with b the
+    # first generator: both read rho(b (x) A)x and ||A|| ||rho(b (x) id)x||
+    # off one stack of eight
+    xs = _stacked([x for x, *_ in bounds])
+    g = np.array([g for _, g, _ in bounds[:4]]
+                 + [model.generator_rows[names[0]]] * 4)
+    a_x = blocks.rho_apply(model, g, elements, xs)
+    bound = op_norm(elements) * blocks.rho_apply(model, g, unit, xs).norm()
+    lhs = a_x.norm()[:4]
+    checks += family_entries([f"domain-inclusion[{t}]" for t in range(4)],
+                             np.maximum(0.0, lhs - bound[:4]),
+                             TAU_RECON * (1.0 + bound[:4]))
+    ys = _stacked([y for _, y, _ in bounds[4:]])
+    val = np.abs(blocks.DomainVector(a_x.block[4:]).inner(ys))
+    bound = bound[4:] * ys.norm()
+    checks += family_entries([f"functional-bound[{t}]" for t in range(4)],
+                             np.maximum(0.0, val - bound), TAU_RECON * (1.0 + bound))
     return _finish(scenario, checks, t0)
 
 
@@ -648,10 +681,21 @@ def _random_unbounded_field(rng, model) -> OperatorField:
     return OperatorField(terms=tuple(terms))
 
 
-def _rho_field(model, field_, x):
+def _stacked_field(fields) -> OperatorField:
+    """One field whose term s stacks the s-th terms of a list of fields; a
+    field with fewer terms holds a zero row and coefficient there, which
+    add exact zeros."""
+    rows = _ragged_stack([np.array([v for v, _ in f.terms]) for f in fields])
+    coeffs = _ragged_stack([np.array([a for _, a in f.terms]) for f in fields])
+    return OperatorField(terms=tuple(zip(rows.swapaxes(0, 1), coeffs.swapaxes(0, 1))))
+
+
+def _rho_field(model, field_, x) -> blocks.DomainVector:
+    """ρ of a field on x: one rho_apply per term, summed in order; the zero
+    vector of x's shape for a field without terms."""
     return blocks.vector_sum(
-        blocks.rho_apply(model, v, a, x) for v, a in field_.terms
-    )
+        (blocks.rho_apply(model, v, a, x) for v, a in field_.terms),
+        x.block.shape)
 
 
 def _finish(scenario, checks, t0) -> VerificationReport:
@@ -779,5 +823,6 @@ def check_measure_file(path) -> VerificationReport:
             f"{kind}-invariants", resid, TAU_DOC,
         ))
     except (InvalidDocument, KeyError, TypeError) as exc:
-        checks.append(_bool_entry(f"document[{type(exc).__name__}]", False))
+        checks.append(_bool_entry(f"document[{type(exc).__name__}]", False,
+                                  flags=(str(exc),)))
     return VerificationReport(scenario=f"check-measure:{path}", checks=tuple(checks))

@@ -44,3 +44,9 @@ def domain_vector(model, comps) -> blocks.DomainVector:
     for n, v in comps.items():
         block[n] = v
     return blocks.DomainVector(block)
+
+
+def hermitian_element(w: algebra.VonNeumannAlgebra, rng) -> np.ndarray:
+    """One random hermitian element of w, from one (2, dim w) standard
+    normal draw: the draw that the pipelines make per element."""
+    return w.hermitian_elements(rng.standard_normal((1, 2, w.dim)))[0]

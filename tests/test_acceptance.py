@@ -11,7 +11,7 @@ import numpy as np
 
 from specmeas import algebra, blocks, cli, harness, linalg, measure, nnsm
 
-from conftest import domain_vector, tensor_model
+from conftest import domain_vector, hermitian_element, tensor_model
 
 
 def _line(n: int, label: str, ok: bool, detail: str = ""):
@@ -98,7 +98,7 @@ def test_criterion_4_limiting_sequences():
         m, _, mrng = tensor_model(seed=seed)
         fam = algebra.sample_projections(m.w1, n=10, seed=seed)
         fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
-        a = m.w1.random_hermitian_element(mrng)
+        a = hermitian_element(m.w1, mrng)
         delta = measure.borel(m.space, {0, 2})
         exact = fm.extend_at(a, delta)
         approx = nnsm.extension_by_limit(fm, a, delta, ell=1 << 17)
@@ -128,7 +128,7 @@ def test_criterion_5_integration_laws():
         lam = complex(rng.standard_normal(), rng.standard_normal())
         r2 = linalg.frob_norm(nnsm.integrate(m, f.scale(lam), delta) - lam * i_f)
         # (iii) indicator: int chi_D (x) A dM = M_A(D)
-        a = m.w1.random_hermitian_element(rng)
+        a = hermitian_element(m.w1, rng)
         chi = nnsm.OperatorField(terms=(
             (np.array([1.0 if x in delta else 0.0 for x in m.space.points()]),
              a),))
@@ -151,7 +151,7 @@ def _random_field(rng, m):
     for _ in range(int(rng.integers(1, 3))):
         fvals = np.array([complex(rng.standard_normal(), rng.standard_normal())
                           for _ in m.space.points()])
-        terms.append((fvals, m.w1.random_hermitian_element(rng)))
+        terms.append((fvals, hermitian_element(m.w1, rng)))
     return nnsm.OperatorField(terms=tuple(terms))
 
 

@@ -12,6 +12,8 @@ from specmeas.errors import (
 )
 from specmeas.tolerances import TAU_ALG, TAU_EXT, TAU_PROJ, TAU_RANK
 
+from conftest import hermitian_element
+
 
 def _reference_commutant(mats, dim: int) -> np.ndarray:
     """The (dim, d, d) orthonormal basis stack of {X : XS = SX for every S in
@@ -99,7 +101,7 @@ def _m2_algebra():
 def test_stacked_coefficients_match_per_matrix_reference(w):
     rng = np.random.default_rng(31)
     stack = np.stack([
-        w.random_hermitian_element(rng) + 1j * w.random_hermitian_element(rng)
+        hermitian_element(w, rng) + 1j * hermitian_element(w, rng)
         for _ in range(5)
     ])
     got = w.coefficients(stack)

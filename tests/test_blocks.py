@@ -720,3 +720,56 @@ def test_value_rows_must_cover_the_horizon():
             blocks.d_alpha_check(wrong, model, k)
     with pytest.raises(ShapeMismatch):
         blocks.rho_apply(model, np.ones((16, 1)), a, x)  # not a row
+
+
+# ---------------------------------------------------------------------------
+# stacks of vectors against one call per vector
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_operators_equal_per_vector_calls(dim):
+    model, rng = matrix_model(horizon=8, dim=dim, seed=30 + dim)
+    vectors = [random_vector(rng, model, supp=s) for s in (0, 1, 3, 5, 8)]
+    xs = blocks.DomainVector(np.stack([x.block for x in vectors]))
+    rows = (rng.standard_normal((len(vectors), 8))
+            + 1j * rng.standard_normal((len(vectors), 8)))
+    coeffs = linalg.random_complex(rng, len(vectors) * dim, dim).reshape(-1, dim, dim)
+    one_row, one_a = rows[0], coeffs[0]
+    for apply in (lambda v, a, x: blocks.rho_apply(model, v, a, x),
+                  lambda v, a, x: blocks.psi_apply(v, a, model, x)):
+        stacked = apply(rows, coeffs, xs).block
+        shared = apply(one_row, one_a, xs).block  # one row and A for the stack
+        for i, x in enumerate(vectors):
+            assert stacked[i].tobytes() == apply(rows[i], coeffs[i], x).block.tobytes()
+            assert shared[i].tobytes() == apply(one_row, one_a, x).block.tobytes()
+    norms, inner = xs.norm(), xs.inner(xs.scale(1j))
+    for i, x in enumerate(vectors):  # each the np.vdot of its vector
+        assert norms[i] == x.norm() == np.sqrt(np.vdot(x.block, x.block).real)
+        assert inner[i] == x.inner(x.scale(1j)) == np.vdot(1j * x.block, x.block)
+    assert xs.support == tuple(x.support for x in vectors)
+    # one K per vector: inside, partly outside and outside the support
+    ks = [measure.borel(model.space, x.support) for x in vectors[:3]]
+    ks += [measure.borel(model.space, range(2)), measure.borel(model.space, [7])]
+    reports = blocks.d_alpha_check(xs, model, ks, probes=12, seed=dim)
+    assert reports == [blocks.d_alpha_check(x, model, k, probes=12, seed=dim)
+                       for x, k in zip(vectors, ks)]
+    assert {r.status for r in reports} >= {"certified", "fail"}
+    kept = blocks.truncation_projection(ks, xs).block
+    for i, (x, k) in enumerate(zip(vectors, ks)):
+        assert kept[i].tobytes() == blocks.truncation_projection(k, x).block.tobytes()
+    with pytest.raises(ShapeMismatch):
+        blocks.d_alpha_check(xs, model, ks[:-1])
+
+
+def test_an_empty_field_acts_as_zero():
+    # a field without terms integrates to 0 and is integrable; on D0 it is
+    # the zero vector of x's shape, one vector or a stack
+    model, rng = matrix_model(dim=2, seed=4)
+    empty = OperatorField(terms=())
+    x = random_vector(rng, model)
+    xs = blocks.DomainVector(np.stack([x.block, random_vector(rng, model).block]))
+    for vec in (x, xs):
+        for got in (blocks.i_m_apply(empty, model, vec),
+                    harness._rho_field(model, empty, vec)):
+            assert got.block.shape == vec.block.shape and not got.block.any()
+    assert blocks.integrability_check(model, empty).passed

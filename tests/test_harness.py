@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
-from specmeas.errors import CapExceeded, SpecmeasError
-from specmeas.tolerances import TAU_EXT, TAU_PROJ, TAU_RECON
+from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
+                             SpecmeasError)
+from specmeas.tolerances import TAU_EXACT, TAU_EXT, TAU_PROJ, TAU_RECON
 
-from conftest import member_measure
+from conftest import hermitian_element, member_measure
 
 
 def test_caps_enforced():
@@ -281,9 +282,10 @@ def test_verify_c_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch)
     rho_apply = blocks.rho_apply
 
     def bumped(model_, values, a, x):
-        if np.array_equal(values, g0) or np.array_equal(values, np.conj(g0)):
-            values = values * (1.0 + 1e-6)
-        return rho_apply(model_, values, a, x)
+        # rho takes a stack of rows: bump each row that is g0 or conj(g0)
+        hit = (values == g0).all(axis=-1) | (values == np.conj(g0)).all(axis=-1)
+        return rho_apply(model_, np.where(hit[..., None], values * (1.0 + 1e-6),
+                                          values), a, x)
 
     monkeypatch.setattr(blocks, "rho_apply", bumped)
     rep = harness.verify_theorem_c(sc)
@@ -308,14 +310,101 @@ def test_verify_d_represent_fails_on_a_wrong_rho(monkeypatch, fault):
     rho_apply = blocks.rho_apply
 
     def wrong(model_, values, a, x):
-        if fault == "transposed":
-            return rho_apply(model_, values, a.T, x)
+        if fault == "transposed":  # each coefficient of a stack transposed
+            return rho_apply(model_, values, np.swapaxes(a, -1, -2), x)
         return rho_apply(model_, np.ones_like(values), a, x)
 
     monkeypatch.setattr(blocks, "rho_apply", wrong)
     rep = harness.verify_theorem_d(sc)
     failed = [c.name for c in rep.checks if not c.passed]
     assert failed and all(n.startswith("represent[x") for n in failed)
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def test_verify_d_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch):
+    """D's represent[x*] stacks the fields' terms slot by slot; a relative
+    1e-6 bump of one generator's row on the rho side alone must fail
+    exactly the rows whose field has a term on that generator."""
+    sc = harness.gen_scenario("D", 1)
+    model = sc.payload["model"]
+    assert sorted(model.generator_rows) == ["g0", "g1"]
+    assert not _failed(harness.verify_theorem_d(sc))
+    fields = []
+    stacked_field = harness._stacked_field
+
+    def recorded(fields_):
+        fields.extend(fields_)
+        return stacked_field(fields_)
+
+    monkeypatch.setattr(harness, "_stacked_field", recorded)
+    g0 = model.generator_rows["g0"]
+    rho_apply = blocks.rho_apply
+
+    def bumped(model_, values, a, x):
+        hit = (values == g0).all(axis=-1)  # each row of a stack that is g0
+        return rho_apply(model_, np.where(hit[..., None], values * (1.0 + 1e-6),
+                                          values), a, x)
+
+    monkeypatch.setattr(blocks, "rho_apply", bumped)
+    failed = _failed(harness.verify_theorem_d(sc))
+    on_g0 = {f"represent[x{t}]" for t, f in enumerate(fields)
+             if any(np.array_equal(v, g0) for v, _ in f.terms)}
+    assert 0 < len(on_g0) < len(fields) == 6
+    assert failed == on_g0
+
+
+def test_verify_d_represent_fails_only_at_a_wrong_second_term(monkeypatch):
+    """The fields of D's represent[x*] have one or two terms, and a
+    one-term field holds a zero row and a zero coefficient in the second
+    slot of the stack.  A wrong second term of one two-term field, on the
+    psi side only, must fail that row and no other."""
+    i_m_apply = blocks.i_m_apply
+    fields, mixed = [], 0
+    stacked_field = harness._stacked_field
+
+    def recorded(fields_):
+        fields[:] = fields_
+        return stacked_field(fields_)
+
+    monkeypatch.setattr(harness, "_stacked_field", recorded)
+    for seed in range(6):
+        sc = harness.gen_scenario("D", seed)
+        assert not _failed(harness.verify_theorem_d(sc))
+        counts = [len(f.terms) for f in fields]
+        mixed += 1 in counts and 2 in counts
+        for j in (t for t, n in enumerate(counts) if n == 2):
+            def wrong(field_, model_, x, j=j):
+                (v0, a0), (v1, a1) = field_.terms
+                a1 = a1.copy()
+                a1[j] = a1[j] * (1.0 + 1e-6)
+                return i_m_apply(nnsm.OperatorField(terms=((v0, a0), (v1, a1))),
+                                 model_, x)
+
+            monkeypatch.setattr(blocks, "i_m_apply", wrong)
+            assert _failed(harness.verify_theorem_d(sc)) == {f"represent[x{j}]"}
+            monkeypatch.setattr(blocks, "i_m_apply", i_m_apply)
+    assert mixed >= 3
+
+
+def test_verify_c_compact_support_fails_only_at_a_vector_outside_its_k(monkeypatch):
+    """compact-support[x*] probes its four vectors as one stack, one K per
+    vector; a K that misses one block of its vector's support must fail
+    that row alone."""
+    sc = harness.gen_scenario("Cprime", 2)
+    assert not _failed(harness.verify_theorem_c(sc))
+    d_alpha_check = blocks.d_alpha_check
+    for j in range(4):
+        def shrunk(x, model, k, probes=20, seed=0, j=j):
+            if probes == 4:  # the compact-support stack
+                k = list(k)
+                k[j] = measure.borel(k[j].space, sorted(k[j].members)[1:])
+            return d_alpha_check(x, model, k, probes=probes, seed=seed)
+
+        monkeypatch.setattr(blocks, "d_alpha_check", shrunk)
+        assert _failed(harness.verify_theorem_c(sc)) == {f"compact-support[x{j}]"}
 
 
 @pytest.mark.parametrize("fault", harness.FAULT_CLASSES)
@@ -403,6 +492,31 @@ def test_check_measure_file(tmp_path):
     bad = tmp_path / "bad.json"
     serialize.dump(bad_doc, bad)
     assert not harness.check_measure_file(bad).passed
+
+
+def test_a_failed_diagonalization_keeps_the_exception_message():
+    # two non-commuting hermitian generators: the report's one entry keeps
+    # the exception type in its name and the message in its flags
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(NotCommuting) as raised:
+        algebra.joint_diagonalize([x, z])
+    sc = harness.Scenario(kind="A", seed=0,
+                          space=measure.DiscreteSpace(labels=(0, 1)),
+                          payload={"images": {"b0": x, "b1": z}})
+    (entry,) = harness.verify_theorem_a(sc).checks
+    assert entry.name == "diagonalize[NotCommuting]" and not entry.passed
+    assert entry.flags == (str(raised.value),) and str(raised.value)
+
+
+def test_a_bad_document_keeps_the_exception_message(tmp_path):
+    bad = tmp_path / "number.json"
+    bad.write_text("5")
+    with pytest.raises(InvalidDocument) as raised:
+        serialize.load(bad)
+    (entry,) = harness.check_measure_file(bad).checks
+    assert entry.name == "document[InvalidDocument]" and not entry.passed
+    assert entry.flags == (str(raised.value),) and str(raised.value)
 
 
 def _truncate_reference(coeffs, eps):
@@ -531,12 +645,12 @@ def test_condition1_matches_two_pass_reference():
 def _random_terms_reference(rng, m, count):
     """``count`` (value row, W1 element) pairs drawn one scalar at a time:
     per pair the row's real and imaginary parts point by point, then one
-    random_hermitian_element call."""
+    element's draw."""
     pairs = []
     for _ in range(count):
         row = np.array([complex(rng.standard_normal(), rng.standard_normal())
                         for _ in m.space.points()])
-        pairs.append((row, m.w1.random_hermitian_element(rng)))
+        pairs.append((row, hermitian_element(m.w1, rng)))
     return pairs
 
 
@@ -680,10 +794,6 @@ def test_batched_verify_b_matches_per_check_reference():
     assert faulted == 12
 
 
-def _failed(report):
-    return {c.name for c in report.checks if not c.passed}
-
-
 def test_assembly_rejects_a_broken_relation_at_every_atom(monkeypatch):
     # E_{P0}({x}) bumped by 1e-3 id, P0 the zero projection: the relation
     # 1 * P0 = 0 is broken at atom x alone, and the one batched relation
@@ -708,6 +818,7 @@ def test_assembly_rejects_a_broken_relation_at_every_atom(monkeypatch):
             checks = harness.verify_theorem_b(sc).checks
             assert checks[-1].name == "assemble[InconsistentAssignment]"
             assert not checks[-1].passed
+            assert checks[-1].flags and checks[-1].flags[0]  # the message
     assert most >= 3
 
 
@@ -771,3 +882,152 @@ def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):
 
         monkeypatch.setattr(harness, "integrate", integrate_bumped)
         assert _failed(harness.verify_theorem_b(sc)) == {f"represent[F{t}]"}
+
+
+def _norm(x):
+    return float(np.sqrt(np.vdot(x.block, x.block).real))
+
+
+def _rho_polynomial_reference(model, codes, coeffs, x):
+    """rho(p) x per monomial: one rho_apply per non-constant factor, right
+    to left, then the monomials scaled and summed in order."""
+    unit = model.w.identity()
+    table = model.factor_rows
+    out = []
+    for row, coeff in zip(codes.tolist(), coeffs.tolist()):
+        y = x
+        for c in reversed(row):
+            if c != len(table) - 1:  # the table's last row is the constant 1
+                y = blocks.rho_apply(model, table[c], unit, y)
+        out.append(y.scale(coeff))
+    return blocks.vector_sum(out)
+
+
+def _verify_c_reference(scenario):
+    """verify_theorem_c's checks one vector at a time: each vector drawn and
+    checked in turn, with one rho_apply per factor, one d_alpha_check and
+    one np.vdot norm per check."""
+    model = scenario.payload["model"]
+    checks = []
+    rng = np.random.default_rng(scenario.seed + 4)
+    names = sorted(model.generators)
+    unit = model.w.identity()
+    fields = [nnsm.OperatorField(terms=((model.generator_rows[n], unit),))
+              for n in names]
+    for i, rep in enumerate(blocks.integrability_check(model, fields)):
+        checks.append(harness._bool_entry(
+            f"integrable[field{i};block{rep.worst_block}]", rep.passed))
+    for eps in (1e-4, 1e-10):
+        coeffs = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
+                           model.block_dim, axis=1)
+        member, tail = _truncate_reference(coeffs, eps)
+        checks.append(nnsm.check_entry(f"density[eps={eps:g}]", tail, eps))
+        k = measure.borel(model.space, member.support)
+        rep = blocks.d_alpha_check(member, model, k, probes=8,
+                                   seed=scenario.seed + 5)
+        checks.append(harness._bool_entry(
+            f"density-witness-certified[eps={eps:g}]", rep.status == "certified",
+            flags=rep.flags))
+    for t in range(6):
+        x = harness._random_domain_vector(rng, model)
+        codes, coeffs = blocks._random_star_polynomial(rng, len(names), degree=3)
+        lhs = _rho_polynomial_reference(model, codes, coeffs, x)
+        rhs = blocks.spectral_integral_apply(
+            blocks.star_values(codes, coeffs, model.factor_rows), x)
+        checks.append(nnsm.check_entry(
+            f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(rhs))))
+    for t in range(4):
+        x = harness._random_domain_vector(rng, model)
+        k = measure.borel(model.space, x.support)
+        rep = blocks.d_alpha_check(x, model, k, probes=4, seed=scenario.seed + 6)
+        ok = rep.status == "certified" and x.support <= k.members
+        checks.append(harness._bool_entry(f"compact-support[x{t}]", ok,
+                                          flags=rep.flags))
+    return checks
+
+
+def _verify_d_reference(scenario):
+    """verify_theorem_d's checks one vector at a time: each vector, field
+    and element drawn and checked in turn, with one rho_apply per term, one
+    op_norm call and np.vdot norms per check."""
+    model = scenario.payload["model"]
+    checks = []
+    rng = np.random.default_rng(scenario.seed + 7)
+    names = sorted(model.generators)
+    unit = model.w.identity()
+    fam = algebra.sample_projections(model.w, n=6, seed=scenario.seed + 8)
+    injected = scenario.payload.get("field")
+    fields = [] if injected is None else [injected]
+    fields += [nnsm.OperatorField(terms=((model.generator_rows[names[0]], p),))
+               for p in fam.members]
+    reps = blocks.integrability_check(model, fields)
+    if injected is not None:
+        rep = reps.pop(0)
+        checks.append(harness._bool_entry(
+            f"integrable[injected;block{rep.worst_block}]", rep.passed))
+    for i, rep in enumerate(reps):
+        checks.append(harness._bool_entry(f"integrable[P{i}]", rep.passed))
+    checks += nnsm.family_entries(
+        [f"compression[P{i}]" for i in range(len(fam))],
+        linalg.projection_residual(fam.stack), np.full(len(fam), TAU_RECON))
+    for t in range(3):
+        x = harness._random_domain_vector(rng, model)
+        y = blocks.truncation_projection(measure.borel(model.space, x.support), x)
+        checks.append(nnsm.check_entry(
+            f"support-containment[x{t}]", _norm(x.sub(y)), TAU_EXACT))
+    for t in range(6):
+        x = harness._random_domain_vector(rng, model)
+        field_ = harness._random_unbounded_field(rng, model)
+        lhs = blocks.vector_sum(blocks.rho_apply(model, v, a, x)
+                                for v, a in field_.terms)
+        rhs = blocks.i_m_apply(field_, model, x)
+        checks.append(nnsm.check_entry(
+            f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(lhs))))
+    for t in range(4):
+        x = harness._random_domain_vector(rng, model)
+        g = model.generator_rows[names[int(rng.integers(len(names)))]]
+        a = hermitian_element(model.w, rng)
+        lhs = _norm(blocks.rho_apply(model, g, a, x))
+        rhs = linalg.op_norm(a) * _norm(blocks.rho_apply(model, g, unit, x))
+        checks.append(nnsm.check_entry(
+            f"domain-inclusion[{t}]", max(0.0, lhs - rhs), TAU_RECON * (1.0 + rhs)))
+    for t in range(4):
+        x = harness._random_domain_vector(rng, model)
+        y = harness._random_domain_vector(rng, model)
+        g = model.generator_rows[names[0]]
+        a = hermitian_element(model.w, rng)
+        val = abs(np.vdot(y.block, blocks.rho_apply(model, g, a, x).block))
+        bound = (linalg.op_norm(a) * _norm(blocks.rho_apply(model, g, unit, x))
+                 * _norm(y))
+        checks.append(nnsm.check_entry(
+            f"functional-bound[{t}]", max(0.0, val - bound),
+            TAU_RECON * (1.0 + bound)))
+    return checks
+
+
+def _unbounded_reference_scenarios():
+    for kind in ("Cprime", "D"):
+        for seed in [*range(60), *range(300000, 300020)]:
+            yield harness.gen_scenario(kind, seed)
+    for seed in range(4):
+        yield harness.inject_fault(harness.gen_scenario("D", seed),
+                                   "non-normal-block")
+
+
+def test_batched_unbounded_pipelines_match_per_check_references():
+    reference = {"Cprime": _verify_c_reference, "D": _verify_d_reference}
+    moved = 0
+    for sc in _unbounded_reference_scenarios():
+        got = harness.VERIFIERS[sc.kind](sc).checks
+        want = reference[sc.kind](sc)
+        assert [c.name for c in got] == [c.name for c in want], sc.scenario_id
+        assert [c.passed for c in got] == [c.passed for c in want], sc.scenario_id
+        assert [c.flags for c in got] == [c.flags for c in want], sc.scenario_id
+        for c, r in zip(got, want):
+            assert np.float64(c.residual).tobytes() == np.float64(r.residual).tobytes(), (
+                sc.scenario_id, c.name)
+            assert abs(c.tol - r.tol) <= 1e-15 * max(abs(c.tol), abs(r.tol)), (
+                sc.scenario_id, c.name)
+            moved += c.tol != r.tol
+        assert harness.VERIFIERS[sc.kind](sc).passed == (sc.fault is None)
+    assert moved == 0

@@ -10,7 +10,7 @@ from specmeas.errors import (InfiniteSet, NotSpanning, ShapeMismatch,
                              SpaceMismatch)
 from specmeas.tolerances import TAU_ALG, TAU_NORM_SLACK
 
-from conftest import member_measure, tensor_model
+from conftest import hermitian_element, member_measure, tensor_model
 
 
 def family_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> algebra.ProjectionFamily:
@@ -44,8 +44,8 @@ def test_compression_of_zero_and_identity():
 
 def test_m_a_linear_in_a():
     m, _, rng = tensor_model(seed=3)
-    a = m.w1.random_hermitian_element(rng)
-    b = m.w1.random_hermitian_element(rng)
+    a = hermitian_element(m.w1, rng)
+    b = hermitian_element(m.w1, rng)
     delta = measure.borel(m.space, {0, 2})
     def m_a(x):
         return measure.evaluate(m.measure_for(x), delta)
@@ -152,7 +152,7 @@ def test_assemble_round_trip():
     rebuilt = nnsm.assemble_from_family(fm, m.w1)
     for x in m.space.points():
         for _ in range(3):
-            a = m.w1.random_hermitian_element(rng)
+            a = hermitian_element(m.w1, rng)
             got = rebuilt.apply(x, a)
             want = m.apply(x, a)
             assert linalg.frob_norm(got - want) <= 1e-8 * (1 + linalg.frob_norm(want))
@@ -174,7 +174,7 @@ def test_extension_by_limit_matches_exact():
     m, _, rng = tensor_model(seed=9)
     fam = family_for(m)
     fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
-    a = m.w1.random_hermitian_element(rng)
+    a = hermitian_element(m.w1, rng)
     delta = measure.borel(m.space, {0, 2})
     exact = fm.extend_at(a, delta)
     approx = nnsm.extension_by_limit(fm, a, delta, ell=1 << 17)
@@ -186,8 +186,8 @@ def test_extension_by_limit_matches_exact():
 def test_integrate_laws():
     m, _, rng = tensor_model(seed=10)
     delta = measure.whole_space(m.space)
-    a = m.w1.random_hermitian_element(rng)
-    b = m.w1.random_hermitian_element(rng)
+    a = hermitian_element(m.w1, rng)
+    b = hermitian_element(m.w1, rng)
     pts = np.array(m.space.points(), dtype=complex)
     f = nnsm.OperatorField(terms=((pts + 1.0, a),))
     g = nnsm.OperatorField(terms=((1.0 / (pts + 1.0), b),))
@@ -258,7 +258,7 @@ def test_measure_for_a_stack_equals_the_stacked_single_measures():
         m, _, rng = tensor_model(seed=seed, n_atoms=4)
         stack = np.concatenate([
             family_for(m, seed=seed).stack,
-            [m.w1.random_hermitian_element(rng) for _ in range(3)]])
+            [hermitian_element(m.w1, rng) for _ in range(3)]])
         batch = m.measure_for(stack)
         singles = [m.measure_for(p) for p in stack]
         assert batch.labels == m.labels
@@ -340,7 +340,7 @@ def _random_field(rng, m, n_terms):
     for _ in range(n_terms):
         fv = np.array([complex(*rng.standard_normal(2))
                        for _ in m.space.points()])
-        a = m.w1.random_hermitian_element(rng) + 1j * m.w1.random_hermitian_element(rng)
+        a = hermitian_element(m.w1, rng) + 1j * hermitian_element(m.w1, rng)
         terms.append((fv, a))
     return nnsm.OperatorField(terms=tuple(terms))
 
@@ -355,7 +355,7 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
             field_ = _random_field(rng, m, n_terms)
             assert _close(nnsm.integrate(m, field_, delta),
                           _ref_integrate(m, field_, delta))
-        a = m.w1.random_hermitian_element(rng)
+        a = hermitian_element(m.w1, rng)
         want = sum((_ref_phi(m, x, a) for x in m.labels if x in delta),
                    np.zeros((m.target_dim,) * 2, dtype=complex))
         assert _close(measure.evaluate(m.measure_for(a), delta), want)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from specmeas import cli, harness, linalg, measure, serialize
 from specmeas.errors import InvalidDocument
 
-from conftest import tensor_model
+from conftest import hermitian_element, tensor_model
 
 
 def test_matrix_round_trip_lossless():
@@ -98,7 +98,7 @@ def test_nnsm_round_trip(tmp_path):
     serialize.dump(serialize.nnsm_to_doc(m), path)
     back, resid = serialize.nnsm_from_doc(serialize.load(path))
     assert resid <= 1e-10
-    a = m.w1.random_hermitian_element(rng)
+    a = hermitian_element(m.w1, rng)
     for x in m.space.points():
         assert np.allclose(back.apply(x, a), m.apply(x, a), atol=1e-10)
 
