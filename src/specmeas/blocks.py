@@ -26,21 +26,22 @@ block_dim) array, with ``norm`` and ``inner`` per leading index;
 ``rho_apply``, ``psi_apply`` and ``i_m_apply`` broadcast value rows (...,
 horizon) and coefficients (..., block_dim, block_dim) over it, so a family
 is one call with a row, a coefficient and a vector per check.
-``d_alpha_check`` takes a stack with one K per vector, and
-``integrability_check`` a sequence of fields.
+A compact K is a finite set of blocks, a boolean block mask (..., horizon)
+that broadcasts against the vectors' leading axes: one K for a whole stack,
+or one per vector.
+``integrability_check`` takes a sequence of fields.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
-from .errors import DimMismatch, ShapeMismatch, SpaceMismatch
-from .measure import BorelSet, DiscreteSpace
+from .errors import DimMismatch, ShapeMismatch
+from .measure import DiscreteSpace
 from .nnsm import OperatorField
 from .tolerances import TAU_RECON
 
@@ -109,13 +110,10 @@ class DomainVector:
         object.__setattr__(self, "block", block)
 
     @property
-    def support(self):
-        """Blocks with a nonzero entry; a NaN entry counts as nonzero.  For
-        a stack, a tuple of them, one per vector in C order."""
-        nonzero = self.block.any(axis=-1)
-        rows = nonzero.reshape(math.prod(nonzero.shape[:-1]), nonzero.shape[-1])
-        sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in rows)
-        return sets if nonzero.ndim > 1 else sets[0]
+    def support(self) -> np.ndarray:
+        """The (..., horizon) block mask of the blocks with a nonzero entry,
+        one per vector; a NaN entry counts as nonzero."""
+        return self.block.any(axis=-1)
 
     def norm(self):
         """||x||, or the array of the norms of a stack's vectors."""
@@ -223,31 +221,25 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
 
 
 def truncation_projection(k, x: DomainVector) -> DomainVector:
-    """M(K)(id) x: keep blocks inside K; for a stack, a sequence of sets,
-    one K per vector.  K must be a set over the space of x's blocks, or
-    SpaceMismatch is raised."""
-    inside = _mask(k, x.block.shape[:-1])
+    """M(K)(id) x: keep the blocks inside K, a block mask that broadcasts
+    against x's support (``_require_mask``)."""
+    inside = _require_mask(k, x.support.shape)
     return DomainVector(np.where(inside[..., None], x.block, 0.0))
 
 
-def _mask(k, shape: tuple) -> np.ndarray:
-    """K's indicator on blocks 0..shape[-1]-1, read from its members; for a
-    sequence of sets, one K per vector of leading shape ``shape[:-1]``
-    (ShapeMismatch otherwise), their indicators in that shape.  Each K must
-    be a set over that countable space (SpaceMismatch)."""
-    single = isinstance(k, BorelSet)
-    ks = [k] if single else list(k)
-    if not single and len(ks) != math.prod(shape[:-1]):
-        raise ShapeMismatch("a stack of vectors needs one K per vector")
-    horizon = shape[-1]
-    inside = np.zeros((len(ks), horizon), dtype=bool)
-    for row, one in zip(inside, ks):
-        if one.space.horizon != horizon:
-            raise SpaceMismatch("set over a different space")
-        row[[n for n in one.members if n < horizon]] = True
-        if one.cofinite:
-            row[:] = ~row
-    return inside[0] if single else inside.reshape(shape)
+def _require_mask(k, shape: tuple) -> np.ndarray:
+    """K broadcast to ``shape``, the (..., horizon) shape of a support: K
+    must be a boolean ndarray whose last axis is the horizon and which
+    broadcasts to the leading axes, or ShapeMismatch is raised.  K is never
+    coerced: a truthy set would broadcast to every block."""
+    if (isinstance(k, np.ndarray) and k.dtype == np.bool_
+            and k.shape[-1:] == shape[-1:]):
+        try:
+            return np.broadcast_to(k, shape)
+        except ValueError:
+            pass
+    raise ShapeMismatch(f"K is a boolean block mask that broadcasts to {shape}, "
+                        f"got {type(k).__name__} {getattr(k, 'shape', '')}")
 
 
 @dataclass(frozen=True)
@@ -261,8 +253,9 @@ class DAlphaReport:
 def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
                   seed: int = 0):
     """Membership test for the compactly-dominated vectors D_{alpha_K}, as
-    a DAlphaReport; for a (vectors, horizon, block_dim) stack with one K
-    per vector, as a list of them.
+    a DAlphaReport; for a (vectors, horizon, block_dim) stack, as a list of
+    them.  K is a block mask (``_require_mask``): one (horizon,) mask for
+    every vector, or a (vectors, horizon) stack with one per vector.
 
     SUFFICIENT: support(x) inside K certifies membership exactly, since
     blockwise ||rho(b) x||^2 = sum |f_b(n)|^2 ||x_n||^2 is dominated by
@@ -271,17 +264,20 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     of a private rng seeded by ``seed`` (``_draw_probes``) for the stack,
     evaluated by ``star_values`` as one (probes, blocks) value stack over
     the model's factor rows and read on each vector's support and K.  A
-    non-finite probe residual fails.  Each K must be a set over the model's
-    space (SpaceMismatch otherwise), and ``probes`` non-negative (ValueError
-    otherwise).
+    non-finite probe residual fails.  More leading axes are ShapeMismatch,
+    and a negative ``probes`` is ValueError.
     """
     _require_rows(x, model.horizon)
+    if x.block.ndim > 3:
+        raise ShapeMismatch("d_alpha_check takes one vector or a (vectors, "
+                            f"horizon, block_dim) stack, got {x.block.shape}")
     if probes < 0:
         raise ValueError(f"probes must be non-negative, got {probes}")
     single = x.block.ndim == 2
     xs = x.block[None] if single else x.block
-    inside = _mask([k] if single else k, xs.shape[:-1])[:, None]
-    support = xs.any(axis=-1)[:, None]
+    stacked = (len(xs), 1, model.horizon)
+    inside = _require_mask(k, x.support.shape).reshape(stacked)
+    support = x.support.reshape(stacked)
     certified = ~np.any(support & ~inside, axis=-1)  # the zero vector is a member
     norm_x = DomainVector(xs).norm()[:, None]
     mass = np.einsum("vnd,vnd->vn", np.conj(xs), xs).real[:, None]

@@ -50,3 +50,11 @@ def hermitian_element(w: algebra.VonNeumannAlgebra, rng) -> np.ndarray:
     """One random hermitian element of w, from one (2, dim w) standard
     normal draw: the draw that the pipelines make per element."""
     return w.hermitian_elements(rng.standard_normal((1, 2, w.dim)))[0]
+
+
+def block_mask(horizon: int, members) -> np.ndarray:
+    """The (horizon,) block mask that holds exactly the blocks in
+    ``members``: the form of a compact K and of a support."""
+    inside = np.zeros(horizon, dtype=bool)
+    inside[list(members)] = True
+    return inside

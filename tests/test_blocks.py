@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from specmeas import algebra, blocks, harness, linalg, measure
 from specmeas.nnsm import OperatorField
-from specmeas.errors import DimMismatch, ShapeMismatch, SpaceMismatch
+from specmeas.errors import DimMismatch, ShapeMismatch
 
-from conftest import domain_vector
+from conftest import block_mask, domain_vector
 
 
 def number_model(horizon: int = 32) -> blocks.BlockModel:
@@ -47,7 +47,7 @@ def test_domain_vector_arithmetic():
     assert z.sub(x).norm() == pytest.approx(2.0)
     assert z.inner(x) == pytest.approx(1.0)
     # zero components are dropped
-    assert x.sub(x).support == frozenset()
+    assert np.array_equal(x.sub(x).support, block_mask(model.horizon, ()))
     with pytest.raises(ShapeMismatch):
         blocks.DomainVector(np.ones(3))  # one row per block, not a flat vector
 
@@ -59,10 +59,10 @@ def test_vector_sum_matches_per_block_reference():
     # vector order
     want = {}
     for x in xs:
-        for n in sorted(x.support):
+        for n in np.flatnonzero(x.support).tolist():
             want[n] = want[n] + x.block[n] if n in want else x.block[n]
     got = blocks.vector_sum(xs)
-    assert got.support == frozenset(want)
+    assert np.array_equal(got.support, block_mask(model.horizon, want))
     assert np.array_equal(got.block, domain_vector(model, want).block)
     with pytest.raises(DimMismatch):
         blocks.vector_sum([xs[0], domain_vector(number_model(), {})])
@@ -73,7 +73,7 @@ def test_number_operator_action():
     x = domain_vector(model, {0: 1.0, 5: 2.0})
     y = blocks.rho_apply(model, model.generator_rows["num"], np.eye(1), x)
     # block 0 is killed, block 5 picks up the factor 5
-    assert y.support == frozenset({5})
+    assert np.array_equal(y.support, block_mask(model.horizon, {5}))
     assert y.block[5, 0] == pytest.approx(10.0)
 
 
@@ -83,7 +83,7 @@ def test_spectral_integral_and_d0():
     y = blocks.spectral_integral_apply(np.arange(model.horizon) ** 2, x)
     assert y.block[2, 0] == pytest.approx(4.0)
     assert y.block[7, 0] == pytest.approx(49.0)
-    assert x.support == frozenset({2, 7})
+    assert np.array_equal(x.support, block_mask(model.horizon, {2, 7}))
 
 
 def test_truncate_to_horizon_density():
@@ -91,7 +91,7 @@ def test_truncate_to_horizon_density():
     # on is 1.1e-6 and from block 19 on 2.2e-6
     coeffs = 0.5 ** np.arange(40.0)[:, None]
     member, tail = harness._truncate_to_eps(coeffs, 2e-6)
-    assert member.support == frozenset(range(20))
+    assert np.array_equal(member.support, block_mask(40, range(20)))
     exact_tail = np.sqrt(sum(0.25**n for n in range(20, 40)))
     assert tail == pytest.approx(exact_tail)
     assert tail <= 1e-5
@@ -162,14 +162,14 @@ def test_i_m_product_on_d0():
 def test_truncation_projection():
     model = number_model()
     x = domain_vector(model, {1: 1.0, 9: 1.0})
-    k = measure.borel(model.space, range(5))
+    k = block_mask(model.horizon, range(5))
     y = blocks.truncation_projection(k, x)
-    assert y.support == frozenset({1})
+    assert np.array_equal(y.support, block_mask(model.horizon, {1}))
 
 
 def test_d_alpha_certified_inside_k():
     model = number_model()
-    k = measure.borel(model.space, range(10))
+    k = block_mask(model.horizon, range(10))
     x = domain_vector(model, {2: 1.0, 8: 1.0})
     rep = blocks.d_alpha_check(x, model, k)
     assert rep.status == "certified"
@@ -178,7 +178,7 @@ def test_d_alpha_certified_inside_k():
 
 def test_d_alpha_fails_outside_k():
     model = number_model()
-    k = measure.borel(model.space, range(3))
+    k = block_mask(model.horizon, range(3))
     # mass at block 20 where |num| = 20 > alpha_K = 2: some probe must exceed
     x = domain_vector(model, {20: 1.0})
     rep = blocks.d_alpha_check(x, model, k, probes=40)
@@ -279,7 +279,7 @@ def test_psi_matches_per_eigenpair_reference(seed):
             f = model.generator_rows[gen]
             got = blocks.psi_apply(f, a, model, x)
             want = _psi_reference(f, a, model, x)
-            assert got.support == want.support, name
+            assert np.array_equal(got.support, want.support), name
             assert got.sub(want).norm() <= 1e-12 * (1.0 + want.norm()), name
 
 
@@ -334,10 +334,11 @@ def _probe_polynomials(names, probes, seed):
 def _d_alpha_reference(x, model, k, probes, seed):
     """(certified, residuals, status) with each probe polynomial of the
     check's draw evaluated point by point from the generator callables."""
-    certified = not x.support or all(n in k for n in x.support)
+    support = np.flatnonzero(x.support).tolist()
+    certified = not support or all(k[n] for n in support)
     names = sorted(model.generators)
     norm_x = x.norm()
-    k_points = [n for n in range(model.horizon) if n in k]
+    k_points = [n for n in range(model.horizon) if k[n]]
     residuals = []
     for poly in _probe_polynomials(names, probes, seed):
 
@@ -368,8 +369,8 @@ def test_d_alpha_matches_per_point_reference():
     for model in _reference_models():
         for t in range(12):
             x = random_vector(rng, model, supp=int(rng.integers(0, 4)))
-            k = measure.borel(model.space,
-                              [n for n in range(model.horizon) if rng.random() < 0.6])
+            k = block_mask(model.horizon,
+                           [n for n in range(model.horizon) if rng.random() < 0.6])
             rep = blocks.d_alpha_check(x, model, k, probes=10, seed=t)
             certified, residuals, status = _d_alpha_reference(x, model, k, 10, t)
             assert rep.certified == certified
@@ -485,7 +486,7 @@ def test_d_alpha_fails_a_nan_probe():
         generators={"g": lambda n: np.nan if n == 2 else float(n)},
     )
     x = domain_vector(model, {2: 1.0})
-    k = measure.borel(model.space, [2])
+    k = block_mask(model.horizon, [2])
     with np.errstate(invalid="ignore"):
         rep = blocks.d_alpha_check(x, model, k, probes=20, seed=0)
     assert rep.certified
@@ -494,23 +495,24 @@ def test_d_alpha_fails_a_nan_probe():
 
 
 def test_k_must_be_a_set_over_the_model_space():
+    # K is a set of the model's blocks: a mask over a wider horizon is none
     model = number_model(horizon=16)
     x = domain_vector(model, {1: 1.0, 9: 1.0})
-    wider = measure.borel(measure.DiscreteSpace(horizon=model.horizon + 5),
-                          range(10))
-    with pytest.raises(SpaceMismatch):
+    wider = np.arange(model.horizon + 5) < 10
+    with pytest.raises(ShapeMismatch):
         blocks.d_alpha_check(x, model, wider)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(ShapeMismatch):
         blocks.truncation_projection(wider, x)
-    # a cofinite K over the right space keeps what lies outside its holes
-    holes = measure.BorelSet(model.space, frozenset({9}), cofinite=True)
-    assert blocks.truncation_projection(holes, x).support == frozenset({1})
+    # a K with a hole keeps what lies outside the hole
+    holes = ~block_mask(model.horizon, {9})
+    assert np.array_equal(blocks.truncation_projection(holes, x).support,
+                          block_mask(model.horizon, {1}))
 
 
 def test_d_alpha_rejects_a_negative_probe_count():
     model = number_model()
     x = domain_vector(model, {2: 1.0})
-    k = measure.borel(model.space, range(5))
+    k = block_mask(model.horizon, range(5))
     with pytest.raises(ValueError):
         blocks.d_alpha_check(x, model, k, probes=-1)
     rep = blocks.d_alpha_check(x, model, k, probes=0)
@@ -628,11 +630,12 @@ def test_random_domain_vector_matches_the_per_pick_draw():
 def test_domain_vector_keeps_non_finite_components():
     model, _ = matrix_model(horizon=4)
     x = domain_vector(model, {0: [1, 0], 3: [np.nan, 1]})
-    assert x.support == frozenset({0, 3})
+    assert np.array_equal(x.support, block_mask(model.horizon, {0, 3}))
     diff = x.sub(domain_vector(model, {0: [1, 0]}))
     assert np.isnan(diff.norm())
     # only exactly-zero components are outside the support
-    assert domain_vector(model, {0: [0, 0], 1: [0, 1e-300]}).support == {1}
+    assert np.array_equal(domain_vector(model, {0: [0, 0], 1: [0, 1e-300]}).support,
+                          block_mask(model.horizon, {1}))
 
 
 def test_integrability_fails_non_finite_field():
@@ -707,7 +710,7 @@ def test_value_rows_must_cover_the_horizon():
     # a row covers the horizon, but the vector needs one row per block
     # below it: no more and no fewer
     row = model.generator_rows["num"]
-    k = measure.borel(model.space, range(4))
+    k = block_mask(model.horizon, range(4))
     for rows in (model.horizon - 1, model.horizon + 1):
         wrong = blocks.DomainVector(np.ones((rows, 2)))
         with pytest.raises(ShapeMismatch):
@@ -746,10 +749,10 @@ def test_stacked_operators_equal_per_vector_calls(dim):
     for i, x in enumerate(vectors):  # each the np.vdot of its vector
         assert norms[i] == x.norm() == np.sqrt(np.vdot(x.block, x.block).real)
         assert inner[i] == x.inner(x.scale(1j)) == np.vdot(1j * x.block, x.block)
-    assert xs.support == tuple(x.support for x in vectors)
+    assert np.array_equal(xs.support, np.stack([x.support for x in vectors]))
     # one K per vector: inside, partly outside and outside the support
-    ks = [measure.borel(model.space, x.support) for x in vectors[:3]]
-    ks += [measure.borel(model.space, range(2)), measure.borel(model.space, [7])]
+    ks = np.stack([x.support for x in vectors[:3]]
+                  + [block_mask(8, range(2)), block_mask(8, [7])])
     reports = blocks.d_alpha_check(xs, model, ks, probes=12, seed=dim)
     assert reports == [blocks.d_alpha_check(x, model, k, probes=12, seed=dim)
                        for x, k in zip(vectors, ks)]
@@ -759,6 +762,48 @@ def test_stacked_operators_equal_per_vector_calls(dim):
         assert kept[i].tobytes() == blocks.truncation_projection(k, x).block.tobytes()
     with pytest.raises(ShapeMismatch):
         blocks.d_alpha_check(xs, model, ks[:-1])
+
+
+def test_k_is_a_boolean_block_mask():
+    # K is a bool array whose last axis is the horizon and which broadcasts
+    # against x's leading axes; anything else is ShapeMismatch.  K is never
+    # coerced to bool: a BorelSet is truthy and would keep every block
+    model, rng = matrix_model(horizon=8, dim=2, seed=40)
+    vectors = [random_vector(rng, model, supp=s) for s in (1, 3, 5)]
+    xs = blocks.DomainVector(np.stack([x.block for x in vectors]))
+    k = block_mask(8, range(4))
+    wrong = [measure.borel(model.space, range(4)), True,
+             [frozenset(range(4))] * 3, k.astype(int),
+             block_mask(7, range(4)), block_mask(9, range(4)),
+             np.stack([k, k])]  # (n - 1, horizon) for the 3-stack
+    for bad in wrong:
+        for x in (vectors[0], xs):
+            with pytest.raises(ShapeMismatch):
+                blocks.d_alpha_check(x, model, bad)
+            with pytest.raises(ShapeMismatch):
+                blocks.truncation_projection(bad, x)
+    # one (horizon,) K shared by the stack, or one K per vector: each
+    # vector's result is bit-equal to its single call
+    for mask in (k, np.stack([k, vectors[1].support, ~k])):
+        reports = blocks.d_alpha_check(xs, model, mask, probes=12, seed=3)
+        kept = blocks.truncation_projection(mask, xs).block
+        for i, (x, k_i) in enumerate(zip(vectors, np.broadcast_to(mask, (3, 8)))):
+            assert reports[i] == blocks.d_alpha_check(x, model, k_i, probes=12, seed=3)
+            one = blocks.truncation_projection(k_i, x)
+            assert kept[i].tobytes() == one.block.tobytes()
+    assert {r.status for r in reports} >= {"certified", "fail"}
+
+
+def test_d_alpha_takes_one_vector_or_one_stack_of_them():
+    # truncation broadcasts over every leading axis; d_alpha_check takes
+    # one vector or a (vectors, horizon, block_dim) stack, nothing deeper
+    model = number_model(horizon=8)
+    x = blocks.DomainVector(np.ones((2, 3, 8, 1)))
+    k = block_mask(8, range(4))
+    kept = blocks.truncation_projection(k, x).block
+    assert np.array_equal(kept, np.where(k[:, None], x.block, 0.0))
+    with pytest.raises(ShapeMismatch):
+        blocks.d_alpha_check(x, model, k)
 
 
 def test_an_empty_field_acts_as_zero():
