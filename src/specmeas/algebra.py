@@ -69,13 +69,15 @@ class VonNeumannAlgebra:
         return self.basis.reshape(self.dim, self.ambient_dim**2)
 
     def _project(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of the rows of ``flat`` and their distances to the span."""
-        coeffs = flat @ self.basis_matrix.conj().T
+        """Coordinates of the rows of ``flat`` and their distances to the span;
+        each row is its own (1, d^2) product, bit-equal in any stack."""
+        coeffs = np.matmul(flat[..., None, :], self.basis_matrix.conj().T)[..., 0, :]
         return coeffs, np.linalg.norm(flat - coeffs @ self.basis_matrix, axis=-1)
 
     def coefficients(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of ``a`` in the basis, or of each matrix in an
-        (n, d, d) stack ``a`` (one row of the result per matrix).
+        (n, d, d) stack ``a`` (one row of the result per matrix, each equal
+        to the matrix's own coordinates; n may be 0).
 
         Raises NotInSpan when a target is farther than TAU_ALG from the span.
         """
@@ -85,7 +87,7 @@ class VonNeumannAlgebra:
             raise ShapeMismatch(
                 f"expected dim {self.ambient_dim}, got shape {stack.shape[1:]}"
             )
-        flat = stack.reshape(len(stack), -1)
+        flat = stack.reshape(len(stack), self.ambient_dim**2)
         coeffs, resid = self._project(flat)
         # written so that a NaN residual (a non-finite stack) fails as well
         if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=1))):
@@ -95,7 +97,7 @@ class VonNeumannAlgebra:
     def membership_residual(self, a: np.ndarray):
         """Distance of a matrix, or of each matrix of an (n, d, d) stack, to
         the span."""
-        resid = self._project(np.reshape(a, (*np.shape(a)[:-2], -1)))[1]
+        resid = self._project(np.reshape(a, (*np.shape(a)[:-2], self.ambient_dim**2)))[1]
         return float(resid) if np.ndim(a) == 2 else resid
 
     def hermitian_elements(self, draws: np.ndarray) -> np.ndarray:
@@ -210,9 +212,10 @@ def sample_projections(
     Always includes 0 and the identity; keeps sampling until the members span
     the algebra when a spanning set of projections exists (or a retry cap is
     hit).  Deterministic for a fixed seed.  Attempts run a chunk at a time:
-    the n + 2 - len(members) that are certain to be made while the family
-    is short, then one at a time until the members span.  The family that
-    passed (or was last) is returned with the factors its test computed.
+    those certain to be made while the family is short of n + 2 members or
+    of dim w + 1 (with 0 among them it cannot span), then one at a time until
+    the members span.  The family that passed (or was last) is returned with
+    the factors its test computed.
     """
     rng = np.random.default_rng(seed)
     d = w.ambient_dim
@@ -223,7 +226,7 @@ def sample_projections(
     attempts = 0
     while True:
         family = ProjectionFamily(algebra=w, members=tuple(members))
-        short = n + 2 - len(members)
+        short = max(n + 2, w.dim + 1) - len(members)
         if (short <= 0 and family.spans_algebra) or attempts == cap:
             return family
         size = min(max(short, 1), cap - attempts)
@@ -268,7 +271,7 @@ def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray
     """
     single = np.ndim(a) == 2
     stack = require_square(a)[None] if single else a
-    flat = stack.reshape(len(stack), -1).T
+    flat = stack.reshape(len(stack), family.algebra.ambient_dim**2).T
     u, s, v, _ = family.factors
     proj = adjoint(u) @ flat
     coeffs = v @ (proj / s[:, None])

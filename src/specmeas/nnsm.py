@@ -68,8 +68,14 @@ class NonNegSpectralMeasure:
         return self.images.shape[-1]
 
     def _values(self, a: np.ndarray) -> np.ndarray:
-        """Phi_x(A) for every stored atom x, as an (n_atoms, k, k) stack."""
-        return np.tensordot(self.w1.coefficients(a), self.images, axes=(0, 1))
+        """Phi_x(A) for every stored atom x, as an (n_atoms, k, k) stack, or
+        (n, n_atoms, k, k) for an (n, d, d) stack ``a``: one (n, 1, dim) @
+        (dim, n_atoms k^2) matmul, each matrix's row product on its own."""
+        coeffs = self.w1.coefficients(a)
+        n_atoms, dim, k, _ = self.images.shape
+        flat = np.moveaxis(self.images, 1, 0).reshape(dim, n_atoms * k * k)
+        return np.matmul(coeffs[..., None, :], flat).reshape(
+            *coeffs.shape[:-1], n_atoms, k, k)
 
     def apply(self, label, a: np.ndarray) -> np.ndarray:
         """Phi_x(A) for A in W1."""
@@ -80,13 +86,9 @@ class NonNegSpectralMeasure:
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
         """The compression M_P as a SpectralMeasure, or for an (n, d, d)
-        stack ``p`` one SpectralMeasure batched over the stack (n may be 0).
-        Each matrix is contracted on its own: one contraction over the whole
-        stack sums in another order and moves round-off."""
-        values = (self._values(p) if np.ndim(p) == 2 else np.array(
-            [self._values(x) for x in p], dtype=np.complex128).reshape(
-                len(p), len(self.labels), self.target_dim, self.target_dim))
-        return SpectralMeasure(self.space, self.labels, values)
+        stack ``p`` one SpectralMeasure batched over the stack (n may be 0),
+        bit-for-bit the single compressions stacked."""
+        return SpectralMeasure(self.space, self.labels, self._values(p))
 
 
 @dataclass(frozen=True)
@@ -200,13 +202,10 @@ class VerificationReport:
 
 def random_sets(space: DiscreteSpace, rng: np.random.Generator, count: int):
     """``count`` random subsets of a finite space, each point in with
-    probability 1/2; takes one draw of len(space) uniforms per set."""
+    probability 1/2; takes len(space) uniforms per set, all in one draw."""
     pts = space.points()
-    out = []
-    for _ in range(count):
-        mask = rng.random(len(pts)) < 0.5
-        out.append(borel(space, [p for p, m in zip(pts, mask) if m]))
-    return out
+    return [borel(space, [p for p, m in zip(pts, mask) if m])
+            for mask in rng.random((count, len(pts))) < 0.5]
 
 
 def check_nnsm(
@@ -218,7 +217,8 @@ def check_nnsm(
     """Validate the defining identity of an NNSM against a projection family.
 
     Per projection: the compression must be a spectral measure (orthogonal
-    idempotent atoms).  Per sampled (P, Q, D1, D2): the product rule.
+    idempotent atoms).  Per sampled (P, Q, D1, D2): the product rule, with
+    every M_{PQ} taken from one ``measure_for`` stack.
     """
     if family.algebra.ambient_dim != m.w1.ambient_dim:
         raise AlgebraMismatch("family lives in a different algebra")
@@ -230,13 +230,15 @@ def check_nnsm(
         [f"spectral-measure[P{i}]" for i in range(len(family.members))],
         comp.validate(), TAU_RECON * (1.0 + frob_norm(comp.total)))
     sets = random_sets(m.space, rng, 2 * set_pairs)
-    for t in range(set_pairs):
-        i = int(rng.integers(len(family.members)))
-        j = int(rng.integers(len(family.members)))
-        p, q = family.members[i], family.members[j]
+    pairs = [(int(rng.integers(len(family))), int(rng.integers(len(family))))
+             for _ in range(set_pairs)]
+    products = m.measure_for(np.array(
+        [family.stack[i] @ family.stack[j] for i, j in pairs]).reshape(
+            set_pairs, *family.stack.shape[1:]))
+    for t, (i, j) in enumerate(pairs):
         d1, d2 = sets[2 * t], sets[2 * t + 1]
         lhs = evaluate(comp, d1)[i] @ evaluate(comp, d2)[j]
-        rhs = evaluate(m.measure_for(p @ q), d1.intersect(d2))
+        rhs = evaluate(products, d1.intersect(d2))[t]
         scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
         entries.append(check_entry(
             f"product-rule[P{i},P{j},pair{t}]", frob_norm(lhs - rhs),
@@ -251,28 +253,30 @@ def condition1_check(
     """Linear relations among projections must transfer to the measures.
 
     Seeded random combinations T = sum λ_i P_i are re-expressed by their
-    minimum-norm coordinates over the family; the two coefficient vectors
-    must induce the same measure values on every atom.
+    minimum-norm coordinates μ over the family; the two coefficient vectors
+    must induce the same measure values on each trial's random set Delta_t.
+    The sets are drawn first, then every λ in one call; both sides of every
+    trial come from one (2 trials, n n_atoms) @ (n n_atoms, k^2) product of
+    the weights λ_i [x in Delta_t] (and μ_i [x in Delta_t]) with the
+    compression atoms, the atom mask being the one ``evaluate`` takes.
     """
-    family = fam.family
+    family, comp = fam.family, fam.compressions
     if not family.spans_algebra:
         raise NotSpanning("condition (1) checks need a spanning family")
     rng = np.random.default_rng(seed)
-    deltas = random_sets(fam.compressions.space, rng, trials)
-    lams = np.array([rng.standard_normal(len(family)) for _ in range(trials)])
-    targets = np.tensordot(lams, family.stack, axes=1)
-    mus = decompose_over_family(family, targets).T
-    entries = []
-    for t, (lam, mu, delta) in enumerate(zip(lams, mus, deltas)):
-        # the family is evaluated once; lhs and rhs contract the same stack
-        values = evaluate(fam.compressions, delta)
-        lhs = np.tensordot(lam, values, axes=1)
-        rhs = np.tensordot(mu, values, axes=1)
-        scale = 1.0 + max(frob_norm(lhs), frob_norm(rhs))
-        entries.append(check_entry(
-            f"condition1[trial{t}]", frob_norm(lhs - rhs), TAU_EXT * scale,
-        ))
-    return VerificationReport(scenario="condition1", checks=tuple(entries))
+    deltas = random_sets(comp.space, rng, trials)
+    lams = rng.standard_normal((trials, len(family)))
+    mus = decompose_over_family(
+        family, np.tensordot(lams, family.stack, axes=1)).T
+    mask = np.array([[x in d.members for x in comp.labels] for d in deltas])
+    weights = np.stack([lams, mus])[..., None] * mask[:, None, :]
+    k = comp.atoms.shape[-1]
+    lhs, rhs = (weights.reshape(2 * trials, -1)
+                @ comp.atoms.reshape(-1, k * k)).reshape(2, trials, k, k)
+    scale = 1.0 + np.maximum(frob_norm(lhs), frob_norm(rhs))
+    return VerificationReport(scenario="condition1", checks=tuple(family_entries(
+        [f"condition1[trial{t}]" for t in range(trials)],
+        frob_norm(lhs - rhs), TAU_EXT * scale)))
 
 
 def condition2_check(

@@ -123,6 +123,16 @@ def test_stacked_coefficients_reject_one_matrix_off_the_span():
         w.coefficients(np.stack([inside, np.full((2, 2), np.nan)]))
 
 
+def test_empty_stack_has_empty_coordinates_and_residuals():
+    for w in (diag_algebra(3), _m2_algebra()):
+        d = w.ambient_dim
+        empty = np.zeros((0, d, d), dtype=complex)
+        assert w.coefficients(empty).shape == (0, w.dim)
+        assert w.membership_residual(empty).shape == (0,)
+        fam = algebra.sample_projections(w, n=4, seed=0)
+        assert algebra.decompose_over_family(fam, empty).shape == (len(fam), 0)
+
+
 def _reference_sample(w, n, seed):
     """The per-attempt sampler that sample_projections batches: per attempt
     one element, one eig_hermitian and, unless the element has a single
@@ -193,6 +203,39 @@ def test_sample_projections_matches_the_per_attempt_loop():
     assert shapes == {(1, 1, 10), (2, 2, 10), (2, 4, 10), (2, 4, 6), (3, 3, 10),
                       (3, 9, 10), (3, 9, 6), (3, 9, 1), (4, 4, 10), (4, 16, 10),
                       (2, 1, 10), (3, 2, 10)}
+
+
+def test_stacked_coefficients_are_each_matrix_own_bit_for_bit():
+    for w, _ in _sampled_algebras():
+        rng = np.random.default_rng(w.dim)
+        stack = np.stack([hermitian_element(w, rng) for _ in range(7)])
+        got = w.coefficients(stack)
+        for row, a in zip(got, stack):
+            assert row.tobytes() == w.coefficients(a).tobytes()
+
+
+@pytest.mark.parametrize("h,n", [(4, 10), (3, 6)])
+def test_sample_projections_tests_spanning_once_on_the_full_algebra(monkeypatch, h, n):
+    # a family of at most dim M_h members, one of them 0, cannot span; so
+    # the first chunk runs every attempt up to dim + 1 members at once
+    rng = np.random.default_rng(h)
+    w = algebra.bicommutant([linalg.random_hermitian(rng, h) for _ in range(2)], h)
+    assert w.dim == h * h
+    calls = {"eig": 0, "svd": 0}
+    eig, svd = algebra.eig_hermitian, np.linalg.svd
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "eig_hermitian", counted("eig", eig))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    fam = algebra.sample_projections(w, n=n, seed=0)
+    assert fam.spans_algebra
+    assert len(fam) == w.dim + 1
+    assert calls == {"eig": 1, "svd": 1}
 
 
 def test_sample_projections_spans():
