@@ -41,10 +41,6 @@ class DimMismatch(SpecmeasError):
     pass
 
 
-class AlgebraMismatch(SpecmeasError):
-    pass
-
-
 class InfiniteSet(SpecmeasError):
     pass
 

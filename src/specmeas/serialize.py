@@ -20,7 +20,7 @@ from .algebra import VonNeumannAlgebra
 from .errors import InvalidDocument, NotInSpan, ShapeMismatch, SpaceMismatch
 from .linalg import as_matrix, frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
-from .nnsm import NonNegSpectralMeasure
+from .nnsm import NonNegSpectralMeasure, definition_residual
 from .tolerances import TAU_ALG
 
 
@@ -35,7 +35,8 @@ def matrices_from_doc(docs: list, shape=None, what="matrix documents") -> np.nda
     complex128 stack with one numpy conversion; ``shape``, when given, is the
     stack's required shape.  Raises InvalidDocument for any malformed input."""
     try:
-        dims = {(int(m["rows"]), int(m["cols"]), len(m["data"])) for m in docs}
+        dims = {(_dimension(m["rows"], "rows"), _dimension(m["cols"], "cols"),
+                 len(m["data"])) for m in docs}
         pairs = list(chain.from_iterable(m["data"] for m in docs))
         arity = set(map(len, pairs))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -59,6 +60,13 @@ def matrices_from_doc(docs: list, shape=None, what="matrix documents") -> np.nda
     if not np.all(np.isfinite(flat)):
         raise InvalidDocument(f"{what} have non-finite entries")
     return flat.view(np.complex128).reshape(len(docs), rows, cols)
+
+
+def _dimension(value, what: str) -> int:
+    """A JSON integer, never truncated from a float; a bool is no integer."""
+    if type(value) is not int:
+        raise InvalidDocument(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def space_to_doc(space: DiscreteSpace) -> dict:
@@ -127,16 +135,17 @@ def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
 
 
 def nnsm_from_doc(doc: dict):
-    """Load an NNSM; returns (measure, worst invariant residual): the worse of
-    E_id's resolution residual and the distance of M(X)(1) from the identity.
-    Without atoms M(X)(1) = 0, whose distance sqrt(k) is read off the target
-    dimension without building a k x k matrix."""
+    """Load an NNSM; returns (measure, worst invariant residual), the exact
+    residual of the NNSM definition (``definition_residual``: *-homomorphic
+    atom maps with orthogonal units that sum to I; sqrt(k) without atoms).
+    A W1 basis not closed under products and adjoints is InvalidDocument."""
     try:
         space = space_from_doc(doc["space"])
-        d, basis = int(doc["w1"]["ambient_dim"]), doc["w1"]["basis"]
+        d = _dimension(doc["w1"]["ambient_dim"], "ambient_dim")
+        basis = doc["w1"]["basis"]
         w1 = VonNeumannAlgebra(ambient_dim=d, basis=matrices_from_doc(
             basis, (len(basis), d, d), "W1 basis matrices"))
-        k = int(doc["target_dim"])
+        k = _dimension(doc["target_dim"], "target_dim")
         labels = _distinct_labels(x for x, _ in doc["atom_maps"])
         if any(len(imgs) != w1.dim for _, imgs in doc["atom_maps"]):
             raise InvalidDocument(f"each atom needs {w1.dim} images, one per W1 basis element")
@@ -151,10 +160,11 @@ def nnsm_from_doc(doc: dict):
         m = NonNegSpectralMeasure(space, w1, labels, images)
     except (SpaceMismatch, ShapeMismatch) as exc:
         raise InvalidDocument(f"invalid NNSM document: {exc}") from exc
-    if not labels:
-        return m, float(np.sqrt(k))
-    e_id = m.measure_for(m.w1.identity())
-    return m, max(e_id.validate(), frob_norm(e_id.total - np.eye(k)))
+    try:
+        return m, definition_residual(m)
+    except NotInSpan as exc:
+        raise InvalidDocument(
+            f"W1 is not closed under products and adjoints: {exc}") from exc
 
 
 def _require_unital_orthonormal_basis(w1: VonNeumannAlgebra) -> None:

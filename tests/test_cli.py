@@ -1,14 +1,21 @@
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmeas import cli, harness, measure, serialize
 from specmeas.errors import InvalidDocument
 from specmeas.harness import Caps
+from specmeas.tolerances import TAU_ALG, TAU_DOC
 
 
 def run(capsys, *argv):
@@ -216,6 +223,176 @@ def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):
     path = tmp_path / "repeated.json"
     serialize.dump(doc, path)
     _check_rejected(capsys, path)
+
+
+@pytest.mark.parametrize("field", ["rows", "cols", "ambient_dim", "target_dim"])
+def test_check_measure_rejects_a_dimension_that_is_no_integer(capsys, tmp_path, field):
+    # int() would truncate 4.5 to 4, and the document would pass
+    doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 0).payload["oracle"])
+    owner = {"rows": doc["w1"]["basis"][1], "cols": doc["atom_maps"][0][1][1],
+             "ambient_dim": doc["w1"], "target_dim": doc}[field]
+    size = owner[field]
+    for value in (size + 0.5, float(size), True):
+        owner[field] = value
+        with pytest.raises(InvalidDocument, match=f"{field} must be an integer"):
+            serialize.nnsm_from_doc(doc)
+    owner[field] = size + 0.5
+    path = tmp_path / f"{field}.json"
+    serialize.dump(doc, path)
+    _check_rejected(capsys, path)
+
+
+def test_check_measure_rejects_a_measure_dimension_that_is_no_integer(capsys, tmp_path):
+    doc = {"space": {"kind": "finite", "labels": [0]},
+           "atoms": [[0, {"rows": 1.5, "cols": 1, "data": [[1, 0]]}]],
+           "total": {"rows": 1, "cols": True, "data": [[1, 0]]}}
+    with pytest.raises(InvalidDocument, match="rows must be an integer, got 1.5"):
+        serialize.measure_from_doc(doc)
+    doc["atoms"][0][1]["rows"] = 1
+    with pytest.raises(InvalidDocument, match="cols must be an integer, got True"):
+        serialize.measure_from_doc(doc)
+    path = tmp_path / "bool-cols.json"
+    serialize.dump(doc, path)
+    _check_rejected(capsys, path)
+
+
+def _diagonal_half_doc():
+    # W1 = the diagonal C^2 in M_2 and Phi(E11) = Phi(E22) = I/2: unital,
+    # positive and *-preserving, but Phi(E11)^2 = I/4 != Phi(E11)
+    half = serialize.matrix_to_doc(np.eye(2) / 2)
+    return {"space": {"kind": "finite", "labels": [0]},
+            "w1": {"ambient_dim": 2, "basis": [
+                serialize.matrix_to_doc(np.diag([1.0, 0.0])),
+                serialize.matrix_to_doc(np.diag([0.0, 1.0]))]},
+            "target_dim": 2, "atom_maps": [[0, [half, half]]]}
+
+
+def _bumped_b1_doc():
+    # E11 (norm 1) added to atom 0's image of basis element 1, which has no
+    # identity component: E_id and M(X)(1) do not move
+    m = harness.gen_scenario("B", 1).payload["oracle"]
+    images = m.images.copy()
+    images[0, 1, 0, 0] += 1.0
+    return serialize.nnsm_to_doc(replace(m, images=images))
+
+
+@pytest.mark.parametrize("make, residual", [
+    (_diagonal_half_doc, np.sqrt(2) / 4), (_bumped_b1_doc, None)])
+def test_check_measure_fails_atom_maps_that_are_no_homomorphisms(
+        capsys, tmp_path, make, residual):
+    _, resid = serialize.nnsm_from_doc(make())
+    assert resid > TAU_DOC
+    if residual is not None:
+        assert resid == pytest.approx(residual)
+    path = tmp_path / "not-multiplicative.json"
+    serialize.dump(make(), path)
+    code, _, err = run(capsys, "check-measure", str(path))
+    assert code == 1
+    assert "failed invariants: nnsm-invariants" in err and "Traceback" not in err
+
+
+def _matrix(doc):
+    return np.array([complex(re, im) for re, im in doc["data"]]).reshape(
+        doc["rows"], doc["cols"])
+
+
+def _definition_gaps(doc):
+    """The NNSM definition recomputed pair by pair from a document: W1's
+    closure under products and adjoints, and the atom maps' distance from
+    *-homomorphisms with orthogonal units that sum to the identity."""
+    basis = [_matrix(b) for b in doc["w1"]["basis"]]
+    maps = [[_matrix(img) for img in imgs] for _, imgs in doc["atom_maps"]]
+    k = doc["target_dim"]
+
+    def coords(a):
+        return [np.vdot(b, a) for b in basis]
+
+    def phi(images, a):
+        return sum((c * img for c, img in zip(coords(a), images)),
+                   np.zeros((k, k), dtype=complex))
+
+    closure, gaps = [], []
+    for a in [bi @ bj for bi in basis for bj in basis] + [b.conj().T for b in basis]:
+        back = sum(c * b for c, b in zip(coords(a), basis))
+        closure.append(np.linalg.norm(a - back) / (1 + np.linalg.norm(a)))
+    units = [phi(images, np.eye(len(basis[0]))) for images in maps]
+    for images in maps:
+        for bi, img_i in zip(basis, images):
+            gaps.append(np.linalg.norm(phi(images, bi.conj().T) - img_i.conj().T))
+            for bj, img_j in zip(basis, images):
+                gaps.append(np.linalg.norm(img_i @ img_j - phi(images, bi @ bj)))
+    gaps += [np.linalg.norm(ex @ ey) for x, ex in enumerate(units)
+             for y, ey in enumerate(units) if x != y]
+    gaps.append(np.linalg.norm(sum(units, np.zeros((k, k))) - np.eye(k)))
+    return max(closure), max(gaps)
+
+
+# small documents, with W1 of dimension 1 (seed 11), 3 (seed 8), 4 (seeds
+# 1-3) and 9 (seed 12)
+FUZZ_SEEDS = (1, 2, 3, 8, 11, 12)
+
+
+@functools.cache
+def _fuzz_text(seed):
+    return json.dumps(serialize.nnsm_to_doc(
+        harness.gen_scenario("B", seed).payload["oracle"]))
+
+
+def _nodes(tree, path=()):
+    """(path, node) for every node below the root of a JSON tree."""
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, data):
+    """One leaf edit, deletion or list-element duplication at a drawn node;
+    half of the draws go to the nodes outside the matrix data, which are
+    few but hold every dimension, label and space field."""
+    in_data = data.draw(st.booleans())
+    pool = [n for n in _nodes(doc) if ("data" in n[0]) == in_data]
+    if not pool:
+        return
+    path, node = pool[data.draw(st.integers(0, len(pool) - 1))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = data.draw(st.sampled_from(["edit", "delete", "duplicate"]))
+    if action == "delete":
+        del parent[key]
+    elif action == "duplicate" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(node)))
+    elif not isinstance(node, (dict, list)):
+        scale = node if type(node) in (int, float) else 0
+        parent[key] = data.draw(st.sampled_from([
+            scale + 1e-9, scale + 1e-3, scale + 0.5, scale + 1, 2 * scale, -scale,
+            0, 1, -1, 1.5, 1e300, True, False, None, "x", [], {}]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.sampled_from(FUZZ_SEEDS), edits=st.integers(1, 3), data=st.data())
+def test_check_measure_mutation_fuzz(tmp_path_factory, seed, edits, data):
+    # mutants of valid kind-B documents exit 0, 1 or 2 with no escaped
+    # exception, and every mutant that passes satisfies the definition
+    doc = json.loads(_fuzz_text(seed))
+    for _ in range(edits):
+        _mutate(doc, data)
+    path = tmp_path_factory.mktemp("fuzz") / "mutant.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    # an entry of 1e300 overflows the Gram and product checks to inf, which
+    # fails them
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(over="ignore", invalid="ignore"):
+        code = cli.run_cli(["check-measure", str(path)])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        closure, gap = _definition_gaps(doc)
+        # the slack covers round-off between the two summation orders
+        assert closure <= TAU_ALG + 1e-12 and gap <= TAU_DOC + 1e-12
 
 
 def test_report_json_and_text(capsys, tmp_path):

@@ -41,10 +41,6 @@ ALLOWED = {
     "nnsm.OperatorField.product":
         "the product field FG, whose integral acceptance criterion 6 checks "
         "against the product of the two integrals",
-    "nnsm.check_nnsm":
-        "the paper's product-rule check of an NNSM, not yet run by kind B",
-    "nnsm.positivity_deficit":
-        "the paper's non-negativity check of an NNSM, not yet run by kind B",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
