@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from specmeas import algebra, linalg, measure, nnsm
+from specmeas import algebra, linalg, nnsm
 from specmeas.harness import gen_scenario
 
 
@@ -39,8 +39,10 @@ def main() -> None:
     fam = algebra.sample_projections(oracle.w1, n=10, seed=args.seed)
     fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
     p, q = fam.members[1], fam.members[-1]
-    d1 = measure.borel(oracle.space, oracle.space.points()[: 2])
-    d2 = measure.whole_space(oracle.space)
+    # sets are point masks: the first two points, and the whole space
+    n_points = len(oracle.space.points())
+    d1 = np.arange(n_points) < 2
+    d2 = np.ones(n_points, dtype=bool)
     rep = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
     print(f"\nproduct-rule residual via measure extension "
           f"(fitted rate {rep.fitted_rate:.2f})")

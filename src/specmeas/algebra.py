@@ -91,7 +91,7 @@ class VonNeumannAlgebra:
         coeffs, resid = self._project(flat)
         # written so that a NaN residual (a non-finite stack) fails as well
         if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=1))):
-            raise NotInSpan(f"membership residual {max(resid):.3e}")
+            raise NotInSpan(f"membership residual {np.max(resid):.3e}")
         return coeffs[0] if single else coeffs
 
     def membership_residual(self, a: np.ndarray):
@@ -278,7 +278,7 @@ def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray
     resid = np.linalg.norm(flat - u @ proj, axis=0)
     # written so that a NaN residual (a non-finite stack) fails as well
     if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=0))):
-        raise NotInSpan(f"decomposition residual {max(resid):.3e}")
+        raise NotInSpan(f"decomposition residual {np.max(resid):.3e}")
     return coeffs[:, 0] if single else coeffs
 
 

@@ -26,9 +26,10 @@ block_dim) array, with ``norm`` and ``inner`` per leading index;
 ``rho_apply``, ``psi_apply`` and ``i_m_apply`` broadcast value rows (...,
 horizon) and coefficients (..., block_dim, block_dim) over it, so a family
 is one call with a row, a coefficient and a vector per check.
-A compact K is a finite set of blocks, a boolean block mask (..., horizon)
-that broadcasts against the vectors' leading axes: one K for a whole stack,
-or one per vector.
+A compact K is a finite set of blocks in ``measure``'s one set form
+(``require_mask``), a boolean block mask (..., horizon) that broadcasts
+against the vectors' leading axes: one K for a whole stack, or one per
+vector.
 ``integrability_check`` takes a sequence of fields.
 """
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
-from .measure import DiscreteSpace
+from .measure import DiscreteSpace, require_mask
 from .nnsm import OperatorField
 from .tolerances import TAU_RECON
 
@@ -222,24 +223,9 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
 
 def truncation_projection(k, x: DomainVector) -> DomainVector:
     """M(K)(id) x: keep the blocks inside K, a block mask that broadcasts
-    against x's support (``_require_mask``)."""
-    inside = _require_mask(k, x.support.shape)
+    against x's support (``measure.require_mask``)."""
+    inside = require_mask(k, x.support.shape)
     return DomainVector(np.where(inside[..., None], x.block, 0.0))
-
-
-def _require_mask(k, shape: tuple) -> np.ndarray:
-    """K broadcast to ``shape``, the (..., horizon) shape of a support: K
-    must be a boolean ndarray whose last axis is the horizon and which
-    broadcasts to the leading axes, or ShapeMismatch is raised.  K is never
-    coerced: a truthy set would broadcast to every block."""
-    if (isinstance(k, np.ndarray) and k.dtype == np.bool_
-            and k.shape[-1:] == shape[-1:]):
-        try:
-            return np.broadcast_to(k, shape)
-        except ValueError:
-            pass
-    raise ShapeMismatch(f"K is a boolean block mask that broadcasts to {shape}, "
-                        f"got {type(k).__name__} {getattr(k, 'shape', '')}")
 
 
 @dataclass(frozen=True)
@@ -254,8 +240,9 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
                   seed: int = 0):
     """Membership test for the compactly-dominated vectors D_{alpha_K}, as
     a DAlphaReport; for a (vectors, horizon, block_dim) stack, as a list of
-    them.  K is a block mask (``_require_mask``): one (horizon,) mask for
-    every vector, or a (vectors, horizon) stack with one per vector.
+    them.  K is a block mask (``measure.require_mask``): one (horizon,)
+    mask for every vector, or a (vectors, horizon) stack with one per
+    vector.
 
     SUFFICIENT: support(x) inside K certifies membership exactly, since
     blockwise ||rho(b) x||^2 = sum |f_b(n)|^2 ||x_n||^2 is dominated by
@@ -276,7 +263,7 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     single = x.block.ndim == 2
     xs = x.block[None] if single else x.block
     stacked = (len(xs), 1, model.horizon)
-    inside = _require_mask(k, x.support.shape).reshape(stacked)
+    inside = require_mask(k, x.support.shape).reshape(stacked)
     support = x.support.reshape(stacked)
     certified = ~np.any(support & ~inside, axis=-1)  # the zero vector is a member
     norm_x = DomainVector(xs).norm()[:, None]

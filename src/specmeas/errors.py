@@ -41,10 +41,6 @@ class DimMismatch(SpecmeasError):
     pass
 
 
-class InfiniteSet(SpecmeasError):
-    pass
-
-
 class NotSpanning(SpecmeasError):
     pass
 

@@ -2,10 +2,13 @@
 
 Spaces are finite label sets or a countable index set with an explicit
 truncation horizon.  Every measure is purely atomic; compact sets are exactly
-the finite subsets.  A spectral measure stores its atoms as one projection
-stack with a label index, with optional leading axes that batch measures
-over shared labels; ``evaluate`` is the one route to E(Delta), a masked sum
-over the stack.
+the finite subsets.  A set is its indicator: a boolean mask indexed like
+``space.points()`` (``require_mask``), the form of a compact K of a block
+model and of an operator field's value row, with leading axes for a stack of
+sets.  A spectral measure stores its atoms as one projection stack with a
+label index, with optional leading axes that batch measures over shared
+labels; ``atoms_in`` reads which atoms lie in a set, and ``evaluate`` is the
+one route to E(Delta), a masked sum over the stack.
 """
 
 from __future__ import annotations
@@ -54,48 +57,35 @@ class DiscreteSpace:
         return isinstance(label, (int, np.integer)) and label >= 0
 
 
-@dataclass(frozen=True)
-class BorelSet:
-    """Finite subset, or cofinite complement of one (countable spaces)."""
-
-    space: DiscreteSpace
-    members: frozenset
-    cofinite: bool = False
-
-    def __post_init__(self):
-        for x in self.members:
-            if x not in self.space:
-                raise SpaceMismatch(f"label {x!r} not in the space")
-        if self.cofinite and self.space.is_finite:
-            raise SpaceMismatch("cofinite sets only exist over countable spaces")
-
-    def __contains__(self, label) -> bool:
-        inside = label in self.members
-        return (not inside) if self.cofinite else inside
-
-    def intersect(self, other: "BorelSet") -> "BorelSet":
-        _same_space(self, other)
-        if not self.cofinite and not other.cofinite:
-            return BorelSet(self.space, self.members & other.members)
-        if self.cofinite and other.cofinite:
-            return BorelSet(self.space, self.members | other.members, cofinite=True)
-        fin, cof = (self, other) if not self.cofinite else (other, self)
-        return BorelSet(self.space, fin.members - cof.members)
+def require_mask(mask, shape: tuple) -> np.ndarray:
+    """A set of a discrete space, broadcast to ``shape``: a boolean ndarray
+    whose last axis is indexed like the space's points (the blocks below a
+    model's horizon, for a compact K) and which broadcasts to the leading
+    axes of ``shape``, or ShapeMismatch is raised.  A set is never coerced:
+    a truthy list, frozenset or bool would hold every point."""
+    if (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
+            and mask.shape[-1:] == shape[-1:]):
+        if mask.shape == shape:
+            return mask
+        try:
+            return np.broadcast_to(mask, shape)
+        except ValueError:
+            pass
+    raise ShapeMismatch(f"a set is a boolean mask that broadcasts to {shape}, "
+                        f"got {type(mask).__name__} {getattr(mask, 'shape', '')}")
 
 
-def _same_space(a: BorelSet, b: BorelSet) -> None:
-    if a.space != b.space:
-        raise SpaceMismatch("Borel sets over different spaces")
-
-
-def borel(space: DiscreteSpace, members) -> BorelSet:
-    return BorelSet(space, frozenset(members))
-
-
-def whole_space(space: DiscreteSpace) -> BorelSet:
-    if space.is_finite:
-        return BorelSet(space, frozenset(space.labels))
-    return BorelSet(space, frozenset(), cofinite=True)
+def atoms_in(space: DiscreteSpace, labels, delta, lead: tuple = ()) -> np.ndarray:
+    """Which stored atoms lie in Delta: for a set of shape ``lead +
+    (n_points,)`` (``require_mask``), the ``lead + (n_atoms,)`` mask that
+    reads each atom's label off Delta's point axis.  A label that is not
+    among the points, an atom past a countable space's horizon, lies in no
+    set: it reads the False column padded onto Delta."""
+    points = space.points()
+    delta = require_mask(delta, lead + (len(points),))
+    columns = [points.index(x) if x in points else len(points) for x in labels]
+    outside = np.zeros(lead + (1,), dtype=bool)
+    return np.concatenate([delta, outside], axis=-1)[..., columns]
 
 
 def labelled_stack(space: DiscreteSpace, labels, stack, frame: tuple):
@@ -174,14 +164,9 @@ class SpectralMeasure:
         return float(worst) if np.ndim(worst) == 0 else worst
 
 
-def evaluate(e: SpectralMeasure, delta: BorelSet) -> np.ndarray:
-    """E(Delta) as a (..., k, k) array, one matrix per leading index of e.
-
-    The atoms whose labels lie in Delta are summed in one masked sum; for a
-    cofinite Delta the atoms of its complement are subtracted from E(X).
-    """
-    if delta.space != e.space:
-        raise SpaceMismatch("set over a different space")
-    mask = np.array([x in delta.members for x in e.labels], dtype=bool)
-    inside = e.atoms[..., mask, :, :].sum(axis=-3)
-    return e.total - inside if delta.cofinite else inside
+def evaluate(e: SpectralMeasure, delta: np.ndarray) -> np.ndarray:
+    """E(Delta) as a (..., k, k) array, one matrix per leading index of e,
+    for a (n_points,) set Delta: the atoms that lie in Delta (``atoms_in``)
+    are summed in one masked sum."""
+    inside = atoms_in(e.space, e.labels, delta)
+    return e.atoms[..., inside, :, :].sum(axis=-3)

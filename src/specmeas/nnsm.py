@@ -12,8 +12,10 @@ x != y and sum_x Phi_x(1) = I, which ``definition_residual`` checks exactly
 NNSM's labels, so they are one SpectralMeasure batched over the members,
 and E_P(Delta) for every member is one ``measure.evaluate`` call; M_A(Delta)
 for any A in W1 is ``evaluate(m.measure_for(A), Delta)``.
+A set Delta is a boolean mask over the space's points, as in ``measure``:
+D1 n D2 is ``d1 & d2``, and ``random_sets`` draws a (count, n_points) stack.
 Operator fields store each scalar function as its value table over the
-space's points, so integrating one reads the stored atoms' columns.
+same points, so integrating one reads the columns of the atoms in Delta.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .algebra import (
     limiting_sequence,
     linear_extend,
 )
-from .errors import InfiniteSet, NotSpanning, ShapeMismatch, SpaceMismatch
+from .errors import NotSpanning, ShapeMismatch
 from .linalg import adjoint, frob_norm, op_norm, require_square, star_decompose
-from .measure import (BorelSet, DiscreteSpace, SpectralMeasure, borel,
-                      evaluate, labelled_stack)
+from .measure import (DiscreteSpace, SpectralMeasure, atoms_in, evaluate,
+                      labelled_stack, require_mask)
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -161,7 +163,7 @@ class FamilyMeasures:
     family: ProjectionFamily
     compressions: SpectralMeasure
 
-    def extend_at(self, a: np.ndarray, delta: BorelSet) -> np.ndarray:
+    def extend_at(self, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """E_A(Delta) by linear extension over the family (exact route), or
         E_A(Delta) for each matrix of an (n, d, d) stack ``a``.
 
@@ -230,12 +232,12 @@ class VerificationReport:
         }
 
 
-def random_sets(space: DiscreteSpace, rng: np.random.Generator, count: int):
-    """``count`` random subsets of a finite space, each point in with
-    probability 1/2; takes len(space) uniforms per set, all in one draw."""
-    pts = space.points()
-    return [borel(space, [p for p, m in zip(pts, mask) if m])
-            for mask in rng.random((count, len(pts))) < 0.5]
+def random_sets(space: DiscreteSpace, rng: np.random.Generator,
+                count: int) -> np.ndarray:
+    """``count`` random sets of the space's points as one (count, n_points)
+    mask, each point in with probability 1/2: one draw of n_points uniforms
+    per set."""
+    return rng.random((count, len(space.points()))) < 0.5
 
 
 def condition1_check(
@@ -249,7 +251,8 @@ def condition1_check(
     The sets are drawn first, then every λ in one call; both sides of every
     trial come from one (2 trials, n n_atoms) @ (n n_atoms, k^2) product of
     the weights λ_i [x in Delta_t] (and μ_i [x in Delta_t]) with the
-    compression atoms, the atom mask being the one ``evaluate`` takes.
+    compression atoms, the (trials, n_atoms) atom mask read off the sets by
+    ``atoms_in``, the rule ``evaluate`` reads.
     """
     if trials < 1:
         raise ValueError(f"condition (1) needs at least one trial, got {trials}")
@@ -261,7 +264,7 @@ def condition1_check(
     lams = rng.standard_normal((trials, len(family)))
     mus = decompose_over_family(
         family, np.tensordot(lams, family.stack, axes=1)).T
-    mask = np.array([[x in d.members for x in comp.labels] for d in deltas])
+    mask = atoms_in(comp.space, comp.labels, deltas, (trials,))
     weights = np.stack([lams, mus])[..., None] * mask[:, None, :]
     k = comp.atoms.shape[-1]
     lhs, rhs = (weights.reshape(2 * trials, -1)
@@ -272,16 +275,18 @@ def condition1_check(
         frob_norm(lhs - rhs), TAU_EXT * scale)))
 
 
-def condition2_check(
-    fam: FamilyMeasures, deltas: list[BorelSet]
-) -> VerificationReport:
-    """Witness the uniform bound k_Delta = sup_P ||E_P(Delta)|| per set.
+def condition2_check(fam: FamilyMeasures, deltas: np.ndarray) -> VerificationReport:
+    """Witness the uniform bound k_Delta = sup_P ||E_P(Delta)|| per set of
+    a (count, n_points) stack of sets.
 
     Entry ``condition2[delta{i}]`` carries k_Delta for the i-th set and
     passes when it is at most one (up to TAU_NORM_SLACK).
     """
+    # each row is one set, which ``evaluate`` checks in turn
+    n_points = len(fam.compressions.space.points())
+    stack = require_mask(deltas, getattr(deltas, "shape", ())[:-1] + (n_points,))
     entries = []
-    for i, delta in enumerate(deltas):
+    for i, delta in enumerate(stack):
         k = op_norm(evaluate(fam.compressions, delta)).max(initial=0.0)
         entries.append(check_entry(
             f"condition2[delta{i}]", k, 1.0 + TAU_NORM_SLACK,
@@ -300,8 +305,8 @@ def condition3_check(
     fam: FamilyMeasures,
     p: np.ndarray,
     q: np.ndarray,
-    d1: BorelSet,
-    d2: BorelSet,
+    d1: np.ndarray,
+    d2: np.ndarray,
     ell_max: int = 64,
 ) -> Condition3Report:
     """Limiting-sequence route to the product rule.
@@ -316,7 +321,7 @@ def condition3_check(
     i_q = _family_index(family, q)
     comp = fam.compressions
     lhs = evaluate(comp, d1)[i_p] @ evaluate(comp, d2)[i_q]
-    inter = d1.intersect(d2)
+    inter = d1 & d2
     parts = star_decompose(p @ q)
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]
     signs = [1.0, -1.0, 1.0j, -1.0j]
@@ -335,7 +340,7 @@ def condition3_check(
 
 
 def _riemann_sums(
-    fam: FamilyMeasures, weighted_seqs: list, ells: list, delta: BorelSet
+    fam: FamilyMeasures, weighted_seqs: list, ells: list, delta: np.ndarray
 ) -> np.ndarray:
     """For each ell, the Riemann sum over (w, seq) in ``weighted_seqs`` of
     w * E_{S_l}(Delta), as a (len(ells), k, k) stack.
@@ -396,7 +401,7 @@ def assemble_from_family(
 def extension_by_limit(
     fam: FamilyMeasures,
     a: np.ndarray,
-    delta: BorelSet,
+    delta: np.ndarray,
     ell: int = 4096,
     zeta_rule: str = "right",
 ) -> np.ndarray:
@@ -409,24 +414,20 @@ def extension_by_limit(
     return _riemann_sums(fam, [(1.0, seq)], [ell], delta)[0]
 
 
-def integrate(
-    m: NonNegSpectralMeasure, fields, delta: BorelSet
-) -> np.ndarray:
-    """Integral of an operator field, sum_i sum_{x in Delta} f_i(x) Phi_x(A_i),
-    as a (k, k) array; or of each field of a sequence, as an (n_fields, k, k)
-    stack.  A field with no terms integrates to zero.
+def integrate(m: NonNegSpectralMeasure, fields, delta: np.ndarray) -> np.ndarray:
+    """Integral of an operator field over a (n_points,) set Delta,
+    sum_i sum_{x in Delta} f_i(x) Phi_x(A_i), as a (k, k) array; or of each
+    field of a sequence, as an (n_fields, k, k) stack.  A field with no terms
+    integrates to zero.
 
     Each f_i is a value row with one entry per point of the space; a row of
-    another length, or a stored atom in Delta that is not among the points
-    (past a countable space's horizon), raises ShapeMismatch.  The columns of the stored atoms in
-    Delta are read from the rows, the coordinates of every A_i of every field
-    come from one stacked ``coefficients`` call, and each field's weights
-    sum_i f_i(x) c(A_i) meet the image stack in one contraction.
+    another length raises ShapeMismatch.  The columns of the stored atoms in
+    Delta (``atoms_in``) are read from the rows, the coordinates of every A_i
+    of every field come from one stacked ``coefficients`` call, and each
+    field's weights sum_i f_i(x) c(A_i) meet the image stack in one
+    contraction.
     """
-    if delta.space != m.space:
-        raise SpaceMismatch("set over a different space")
-    if delta.cofinite:
-        raise InfiniteSet("bounded integration needs a finite set")
+    inside = np.flatnonzero(atoms_in(m.space, m.labels, delta))
     single = isinstance(fields, OperatorField)
     batch = [fields] if single else list(fields)
     terms = [t for f in batch for t in f.terms]
@@ -434,11 +435,8 @@ def integrate(
     if terms:
         points = m.space.points()
         rows = [np.asarray(v, dtype=np.complex128) for v, _ in terms]
-        inside = [i for i, x in enumerate(m.labels) if x in delta]
-        if any(r.shape != (len(points),) for r in rows) or any(
-                m.labels[i] not in points for i in inside):
-            raise ShapeMismatch(f"value rows index the space's {len(points)} "
-                                "points; Delta's stored atoms must be among them")
+        if any(r.shape != (len(points),) for r in rows):
+            raise ShapeMismatch(f"value rows index the space's {len(points)} points")
         columns = [points.index(m.labels[i]) for i in inside]
         fvals = np.stack(rows)[:, columns]
         coeffs = m.w1.coefficients(np.stack([a for _, a in terms]))

@@ -170,10 +170,13 @@ def nnsm_from_doc(doc: dict):
 def _require_unital_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
     """Coordinates are inner products with the basis, so a W1 basis must be
     trace-orthonormal: its Gram matrix must be the identity within TAU_ALG.
-    A von Neumann algebra is unital, so its span must hold the identity."""
+    A von Neumann algebra is unital, so its span must hold the identity.
+    An entry that overflows the Gram matrix gives an inf or NaN gap, which
+    fails as well."""
     basis = w1.basis_matrix
-    gap = frob_norm(basis.conj() @ basis.T - np.eye(w1.dim))
-    if gap > TAU_ALG:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = frob_norm(basis.conj() @ basis.T - np.eye(w1.dim))
+    if not gap <= TAU_ALG:
         raise InvalidDocument(
             f"W1 basis is not trace-orthonormal: its Gram matrix is "
             f"{gap:.3e} from the identity"

@@ -52,6 +52,12 @@ def hermitian_element(w: algebra.VonNeumannAlgebra, rng) -> np.ndarray:
     return w.hermitian_elements(rng.standard_normal((1, 2, w.dim)))[0]
 
 
+def point_mask(space: measure.DiscreteSpace, members) -> np.ndarray:
+    """The (n_points,) set of ``space`` that holds exactly the points in
+    ``members``: a boolean mask indexed like ``space.points()``."""
+    return np.array([x in members for x in space.points()], dtype=bool)
+
+
 def block_mask(horizon: int, members) -> np.ndarray:
     """The (horizon,) block mask that holds exactly the blocks in
     ``members``: the form of a compact K and of a support."""

@@ -11,7 +11,7 @@ import numpy as np
 
 from specmeas import algebra, blocks, cli, harness, linalg, measure, nnsm
 
-from conftest import domain_vector, hermitian_element, tensor_model
+from conftest import domain_vector, hermitian_element, point_mask, tensor_model
 
 
 def _line(n: int, label: str, ok: bool, detail: str = ""):
@@ -62,8 +62,9 @@ def test_criterion_3_characterization_conditions():
         rep1 = nnsm.condition1_check(fm, trials=8, seed=seed)
         assert rep1.worst_residual <= 1e-7
         rng = np.random.default_rng(seed + 20)
-        deltas = [measure.whole_space(oracle.space)] + nnsm.random_sets(
-            oracle.space, rng, 3)
+        deltas = np.concatenate([
+            [point_mask(oracle.space, oracle.space.points())],
+            nnsm.random_sets(oracle.space, rng, 3)])
         rep2 = nnsm.condition2_check(fm, deltas)
         # the identity is a family member, so k_X is witnessed as exactly 1
         assert abs(rep2.checks[0].residual - 1.0) <= 1e-9
@@ -99,7 +100,7 @@ def test_criterion_4_limiting_sequences():
         fam = algebra.sample_projections(m.w1, n=10, seed=seed)
         fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
         a = hermitian_element(m.w1, mrng)
-        delta = measure.borel(m.space, {0, 2})
+        delta = point_mask(m.space, {0, 2})
         exact = fm.extend_at(a, delta)
         approx = nnsm.extension_by_limit(fm, a, delta, ell=1 << 17)
         resid = linalg.frob_norm(approx - exact) / (1.0 + linalg.frob_norm(exact))
@@ -116,7 +117,7 @@ def test_criterion_5_integration_laws():
     for t in range(1000):
         m = models[t % len(models)]
         delta = nnsm.random_sets(m.space, rng, 1)[0]
-        whole = measure.whole_space(m.space)
+        whole = point_mask(m.space, m.space.points())
         f = _random_field(rng, m)
         g = _random_field(rng, m)
         i_f = nnsm.integrate(m, f, delta)
@@ -130,8 +131,7 @@ def test_criterion_5_integration_laws():
         # (iii) indicator: int chi_D (x) A dM = M_A(D)
         a = hermitian_element(m.w1, rng)
         chi = nnsm.OperatorField(terms=(
-            (np.array([1.0 if x in delta else 0.0 for x in m.space.points()]),
-             a),))
+            (delta.astype(float), a),))
         r3 = linalg.frob_norm(nnsm.integrate(m, chi, whole)
                               - measure.evaluate(m.measure_for(a), delta))
         # (v) multiplicativity on a common set

@@ -625,3 +625,14 @@ def test_decompose_over_family_rejects_non_finite_stack():
         )
     with pytest.raises(NotInSpan), np.errstate(invalid="ignore"):
         algebra.decompose_over_family(fam, np.full((1, 3, 3), np.inf))
+
+
+def test_not_in_span_messages_read_a_nan_residual():
+    # the NaN residual is not the first one, which Python's max would drop
+    fam = all_diagonal_projections(3)
+    inside = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    stack = np.stack([inside, np.full((3, 3), np.nan)])
+    with pytest.raises(NotInSpan, match="decomposition residual nan"):
+        algebra.decompose_over_family(fam, stack)
+    with pytest.raises(NotInSpan, match="membership residual nan"):
+        fam.algebra.coefficients(stack)

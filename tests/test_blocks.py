@@ -767,12 +767,12 @@ def test_stacked_operators_equal_per_vector_calls(dim):
 def test_k_is_a_boolean_block_mask():
     # K is a bool array whose last axis is the horizon and which broadcasts
     # against x's leading axes; anything else is ShapeMismatch.  K is never
-    # coerced to bool: a BorelSet is truthy and would keep every block
+    # coerced to bool: a frozenset is truthy and would keep every block
     model, rng = matrix_model(horizon=8, dim=2, seed=40)
     vectors = [random_vector(rng, model, supp=s) for s in (1, 3, 5)]
     xs = blocks.DomainVector(np.stack([x.block for x in vectors]))
     k = block_mask(8, range(4))
-    wrong = [measure.borel(model.space, range(4)), True,
+    wrong = [frozenset(range(4)), True,
              [frozenset(range(4))] * 3, k.astype(int),
              block_mask(7, range(4)), block_mask(9, range(4)),
              np.stack([k, k])]  # (n - 1, horizon) for the 3-stack

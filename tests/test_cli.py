@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -383,12 +384,14 @@ def test_check_measure_mutation_fuzz(tmp_path_factory, seed, edits, data):
     path = tmp_path_factory.mktemp("fuzz") / "mutant.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
-    # an entry of 1e300 overflows the Gram and product checks to inf, which
-    # fails them
+    # an entry of 1e300 overflows the Gram and product checks to inf or
+    # NaN, which fails them without a NumPy RuntimeWarning
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            np.errstate(over="ignore", invalid="ignore"):
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.run_cli(["check-measure", str(path)])
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 0:
         closure, gap = _definition_gaps(doc)
         # the slack covers round-off between the two summation orders
@@ -520,6 +523,43 @@ def test_check_measure_rejects_a_w1_without_the_identity(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "document[InvalidDocument]" in proc.stderr
+
+
+# a W1 basis entry of 1e300(1 + i) makes the Gram matrix inf - inf = NaN;
+# one atom of 1e300 overflows the spectral measure's idempotence residual
+NAN_GRAM_NNSM = {
+    "space": {"kind": "finite", "labels": [0]},
+    "w1": {"ambient_dim": 1,
+           "basis": [{"rows": 1, "cols": 1, "data": [[1e300, 1e300]]}]},
+    "target_dim": 1,
+    "atom_maps": [[0, [{"rows": 1, "cols": 1, "data": [[1, 0]]}]]]}
+HUGE_ATOM_MEASURE = {
+    "space": {"kind": "finite", "labels": [0]},
+    "atoms": [[0, {"rows": 1, "cols": 1, "data": [[1e300, 0]]}]],
+    "total": {"rows": 1, "cols": 1, "data": [[1, 0]]}}
+
+
+def test_check_measure_names_a_nan_gram_gap():
+    # the NaN gap fails the Gram check itself, not a later one
+    with pytest.raises(InvalidDocument,
+                       match="not trace-orthonormal: its Gram matrix is nan"):
+        serialize.nnsm_from_doc(NAN_GRAM_NNSM)
+
+
+@pytest.mark.parametrize("doc, failing", [
+    (NAN_GRAM_NNSM, "document[InvalidDocument]"),
+    (HUGE_ATOM_MEASURE, "spectral-measure-invariants"),
+])
+def test_check_measure_overflow_fails_without_warnings(tmp_path, doc, failing):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specmeas.cli", "check-measure", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert f"failed invariants: {failing}" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("mutation", ["label", "stack-length", "target-dim"])

@@ -9,7 +9,7 @@ from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
                              SpecmeasError)
 from specmeas.tolerances import TAU_EXACT, TAU_EXT, TAU_PROJ, TAU_RECON
 
-from conftest import hermitian_element, member_measure
+from conftest import hermitian_element, member_measure, point_mask
 
 
 def test_caps_enforced():
@@ -577,7 +577,7 @@ def test_verify_b_makes_four_integrate_calls(monkeypatch):
 def test_derived_measures_match_per_atom_rho_loop():
     for seed in (0, 3, 7):
         oracle = harness.gen_scenario("B", seed).payload["oracle"]
-        whole = measure.whole_space(oracle.space)
+        whole = point_mask(oracle.space, oracle.space.points())
         fm = harness._derive_family_measures(
             lambda fields: nnsm.integrate(oracle, fields, whole), oracle,
             seed=seed + 3,
@@ -718,7 +718,7 @@ def _verify_b_reference(scenario):
     validated SpectralMeasure per family member, fields drawn one scalar at
     a time."""
     oracle = scenario.payload["oracle"]
-    whole = measure.whole_space(oracle.space)
+    whole = point_mask(oracle.space, oracle.space.points())
     frob, op = linalg.frob_norm, linalg.op_norm
 
     def rho(fields):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, harness, linalg, measure, nnsm
-from specmeas.errors import (InfiniteSet, NotSpanning, ShapeMismatch,
-                             SpaceMismatch)
+from specmeas.errors import NotSpanning, ShapeMismatch
 from specmeas.tolerances import TAU_ALG, TAU_DOC, TAU_NORM_SLACK
 
-from conftest import hermitian_element, member_measure, tensor_model
+from conftest import hermitian_element, member_measure, point_mask, tensor_model
 
 
 def family_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> algebra.ProjectionFamily:
@@ -44,7 +43,7 @@ def test_m_a_linear_in_a():
     m, _, rng = tensor_model(seed=3)
     a = hermitian_element(m.w1, rng)
     b = hermitian_element(m.w1, rng)
-    delta = measure.borel(m.space, {0, 2})
+    delta = point_mask(m.space, {0, 2})
     def m_a(x):
         return measure.evaluate(m.measure_for(x), delta)
 
@@ -63,8 +62,8 @@ def test_condition2_unit_bound():
     m, _, _ = tensor_model(seed=5)
     fm = family_measures_for(m)
     space = m.space
-    deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
-              measure.whole_space(space)]
+    deltas = np.stack([point_mask(space, {0}), point_mask(space, {1, 2}),
+                       point_mask(space, space.points())])
     rep = nnsm.condition2_check(fm, deltas)
     # compressions of projections have norm at most one
     assert rep.worst_residual <= 1.0 + 1e-9
@@ -74,8 +73,8 @@ def test_condition2_entries_match_reference_and_can_fail():
     m, _, _ = tensor_model(seed=5)
     fm = family_measures_for(m)
     space = m.space
-    deltas = [measure.borel(space, {0}), measure.borel(space, {1, 2}),
-              measure.whole_space(space), measure.borel(space, ())]
+    deltas = np.stack([point_mask(space, {0}), point_mask(space, {1, 2}),
+                       point_mask(space, space.points()), point_mask(space, ())])
     rep = nnsm.condition2_check(fm, deltas)
     assert [c.name for c in rep.checks] == [
         f"condition2[delta{i}]" for i in range(len(deltas))]
@@ -134,8 +133,8 @@ def test_condition3_converges():
     fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     p = fam.members[2]
     q = fam.members[3]
-    d1 = measure.borel(m.space, {0, 1})
-    d2 = measure.borel(m.space, {1, 2})
+    d1 = point_mask(m.space, {0, 1})
+    d2 = point_mask(m.space, {1, 2})
     rep = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
     assert rep.passed
     assert rep.residual_by_ell[-1][1] <= 10.0 * (1 + m.w1.ambient_dim) / 64.0
@@ -173,7 +172,7 @@ def test_extension_by_limit_matches_exact():
     fam = family_for(m)
     fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     a = hermitian_element(m.w1, rng)
-    delta = measure.borel(m.space, {0, 2})
+    delta = point_mask(m.space, {0, 2})
     exact = fm.extend_at(a, delta)
     approx = nnsm.extension_by_limit(fm, a, delta, ell=1 << 17)
     assert linalg.frob_norm(approx - exact) <= 1e-5 * (1 + linalg.frob_norm(exact))
@@ -183,7 +182,7 @@ def test_extension_by_limit_matches_exact():
 
 def test_integrate_laws():
     m, _, rng = tensor_model(seed=10)
-    delta = measure.whole_space(m.space)
+    delta = point_mask(m.space, m.space.points())
     a = hermitian_element(m.w1, rng)
     b = hermitian_element(m.w1, rng)
     pts = np.array(m.space.points(), dtype=complex)
@@ -214,18 +213,8 @@ def test_integrate_positivity():
         phi = _ref_phi(m, x, pos)
         assert np.linalg.eigvalsh((phi + linalg.adjoint(phi)) / 2)[0] >= -1e-9
     field = nnsm.OperatorField(terms=((np.ones(len(m.space.points())), pos),))
-    val = nnsm.integrate(m, field, measure.whole_space(m.space))
+    val = nnsm.integrate(m, field, point_mask(m.space, m.space.points()))
     assert np.linalg.eigvalsh((val + linalg.adjoint(val)) / 2)[0] >= -1e-9
-
-
-def test_integrate_rejects_cofinite():
-    m, _, _ = tensor_model(seed=12)
-    space = measure.DiscreteSpace(horizon=5)
-    cof = measure.BorelSet(space, frozenset({0}), cofinite=True)
-    m2 = nnsm.NonNegSpectralMeasure(space, m.w1, m.labels, m.images)
-    field = nnsm.OperatorField(terms=((np.ones(5), m.w1.identity()),))
-    with pytest.raises(InfiniteSet):
-        nnsm.integrate(m2, field, cof)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -234,21 +223,14 @@ def test_stacked_family_values_equal_per_member_evaluate(seed):
     # slices do on their own
     m, _, rng = tensor_model(seed=seed, n_atoms=4)
     comp = family_measures_for(m, seed=seed).compressions
-    sets = nnsm.random_sets(m.space, rng, 6) + [
-        measure.borel(m.space, ()), measure.whole_space(m.space)]
-    # the same compressions over a countable space, for cofinite sets
-    countable = measure.DiscreteSpace(horizon=10)
-    comp_countable = measure.SpectralMeasure(
-        countable, comp.labels, comp.atoms, comp.total)
-    cofinite = [measure.BorelSet(countable, frozenset(members), cofinite=True)
-                for members in ((), (1,), (0, 2, 7))]
-    for batch, deltas in ((comp, sets), (comp_countable, cofinite)):
-        for delta in deltas:
-            values = measure.evaluate(batch, delta)
-            assert values.shape == (len(comp.atoms),) + (m.target_dim,) * 2
-            for i, value in enumerate(values):
-                assert np.array_equal(value, measure.evaluate(
-                    member_measure(batch, i), delta))
+    sets = np.concatenate([nnsm.random_sets(m.space, rng, 6), [
+        point_mask(m.space, ()), point_mask(m.space, m.space.points())]])
+    for delta in sets:
+        values = measure.evaluate(comp, delta)
+        assert values.shape == (len(comp.atoms),) + (m.target_dim,) * 2
+        for i, value in enumerate(values):
+            assert np.array_equal(value, measure.evaluate(
+                member_measure(comp, i), delta))
 
 
 def test_measure_for_a_stack_equals_the_stacked_single_measures():
@@ -288,6 +270,70 @@ def test_condition1_detects_broken_linearity():
     fm = nnsm.FamilyMeasures(fam, replace(comp, atoms=bad_atoms))
     rep = nnsm.condition1_check(fm, trials=24)
     assert not rep.passed
+
+
+def test_delta_is_a_boolean_point_mask():
+    # Delta is a bool array indexed like space.points(), the form of a
+    # block mask K; anything else is ShapeMismatch, never coerced to bool
+    m, rng = _model_with_unstored_label(seed=18)
+    fm = family_measures_for(m)
+    p, q = fm.family.members[2], fm.family.members[3]
+    a = hermitian_element(m.w1, rng)
+    field_ = _random_field(rng, m, 2)
+    delta = point_mask(m.space, {0, 2, 3})
+    n = len(delta)
+    wrong = [delta.tolist(), frozenset({0, 2, 3}), delta.astype(int), True,
+             delta[:-1], np.append(delta, True), np.stack([delta, delta])]
+    consumers = [
+        lambda d: measure.evaluate(m.measure_for(a), d),
+        lambda d: nnsm.integrate(m, field_, d),
+        lambda d: nnsm.integrate(m, [field_, field_], d),
+        lambda d: fm.extend_at(a, d),
+        lambda d: nnsm.extension_by_limit(fm, a, d, ell=16),
+        lambda d: nnsm.condition3_check(fm, p, q, d, delta, ell_max=8),
+        lambda d: nnsm.condition3_check(fm, p, q, delta, d, ell_max=8),
+    ]
+    for bad in wrong:
+        for consume in consumers:
+            with pytest.raises(ShapeMismatch):
+                consume(bad)
+    # condition (2) takes a (count, n_points) stack of sets
+    for bad in wrong[:-1] + [[delta, delta], np.stack([delta[:-1]] * 2), delta]:
+        with pytest.raises(ShapeMismatch):
+            nnsm.condition2_check(fm, bad)
+    # each consumer reads the stored atoms in Delta: the point without an
+    # atom adds nothing, and the empty set gives zero
+    with_3 = [consume(delta) for consume in consumers[:5]]
+    without_3 = [consume(point_mask(m.space, {0, 2})) for consume in consumers[:5]]
+    for got, want in zip(with_3, without_3):
+        assert np.array_equal(got, want)
+    assert not measure.evaluate(m.measure_for(a), np.zeros(n, dtype=bool)).any()
+    assert not nnsm.integrate(m, field_, np.zeros(n, dtype=bool)).any()
+    rep = nnsm.condition2_check(fm, np.stack([delta, np.zeros(n, dtype=bool)]))
+    assert rep.passed and rep.checks[1].residual == 0.0
+    # condition (1) reads its atom mask by the same rule: relabelling atom
+    # 2 past a countable horizon of the same length takes it out of every
+    # set, as zeroing it does
+    comp = fm.compressions
+    countable = measure.DiscreteSpace(horizon=n)
+    past = nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
+        countable, (0, 1, n + 3), comp.atoms, comp.total))
+    zeroed = comp.atoms.copy()
+    zeroed[:, 2] = 0.0
+    inside = nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
+        countable, (0, 1, 2), zeroed, comp.total))
+    got, want = (nnsm.condition1_check(f, trials=6, seed=4) for f in (past, inside))
+    assert [c.residual for c in got.checks] == pytest.approx(
+        [c.residual for c in want.checks], rel=1e-12, abs=1e-15)
+
+
+def test_random_sets_is_one_uniform_draw():
+    # random_sets is the (count, n_points) mask of one uniform draw
+    for space in (measure.DiscreteSpace(labels=("a", "b", "c")),
+                  measure.DiscreteSpace(horizon=7)):
+        sets = nnsm.random_sets(space, np.random.default_rng(5), 4)
+        want = np.random.default_rng(5).random((4, len(space.points()))) < 0.5
+        assert sets.dtype == np.bool_ and np.array_equal(sets, want)
 
 
 def test_condition1_needs_a_trial():
@@ -342,12 +388,19 @@ def _ref_phi(m, x, a):
     return sum(c * img for c, img in zip(coeffs, m.images[m.labels.index(x)]))
 
 
+def _holds(m, delta, x):
+    """Whether the set ``delta`` holds the label x; a label that is not
+    among the points lies in no set."""
+    points = m.space.points()
+    return x in points and bool(delta[points.index(x)])
+
+
 def _ref_integrate(m, field_, delta):
     out = np.zeros((m.target_dim,) * 2, dtype=complex)
     points = m.space.points()
     for v, a in field_.terms:
         for x in m.labels:
-            if x in delta:
+            if _holds(m, delta, x):
                 out += v[points.index(x)] * _ref_phi(m, x, a)
     return out
 
@@ -377,15 +430,15 @@ def _random_field(rng, m, n_terms):
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_nnsm_matches_per_atom_reference(seed):
     m, rng = _model_with_unstored_label(seed)
-    sets = [measure.whole_space(m.space), measure.borel(m.space, {0, 2, 3}),
-            measure.borel(m.space, {3}), measure.borel(m.space, set())]
+    sets = [point_mask(m.space, m.space.points()), point_mask(m.space, {0, 2, 3}),
+            point_mask(m.space, {3}), point_mask(m.space, set())]
     for delta in sets:
         for n_terms in (1, 2, 4):
             field_ = _random_field(rng, m, n_terms)
             assert _close(nnsm.integrate(m, field_, delta),
                           _ref_integrate(m, field_, delta))
         a = hermitian_element(m.w1, rng)
-        want = sum((_ref_phi(m, x, a) for x in m.labels if x in delta),
+        want = sum((_ref_phi(m, x, a) for x in m.labels if _holds(m, delta, x)),
                    np.zeros((m.target_dim,) * 2, dtype=complex))
         assert _close(measure.evaluate(m.measure_for(a), delta), want)
     p = algebra.sample_projections(m.w1, n=3, seed=seed).members[-1]
@@ -411,20 +464,20 @@ def test_integrate_makes_one_coefficients_call(monkeypatch):
     for n_terms in (1, 3, 7):
         field_ = _random_field(rng, m, n_terms)
         shapes.clear()
-        nnsm.integrate(m, field_, measure.borel(m.space, {1, 3}))
+        nnsm.integrate(m, field_, point_mask(m.space, {1, 3}))
         assert shapes == [(n_terms, m.w1.ambient_dim, m.w1.ambient_dim)]
     # a batch of fields also makes one call, over every term of every field
     batch = [_random_field(rng, m, n_terms) for n_terms in (1, 3, 7)]
     shapes.clear()
-    nnsm.integrate(m, batch, measure.borel(m.space, {1, 3}))
+    nnsm.integrate(m, batch, point_mask(m.space, {1, 3}))
     assert shapes == [(11, m.w1.ambient_dim, m.w1.ambient_dim)]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_integrate_matches_per_field_reference(seed):
     m, rng = _model_with_unstored_label(seed)
-    sets = [measure.whole_space(m.space), measure.borel(m.space, {0, 2, 3}),
-            measure.borel(m.space, {3}), measure.borel(m.space, set())]
+    sets = [point_mask(m.space, m.space.points()), point_mask(m.space, {0, 2, 3}),
+            point_mask(m.space, {3}), point_mask(m.space, set())]
     k = m.target_dim
     for delta in sets:
         for n_fields in (1, 3, 7):
@@ -442,7 +495,7 @@ def test_batched_integrate_matches_per_field_reference(seed):
 def test_integrate_empty_field_and_empty_batch():
     m, rng = _model_with_unstored_label(seed=15)
     k = m.target_dim
-    whole = measure.whole_space(m.space)
+    whole = point_mask(m.space, m.space.points())
     empty = nnsm.OperatorField(terms=())
     zero = nnsm.integrate(m, empty, whole)
     assert zero.shape == (k, k) and not zero.any()
@@ -455,16 +508,17 @@ def test_integrate_empty_field_and_empty_batch():
 
 
 def test_integrate_and_m_a_reject_a_set_from_another_space():
+    # a set of another space is a mask of another length
     m, rng = _model_with_unstored_label(seed=16)
     other = measure.DiscreteSpace(labels=tuple(range(7)))
-    foreign = measure.whole_space(other)
+    foreign = point_mask(other, other.points())
     field_ = nnsm.OperatorField(
         terms=((np.ones(len(m.space.points())), m.w1.identity()),))
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(ShapeMismatch):
         nnsm.integrate(m, field_, foreign)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(ShapeMismatch):
         nnsm.integrate(m, [field_], foreign)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(ShapeMismatch):
         measure.evaluate(m.measure_for(m.w1.identity()), foreign)
 
 
@@ -493,12 +547,12 @@ def test_condition3_matches_per_cell_reference():
     fam = family_for(m)
     fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
     p, q = fam.members[2], fam.members[3]
-    d1 = measure.borel(m.space, {0, 1})
-    d2 = measure.borel(m.space, {1, 2})
+    d1 = point_mask(m.space, {0, 1})
+    d2 = point_mask(m.space, {1, 2})
     rep = nnsm.condition3_check(fm, p, q, d1, d2, ell_max=64)
     lhs = measure.evaluate(m.measure_for(p), d1) @ measure.evaluate(m.measure_for(q), d2)
     parts = linalg.star_decompose(p @ q)
-    inter = d1.intersect(d2)
+    inter = d1 & d2
     for ell, resid in rep.residual_by_ell:
         rhs = sum(
             sign * zeta * fm.extend_at(r_proj, inter)
@@ -510,7 +564,7 @@ def test_condition3_matches_per_cell_reference():
 
 def test_integrate_rejects_rows_of_the_wrong_length():
     m, rng = _model_with_unstored_label(seed=17)
-    whole = measure.whole_space(m.space)
+    whole = point_mask(m.space, m.space.points())
     n_points = len(m.space.points())
     good = _random_field(rng, m, 2)
     for length in (n_points - 1, n_points + 1):
@@ -519,14 +573,14 @@ def test_integrate_rejects_rows_of_the_wrong_length():
             nnsm.integrate(m, bad, whole)
         with pytest.raises(ShapeMismatch):
             nnsm.integrate(m, [good, bad], whole)
-    # over a countable space the rows end at the horizon: an atom past it
-    # has no column
+    # over a countable space the rows and the sets end at the horizon: the
+    # atom past it lies in no set
     countable = measure.DiscreteSpace(horizon=2)
     past = nnsm.NonNegSpectralMeasure(countable, m.w1, (0, 5), m.images[:2])
     field_ = nnsm.OperatorField(terms=((np.ones(2), m.w1.identity()),))
-    with pytest.raises(ShapeMismatch):
-        nnsm.integrate(past, field_, measure.borel(countable, {0, 5}))
-    assert nnsm.integrate(past, field_, measure.borel(countable, {0})).any()
+    only_0 = nnsm.integrate(past, field_, point_mask(countable, {0}))
+    assert only_0.any() and np.array_equal(
+        nnsm.integrate(past, field_, point_mask(countable, {0, 1})), only_0)
     # the unstored label's column is read off the row like any other point
     unit = np.zeros(n_points)
     unit[m.space.points().index(3)] = 1.0
