@@ -20,7 +20,8 @@ take separate routes.
 A *-polynomial is (codes, coeffs): one coefficient per monomial, and its
 factors as rows of the table [f_0, conj f_0, f_1, conj f_1, ..., 1]
 (``factor_table``; ``BlockModel.factor_rows`` for the generators), evaluated
-by ``star_values``.
+by ``star_values`` and drawn, one stack per check family, by
+``random_star_polynomials``.
 The checks work per family.  A stack of vectors is one (..., horizon,
 block_dim) array, with ``norm`` and ``inner`` per leading index;
 ``rho_apply``, ``psi_apply`` and ``i_m_apply`` broadcast value rows (...,
@@ -247,8 +248,8 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     SUFFICIENT: support(x) inside K certifies membership exactly, since
     blockwise ||rho(b) x||^2 = sum |f_b(n)|^2 ||x_n||^2 is dominated by
     sup_{n in K} |f_b(n)|^2 ||x||^2.  NECESSARY (sampled): the inequality is
-    probed on random *-polynomials in the generators, one structured draw
-    of a private rng seeded by ``seed`` (``_draw_probes``) for the stack,
+    probed on random *-polynomials in the generators, one draw of a private
+    rng seeded by ``seed`` (``random_star_polynomials``) for the stack,
     evaluated by ``star_values`` as one (probes, blocks) value stack over
     the model's factor rows and read on each vector's support and K.  A
     non-finite probe residual fails.  More leading axes are ShapeMismatch,
@@ -268,8 +269,9 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     certified = ~np.any(support & ~inside, axis=-1)  # the zero vector is a member
     norm_x = DomainVector(xs).norm()[:, None]
     mass = np.einsum("vnd,vnd->vn", np.conj(xs), xs).real[:, None]
-    vals = np.abs(star_values(*_draw_probes(seed, len(model.generators), probes),
-                              model.factor_rows))
+    probe_draw = random_star_polynomials(np.random.default_rng(seed),
+                                         len(model.generators), probes, degree=2)
+    vals = np.abs(star_values(*probe_draw, model.factor_rows))
     y_norm = np.sqrt(np.sum(np.where(support, vals ** 2, 0.0) * mass, axis=-1))
     alpha = np.max(np.where(inside, vals, 0.0), axis=-1, initial=0.0)
     # np.maximum keeps a NaN excess, which then fails every comparison
@@ -288,49 +290,26 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     return reports[0] if single else reports
 
 
-def _draw_probes(seed: int, n_names: int, probes: int):
-    """``probes`` random *-polynomials in ``n_names`` generators, with the
-    distribution of ``_random_star_polynomial(degree=2)``, from two calls of
-    an rng seeded by ``seed``; ``d_alpha_check`` draws once per stack.
+def random_star_polynomials(rng: np.random.Generator, n_names: int,
+                            count: int, degree: int):
+    """``count`` random *-polynomials in ``n_names`` generators, from two
+    draws of ``rng``: the one *-polynomial draw of the checks.
 
-    Returns (codes, coeffs) over the sorted names, 3 monomial
-    slots of 2 factor slots per probe.  A probe uses its first 1..3 monomial
-    slots and a monomial its first 0..2 factor slots; each count, and each
-    generator pick, is floor(n * u) (+ 1 for the monomial count) of a
-    uniform u in [0, 1).  Unused factor slots hold the constant 1, unused
-    monomial slots the coefficient 0: exact ones and zeros.
+    Returns (codes, coeffs) over the sorted names, 3 monomial slots of
+    ``degree`` factor slots per polynomial.  A polynomial uses its first
+    1..3 monomial slots and a monomial its first 0..``degree`` factor slots;
+    each count, and each generator pick with its adjoint flag, is floor(n *
+    u) (+ 1 for the monomial count) of a uniform u in [0, 1).  Unused factor
+    slots hold the constant 1, unused monomial slots the coefficient 0:
+    exact ones and zeros.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.random((probes, 3, 4))  # monomial count, degree, two picks
+    u = rng.random((count, 3, 2 + degree))  # monomial count, degree, picks
     used = 3.0 * u[:, :1, 0] >= np.arange(3)
-    real = 3.0 * u[..., 1:2] >= np.arange(1, 3)
+    real = (degree + 1.0) * u[..., 1:2] >= np.arange(1, degree + 1)
     codes = np.where(real & used[..., None],
                      (2 * n_names * u[..., 2:]).astype(int), 2 * n_names)
-    coeffs = rng.standard_normal((probes, 3, 2)).view(np.complex128)[..., 0]
+    coeffs = rng.standard_normal((count, 3, 2)).view(np.complex128)[..., 0]
     return codes, coeffs * used
-
-
-def _random_star_polynomial(rng: np.random.Generator, n_names: int, degree: int):
-    """Random *-polynomial in ``n_names`` generators as (codes, coeffs):
-    1..3 monomials of 0..``degree`` factors, each drawn one scalar at a time
-    (degree, a generator and an adjoint flag per factor, coefficient)."""
-    monomials, coeffs = [], []
-    for _ in range(int(rng.integers(1, 4))):
-        deg = int(rng.integers(0, degree + 1))
-        monomials.append([(int(rng.integers(n_names)), int(rng.integers(2)))
-                          for _ in range(deg)] if n_names else [])
-        coeffs.append(complex(rng.standard_normal(), rng.standard_normal()))
-    return star_codes(monomials, n_names, degree), np.array(coeffs)
-
-
-def star_codes(monomials, n_names: int, slots: int) -> np.ndarray:
-    """The (len(monomials), slots) codes of monomials given as lists of
-    (generator index, adjoint?) factors; unused slots name the constant."""
-    codes = np.full((len(monomials), slots), 2 * n_names)
-    for m, factors in enumerate(monomials):
-        for s, (g, adj) in enumerate(factors):
-            codes[m, s] = 2 * g + adj
-    return codes
 
 
 def factor_table(factors, unit) -> np.ndarray:

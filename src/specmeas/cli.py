@@ -35,7 +35,8 @@ KIND_BY_LETTER = {"a": "A", "b": "B", "c": "Cprime", "d": "D"}
 
 
 def parse_caps(text: str) -> Caps:
-    """Caps from "h=4,k=16,x=6,n=32" (any subset of keys)."""
+    """Caps from "h=4,k=16,x=6,n=32" (any subset of keys, each at most
+    once, each value plain decimal digits)."""
     kwargs = {}
     keys = {"h": "h_dim", "k": "k_dim", "x": "space", "n": "horizon"}
     if text:
@@ -45,6 +46,11 @@ def parse_caps(text: str) -> Caps:
                 raise argparse.ArgumentTypeError(
                     f"bad caps entry {part!r}; use h=..,k=..,x=..,n=.."
                 )
+            if keys[key] in kwargs:
+                raise argparse.ArgumentTypeError(f"repeated caps key {key!r}")
+            if not (value.isascii() and value.isdigit()):
+                raise argparse.ArgumentTypeError(
+                    f"caps value {value!r} is not a decimal integer")
             kwargs[keys[key]] = int(value)
     try:
         return Caps(**kwargs)
@@ -58,6 +64,8 @@ def _parse_kinds(text: str):
         letter = letter.strip().lower()
         if letter not in KIND_BY_LETTER:
             raise argparse.ArgumentTypeError(f"unknown kind {letter!r}")
+        if KIND_BY_LETTER[letter] in kinds:
+            raise argparse.ArgumentTypeError(f"repeated kind {letter!r}")
         kinds.append(KIND_BY_LETTER[letter])
     return kinds
 
@@ -111,10 +119,16 @@ def _strip_timing(rep: VerificationReport, keep: bool) -> VerificationReport:
     )
 
 
+def _json(doc, **kwargs) -> str:
+    """The one JSON writer of the CLI: RFC 8259 JSON, so a non-finite
+    number raises rather than printing a bare NaN or Infinity token."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _emit(reports, stream) -> bool:
     ok = True
     for rep in reports:
-        stream.write(json.dumps(rep.to_doc(), sort_keys=True) + "\n")
+        stream.write(_json(rep.to_doc()) + "\n")
         ok = ok and rep.passed
     return ok
 
@@ -159,8 +173,7 @@ def _cmd_fuzz(args) -> int:
                 if not rep.passed:
                     failures.append(rep)
         seed += 1
-    for rep in failures:
-        sys.stdout.write(json.dumps(rep.to_doc(), sort_keys=True) + "\n")
+    _emit(failures, sys.stdout)
     print(f"fuzz: {ran} scenarios over seeds [{args.seed}, {seed}), "
           f"{len(failures)} failed")
     return 0 if not failures else 1
@@ -168,8 +181,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_check_measure(args) -> int:
     rep = check_measure_file(args.file)
-    sys.stdout.write(json.dumps(rep.to_doc(), sort_keys=True) + "\n")
-    if not rep.passed:
+    if not _emit([rep], sys.stdout):
         names = [c.name for c in rep.checks if not c.passed]
         print(f"failed invariants: {', '.join(names)}", file=sys.stderr)
         return 1
@@ -187,10 +199,10 @@ def _cmd_report(args) -> int:
         key=lambda r: r.scenario,
     )
     if args.format == "json":
-        payload = json.dumps(
+        payload = _json(
             {"schema": 1, "reports": [r.to_doc() for r in reports],
              "pass": all(r.passed for r in reports)},
-            sort_keys=True, indent=1,
+            indent=1,
         ) + "\n"
     else:
         payload = _text_report(reports)

@@ -3,7 +3,10 @@
 Scenarios are generated oracle-first: a ground-truth measure is built, the
 representation is induced by integration against it, and the pipeline must
 reconstruct the measure from the representation alone.  Reports carry every
-residual; a failing stage never aborts the pipeline.
+residual; a failing stage never aborts the pipeline.  Kinds A, C' and D
+draw the random inputs of each check family as one stack: *-polynomials by
+``blocks.random_star_polynomials``, domain vectors by
+``_random_domain_vectors`` and D's fields by ``_random_unbounded_fields``.
 """
 
 from __future__ import annotations
@@ -295,21 +298,18 @@ def _non_normal_field(model, n_bad, magnitude):
 # *-polynomial test set (kind A)
 
 
-def _star_monomials(n_names, rng, count, degree=3):
-    """One-monomial *-polynomials as (codes, coeffs): the generators, their
-    adjoints, the pairwise products, and ``count`` random monomials of
-    degree 1..``degree``, drawn one scalar at a time."""
-    gens = range(n_names)
-    monomials = [[(g, adj)] for adj in (0, 1) for g in gens]
-    monomials += [[(a, 0), (b, 0)] for a in gens for b in gens]
-    coeffs = [1.0 + 0.0j] * len(monomials)
-    for _ in range(count):
-        deg = int(rng.integers(1, degree + 1))
-        monomials.append([(int(rng.integers(n_names)), int(rng.integers(2)))
-                          for _ in range(deg)])
-        coeffs.append(complex(rng.standard_normal(), rng.standard_normal()))
-    codes = blocks.star_codes(monomials, n_names, degree)
-    return codes[:, None], np.array(coeffs)[:, None]
+def _generator_monomials(n_names):
+    """The generators, their adjoints and the pairwise products as
+    *-polynomials (codes, coeffs) in the slots of ``random_star_polynomials``
+    at degree 3: one monomial of coefficient 1 each."""
+    gens = 2 * np.arange(n_names)  # the codes of the generators
+    codes = np.full((2 * n_names + n_names ** 2, 3, 3), 2 * n_names)
+    codes[:2 * n_names, 0, 0] = np.concatenate([gens, gens + 1])
+    codes[2 * n_names:, 0, 0] = np.repeat(gens, n_names)
+    codes[2 * n_names:, 0, 1] = np.tile(gens, n_names)
+    coeffs = np.zeros(codes.shape[:2], dtype=np.complex128)
+    coeffs[:, 0] = 1.0
+    return codes, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +328,12 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
     except SpecmeasError as exc:
         return _finish(scenario, [_bool_entry(
             f"diagonalize[{type(exc).__name__}]", False, flags=(str(exc),))], t0)
-    # (i) representation on the *-polynomial test set: a product over the
-    # code slots of the images' table against the atlas-weighted projections
-    codes, coeffs = _star_monomials(len(names), rng, count=6)
+    # (i) representation on the *-polynomial test set, the fixed monomials
+    # and six drawn polynomials: a product over the code slots of the
+    # images' table against the atlas-weighted projections
+    drawn = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
+    codes, coeffs = (np.concatenate(pair)
+                     for pair in zip(_generator_monomials(len(names)), drawn))
     mats = blocks.factor_table([images[n] for n in names], np.eye(d))
     lhs = coeffs[..., None, None] * np.eye(d)
     for s in range(codes.shape[-1]):
@@ -473,11 +476,10 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 4)
     names = sorted(model.generators)
-    # every draw first, in stream order; then one stack per check family
-    represent = [(_random_domain_vector(rng, model),
-                  blocks._random_star_polynomial(rng, len(names), degree=3))
-                 for _ in range(6)]
-    compact = _stacked([_random_domain_vector(rng, model) for _ in range(4)])
+    # one draw per check family, each a stack
+    xs = _random_domain_vectors(rng, model, 6)
+    codes, coeffs = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
+    compact = _random_domain_vectors(rng, model, 4)
     # (i) integrability: blockwise normality per generator
     unit = model.w.identity()
     field_list = [OperatorField(terms=((model.generator_rows[n], unit),))
@@ -492,7 +494,7 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
                        model.block_dim, axis=1)
     epsilons = (1e-4, 1e-10)
     members, tails = zip(*(_truncate_to_eps(target, eps) for eps in epsilons))
-    members = _stacked(members)
+    members = blocks.DomainVector(np.stack([m.block for m in members]))
     reps = blocks.d_alpha_check(members, model, members.support,
                                 probes=8, seed=scenario.seed + 5)
     for eps, tail, rep in zip(epsilons, tails, reps):
@@ -502,12 +504,9 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
             flags=rep.flags,
         ))
     # (iii) exact representation on finitely supported vectors; the
-    # tolerance scales with the spectral side, the route-free one.  A
-    # polynomial with fewer monomials is padded with constant monomials of
-    # coefficient 0, exact zeros in every sum
-    xs = _stacked([x for x, _ in represent])
-    codes = _ragged_stack([c for _, (c, _) in represent], len(model.factor_rows) - 1)
-    coeffs = _ragged_stack([a for _, (_, a) in represent])
+    # tolerance scales with the spectral side, the route-free one.  Unused
+    # monomial slots are constant monomials of coefficient 0, exact zeros in
+    # every sum
     lhs = _rho_polynomial(model, codes, coeffs, xs)
     rhs = blocks.spectral_integral_apply(
         blocks.star_values(codes, coeffs, model.factor_rows), xs)
@@ -521,20 +520,6 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         checks.append(_bool_entry(f"compact-support[x{t}]",
                                   rep.status == "certified", flags=rep.flags))
     return _finish(scenario, checks, t0)
-
-
-def _stacked(vectors) -> blocks.DomainVector:
-    return blocks.DomainVector(np.stack([x.block for x in vectors]))
-
-
-def _ragged_stack(arrays, fill=0):
-    """One stack of arrays whose leading lengths differ, each padded to
-    the longest with ``fill``."""
-    out = np.full((len(arrays), max(map(len, arrays)), *arrays[0].shape[1:]),
-                  fill, dtype=arrays[0].dtype)
-    for row, a in zip(out, arrays):
-        row[:len(a)] = a
-    return out
 
 
 def _rho_polynomial(model, codes, coeffs, x) -> blocks.DomainVector:
@@ -568,16 +553,16 @@ def _truncate_to_eps(coeffs, eps):
     return blocks.DomainVector(kept), float(np.sqrt(sum(mass[horizon:].tolist())))
 
 
-def _random_domain_vector(rng, model, supp=3) -> blocks.DomainVector:
-    """A vector supported on ``supp`` distinct random blocks.  One draw
-    holds, per pick, the real and then the imaginary parts of its component:
-    the stream of two ``standard_normal(block_dim)`` calls per pick."""
+def _random_domain_vectors(rng, model, count) -> blocks.DomainVector:
+    """A stack of ``count`` vectors, each supported on min(3, horizon)
+    distinct blocks, a uniform subset: the first blocks of the argsort of one
+    row of uniforms per vector.  One standard normal draw then holds every
+    component's real and imaginary parts."""
     horizon, dim = model.horizon, model.block_dim
-    picks = rng.choice(horizon, size=min(supp, horizon), replace=False)
-    parts = rng.standard_normal((len(picks), 2, dim))
-    block = np.zeros((horizon, dim), dtype=np.complex128)
-    # the float view of block n holds (re, im) pairs: the draw transposed
-    block.view(np.float64).reshape(horizon, dim, 2)[picks] = parts.swapaxes(1, 2)
+    picks = np.argsort(rng.random((count, horizon)), axis=1)[:, :3]
+    parts = rng.standard_normal((*picks.shape, dim, 2)).view(np.complex128)
+    block = np.zeros((count, horizon, dim), dtype=np.complex128)
+    block[np.arange(count)[:, None], picks] = parts[..., 0]
     return blocks.DomainVector(block)
 
 
@@ -587,27 +572,24 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     model: blocks.BlockModel = scenario.payload["model"]
     checks: list[CheckEntry] = []
     rng = np.random.default_rng(scenario.seed + 7)
-    names = sorted(model.generators)
-    # every draw first, in stream order; then one stack per check family.
-    # An element is one (2, dim W) standard normal draw, and one
-    # hermitian_elements call makes all eight
-    contained = _stacked([_random_domain_vector(rng, model) for _ in range(3)])
-    represent = [(_random_domain_vector(rng, model),
-                  _random_unbounded_field(rng, model)) for _ in range(6)]
-    bounds = [(_random_domain_vector(rng, model),
-               model.generator_rows[names[int(rng.integers(len(names)))]],
-               rng.standard_normal((2, model.w.dim))) for _ in range(4)]
-    bounds += [(_random_domain_vector(rng, model), _random_domain_vector(rng, model),
-                rng.standard_normal((2, model.w.dim))) for _ in range(4)]
-    elements = model.w.hermitian_elements(np.array([e for *_, e in bounds]))
+    # one draw per check family, each a stack.  The bound family's
+    # elements are one (8, 2, dim W) standard normal draw and one
+    # hermitian_elements call
+    contained = _random_domain_vectors(rng, model, 3)
+    xs = _random_domain_vectors(rng, model, 6)
+    field_ = _random_unbounded_fields(rng, model, 6)
+    bound_xs = _random_domain_vectors(rng, model, 8)
+    ys = _random_domain_vectors(rng, model, 4)
+    picks = rng.integers(len(model.generators), size=4)
+    elements = model.w.hermitian_elements(rng.standard_normal((8, 2, model.w.dim)))
     unit = model.w.identity()
     # (1) rho_P integrability per sampled projection
     fam = sample_projections(model.w, n=6, seed=scenario.seed + 8)
     # one batch: the injected field, if any, then one field per projection
     injected = scenario.payload.get("field")
     fields = [] if injected is None else [injected]
-    fields += [OperatorField(terms=((model.generator_rows[names[0]], p),))
-               for p in fam.members]
+    first = model.factor_rows[0]  # f_0, the first generator's row
+    fields += [OperatorField(terms=((first, p),)) for p in fam.members]
     reps = blocks.integrability_check(model, fields)
     if injected is not None:
         rep = reps.pop(0)
@@ -627,28 +609,23 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
         [f"support-containment[x{t}]" for t in range(len(contained.block))],
         contained.sub(y).norm(), np.full(len(contained.block), TAU_EXACT))
     # (5) representation check on D0, the fields' terms stacked slot by slot
-    xs = _stacked([x for x, _ in represent])
-    field_ = _stacked_field([f for _, f in represent])
     lhs = _rho_field(model, field_, xs)
     checks += family_entries(
-        [f"represent[x{t}]" for t in range(len(represent))],
+        [f"represent[x{t}]" for t in range(len(xs.block))],
         lhs.sub(blocks.i_m_apply(field_, model, xs)).norm(),
         TAU_EXACT * (1.0 + lhs.norm()))
     # (6) domain inclusion, ||rho(b (x) A)x|| <= ||A|| ||rho(b (x) id)x||,
     # and (7) the blockwise functional boundedness witness,
     # |<rho(b (x) A)x, y>| <= ||A|| ||rho(b (x) id)x|| ||y||, with b the
     # first generator: both read rho(b (x) A)x and ||A|| ||rho(b (x) id)x||
-    # off one stack of eight
-    xs = _stacked([x for x, *_ in bounds])
-    g = np.array([g for _, g, _ in bounds[:4]]
-                 + [model.generator_rows[names[0]]] * 4)
-    a_x = blocks.rho_apply(model, g, elements, xs)
-    bound = op_norm(elements) * blocks.rho_apply(model, g, unit, xs).norm()
+    # off one stack of eight, the first four on the picked generators
+    g = model.factor_rows[2 * np.concatenate([picks, np.zeros(4, dtype=int)])]
+    a_x = blocks.rho_apply(model, g, elements, bound_xs)
+    bound = op_norm(elements) * blocks.rho_apply(model, g, unit, bound_xs).norm()
     lhs = a_x.norm()[:4]
     checks += family_entries([f"domain-inclusion[{t}]" for t in range(4)],
                              np.maximum(0.0, lhs - bound[:4]),
                              TAU_RECON * (1.0 + bound[:4]))
-    ys = _stacked([y for _, y, _ in bounds[4:]])
     val = np.abs(blocks.DomainVector(a_x.block[4:]).inner(ys))
     bound = bound[4:] * ys.norm()
     checks += family_entries([f"functional-bound[{t}]" for t in range(4)],
@@ -656,25 +633,20 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     return _finish(scenario, checks, t0)
 
 
-def _random_unbounded_field(rng, model) -> OperatorField:
-    names = sorted(model.generators)
-    terms = []
-    for _ in range(int(rng.integers(1, 3))):
-        g = model.generator_rows[names[int(rng.integers(len(names)))]]
-        dim = model.block_dim
-        a = (rng.standard_normal((dim, dim))
-             + 1j * rng.standard_normal((dim, dim)))
-        terms.append((g, a))
-    return OperatorField(terms=tuple(terms))
-
-
-def _stacked_field(fields) -> OperatorField:
-    """One field whose term s stacks the s-th terms of a list of fields; a
-    field with fewer terms holds a zero row and coefficient there, which
-    add exact zeros."""
-    rows = _ragged_stack([np.array([v for v, _ in f.terms]) for f in fields])
-    coeffs = _ragged_stack([np.array([a for _, a in f.terms]) for f in fields])
-    return OperatorField(terms=tuple(zip(rows.swapaxes(0, 1), coeffs.swapaxes(0, 1))))
+def _random_unbounded_fields(rng, model, count) -> OperatorField:
+    """``count`` random fields as one field of two stacked term slots: each
+    field has 1..2 terms, a uniform generator pick per slot and complex
+    standard normal (block_dim, block_dim) coefficients.  A one-term field
+    holds an exact-zero row and coefficient in slot 2, which add exact
+    zeros."""
+    dim = model.block_dim
+    n_terms = rng.integers(1, 3, size=count)
+    picks = rng.integers(len(model.generators), size=(2, count))
+    coeffs = rng.standard_normal((2, count, dim, dim, 2)).view(np.complex128)[..., 0]
+    kept = np.arange(2)[:, None] < n_terms
+    rows = np.where(kept[..., None], model.factor_rows[2 * picks], 0.0)
+    coeffs = np.where(kept[..., None, None], coeffs, 0.0)
+    return OperatorField(terms=tuple(zip(rows, coeffs)))
 
 
 def _rho_field(model, field_, x) -> blocks.DomainVector:

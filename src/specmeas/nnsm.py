@@ -20,6 +20,7 @@ same points, so integrating one reads the columns of the atoms in Delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,14 +215,16 @@ class VerificationReport:
         return max((c.residual for c in self.checks), default=0.0)
 
     def to_doc(self) -> dict:
+        """The report as a JSON document; a non-finite residual or tol is
+        written as null, since JSON has no NaN or infinity."""
         return {
             "schema": self.schema,
             "scenario": self.scenario,
             "checks": [
                 {
                     "name": c.name,
-                    "residual": float(c.residual),
-                    "tol": float(c.tol),
+                    "residual": _finite_or_none(c.residual),
+                    "tol": _finite_or_none(c.tol),
                     "pass": bool(c.passed),
                     "flags": list(c.flags),
                 }
@@ -230,6 +233,11 @@ class VerificationReport:
             "pass": self.passed,
             "wall_ms": int(self.wall_ms),
         }
+
+
+def _finite_or_none(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def random_sets(space: DiscreteSpace, rng: np.random.Generator,

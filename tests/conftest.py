@@ -52,6 +52,17 @@ def hermitian_element(w: algebra.VonNeumannAlgebra, rng) -> np.ndarray:
     return w.hermitian_elements(rng.standard_normal((1, 2, w.dim)))[0]
 
 
+def decode_star_polynomials(codes, coeffs, names):
+    """*-polynomials in (codes, coeffs) form as lists of
+    (coeff, ((name, conj?), ...)) monomials, without the unused slots."""
+    return [
+        [(complex(c), tuple((names[f // 2], bool(f % 2))
+                            for f in row if f < 2 * len(names)))
+         for c, row in zip(cs, rows) if c != 0]
+        for cs, rows in zip(np.asarray(coeffs).tolist(), np.asarray(codes).tolist())
+    ]
+
+
 def point_mask(space: measure.DiscreteSpace, members) -> np.ndarray:
     """The (n_points,) set of ``space`` that holds exactly the points in
     ``members``: a boolean mask indexed like ``space.points()``."""

@@ -7,7 +7,7 @@ from specmeas import algebra, blocks, harness, linalg, measure
 from specmeas.nnsm import OperatorField
 from specmeas.errors import DimMismatch, ShapeMismatch
 
-from conftest import block_mask, domain_vector
+from conftest import block_mask, decode_star_polynomials, domain_vector
 
 
 def number_model(horizon: int = 32) -> blocks.BlockModel:
@@ -315,20 +315,15 @@ def _reference_models():
     yield matrix_model(dim=3, seed=12)[0]
 
 
-def _decode(codes, coeffs, names):
-    """*-polynomials in (codes, coeffs) form as lists of
-    (coeff, ((name, conj?), ...)) monomials, without the unused slots."""
-    return [
-        [(complex(c), tuple((names[f // 2], bool(f % 2))
-                            for f in row if f < 2 * len(names)))
-         for c, row in zip(cs, rows) if c != 0]
-        for cs, rows in zip(np.asarray(coeffs).tolist(), np.asarray(codes).tolist())
-    ]
+def _probe_draw(n_names, probes, seed):
+    """d_alpha_check's probe draw at ``seed``."""
+    return blocks.random_star_polynomials(np.random.default_rng(seed), n_names,
+                                          probes, degree=2)
 
 
 def _probe_polynomials(names, probes, seed):
     """The probes of d_alpha_check's draw at ``seed``, decoded."""
-    return _decode(*blocks._draw_probes(seed, len(names), probes), names)
+    return decode_star_polynomials(*_probe_draw(len(names), probes, seed), names)
 
 
 def _d_alpha_reference(x, model, k, probes, seed):
@@ -385,7 +380,7 @@ def test_d_alpha_matches_per_point_reference():
 def test_probe_draw_covers_the_star_polynomial_distribution():
     names = ["a", "b", "c"]
     polys = _probe_polynomials(names, 400, seed=5)
-    codes, coeffs = blocks._draw_probes(5, 3, 400)
+    codes, coeffs = _probe_draw(3, 400, seed=5)
     # unused monomial slots follow the used ones, with coefficient 0 and
     # the constant factor only
     used = coeffs != 0
@@ -401,39 +396,39 @@ def test_probe_draw_covers_the_star_polynomial_distribution():
     for k in (1, 2, 3):
         assert abs(sum(len(p) == k for p in polys) / 400 - 1 / 3) < 0.08
     # no generators: every probe is a constant
-    codes, _ = blocks._draw_probes(5, 0, 50)
+    codes, _ = _probe_draw(0, 50, seed=5)
     assert np.all(codes == 0)
 
 
-def _random_star_polynomial_reference(rng, names, degree):
-    """The tuple-form draw: a list of (coeff, ((name, conj?), ...))
-    monomials, one scalar draw at a time."""
-    monomials = []
-    for _ in range(int(rng.integers(1, 4))):
-        deg = int(rng.integers(0, degree + 1))
-        factors = tuple(
-            (names[int(rng.integers(len(names)))], bool(rng.integers(2)))
-            for _ in range(deg)
-        ) if names else ()
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        monomials.append((coeff, factors))
-    return monomials
-
-
-def test_random_star_polynomial_codes_decode_to_the_tuple_draw():
-    degrees = set()
-    for n_names in range(4):
-        names = ["a", "b", "c"][:n_names]
-        for degree in (1, 2, 3):
-            for seed in range(40):
-                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                codes, coeffs = blocks._random_star_polynomial(rng, n_names, degree)
-                want = _random_star_polynomial_reference(ref, names, degree)
-                assert codes.shape == (len(want), degree)
-                assert _decode(codes[None], coeffs[None], names) == [want]
-                assert rng.bit_generator.state == ref.bit_generator.state
-                degrees |= {len(factors) for _, factors in want}
-    assert degrees == {0, 1, 2, 3}
+@pytest.mark.parametrize("degree", [2, 3])
+def test_random_star_polynomials_cover_their_distribution(degree):
+    names = ["a", "b", "c"]
+    count = 600
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    codes, coeffs = blocks.random_star_polynomials(rng, len(names), count, degree)
+    assert codes.shape == (count, 3, degree) and coeffs.shape == (count, 3)
+    # two draws: the uniforms, then the coefficients
+    ref.random((count, 3, 2 + degree))
+    ref.standard_normal((count, 3, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    polys = decode_star_polynomials(codes, coeffs, names)
+    counts = [len(p) for p in polys]
+    assert set(counts) == {1, 2, 3}
+    for k in (1, 2, 3):
+        assert abs(counts.count(k) / count - 1 / 3) < 0.06
+    assert {len(f) for p in polys for _, f in p} == set(range(degree + 1))
+    assert {f for p in polys for _, fs in p for f in fs} == {
+        (n, conj) for n in names for conj in (False, True)}
+    # unused monomial slots hold the constant code and coefficient 0, and
+    # each used monomial's factors fill its first slots
+    used = coeffs != 0
+    assert np.array_equal(used, np.sort(used, axis=1)[:, ::-1])
+    assert np.all(codes[~used] == 2 * len(names))
+    real = codes != 2 * len(names)
+    assert np.array_equal(real, np.sort(real, axis=-1)[..., ::-1])
+    # no generators: every polynomial is a constant
+    codes, coeffs = blocks.random_star_polynomials(rng, 0, 50, degree)
+    assert np.all(codes == 0) and np.all(coeffs[:, 0] != 0)
 
 
 def _star_values_reference(codes, coeffs, table):
@@ -605,26 +600,29 @@ def test_integrability_of_a_list_matches_per_field_calls():
         blocks.integrability_check(empty, none)] * 2
 
 
-def test_random_domain_vector_matches_the_per_pick_draw():
-    def per_pick(rng, model, supp=3):
-        picks = rng.choice(model.horizon, size=min(supp, model.horizon),
-                           replace=False)
-        block = np.zeros((model.horizon, model.block_dim), dtype=np.complex128)
-        for n in picks:
-            block[n] = (rng.standard_normal(model.block_dim)
-                        + 1j * rng.standard_normal(model.block_dim))
-        return blocks.DomainVector(block)
-
+def test_random_domain_vectors_draw_uniform_three_block_supports():
     models = [number_model(horizon=2), number_model(),
               matrix_model(dim=2)[0], matrix_model(horizon=5, dim=3)[0]]
-    for seed in range(20):
-        for model in models:
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = harness._random_domain_vector(a, model)
-            want = per_pick(b, model)
-            assert got.block.tobytes() == want.block.tobytes()
-            # both leave the stream at the same place
-            assert a.random() == b.random()
+    for model in models:
+        reached = np.zeros(model.horizon, dtype=bool)
+        picks = min(3, model.horizon)
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            xs = harness._random_domain_vectors(rng, model, 7)
+            assert xs.block.shape == (7, model.horizon, model.block_dim)
+            # every component of a picked block is nonzero
+            assert np.array_equal(np.all(xs.block != 0, axis=-1), xs.support)
+            assert np.all(xs.support.sum(axis=1) == picks)
+            reached |= xs.support.any(axis=0)
+            # two draws: the uniforms, then the components
+            ref.random((7, model.horizon))
+            ref.standard_normal((7, picks, model.block_dim, 2))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert reached.all()
+    # each block is in a support with probability 3 / horizon
+    model = number_model()
+    xs = harness._random_domain_vectors(np.random.default_rng(1), model, 4000)
+    assert np.allclose(xs.support.mean(axis=0), 3 / model.horizon, atol=0.03)
 
 
 def test_domain_vector_keeps_non_finite_components():

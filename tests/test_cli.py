@@ -108,6 +108,59 @@ def test_caps_the_generators_cannot_honour_are_a_usage_error(capsys):
         assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--kinds", "a,a", "--count", "2"],
+     "argument --kinds: repeated kind 'a'"),
+    (["fuzz", "--kinds", "c,d,C", "--seconds", "1"],
+     "argument --kinds: repeated kind 'c'"),
+    (["verify-a", "--caps", "h=2,h=3"], "argument --caps: repeated caps key 'h'"),
+    (["verify-c", "--caps", "n=0_16"],
+     "argument --caps: caps value '0_16' is not a decimal integer"),
+    (["verify-b", "--caps", "h=+2"],
+     "argument --caps: caps value '+2' is not a decimal integer"),
+    (["verify-b", "--caps", "x=\u0663"],
+     "argument --caps: caps value '\u0663' is not a decimal integer"),
+])
+def test_repeated_or_malformed_input_is_a_usage_error(capsys, tmp_path, argv,
+                                                      message):
+    out_file = tmp_path / "r.json"
+    if argv[0] == "report":
+        argv = argv + ["--out", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert not out_file.exists()
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens, as RFC 8259
+    JSON has none."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("space, entry, count", [
+    ({"kind": "finite", "labels": [0]}, 1e300, 1),
+    ({"kind": "countable", "horizon": 2}, 1e308, 2),
+])
+def test_check_measure_writes_a_non_finite_residual_as_null(capsys, tmp_path,
+                                                            space, entry, count):
+    # one atom of 1e300 overflows the residual to inf; two 2x2 atoms of
+    # 1e308 entries make it NaN
+    k = 1 if count == 1 else 2
+    atom = {"rows": k, "cols": k, "data": [[entry, 0]] * (k * k)}
+    doc = {"space": space, "atoms": [[n, atom] for n in range(count)],
+           "total": serialize.matrix_to_doc(np.eye(k))}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-measure", str(path))
+    assert code == 1 and "Traceback" not in err
+    (check,) = _strict_json(out)["checks"]
+    assert check["name"] == "spectral-measure-invariants"
+    assert check["residual"] is None and check["pass"] is False
+
+
 def test_check_measure_good_and_bad(capsys, tmp_path):
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(

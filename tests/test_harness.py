@@ -9,7 +9,8 @@ from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
                              SpecmeasError)
 from specmeas.tolerances import TAU_EXACT, TAU_EXT, TAU_PROJ, TAU_RECON
 
-from conftest import hermitian_element, member_measure, point_mask
+from conftest import (decode_star_polynomials, hermitian_element, member_measure,
+                      point_mask)
 
 
 def test_caps_enforced():
@@ -116,62 +117,54 @@ def test_verify_a_uniqueness_fails_on_a_disagreeing_diagonalization(monkeypatch)
     monkeypatch.setattr(harness, "joint_diagonalize", swapping)
     rep = harness.verify_theorem_a(sc)
     assert len(calls) == 2
+    # the atoms whose value rows are those of the swapped rows 0 and 1 of
+    # the second atlas, whose generators come in the pipeline's permuted
+    # order
+    order = [next(g for g, b in enumerate(calls[0]) if b is a) for a in calls[1]]
+    again_values = real(calls[1]).values[:, np.argsort(order)]
+    dist = np.abs(real(calls[0]).values[:, None] - again_values[None, :2]).max(axis=2)
+    swapped = np.flatnonzero((dist < harness.TAU_MATCH).any(axis=1))
+    assert len(swapped) == 2
     failed = {c.name for c in rep.checks if not c.passed}
-    assert failed == {"uniqueness[atom0]", "uniqueness[atom1]"}
+    assert failed == {f"uniqueness[atom{i}]" for i in swapped}
 
 
-def _star_monomials_reference(names, rng, count):
-    """Kind A's test set as (coeff, ((name, conj?), ...)) monomials."""
+def _star_polynomials_reference(names, rng):
+    """Kind A's test set as lists of (coeff, ((name, conj?), ...))
+    monomials: the generators, their adjoints and the pairwise products,
+    then the six polynomials of the shared draw, decoded."""
     monomials = [((n, False),) for n in names] + [((n, True),) for n in names]
     monomials += [((a, False), (b, False)) for a in names for b in names]
-    polys = [(1.0 + 0.0j, m) for m in monomials]
-    for _ in range(count):
-        deg = int(rng.integers(1, 4))
-        mono = tuple((names[int(rng.integers(len(names)))], bool(rng.integers(2)))
-                     for _ in range(deg))
-        polys.append((complex(rng.standard_normal(), rng.standard_normal()), mono))
-    return polys
-
-
-def test_star_monomial_codes_decode_to_the_tuple_draw():
-    for n_names in (1, 2, 3):
-        names = ["b0", "b1", "b2"][:n_names]
-        for seed in range(20):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            codes, coeffs = harness._star_monomials(n_names, rng, count=6)
-            want = _star_monomials_reference(names, ref, 6)
-            assert codes.shape == (len(want), 1, 3)
-            assert coeffs.shape == (len(want), 1)
-            got = [(complex(c[0]), tuple((names[f // 2], bool(f % 2))
-                                         for f in row[0] if f < 2 * n_names))
-                   for c, row in zip(coeffs.tolist(), codes.tolist())]
-            assert got == want
-            assert rng.bit_generator.state == ref.bit_generator.state
+    drawn = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
+    return ([[(1.0 + 0.0j, m)] for m in monomials]
+            + decode_star_polynomials(*drawn, names))
 
 
 def _verify_a_reference(scenario):
-    """verify_theorem_a's checks with the *-polynomials as tuples of
-    (name, conj?) factors drawn one scalar at a time, one matrix product
-    chain and one scalar weight loop per check, and one norm call per
-    check."""
+    """verify_theorem_a's checks with the *-polynomials as lists of
+    monomials of (name, conj?) factors, one matrix product chain and one
+    scalar weight loop per monomial, and one norm call per check."""
     images = scenario.payload["images"]
     names = sorted(images)
     d = images[names[0]].shape[0]
     rng = np.random.default_rng(scenario.seed + 1)
     atlas = algebra.joint_diagonalize([images[n] for n in names])
-    polys = _star_monomials_reference(names, rng, 6)
+    polys = _star_polynomials_reference(names, rng)
     checks = []
-    for t, (coeff, mono) in enumerate(polys):
-        lhs = coeff * np.eye(d, dtype=np.complex128)
-        for name, conj in mono:
-            lhs = lhs @ (linalg.adjoint(images[name]) if conj else images[name])
-        weights = []
-        for vals in atlas.values.tolist():
-            w = coeff
+    for t, poly in enumerate(polys):
+        lhs = np.zeros((d, d), dtype=np.complex128)
+        weights = np.zeros(len(atlas.values), dtype=np.complex128)
+        for coeff, mono in poly:
+            term = coeff * np.eye(d, dtype=np.complex128)
             for name, conj in mono:
-                v = vals[names.index(name)]
-                w *= np.conj(v) if conj else v
-            weights.append(w)
+                term = term @ (linalg.adjoint(images[name]) if conj else images[name])
+            lhs += term
+            for i, vals in enumerate(atlas.values.tolist()):
+                w = coeff
+                for name, conj in mono:
+                    v = vals[names.index(name)]
+                    w *= np.conj(v) if conj else v
+                weights[i] += w
         rhs = sum(w * p for w, p in zip(weights, atlas.projections))
         checks.append(nnsm.check_entry(
             f"represent[poly{t}]", linalg.frob_norm(lhs - rhs),
@@ -327,19 +320,20 @@ def _failed(report):
 def test_verify_d_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch):
     """D's represent[x*] stacks the fields' terms slot by slot; a relative
     1e-6 bump of one generator's row on the rho side alone must fail
-    exactly the rows whose field has a term on that generator."""
-    sc = harness.gen_scenario("D", 1)
+    exactly the rows whose field has a term on that generator (at seed 5,
+    three of the six)."""
+    sc = harness.gen_scenario("D", 5)
     model = sc.payload["model"]
     assert sorted(model.generator_rows) == ["g0", "g1"]
     assert not _failed(harness.verify_theorem_d(sc))
     fields = []
-    stacked_field = harness._stacked_field
+    draw = harness._random_unbounded_fields
 
-    def recorded(fields_):
-        fields.extend(fields_)
-        return stacked_field(fields_)
+    def recorded(rng, model_, count):
+        fields.append(draw(rng, model_, count))
+        return fields[-1]
 
-    monkeypatch.setattr(harness, "_stacked_field", recorded)
+    monkeypatch.setattr(harness, "_random_unbounded_fields", recorded)
     g0 = model.generator_rows["g0"]
     rho_apply = blocks.rho_apply
 
@@ -350,9 +344,11 @@ def test_verify_d_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch)
 
     monkeypatch.setattr(blocks, "rho_apply", bumped)
     failed = _failed(harness.verify_theorem_d(sc))
-    on_g0 = {f"represent[x{t}]" for t, f in enumerate(fields)
-             if any(np.array_equal(v, g0) for v, _ in f.terms)}
-    assert 0 < len(on_g0) < len(fields) == 6
+    (field_,) = fields
+    rows = len(field_.terms[0][0])
+    on_g0 = {f"represent[x{t}]" for t in range(rows)
+             if any(np.array_equal(v[t], g0) for v, _ in field_.terms)}
+    assert 0 < len(on_g0) < rows == 6
     assert failed == on_g0
 
 
@@ -363,17 +359,18 @@ def test_verify_d_represent_fails_only_at_a_wrong_second_term(monkeypatch):
     psi side only, must fail that row and no other."""
     i_m_apply = blocks.i_m_apply
     fields, mixed = [], 0
-    stacked_field = harness._stacked_field
+    draw = harness._random_unbounded_fields
 
-    def recorded(fields_):
-        fields[:] = fields_
-        return stacked_field(fields_)
+    def recorded(rng, model_, count):
+        fields[:] = [draw(rng, model_, count)]
+        return fields[0]
 
-    monkeypatch.setattr(harness, "_stacked_field", recorded)
+    monkeypatch.setattr(harness, "_random_unbounded_fields", recorded)
     for seed in range(6):
         sc = harness.gen_scenario("D", seed)
         assert not _failed(harness.verify_theorem_d(sc))
-        counts = [len(f.terms) for f in fields]
+        # a two-term field has a nonzero coefficient in slot 2
+        counts = [1 + bool(np.any(a)) for a in fields[0].terms[1][1]]
         mixed += 1 in counts and 2 in counts
         for j in (t for t, n in enumerate(counts) if n == 2):
             def wrong(field_, model_, x, j=j):
@@ -903,14 +900,22 @@ def _rho_polynomial_reference(model, codes, coeffs, x):
     return blocks.vector_sum(out)
 
 
+def _one(xs, t):
+    """Vector t of a stack, on its own."""
+    return blocks.DomainVector(xs.block[t])
+
+
 def _verify_c_reference(scenario):
-    """verify_theorem_c's checks one vector at a time: each vector drawn and
-    checked in turn, with one rho_apply per factor, one d_alpha_check and
-    one np.vdot norm per check."""
+    """verify_theorem_c's checks one vector at a time: the pipeline's
+    stacked draws, then each vector checked in turn, with one rho_apply per
+    factor, one d_alpha_check and one np.vdot norm per check."""
     model = scenario.payload["model"]
     checks = []
     rng = np.random.default_rng(scenario.seed + 4)
     names = sorted(model.generators)
+    xs = harness._random_domain_vectors(rng, model, 6)
+    polys = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
+    compact = harness._random_domain_vectors(rng, model, 4)
     unit = model.w.identity()
     fields = [nnsm.OperatorField(terms=((model.generator_rows[n], unit),))
               for n in names]
@@ -927,16 +932,15 @@ def _verify_c_reference(scenario):
         checks.append(harness._bool_entry(
             f"density-witness-certified[eps={eps:g}]", rep.status == "certified",
             flags=rep.flags))
-    for t in range(6):
-        x = harness._random_domain_vector(rng, model)
-        codes, coeffs = blocks._random_star_polynomial(rng, len(names), degree=3)
+    for t, (codes, coeffs) in enumerate(zip(*polys)):
+        x = _one(xs, t)
         lhs = _rho_polynomial_reference(model, codes, coeffs, x)
         rhs = blocks.spectral_integral_apply(
             blocks.star_values(codes, coeffs, model.factor_rows), x)
         checks.append(nnsm.check_entry(
             f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(rhs))))
     for t in range(4):
-        x = harness._random_domain_vector(rng, model)
+        x = _one(compact, t)
         rep = blocks.d_alpha_check(x, model, x.support, probes=4,
                                    seed=scenario.seed + 6)
         checks.append(harness._bool_entry(f"compact-support[x{t}]",
@@ -946,13 +950,20 @@ def _verify_c_reference(scenario):
 
 
 def _verify_d_reference(scenario):
-    """verify_theorem_d's checks one vector at a time: each vector, field
-    and element drawn and checked in turn, with one rho_apply per term, one
-    op_norm call and np.vdot norms per check."""
+    """verify_theorem_d's checks one vector at a time: the pipeline's
+    stacked draws, then each vector, field and element checked in turn, with
+    one rho_apply per term, one op_norm call and np.vdot norms per check."""
     model = scenario.payload["model"]
     checks = []
     rng = np.random.default_rng(scenario.seed + 7)
     names = sorted(model.generators)
+    contained = harness._random_domain_vectors(rng, model, 3)
+    xs = harness._random_domain_vectors(rng, model, 6)
+    stacked = harness._random_unbounded_fields(rng, model, 6)
+    bound_xs = harness._random_domain_vectors(rng, model, 8)
+    ys = harness._random_domain_vectors(rng, model, 4)
+    picks = rng.integers(len(names), size=4)
+    draws = rng.standard_normal((8, 2, model.w.dim))
     unit = model.w.identity()
     fam = algebra.sample_projections(model.w, n=6, seed=scenario.seed + 8)
     injected = scenario.payload.get("field")
@@ -970,31 +981,33 @@ def _verify_d_reference(scenario):
         [f"compression[P{i}]" for i in range(len(fam))],
         linalg.projection_residual(fam.stack), np.full(len(fam), TAU_RECON))
     for t in range(3):
-        x = harness._random_domain_vector(rng, model)
+        x = _one(contained, t)
         y = blocks.truncation_projection(x.support, x)
         checks.append(nnsm.check_entry(
             f"support-containment[x{t}]", _norm(x.sub(y)), TAU_EXACT))
     for t in range(6):
-        x = harness._random_domain_vector(rng, model)
-        field_ = harness._random_unbounded_field(rng, model)
+        x = _one(xs, t)
+        # field t's terms: the slots whose coefficient is not the zero pad
+        field_ = nnsm.OperatorField(terms=tuple(
+            (v[t], a[t]) for v, a in stacked.terms if np.any(a[t])))
         lhs = blocks.vector_sum(blocks.rho_apply(model, v, a, x)
                                 for v, a in field_.terms)
         rhs = blocks.i_m_apply(field_, model, x)
         checks.append(nnsm.check_entry(
             f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(lhs))))
     for t in range(4):
-        x = harness._random_domain_vector(rng, model)
-        g = model.generator_rows[names[int(rng.integers(len(names)))]]
-        a = hermitian_element(model.w, rng)
+        x = _one(bound_xs, t)
+        g = model.generator_rows[names[picks[t]]]
+        a = model.w.hermitian_elements(draws[t:t + 1])[0]
         lhs = _norm(blocks.rho_apply(model, g, a, x))
         rhs = linalg.op_norm(a) * _norm(blocks.rho_apply(model, g, unit, x))
         checks.append(nnsm.check_entry(
             f"domain-inclusion[{t}]", max(0.0, lhs - rhs), TAU_RECON * (1.0 + rhs)))
     for t in range(4):
-        x = harness._random_domain_vector(rng, model)
-        y = harness._random_domain_vector(rng, model)
+        x = _one(bound_xs, 4 + t)
+        y = _one(ys, t)
         g = model.generator_rows[names[0]]
-        a = hermitian_element(model.w, rng)
+        a = model.w.hermitian_elements(draws[4 + t:5 + t])[0]
         val = abs(np.vdot(y.block, blocks.rho_apply(model, g, a, x).block))
         bound = (linalg.op_norm(a) * _norm(blocks.rho_apply(model, g, unit, x))
                  * _norm(y))
