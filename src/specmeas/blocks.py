@@ -31,7 +31,8 @@ A compact K is a finite set of blocks in ``measure``'s one set form
 (``require_mask``), a boolean block mask (..., horizon) that broadcasts
 against the vectors' leading axes: one K for a whole stack, or one per
 vector.
-``integrability_check`` takes a sequence of fields.
+A batch of fields is one OperatorField whose term slots hold such stacks;
+``i_m_apply`` and ``integrability_check`` sum its slots in order.
 """
 
 from __future__ import annotations
@@ -147,12 +148,9 @@ def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (rows @ cols)[..., 0, 0]
 
 
-def vector_sum(vectors, shape=None) -> DomainVector:
-    """Sum of domain vectors of one shape, added in the given order; with
-    no vectors, the zero vector of ``shape``."""
+def vector_sum(vectors) -> DomainVector:
+    """Sum of domain vectors of one shape, added in the given order."""
     parts = [x.block for x in vectors]
-    if not parts and shape is not None:
-        return DomainVector(np.zeros(shape, dtype=np.complex128))
     if len({b.shape for b in parts}) != 1:
         raise DimMismatch("a sum needs domain vectors of one shape")
     return DomainVector(sum(parts[1:], parts[0]))
@@ -212,14 +210,15 @@ def psi_apply(values, a, model: BlockModel, x: DomainVector) -> DomainVector:
 
 def i_m_apply(field_: OperatorField, model: BlockModel,
               x: DomainVector) -> DomainVector:
-    """Integral of a field applied on D0: termwise preintegral sum, the
-    zero vector of x's shape for a field without terms.
+    """Integral of a field applied on D0: the preintegrals of its term
+    slots, summed in order onto the zero vector of x's shape.
 
     The closure agrees with the preintegral on finitely supported vectors,
     so this is the closure's action there.
     """
-    return vector_sum((psi_apply(v, a, model, x) for v, a in field_.terms),
-                      x.block.shape)
+    return DomainVector(sum((psi_apply(v, a, model, x).block
+                             for v, a in field_.terms),
+                            np.zeros(x.block.shape, dtype=np.complex128)))
 
 
 def truncation_projection(k, x: DomainVector) -> DomainVector:
@@ -353,18 +352,6 @@ def _term_actions(values, a, model: BlockModel) -> np.ndarray:
     return _values_at(values, model.horizon)[..., None, None] * a[..., None, :, :]
 
 
-def _block_actions(fields, model: BlockModel) -> np.ndarray:
-    """The (fields, horizon, block_dim, block_dim) stack of matrices
-    f(n) * A, summed over each field's terms, by which each field of a
-    sequence acts on the model's blocks."""
-    d = model.block_dim
-    out = np.zeros((len(fields), model.horizon, d, d), dtype=np.complex128)
-    for i, field_ in enumerate(fields):
-        for v, a in field_.terms:
-            out[i] += _term_actions(v, a, model)
-    return out
-
-
 @dataclass(frozen=True)
 class IntegrabilityReport:
     worst_block: int
@@ -372,32 +359,35 @@ class IntegrabilityReport:
     passed: bool
 
 
-def integrability_check(model: BlockModel, fields):
+def integrability_check(model: BlockModel, field_: OperatorField):
     """Blockwise normality of a field's action (integrability proxy), as an
-    IntegrabilityReport; or of each field of a sequence, as a list of them.
+    IntegrabilityReport; for a batched field, as a list of them, one per
+    batch index in row-major order.
 
     Every value row of a field must cover the model's horizon, and every
-    coefficient act on one block, or ShapeMismatch is raised.  The
-    commutator norms of every block action of every field are taken in one
+    coefficient act on one block, or ShapeMismatch is raised.  The block
+    actions f(n) * A are summed over the slots in order, and the commutator
+    norms of every block action of every batch index are taken in one
     batch.  A non-finite residual fails and names the worst block: argmax
-    returns the first NaN, or else the first largest residual.
+    returns the first NaN, or else the first largest residual; a model
+    without blocks passes, naming block 0.
     """
-    single = isinstance(fields, OperatorField)
-    batch = [fields] if single else list(fields)
-    if model.horizon < 1 or not batch:
-        reports = [IntegrabilityReport(worst_block=0, worst_residual=0.0,
-                                       passed=True) for _ in batch]
-    else:
-        b = _block_actions(batch, model)
-        b_star = np.conj(np.swapaxes(b, -1, -2))
-        resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(-2, -1)) / (
-            1.0 + np.linalg.norm(b, axis=(-2, -1)) ** 2
-        )
-        worst = np.argmax(resid, axis=1)
-        reports = [
-            IntegrabilityReport(worst_block=w, worst_residual=r, passed=p)
-            for w, r, p in zip(worst.tolist(),
-                               resid[np.arange(len(batch)), worst].tolist(),
-                               np.all(resid <= TAU_RECON, axis=1).tolist())
-        ]
-    return reports[0] if single else reports
+    d = model.block_dim
+    b = sum((_term_actions(v, a, model) for v, a in field_.terms),
+            np.zeros((model.horizon, d, d), dtype=np.complex128))
+    b_star = np.conj(np.swapaxes(b, -1, -2))
+    resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(-2, -1)) / (
+        1.0 + np.linalg.norm(b, axis=(-2, -1)) ** 2
+    )
+    # a trailing zero residual leaves argmax and the maximum as they are,
+    # and gives a model without blocks block 0
+    resid = np.concatenate([resid, np.zeros((*resid.shape[:-1], 1))], axis=-1)
+    worst = np.argmax(resid, axis=-1)
+    reports = [
+        IntegrabilityReport(worst_block=w, worst_residual=r, passed=p)
+        for w, r, p in zip(
+            worst.ravel().tolist(),
+            np.take_along_axis(resid, worst[..., None], axis=-1).ravel().tolist(),
+            np.all(resid <= TAU_RECON, axis=-1).ravel().tolist())
+    ]
+    return reports if worst.ndim else reports[0]

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .errors import CapExceeded, SpecmeasError
 from .harness import (
@@ -23,7 +24,7 @@ from .harness import (
     fault_report,
     run_suite,
 )
-from .nnsm import VerificationReport
+from .nnsm import REPORT_SCHEMA, VerificationReport
 
 KIND_BY_COMMAND = {
     "verify-a": "A",
@@ -112,11 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _strip_timing(rep: VerificationReport, keep: bool) -> VerificationReport:
-    if keep:
-        return rep
-    return VerificationReport(
-        scenario=rep.scenario, checks=rep.checks, wall_ms=0, schema=rep.schema,
-    )
+    return rep if keep else replace(rep, wall_ms=0)
 
 
 def _json(doc, **kwargs) -> str:
@@ -200,7 +197,7 @@ def _cmd_report(args) -> int:
     )
     if args.format == "json":
         payload = _json(
-            {"schema": 1, "reports": [r.to_doc() for r in reports],
+            {"schema": REPORT_SCHEMA, "reports": [r.to_doc() for r in reports],
              "pass": all(r.passed for r in reports)},
             indent=1,
         ) + "\n"

@@ -7,6 +7,8 @@ residual; a failing stage never aborts the pipeline.  Kinds A, C' and D
 draw the random inputs of each check family as one stack: *-polynomials by
 ``blocks.random_star_polynomials``, domain vectors by
 ``_random_domain_vectors`` and D's fields by ``_random_unbounded_fields``.
+Every batch of operator fields, B's included, is one OperatorField whose
+term slots hold stacks.
 """
 
 from __future__ import annotations
@@ -374,12 +376,10 @@ def _derive_family_measures(
     fam = sample_projections(oracle.w1, n=n, seed=seed)
     space = oracle.space
     points = space.points()
-    k = oracle.target_dim
-    # one ρ call over every (member, atom) indicator field, a one-hot row
+    # one ρ call over the (member, atom) indicator fields 1_x (x) P: the
+    # one-hot rows against the member stack
     one_hot = np.eye(len(points), dtype=np.complex128)
-    values = rho([
-        OperatorField(terms=((row, p),)) for p in fam.members for row in one_hot
-    ]).reshape(len(fam.members), len(points), k, k)
+    values = rho(OperatorField(terms=((one_hot, fam.stack[:, None]),)))
     return FamilyMeasures(fam, SpectralMeasure(space, points, values))
 
 
@@ -392,8 +392,8 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
     whole = np.ones(len(oracle.space.points()), dtype=bool)
 
-    def rho(fields: list) -> np.ndarray:
-        return integrate(oracle, fields, whole)
+    def rho(field_: OperatorField) -> np.ndarray:
+        return integrate(oracle, field_, whole)
 
     rng = np.random.default_rng(scenario.seed + 2)
     # (1)+(2): compressions from ρ, each a spectral measure
@@ -434,39 +434,43 @@ def verify_theorem_b(scenario: Scenario) -> VerificationReport:
     fields, rows, elements = _random_fields(rng, oracle, 20, 5)
     lhs = rho(fields)
     checks += family_entries(
-        [f"represent[F{t}]" for t in range(len(fields))],
+        [f"represent[F{t}]" for t in range(len(lhs))],
         frob_norm(lhs - integrate(rebuilt, fields, whole)),
         TAU_RECON * (1.0 + frob_norm(lhs)))
     # (7) boundedness witness for rho_b: fields b (x) A and b (x) id per t
-    unit = oracle.w1.identity()
-    rho_b = op_norm(rho([OperatorField(terms=((b, c),))
-                         for b, a in zip(rows, elements) for c in (a, unit)]))
-    bound = rho_b[1::2] * op_norm(elements)
+    unit = np.broadcast_to(oracle.w1.identity(), elements.shape)
+    rho_b = op_norm(rho(OperatorField(
+        terms=((rows[:, None], np.stack([elements, unit], axis=1)),))))
+    bound = rho_b[:, 1] * op_norm(elements)
     checks += family_entries(
         [f"rho_b-bound[{t}]" for t in range(len(elements))],
-        np.maximum(0.0, rho_b[0::2] - bound), TAU_RECON * (1.0 + bound))
+        np.maximum(0.0, rho_b[:, 0] - bound), TAU_RECON * (1.0 + bound))
     return _finish(scenario, checks, t0)
 
 
 def _random_fields(rng, m: NonNegSpectralMeasure, n_fields: int, count: int):
-    """``n_fields`` random operator fields, then ``count`` (value row,
-    hermitian element of W1) pairs, as (fields, rows, elements).  A field
-    draws its term count by integers(1, 4), then a standard_normal row per
-    term: a value row's real and imaginary parts point by point, then an
-    element's 2 * dim W1 draws.  Every row is drawn first, in that stream
-    order, and one hermitian_elements call builds every element."""
-    n = len(m.space.points())
+    """``n_fields`` random operator fields as one field of three stacked
+    term slots, then ``count`` (value row, hermitian element of W1) pairs,
+    as (field, rows, elements).  A field draws its term count by
+    integers(1, 4), then a standard_normal row per term: a value row's real
+    and imaginary parts point by point, then an element's 2 * dim W1 draws.
+    Term t of field i is draw row t * n_fields + i; a missing term's row is
+    zero, an exact-zero value row and element.  One hermitian_elements call
+    builds every element."""
+    n, d = len(m.space.points()), m.w1.ambient_dim
     width = 2 * n + 2 * m.w1.dim
-    per_field = [rng.standard_normal((int(rng.integers(1, 4)), width))
-                 for _ in range(n_fields)]
-    draws = np.concatenate(per_field + [rng.standard_normal((count, width))])
+    draws = np.zeros((3 * n_fields + count, width))
+    for i in range(n_fields):
+        terms = int(rng.integers(1, 4))
+        draws[i::n_fields][:terms] = rng.standard_normal((terms, width))
+    draws[3 * n_fields:] = rng.standard_normal((count, width))
     rows = np.ascontiguousarray(draws[:, :2 * n]).view(np.complex128)
     elements = m.w1.hermitian_elements(
         draws[:, 2 * n:].reshape(len(draws), 2, m.w1.dim))
-    ends = np.cumsum([0] + [len(d) for d in per_field])
-    fields = [OperatorField(terms=tuple(zip(rows[i:j], elements[i:j])))
-              for i, j in zip(ends[:-1], ends[1:])]
-    return fields, rows[ends[-1]:], elements[ends[-1]:]
+    field_ = OperatorField(terms=tuple(zip(
+        rows[:3 * n_fields].reshape(3, n_fields, n),
+        elements[:3 * n_fields].reshape(3, n_fields, d, d))))
+    return field_, rows[3 * n_fields:], elements[3 * n_fields:]
 
 
 def verify_theorem_c(scenario: Scenario) -> VerificationReport:
@@ -481,10 +485,9 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     codes, coeffs = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
     compact = _random_domain_vectors(rng, model, 4)
     # (i) integrability: blockwise normality per generator
-    unit = model.w.identity()
-    field_list = [OperatorField(terms=((model.generator_rows[n], unit),))
-                  for n in names]
-    for i, rep in enumerate(blocks.integrability_check(model, field_list)):
+    generators = OperatorField(terms=((model.factor_rows[0:-1:2],
+                                       model.w.identity()),))
+    for i, rep in enumerate(blocks.integrability_check(model, generators)):
         checks.append(_bool_entry(
             f"integrable[field{i};block{rep.worst_block}]", rep.passed,
         ))
@@ -585,12 +588,15 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     unit = model.w.identity()
     # (1) rho_P integrability per sampled projection
     fam = sample_projections(model.w, n=6, seed=scenario.seed + 8)
-    # one batch: the injected field, if any, then one field per projection
+    # one batch of one slot: the injected field's term, if any, then one
+    # slot row f_0 (x) P per projection, f_0 the first generator's row
     injected = scenario.payload.get("field")
-    fields = [] if injected is None else [injected]
-    first = model.factor_rows[0]  # f_0, the first generator's row
-    fields += [OperatorField(terms=((first, p),)) for p in fam.members]
-    reps = blocks.integrability_check(model, fields)
+    rows = np.broadcast_to(model.factor_rows[0], (len(fam), model.horizon))
+    coeffs = fam.stack
+    if injected is not None:
+        ((v, a),) = injected.terms
+        rows, coeffs = np.vstack([v, rows]), np.concatenate([a[None], coeffs])
+    reps = blocks.integrability_check(model, OperatorField(terms=((rows, coeffs),)))
     if injected is not None:
         rep = reps.pop(0)
         checks.append(_bool_entry(
@@ -650,11 +656,11 @@ def _random_unbounded_fields(rng, model, count) -> OperatorField:
 
 
 def _rho_field(model, field_, x) -> blocks.DomainVector:
-    """ρ of a field on x: one rho_apply per term, summed in order; the zero
-    vector of x's shape for a field without terms."""
-    return blocks.vector_sum(
-        (blocks.rho_apply(model, v, a, x) for v, a in field_.terms),
-        x.block.shape)
+    """ρ of a field on x: one rho_apply per term slot, summed in order onto
+    the zero vector of x's shape."""
+    return blocks.DomainVector(sum(
+        (blocks.rho_apply(model, v, a, x).block for v, a in field_.terms),
+        np.zeros(x.block.shape, dtype=np.complex128)))
 
 
 def _finish(scenario, checks, t0) -> VerificationReport:

@@ -16,6 +16,8 @@ A set Delta is a boolean mask over the space's points, as in ``measure``:
 D1 n D2 is ``d1 & d2``, and ``random_sets`` draws a (count, n_points) stack.
 Operator fields store each scalar function as its value table over the
 same points, so integrating one reads the columns of the atoms in Delta.
+A batch of fields is one OperatorField whose term slots hold stacks, and
+``integrate`` returns one integral per batch index.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .algebra import (
     linear_extend,
 )
 from .errors import NotSpanning, ShapeMismatch
-from .linalg import adjoint, frob_norm, op_norm, require_square, star_decompose
+from .linalg import frob_norm, op_norm, require_square, star_decompose
 from .measure import (DiscreteSpace, SpectralMeasure, atoms_in, evaluate,
                       labelled_stack, require_mask)
 from .tolerances import (
@@ -126,12 +128,16 @@ def definition_residual(m: NonNegSpectralMeasure) -> float:
 
 @dataclass(frozen=True)
 class OperatorField:
-    """Finite sum of elementary tensors f_i (x) A_i in B (x) W1.
+    """Finite sum of elementary tensors f_i (x) A_i in B (x) W1, or a batch
+    of such sums.
 
-    f_i is a scalar function on the space, stored as its value table: a 1-d
-    complex128 array indexed like ``space.points()``, that is the labels of
-    a finite space or range(horizon) of a countable one.  A_i is a square
+    Each term slot is (values, A): f_i as its value table, a complex128 row
+    (..., n_points) indexed like ``space.points()`` (the labels of a finite
+    space or range(horizon) of a countable one), and A_i as a (..., d, d)
     ndarray in W1; a scalar block model's coefficients are 1x1 matrices.
+    The leading axes of every row and coefficient broadcast to the field's
+    batch shape, one sum per batch index, and a sum with fewer terms than
+    the field has slots holds an exact-zero row and coefficient there.
     The bounded theory integrates a field against an NNSM (``integrate``),
     the unbounded one applies it to finitely supported vectors
     (``blocks.i_m_apply``).
@@ -151,7 +157,7 @@ class OperatorField:
 
     def star(self) -> "OperatorField":
         return OperatorField(terms=tuple(
-            (np.conj(v), adjoint(a)) for v, a in self.terms))
+            (np.conj(v), np.conj(np.swapaxes(a, -1, -2))) for v, a in self.terms))
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,9 @@ def family_entries(names, residuals, tols) -> list[CheckEntry]:
             for name, r, t in zip(names, residuals, tols, strict=True)]
 
 
+REPORT_SCHEMA = 1  # the version of every report document
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """A labelled list of checks; passes when every check passes."""
@@ -204,7 +213,6 @@ class VerificationReport:
     scenario: str
     checks: tuple  # of CheckEntry
     wall_ms: int = 0
-    schema: int = 1
 
     @property
     def passed(self) -> bool:
@@ -212,13 +220,16 @@ class VerificationReport:
 
     @property
     def worst_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        """The largest residual, NaN when any residual is NaN, 0.0 without
+        checks."""
+        residuals = [c.residual for c in self.checks]
+        return float(np.max(residuals)) if residuals else 0.0
 
     def to_doc(self) -> dict:
         """The report as a JSON document; a non-finite residual or tol is
         written as null, since JSON has no NaN or infinity."""
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "scenario": self.scenario,
             "checks": [
                 {
@@ -422,39 +433,32 @@ def extension_by_limit(
     return _riemann_sums(fam, [(1.0, seq)], [ell], delta)[0]
 
 
-def integrate(m: NonNegSpectralMeasure, fields, delta: np.ndarray) -> np.ndarray:
+def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
+              delta: np.ndarray) -> np.ndarray:
     """Integral of an operator field over a (n_points,) set Delta,
-    sum_i sum_{x in Delta} f_i(x) Phi_x(A_i), as a (k, k) array; or of each
-    field of a sequence, as an (n_fields, k, k) stack.  A field with no terms
-    integrates to zero.
+    sum_i sum_{x in Delta} f_i(x) Phi_x(A_i), as a (*batch, k, k) stack over
+    the field's batch shape; a field with no terms integrates to a (k, k)
+    zero.
 
     Each f_i is a value row with one entry per point of the space; a row of
     another length raises ShapeMismatch.  The columns of the stored atoms in
-    Delta (``atoms_in``) are read from the rows, the coordinates of every A_i
-    of every field come from one stacked ``coefficients`` call, and each
-    field's weights sum_i f_i(x) c(A_i) meet the image stack in one
-    contraction.
+    Delta (``atoms_in``) are read from the rows, each slot's coordinates
+    come from one ``coefficients`` call, the slots' weights f_i(x) c(A_i)
+    are summed in slot order and meet the image stack in one contraction.
     """
     inside = np.flatnonzero(atoms_in(m.space, m.labels, delta))
-    single = isinstance(fields, OperatorField)
-    batch = [fields] if single else list(fields)
-    terms = [t for f in batch for t in f.terms]
-    out = np.zeros((len(batch),) + (m.target_dim,) * 2, dtype=np.complex128)
-    if terms:
-        points = m.space.points()
-        rows = [np.asarray(v, dtype=np.complex128) for v, _ in terms]
-        if any(r.shape != (len(points),) for r in rows):
+    if not field_.terms:
+        return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
+    points = m.space.points()
+    columns = [points.index(m.labels[i]) for i in inside]
+    parts = []
+    for v, a in field_.terms:
+        row = np.asarray(v, dtype=np.complex128)
+        if row.ndim < 1 or row.shape[-1] != len(points):
             raise ShapeMismatch(f"value rows index the space's {len(points)} points")
-        columns = [points.index(m.labels[i]) for i in inside]
-        fvals = np.stack(rows)[:, columns]
-        coeffs = m.w1.coefficients(np.stack([a for _, a in terms]))
-        products = fvals[:, :, None] * coeffs[:, None, :]
-        # row n of ``picks`` selects the terms of field n
-        owner = np.repeat(np.arange(len(batch)), [len(f.terms) for f in batch])
-        picks = owner == np.arange(len(batch))[:, None]
-        weights = picks @ products.reshape(len(terms), len(inside) * m.w1.dim)
-        out = np.tensordot(
-            weights.reshape(len(batch), len(inside), m.w1.dim),
-            m.images[inside], axes=([1, 2], [0, 1]),
-        )
-    return out[0] if single else out
+        a = np.asarray(a)
+        coeffs = m.w1.coefficients(a.reshape(-1, *a.shape[-2:]))
+        parts.append(row[..., columns, None]
+                     * coeffs.reshape(*a.shape[:-2], 1, m.w1.dim))
+    weights = sum(parts[1:], parts[0])
+    return np.tensordot(weights, m.images[inside], axes=([-2, -1], [0, 1]))

@@ -75,3 +75,15 @@ def block_mask(horizon: int, members) -> np.ndarray:
     inside = np.zeros(horizon, dtype=bool)
     inside[list(members)] = True
     return inside
+
+
+def stacked_fields(fields) -> nnsm.OperatorField:
+    """Unbatched fields as one field batched over them: slot t holds each
+    field's term t, or an exact-zero row and coefficient where it has fewer
+    terms.  At least one field must have a term."""
+    width = max(len(f.terms) for f in fields)
+    first = next(f.terms[0] for f in fields if f.terms)
+    zero = tuple(np.zeros_like(x) for x in first)
+    padded = [f.terms + (zero,) * (width - len(f.terms)) for f in fields]
+    return nnsm.OperatorField(terms=tuple(
+        tuple(np.stack(part) for part in zip(*slot)) for slot in zip(*padded)))

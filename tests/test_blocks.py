@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import algebra, blocks, harness, linalg, measure
+from specmeas import algebra, blocks, harness, linalg, measure, nnsm
 from specmeas.nnsm import OperatorField
 from specmeas.errors import DimMismatch, ShapeMismatch
 
-from conftest import block_mask, decode_star_polynomials, domain_vector
+from conftest import block_mask, decode_star_polynomials, domain_vector, tensor_model
 
 
 def number_model(horizon: int = 32) -> blocks.BlockModel:
@@ -567,23 +567,23 @@ def test_integrability_matches_per_block_reference():
     assert not passed and block == 5
 
 
-def test_integrability_of_a_list_matches_per_field_calls():
+def test_integrability_of_a_stack_matches_per_field_calls():
     rng = np.random.default_rng(23)
     model, _ = matrix_model(seed=24)
     row = model.generator_rows["num"]
     nan_row = row.copy()
     nan_row[3] = np.nan
-    fields = [
-        OperatorField(terms=((row, linalg.random_hermitian(rng, 2)),)),
-        OperatorField(terms=((row, linalg.random_complex(rng, 2, 2)),)),
-        OperatorField(terms=((nan_row, linalg.random_hermitian(rng, 2)),)),
-        OperatorField(terms=((_spike(model, 7),
-                              np.array([[0, 1], [0, 0]], dtype=complex)),)),
-    ]
+    coeffs = np.stack([linalg.random_hermitian(rng, 2),
+                       linalg.random_complex(rng, 2, 2),
+                       linalg.random_hermitian(rng, 2),
+                       np.array([[0, 1], [0, 0]], dtype=complex)])
+    rows = np.stack([row, row, nan_row, _spike(model, 7)])
+    stacked = OperatorField(terms=((rows, coeffs),))
     with np.errstate(invalid="ignore"):
-        got = blocks.integrability_check(model, fields)
-        want = [blocks.integrability_check(model, f) for f in fields]
-    assert isinstance(got, list) and len(got) == len(fields)
+        got = blocks.integrability_check(model, stacked)
+        want = [blocks.integrability_check(model, OperatorField(terms=((v, a),)))
+                for v, a in zip(rows, coeffs)]
+    assert isinstance(got, list) and len(got) == len(rows)
     for g, w in zip(got, want):
         assert isinstance(w, blocks.IntegrabilityReport)
         assert g.worst_block == w.worst_block
@@ -592,11 +592,13 @@ def test_integrability_of_a_list_matches_per_field_calls():
                 or np.isnan(g.worst_residual) and np.isnan(w.worst_residual))
     assert [g.passed for g in got] == [True, False, False, False]
     assert got[2].worst_block == 3 and got[3].worst_block == 7
-    assert blocks.integrability_check(model, []) == []
+    assert blocks.integrability_check(model, OperatorField(
+        terms=((rows[:0], coeffs[:0]),))) == []
     empty = blocks.BlockModel(space=measure.DiscreteSpace(horizon=0),
                               generators={}, w=model.w)
     none = OperatorField(terms=((np.zeros(0), model.w.identity()),))
-    assert blocks.integrability_check(empty, [none, none]) == [
+    two_none = OperatorField(terms=((np.zeros((2, 0)), model.w.identity()),))
+    assert blocks.integrability_check(empty, two_none) == [
         blocks.integrability_check(empty, none)] * 2
 
 
@@ -816,3 +818,87 @@ def test_an_empty_field_acts_as_zero():
                     harness._rho_field(model, empty, vec)):
             assert got.block.shape == vec.block.shape and not got.block.any()
     assert blocks.integrability_check(model, empty).passed
+
+
+def _stacked_slot(rng, form, batch, n_points, w):
+    """One term slot of a field of batch shape ``batch``: a value row over
+    n_points and an element of w with complex coordinates.  "both" stacks
+    the row and the coefficient, "row" leaves the row unbatched against a
+    stacked coefficient, "coefficient" the coefficient against stacked rows,
+    and "zero" is the exact-zero padding of a missing term."""
+    row_shape = () if form == "row" else batch
+    coefficient_shape = () if form == "coefficient" else batch
+    row = rng.standard_normal((*row_shape, n_points, 2)).view(complex)[..., 0]
+    coords = rng.standard_normal((*coefficient_shape, w.dim, 2)).view(complex)[..., 0]
+    a = np.tensordot(coords, w.basis, axes=1)
+    if form == "zero":
+        return np.zeros_like(row), np.zeros_like(a)
+    return row, a
+
+
+def _field_at(field_, index, batch):
+    """The unbatched field at one batch index: each slot's row and
+    coefficient broadcast to the batch shape, then read at ``index``."""
+    return OperatorField(terms=tuple(
+        (np.broadcast_to(v, batch + v.shape[-1:])[index],
+         np.broadcast_to(a, batch + a.shape[-2:])[index]) for v, a in field_.terms))
+
+
+def _same_terms(f, g, tol=0.0):
+    return len(f.terms) == len(g.terms) and all(
+        v.shape == w.shape and a.shape == b.shape
+        and np.all(np.abs(v - w) <= tol * (1.0 + np.abs(w)))
+        and np.all(np.abs(a - b) <= tol * (1.0 + np.abs(b)))
+        for (v, a), (w, b) in zip(f.terms, g.terms))
+
+
+_FORMS = ["both", "row", "coefficient", "zero"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), batch=st.sampled_from([(), (3,), (0,)]),
+       forms=st.lists(st.sampled_from(_FORMS), max_size=3),
+       other=st.lists(st.sampled_from(_FORMS), min_size=1, max_size=2))
+def test_a_stacked_field_acts_as_its_slices(seed, batch, forms, other):
+    # one field of 0-3 slots serves an NNSM over the countable space of
+    # horizon 3 and the block model over the same points and algebra: at
+    # every batch index, the field algebra, integrate, integrability_check
+    # and i_m_apply agree with the unbatched field there.  A field without
+    # slots has no batch axes, so results are broadcast to the batch shape
+    m, _, rng = tensor_model(seed=seed % 50)
+    space = measure.DiscreteSpace(horizon=3)
+    m = nnsm.NonNegSpectralMeasure(space, m.w1, m.labels, m.images)
+    model = blocks.BlockModel(space=space, generators={}, w=m.w1)
+    k, d = m.target_dim, model.block_dim
+    f = OperatorField(terms=tuple(_stacked_slot(rng, form, batch, 3, m.w1)
+                                  for form in forms))
+    g = OperatorField(terms=tuple(_stacked_slot(rng, form, batch, 3, m.w1)
+                                  for form in other))
+    lam = complex(*rng.standard_normal(2))
+    delta = rng.random(3) < 0.5
+    x = rng.standard_normal((*batch, 3, d, 2)).view(complex)[..., 0]
+    integral = np.broadcast_to(nnsm.integrate(m, f, delta), batch + (k, k))
+    reports = blocks.integrability_check(model, f)
+    applied = blocks.i_m_apply(f, model, blocks.DomainVector(x)).block
+    assert applied.shape == x.shape
+    if forms and batch:
+        assert integral.shape == batch + (k, k)
+        assert isinstance(reports, list) and len(reports) == int(np.prod(batch))
+    for j, index in enumerate(np.ndindex(batch)):
+        at_f, at_g = _field_at(f, index, batch), _field_at(g, index, batch)
+        assert _same_terms(_field_at(f + g, index, batch), at_f + at_g)
+        assert _same_terms(_field_at(f.scale(lam), index, batch), at_f.scale(lam))
+        assert _same_terms(_field_at(f.star(), index, batch), at_f.star())
+        assert _same_terms(_field_at(f.product(g), index, batch),
+                           at_f.product(at_g), tol=1e-13)
+        want = nnsm.integrate(m, at_f, delta)
+        assert linalg.frob_norm(integral[index] - want) <= 1e-12 * (
+            1.0 + linalg.frob_norm(want))
+        rep = reports[j] if isinstance(reports, list) else reports
+        alone = blocks.integrability_check(model, at_f)
+        assert rep.passed == alone.passed
+        assert abs(rep.worst_residual - alone.worst_residual) <= 1e-12
+        if alone.worst_residual > 1e-12:  # round-off names no block
+            assert rep.worst_block == alone.worst_block
+        one = blocks.i_m_apply(at_f, model, blocks.DomainVector(x[index])).block
+        assert np.all(np.abs(applied[index] - one) <= 1e-12 * (1.0 + np.abs(one)))

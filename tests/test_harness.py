@@ -10,7 +10,7 @@ from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
 from specmeas.tolerances import TAU_EXACT, TAU_EXT, TAU_PROJ, TAU_RECON
 
 from conftest import (decode_star_polynomials, hermitian_element, member_measure,
-                      point_mask)
+                      point_mask, stacked_fields)
 
 
 def test_caps_enforced():
@@ -466,6 +466,37 @@ def test_run_suite_sorted():
     assert [r.scenario for r in reports] == sorted(r.scenario for r in reports)
 
 
+def test_star_of_stacked_unbounded_fields_is_each_fields_adjoint():
+    # kind D's fields are one field of stacked (count, 2, 2) coefficients at
+    # seed 5; the adjoint swaps each coefficient's own two axes, so at every
+    # index it is the adjoint of that field, and <I(F) x, y> = <x, I(F*) y>
+    model = harness.gen_scenario("D", 5).payload["model"]
+    assert model.block_dim == 2
+    rng = np.random.default_rng(5)
+    for count in (2, 6):
+        field_ = harness._random_unbounded_fields(rng, model, count)
+        starred = field_.star()
+        xs, ys = (harness._random_domain_vectors(rng, model, count) for _ in range(2))
+        for i in range(count):
+            one = nnsm.OperatorField(terms=tuple((v[i], a[i]) for v, a in field_.terms))
+            for (_, a), (v, a_star), (w, b) in zip(field_.terms, starred.terms,
+                                                    one.star().terms):
+                assert np.array_equal(v[i], w) and np.array_equal(a_star[i], b)
+                assert np.array_equal(b, np.conj(a[i].T))
+        lhs = blocks.i_m_apply(field_, model, xs).inner(ys)
+        rhs = xs.inner(blocks.i_m_apply(starred, model, ys))
+        assert np.all(np.abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(lhs)))
+
+
+def test_worst_residual_is_nan_when_any_residual_is():
+    one, nan = (nnsm.check_entry("c", r, 2.0) for r in (1.0, float("nan")))
+    for checks in ((one, nan), (nan, one), (nan,)):
+        rep = nnsm.VerificationReport(scenario="s", checks=checks)
+        assert np.isnan(rep.worst_residual)
+    assert nnsm.VerificationReport(scenario="s", checks=(one,)).worst_residual == 1.0
+    assert nnsm.VerificationReport(scenario="s", checks=()).worst_residual == 0.0
+
+
 def test_report_doc_schema():
     rep = harness.run_scenario("A", 1)
     doc = rep.to_doc()
@@ -556,9 +587,10 @@ def test_verify_b_makes_four_integrate_calls(monkeypatch):
     calls = []
     original = harness.integrate
 
-    def counted(m, fields, delta):
-        calls.append(len(fields))
-        return original(m, fields, delta)
+    def counted(m, field_, delta):
+        out = original(m, field_, delta)
+        calls.append(out.shape[:-2])  # the field's batch shape
+        return out
 
     monkeypatch.setattr(harness, "integrate", counted)
     for seed in range(10):
@@ -567,8 +599,10 @@ def test_verify_b_makes_four_integrate_calls(monkeypatch):
         rep = harness.verify_theorem_b(sc)
         assert rep.passed
         # the first call holds one indicator field per (member, atom)
-        assert len(calls) == 4 and calls[1:] == [20, 20, 10], seed
-        assert calls[0] % len(sc.space.points()) == 0
+        sizes = [int(np.prod(shape)) for shape in calls]
+        assert len(calls) == 4 and sizes[1:] == [20, 20, 10], seed
+        assert len(calls[0]) == 2 and calls[0][1] == len(sc.space.points())
+        assert sizes[0] % len(sc.space.points()) == 0
 
 
 def test_derived_measures_match_per_atom_rho_loop():
@@ -669,14 +703,19 @@ def test_batched_field_draws_equal_the_scalar_draw_loop():
                     w1=w1)
                 seed = int(gen.integers(2**32))
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                fields, rows, elements = harness._random_fields(rng, m, 20, 5)
-                assert len(fields) == 20
-                for field_ in fields:
-                    got = field_.terms
+                stacked, rows, elements = harness._random_fields(rng, m, 20, 5)
+                assert len(stacked.terms) == 3
+                for v, a in stacked.terms:
+                    assert v.shape == (20, n_atoms)
+                    assert a.shape == (20, h, h)
+                for i in range(20):
                     want = _random_field_reference(ref, m).terms
-                    assert len(got) == len(want)
-                    for (v, a), (w, b) in zip(got, want):
-                        assert np.array_equal(v, w) and np.array_equal(a, b)
+                    assert 1 <= len(want) <= 3
+                    # field i's terms fill its first slots, exact zeros the rest
+                    for t, (v, a) in enumerate(stacked.terms):
+                        w, b = want[t] if t < len(want) else (0.0, 0.0)
+                        assert np.array_equal(v[i], np.broadcast_to(w, v[i].shape))
+                        assert np.array_equal(a[i], np.broadcast_to(b, a[i].shape))
                 want = _random_terms_reference(ref, m, 5)
                 assert np.array_equal(rows, [w for w, _ in want])
                 assert np.array_equal(elements, [b for _, b in want])
@@ -752,14 +791,16 @@ def _verify_b_reference(scenario):
         frob(rebuilt.measure_for(oracle.w1.identity()).total
              - np.eye(rebuilt.target_dim)),
         TAU_RECON * (1.0 + rebuilt.target_dim)))
-    fields = [_random_field_reference(rng, oracle) for _ in range(20)]
+    # each family's integrals come from one batched call, as in the
+    # pipeline, so that they match it to the last bit
+    fields = stacked_fields([_random_field_reference(rng, oracle) for _ in range(20)])
     for t, (lhs, rhs) in enumerate(zip(rho(fields),
                                        nnsm.integrate(rebuilt, fields, whole))):
         checks.append(nnsm.check_entry(
             f"represent[F{t}]", frob(lhs - rhs), TAU_RECON * (1.0 + frob(lhs))))
     pairs = _random_terms_reference(rng, oracle, 5)
-    rho_b = rho([nnsm.OperatorField(terms=((b, c),))
-                 for b, a in pairs for c in (a, oracle.w1.identity())])
+    rho_b = rho(stacked_fields([nnsm.OperatorField(terms=((b, c),))
+                          for b, a in pairs for c in (a, oracle.w1.identity())]))
     for t, (_, a) in enumerate(pairs):
         bound = op(rho_b[2 * t + 1]) * op(a)
         checks.append(nnsm.check_entry(
@@ -869,9 +910,9 @@ def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):
     for t in (0, 7, 19):
         calls = []
 
-        def integrate_bumped(m, fields, delta, t=t):
-            out = integrate(m, fields, delta)
-            calls.append(len(fields))
+        def integrate_bumped(m, field_, delta, t=t):
+            out = integrate(m, field_, delta)
+            calls.append(out.shape)
             if len(calls) == 3:
                 out = out.copy()
                 out[t] += 1e-3 * np.eye(m.target_dim)
@@ -917,9 +958,9 @@ def _verify_c_reference(scenario):
     polys = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
     compact = harness._random_domain_vectors(rng, model, 4)
     unit = model.w.identity()
-    fields = [nnsm.OperatorField(terms=((model.generator_rows[n], unit),))
-              for n in names]
-    for i, rep in enumerate(blocks.integrability_check(model, fields)):
+    for i, n in enumerate(names):
+        rep = blocks.integrability_check(model, nnsm.OperatorField(
+            terms=((model.generator_rows[n], unit),)))
         checks.append(harness._bool_entry(
             f"integrable[field{i};block{rep.worst_block}]", rep.passed))
     for eps in (1e-4, 1e-10):
@@ -967,12 +1008,11 @@ def _verify_d_reference(scenario):
     unit = model.w.identity()
     fam = algebra.sample_projections(model.w, n=6, seed=scenario.seed + 8)
     injected = scenario.payload.get("field")
-    fields = [] if injected is None else [injected]
-    fields += [nnsm.OperatorField(terms=((model.generator_rows[names[0]], p),))
-               for p in fam.members]
-    reps = blocks.integrability_check(model, fields)
+    reps = [blocks.integrability_check(
+        model, nnsm.OperatorField(terms=((model.generator_rows[names[0]], p),)))
+        for p in fam.members]
     if injected is not None:
-        rep = reps.pop(0)
+        rep = blocks.integrability_check(model, injected)
         checks.append(harness._bool_entry(
             f"integrable[injected;block{rep.worst_block}]", rep.passed))
     for i, rep in enumerate(reps):

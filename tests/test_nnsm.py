@@ -9,7 +9,8 @@ from specmeas import algebra, harness, linalg, measure, nnsm
 from specmeas.errors import NotSpanning, ShapeMismatch
 from specmeas.tolerances import TAU_ALG, TAU_DOC, TAU_NORM_SLACK
 
-from conftest import hermitian_element, member_measure, point_mask, tensor_model
+from conftest import (hermitian_element, member_measure, point_mask, stacked_fields,
+                      tensor_model)
 
 
 def family_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> algebra.ProjectionFamily:
@@ -287,7 +288,7 @@ def test_delta_is_a_boolean_point_mask():
     consumers = [
         lambda d: measure.evaluate(m.measure_for(a), d),
         lambda d: nnsm.integrate(m, field_, d),
-        lambda d: nnsm.integrate(m, [field_, field_], d),
+        lambda d: nnsm.integrate(m, stacked_fields([field_, field_]), d),
         lambda d: fm.extend_at(a, d),
         lambda d: nnsm.extension_by_limit(fm, a, d, ell=16),
         lambda d: nnsm.condition3_check(fm, p, q, d, delta, ell_max=8),
@@ -451,10 +452,11 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
     assert _close(m.measure_for(m.w1.identity()).total, np.eye(m.target_dim))
 
 
-def test_integrate_makes_one_coefficients_call(monkeypatch):
+def test_integrate_makes_one_coefficients_call_per_slot(monkeypatch):
     m, rng = _model_with_unstored_label(seed=14)
     shapes = []
     original = algebra.VonNeumannAlgebra.coefficients
+    d = m.w1.ambient_dim
 
     def counted(self, a):
         shapes.append(np.shape(a))
@@ -465,12 +467,12 @@ def test_integrate_makes_one_coefficients_call(monkeypatch):
         field_ = _random_field(rng, m, n_terms)
         shapes.clear()
         nnsm.integrate(m, field_, point_mask(m.space, {1, 3}))
-        assert shapes == [(n_terms, m.w1.ambient_dim, m.w1.ambient_dim)]
-    # a batch of fields also makes one call, over every term of every field
-    batch = [_random_field(rng, m, n_terms) for n_terms in (1, 3, 7)]
+        assert shapes == [(1, d, d)] * n_terms
+    # a batch of fields makes one call per slot, over every field's slot
+    batch = stacked_fields([_random_field(rng, m, n_terms) for n_terms in (1, 3, 7)])
     shapes.clear()
     nnsm.integrate(m, batch, point_mask(m.space, {1, 3}))
-    assert shapes == [(11, m.w1.ambient_dim, m.w1.ambient_dim)]
+    assert shapes == [(3, d, d)] * 7
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -481,14 +483,14 @@ def test_batched_integrate_matches_per_field_reference(seed):
     k = m.target_dim
     for delta in sets:
         for n_fields in (1, 3, 7):
-            batch = [_random_field(rng, m, 1 + (seed + i) % 4)
-                     for i in range(n_fields)]
-            got = nnsm.integrate(m, batch, delta)
+            fields = [_random_field(rng, m, 1 + (seed + i) % 4)
+                      for i in range(n_fields)]
+            got = nnsm.integrate(m, stacked_fields(fields), delta)
             assert got.shape == (n_fields, k, k)
-            for g, field_ in zip(got, batch):
+            for g, field_ in zip(got, fields):
                 assert _close(g, _ref_integrate(m, field_, delta))
             # one field alone gives the (k, k) value its batch row holds
-            alone = nnsm.integrate(m, batch[-1], delta)
+            alone = nnsm.integrate(m, fields[-1], delta)
             assert alone.shape == (k, k) and _close(alone, got[-1])
 
 
@@ -499,9 +501,11 @@ def test_integrate_empty_field_and_empty_batch():
     empty = nnsm.OperatorField(terms=())
     zero = nnsm.integrate(m, empty, whole)
     assert zero.shape == (k, k) and not zero.any()
-    assert nnsm.integrate(m, [], whole).shape == (0, k, k)
     f, g = _random_field(rng, m, 2), _random_field(rng, m, 3)
-    got = nnsm.integrate(m, [f, empty, g], whole)
+    none = nnsm.OperatorField(terms=tuple((v[:0], a[:0]) for v, a in
+                                          stacked_fields([f]).terms))
+    assert nnsm.integrate(m, none, whole).shape == (0, k, k)
+    got = nnsm.integrate(m, stacked_fields([f, empty, g]), whole)
     assert not got[1].any()
     assert _close(got[0], _ref_integrate(m, f, whole))
     assert _close(got[2], _ref_integrate(m, g, whole))
@@ -517,7 +521,7 @@ def test_integrate_and_m_a_reject_a_set_from_another_space():
     with pytest.raises(ShapeMismatch):
         nnsm.integrate(m, field_, foreign)
     with pytest.raises(ShapeMismatch):
-        nnsm.integrate(m, [field_], foreign)
+        nnsm.integrate(m, stacked_fields([field_]), foreign)
     with pytest.raises(ShapeMismatch):
         measure.evaluate(m.measure_for(m.w1.identity()), foreign)
 
@@ -572,7 +576,8 @@ def test_integrate_rejects_rows_of_the_wrong_length():
         with pytest.raises(ShapeMismatch):
             nnsm.integrate(m, bad, whole)
         with pytest.raises(ShapeMismatch):
-            nnsm.integrate(m, [good, bad], whole)
+            nnsm.integrate(m, stacked_fields([good, good]) + nnsm.OperatorField(
+                terms=((np.ones((2, length)), m.w1.identity()),)), whole)
     # over a countable space the rows and the sets end at the horizon: the
     # atom past it lies in no set
     countable = measure.DiscreteSpace(horizon=2)
