@@ -471,7 +471,10 @@ def joint_diagonalize(
                 break
         else:
             merged.append((values, [v]))
-    merged.sort(key=lambda it: tuple((z.real, z.imag) for z in it[0]))
+    # sort on the values snapped to the gap, so round-off in the last bits
+    # cannot reorder points whose values are equal in some coordinate
+    merged.sort(key=lambda it: tuple(
+        (round(z.real / gap), round(z.imag / gap)) for z in it[0]))
     cols = [np.hstack(vs) for _, vs in merged]
     return CharacterAtlas(
         values=np.array([values for values, _ in merged], dtype=np.complex128),

@@ -514,6 +514,38 @@ def test_joint_diagonalize_rejects_nonnormal():
         algebra.joint_diagonalize([np.array([[0, 1], [0, 0]], dtype=complex)])
 
 
+def _value_keys(atlas):
+    return [tuple((round(z.real), round(z.imag)) for z in row)
+            for row in atlas.values]
+
+
+def test_joint_diagonalize_lists_integer_points_in_value_order():
+    # kind A seed 24 has points (-1+1j) and (-1+2j), whose real parts are
+    # equal up to round-off; they come out in value order
+    images = harness.gen_scenario("A", 24).payload["images"]
+    keys = _value_keys(algebra.joint_diagonalize(
+        [images[n] for n in sorted(images)]))
+    assert len(keys) >= 2 and keys == sorted(keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 4),
+       n_gen=st.integers(1, 3))
+def test_joint_diagonalize_order_survives_round_off(seed, n, n_gen):
+    # integer joint values with many ties in the real part, and a commuting
+    # perturbation of about 1e-13 in the generators' own eigenbasis
+    rng = np.random.default_rng(seed)
+    u = linalg.random_unitary(rng, n)
+    re, im = rng.integers(-1, 2, (2, n_gen, n))
+    values = re + 1j * im
+    eps = 1e-13 * (rng.standard_normal((n_gen, n))
+                   + 1j * rng.standard_normal((n_gen, n)))
+    keys = [_value_keys(algebra.joint_diagonalize(
+        [u @ np.diag(v) @ linalg.adjoint(u) for v in vals]))
+        for vals in (values, values + eps)]
+    assert keys[0] == keys[1] == sorted(keys[0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 6))
 def test_joint_diagonalize_random_commuting(seed, n):

@@ -443,6 +443,48 @@ def test_fault_injection_needs_the_least_h_cap(monkeypatch):
             assert harness.fault_report(fault, seed, least).passed, (fault, seed)
 
 
+@pytest.mark.parametrize("fault", ["non-idempotent-projection", "denormalized-m"])
+def test_fault_report_stops_with_the_full_pipeline_verdict(fault):
+    # the short-circuit over kind B's families reads the same verdict as
+    # the whole report
+    for seed in [*range(30), *range(300000, 300030)]:
+        bad = harness.inject_fault(harness.gen_scenario("B", seed), fault)
+        full = harness.verify_theorem_b(bad).passed
+        assert harness.fault_report(fault, seed).passed == (not full), seed
+
+
+def test_fault_report_stops_before_assembly(monkeypatch):
+    # a denormalized M already fails compression[*], so the pipeline must
+    # stop before it reaches assembly
+    def refused(fm, w1):
+        raise AssertionError("assembly ran after a failed family")
+
+    monkeypatch.setattr(harness, "assemble_from_family", refused)
+    for seed in range(5):
+        assert harness.fault_report("denormalized-m", seed).passed, seed
+
+
+def test_b_families_run_past_passing_families(monkeypatch):
+    # rebuilt images bumped by 1e-3: only the families after assembly see it,
+    # so both readers must run on past the passing ones to report it
+    assemble = harness.assemble_from_family
+
+    def assemble_bumped(fm, w1):
+        m = assemble(fm, w1)
+        return nnsm.NonNegSpectralMeasure(m.space, m.w1, m.labels,
+                                          m.images + 1e-3)
+
+    monkeypatch.setattr(harness, "assemble_from_family", assemble_bumped)
+    for seed in range(5):
+        sc = harness.gen_scenario("B", seed)
+        families = list(harness._theorem_b_families(sc))
+        assert all(c.passed for family in families[:2] for c in family)
+        assert any(not c.passed for family in families[2:] for c in family)
+        failed = _failed(harness.verify_theorem_b(sc))
+        assert failed and not any(f.startswith(
+            ("compression[", "support-containment[")) for f in failed)
+
+
 def test_fault_residual_scales_with_injection():
     # non-idempotent bump of 1e-3 shows up within 10x of the magnitude
     sc = harness.gen_scenario("B", 4)
