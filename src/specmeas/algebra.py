@@ -72,7 +72,7 @@ class VonNeumannAlgebra:
         """Coordinates of the rows of ``flat`` and their distances to the span;
         each row is its own (1, d^2) product, bit-equal in any stack."""
         coeffs = np.matmul(flat[..., None, :], self.basis_matrix.conj().T)[..., 0, :]
-        return coeffs, np.linalg.norm(flat - coeffs @ self.basis_matrix, axis=-1)
+        return coeffs, frob_norm(flat - coeffs @ self.basis_matrix, axis=-1)
 
     def coefficients(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of ``a`` in the basis, or of each matrix in an
@@ -90,7 +90,7 @@ class VonNeumannAlgebra:
         flat = stack.reshape(len(stack), self.ambient_dim**2)
         coeffs, resid = self._project(flat)
         # written so that a NaN residual (a non-finite stack) fails as well
-        if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=1))):
+        if not np.all(resid <= TAU_ALG * (1.0 + frob_norm(flat, axis=1))):
             raise NotInSpan(f"membership residual {np.max(resid):.3e}")
         return coeffs[0] if single else coeffs
 
@@ -196,8 +196,8 @@ class ProjectionFamily:
             return math.inf
         u = self.factors[0]
         targets = self.algebra.basis_matrix.T
-        return float(np.linalg.norm(targets - u @ (adjoint(u) @ targets),
-                                    axis=0).max())
+        return float(frob_norm(targets - u @ (adjoint(u) @ targets),
+                               axis=0).max())
 
     @cached_property
     def spans_algebra(self) -> bool:
@@ -275,9 +275,9 @@ def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray
     u, s, v, _ = family.factors
     proj = adjoint(u) @ flat
     coeffs = v @ (proj / s[:, None])
-    resid = np.linalg.norm(flat - u @ proj, axis=0)
+    resid = frob_norm(flat - u @ proj, axis=0)
     # written so that a NaN residual (a non-finite stack) fails as well
-    if not np.all(resid <= TAU_ALG * (1.0 + np.linalg.norm(flat, axis=0))):
+    if not np.all(resid <= TAU_ALG * (1.0 + frob_norm(flat, axis=0))):
         raise NotInSpan(f"decomposition residual {np.max(resid):.3e}")
     return coeffs[:, 0] if single else coeffs
 
@@ -302,8 +302,8 @@ def linear_extend(
     if len(values) != len(family.members):
         raise ShapeMismatch("assignment length != family size")
     viol = np.tensordot(family.factors[-1].T, values, axes=(1, 0))
-    worst = np.linalg.norm(viol, axis=(-2, -1)).max(axis=0, initial=0.0)
-    scale = 1.0 + np.linalg.norm(values, axis=(-2, -1)).max(axis=0)
+    worst = frob_norm(viol).max(axis=0, initial=0.0)
+    scale = 1.0 + frob_norm(values).max(axis=0)
     # written so that a NaN assignment fails as well
     if not np.all(worst <= TAU_EXT * scale):
         raise InconsistentAssignment(
@@ -370,8 +370,7 @@ class LimitingSequence:
 
     def error(self, ells) -> np.ndarray:
         """||A - S_l(A)|| for each l in ``ells``, from one batched SVD."""
-        return np.linalg.norm(self.source - self.approximants(ells), ord=2,
-                              axis=(1, 2))
+        return op_norm(self.source - self.approximants(ells))
 
 
 def limiting_sequence(
@@ -444,27 +443,32 @@ def joint_diagonalize(
     n_dim = normals[0].shape[0]
     if ambient_dim is not None and ambient_dim != n_dim:
         raise ShapeMismatch("ambient_dim disagrees with generator shape")
-    scale = 1.0 + max(op_norm(m) for m in normals)
-    for i, a in enumerate(normals):
-        if frob_norm(a @ adjoint(a) - adjoint(a) @ a) > TAU_ALG * scale**2:
+    stack = np.stack(normals)
+    scale = 1.0 + float(op_norm(stack).max())
+    adjoints = [adjoint(m) for m in normals]
+    bound = TAU_ALG * scale**2
+    for i, (a, a_adj) in enumerate(zip(normals, adjoints)):
+        if frob_norm(a @ a_adj - a_adj @ a) > bound:
             raise NotNormal(f"generator {i} is not normal")
-        for k, b in enumerate(normals[:i]):
-            if frob_norm(a @ b - b @ a) > TAU_ALG * scale**2:
+        for k, (b, b_adj) in enumerate(zip(normals[:i], adjoints)):
+            if frob_norm(a @ b - b @ a) > bound:
                 raise NotCommuting(f"generators {k} and {i} do not commute")
-            if frob_norm(a @ adjoint(b) - adjoint(b) @ a) > TAU_ALG * scale**2:
+            if frob_norm(a @ b_adj - b_adj @ a) > bound:
                 raise NotCommuting(f"generator {i} vs adjoint of {k}")
     gap = DELTA_CLUSTER * scale
-    blocks = [np.eye(n_dim, dtype=np.complex128)]
-    for m in normals:
-        re = (m + adjoint(m)) / 2.0
-        im = (m - adjoint(m)) / 2.0j
-        blocks = _split_by_hermitian(blocks, re, gap)
-        blocks = _split_by_hermitian(blocks, im, gap)
+    # the hermitian and antihermitian parts in turn; the first part's own
+    # eigenspaces are the first blocks
+    parts = [h for m, m_adj in zip(normals, adjoints)
+             for h in ((m + m_adj) / 2.0, (m - m_adj) / 2.0j)]
+    vals, vecs = np.linalg.eigh(parts[0])
+    blocks = [vecs[:, i:j] for i, j in clusters(vals, gap)]
+    for h in parts[1:]:
+        blocks = _split_by_hermitian(blocks, h, gap)
     # Merge blocks whose value tuples coincide (within the cluster gap).
     merged: list[tuple[tuple[complex, ...], list[np.ndarray]]] = []
     for v in blocks:
-        values = tuple(complex(np.trace(adjoint(v) @ m @ v)) / v.shape[1]
-                       for m in normals)
+        values = tuple(z / v.shape[1] for z in
+                       np.trace(adjoint(v) @ stack @ v, axis1=1, axis2=2).tolist())
         for mv, vs in merged:
             if all(abs(a - b) < gap for a, b in zip(values, mv)):
                 vs.append(v)

@@ -44,6 +44,7 @@ import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
+from .linalg import frob_norm
 from .measure import DiscreteSpace, require_mask
 from .nnsm import OperatorField
 from .tolerances import TAU_RECON
@@ -376,9 +377,7 @@ def integrability_check(model: BlockModel, field_: OperatorField):
     b = sum((_term_actions(v, a, model) for v, a in field_.terms),
             np.zeros((model.horizon, d, d), dtype=np.complex128))
     b_star = np.conj(np.swapaxes(b, -1, -2))
-    resid = np.linalg.norm(b @ b_star - b_star @ b, axis=(-2, -1)) / (
-        1.0 + np.linalg.norm(b, axis=(-2, -1)) ** 2
-    )
+    resid = frob_norm(b @ b_star - b_star @ b) / (1.0 + frob_norm(b) ** 2)
     # a trailing zero residual leaves argmax and the maximum as they are,
     # and gives a model without blocks block 0
     resid = np.concatenate([resid, np.zeros((*resid.shape[:-1], 1))], axis=-1)

@@ -355,14 +355,15 @@ def verify_theorem_a(scenario: Scenario) -> VerificationReport:
         w.membership_residual(atlas.projections), np.full(n_pts, TAU_RECON))
     # (iii) uniqueness: diagonalizing the generators again, in a permuted
     # order, must give every point back with the same projection; points
-    # match when their value rows agree within TAU_MATCH
+    # match when their value rows agree within TAU_MATCH.  The identity
+    # order would repeat the first call on the same list, so it reuses it
     order = rng.permutation(len(names))
-    again = joint_diagonalize([images[names[g]] for g in order])
+    again = atlas if np.array_equal(order, np.arange(len(names))) else (
+        joint_diagonalize([images[names[g]] for g in order]))
     again_values = again.values[:, np.argsort(order)]
     dist = np.abs(atlas.values[:, None] - again_values[None]).max(axis=2)
     near = dist < TAU_MATCH
-    miss = np.linalg.norm(
-        atlas.projections - again.projections[near.argmax(axis=1)], axis=(1, 2))
+    miss = frob_norm(atlas.projections - again.projections[near.argmax(axis=1)])
     checks += family_entries(
         [f"uniqueness[atom{i}]" for i in range(n_pts)],
         np.where(near.any(axis=1), miss, 1.0), np.full(n_pts, TAU_EXT))
@@ -770,11 +771,12 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
 
 def _gen_b_nondegenerate(seed: int, caps: Caps) -> Scenario:
     # scalar W1 has unique decompositions, so condition (1) is vacuous there;
-    # walk deterministic sub-seeds until the algebra has dim >= 2
+    # walk deterministic sub-seeds until the algebra has dim >= 2; dim H is
+    # the first draw of _gen_b, so only the sub-seed returned is generated
     for j in range(64):
-        sc = gen_scenario("B", (seed << 6) + j, caps)
-        if sc.payload["oracle"].w1.ambient_dim >= 2:
-            return sc
+        sub = (seed << 6) + j
+        if np.random.default_rng(sub).integers(1, caps.h_dim + 1) >= 2:
+            return gen_scenario("B", sub, caps)
     raise SpecmeasError("could not generate a nondegenerate kind-B scenario")
 
 

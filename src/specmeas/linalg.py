@@ -13,6 +13,7 @@ and return one value per leading index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,22 +45,29 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(a.T)
 
 
-def frob_norm(a):
+def frob_norm(a, axis=None):
     """Frobenius norm of a matrix, or the array of the norms of each matrix
-    of an (..., d, d) stack."""
+    of an (..., d, d) stack; with ``axis``, the array of the 2-norms of the
+    vectors along it.
+
+    These are ``np.linalg.norm``'s own expressions, bit-equal to its values
+    but without its argument dispatch: a matrix takes the ravel/dot route, a
+    stack or an axis the sum of squared moduli.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim > 2:
-        return np.linalg.norm(a, axis=(-2, -1))
-    return float(np.linalg.norm(a, "fro"))
+    if axis is None and a.ndim == 2:
+        flat = a.ravel(order="K")
+        return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    return np.sqrt(np.add.reduce((a.conj() * a).real,
+                                 axis=(-2, -1) if axis is None else axis))
 
 
 def op_norm(a):
     """Largest singular value of a matrix, or the array of those of each
-    matrix of an (..., d, d) stack."""
+    matrix of an (..., d, d) stack, as ``np.linalg.norm(a, 2)`` takes it."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim > 2:
-        return np.linalg.norm(a, 2, axis=(-2, -1))
-    return float(np.linalg.norm(a, 2))
+    s = np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+    return float(s) if a.ndim == 2 else s
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
@@ -102,8 +110,8 @@ def resolution_residual(stack: np.ndarray):
     # stack of stacks holds the temporaries of one kind at a time
     out = np.maximum(
         projection_residual(stack).max(axis=-1, initial=0.0),
-        np.linalg.norm(stack[..., later, :, :] @ stack[..., earlier, :, :],
-                       axis=(-2, -1)).max(axis=-1, initial=0.0),
+        frob_norm(stack[..., later, :, :] @ stack[..., earlier, :, :]
+                  ).max(axis=-1, initial=0.0),
     )
     return float(out) if stack.ndim == 3 else out
 

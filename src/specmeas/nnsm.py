@@ -409,8 +409,8 @@ def assemble_from_family(
                               linear_extend(family, comp.atoms, w1.basis))
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
     got = np.tensordot(w1.coefficients(family.stack), m.images, axes=(1, 1))
-    miss = np.linalg.norm(got - comp.atoms, axis=(2, 3))
-    bad = miss > TAU_EXT * (1.0 + np.linalg.norm(comp.atoms, axis=(2, 3)))
+    miss = frob_norm(got - comp.atoms)
+    bad = miss > TAU_EXT * (1.0 + frob_norm(comp.atoms))
     if np.any(bad):
         x = comp.labels[np.nonzero(bad)[1][0]]
         raise NotSpanning(f"reassembly misses E_P({x!r}) by {miss.max():.3e}")
@@ -442,23 +442,26 @@ def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
 
     Each f_i is a value row with one entry per point of the space; a row of
     another length raises ShapeMismatch.  The columns of the stored atoms in
-    Delta (``atoms_in``) are read from the rows, each slot's coordinates
-    come from one ``coefficients`` call, the slots' weights f_i(x) c(A_i)
-    are summed in slot order and meet the image stack in one contraction.
+    Delta (``atoms_in``) are read from the rows, the coordinates of every
+    slot come from one ``coefficients`` call (row by row, so each slot's
+    are its own), the slots' weights f_i(x) c(A_i) are summed in slot order
+    and meet the image stack in one contraction.
     """
     inside = np.flatnonzero(atoms_in(m.space, m.labels, delta))
     if not field_.terms:
         return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
     points = m.space.points()
     columns = [points.index(m.labels[i]) for i in inside]
-    parts = []
-    for v, a in field_.terms:
-        row = np.asarray(v, dtype=np.complex128)
-        if row.ndim < 1 or row.shape[-1] != len(points):
-            raise ShapeMismatch(f"value rows index the space's {len(points)} points")
-        a = np.asarray(a)
-        coeffs = m.w1.coefficients(a.reshape(-1, *a.shape[-2:]))
-        parts.append(row[..., columns, None]
-                     * coeffs.reshape(*a.shape[:-2], 1, m.w1.dim))
+    rows = [np.asarray(v, dtype=np.complex128) for v, _ in field_.terms]
+    if any(row.ndim < 1 or row.shape[-1] != len(points) for row in rows):
+        raise ShapeMismatch(f"value rows index the space's {len(points)} points")
+    slots = [np.asarray(a) for _, a in field_.terms]
+    flat = [a.reshape(-1, *a.shape[-2:]) for a in slots]
+    if any(f.shape[1:] != flat[0].shape[1:] for f in flat):
+        raise ShapeMismatch("term slots hold matrices of different shapes")
+    coeffs = np.split(m.w1.coefficients(np.concatenate(flat)),
+                      np.cumsum([len(f) for f in flat[:-1]]))
+    parts = [row[..., columns, None] * c.reshape(*a.shape[:-2], 1, m.w1.dim)
+             for row, a, c in zip(rows, slots, coeffs)]
     weights = sum(parts[1:], parts[0])
     return np.tensordot(weights, m.images[inside], axes=([-2, -1], [0, 1]))

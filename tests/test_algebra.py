@@ -496,6 +496,16 @@ def test_joint_diagonalize_normal_complex_values():
     assert atlas.values[:, 0] == pytest.approx([1.0 + 1.0j, 2.0])
 
 
+def test_joint_diagonalize_twice_gives_equal_atlases():
+    # kind A reuses the first atlas when its uniqueness order is the identity
+    for seed in range(100):
+        images = harness.gen_scenario("A", seed).payload["images"]
+        gens = [images[n] for n in sorted(images)]
+        first, second = (algebra.joint_diagonalize(gens) for _ in range(2))
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.projections, second.projections)
+
+
 def test_joint_diagonalize_without_generators_is_one_point():
     atlas = algebra.joint_diagonalize([], ambient_dim=3)
     assert atlas.values.shape == (1, 0)

@@ -207,6 +207,33 @@ def test_verify_a_families_match_the_tuple_reference():
     assert {n for _, n in widths} == {1, 2, 3, 4}
 
 
+def test_identity_order_reuses_the_atlas_with_the_same_uniqueness_rows(monkeypatch):
+    """When the drawn uniqueness order is the identity, verify_theorem_a
+    diagonalizes once; its uniqueness rows equal those from a second
+    joint_diagonalize call (the reference's)."""
+    real = harness.joint_diagonalize
+    calls = []
+    monkeypatch.setattr(harness, "joint_diagonalize",
+                        lambda normals: calls.append(normals) or real(normals))
+    identity = 0
+    for seed in range(100):
+        sc = harness.gen_scenario("A", seed)
+        n = len(sc.payload["images"])
+        # replay the pipeline's rng: the *-polynomial draw, then the order
+        rng = np.random.default_rng(seed + 1)
+        blocks.random_star_polynomials(rng, n, 6, degree=3)
+        is_identity = np.array_equal(rng.permutation(n), np.arange(n))
+        calls.clear()
+        got = harness.verify_theorem_a(sc).checks
+        assert len(calls) == (1 if is_identity else 2), seed
+        if is_identity:
+            identity += 1
+            want = _verify_a_reference(sc)
+            assert ([c for c in got if c.name.startswith("uniqueness[")]
+                    == [c for c in want if c.name.startswith("uniqueness[")]), seed
+    assert 0 < identity < 100
+
+
 def test_atom_membership_takes_a_matrix_or_a_stack():
     sc = harness.gen_scenario("A", 3)
     images = [sc.payload["images"][n] for n in sorted(sc.payload["images"])]
@@ -691,6 +718,32 @@ def _condition1_reference(fam, trials, seed):
         out.append((linalg.frob_norm(lhs - rhs),
                     1.0 + max(linalg.frob_norm(lhs), linalg.frob_norm(rhs))))
     return out
+
+
+def _gen_b_nondegenerate_reference(seed, caps):
+    """The sub-seed walk that generates every sub-seed's whole scenario."""
+    for j in range(64):
+        sc = harness.gen_scenario("B", (seed << 6) + j, caps)
+        if sc.payload["oracle"].w1.ambient_dim >= 2:
+            return sc
+    raise AssertionError("no nondegenerate sub-seed")
+
+
+def test_nondegenerate_walk_generates_only_the_returned_sub_seed(monkeypatch):
+    real = harness.gen_scenario
+    generated = []
+    monkeypatch.setattr(harness, "gen_scenario",
+                        lambda *args: generated.append(args) or real(*args))
+    caps = harness.Caps()
+    for seed in range(200):
+        generated.clear()
+        got = harness._gen_b_nondegenerate(seed, caps)
+        assert len(generated) == 1
+        want = _gen_b_nondegenerate_reference(seed, caps)
+        assert got.seed == want.seed
+        m, w = got.payload["oracle"], want.payload["oracle"]
+        assert np.array_equal(m.images, w.images)
+        assert np.array_equal(m.w1.basis, w.w1.basis)
 
 
 def test_condition1_matches_two_pass_reference():

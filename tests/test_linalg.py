@@ -127,6 +127,41 @@ def test_stacked_norms_equal_per_matrix_calls():
     assert isinstance(linalg.op_norm(stack[0, 0]), float)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 5),
+       lead=st.sampled_from([(), (3,), (2, 3), (0,)]),
+       special=st.sampled_from([None, 1e308, np.nan]))
+def test_norms_equal_numpy_bit_for_bit(seed, d, lead, special):
+    # frob_norm and op_norm evaluate np.linalg.norm's own expressions: a
+    # matrix, a stack with leading axes (an empty one too) and the vectors
+    # along one axis, with entries that overflow a square or are NaN
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((*lead, d, d))
+         + 1j * rng.standard_normal((*lead, d, d))) * 10.0 ** rng.integers(-3, 4)
+    if special is not None and a.size:
+        a.flat[rng.integers(a.size)] = special * (1j if rng.integers(2) else 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lead:
+            assert _bits(linalg.frob_norm(a)) == _bits(np.linalg.norm(a, axis=(-2, -1)))
+        else:
+            assert isinstance(linalg.frob_norm(a), float)
+            assert _bits(linalg.frob_norm(a)) == _bits(np.linalg.norm(a, "fro"))
+        for axis in (0, -1, a.ndim - 2):
+            assert (_bits(linalg.frob_norm(a, axis=axis))
+                    == _bits(np.linalg.norm(a, axis=axis)))
+        try:
+            want = np.linalg.norm(a, 2, axis=(-2, -1)) if lead else np.linalg.norm(a, 2)
+        except np.linalg.LinAlgError:  # LAPACK refuses a NaN entry
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.op_norm(a)
+        else:
+            assert _bits(linalg.op_norm(a)) == _bits(want)
+
+
 def test_stacked_resolution_residual_equals_per_stack_calls():
     rng = np.random.default_rng(6)
     dec = linalg.eig_hermitian(linalg.random_hermitian(rng, 4))

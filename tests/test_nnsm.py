@@ -452,7 +452,7 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
     assert _close(m.measure_for(m.w1.identity()).total, np.eye(m.target_dim))
 
 
-def test_integrate_makes_one_coefficients_call_per_slot(monkeypatch):
+def test_integrate_makes_one_coefficients_call(monkeypatch):
     m, rng = _model_with_unstored_label(seed=14)
     shapes = []
     original = algebra.VonNeumannAlgebra.coefficients
@@ -467,12 +467,12 @@ def test_integrate_makes_one_coefficients_call_per_slot(monkeypatch):
         field_ = _random_field(rng, m, n_terms)
         shapes.clear()
         nnsm.integrate(m, field_, point_mask(m.space, {1, 3}))
-        assert shapes == [(1, d, d)] * n_terms
-    # a batch of fields makes one call per slot, over every field's slot
+        assert shapes == [(n_terms, d, d)]
+    # a batch of fields makes one call too, over every field's every slot
     batch = stacked_fields([_random_field(rng, m, n_terms) for n_terms in (1, 3, 7)])
     shapes.clear()
     nnsm.integrate(m, batch, point_mask(m.space, {1, 3}))
-    assert shapes == [(3, d, d)] * 7
+    assert shapes == [(3 * 7, d, d)]
 
 
 @pytest.mark.parametrize("seed", range(4))
