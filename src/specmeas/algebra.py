@@ -423,26 +423,16 @@ def _split_by_hermitian(
     return new_blocks
 
 
-def joint_diagonalize(
-    normals: list[np.ndarray],
-    ambient_dim: int | None = None,
-) -> CharacterAtlas:
-    """Joint eigenprojections and eigenvalue tuples of commuting normals.
+def joint_diagonalize(normals: list[np.ndarray]) -> CharacterAtlas:
+    """Joint eigenprojections and eigenvalue tuples of commuting normals,
+    at least one, or ShapeMismatch.
 
     Splits the space recursively by the hermitian and antihermitian parts of
     each generator, which realizes the refinement deterministically.
     """
     normals = [require_square(n) for n in normals]
     if not normals:
-        if ambient_dim is None:
-            raise ShapeMismatch("ambient_dim required for an empty generator list")
-        return CharacterAtlas(
-            values=np.zeros((1, 0), dtype=np.complex128),
-            projections=np.eye(ambient_dim, dtype=np.complex128)[None],
-        )
-    n_dim = normals[0].shape[0]
-    if ambient_dim is not None and ambient_dim != n_dim:
-        raise ShapeMismatch("ambient_dim disagrees with generator shape")
+        raise ShapeMismatch("joint_diagonalize needs at least one generator")
     stack = np.stack(normals)
     scale = 1.0 + float(op_norm(stack).max())
     adjoints = [adjoint(m) for m in normals]

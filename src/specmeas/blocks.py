@@ -33,6 +33,10 @@ against the vectors' leading axes: one K for a whole stack, or one per
 vector.
 A batch of fields is one OperatorField whose term slots hold such stacks;
 ``i_m_apply`` and ``integrability_check`` sum its slots in order.
+The checks return numbers, not verdicts: ``integrability_check`` the worst
+blockwise normality residual and its block per batch index, and
+``d_alpha_check`` a support-inside-K mask and the probe excesses per
+vector.  The pipelines compare them with their tolerances.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .errors import DimMismatch, ShapeMismatch
 from .linalg import frob_norm
 from .measure import DiscreteSpace, require_mask
 from .nnsm import OperatorField
-from .tolerances import TAU_RECON
 
 
 def scalars() -> VonNeumannAlgebra:
@@ -229,21 +232,15 @@ def truncation_projection(k, x: DomainVector) -> DomainVector:
     return DomainVector(np.where(inside[..., None], x.block, 0.0))
 
 
-@dataclass(frozen=True)
-class DAlphaReport:
-    certified: bool
-    probe_residuals: tuple  # of (probe name, max(0, ||rho(b)x|| - alpha_K(b)||x||))
-    status: str  # "certified" | "sampled-pass" | "fail"
-    flags: tuple = ()
-
-
 def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
                   seed: int = 0):
     """Membership test for the compactly-dominated vectors D_{alpha_K}, as
-    a DAlphaReport; for a (vectors, horizon, block_dim) stack, as a list of
-    them.  K is a block mask (``measure.require_mask``): one (horizon,)
-    mask for every vector, or a (vectors, horizon) stack with one per
-    vector.
+    the pair (certified, residuals): for a (vectors, horizon, block_dim)
+    stack, a (vectors,) mask and a (vectors, probes) array of probe
+    excesses max(0, ||rho(p)x|| - alpha_K(p)||x||); for one vector, a bool
+    and a (probes,) array.  K is a block mask (``measure.require_mask``):
+    one (horizon,) mask for every vector, or a (vectors, horizon) stack
+    with one per vector.
 
     SUFFICIENT: support(x) inside K certifies membership exactly, since
     blockwise ||rho(b) x||^2 = sum |f_b(n)|^2 ||x_n||^2 is dominated by
@@ -251,9 +248,9 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     probed on random *-polynomials in the generators, one draw of a private
     rng seeded by ``seed`` (``random_star_polynomials``) for the stack,
     evaluated by ``star_values`` as one (probes, blocks) value stack over
-    the model's factor rows and read on each vector's support and K.  A
-    non-finite probe residual fails.  More leading axes are ShapeMismatch,
-    and a negative ``probes`` is ValueError.
+    the model's factor rows and read on each vector's support and K.  A NaN
+    excess stays NaN.  More leading axes are ShapeMismatch, and a negative
+    ``probes`` is ValueError.
     """
     _require_rows(x, model.horizon)
     if x.block.ndim > 3:
@@ -266,7 +263,8 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     stacked = (len(xs), 1, model.horizon)
     inside = require_mask(k, x.support.shape).reshape(stacked)
     support = x.support.reshape(stacked)
-    certified = ~np.any(support & ~inside, axis=-1)  # the zero vector is a member
+    # the zero vector is a member
+    certified = ~np.any(support & ~inside, axis=-1)[:, 0]
     norm_x = DomainVector(xs).norm()[:, None]
     mass = np.einsum("vnd,vnd->vn", np.conj(xs), xs).real[:, None]
     probe_draw = random_star_polynomials(np.random.default_rng(seed),
@@ -274,20 +272,9 @@ def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
     vals = np.abs(star_values(*probe_draw, model.factor_rows))
     y_norm = np.sqrt(np.sum(np.where(support, vals ** 2, 0.0) * mass, axis=-1))
     alpha = np.max(np.where(inside, vals, 0.0), axis=-1, initial=0.0)
-    # np.maximum keeps a NaN excess, which then fails every comparison
+    # np.maximum keeps a NaN excess
     residuals = np.maximum(0.0, y_norm - alpha * norm_x)
-    sampled_pass = np.all(residuals <= TAU_RECON * (1.0 + norm_x), axis=-1)
-    reports = [
-        DAlphaReport(
-            certified=c,
-            probe_residuals=tuple((f"probe{t}", r) for t, r in enumerate(res)),
-            status="certified" if c and p else "sampled-pass" if p else "fail",
-            flags=("sampled-necessity",),
-        )
-        for c, p, res in zip(certified[:, 0].tolist(), sampled_pass.tolist(),
-                             residuals.tolist())
-    ]
-    return reports[0] if single else reports
+    return (certified[0], residuals[0]) if single else (certified, residuals)
 
 
 def random_star_polynomials(rng: np.random.Generator, n_names: int,
@@ -353,25 +340,19 @@ def _term_actions(values, a, model: BlockModel) -> np.ndarray:
     return _values_at(values, model.horizon)[..., None, None] * a[..., None, :, :]
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    worst_block: int
-    worst_residual: float
-    passed: bool
-
-
 def integrability_check(model: BlockModel, field_: OperatorField):
-    """Blockwise normality of a field's action (integrability proxy), as an
-    IntegrabilityReport; for a batched field, as a list of them, one per
-    batch index in row-major order.
+    """Blockwise normality of a field's action (integrability proxy), as
+    the pair (residual, block) of arrays of the field's batch shape, 0-d
+    for an unbatched field: the worst scale-aware commutator residual
+    ||B B* - B* B|| / (1 + ||B||^2) over the block actions B and the block
+    that holds it.
 
     Every value row of a field must cover the model's horizon, and every
     coefficient act on one block, or ShapeMismatch is raised.  The block
     actions f(n) * A are summed over the slots in order, and the commutator
     norms of every block action of every batch index are taken in one
-    batch.  A non-finite residual fails and names the worst block: argmax
-    returns the first NaN, or else the first largest residual; a model
-    without blocks passes, naming block 0.
+    batch.  argmax names the first NaN residual, or else the first largest;
+    a model without blocks reads 0.0 at block 0.
     """
     d = model.block_dim
     b = sum((_term_actions(v, a, model) for v, a in field_.terms),
@@ -382,11 +363,4 @@ def integrability_check(model: BlockModel, field_: OperatorField):
     # and gives a model without blocks block 0
     resid = np.concatenate([resid, np.zeros((*resid.shape[:-1], 1))], axis=-1)
     worst = np.argmax(resid, axis=-1)
-    reports = [
-        IntegrabilityReport(worst_block=w, worst_residual=r, passed=p)
-        for w, r, p in zip(
-            worst.ravel().tolist(),
-            np.take_along_axis(resid, worst[..., None], axis=-1).ravel().tolist(),
-            np.all(resid <= TAU_RECON, axis=-1).ravel().tolist())
-    ]
-    return reports if worst.ndim else reports[0]
+    return np.take_along_axis(resid, worst[..., None], axis=-1)[..., 0], worst

@@ -61,6 +61,7 @@ from .tolerances import (
     TAU_MATCH,
     TAU_PROJ,
     TAU_RECON,
+    VERDICT_TOL,
 )
 
 MAX_H_DIM = 4
@@ -112,7 +113,9 @@ class Scenario:
 
 
 def _bool_entry(name, ok: bool, flags=()) -> CheckEntry:
-    return check_entry(name, 0.0 if ok else 1.0, 0.5, flags)
+    """A verdict row, for a check that has no residual: 0 or 1 against
+    VERDICT_TOL."""
+    return check_entry(name, 0.0 if ok else 1.0, VERDICT_TOL, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +415,14 @@ def _theorem_b_families(scenario: Scenario):
     yield family_entries(
         [f"compression[{p}]" for p in members],
         comp.validate(), TAU_RECON * (1.0 + frob_norm(comp.total)))
-    # (3) support containment in supp(E_id): the atoms of norm above
-    # TAU_PROJ of each E_P lie among those of E_id
+    # (3) support containment in supp(E_id), the atoms of norm above
+    # TAU_PROJ of E_id: the largest atom norm of each E_P outside it
     id_idx = _family_index(fm.family, oracle.w1.identity())
-    inside = frob_norm(comp.atoms) > TAU_PROJ
-    outside_id = (inside & ~inside[id_idx]).any(axis=1)
-    yield [_bool_entry(f"support-containment[{p}]", not out)
-           for p, out in zip(members, outside_id.tolist())]
+    norms = frob_norm(comp.atoms)
+    yield family_entries(
+        [f"support-containment[{p}]" for p in members],
+        np.where(norms[id_idx] > TAU_PROJ, 0.0, norms).max(axis=1),
+        np.full(len(members), TAU_PROJ))
     # (4) assemble M; (round trip vs the oracle atom maps)
     try:
         rebuilt = assemble_from_family(fm, oracle.w1)
@@ -495,10 +499,10 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     # (i) integrability: blockwise normality per generator
     generators = OperatorField(terms=((model.factor_rows[0:-1:2],
                                        model.w.identity()),))
-    for i, rep in enumerate(blocks.integrability_check(model, generators)):
-        checks.append(_bool_entry(
-            f"integrable[field{i};block{rep.worst_block}]", rep.passed,
-        ))
+    resid, worst = blocks.integrability_check(model, generators)
+    checks += family_entries(
+        [f"integrable[field{i};block{n}]" for i, n in enumerate(worst.tolist())],
+        resid, np.full(len(resid), TAU_RECON))
     # (ii) density of the compactly dominated domain: both witnesses of the
     # target 0.5^n, probed as one stack
     target = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
@@ -506,14 +510,12 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
     epsilons = (1e-4, 1e-10)
     members, tails = zip(*(_truncate_to_eps(target, eps) for eps in epsilons))
     members = blocks.DomainVector(np.stack([m.block for m in members]))
-    reps = blocks.d_alpha_check(members, model, members.support,
-                                probes=8, seed=scenario.seed + 5)
-    for eps, tail, rep in zip(epsilons, tails, reps):
+    excess = _witness_excess(*blocks.d_alpha_check(
+        members, model, members.support, probes=8, seed=scenario.seed + 5))
+    for eps, tail, r, tol in zip(epsilons, tails, excess,
+                                 TAU_RECON * (1.0 + members.norm())):
         checks.append(check_entry(f"density[eps={eps:g}]", tail, eps))
-        checks.append(_bool_entry(
-            f"density-witness-certified[eps={eps:g}]", rep.status == "certified",
-            flags=rep.flags,
-        ))
+        checks.append(check_entry(f"density-witness-certified[eps={eps:g}]", r, tol))
     # (iii) exact representation on finitely supported vectors; the
     # tolerance scales with the spectral side, the route-free one.  Unused
     # monomial slots are constant monomials of coefficient 0, exact zeros in
@@ -523,14 +525,18 @@ def verify_theorem_c(scenario: Scenario) -> VerificationReport:
         blocks.star_values(codes, coeffs, model.factor_rows), xs)
     checks += family_entries([f"represent[x{t}]" for t in range(len(codes))],
                              lhs.sub(rhs).norm(), TAU_EXACT * (1.0 + rhs.norm()))
-    # (iv) compact support of E_{x,x} inside the membership witness:
-    # certified means the support lies inside K
-    reps = blocks.d_alpha_check(compact, model, compact.support, probes=4,
-                                seed=scenario.seed + 6)
-    for t, rep in enumerate(reps):
-        checks.append(_bool_entry(f"compact-support[x{t}]",
-                                  rep.status == "certified", flags=rep.flags))
+    # (iv) compact support of E_{x,x} inside the membership witness
+    excess = _witness_excess(*blocks.d_alpha_check(
+        compact, model, compact.support, probes=4, seed=scenario.seed + 6))
+    checks += family_entries([f"compact-support[x{t}]" for t in range(len(excess))],
+                             excess, TAU_RECON * (1.0 + compact.norm()))
     return _finish(scenario, checks, t0)
+
+
+def _witness_excess(certified, residuals) -> np.ndarray:
+    """The worst probe excess of each vector of a ``d_alpha_check``, inf
+    for a vector whose support is not inside K; a NaN excess stays NaN."""
+    return np.where(certified, residuals.max(axis=-1, initial=0.0), np.inf)
 
 
 def _rho_polynomial(model, codes, coeffs, x) -> blocks.DomainVector:
@@ -604,14 +610,12 @@ def verify_theorem_d(scenario: Scenario) -> VerificationReport:
     if injected is not None:
         ((v, a),) = injected.terms
         rows, coeffs = np.vstack([v, rows]), np.concatenate([a[None], coeffs])
-    reps = blocks.integrability_check(model, OperatorField(terms=((rows, coeffs),)))
+    resid, worst = blocks.integrability_check(
+        model, OperatorField(terms=((rows, coeffs),)))
+    names = [f"integrable[P{i}]" for i in range(len(fam))]
     if injected is not None:
-        rep = reps.pop(0)
-        checks.append(_bool_entry(
-            f"integrable[injected;block{rep.worst_block}]", rep.passed,
-        ))
-    for i, rep in enumerate(reps):
-        checks.append(_bool_entry(f"integrable[P{i}]", rep.passed))
+        names.insert(0, f"integrable[injected;block{worst[0]}]")
+    checks += family_entries(names, resid, np.full(len(resid), TAU_RECON))
     # (2) the blockwise compression E_P has atoms acting as P per block;
     # cross-block orthogonality is structural, so the atom laws remain
     checks += family_entries(
@@ -733,9 +737,9 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         base = gen_scenario("D", seed, caps)
         bad = inject_fault(base, fault)
         model = bad.payload["model"]
-        rep = blocks.integrability_check(model, bad.payload["field"])
-        detected = not rep.passed
-        detail = f"integrable[injected;block{rep.worst_block}]"
+        resid, worst = blocks.integrability_check(model, bad.payload["field"])
+        detected = not (resid <= TAU_RECON)
+        detail = f"integrable[injected;block{worst}]"
     elif fault == "broken-condition1":
         base = _gen_b_nondegenerate(seed, caps)
         bad = inject_fault(base, fault)

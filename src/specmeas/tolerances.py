@@ -21,3 +21,4 @@ MIN_DECAY_RATE = 0.8   # least fitted log-log decay rate of condition (3)
 CONDITION3_CONSTANT = 10.0  # c in condition (3)'s bound c*(1+dim)/ell_max
 CELL_EDGE_SLACK = 1e-12  # meshes past a cell's right edge that stay in it
 LIMIT_BOUND_SLACK = 1e-12  # relative slack on S_l's 1/ell error bound
+VERDICT_TOL = 0.5  # a verdict row, with no residual, reads 0 (pass) or 1 (fail)

@@ -9,6 +9,7 @@ from specmeas.errors import (
     NotCommuting,
     NotInSpan,
     NotNormal,
+    ShapeMismatch,
 )
 from specmeas.tolerances import TAU_ALG, TAU_EXT, TAU_PROJ, TAU_RANK
 
@@ -506,10 +507,9 @@ def test_joint_diagonalize_twice_gives_equal_atlases():
         assert np.array_equal(first.projections, second.projections)
 
 
-def test_joint_diagonalize_without_generators_is_one_point():
-    atlas = algebra.joint_diagonalize([], ambient_dim=3)
-    assert atlas.values.shape == (1, 0)
-    assert np.array_equal(atlas.projections, np.eye(3)[None])
+def test_joint_diagonalize_rejects_an_empty_generator_list():
+    with pytest.raises(ShapeMismatch):
+        algebra.joint_diagonalize([])
 
 
 def test_joint_diagonalize_rejects_noncommuting():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from specmeas import algebra, blocks, harness, linalg, measure, nnsm
 from specmeas.nnsm import OperatorField
 from specmeas.errors import DimMismatch, ShapeMismatch
+from specmeas.tolerances import TAU_RECON
 
 from conftest import block_mask, decode_star_polynomials, domain_vector, tensor_model
 
@@ -167,13 +168,23 @@ def test_truncation_projection():
     assert np.array_equal(y.support, block_mask(model.horizon, {1}))
 
 
+def d_alpha_status(x, certified, residuals) -> str:
+    """The three-way D_{alpha_K} outcome of one vector, read off
+    d_alpha_check's (certified, residuals): certified when the support lies
+    inside K and every probe excess is within TAU_RECON * (1 + ||x||),
+    sampled-pass when only the probes pass, else fail."""
+    sampled_pass = bool(np.all(residuals <= TAU_RECON * (1.0 + x.norm())))
+    return ("certified" if certified and sampled_pass
+            else "sampled-pass" if sampled_pass else "fail")
+
+
 def test_d_alpha_certified_inside_k():
     model = number_model()
     k = block_mask(model.horizon, range(10))
     x = domain_vector(model, {2: 1.0, 8: 1.0})
-    rep = blocks.d_alpha_check(x, model, k)
-    assert rep.status == "certified"
-    assert "sampled-necessity" in rep.flags
+    certified, residuals = blocks.d_alpha_check(x, model, k)
+    assert d_alpha_status(x, certified, residuals) == "certified"
+    assert residuals.shape == (20,)
 
 
 def test_d_alpha_fails_outside_k():
@@ -181,8 +192,7 @@ def test_d_alpha_fails_outside_k():
     k = block_mask(model.horizon, range(3))
     # mass at block 20 where |num| = 20 > alpha_K = 2: some probe must exceed
     x = domain_vector(model, {20: 1.0})
-    rep = blocks.d_alpha_check(x, model, k, probes=40)
-    assert rep.status == "fail"
+    assert d_alpha_status(x, *blocks.d_alpha_check(x, model, k, probes=40)) == "fail"
 
 
 def test_integrability_check():
@@ -190,17 +200,19 @@ def test_integrability_check():
     # hermitian coefficient: blockwise normal
     h = linalg.random_hermitian(rng, 2)
     good = OperatorField(terms=((model.generator_rows["num"], h),))
-    assert blocks.integrability_check(model, good).passed
+    assert blocks.integrability_check(model, good)[0] <= TAU_RECON
     bad = OperatorField(
         terms=((model.generator_rows["num"],
                 np.array([[0, 1], [0, 0]], dtype=complex)),)
     )
-    rep = blocks.integrability_check(model, bad)
-    assert not rep.passed
+    resid, block = blocks.integrability_check(model, bad)
+    assert not resid <= TAU_RECON
+    assert resid.shape == block.shape == ()  # an unbatched field reads 0-d
     empty = blocks.BlockModel(space=measure.DiscreteSpace(horizon=0),
                               generators={}, w=model.w)
     no_blocks = OperatorField(terms=((np.zeros(0), bad.terms[0][1]),))
-    assert blocks.integrability_check(empty, no_blocks).passed  # no blocks
+    # no blocks: 0.0 at block 0
+    assert blocks.integrability_check(empty, no_blocks) == (0.0, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,11 +378,10 @@ def test_d_alpha_matches_per_point_reference():
             x = random_vector(rng, model, supp=int(rng.integers(0, 4)))
             k = block_mask(model.horizon,
                            [n for n in range(model.horizon) if rng.random() < 0.6])
-            rep = blocks.d_alpha_check(x, model, k, probes=10, seed=t)
+            got_certified, got = blocks.d_alpha_check(x, model, k, probes=10, seed=t)
             certified, residuals, status = _d_alpha_reference(x, model, k, 10, t)
-            assert rep.certified == certified
-            assert rep.status == status
-            got = [r for _, r in rep.probe_residuals]
+            assert got_certified == certified
+            assert d_alpha_status(x, got_certified, got) == status
             scale = 1.0 + x.norm() * max(1.0, max(residuals))
             assert np.allclose(got, residuals, rtol=0.0, atol=1e-12 * scale)
             statuses.add(status)
@@ -483,10 +494,10 @@ def test_d_alpha_fails_a_nan_probe():
     x = domain_vector(model, {2: 1.0})
     k = block_mask(model.horizon, [2])
     with np.errstate(invalid="ignore"):
-        rep = blocks.d_alpha_check(x, model, k, probes=20, seed=0)
-    assert rep.certified
-    assert rep.status == "fail"
-    assert any(np.isnan(r) for _, r in rep.probe_residuals)
+        certified, residuals = blocks.d_alpha_check(x, model, k, probes=20, seed=0)
+    assert certified
+    assert d_alpha_status(x, certified, residuals) == "fail"
+    assert any(np.isnan(r) for r in residuals)
 
 
 def test_k_must_be_a_set_over_the_model_space():
@@ -510,8 +521,9 @@ def test_d_alpha_rejects_a_negative_probe_count():
     k = block_mask(model.horizon, range(5))
     with pytest.raises(ValueError):
         blocks.d_alpha_check(x, model, k, probes=-1)
-    rep = blocks.d_alpha_check(x, model, k, probes=0)
-    assert rep.status == "certified" and rep.probe_residuals == ()
+    certified, residuals = blocks.d_alpha_check(x, model, k, probes=0)
+    assert d_alpha_status(x, certified, residuals) == "certified"
+    assert residuals.shape == (0,)
 
 
 def _integrability_reference(model, field_):
@@ -554,15 +566,15 @@ def test_integrability_matches_per_block_reference():
                                 linalg.random_complex(rng, d, d))))
         for terms in fields:
             field_ = OperatorField(terms=terms)
-            rep = blocks.integrability_check(model, field_)
+            got, got_block = blocks.integrability_check(model, field_)
             block, resid, passed = _integrability_reference(model, field_)
-            assert rep.passed == passed
-            assert abs(rep.worst_residual - resid) <= 1e-12
+            assert (got <= TAU_RECON) == passed
+            assert abs(got - resid) <= 1e-12
             # a normal block action (a 1x1 or Hermitian coefficient) leaves
             # round-off (~1e-17) whose argmax names no block, so the worst
             # block is compared above round-off only
             if resid > 1e-12:
-                assert rep.worst_block == block
+                assert got_block == block
     # the injected spike is found at its block
     assert not passed and block == 5
 
@@ -580,26 +592,27 @@ def test_integrability_of_a_stack_matches_per_field_calls():
     rows = np.stack([row, row, nan_row, _spike(model, 7)])
     stacked = OperatorField(terms=((rows, coeffs),))
     with np.errstate(invalid="ignore"):
-        got = blocks.integrability_check(model, stacked)
+        resid, block = blocks.integrability_check(model, stacked)
         want = [blocks.integrability_check(model, OperatorField(terms=((v, a),)))
                 for v, a in zip(rows, coeffs)]
-    assert isinstance(got, list) and len(got) == len(rows)
-    for g, w in zip(got, want):
-        assert isinstance(w, blocks.IntegrabilityReport)
-        assert g.worst_block == w.worst_block
-        assert g.passed == w.passed
-        assert (g.worst_residual == w.worst_residual
-                or np.isnan(g.worst_residual) and np.isnan(w.worst_residual))
-    assert [g.passed for g in got] == [True, False, False, False]
-    assert got[2].worst_block == 3 and got[3].worst_block == 7
-    assert blocks.integrability_check(model, OperatorField(
-        terms=((rows[:0], coeffs[:0]),))) == []
+    assert resid.shape == block.shape == (len(rows),)
+    for r, n, (w_resid, w_block) in zip(resid, block, want):
+        assert w_resid.shape == w_block.shape == ()
+        assert n == w_block
+        assert (r <= TAU_RECON) == (w_resid <= TAU_RECON)
+        assert r == w_resid or np.isnan(r) and np.isnan(w_resid)
+    assert (resid <= TAU_RECON).tolist() == [True, False, False, False]
+    assert block[2] == 3 and block[3] == 7
+    for got in blocks.integrability_check(model, OperatorField(
+            terms=((rows[:0], coeffs[:0]),))):
+        assert got.shape == (0,)
     empty = blocks.BlockModel(space=measure.DiscreteSpace(horizon=0),
                               generators={}, w=model.w)
     none = OperatorField(terms=((np.zeros(0), model.w.identity()),))
     two_none = OperatorField(terms=((np.zeros((2, 0)), model.w.identity()),))
-    assert blocks.integrability_check(empty, two_none) == [
-        blocks.integrability_check(empty, none)] * 2
+    for got, one in zip(blocks.integrability_check(empty, two_none),
+                        blocks.integrability_check(empty, none)):
+        assert np.array_equal(got, [one] * 2)
 
 
 def test_random_domain_vectors_draw_uniform_three_block_supports():
@@ -643,16 +656,16 @@ def test_integrability_fails_non_finite_field():
     a = linalg.random_hermitian(np.random.default_rng(8), 2)
     everywhere = OperatorField(terms=((np.full(model.horizon, np.nan), a),))
     with np.errstate(invalid="ignore"):
-        rep = blocks.integrability_check(model, everywhere)
-    assert not rep.passed and rep.worst_block == 0
-    assert np.isnan(rep.worst_residual)
+        resid, block = blocks.integrability_check(model, everywhere)
+    assert not resid <= TAU_RECON and block == 0
+    assert np.isnan(resid)
     # a hermitian field that is non-finite on block 6 only names that block
     row = np.arange(model.horizon, dtype=complex)
     row[6] = np.inf
     at_six = OperatorField(terms=((row, a),))
     with np.errstate(invalid="ignore"):
-        rep = blocks.integrability_check(model, at_six)
-    assert not rep.passed and rep.worst_block == 6
+        resid, block = blocks.integrability_check(model, at_six)
+    assert not resid <= TAU_RECON and block == 6
 
 
 def test_generator_rows_evaluate_each_generator_once_per_block():
@@ -681,7 +694,7 @@ def test_matrix_coefficients_must_fit_the_block_dim():
     matrix, rng = matrix_model(seed=11)
     a = linalg.random_hermitian(rng, 2)
     assert blocks.integrability_check(
-        matrix, OperatorField(terms=((row[:16], a),))).passed
+        matrix, OperatorField(terms=((row[:16], a),)))[0] <= TAU_RECON
     for model_, c in ((model, 2.0 + 0.0j), (model, np.complex128(2.0)),
                       (matrix, 2.0 + 0.0j), (matrix, np.eye(3))):
         scalar = OperatorField(terms=((model_.generator_rows["num"], c),))
@@ -753,10 +766,15 @@ def test_stacked_operators_equal_per_vector_calls(dim):
     # one K per vector: inside, partly outside and outside the support
     ks = np.stack([x.support for x in vectors[:3]]
                   + [block_mask(8, range(2)), block_mask(8, [7])])
-    reports = blocks.d_alpha_check(xs, model, ks, probes=12, seed=dim)
-    assert reports == [blocks.d_alpha_check(x, model, k, probes=12, seed=dim)
-                       for x, k in zip(vectors, ks)]
-    assert {r.status for r in reports} >= {"certified", "fail"}
+    certified, residuals = blocks.d_alpha_check(xs, model, ks, probes=12, seed=dim)
+    assert certified.shape == (len(vectors),)
+    assert residuals.shape == (len(vectors), 12)
+    statuses = set()
+    for x, k, c, r in zip(vectors, ks, certified, residuals):
+        one_c, one_r = blocks.d_alpha_check(x, model, k, probes=12, seed=dim)
+        assert c == one_c and r.tobytes() == one_r.tobytes()
+        statuses.add(d_alpha_status(x, c, r))
+    assert statuses >= {"certified", "fail"}
     kept = blocks.truncation_projection(ks, xs).block
     for i, (x, k) in enumerate(zip(vectors, ks)):
         assert kept[i].tobytes() == blocks.truncation_projection(k, x).block.tobytes()
@@ -785,13 +803,17 @@ def test_k_is_a_boolean_block_mask():
     # one (horizon,) K shared by the stack, or one K per vector: each
     # vector's result is bit-equal to its single call
     for mask in (k, np.stack([k, vectors[1].support, ~k])):
-        reports = blocks.d_alpha_check(xs, model, mask, probes=12, seed=3)
+        certified, residuals = blocks.d_alpha_check(xs, model, mask, probes=12, seed=3)
         kept = blocks.truncation_projection(mask, xs).block
+        statuses = set()
         for i, (x, k_i) in enumerate(zip(vectors, np.broadcast_to(mask, (3, 8)))):
-            assert reports[i] == blocks.d_alpha_check(x, model, k_i, probes=12, seed=3)
+            one_c, one_r = blocks.d_alpha_check(x, model, k_i, probes=12, seed=3)
+            assert certified[i] == one_c
+            assert residuals[i].tobytes() == one_r.tobytes()
+            statuses.add(d_alpha_status(x, certified[i], residuals[i]))
             one = blocks.truncation_projection(k_i, x)
             assert kept[i].tobytes() == one.block.tobytes()
-    assert {r.status for r in reports} >= {"certified", "fail"}
+    assert statuses >= {"certified", "fail"}
 
 
 def test_d_alpha_takes_one_vector_or_one_stack_of_them():
@@ -817,7 +839,7 @@ def test_an_empty_field_acts_as_zero():
         for got in (blocks.i_m_apply(empty, model, vec),
                     harness._rho_field(model, empty, vec)):
             assert got.block.shape == vec.block.shape and not got.block.any()
-    assert blocks.integrability_check(model, empty).passed
+    assert blocks.integrability_check(model, empty)[0] <= TAU_RECON
 
 
 def _stacked_slot(rng, form, batch, n_points, w):
@@ -878,12 +900,12 @@ def test_a_stacked_field_acts_as_its_slices(seed, batch, forms, other):
     delta = rng.random(3) < 0.5
     x = rng.standard_normal((*batch, 3, d, 2)).view(complex)[..., 0]
     integral = np.broadcast_to(nnsm.integrate(m, f, delta), batch + (k, k))
-    reports = blocks.integrability_check(model, f)
+    resid, block = blocks.integrability_check(model, f)
     applied = blocks.i_m_apply(f, model, blocks.DomainVector(x)).block
     assert applied.shape == x.shape
     if forms and batch:
         assert integral.shape == batch + (k, k)
-        assert isinstance(reports, list) and len(reports) == int(np.prod(batch))
+        assert resid.shape == block.shape == batch
     for j, index in enumerate(np.ndindex(batch)):
         at_f, at_g = _field_at(f, index, batch), _field_at(g, index, batch)
         assert _same_terms(_field_at(f + g, index, batch), at_f + at_g)
@@ -894,11 +916,11 @@ def test_a_stacked_field_acts_as_its_slices(seed, batch, forms, other):
         want = nnsm.integrate(m, at_f, delta)
         assert linalg.frob_norm(integral[index] - want) <= 1e-12 * (
             1.0 + linalg.frob_norm(want))
-        rep = reports[j] if isinstance(reports, list) else reports
-        alone = blocks.integrability_check(model, at_f)
-        assert rep.passed == alone.passed
-        assert abs(rep.worst_residual - alone.worst_residual) <= 1e-12
-        if alone.worst_residual > 1e-12:  # round-off names no block
-            assert rep.worst_block == alone.worst_block
+        got = np.broadcast_to(resid, batch)[index]
+        alone, alone_block = blocks.integrability_check(model, at_f)
+        assert (got <= TAU_RECON) == (alone <= TAU_RECON)
+        assert abs(got - alone) <= 1e-12
+        if alone > 1e-12:  # round-off names no block
+            assert np.broadcast_to(block, batch)[index] == alone_block
         one = blocks.i_m_apply(at_f, model, blocks.DomainVector(x[index])).block
         assert np.all(np.abs(applied[index] - one) <= 1e-12 * (1.0 + np.abs(one)))

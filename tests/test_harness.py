@@ -7,7 +7,8 @@ import pytest
 from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
 from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
                              SpecmeasError)
-from specmeas.tolerances import TAU_EXACT, TAU_EXT, TAU_PROJ, TAU_RECON
+from specmeas.tolerances import (TAU_EXACT, TAU_EXT, TAU_PROJ, TAU_RECON,
+                                 VERDICT_TOL)
 
 from conftest import (decode_star_polynomials, hermitian_element, member_measure,
                       point_mask, stacked_fields)
@@ -429,6 +430,35 @@ def test_verify_c_compact_support_fails_only_at_a_vector_outside_its_k(monkeypat
 
         monkeypatch.setattr(blocks, "d_alpha_check", shrunk)
         assert _failed(harness.verify_theorem_c(sc)) == {f"compact-support[x{j}]"}
+
+
+def test_only_verdict_rows_carry_the_verdict_tol():
+    # a row without a residual reads 0 or 1 against VERDICT_TOL; every
+    # other row, the integrability, D_alpha and support rows included, is a
+    # residual against its own tolerance
+    verdicts = {"diagonalize", "assemble", "document", "condition3",
+                "fault-detected"}
+    rows = [c for kind in ("A", "B", "Cprime", "D") for seed in range(50)
+            for c in harness.run_scenario(kind, seed).checks]
+    rows += [c for fault in harness.FAULT_CLASSES
+             for c in harness.fault_report(fault, 0).checks]
+    rows += harness.characterization_reports(harness.gen_scenario("B", 0))[0].checks
+    families = {c.name.split("[")[0] for c in rows}
+    assert families >= {"integrable", "density-witness-certified",
+                        "compact-support", "support-containment",
+                        "fault-detected", "condition3"}
+    for c in rows:
+        assert (c.tol == VERDICT_TOL) == (c.name.split("[")[0] in verdicts), c.name
+    # a non-normal block reads its residual above TAU_RECON at the block
+    # that the fault spiked
+    for seed in range(4):
+        bad = harness.inject_fault(harness.gen_scenario("D", seed), "non-normal-block")
+        ((row, _),) = bad.payload["field"].terms
+        (spiked,) = np.flatnonzero(row)
+        (check,) = [c for c in harness.verify_theorem_d(bad).checks
+                    if c.name.startswith("integrable[injected")]
+        assert check.name == f"integrable[injected;block{spiked}]"
+        assert check.residual > check.tol == TAU_RECON
 
 
 @pytest.mark.parametrize("fault", harness.FAULT_CLASSES)
@@ -858,6 +888,11 @@ def _verify_b_reference(scenario):
     def support(e):
         return {x for x, a in zip(e.labels, e.atoms) if frob(a) > TAU_PROJ}
 
+    def outside(e, supp):
+        """The largest atom norm of e outside the atom set supp."""
+        return max((frob(a) for x, a in zip(e.labels, e.atoms) if x not in supp),
+                   default=0.0)
+
     checks = []
     rng = np.random.default_rng(scenario.seed + 2)
     fm = harness._derive_family_measures(rho, oracle, seed=scenario.seed + 3)
@@ -870,8 +905,8 @@ def _verify_b_reference(scenario):
     id_idx = harness._family_index(fm.family, oracle.w1.identity())
     supp_id = support(measures[id_idx])
     for i, e_p in enumerate(measures):
-        checks.append(harness._bool_entry(
-            f"support-containment[P{i}]", support(e_p) <= supp_id))
+        checks.append(nnsm.check_entry(
+            f"support-containment[P{i}]", outside(e_p, supp_id), TAU_PROJ))
     try:
         rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     except SpecmeasError as exc:
@@ -1054,20 +1089,21 @@ def _verify_c_reference(scenario):
     compact = harness._random_domain_vectors(rng, model, 4)
     unit = model.w.identity()
     for i, n in enumerate(names):
-        rep = blocks.integrability_check(model, nnsm.OperatorField(
+        resid, block = blocks.integrability_check(model, nnsm.OperatorField(
             terms=((model.generator_rows[n], unit),)))
-        checks.append(harness._bool_entry(
-            f"integrable[field{i};block{rep.worst_block}]", rep.passed))
+        checks.append(nnsm.check_entry(
+            f"integrable[field{i};block{block}]", resid, TAU_RECON))
     for eps in (1e-4, 1e-10):
         coeffs = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
                            model.block_dim, axis=1)
         member, tail = _truncate_reference(coeffs, eps)
         checks.append(nnsm.check_entry(f"density[eps={eps:g}]", tail, eps))
-        rep = blocks.d_alpha_check(member, model, member.support, probes=8,
-                                   seed=scenario.seed + 5)
-        checks.append(harness._bool_entry(
-            f"density-witness-certified[eps={eps:g}]", rep.status == "certified",
-            flags=rep.flags))
+        certified, residuals = blocks.d_alpha_check(
+            member, model, member.support, probes=8, seed=scenario.seed + 5)
+        checks.append(nnsm.check_entry(
+            f"density-witness-certified[eps={eps:g}]",
+            _witness_excess(certified, residuals),
+            TAU_RECON * (1.0 + _norm(member))))
     for t, (codes, coeffs) in enumerate(zip(*polys)):
         x = _one(xs, t)
         lhs = _rho_polynomial_reference(model, codes, coeffs, x)
@@ -1077,12 +1113,17 @@ def _verify_c_reference(scenario):
             f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(rhs))))
     for t in range(4):
         x = _one(compact, t)
-        rep = blocks.d_alpha_check(x, model, x.support, probes=4,
-                                   seed=scenario.seed + 6)
-        checks.append(harness._bool_entry(f"compact-support[x{t}]",
-                                          rep.status == "certified",
-                                          flags=rep.flags))
+        certified, residuals = blocks.d_alpha_check(x, model, x.support, probes=4,
+                                                    seed=scenario.seed + 6)
+        checks.append(nnsm.check_entry(
+            f"compact-support[x{t}]", _witness_excess(certified, residuals),
+            TAU_RECON * (1.0 + _norm(x))))
     return checks
+
+
+def _witness_excess(certified, residuals):
+    """One vector's worst probe excess, inf when it is not certified."""
+    return max(residuals.tolist(), default=0.0) if certified else np.inf
 
 
 def _verify_d_reference(scenario):
@@ -1107,11 +1148,11 @@ def _verify_d_reference(scenario):
         model, nnsm.OperatorField(terms=((model.generator_rows[names[0]], p),)))
         for p in fam.members]
     if injected is not None:
-        rep = blocks.integrability_check(model, injected)
-        checks.append(harness._bool_entry(
-            f"integrable[injected;block{rep.worst_block}]", rep.passed))
-    for i, rep in enumerate(reps):
-        checks.append(harness._bool_entry(f"integrable[P{i}]", rep.passed))
+        resid, block = blocks.integrability_check(model, injected)
+        checks.append(nnsm.check_entry(
+            f"integrable[injected;block{block}]", resid, TAU_RECON))
+    for i, (resid, _) in enumerate(reps):
+        checks.append(nnsm.check_entry(f"integrable[P{i}]", resid, TAU_RECON))
     checks += nnsm.family_entries(
         [f"compression[P{i}]" for i in range(len(fam))],
         linalg.projection_residual(fam.stack), np.full(len(fam), TAU_RECON))
