@@ -68,10 +68,15 @@ class VonNeumannAlgebra:
         """(dim, d^2) matrix whose rows are the vectorized basis elements."""
         return self.basis.reshape(self.dim, self.ambient_dim**2)
 
+    @cached_property
+    def _basis_adjoint(self) -> np.ndarray:
+        """The (d^2, dim) conjugate transpose of ``basis_matrix``, kept."""
+        return self.basis_matrix.conj().T
+
     def _project(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of the rows of ``flat`` and their distances to the span;
         each row is its own (1, d^2) product, bit-equal in any stack."""
-        coeffs = np.matmul(flat[..., None, :], self.basis_matrix.conj().T)[..., 0, :]
+        coeffs = np.matmul(flat[..., None, :], self._basis_adjoint)[..., 0, :]
         return coeffs, frob_norm(flat - coeffs @ self.basis_matrix, axis=-1)
 
     def coefficients(self, a: np.ndarray) -> np.ndarray:

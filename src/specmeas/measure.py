@@ -80,9 +80,12 @@ def atoms_in(space: DiscreteSpace, labels, delta, lead: tuple = ()) -> np.ndarra
     (n_points,)`` (``require_mask``), the ``lead + (n_atoms,)`` mask that
     reads each atom's label off Delta's point axis.  A label that is not
     among the points, an atom past a countable space's horizon, lies in no
-    set: it reads the False column padded onto Delta."""
+    set: it reads the False column padded onto Delta.  Labels that are the
+    points in order read Delta itself, with no copy or gather."""
     points = space.points()
     delta = require_mask(delta, lead + (len(points),))
+    if tuple(labels) == tuple(points):
+        return delta
     columns = [points.index(x) if x in points else len(points) for x in labels]
     outside = np.zeros(lead + (1,), dtype=bool)
     return np.concatenate([delta, outside], axis=-1)[..., columns]

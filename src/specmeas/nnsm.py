@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -198,9 +199,10 @@ def check_entry(name, residual, tol, flags=()) -> CheckEntry:
 
 def family_entries(names, residuals, tols) -> list[CheckEntry]:
     """One check per name from a family's residual and tol arrays, in
-    order."""
-    return [check_entry(name, r, t)
-            for name, r, t in zip(names, residuals, tols, strict=True)]
+    order, each equal to ``check_entry``'s; each array is one ``tolist``."""
+    rs, ts = (np.asarray(x, dtype=np.float64).tolist() for x in (residuals, tols))
+    return [CheckEntry(name=name, residual=r, tol=t, passed=r <= t)
+            for name, r, t in zip(names, rs, ts, strict=True)]
 
 
 REPORT_SCHEMA = 1  # the version of every report document
@@ -441,17 +443,20 @@ def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
     zero.
 
     Each f_i is a value row with one entry per point of the space; a row of
-    another length raises ShapeMismatch.  The columns of the stored atoms in
-    Delta (``atoms_in``) are read from the rows, the coordinates of every
-    slot come from one ``coefficients`` call (row by row, so each slot's
-    are its own), the slots' weights f_i(x) c(A_i) are summed in slot order
-    and meet the image stack in one contraction.
+    another length raises ShapeMismatch.  Each slot's coordinates are its
+    rows of one ``coefficients`` call, the weights f_i(x) c(A_i) of the atoms
+    in Delta (``atoms_in``) are summed in slot order, and one (batch, n dim)
+    @ (n dim, k^2) ``np.dot`` meets them with the image stack; the rows are
+    gathered only when the labels are not the points in order, and the
+    stack only when Delta misses a stored atom.
     """
-    inside = np.flatnonzero(atoms_in(m.space, m.labels, delta))
+    mask = atoms_in(m.space, m.labels, delta)
     if not field_.terms:
         return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
     points = m.space.points()
-    columns = [points.index(m.labels[i]) for i in inside]
+    inside = slice(None) if mask.all() else np.flatnonzero(mask)
+    columns = inside if m.labels == tuple(points) else [
+        points.index(x) for x, on in zip(m.labels, mask) if on]
     rows = [np.asarray(v, dtype=np.complex128) for v, _ in field_.terms]
     if any(row.ndim < 1 or row.shape[-1] != len(points) for row in rows):
         raise ShapeMismatch(f"value rows index the space's {len(points)} points")
@@ -459,9 +464,11 @@ def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
     flat = [a.reshape(-1, *a.shape[-2:]) for a in slots]
     if any(f.shape[1:] != flat[0].shape[1:] for f in flat):
         raise ShapeMismatch("term slots hold matrices of different shapes")
-    coeffs = np.split(m.w1.coefficients(np.concatenate(flat)),
-                      np.cumsum([len(f) for f in flat[:-1]]))
-    parts = [row[..., columns, None] * c.reshape(*a.shape[:-2], 1, m.w1.dim)
-             for row, a, c in zip(rows, slots, coeffs)]
+    coeffs = m.w1.coefficients(np.concatenate(flat))
+    ends = [0, *accumulate(len(f) for f in flat)]
+    parts = [row[..., columns, None] * coeffs[i:j].reshape(*a.shape[:-2], 1, m.w1.dim)
+             for row, a, i, j in zip(rows, slots, ends, ends[1:])]
     weights = sum(parts[1:], parts[0])
-    return np.tensordot(weights, m.images[inside], axes=([-2, -1], [0, 1]))
+    (*lead, n_in, dim), k = weights.shape, m.target_dim
+    return np.dot(weights.reshape(math.prod(lead), n_in * dim),
+                  m.images[inside].reshape(n_in * dim, k * k)).reshape(*lead, k, k)

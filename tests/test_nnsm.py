@@ -511,6 +511,114 @@ def test_integrate_empty_field_and_empty_batch():
     assert _close(got[2], _ref_integrate(m, g, whole))
 
 
+def _general_atoms_in(space, labels, delta):
+    """Which atoms lie in a (..., n_points) set, by the concatenate-and-gather
+    rule: each label's column of Delta, or a padded False column for a label
+    that is not among the points."""
+    points = space.points()
+    columns = [points.index(x) if x in points else len(points) for x in labels]
+    outside = np.zeros(delta.shape[:-1] + (1,), dtype=bool)
+    return np.concatenate([delta, outside], axis=-1)[..., columns]
+
+
+def _split_tensordot_integrate(m, field_, delta):
+    """``integrate`` by its earlier route: the atoms in Delta by the general
+    mask rule, one coefficients call cut into slots by np.split, each row's
+    columns gathered by label, and np.tensordot against m.images[inside]."""
+    inside = np.flatnonzero(_general_atoms_in(m.space, m.labels, delta))
+    if not field_.terms:
+        return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
+    points = m.space.points()
+    columns = [points.index(m.labels[i]) for i in inside]
+    rows = [np.asarray(v, dtype=np.complex128) for v, _ in field_.terms]
+    slots = [np.asarray(a) for _, a in field_.terms]
+    flat = [a.reshape(-1, *a.shape[-2:]) for a in slots]
+    coeffs = np.split(m.w1.coefficients(np.concatenate(flat)),
+                      np.cumsum([len(f) for f in flat[:-1]]))
+    parts = [row[..., columns, None] * c.reshape(*a.shape[:-2], 1, m.w1.dim)
+             for row, a, c in zip(rows, slots, coeffs)]
+    weights = sum(parts[1:], parts[0])
+    return np.tensordot(weights, m.images[inside], axes=([-2, -1], [0, 1]))
+
+
+def _label_orders(seed):
+    """One model per route through ``integrate``: labels that are the points
+    in order (no gather), the same atoms with reversed labels, labels that
+    miss a point, and a countable space with an atom past its horizon."""
+    m, _, _ = tensor_model(seed=seed, n_atoms=3)
+    reversed_ = nnsm.NonNegSpectralMeasure(m.space, m.w1, m.labels[::-1], m.images)
+    unstored, _ = _model_with_unstored_label(seed)
+    countable = measure.DiscreteSpace(horizon=3)
+    past = nnsm.NonNegSpectralMeasure(countable, m.w1, (2, 0, 7), m.images)
+    return [m, reversed_, unstored, past]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integrate_equals_the_split_tensordot_route_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for m in _label_orders(seed):
+        points = m.space.points()
+        one_hot = nnsm.OperatorField(terms=((
+            np.eye(len(points), dtype=np.complex128),
+            algebra.sample_projections(m.w1, n=4, seed=seed).stack[:, None]),))
+        fields = [_random_field(rng, m, 1), _random_field(rng, m, 3),
+                  stacked_fields([_random_field(rng, m, 1) for _ in range(4)]),
+                  stacked_fields([_random_field(rng, m, 1 + t % 3) for t in range(5)]),
+                  one_hot]
+        sets = [np.ones(len(points), dtype=bool), point_mask(m.space, {0, 2}),
+                np.zeros(len(points), dtype=bool)]
+        for delta in sets:
+            for field_ in fields:
+                got = nnsm.integrate(m, field_, delta)
+                want = _split_tensordot_integrate(m, field_, delta)
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_atoms_in_reads_delta_itself_for_labels_in_point_order():
+    rng = np.random.default_rng(8)
+    for m in _label_orders(8):
+        n = len(m.space.points())
+        ordered = m.labels == tuple(m.space.points())
+        for lead in ((), (5,), (2, 3)):
+            delta = rng.random(lead + (n,)) < 0.5
+            got = measure.atoms_in(m.space, m.labels, delta, lead)
+            assert np.array_equal(got, _general_atoms_in(m.space, m.labels, delta))
+            # the point-order labels return Delta's own mask; the others
+            # gather a fresh one
+            assert (got is delta) == ordered
+            assert ordered or not np.shares_memory(got, delta)
+    assert [m.labels == tuple(m.space.points()) for m in _label_orders(8)] == [
+        True, False, False, False]
+
+
+def test_family_entries_equal_check_entry_row_by_row():
+    nan, inf = float("nan"), float("inf")
+    def rows(entries):
+        return [(e.name, type(e.residual), repr(e.residual), type(e.tol),
+                 repr(e.tol), type(e.passed), e.passed, e.flags) for e in entries]
+
+    families = [
+        (np.array([0.5, nan, inf, -inf, 1.0, 2.0, nan]),
+         np.array([1.0, 1.0, inf, -inf, nan, -inf, nan])),
+        (np.array([0, 3, -2, 7], dtype=np.int64), np.array([1.0, 3.0, -2.5, inf])),
+        (np.array([True, False, True]), np.array([0.5, 0.5, 1.0])),
+        (np.array([True, False]), np.array([1, 0], dtype=np.int64)),
+        ([1e-16, 0.25], [np.float64(1e-15), 0.125]),
+        (np.zeros(0), np.zeros(0)),
+    ]
+    for residuals, tols in families:
+        names = [f"check[{t}]" for t in range(len(residuals))]
+        want = [nnsm.check_entry(n, r, t) for n, r, t in zip(names, residuals, tols)]
+        assert rows(nnsm.family_entries(names, residuals, tols)) == rows(want)
+    # strict: a name, residual or tol too many is an error, never a
+    # silently shorter family
+    for names, residuals, tols in ((["a", "b"], [1.0], [1.0]),
+                                   (["a"], [1.0, 2.0], [1.0]),
+                                   (["a"], [1.0], np.array([1.0, 2.0]))):
+        with pytest.raises(ValueError):
+            nnsm.family_entries(names, residuals, tols)
+
+
 def test_integrate_and_m_a_reject_a_set_from_another_space():
     # a set of another space is a mask of another length
     m, rng = _model_with_unstored_label(seed=16)
