@@ -33,10 +33,6 @@ class NotNormal(SpecmeasError):
     pass
 
 
-class SpaceMismatch(SpecmeasError):
-    pass
-
-
 class DimMismatch(SpecmeasError):
     pass
 

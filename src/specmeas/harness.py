@@ -187,7 +187,7 @@ def _gen_b(seed, rng, caps) -> Scenario:
     for x in range(n_atoms):
         placed[x, :, x::n_atoms, x::n_atoms] = w1.basis
     images = u @ placed @ adjoint(u)
-    oracle = NonNegSpectralMeasure(space, w1, space.labels, images)
+    oracle = NonNegSpectralMeasure(space, w1, images)
     return Scenario(
         kind="B", seed=seed, space=space,
         payload={"oracle": oracle},
@@ -261,14 +261,13 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
     rng = np.random.default_rng(scenario.seed ^ 0x5EED)
     if fault in ("non-idempotent-projection", "denormalized-m"):
         oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
-        x = scenario.space.points()[int(rng.integers(len(scenario.space.points())))]
+        i = int(rng.integers(len(scenario.space)))
         images = oracle.images.copy()
-        i = oracle.labels.index(x)
         if fault == "denormalized-m":
             images[i] = (1.0 + magnitude) * images[i]
         else:
             images[i] = images[i] + magnitude * np.eye(oracle.target_dim)
-        bad = NonNegSpectralMeasure(oracle.space, oracle.w1, oracle.labels, images)
+        bad = NonNegSpectralMeasure(oracle.space, oracle.w1, images)
         return replace(scenario, payload={"oracle": bad}, fault=fault)
     if fault == "broken-condition1":
         # the compressions themselves get corrupted after derivation, no
@@ -378,13 +377,11 @@ def _derive_family_measures(
 ) -> FamilyMeasures:
     """E_P from the representation alone: E_P({x}) = ρ(1_x ⊗ P)."""
     fam = sample_projections(oracle.w1, n=n, seed=seed)
-    space = oracle.space
-    points = space.points()
-    # one ρ call over the (member, atom) indicator fields 1_x (x) P: the
+    # one ρ call over the (member, point) indicator fields 1_x (x) P: the
     # one-hot rows against the member stack
-    one_hot = np.eye(len(points), dtype=np.complex128)
+    one_hot = np.eye(len(oracle.space), dtype=np.complex128)
     values = rho(OperatorField(terms=((one_hot, fam.stack[:, None]),)))
-    return FamilyMeasures(fam, SpectralMeasure(space, points, values))
+    return FamilyMeasures(fam, SpectralMeasure(oracle.space, values))
 
 
 def verify_theorem_b(scenario: Scenario) -> VerificationReport:
@@ -402,7 +399,7 @@ def _theorem_b_families(scenario: Scenario):
     assembly yields its flagged row and ends the pipeline.  Each stage runs
     only when the next family is asked for, so a reader may stop early."""
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
-    whole = np.ones(len(oracle.space.points()), dtype=bool)
+    whole = np.ones(len(oracle.space), dtype=bool)
 
     def rho(field_: OperatorField) -> np.ndarray:
         return integrate(oracle, field_, whole)
@@ -430,10 +427,10 @@ def _theorem_b_families(scenario: Scenario):
         yield [_bool_entry(f"assemble[{type(exc).__name__}]", False,
                            flags=(str(exc),))]
         return
-    # both measures are labelled by space.points(), in order; the worst
-    # basis image per atom
+    # both measures are indexed by space.points(); the worst basis image
+    # per point
     yield family_entries(
-        [f"reconstruction[{x}]" for x in oracle.labels],
+        [f"reconstruction[{x}]" for x in oracle.space.points()],
         frob_norm(rebuilt.images - oracle.images).max(axis=1),
         TAU_EXT * (1.0 + frob_norm(oracle.images[:, 0])))
     # (5) normalization
@@ -469,7 +466,7 @@ def _random_fields(rng, m: NonNegSpectralMeasure, n_fields: int, count: int):
     Term t of field i is draw row t * n_fields + i; a missing term's row is
     zero, an exact-zero value row and element.  One hermitian_elements call
     builds every element."""
-    n, d = len(m.space.points()), m.w1.ambient_dim
+    n, d = len(m.space), m.w1.ambient_dim
     width = 2 * n + 2 * m.w1.dim
     draws = np.zeros((3 * n_fields + count, width))
     for i in range(n_fields):
@@ -751,10 +748,9 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         aug = fam.members + tuple(eye - p for p in fam.members[2:])
         fam = ProjectionFamily(algebra=fam.algebra, members=aug)
         comp = oracle.measure_for(fam.stack)
-        # the bump leaves E_id(X) as it was
+        # the bump on the first point's atom leaves E_id(X) as it was
         atoms = comp.atoms.copy()
-        first = comp.labels.index(min(comp.labels, key=repr))
-        atoms[_family_index(fam, eye), first] += (
+        atoms[_family_index(fam, eye), 0] += (
             bad.payload["measure_bump"] * np.eye(oracle.target_dim))
         fm = FamilyMeasures(fam, replace(comp, atoms=atoms))
         rep = condition1_check(fm, trials=24, seed=seed + 13)

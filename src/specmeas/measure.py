@@ -5,10 +5,10 @@ truncation horizon.  Every measure is purely atomic; compact sets are exactly
 the finite subsets.  A set is its indicator: a boolean mask indexed like
 ``space.points()`` (``require_mask``), the form of a compact K of a block
 model and of an operator field's value row, with leading axes for a stack of
-sets.  A spectral measure stores its atoms as one projection stack with a
-label index, with optional leading axes that batch measures over shared
-labels; ``atoms_in`` reads which atoms lie in a set, and ``evaluate`` is the
-one route to E(Delta), a masked sum over the stack.
+sets.  A spectral measure stores its atoms indexed the same way, one
+projection per point (zero where the measure has no atom), with optional
+leading axes that batch measures on one space; ``evaluate`` is the one
+route to E(Delta), the stack's atoms summed under Delta's mask.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SpaceMismatch
+from .errors import ShapeMismatch
 from .linalg import frob_norm, resolution_residual
 
 
@@ -46,15 +46,14 @@ class DiscreteSpace:
     def is_finite(self) -> bool:
         return self.labels is not None
 
+    def __len__(self) -> int:
+        """The number of points, without listing them."""
+        return len(self.labels) if self.is_finite else self.horizon
+
     def points(self):
         if self.is_finite:
             return list(self.labels)
         return list(range(self.horizon))
-
-    def __contains__(self, label) -> bool:
-        if self.is_finite:
-            return label in self.labels
-        return isinstance(label, (int, np.integer)) and label >= 0
 
 
 def require_mask(mask, shape: tuple) -> np.ndarray:
@@ -75,34 +74,10 @@ def require_mask(mask, shape: tuple) -> np.ndarray:
                         f"got {type(mask).__name__} {getattr(mask, 'shape', '')}")
 
 
-def atoms_in(space: DiscreteSpace, labels, delta, lead: tuple = ()) -> np.ndarray:
-    """Which stored atoms lie in Delta: for a set of shape ``lead +
-    (n_points,)`` (``require_mask``), the ``lead + (n_atoms,)`` mask that
-    reads each atom's label off Delta's point axis.  A label that is not
-    among the points, an atom past a countable space's horizon, lies in no
-    set: it reads the False column padded onto Delta.  Labels that are the
-    points in order read Delta itself, with no copy or gather."""
-    points = space.points()
-    delta = require_mask(delta, lead + (len(points),))
-    if tuple(labels) == tuple(points):
-        return delta
-    columns = [points.index(x) if x in points else len(points) for x in labels]
-    outside = np.zeros(lead + (1,), dtype=bool)
-    return np.concatenate([delta, outside], axis=-1)[..., columns]
-
-
-def labelled_stack(space: DiscreteSpace, labels, stack, frame: tuple):
-    """The one rule for a measure's format: distinct labels in ``space``
-    beside a finite stack of k x k matrices whose leading axes have shape
-    ``frame``.  Returns the labels as a tuple and the stack as complex128; a
-    repeated label or one outside the space raises SpaceMismatch, a stack of
-    another shape or with non-finite entries ShapeMismatch."""
-    labels = tuple(labels)
-    for x in labels:
-        if x not in space:
-            raise SpaceMismatch(f"atom label {x!r} not in the space")
-    if len(set(labels)) != len(labels):
-        raise SpaceMismatch("atom labels must be distinct")
+def matrix_stack(stack, frame: tuple) -> np.ndarray:
+    """The one rule for a measure's format: a finite stack of k x k
+    matrices whose leading axes have shape ``frame``, as complex128; a stack
+    of another shape or with non-finite entries raises ShapeMismatch."""
     stack = np.asarray(stack, dtype=np.complex128)
     if (stack.shape[:-2] != tuple(frame) or stack.ndim != len(frame) + 2
             or stack.shape[-1] != stack.shape[-2] or stack.shape[-1] < 1):
@@ -110,17 +85,17 @@ def labelled_stack(space: DiscreteSpace, labels, stack, frame: tuple):
                             f"got {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise ShapeMismatch("stack has non-finite entries")
-    return labels, stack
+    return stack
 
 
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Projection-valued measure on a discrete space, or a stack of them.
 
-    ``atoms[..., i, :, :]`` is E({labels[i]}): the atoms are one
-    (..., n_atoms, k, k) stack indexed by distinct labels, and a point
-    without a label has the zero atom.  Leading axes batch measures that
-    share the labels, such as the compressions E_P of one NNSM along a
+    ``atoms[..., i, :, :]`` is E({x}) for the i-th point x of
+    ``space.points()``: the atoms are one (..., n_points, k, k) stack, with
+    the zero atom at a point that carries no mass.  Leading axes batch
+    measures on one space, such as the compressions E_P of one NNSM along a
     projection family.  ``total`` is E(X), of shape (..., k, k), stored
     explicitly and by default the sum of the atoms: compressions have
     totals that vary with P (E_0 = 0), so E(X) is not forced to be the
@@ -129,14 +104,12 @@ class SpectralMeasure:
     """
 
     space: DiscreteSpace
-    labels: tuple
     atoms: np.ndarray
     total: np.ndarray = None
 
     def __post_init__(self):
         batch = np.shape(self.atoms)[:-3]
-        labels, atoms = labelled_stack(
-            self.space, self.labels, self.atoms, batch + (len(self.labels),))
+        atoms = matrix_stack(self.atoms, batch + (len(self.space),))
         if self.total is None:
             total = atoms.sum(axis=-3)
         else:
@@ -147,7 +120,6 @@ class SpectralMeasure:
                     f"expected a total of shape {want}, got {total.shape}")
             if not np.all(np.isfinite(total)):
                 raise ShapeMismatch("total has non-finite entries")
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "total", total)
 
@@ -169,7 +141,6 @@ class SpectralMeasure:
 
 def evaluate(e: SpectralMeasure, delta: np.ndarray) -> np.ndarray:
     """E(Delta) as a (..., k, k) array, one matrix per leading index of e,
-    for a (n_points,) set Delta: the atoms that lie in Delta (``atoms_in``)
-    are summed in one masked sum."""
-    inside = atoms_in(e.space, e.labels, delta)
+    for a (n_points,) set Delta: the atoms under Delta's mask, summed."""
+    inside = require_mask(delta, (len(e.space),))
     return e.atoms[..., inside, :, :].sum(axis=-3)

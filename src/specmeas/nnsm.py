@@ -1,21 +1,21 @@
 """Non-negative spectral measures and bounded integration.
 
-An NNSM assigns to every atom x of a discrete space a linear map
+An NNSM assigns to every point x of a discrete space a linear map
 Phi_x: W1 -> B(K), stored through the images of W1's trace-orthonormal basis
-as distinct labels beside one (n_atoms, dim W1, k, k) stack, the format of a
-SpectralMeasure.  Compressions M_P(Delta) = M(Delta)(P) are spectral
-measures, and the product rule M_P(D1) M_Q(D2) = M_{PQ}(D1 n D2) ties the
-family together.  At singletons, with M(X)(1) = I, that rule is the whole
-definition: each Phi_x is a *-homomorphism, Phi_x(1) Phi_y(1) = 0 for
-x != y and sum_x Phi_x(1) = I, which ``definition_residual`` checks exactly
-(positivity follows).  The compressions along a projection family share the
-NNSM's labels, so they are one SpectralMeasure batched over the members,
+as one (n_points, dim W1, k, k) stack indexed like ``space.points()``,
+the format of a SpectralMeasure.  Compressions M_P(Delta) = M(Delta)(P)
+are spectral measures, and the product rule M_P(D1) M_Q(D2) =
+M_{PQ}(D1 n D2) ties the family together.  At singletons, with
+M(X)(1) = I, that rule is the whole definition: each Phi_x is a
+*-homomorphism, Phi_x(1) Phi_y(1) = 0 for x != y and sum_x Phi_x(1) = I,
+which ``definition_residual`` checks exactly (positivity follows).  The compressions along a projection family share the
+NNSM's space, so they are one SpectralMeasure batched over the members,
 and E_P(Delta) for every member is one ``measure.evaluate`` call; M_A(Delta)
 for any A in W1 is ``evaluate(m.measure_for(A), Delta)``.
 A set Delta is a boolean mask over the space's points, as in ``measure``:
 D1 n D2 is ``d1 & d2``, and ``random_sets`` draws a (count, n_points) stack.
 Operator fields store each scalar function as its value table over the
-same points, so integrating one reads the columns of the atoms in Delta.
+same points, so integrating one reads the columns under Delta's mask.
 A batch of fields is one OperatorField whose term slots hold stacks, and
 ``integrate`` returns one integral per batch index.
 """
@@ -37,8 +37,8 @@ from .algebra import (
 )
 from .errors import NotSpanning, ShapeMismatch
 from .linalg import frob_norm, op_norm, require_square, star_decompose
-from .measure import (DiscreteSpace, SpectralMeasure, atoms_in, evaluate,
-                      labelled_stack, require_mask)
+from .measure import (DiscreteSpace, SpectralMeasure, evaluate, matrix_stack,
+                      require_mask)
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -52,62 +52,60 @@ from .tolerances import (
 class NonNegSpectralMeasure:
     """Atomic non-negative spectral measure M: Bor(X) -> B(W1, B(K)).
 
-    ``images[i]`` is Phi_x for the atom x = ``labels[i]``, stored as the
-    (dim W1, k, k) images of W1's basis elements: the labels are distinct
-    points of ``space`` beside one (n_atoms, dim W1, k, k) stack, and a
-    point without a label has the zero map.  Phi_x(A) for every atom at
-    once is one contraction of A's coordinates against the stack.
+    ``images[i]`` is Phi_x for the i-th point x of ``space.points()``,
+    stored as the (dim W1, k, k) images of W1's basis elements: one
+    (n_points, dim W1, k, k) stack, with the zero map at a point that
+    carries no mass.  Phi_x(A) for every point at once is one contraction
+    of A's coordinates against the stack.
     """
 
     space: DiscreteSpace
     w1: VonNeumannAlgebra
-    labels: tuple
     images: np.ndarray
 
     def __post_init__(self):
-        labels, images = labelled_stack(
-            self.space, self.labels, self.images, (len(self.labels), self.w1.dim))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", matrix_stack(
+            self.images, (len(self.space), self.w1.dim)))
 
     @property
     def target_dim(self) -> int:
         return self.images.shape[-1]
 
     def _values(self, a: np.ndarray) -> np.ndarray:
-        """Phi_x(A) for every stored atom x, as an (n_atoms, k, k) stack, or
-        (n, n_atoms, k, k) for an (n, d, d) stack ``a``: one (n, 1, dim) @
-        (dim, n_atoms k^2) matmul, each matrix's row product on its own."""
+        """Phi_x(A) for every point x, as an (n_points, k, k) stack, or
+        (n, n_points, k, k) for an (n, d, d) stack ``a``: one (n, 1, dim) @
+        (dim, n_points k^2) matmul, each matrix's row product on its own."""
         coeffs = self.w1.coefficients(a)
-        n_atoms, dim, k, _ = self.images.shape
-        flat = np.moveaxis(self.images, 1, 0).reshape(dim, n_atoms * k * k)
+        n_points, dim, k, _ = self.images.shape
+        flat = np.moveaxis(self.images, 1, 0).reshape(dim, n_points * k * k)
         return np.matmul(coeffs[..., None, :], flat).reshape(
-            *coeffs.shape[:-1], n_atoms, k, k)
+            *coeffs.shape[:-1], n_points, k, k)
 
     def apply(self, label, a: np.ndarray) -> np.ndarray:
-        """Phi_x(A) for A in W1."""
+        """Phi_x(A) for A in W1; the zero map at a label that is not a point."""
         coeffs = self.w1.coefficients(require_square(a))
-        if label not in self.labels:
+        points = self.space.points()
+        if label not in points:
             return np.zeros((self.target_dim, self.target_dim), dtype=np.complex128)
-        return np.tensordot(coeffs, self.images[self.labels.index(label)], axes=(0, 0))
+        return np.tensordot(coeffs, self.images[points.index(label)], axes=(0, 0))
 
     def measure_for(self, p: np.ndarray) -> SpectralMeasure:
         """The compression M_P as a SpectralMeasure, or for an (n, d, d)
         stack ``p`` one SpectralMeasure batched over the stack (n may be 0),
         bit-for-bit the single compressions stacked."""
-        return SpectralMeasure(self.space, self.labels, self._values(p))
+        return SpectralMeasure(self.space, self._values(p))
 
 
 def definition_residual(m: NonNegSpectralMeasure) -> float:
-    """Worst Frobenius residual of the NNSM definition over the atoms x, y
+    """Worst Frobenius residual of the NNSM definition over the points x, y
     and W1's basis B: multiplicativity, Phi_x(B_i) Phi_x(B_j) =
     sum_l c_ij^l Phi_x(B_l) with c_ij^l = tr(B_l* B_i B_j); *-preservation,
     Phi_x(B_i*) = Phi_x(B_i)*; orthogonality, Phi_x(1) Phi_y(1) = 0 for
     x != y; unitality, sum_x Phi_x(1) = I.  An atom's dim^2 products are one
     broadcast matmul, compared with one (dim^2, dim) @ (dim, k^2) product;
-    products go atom by atom, so only one atom's are held.  Without atoms it
-    is sqrt(k), with no k x k array.  NotInSpan when W1's basis is not
-    closed under products and adjoints."""
+    products go atom by atom, so only one atom's are held.  On a space
+    without points it is sqrt(k), with no k x k array.  NotInSpan when W1's
+    basis is not closed under products and adjoints."""
     n, dim, k, _ = m.images.shape
     if n == 0:
         return float(np.sqrt(k))
@@ -258,7 +256,7 @@ def random_sets(space: DiscreteSpace, rng: np.random.Generator,
     """``count`` random sets of the space's points as one (count, n_points)
     mask, each point in with probability 1/2: one draw of n_points uniforms
     per set."""
-    return rng.random((count, len(space.points()))) < 0.5
+    return rng.random((count, len(space))) < 0.5
 
 
 def condition1_check(
@@ -270,10 +268,10 @@ def condition1_check(
     minimum-norm coordinates μ over the family; the two coefficient vectors
     must induce the same measure values on each trial's random set Delta_t.
     The sets are drawn first, then every λ in one call; both sides of every
-    trial come from one (2 trials, n n_atoms) @ (n n_atoms, k^2) product of
+    trial come from one (2 trials, n n_points) @ (n n_points, k^2) product of
     the weights λ_i [x in Delta_t] (and μ_i [x in Delta_t]) with the
-    compression atoms, the (trials, n_atoms) atom mask read off the sets by
-    ``atoms_in``, the rule ``evaluate`` reads.
+    compression atoms, the sets' own masks as the atom masks, the rule
+    ``evaluate`` reads.
     """
     if trials < 1:
         raise ValueError(f"condition (1) needs at least one trial, got {trials}")
@@ -285,8 +283,7 @@ def condition1_check(
     lams = rng.standard_normal((trials, len(family)))
     mus = decompose_over_family(
         family, np.tensordot(lams, family.stack, axes=1)).T
-    mask = atoms_in(comp.space, comp.labels, deltas, (trials,))
-    weights = np.stack([lams, mus])[..., None] * mask[:, None, :]
+    weights = np.stack([lams, mus])[..., None] * deltas[:, None, :]
     k = comp.atoms.shape[-1]
     lhs, rhs = (weights.reshape(2 * trials, -1)
                 @ comp.atoms.reshape(-1, k * k)).reshape(2, trials, k, k)
@@ -304,7 +301,7 @@ def condition2_check(fam: FamilyMeasures, deltas: np.ndarray) -> VerificationRep
     passes when it is at most one (up to TAU_NORM_SLACK).
     """
     # each row is one set, which ``evaluate`` checks in turn
-    n_points = len(fam.compressions.space.points())
+    n_points = len(fam.compressions.space)
     stack = require_mask(deltas, getattr(deltas, "shape", ())[:-1] + (n_points,))
     entries = []
     for i, delta in enumerate(stack):
@@ -402,19 +399,19 @@ def assemble_from_family(
     call, with the compression atoms as an assignment batched over the
     atoms, checks each atom against the member relations (condition (1)
     certifies well-definedness; a violation raises InconsistentAssignment)
-    and maps the W1 basis to the (n_atoms, dim W1, k, k) image stack.
+    and maps the W1 basis to the (n_points, dim W1, k, k) image stack.
     """
     family, comp = fam.family, fam.compressions
     if not family.spans_algebra:
         raise NotSpanning("assembly needs a spanning family")
-    m = NonNegSpectralMeasure(comp.space, w1, comp.labels,
+    m = NonNegSpectralMeasure(comp.space, w1,
                               linear_extend(family, comp.atoms, w1.basis))
     # round trip on the family itself: Phi_x(P_i) must give back E_P_i({x})
     got = np.tensordot(w1.coefficients(family.stack), m.images, axes=(1, 1))
     miss = frob_norm(got - comp.atoms)
     bad = miss > TAU_EXT * (1.0 + frob_norm(comp.atoms))
     if np.any(bad):
-        x = comp.labels[np.nonzero(bad)[1][0]]
+        x = comp.space.points()[np.nonzero(bad)[1][0]]
         raise NotSpanning(f"reassembly misses E_P({x!r}) by {miss.max():.3e}")
     return m
 
@@ -442,31 +439,27 @@ def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
     the field's batch shape; a field with no terms integrates to a (k, k)
     zero.
 
-    Each f_i is a value row with one entry per point of the space; a row of
-    another length raises ShapeMismatch.  Each slot's coordinates are its
-    rows of one ``coefficients`` call, the weights f_i(x) c(A_i) of the atoms
-    in Delta (``atoms_in``) are summed in slot order, and one (batch, n dim)
-    @ (n dim, k^2) ``np.dot`` meets them with the image stack; the rows are
-    gathered only when the labels are not the points in order, and the
-    stack only when Delta misses a stored atom.
+    Each f_i is a value row with one entry per point of the space, indexed
+    like the image stack; a row of another length raises ShapeMismatch.
+    Each slot's coordinates are its rows of one ``coefficients`` call, the
+    weights f_i(x) c(A_i) of the points in Delta are summed in slot order,
+    and one (batch, n dim) @ (n dim, k^2) ``np.dot`` meets them with the
+    image stack; rows and stack are gathered only when Delta misses a point.
     """
-    mask = atoms_in(m.space, m.labels, delta)
+    mask = require_mask(delta, (len(m.space),))
     if not field_.terms:
         return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
-    points = m.space.points()
     inside = slice(None) if mask.all() else np.flatnonzero(mask)
-    columns = inside if m.labels == tuple(points) else [
-        points.index(x) for x, on in zip(m.labels, mask) if on]
     rows = [np.asarray(v, dtype=np.complex128) for v, _ in field_.terms]
-    if any(row.ndim < 1 or row.shape[-1] != len(points) for row in rows):
-        raise ShapeMismatch(f"value rows index the space's {len(points)} points")
+    if any(row.ndim < 1 or row.shape[-1] != len(m.space) for row in rows):
+        raise ShapeMismatch(f"value rows index the space's {len(m.space)} points")
     slots = [np.asarray(a) for _, a in field_.terms]
     flat = [a.reshape(-1, *a.shape[-2:]) for a in slots]
     if any(f.shape[1:] != flat[0].shape[1:] for f in flat):
         raise ShapeMismatch("term slots hold matrices of different shapes")
     coeffs = m.w1.coefficients(np.concatenate(flat))
     ends = [0, *accumulate(len(f) for f in flat)]
-    parts = [row[..., columns, None] * coeffs[i:j].reshape(*a.shape[:-2], 1, m.w1.dim)
+    parts = [row[..., inside, None] * coeffs[i:j].reshape(*a.shape[:-2], 1, m.w1.dim)
              for row, a, i, j in zip(rows, slots, ends, ends[1:])]
     weights = sum(parts[1:], parts[0])
     (*lead, n_in, dim), k = weights.shape, m.target_dim

@@ -7,17 +7,23 @@ part of a pair is a JSON number or boolean (an integer of any size within
 float range); strings, null, lists and non-finite values are rejected.
 Python's float serialization is shortest-round-trip, so values (-0.0 and
 subnormals included) survive a round trip losslessly.
+
+Labels live only in documents: a space lists its labels as a JSON array
+(an array label reads back as a tuple), and a measure lists one [label,
+atom] pair per point, which writers list in point order and readers sort
+onto the points.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain
 
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
-from .errors import InvalidDocument, NotInSpan, ShapeMismatch, SpaceMismatch
+from .errors import InvalidDocument, NotInSpan, ShapeMismatch
 from .linalg import as_matrix, frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import NonNegSpectralMeasure, definition_residual
@@ -80,7 +86,11 @@ def space_from_doc(doc: dict) -> DiscreteSpace:
         raise InvalidDocument(f"space document must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "finite":
-        return DiscreteSpace(labels=tuple(doc["labels"]))
+        labels = doc["labels"]
+        if not isinstance(labels, list):
+            raise InvalidDocument(
+                f"space labels must be a JSON array, got {type(labels).__name__}")
+        return DiscreteSpace(labels=tuple(map(_label, labels)))
     if kind == "countable":
         return DiscreteSpace(horizon=doc["horizon"])
     raise InvalidDocument(f"unknown space kind {kind!r}")
@@ -89,7 +99,7 @@ def space_from_doc(doc: dict) -> DiscreteSpace:
 def measure_to_doc(e: SpectralMeasure) -> dict:
     return {
         "space": space_to_doc(e.space),
-        "atoms": [[x, matrix_to_doc(p)] for x, p in zip(e.labels, e.atoms)],
+        "atoms": [[x, matrix_to_doc(p)] for x, p in zip(e.space.points(), e.atoms)],
         "total": matrix_to_doc(e.total),
     }
 
@@ -98,25 +108,42 @@ def measure_from_doc(doc: dict):
     """Load a spectral measure; returns (measure, worst invariant residual)."""
     try:
         space = space_from_doc(doc["space"])
-        labels = _distinct_labels(x for x, _ in doc["atoms"])
-        stack = matrices_from_doc([m for _, m in doc["atoms"]] + [doc["total"]])
+        atoms = doc["atoms"]
+        stack = matrices_from_doc(
+            [atoms[i][1] for i in _point_order(space, atoms)] + [doc["total"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed measure document: {exc}") from exc
     try:
-        e = SpectralMeasure(space, labels, stack[:-1], total=stack[-1])
-    except (SpaceMismatch, ShapeMismatch) as exc:
+        e = SpectralMeasure(space, stack[:-1], total=stack[-1])
+    except ShapeMismatch as exc:
         raise InvalidDocument(f"invalid measure document: {exc}") from exc
     return e, e.validate()
 
 
-def _distinct_labels(raw) -> tuple:
-    """Atom labels, each once; JSON round-trips tuples as lists, and labels
-    must stay hashable."""
-    labels = tuple(tuple(x) if isinstance(x, list) else x for x in raw)
-    if len(set(labels)) != len(labels):
-        repeated = sorted({repr(x) for x in labels if labels.count(x) > 1})
+def _label(x):
+    """A label read from JSON, which writes tuples as arrays: an array is
+    read back as a tuple, so labels stay hashable."""
+    return tuple(map(_label, x)) if isinstance(x, list) else x
+
+
+def _point_order(space: DiscreteSpace, entries) -> list:
+    """Where each point's atom sits in ``entries``, a document's [label, ...]
+    list: one atom per point, in any order.  The count is checked before
+    any point is listed, so no document allocates past its own size."""
+    if len(entries) != len(space):
+        raise InvalidDocument(f"atoms listed: {len(entries)}, points: {len(space)}; "
+                              f"a document lists one atom per point")
+    labels = [_label(x) for x, _ in entries]
+    at = dict(zip(labels, range(len(labels))))
+    if len(at) != len(labels):
+        repeated = sorted(repr(x) for x, n in Counter(labels).items() if n > 1)
         raise InvalidDocument(f"repeated atom labels {', '.join(repeated)}")
-    return labels
+    points = space.points()
+    stray = set(at).difference(points)
+    if stray:
+        raise InvalidDocument(
+            f"atom label {min(stray, key=repr)!r} not in the space")
+    return [at[x] for x in points]
 
 
 def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
@@ -127,17 +154,16 @@ def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
             "basis": [matrix_to_doc(b) for b in m.w1.basis],
         },
         "target_dim": m.target_dim,
-        "atom_maps": [
-            [x, [matrix_to_doc(img) for img in imgs]]
-            for x, imgs in sorted(zip(m.labels, m.images), key=lambda kv: repr(kv[0]))
-        ],
+        "atom_maps": [[x, [matrix_to_doc(img) for img in imgs]]
+                      for x, imgs in zip(m.space.points(), m.images)],
     }
 
 
 def nnsm_from_doc(doc: dict):
     """Load an NNSM; returns (measure, worst invariant residual), the exact
     residual of the NNSM definition (``definition_residual``: *-homomorphic
-    atom maps with orthogonal units that sum to I; sqrt(k) without atoms).
+    atom maps with orthogonal units that sum to I; sqrt(k) on a space
+    without points).
     A W1 basis not closed under products and adjoints is InvalidDocument."""
     try:
         space = space_from_doc(doc["space"])
@@ -146,19 +172,20 @@ def nnsm_from_doc(doc: dict):
         w1 = VonNeumannAlgebra(ambient_dim=d, basis=matrices_from_doc(
             basis, (len(basis), d, d), "W1 basis matrices"))
         k = _dimension(doc["target_dim"], "target_dim")
-        labels = _distinct_labels(x for x, _ in doc["atom_maps"])
-        if any(len(imgs) != w1.dim for _, imgs in doc["atom_maps"]):
+        maps = doc["atom_maps"]
+        order = _point_order(space, maps)
+        if any(len(imgs) != w1.dim for _, imgs in maps):
             raise InvalidDocument(f"each atom needs {w1.dim} images, one per W1 basis element")
-        flat = [m for _, imgs in doc["atom_maps"] for m in imgs]
+        flat = [m for i in order for m in maps[i][1]]
         shape = (len(flat), k, k)
         images = (matrices_from_doc(flat, shape, "atom images") if flat
-                  else np.zeros(shape)).reshape(len(labels), w1.dim, k, k)
+                  else np.zeros(shape)).reshape(len(order), w1.dim, k, k)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed NNSM document: {exc}") from exc
     _require_unital_orthonormal_basis(w1)
     try:
-        m = NonNegSpectralMeasure(space, w1, labels, images)
-    except (SpaceMismatch, ShapeMismatch) as exc:
+        m = NonNegSpectralMeasure(space, w1, images)
+    except ShapeMismatch as exc:
         raise InvalidDocument(f"invalid NNSM document: {exc}") from exc
     try:
         return m, definition_residual(m)

@@ -26,15 +26,14 @@ def tensor_model(seed: int, h_dim: int = 2, n_atoms: int = 3, unitary: bool = Tr
         d_x[x, x] = 1.0
         for i, b in enumerate(w1.basis):
             images[x, i] = u @ np.kron(b, d_x) @ linalg.adjoint(u)
-    m = nnsm.NonNegSpectralMeasure(space, w1, space.labels, images)
+    m = nnsm.NonNegSpectralMeasure(space, w1, images)
     return m, u, rng
 
 
 def member_measure(batch: measure.SpectralMeasure, i: int) -> measure.SpectralMeasure:
     """The i-th measure of a SpectralMeasure batched on one leading axis,
     built on its own from its slices."""
-    return measure.SpectralMeasure(batch.space, batch.labels, batch.atoms[i],
-                                   total=batch.total[i])
+    return measure.SpectralMeasure(batch.space, batch.atoms[i], total=batch.total[i])
 
 
 def domain_vector(model, comps) -> blocks.DomainVector:

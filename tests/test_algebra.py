@@ -422,7 +422,7 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
     rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     nnsm.assemble_from_family(fm, oracle.w1)
     assert len(calls) == 1
-    assert rebuilt.labels == oracle.labels
+    assert rebuilt.space == oracle.space
     assert np.abs(rebuilt.images - oracle.images).max() <= 1e-8
 
 

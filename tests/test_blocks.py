@@ -889,7 +889,7 @@ def test_a_stacked_field_acts_as_its_slices(seed, batch, forms, other):
     # slots has no batch axes, so results are broadcast to the batch shape
     m, _, rng = tensor_model(seed=seed % 50)
     space = measure.DiscreteSpace(horizon=3)
-    m = nnsm.NonNegSpectralMeasure(space, m.w1, m.labels, m.images)
+    m = nnsm.NonNegSpectralMeasure(space, m.w1, m.images)
     model = blocks.BlockModel(space=space, generators={}, w=m.w1)
     k, d = m.target_dim, model.block_dim
     f = OperatorField(terms=tuple(_stacked_slot(rng, form, batch, 3, m.w1)

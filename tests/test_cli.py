@@ -164,7 +164,7 @@ def test_check_measure_writes_a_non_finite_residual_as_null(capsys, tmp_path,
 def test_check_measure_good_and_bad(capsys, tmp_path):
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(
-        space, (0, 1),
+        space,
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     good = tmp_path / "good.json"
@@ -186,21 +186,27 @@ def _check_rejected(capsys, path):
 
 def test_check_measure_rejects_a_repeated_measure_label(capsys, tmp_path):
     e = measure.SpectralMeasure(
-        measure.DiscreteSpace(labels=(0, 1)), (0, 1),
+        measure.DiscreteSpace(labels=(0, 1)),
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     doc = serialize.measure_to_doc(e)
-    doc["atoms"].insert(0, [0, serialize.matrix_to_doc(5.0 * np.ones((2, 2)))])
+    # a repeated label beside an atom too many fails on the count, and one
+    # in place of another point's label as a repeat
+    extra = json.loads(json.dumps(doc))
+    extra["atoms"].insert(0, [0, serialize.matrix_to_doc(5.0 * np.ones((2, 2)))])
+    with pytest.raises(InvalidDocument, match="atoms listed: 3, points: 2;"):
+        serialize.measure_from_doc(extra)
+    doc["atoms"][1] = [0, serialize.matrix_to_doc(5.0 * np.ones((2, 2)))]
     with pytest.raises(InvalidDocument, match="repeated atom labels 0"):
         serialize.measure_from_doc(doc)
-    path = tmp_path / "repeated.json"
-    serialize.dump(doc, path)
-    _check_rejected(capsys, path)
+    for bad, name in ((extra, "extra.json"), (doc, "repeated.json")):
+        serialize.dump(bad, tmp_path / name)
+        _check_rejected(capsys, tmp_path / name)
 
 
 @pytest.mark.parametrize("space, label", [
     ({"kind": "finite", "labels": [0, 1]}, 5),
-    ({"kind": "countable", "horizon": 4}, -1),
+    ({"kind": "countable", "horizon": 2}, -1),
 ])
 def test_check_measure_rejects_a_measure_label_outside_the_space(
         capsys, tmp_path, space, label):
@@ -233,12 +239,15 @@ def test_check_measure_rejects_a_horizon_that_is_not_a_non_negative_int(
 
 
 def test_check_measure_fails_an_nnsm_that_maps_nothing(capsys, tmp_path):
-    # M(X)(1) of an NNSM without atoms is 0, not the identity
+    # M(X)(1) of an NNSM whose every point has the zero map is 0, not the
+    # identity
     doc = serialize.nnsm_to_doc(harness.gen_scenario("B", 3).payload["oracle"])
-    doc["atom_maps"] = []
+    k = doc["target_dim"]
+    zero = serialize.matrix_to_doc(np.zeros((k, k)))
+    doc["atom_maps"] = [[x, [zero] * len(imgs)] for x, imgs in doc["atom_maps"]]
     m, resid = serialize.nnsm_from_doc(doc)
-    assert m.images.shape == (0, m.w1.dim, doc["target_dim"], doc["target_dim"])
-    assert resid == pytest.approx(np.sqrt(doc["target_dim"]))
+    assert m.images.shape == (len(m.space), m.w1.dim, k, k) and not m.images.any()
+    assert resid == pytest.approx(np.sqrt(k))
     path = tmp_path / "empty.json"
     serialize.dump(doc, path)
     code, out, err = run(capsys, "check-measure", str(path))
@@ -247,11 +256,11 @@ def test_check_measure_fails_an_nnsm_that_maps_nothing(capsys, tmp_path):
 
 
 def test_an_nnsm_without_atoms_is_checked_without_k_by_k_arrays():
-    # a 160-byte document that claims a large target space: with no atoms
-    # M(X)(1) = 0, so its distance sqrt(k) from the identity needs no
-    # k x k matrix (one complex 1500 x 1500 array is 36 MB)
+    # a 160-byte document that claims a large target space: on a space
+    # without points M(X)(1) = 0, so its distance sqrt(k) from the identity
+    # needs no k x k matrix (one complex 1500 x 1500 array is 36 MB)
     k = 1500
-    doc = {"space": {"kind": "finite", "labels": [0]},
+    doc = {"space": {"kind": "finite", "labels": []},
            "w1": {"ambient_dim": 1,
                   "basis": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]},
            "target_dim": k, "atom_maps": []}
@@ -271,7 +280,7 @@ def test_check_measure_rejects_a_repeated_nnsm_atom_label(capsys, tmp_path):
     label, images = doc["atom_maps"][0]
     scaled = [serialize.matrix_to_doc(7.0 * m)
               for m in serialize.matrices_from_doc(images)]
-    doc["atom_maps"].insert(0, [label, scaled])
+    doc["atom_maps"][1] = [label, scaled]
     with pytest.raises(InvalidDocument, match=f"repeated atom labels {label!r}"):
         serialize.nnsm_from_doc(doc)
     path = tmp_path / "repeated.json"
@@ -635,3 +644,60 @@ def test_check_measure_rejects_bad_atom_maps_no_traceback(tmp_path, mutation):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "document[InvalidDocument]" in proc.stderr
+
+
+def _rejected_with_a_document_row(capsys, path):
+    """check-measure exits 1 on ``path`` with one document[InvalidDocument]
+    row and no traceback."""
+    code, out, err = run(capsys, "check-measure", str(path))
+    assert code == 1 and "Traceback" not in err
+    assert [c["name"] for c in _strict_json(out)["checks"]] == [
+        "document[InvalidDocument]"]
+
+
+def _one_point_doc(kind, space, label=0):
+    """A one-atom measure or NNSM document on ``space``, over W1 = C."""
+    one = serialize.matrix_to_doc(np.eye(1))
+    if kind == "measure":
+        return {"space": space, "atoms": [[label, one]], "total": one}
+    return {"space": space, "w1": {"ambient_dim": 1, "basis": [one]},
+            "target_dim": 1, "atom_maps": [[label, [one]]]}
+
+
+@pytest.mark.parametrize("kind", ["measure", "nnsm"])
+@pytest.mark.parametrize("labels", ["ab", {"a": 1}, 7, None])
+def test_space_labels_that_are_no_json_array_are_an_invalid_document(
+        capsys, tmp_path, kind, labels):
+    # a string or an object would read as the points it iterates over
+    doc = _one_point_doc(kind, {"kind": "finite", "labels": labels}, label="a")
+    read = serialize.measure_from_doc if kind == "measure" else serialize.nnsm_from_doc
+    with pytest.raises(InvalidDocument, match="space labels must be a JSON array"):
+        read(doc)
+    serialize.dump(doc, tmp_path / "labels.json")
+    _rejected_with_a_document_row(capsys, tmp_path / "labels.json")
+
+
+@pytest.mark.parametrize("kind", ["measure", "nnsm"])
+@pytest.mark.parametrize("case", ["point-without-atom", "past-horizon", "huge-horizon"])
+def test_a_document_lists_one_atom_per_point(capsys, tmp_path, kind, case):
+    # a point with no atom, a label past a countable horizon and one atom on
+    # 10**12 points are rejected before any per-point array is allocated;
+    # the NNSM claims k = 1500, where one zero map would be 36 MB
+    doc = _one_point_doc(kind, {
+        "point-without-atom": {"kind": "finite", "labels": [0, 1]},
+        "past-horizon": {"kind": "countable", "horizon": 1},
+        "huge-horizon": {"kind": "countable", "horizon": 10**12}}[case],
+        label=5 if case == "past-horizon" else 0)
+    if kind == "nnsm":
+        doc["target_dim"] = 1500
+    read = serialize.measure_from_doc if kind == "measure" else serialize.nnsm_from_doc
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDocument, match="one atom per point|not in the space"):
+            read(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    serialize.dump(doc, tmp_path / f"{case}.json")
+    _rejected_with_a_document_row(capsys, tmp_path / f"{case}.json")

@@ -528,8 +528,7 @@ def test_b_families_run_past_passing_families(monkeypatch):
 
     def assemble_bumped(fm, w1):
         m = assemble(fm, w1)
-        return nnsm.NonNegSpectralMeasure(m.space, m.w1, m.labels,
-                                          m.images + 1e-3)
+        return nnsm.NonNegSpectralMeasure(m.space, m.w1, m.images + 1e-3)
 
     monkeypatch.setattr(harness, "assemble_from_family", assemble_bumped)
     for seed in range(5):
@@ -608,7 +607,7 @@ def test_report_doc_schema():
 def test_check_measure_file(tmp_path):
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(
-        space, (0, 1),
+        space,
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     good = tmp_path / "good.json"
@@ -716,7 +715,7 @@ def test_derived_measures_match_per_atom_rho_loop():
             e_p = member_measure(fm.compressions, i_p)
             total = np.zeros((oracle.target_dim,) * 2, dtype=complex)
             points = oracle.space.points()
-            assert e_p.labels == tuple(points)
+            assert e_p.space == oracle.space
             for i, x in enumerate(points):
                 row = np.zeros(len(points))
                 row[i] = 1.0
@@ -886,11 +885,12 @@ def _verify_b_reference(scenario):
         return nnsm.integrate(oracle, fields, whole)
 
     def support(e):
-        return {x for x, a in zip(e.labels, e.atoms) if frob(a) > TAU_PROJ}
+        return {x for x, a in zip(e.space.points(), e.atoms) if frob(a) > TAU_PROJ}
 
     def outside(e, supp):
         """The largest atom norm of e outside the atom set supp."""
-        return max((frob(a) for x, a in zip(e.labels, e.atoms) if x not in supp),
+        return max((frob(a) for x, a in zip(e.space.points(), e.atoms)
+                    if x not in supp),
                    default=0.0)
 
     checks = []
@@ -912,7 +912,7 @@ def _verify_b_reference(scenario):
     except SpecmeasError as exc:
         checks.append(harness._bool_entry(f"assemble[{type(exc).__name__}]", False))
         return checks
-    for x, want, got in zip(oracle.labels, oracle.images, rebuilt.images):
+    for x, want, got in zip(oracle.space.points(), oracle.images, rebuilt.images):
         checks.append(nnsm.check_entry(
             f"reconstruction[{x}]", max(frob(g - w) for g, w in zip(got, want)),
             TAU_EXT * (1.0 + frob(want[0]))))
@@ -980,7 +980,7 @@ def test_assembly_rejects_a_broken_relation_at_every_atom(monkeypatch):
                 atoms = comp.atoms.copy()
                 atoms[0, x] += 1e-3 * np.eye(oracle.target_dim)
                 return nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
-                    comp.space, comp.labels, atoms))
+                    comp.space, atoms))
 
             monkeypatch.setattr(harness, "_derive_family_measures", derive_bumped)
             checks = harness.verify_theorem_b(sc).checks
@@ -1008,7 +1008,7 @@ def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):
         atoms = comp.atoms.copy()
         atoms[bump["i"], bump["x"]] += 1e-3 * np.eye(oracle.target_dim)
         return nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
-            comp.space, comp.labels, atoms))
+            comp.space, atoms))
 
     monkeypatch.setattr(harness, "_derive_family_measures", derive_bumped)
     monkeypatch.setattr(harness, "assemble_from_family",
@@ -1026,7 +1026,7 @@ def test_verify_b_family_rows_fail_only_at_the_bumped_index(monkeypatch):
             m = assemble(fm, w1)
             images = m.images.copy()
             images[x] *= 1.0 + 1e-3
-            return nnsm.NonNegSpectralMeasure(m.space, m.w1, m.labels, images)
+            return nnsm.NonNegSpectralMeasure(m.space, m.w1, images)
 
         monkeypatch.setattr(harness, "assemble_from_family", assemble_bumped)
         failed = _failed(harness.verify_theorem_b(sc))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmeas import algebra, linalg, measure, nnsm
-from specmeas.errors import ShapeMismatch, SpaceMismatch
+from specmeas.errors import ShapeMismatch
 
 from conftest import point_mask
 
@@ -12,7 +12,7 @@ from conftest import point_mask
 def two_point_measure():
     space = measure.DiscreteSpace(labels=("a", "b"))
     e = measure.SpectralMeasure(
-        space, ("a", "b"),
+        space,
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     return space, e
@@ -47,37 +47,38 @@ def test_evaluate_additive():
 def test_validate_flags_overlapping_atoms():
     space = measure.DiscreteSpace(labels=("a", "b"))
     p = np.diag([1.0, 0.0]).astype(complex)
-    bad = measure.SpectralMeasure(space, ("a", "b"), [p, p],
+    bad = measure.SpectralMeasure(space, [p, p],
                                   total=np.eye(2, dtype=complex))
     assert bad.validate() > 1e-6
 
 
-def test_constructor_rejects_repeated_labels_and_a_stack_of_another_length():
+def test_constructor_rejects_a_stack_that_is_not_one_atom_per_point():
     # SpectralMeasure, batched or not, and NonNegSpectralMeasure share one
-    # rule; each builder puts the per-label k x k matrices into its own stack
+    # rule; each builder puts the per-point k x k matrices into its own stack
     # shape, here over a one-dimensional W1 and a batch of one measure
     space = measure.DiscreteSpace(labels=("a", "b"))
     p = np.diag([1.0, 0.0]).astype(complex)
     w1 = algebra.VonNeumannAlgebra(ambient_dim=1, basis=np.eye(1, dtype=complex)[None])
     builders = (
-        lambda labels, atoms: measure.SpectralMeasure(space, labels, atoms),
-        lambda labels, atoms: nnsm.NonNegSpectralMeasure(
-            space, w1, labels, np.asarray(atoms)[:, None]),
-        lambda labels, atoms: measure.SpectralMeasure(
-            space, labels, np.asarray(atoms)[None]),
+        lambda atoms: measure.SpectralMeasure(space, atoms),
+        lambda atoms: nnsm.NonNegSpectralMeasure(space, w1, np.asarray(atoms)[:, None]),
+        lambda atoms: measure.SpectralMeasure(space, np.asarray(atoms)[None]),
     )
     for build in builders:
-        with pytest.raises(SpaceMismatch, match="distinct"):
-            build(("a", "a"), [p, np.eye(2) - p])
-        with pytest.raises(SpaceMismatch, match="'c' not in the space"):
-            build(("a", "c"), [p, np.eye(2) - p])
-        for labels, atoms in ((("a", "b"), [p]), (("a",), [p, p]),
-                              (("a", "b"), np.zeros((2, 2, 3)))):
-            with pytest.raises(ShapeMismatch):
-                build(labels, atoms)
+        # one atom too few or too many, and matrices that are not square
+        for atoms in ([p], [p, p, p], np.zeros((2, 2, 3))):
+            with pytest.raises(ShapeMismatch, match="expected a stack of shape"):
+                build(atoms)
         with pytest.raises(ShapeMismatch, match="non-finite"):
-            build(("a",), [np.full((2, 2), np.nan)])
-        assert build(("b", "a"), [np.eye(2) - p, p]).labels == ("b", "a")
+            build([p, np.full((2, 2), np.nan)])
+        # the i-th matrix is the i-th point's, stored as complex128
+        built = build([np.eye(2) - p, p])
+        stack = getattr(built, "atoms", getattr(built, "images", None))
+        assert stack.dtype == np.complex128
+        assert np.array_equal(stack.reshape(2, 2, 2), [np.eye(2) - p, p])
+    # a countable space's length is its horizon, with no list of points
+    assert len(measure.DiscreteSpace(horizon=10**12)) == 10**12
+    assert len(space) == 2 and len(measure.DiscreteSpace(labels=())) == 0
 
 
 def _validate_reference(e):
@@ -102,23 +103,24 @@ def test_batched_validate_matches_per_pair_reference_and_can_fail():
     cols = [u[:, [0, 1]], u[:, [2]], u[:, [3, 4]], u[:, [5]]]
     projs = [c @ linalg.adjoint(c) for c in cols]
     space = measure.DiscreteSpace(labels=("w", "x", "y", "z"))
-    labels = space.labels
     good = np.array(projs)
     # atom "y" overlaps atom "w"; atom "x" is no longer idempotent
     overlap = good.copy()
     overlap[2] = projs[2] + projs[0]
     scaled = good.copy()
     scaled[1] = 1.05 * projs[1]
-    countable = measure.DiscreteSpace(horizon=10)
+    only_x = np.zeros_like(good)
+    only_x[1] = good[1]
+    countable = measure.DiscreteSpace(horizon=4)
     cases = [
-        (measure.SpectralMeasure(space, labels, good), False),
-        (measure.SpectralMeasure(space, labels, overlap,
+        (measure.SpectralMeasure(space, good), False),
+        (measure.SpectralMeasure(space, overlap,
                                  total=np.eye(6, dtype=complex)), True),
-        (measure.SpectralMeasure(space, labels, scaled,
+        (measure.SpectralMeasure(space, scaled,
                                  total=np.eye(6, dtype=complex)), True),
-        (measure.SpectralMeasure(countable, range(4), good,
+        (measure.SpectralMeasure(countable, good,
                                  total=np.eye(6, dtype=complex)), False),
-        (measure.SpectralMeasure(space, ("x",), good[[1]]), False),
+        (measure.SpectralMeasure(space, only_x), False),
     ]
     for e, faulty in cases:
         got = e.validate()
@@ -134,17 +136,17 @@ def test_batched_validate_matches_per_pair_reference_and_can_fail():
     v = np.eye(4)[:, [0, 2]]
     w = np.array([[c, 0.0], [s, 0.0], [0.0, c], [0.0, s]])
     tilted = measure.SpectralMeasure(
-        countable, (0, 1), [v @ v.T + 0j, w @ w.T + 0j],
+        measure.DiscreteSpace(horizon=2), [v @ v.T + 0j, w @ w.T + 0j],
         total=np.eye(4, dtype=complex))
     assert abs(tilted.validate() - _validate_reference(tilted)) <= 1e-12
     assert tilted.validate() == pytest.approx(np.sqrt(2.0) * c, rel=1e-12)
 
 
 def test_countable_total_dominates():
-    space = measure.DiscreteSpace(horizon=8)
+    space = measure.DiscreteSpace(horizon=4)
     atoms = [np.diag([1.0 if i == n else 0.0 for i in range(8)]).astype(complex)
              for n in range(4)]
-    e = measure.SpectralMeasure(space, range(4), atoms,
+    e = measure.SpectralMeasure(space, atoms,
                                 total=np.eye(8, dtype=complex))
     assert e.validate() <= 1e-12
 
@@ -155,11 +157,11 @@ def test_explicit_total_follows_the_format_rule():
     nan_total = np.eye(2, dtype=complex)
     nan_total[0, 0] = np.nan
     with pytest.raises(ShapeMismatch, match="non-finite"):
-        measure.SpectralMeasure(space, (0, 1), atoms, total=nan_total)
+        measure.SpectralMeasure(space, atoms, total=nan_total)
     with pytest.raises(ShapeMismatch, match="shape"):
-        measure.SpectralMeasure(space, (0, 1), atoms,
+        measure.SpectralMeasure(space, atoms,
                                 total=np.eye(3, dtype=complex))
-    e = measure.SpectralMeasure(space, (0, 1), atoms, total=np.eye(2))
+    e = measure.SpectralMeasure(space, atoms, total=np.eye(2))
     assert e.total.dtype == np.complex128 and e.validate() == 0.0
 
 
@@ -179,7 +181,7 @@ def test_random_measure_additivity_and_multiplicativity(seed, npts):
         d = np.zeros(n)
         d[grp] = 1.0
         atoms.append(u @ np.diag(d).astype(complex) @ linalg.adjoint(u))
-    e = measure.SpectralMeasure(space, space.labels, atoms)
+    e = measure.SpectralMeasure(space, atoms)
     assert e.validate() <= 1e-10
     d1 = point_mask(space, set(int(x) for x in rng.integers(0, npts, 2)))
     d2 = point_mask(space, set(int(x) for x in rng.integers(0, npts, 2)))

@@ -95,7 +95,7 @@ def test_condition2_entries_match_reference_and_can_fail():
     atoms[i] *= 2.0
     totals[i] *= 2.0
     bad = nnsm.condition2_check(nnsm.FamilyMeasures(
-        fm.family, measure.SpectralMeasure(space, comp.labels, atoms, totals)),
+        fm.family, measure.SpectralMeasure(space, atoms, totals)),
         deltas)
     assert not bad.passed
     assert bad.checks[2].residual == pytest.approx(2.0)
@@ -210,7 +210,7 @@ def test_integrate_positivity():
     pos = c @ linalg.adjoint(c)
     if m.w1.membership_residual(pos) > TAU_ALG * (1 + linalg.frob_norm(pos)):
         pos = m.w1.identity()
-    for x in m.labels:
+    for x in m.space.points():
         phi = _ref_phi(m, x, pos)
         assert np.linalg.eigvalsh((phi + linalg.adjoint(phi)) / 2)[0] >= -1e-9
     field = nnsm.OperatorField(terms=((np.ones(len(m.space.points())), pos),))
@@ -244,7 +244,7 @@ def test_measure_for_a_stack_equals_the_stacked_single_measures():
             [hermitian_element(m.w1, rng) for _ in range(3)]])
         batch = m.measure_for(stack)
         singles = [m.measure_for(p) for p in stack]
-        assert batch.labels == m.labels
+        assert batch.space == m.space
         assert np.array_equal(batch.atoms, np.stack([e.atoms for e in singles]))
         assert np.array_equal(batch.total, np.stack([e.total for e in singles]))
 
@@ -256,8 +256,8 @@ def test_empty_family_is_an_empty_batch_and_a_typed_error():
         assert empty.stack.shape == (0, m.w1.ambient_dim, m.w1.ambient_dim)
         batch = m.measure_for(empty.stack)
         k = m.target_dim
-        assert batch.labels == m.labels
-        assert batch.atoms.shape == (0, len(m.labels), k, k)
+        assert batch.space == m.space
+        assert batch.atoms.shape == (0, len(m.space), k, k)
         assert batch.total.shape == (0, k, k)
 
 
@@ -276,7 +276,7 @@ def test_condition1_detects_broken_linearity():
 def test_delta_is_a_boolean_point_mask():
     # Delta is a bool array indexed like space.points(), the form of a
     # block mask K; anything else is ShapeMismatch, never coerced to bool
-    m, rng = _model_with_unstored_label(seed=18)
+    m, rng = _model_with_a_zero_map(seed=18)
     fm = family_measures_for(m)
     p, q = fm.family.members[2], fm.family.members[3]
     a = hermitian_element(m.w1, rng)
@@ -302,8 +302,8 @@ def test_delta_is_a_boolean_point_mask():
     for bad in wrong[:-1] + [[delta, delta], np.stack([delta[:-1]] * 2), delta]:
         with pytest.raises(ShapeMismatch):
             nnsm.condition2_check(fm, bad)
-    # each consumer reads the stored atoms in Delta: the point without an
-    # atom adds nothing, and the empty set gives zero
+    # each consumer reads the atoms under Delta's mask: the point with the
+    # zero map adds nothing, and the empty set gives zero
     with_3 = [consume(delta) for consume in consumers[:5]]
     without_3 = [consume(point_mask(m.space, {0, 2})) for consume in consumers[:5]]
     for got, want in zip(with_3, without_3):
@@ -312,20 +312,6 @@ def test_delta_is_a_boolean_point_mask():
     assert not nnsm.integrate(m, field_, np.zeros(n, dtype=bool)).any()
     rep = nnsm.condition2_check(fm, np.stack([delta, np.zeros(n, dtype=bool)]))
     assert rep.passed and rep.checks[1].residual == 0.0
-    # condition (1) reads its atom mask by the same rule: relabelling atom
-    # 2 past a countable horizon of the same length takes it out of every
-    # set, as zeroing it does
-    comp = fm.compressions
-    countable = measure.DiscreteSpace(horizon=n)
-    past = nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
-        countable, (0, 1, n + 3), comp.atoms, comp.total))
-    zeroed = comp.atoms.copy()
-    zeroed[:, 2] = 0.0
-    inside = nnsm.FamilyMeasures(fm.family, measure.SpectralMeasure(
-        countable, (0, 1, 2), zeroed, comp.total))
-    got, want = (nnsm.condition1_check(f, trials=6, seed=4) for f in (past, inside))
-    assert [c.residual for c in got.checks] == pytest.approx(
-        [c.residual for c in want.checks], rel=1e-12, abs=1e-15)
 
 
 def test_random_sets_is_one_uniform_draw():
@@ -362,7 +348,7 @@ def test_tensor_model_product_rule_random(seed, h_dim, n_atoms):
     members = family.members
     for _ in range(4):
         p, q = (members[int(rng.integers(len(members)))] for _ in range(2))
-        d1, d2 = ({x for x in m.labels if rng.random() < 0.5} for _ in range(2))
+        d1, d2 = ({x for x in m.space.points() if rng.random() < 0.5} for _ in range(2))
         lhs, rhs = m_at(p, d1) @ m_at(q, d2), m_at(p @ q, d1 & d2)
         assert linalg.frob_norm(lhs - rhs) <= 1e-8 * (
             1 + max(linalg.frob_norm(lhs), linalg.frob_norm(rhs)))
@@ -386,23 +372,15 @@ REF_TOL = 1e-12
 
 def _ref_phi(m, x, a):
     coeffs = [np.vdot(b, a) for b in m.w1.basis]
-    return sum(c * img for c, img in zip(coeffs, m.images[m.labels.index(x)]))
-
-
-def _holds(m, delta, x):
-    """Whether the set ``delta`` holds the label x; a label that is not
-    among the points lies in no set."""
-    points = m.space.points()
-    return x in points and bool(delta[points.index(x)])
+    return sum(c * img for c, img in zip(coeffs, m.images[m.space.points().index(x)]))
 
 
 def _ref_integrate(m, field_, delta):
     out = np.zeros((m.target_dim,) * 2, dtype=complex)
-    points = m.space.points()
     for v, a in field_.terms:
-        for x in m.labels:
-            if _holds(m, delta, x):
-                out += v[points.index(x)] * _ref_phi(m, x, a)
+        for i, x in enumerate(m.space.points()):
+            if delta[i]:
+                out += v[i] * _ref_phi(m, x, a)
     return out
 
 
@@ -410,12 +388,12 @@ def _close(got, want):
     return linalg.frob_norm(got - want) <= REF_TOL * (1 + linalg.frob_norm(want))
 
 
-def _model_with_unstored_label(seed):
-    # label 3 belongs to the space but has no stored atom images
+def _model_with_a_zero_map(seed):
+    # point 3 belongs to the space but carries no mass: its map is zero
     m, _, rng = tensor_model(seed=seed, n_atoms=3)
     space = measure.DiscreteSpace(labels=(0, 1, 2, 3))
-    m = nnsm.NonNegSpectralMeasure(space, m.w1, m.labels, m.images)
-    return m, rng
+    images = np.concatenate([m.images, np.zeros_like(m.images[:1])])
+    return nnsm.NonNegSpectralMeasure(space, m.w1, images), rng
 
 
 def _random_field(rng, m, n_terms):
@@ -430,7 +408,7 @@ def _random_field(rng, m, n_terms):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_nnsm_matches_per_atom_reference(seed):
-    m, rng = _model_with_unstored_label(seed)
+    m, rng = _model_with_a_zero_map(seed)
     sets = [point_mask(m.space, m.space.points()), point_mask(m.space, {0, 2, 3}),
             point_mask(m.space, {3}), point_mask(m.space, set())]
     for delta in sets:
@@ -439,21 +417,21 @@ def test_stacked_nnsm_matches_per_atom_reference(seed):
             assert _close(nnsm.integrate(m, field_, delta),
                           _ref_integrate(m, field_, delta))
         a = hermitian_element(m.w1, rng)
-        want = sum((_ref_phi(m, x, a) for x in m.labels if _holds(m, delta, x)),
+        want = sum((_ref_phi(m, x, a) for x, on in zip(m.space.points(), delta) if on),
                    np.zeros((m.target_dim,) * 2, dtype=complex))
         assert _close(measure.evaluate(m.measure_for(a), delta), want)
     p = algebra.sample_projections(m.w1, n=3, seed=seed).members[-1]
     e_p = m.measure_for(p)
-    assert e_p.labels == (0, 1, 2)
-    for x, atom in zip(e_p.labels, e_p.atoms):
+    assert e_p.atoms.shape[0] == 4 and not e_p.atoms[3].any()
+    for x, atom in zip(m.space.points(), e_p.atoms):
         assert _close(atom, _ref_phi(m, x, p))
-    assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.labels))
+    assert _close(e_p.total, sum(_ref_phi(m, x, p) for x in m.space.points()))
     assert linalg.frob_norm(m.apply(3, p)) == 0.0
     assert _close(m.measure_for(m.w1.identity()).total, np.eye(m.target_dim))
 
 
 def test_integrate_makes_one_coefficients_call(monkeypatch):
-    m, rng = _model_with_unstored_label(seed=14)
+    m, rng = _model_with_a_zero_map(seed=14)
     shapes = []
     original = algebra.VonNeumannAlgebra.coefficients
     d = m.w1.ambient_dim
@@ -477,7 +455,7 @@ def test_integrate_makes_one_coefficients_call(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_integrate_matches_per_field_reference(seed):
-    m, rng = _model_with_unstored_label(seed)
+    m, rng = _model_with_a_zero_map(seed)
     sets = [point_mask(m.space, m.space.points()), point_mask(m.space, {0, 2, 3}),
             point_mask(m.space, {3}), point_mask(m.space, set())]
     k = m.target_dim
@@ -495,7 +473,7 @@ def test_batched_integrate_matches_per_field_reference(seed):
 
 
 def test_integrate_empty_field_and_empty_batch():
-    m, rng = _model_with_unstored_label(seed=15)
+    m, rng = _model_with_a_zero_map(seed=15)
     k = m.target_dim
     whole = point_mask(m.space, m.space.points())
     empty = nnsm.OperatorField(terms=())
@@ -511,52 +489,39 @@ def test_integrate_empty_field_and_empty_batch():
     assert _close(got[2], _ref_integrate(m, g, whole))
 
 
-def _general_atoms_in(space, labels, delta):
-    """Which atoms lie in a (..., n_points) set, by the concatenate-and-gather
-    rule: each label's column of Delta, or a padded False column for a label
-    that is not among the points."""
-    points = space.points()
-    columns = [points.index(x) if x in points else len(points) for x in labels]
-    outside = np.zeros(delta.shape[:-1] + (1,), dtype=bool)
-    return np.concatenate([delta, outside], axis=-1)[..., columns]
-
-
 def _split_tensordot_integrate(m, field_, delta):
-    """``integrate`` by its earlier route: the atoms in Delta by the general
-    mask rule, one coefficients call cut into slots by np.split, each row's
-    columns gathered by label, and np.tensordot against m.images[inside]."""
-    inside = np.flatnonzero(_general_atoms_in(m.space, m.labels, delta))
+    """``integrate`` by an earlier route: the points in Delta always
+    gathered, one coefficients call cut into slots by np.split, and
+    np.tensordot against m.images[inside]."""
+    inside = np.flatnonzero(delta)
     if not field_.terms:
         return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
-    points = m.space.points()
-    columns = [points.index(m.labels[i]) for i in inside]
     rows = [np.asarray(v, dtype=np.complex128) for v, _ in field_.terms]
     slots = [np.asarray(a) for _, a in field_.terms]
     flat = [a.reshape(-1, *a.shape[-2:]) for a in slots]
     coeffs = np.split(m.w1.coefficients(np.concatenate(flat)),
                       np.cumsum([len(f) for f in flat[:-1]]))
-    parts = [row[..., columns, None] * c.reshape(*a.shape[:-2], 1, m.w1.dim)
+    parts = [row[..., inside, None] * c.reshape(*a.shape[:-2], 1, m.w1.dim)
              for row, a, c in zip(rows, slots, coeffs)]
     weights = sum(parts[1:], parts[0])
     return np.tensordot(weights, m.images[inside], axes=([-2, -1], [0, 1]))
 
 
-def _label_orders(seed):
-    """One model per route through ``integrate``: labels that are the points
-    in order (no gather), the same atoms with reversed labels, labels that
-    miss a point, and a countable space with an atom past its horizon."""
+def _models(seed):
+    """One model per route through ``integrate``: a finite space whose
+    points all carry mass, one with a zero map at a point, and a countable
+    space."""
     m, _, _ = tensor_model(seed=seed, n_atoms=3)
-    reversed_ = nnsm.NonNegSpectralMeasure(m.space, m.w1, m.labels[::-1], m.images)
-    unstored, _ = _model_with_unstored_label(seed)
-    countable = measure.DiscreteSpace(horizon=3)
-    past = nnsm.NonNegSpectralMeasure(countable, m.w1, (2, 0, 7), m.images)
-    return [m, reversed_, unstored, past]
+    zero_map, _ = _model_with_a_zero_map(seed)
+    countable = nnsm.NonNegSpectralMeasure(
+        measure.DiscreteSpace(horizon=3), m.w1, m.images)
+    return [m, zero_map, countable]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_integrate_equals_the_split_tensordot_route_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
-    for m in _label_orders(seed):
+    for m in _models(seed):
         points = m.space.points()
         one_hot = nnsm.OperatorField(terms=((
             np.eye(len(points), dtype=np.complex128),
@@ -572,23 +537,6 @@ def test_integrate_equals_the_split_tensordot_route_bit_for_bit(seed):
                 got = nnsm.integrate(m, field_, delta)
                 want = _split_tensordot_integrate(m, field_, delta)
                 assert got.shape == want.shape and np.array_equal(got, want)
-
-
-def test_atoms_in_reads_delta_itself_for_labels_in_point_order():
-    rng = np.random.default_rng(8)
-    for m in _label_orders(8):
-        n = len(m.space.points())
-        ordered = m.labels == tuple(m.space.points())
-        for lead in ((), (5,), (2, 3)):
-            delta = rng.random(lead + (n,)) < 0.5
-            got = measure.atoms_in(m.space, m.labels, delta, lead)
-            assert np.array_equal(got, _general_atoms_in(m.space, m.labels, delta))
-            # the point-order labels return Delta's own mask; the others
-            # gather a fresh one
-            assert (got is delta) == ordered
-            assert ordered or not np.shares_memory(got, delta)
-    assert [m.labels == tuple(m.space.points()) for m in _label_orders(8)] == [
-        True, False, False, False]
 
 
 def test_family_entries_equal_check_entry_row_by_row():
@@ -621,7 +569,7 @@ def test_family_entries_equal_check_entry_row_by_row():
 
 def test_integrate_and_m_a_reject_a_set_from_another_space():
     # a set of another space is a mask of another length
-    m, rng = _model_with_unstored_label(seed=16)
+    m, rng = _model_with_a_zero_map(seed=16)
     other = measure.DiscreteSpace(labels=tuple(range(7)))
     foreign = point_mask(other, other.points())
     field_ = nnsm.OperatorField(
@@ -675,7 +623,7 @@ def test_condition3_matches_per_cell_reference():
 
 
 def test_integrate_rejects_rows_of_the_wrong_length():
-    m, rng = _model_with_unstored_label(seed=17)
+    m, rng = _model_with_a_zero_map(seed=17)
     whole = point_mask(m.space, m.space.points())
     n_points = len(m.space.points())
     good = _random_field(rng, m, 2)
@@ -686,15 +634,14 @@ def test_integrate_rejects_rows_of_the_wrong_length():
         with pytest.raises(ShapeMismatch):
             nnsm.integrate(m, stacked_fields([good, good]) + nnsm.OperatorField(
                 terms=((np.ones((2, length)), m.w1.identity()),)), whole)
-    # over a countable space the rows and the sets end at the horizon: the
-    # atom past it lies in no set
+    # over a countable space the rows and the sets end at the horizon
     countable = measure.DiscreteSpace(horizon=2)
-    past = nnsm.NonNegSpectralMeasure(countable, m.w1, (0, 5), m.images[:2])
-    field_ = nnsm.OperatorField(terms=((np.ones(2), m.w1.identity()),))
-    only_0 = nnsm.integrate(past, field_, point_mask(countable, {0}))
-    assert only_0.any() and np.array_equal(
-        nnsm.integrate(past, field_, point_mask(countable, {0, 1})), only_0)
-    # the unstored label's column is read off the row like any other point
+    on_two = nnsm.NonNegSpectralMeasure(countable, m.w1, m.images[:2])
+    for length in (1, 3):
+        bad = nnsm.OperatorField(terms=((np.ones(length), m.w1.identity()),))
+        with pytest.raises(ShapeMismatch):
+            nnsm.integrate(on_two, bad, point_mask(countable, {0, 1}))
+    # the zero map's column is read off the row like any other point
     unit = np.zeros(n_points)
     unit[m.space.points().index(3)] = 1.0
     only_3 = nnsm.OperatorField(terms=((unit, m.w1.identity()),))
@@ -709,10 +656,10 @@ def test_family_validate_matches_per_member_measures(countable):
     atoms = comp.atoms.copy()
     atoms[2, 1] = 1.001 * atoms[2, 1]
     atoms[4, 3] = atoms[4, 3] + atoms[4, 0]
-    space = measure.DiscreteSpace(horizon=10) if countable else m.space
+    space = measure.DiscreteSpace(horizon=len(m.space)) if countable else m.space
     for stack, bad in ((comp.atoms, set()), (atoms, {2, 4})):
         total = comp.total if countable else None
-        batch = measure.SpectralMeasure(space, comp.labels, stack, total)
+        batch = measure.SpectralMeasure(space, stack, total)
         got = batch.validate()
         assert got.shape == (len(fm.family.members),)
         for i, value in enumerate(got):
@@ -728,4 +675,4 @@ def test_family_totals_follow_the_format_rule():
     nan_total[1, 0, 0] = np.nan
     for total in (nan_total, comp.total[:-1], comp.total[:, :-1, :-1]):
         with pytest.raises(ShapeMismatch):
-            measure.SpectralMeasure(comp.space, comp.labels, comp.atoms, total)
+            measure.SpectralMeasure(comp.space, comp.atoms, total)

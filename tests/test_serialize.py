@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from specmeas import cli, harness, linalg, measure, serialize
+from specmeas import cli, harness, linalg, measure, nnsm, serialize
 from specmeas.errors import InvalidDocument
 
 from conftest import hermitian_element, tensor_model
@@ -82,12 +82,12 @@ def test_space_round_trip():
 def test_measure_round_trip_reports_residual():
     space = measure.DiscreteSpace(labels=(0, 1))
     e = measure.SpectralMeasure(
-        space, (0, 1),
+        space,
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
     )
     back, resid = serialize.measure_from_doc(serialize.measure_to_doc(e))
     assert resid <= 1e-12
-    assert back.labels == e.labels
+    assert back.space == e.space
     assert np.array_equal(back.atoms, e.atoms)
     assert np.array_equal(back.total, e.total)
 
@@ -101,6 +101,44 @@ def test_nnsm_round_trip(tmp_path):
     a = hermitian_element(m.w1, rng)
     for x in m.space.points():
         assert np.allclose(back.apply(x, a), m.apply(x, a), atol=1e-10)
+
+
+def test_tuple_labels_round_trip(tmp_path):
+    # JSON writes a tuple label as an array; the reader reads it back as a
+    # tuple, nested ones included, for the space and for the atoms alike
+    labels = ((0, 1), (1, (2, 3)), "c")
+    e = measure.SpectralMeasure(measure.DiscreteSpace(labels=labels), [
+        np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0])])
+    m, _, _ = tensor_model(seed=21, n_atoms=3)
+    m = nnsm.NonNegSpectralMeasure(measure.DiscreteSpace(labels=labels), m.w1, m.images)
+    for obj, write, read in ((e, serialize.measure_to_doc, serialize.measure_from_doc),
+                             (m, serialize.nnsm_to_doc, serialize.nnsm_from_doc)):
+        path = tmp_path / "tuples.json"
+        serialize.dump(write(obj), path)
+        back, resid = read(serialize.load(path))
+        assert back.space == obj.space and back.space.labels == labels
+        stack = "atoms" if obj is e else "images"
+        assert np.array_equal(getattr(back, stack), getattr(obj, stack))
+        assert resid <= 1e-10
+        assert harness.check_measure_file(path).passed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_atoms_listed_in_any_order_read_the_same(seed):
+    # a reader sorts each listed atom onto its point, so reversing the list
+    # changes no bit of the stack or of the residual
+    m = harness.gen_scenario("B", seed).payload["oracle"]
+    e = m.measure_for(m.w1.identity())
+    for obj, write, read, stack in (
+            (m, serialize.nnsm_to_doc, serialize.nnsm_from_doc, "images"),
+            (e, serialize.measure_to_doc, serialize.measure_from_doc, "atoms")):
+        doc = write(obj)
+        key = "atom_maps" if "atom_maps" in doc else "atoms"
+        assert [x for x, _ in doc[key]] == obj.space.points()
+        flipped = dict(doc, **{key: doc[key][::-1]})
+        (a, ra), (b, rb) = read(doc), read(flipped)
+        assert np.array_equal(getattr(a, stack), getattr(b, stack))
+        assert ra == rb or (np.isnan(ra) and np.isnan(rb))
 
 
 def test_generator_rules():
@@ -145,7 +183,7 @@ def test_indented_documents_still_load(tmp_path):
 def _base_document(base: str) -> str:
     if base == "measure":
         e = measure.SpectralMeasure(
-            measure.DiscreteSpace(labels=(0, 1)), (0, 1),
+            measure.DiscreteSpace(labels=(0, 1)),
             [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)],
         )
         return json.dumps(serialize.measure_to_doc(e))
