@@ -225,13 +225,6 @@ def i_m_apply(field_: OperatorField, model: BlockModel,
                             np.zeros(x.block.shape, dtype=np.complex128)))
 
 
-def truncation_projection(k, x: DomainVector) -> DomainVector:
-    """M(K)(id) x: keep the blocks inside K, a block mask that broadcasts
-    against x's support (``measure.require_mask``)."""
-    inside = require_mask(k, x.support.shape)
-    return DomainVector(np.where(inside[..., None], x.block, 0.0))
-
-
 def d_alpha_check(x: DomainVector, model: BlockModel, k, probes: int = 20,
                   seed: int = 0):
     """Membership test for the compactly-dominated vectors D_{alpha_K}, as

@@ -160,14 +160,6 @@ def test_i_m_product_on_d0():
     assert lhs.sub(rhs).norm() <= 1e-9 * (1 + rhs.norm())
 
 
-def test_truncation_projection():
-    model = number_model()
-    x = domain_vector(model, {1: 1.0, 9: 1.0})
-    k = block_mask(model.horizon, range(5))
-    y = blocks.truncation_projection(k, x)
-    assert np.array_equal(y.support, block_mask(model.horizon, {1}))
-
-
 def d_alpha_status(x, certified, residuals) -> str:
     """The three-way D_{alpha_K} outcome of one vector, read off
     d_alpha_check's (certified, residuals): certified when the support lies
@@ -507,12 +499,6 @@ def test_k_must_be_a_set_over_the_model_space():
     wider = np.arange(model.horizon + 5) < 10
     with pytest.raises(ShapeMismatch):
         blocks.d_alpha_check(x, model, wider)
-    with pytest.raises(ShapeMismatch):
-        blocks.truncation_projection(wider, x)
-    # a K with a hole keeps what lies outside the hole
-    holes = ~block_mask(model.horizon, {9})
-    assert np.array_equal(blocks.truncation_projection(holes, x).support,
-                          block_mask(model.horizon, {1}))
 
 
 def test_d_alpha_rejects_a_negative_probe_count():
@@ -775,9 +761,6 @@ def test_stacked_operators_equal_per_vector_calls(dim):
         assert c == one_c and r.tobytes() == one_r.tobytes()
         statuses.add(d_alpha_status(x, c, r))
     assert statuses >= {"certified", "fail"}
-    kept = blocks.truncation_projection(ks, xs).block
-    for i, (x, k) in enumerate(zip(vectors, ks)):
-        assert kept[i].tobytes() == blocks.truncation_projection(k, x).block.tobytes()
     with pytest.raises(ShapeMismatch):
         blocks.d_alpha_check(xs, model, ks[:-1])
 
@@ -798,32 +781,25 @@ def test_k_is_a_boolean_block_mask():
         for x in (vectors[0], xs):
             with pytest.raises(ShapeMismatch):
                 blocks.d_alpha_check(x, model, bad)
-            with pytest.raises(ShapeMismatch):
-                blocks.truncation_projection(bad, x)
     # one (horizon,) K shared by the stack, or one K per vector: each
     # vector's result is bit-equal to its single call
     for mask in (k, np.stack([k, vectors[1].support, ~k])):
         certified, residuals = blocks.d_alpha_check(xs, model, mask, probes=12, seed=3)
-        kept = blocks.truncation_projection(mask, xs).block
         statuses = set()
         for i, (x, k_i) in enumerate(zip(vectors, np.broadcast_to(mask, (3, 8)))):
             one_c, one_r = blocks.d_alpha_check(x, model, k_i, probes=12, seed=3)
             assert certified[i] == one_c
             assert residuals[i].tobytes() == one_r.tobytes()
             statuses.add(d_alpha_status(x, certified[i], residuals[i]))
-            one = blocks.truncation_projection(k_i, x)
-            assert kept[i].tobytes() == one.block.tobytes()
     assert statuses >= {"certified", "fail"}
 
 
 def test_d_alpha_takes_one_vector_or_one_stack_of_them():
-    # truncation broadcasts over every leading axis; d_alpha_check takes
-    # one vector or a (vectors, horizon, block_dim) stack, nothing deeper
+    # d_alpha_check takes one vector or a (vectors, horizon, block_dim)
+    # stack, nothing deeper
     model = number_model(horizon=8)
     x = blocks.DomainVector(np.ones((2, 3, 8, 1)))
     k = block_mask(8, range(4))
-    kept = blocks.truncation_projection(k, x).block
-    assert np.array_equal(kept, np.where(k[:, None], x.block, 0.0))
     with pytest.raises(ShapeMismatch):
         blocks.d_alpha_check(x, model, k)
 
