@@ -34,9 +34,10 @@ vector.
 A batch of fields is one OperatorField whose term slots hold such stacks;
 ``i_m_apply`` and ``integrability_check`` sum its slots in order.
 The checks return numbers, not verdicts: ``integrability_check`` the worst
-blockwise normality residual and its block per batch index, and
-``d_alpha_check`` a support-inside-K mask and the probe excesses per
-vector.  The pipelines compare them with their tolerances.
+blockwise normality residual and its block per batch index, which kind D's
+injected row compares with its tolerance, and ``d_alpha_check`` a
+support-inside-K mask and the probe excesses per vector, which no pipeline
+reads.
 """
 
 from __future__ import annotations
@@ -175,20 +176,6 @@ def _require_rows(x: DomainVector, horizon: int) -> None:
     if x.block.shape[-2] != horizon:
         raise ShapeMismatch(f"a domain vector needs one row per block below "
                             f"the horizon ({horizon}), got {x.block.shape[-2]}")
-
-
-def spectral_integral_apply(values, x: DomainVector) -> DomainVector:
-    """Apply the spectral integral of f, given by its value row, to a
-    finitely supported vector with one row per value.
-
-    The blockwise resolution E({n}) is the identity on block n, so block n
-    of the result is f(n) x_n.  Finitely supported vectors are always in the
-    domain; in this model they are exactly D0, with the support as the
-    compact witness.
-    """
-    horizon = np.shape(values)[-1]
-    _require_rows(x, horizon)
-    return DomainVector(_values_at(values, horizon)[..., None] * x.block)
 
 
 def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:

@@ -162,13 +162,13 @@ def _cmd_fuzz(args) -> int:
             rep = run_suite(kind, seed, 1, args.caps)[0]
             ran += 1
             if not rep.passed:
-                failures.append(rep)
+                failures.append(_strip_timing(rep, False))
         if args.faults:
             for fault in FAULT_CLASSES:
                 rep = fault_report(fault, seed, args.caps)
                 ran += 1
                 if not rep.passed:
-                    failures.append(rep)
+                    failures.append(_strip_timing(rep, False))
         seed += 1
     _emit(failures, sys.stdout)
     print(f"fuzz: {ran} scenarios over seeds [{args.seed}, {seed}), "

@@ -3,12 +3,12 @@
 Scenarios are generated oracle-first: a ground-truth measure is built, the
 representation is induced by integration against it, and the pipeline must
 reconstruct the measure from the representation alone.  Reports carry every
-residual; a failing stage never aborts the pipeline.  Kinds A, C' and D
-draw the random inputs of each check family as one stack: *-polynomials by
-``blocks.random_star_polynomials``, domain vectors by
-``_random_domain_vectors`` and D's fields by ``_random_unbounded_fields``.
-Every batch of operator fields, B's included, is one OperatorField whose
-term slots hold stacks.
+residual; a failing stage never aborts the pipeline.  Kinds C' and D
+share one pipeline, ``verify_theorem_d``: C' is its scalar case, the block
+model over W = C*1.  Kinds A, C' and D draw the random inputs of each check
+family as one stack: *-polynomials by ``blocks.random_star_polynomials``
+and domain vectors by ``_random_domain_vectors``.  Every batch of operator
+fields, B's included, is one OperatorField whose term slots hold stacks.
 """
 
 from __future__ import annotations
@@ -473,51 +473,11 @@ def _random_fields(rng, m: NonNegSpectralMeasure, n_fields: int, count: int):
 
 
 def verify_theorem_c(scenario: Scenario) -> VerificationReport:
-    """Unbounded commutative case on a scalar block model."""
-    t0 = time.perf_counter()
-    model: blocks.BlockModel = scenario.payload["model"]
-    checks: list[CheckEntry] = []
-    rng = np.random.default_rng(scenario.seed + 4)
-    names = sorted(model.generators)
-    # one draw per check family, each a stack
-    xs = _random_domain_vectors(rng, model, 6)
-    codes, coeffs = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
-    compact = _random_domain_vectors(rng, model, 4)
-    # no row tests integrability: every 1x1 block action is normal
-    # (i) density of the compactly dominated domain: both witnesses of the
-    # target 0.5^n, probed as one stack
-    target = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
-                       model.block_dim, axis=1)
-    epsilons = (1e-4, 1e-10)
-    members, tails = zip(*(_truncate_to_eps(target, eps) for eps in epsilons))
-    members = blocks.DomainVector(np.stack([m.block for m in members]))
-    excess = _witness_excess(*blocks.d_alpha_check(
-        members, model, members.support, probes=8, seed=scenario.seed + 5))
-    for eps, tail, r, tol in zip(epsilons, tails, excess,
-                                 TAU_RECON * (1.0 + members.norm())):
-        checks.append(check_entry(f"density[eps={eps:g}]", tail, eps))
-        checks.append(check_entry(f"density-witness-certified[eps={eps:g}]", r, tol))
-    # (ii) exact representation on finitely supported vectors; the
-    # tolerance scales with the spectral side, the route-free one.  Unused
-    # monomial slots are constant monomials of coefficient 0, exact zeros in
-    # every sum
-    lhs = _rho_polynomial(model, codes, coeffs, xs)
-    rhs = blocks.spectral_integral_apply(
-        blocks.star_values(codes, coeffs, model.factor_rows), xs)
-    checks += family_entries([f"represent[x{t}]" for t in range(len(codes))],
-                             lhs.sub(rhs).norm(), TAU_EXACT * (1.0 + rhs.norm()))
-    # (iii) compact support of E_{x,x} inside the membership witness
-    excess = _witness_excess(*blocks.d_alpha_check(
-        compact, model, compact.support, probes=4, seed=scenario.seed + 6))
-    checks += family_entries([f"compact-support[x{t}]" for t in range(len(excess))],
-                             excess, TAU_RECON * (1.0 + compact.norm()))
-    return _finish(scenario, checks, t0)
-
-
-def _witness_excess(certified, residuals) -> np.ndarray:
-    """The worst probe excess of each vector of a ``d_alpha_check``, inf
-    for a vector whose support is not inside K; a NaN excess stays NaN."""
-    return np.where(certified, residuals.max(axis=-1, initial=0.0), np.inf)
+    """Unbounded commutative case: kind D's pipeline on a scalar block
+    model, the model over W = C*1.  The name stays while
+    ``perfbench/tracing.py`` traces it (``TRACED``), and goes once that
+    entry does (ROADMAP item 6)."""
+    return verify_theorem_d(scenario)
 
 
 def _rho_polynomial(model, codes, coeffs, x) -> blocks.DomainVector:
@@ -565,26 +525,37 @@ def _random_domain_vectors(rng, model, count) -> blocks.DomainVector:
 
 
 def verify_theorem_d(scenario: Scenario) -> VerificationReport:
-    """Unbounded 𝒲-valued case on a matrix block model.  rho(b (x) A) acts
-    on block n as f_b(n) * A, so integrability, domain inclusion and support
-    containment hold for every drawn model and no row tests them; an
-    injected field's integrability row leads the report."""
+    """Unbounded case on a block model, 𝒲-valued (kind D) or scalar (kind
+    C', 𝒲 = C*1): ρ(p ⊗ A) x on D0 against the integral of the field p ⊗ A,
+    for six drawn *-polynomials p in the generators, coefficients A and
+    vectors x.  ρ(b ⊗ A) acts on block n as f_b(n) * A, so integrability,
+    domain inclusion and support containment hold for every drawn model and
+    no row tests them; an injected field's integrability row leads the
+    report."""
     t0 = time.perf_counter()
     model: blocks.BlockModel = scenario.payload["model"]
     checks: list[CheckEntry] = []
-    rng = np.random.default_rng(scenario.seed + 7)
-    # one draw per check family, each a stack
-    xs = _random_domain_vectors(rng, model, 6)
-    field_ = _random_unbounded_fields(rng, model, 6)
     injected = scenario.payload.get("field")
     if injected is not None:
         checks.append(_injected_row(model, injected))
-    # representation check on D0, the fields' terms stacked slot by slot
-    lhs = _rho_field(model, field_, xs)
-    checks += family_entries(
-        [f"represent[x{t}]" for t in range(len(xs.block))],
-        lhs.sub(blocks.i_m_apply(field_, model, xs)).norm(),
-        TAU_EXACT * (1.0 + lhs.norm()))
+    rng = np.random.default_rng(scenario.seed + 7)
+    xs = _random_domain_vectors(rng, model, 6)
+    codes, coeffs = blocks.random_star_polynomials(
+        rng, len(model.generators), 6, degree=3)
+    dim = model.block_dim
+    a = rng.standard_normal((6, dim, dim, 2)).view(np.complex128)[..., 0]
+    # the ρ side takes ρ(1 ⊗ A), then ρ(p ⊗ 1) one factor slot at a time;
+    # the integral side reads the block actions p(n) * A of the field and
+    # never calls ρ.  The tolerance scales with the integral side.  Unused
+    # monomial slots are constant monomials of coefficient 0, exact zeros in
+    # every sum
+    lhs = _rho_polynomial(model, codes, coeffs,
+                          blocks.rho_apply(model, model.factor_rows[-1], a, xs))
+    field_ = OperatorField(terms=(
+        (blocks.star_values(codes, coeffs, model.factor_rows), a),))
+    rhs = blocks.i_m_apply(field_, model, xs)
+    checks += family_entries([f"represent[x{t}]" for t in range(len(codes))],
+                             lhs.sub(rhs).norm(), TAU_EXACT * (1.0 + rhs.norm()))
     return _finish(scenario, checks, t0)
 
 
@@ -593,30 +564,6 @@ def _injected_row(model, field_) -> CheckEntry:
     residual against TAU_RECON, named by the block that holds it."""
     resid, worst = blocks.integrability_check(model, field_)
     return check_entry(f"integrable[injected;block{worst}]", resid, TAU_RECON)
-
-
-def _random_unbounded_fields(rng, model, count) -> OperatorField:
-    """``count`` random fields as one field of two stacked term slots: each
-    field has 1..2 terms, a uniform generator pick per slot and complex
-    standard normal (block_dim, block_dim) coefficients.  A one-term field
-    holds an exact-zero row and coefficient in slot 2, which add exact
-    zeros."""
-    dim = model.block_dim
-    n_terms = rng.integers(1, 3, size=count)
-    picks = rng.integers(len(model.generators), size=(2, count))
-    coeffs = rng.standard_normal((2, count, dim, dim, 2)).view(np.complex128)[..., 0]
-    kept = np.arange(2)[:, None] < n_terms
-    rows = np.where(kept[..., None], model.factor_rows[2 * picks], 0.0)
-    coeffs = np.where(kept[..., None, None], coeffs, 0.0)
-    return OperatorField(terms=tuple(zip(rows, coeffs)))
-
-
-def _rho_field(model, field_, x) -> blocks.DomainVector:
-    """ρ of a field on x: one rho_apply per term slot, summed in order onto
-    the zero vector of x's shape."""
-    return blocks.DomainVector(sum(
-        (blocks.rho_apply(model, v, a, x).block for v, a in field_.terms),
-        np.zeros(x.block.shape, dtype=np.complex128)))
 
 
 def _finish(scenario, checks, t0) -> VerificationReport:

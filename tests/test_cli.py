@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import cli, harness, measure, serialize
+from specmeas import cli, harness, measure, nnsm, serialize
 from specmeas.errors import InvalidDocument
 from specmeas.harness import Caps
 from specmeas.tolerances import TAU_ALG, TAU_DOC
@@ -489,6 +489,22 @@ def test_fuzz_smoke(capsys):
                        "--seed", "0")
     assert code == 0
     assert "fuzz:" in out
+
+
+def test_fuzz_prints_failing_reports_without_their_timing(capsys, monkeypatch):
+    # fuzz has no --timing flag, so a failing report reads wall_ms 0 and
+    # two runs over the same seeds print the same report lines
+    def failing(scenario):
+        return nnsm.VerificationReport(
+            scenario=scenario.scenario_id,
+            checks=(nnsm.check_entry("forced", 1.0, 0.5),), wall_ms=7)
+
+    monkeypatch.setitem(harness.VERIFIERS, "A", failing)
+    code, out, _ = run(capsys, "fuzz", "--kinds", "a", "--seconds", "0.05",
+                       "--seed", "0")
+    assert code == 1
+    reports = [line for line in out.splitlines() if line.startswith("{")]
+    assert reports and all('"wall_ms": 0' in line for line in reports)
 
 
 def test_fuzz_rejects_unknown_kind(capsys):

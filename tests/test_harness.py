@@ -269,7 +269,7 @@ def test_verify_b_scalar_algebra_reduces_to_a():
 
 def test_verify_c_number_operator():
     sc = harness.number_operator_scenario()
-    rep = harness.verify_theorem_c(sc)
+    rep = harness.verify_theorem_d(sc)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
@@ -283,34 +283,8 @@ def test_verify_c_bounded_generator():
                 {"kind": "exp-index", "rate": -0.7})},
         )},
     )
-    rep = harness.verify_theorem_c(sc)
+    rep = harness.verify_theorem_d(sc)
     assert rep.passed
-
-
-def test_verify_c_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch):
-    """represent[x*] applies rho once per factor of the *-polynomial and
-    compares with the spectral integral of its values; a relative 1e-6 bump
-    of one generator's row on the rho side alone must fail it."""
-    sc = harness.gen_scenario("Cprime", 1)
-    model = sc.payload["model"]
-    assert sorted(model.generator_rows) == ["g0", "g1"]
-    clean = harness.verify_theorem_c(sc)
-    represent = [c for c in clean.checks if c.name.startswith("represent[x")]
-    assert len(represent) == 6 and all(c.passed for c in represent)
-    assert any(c.residual > 0.0 for c in represent)  # not one formula twice
-    g0 = model.generator_rows["g0"]
-    rho_apply = blocks.rho_apply
-
-    def bumped(model_, values, a, x):
-        # rho takes a stack of rows: bump each row that is g0 or conj(g0)
-        hit = (values == g0).all(axis=-1) | (values == np.conj(g0)).all(axis=-1)
-        return rho_apply(model_, np.where(hit[..., None], values * (1.0 + 1e-6),
-                                          values), a, x)
-
-    monkeypatch.setattr(blocks, "rho_apply", bumped)
-    rep = harness.verify_theorem_c(sc)
-    failed = [c.name for c in rep.checks if not c.passed]
-    assert failed and all(n.startswith("represent[x") for n in failed)
 
 
 def test_verify_d_matrix_model():
@@ -319,116 +293,93 @@ def test_verify_d_matrix_model():
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-@pytest.mark.parametrize("fault", ["transposed", "dropped-f"])
-def test_verify_d_represent_fails_on_a_wrong_rho(monkeypatch, fault):
-    """D's represent[x*] compares rho with the field's block actions, a
-    route of its own: a rho that applies A^T, or drops the value row f,
-    must fail it while every other check still passes."""
-    sc = harness.gen_scenario("D", 3)
-    clean = harness.verify_theorem_d(sc)
-    assert clean.passed
-    rho_apply = blocks.rho_apply
-
-    def wrong(model_, values, a, x):
-        if fault == "transposed":  # each coefficient of a stack transposed
-            return rho_apply(model_, values, np.swapaxes(a, -1, -2), x)
-        return rho_apply(model_, np.ones_like(values), a, x)
-
-    monkeypatch.setattr(blocks, "rho_apply", wrong)
-    rep = harness.verify_theorem_d(sc)
-    failed = [c.name for c in rep.checks if not c.passed]
-    assert failed and all(n.startswith("represent[x") for n in failed)
-
-
 def _failed(report):
     return {c.name for c in report.checks if not c.passed}
 
 
-def test_verify_d_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch):
-    """D's represent[x*] stacks the fields' terms slot by slot; a relative
-    1e-6 bump of one generator's row on the rho side alone must fail
-    exactly the rows whose field has a term on that generator (at seed 5,
-    three of the six)."""
-    sc = harness.gen_scenario("D", 5)
-    model = sc.payload["model"]
-    assert sorted(model.generator_rows) == ["g0", "g1"]
-    assert not _failed(harness.verify_theorem_d(sc))
-    fields = []
-    draw = harness._random_unbounded_fields
-
-    def recorded(rng, model_, count):
-        fields.append(draw(rng, model_, count))
-        return fields[-1]
-
-    monkeypatch.setattr(harness, "_random_unbounded_fields", recorded)
-    g0 = model.generator_rows["g0"]
+@pytest.mark.parametrize("kind, fault", [
+    ("Cprime", "conjugated"), ("D", "conjugated"), ("D", "transposed"),
+    ("Cprime", "dropped-row"), ("D", "dropped-row")])
+def test_represent_fails_on_a_wrong_rho(monkeypatch, kind, fault):
+    """represent[x*] compares rho with the field's block actions, a route
+    of its own: a rho that applies conj(A), or A^T (not seen on 1x1 blocks),
+    or drops the value row f, must fail it on every scenario of seeds 0-19,
+    while no other row fails."""
+    scenarios = [harness.gen_scenario(kind, seed) for seed in range(20)]
+    assert all(harness.verify_theorem_d(sc).passed for sc in scenarios)
     rho_apply = blocks.rho_apply
 
-    def bumped(model_, values, a, x):
-        hit = (values == g0).all(axis=-1)  # each row of a stack that is g0
-        return rho_apply(model_, np.where(hit[..., None], values * (1.0 + 1e-6),
-                                          values), a, x)
+    def wrong(model_, values, a, x):
+        if fault == "conjugated":  # each coefficient of a stack conjugated
+            return rho_apply(model_, values, np.conj(a), x)
+        if fault == "transposed":
+            return rho_apply(model_, values, np.swapaxes(a, -1, -2), x)
+        return rho_apply(model_, np.ones_like(values), a, x)
 
-    monkeypatch.setattr(blocks, "rho_apply", bumped)
-    failed = _failed(harness.verify_theorem_d(sc))
-    (field_,) = fields
-    rows = len(field_.terms[0][0])
-    on_g0 = {f"represent[x{t}]" for t in range(rows)
-             if any(np.array_equal(v[t], g0) for v, _ in field_.terms)}
-    assert 0 < len(on_g0) < rows == 6
-    assert failed == on_g0
+    monkeypatch.setattr(blocks, "rho_apply", wrong)
+    for sc in scenarios:
+        failed = _failed(harness.verify_theorem_d(sc))
+        assert failed and all(n.startswith("represent[x") for n in failed), (
+            sc.scenario_id)
 
 
-def test_verify_d_represent_fails_only_at_a_wrong_second_term(monkeypatch):
-    """The fields of D's represent[x*] have one or two terms, and a
-    one-term field holds a zero row and a zero coefficient in the second
-    slot of the stack.  A wrong second term of one two-term field, on the
-    psi side only, must fail that row and no other."""
-    i_m_apply = blocks.i_m_apply
-    fields, mixed = [], 0
-    draw = harness._random_unbounded_fields
+def _uses_generator(codes, coeffs, g):
+    """The represent rows whose *-polynomial has a monomial of nonzero
+    coefficient with a factor g or g*."""
+    hit = (coeffs[..., None] != 0) & np.isin(codes, (2 * g, 2 * g + 1))
+    return {f"represent[x{t}]" for t in np.flatnonzero(hit.any(axis=(1, 2)))}
 
-    def recorded(rng, model_, count):
-        fields[:] = [draw(rng, model_, count)]
-        return fields[0]
 
-    monkeypatch.setattr(harness, "_random_unbounded_fields", recorded)
-    for seed in range(6):
-        sc = harness.gen_scenario("D", seed)
+@pytest.mark.parametrize("kind", ["Cprime", "D"])
+def test_represent_fails_on_a_generator_row_bumped_for_rho(monkeypatch, kind):
+    """represent[x*] applies rho once per factor of each *-polynomial; a
+    relative 1e-6 bump of g0's row on the rho side alone must fail exactly
+    the rows whose polynomial uses g0, on every two-generator scenario of
+    seeds 0-19."""
+    rho_apply = blocks.rho_apply
+    partial = 0
+    for seed in range(20):
+        sc = harness.gen_scenario(kind, seed)
+        model = sc.payload["model"]
+        if sorted(model.generator_rows) != ["g0", "g1"]:
+            continue
         assert not _failed(harness.verify_theorem_d(sc))
-        # a two-term field has a nonzero coefficient in slot 2
-        counts = [1 + bool(np.any(a)) for a in fields[0].terms[1][1]]
-        mixed += 1 in counts and 2 in counts
-        for j in (t for t, n in enumerate(counts) if n == 2):
+        _, codes, coeffs, _ = _unbounded_draws(sc)
+        on_g0 = _uses_generator(codes, coeffs, 0)
+        g0 = model.generator_rows["g0"]
+
+        def bumped(model_, values, a, x, g0=g0):
+            # rho takes a stack of rows: bump each row that is g0 or conj(g0)
+            hit = (values == g0).all(axis=-1) | (values == np.conj(g0)).all(axis=-1)
+            return rho_apply(model_, np.where(hit[..., None],
+                                              values * (1.0 + 1e-6), values), a, x)
+
+        monkeypatch.setattr(blocks, "rho_apply", bumped)
+        assert _failed(harness.verify_theorem_d(sc)) == on_g0, sc.scenario_id
+        partial += 0 < len(on_g0) < 6
+        monkeypatch.setattr(blocks, "rho_apply", rho_apply)
+    assert partial >= 3
+
+
+@pytest.mark.parametrize("kind", ["Cprime", "D"])
+def test_represent_fails_only_at_a_bumped_coefficient(monkeypatch, kind):
+    """represent[x*] integrates one stacked field p (x) A; a relative 1e-6
+    bump of one coefficient A_j on the i_m_apply side only must fail row j
+    and no other."""
+    i_m_apply = blocks.i_m_apply
+    for seed in range(6):
+        sc = harness.gen_scenario(kind, seed)
+        assert not _failed(harness.verify_theorem_d(sc))
+        for j in range(6):
             def wrong(field_, model_, x, j=j):
-                (v0, a0), (v1, a1) = field_.terms
-                a1 = a1.copy()
-                a1[j] = a1[j] * (1.0 + 1e-6)
-                return i_m_apply(nnsm.OperatorField(terms=((v0, a0), (v1, a1))),
-                                 model_, x)
+                ((v, a),) = field_.terms
+                a = a.copy()
+                a[j] = a[j] * (1.0 + 1e-6)
+                return i_m_apply(nnsm.OperatorField(terms=((v, a),)), model_, x)
 
             monkeypatch.setattr(blocks, "i_m_apply", wrong)
             assert _failed(harness.verify_theorem_d(sc)) == {f"represent[x{j}]"}
             monkeypatch.setattr(blocks, "i_m_apply", i_m_apply)
-    assert mixed >= 3
-
-
-def test_verify_c_compact_support_fails_only_at_a_vector_outside_its_k(monkeypatch):
-    """compact-support[x*] probes its four vectors as one stack, one K per
-    vector; a K that misses one block of its vector's support must fail
-    that row alone."""
-    sc = harness.gen_scenario("Cprime", 2)
-    assert not _failed(harness.verify_theorem_c(sc))
-    d_alpha_check = blocks.d_alpha_check
-    for j in range(4):
-        def shrunk(x, model, k, probes=20, seed=0, j=j):
-            if probes == 4:  # the compact-support stack
-                k = k.copy()
-                k[j, np.flatnonzero(k[j])[0]] = False
-            return d_alpha_check(x, model, k, probes=probes, seed=seed)
-
-        monkeypatch.setattr(blocks, "d_alpha_check", shrunk)
-        assert _failed(harness.verify_theorem_c(sc)) == {f"compact-support[x{j}]"}
 
 
 def _family(check) -> str:
@@ -437,7 +388,7 @@ def _family(check) -> str:
 
 def test_only_verdict_rows_carry_the_verdict_tol():
     # a row without a residual reads 0 or 1 against VERDICT_TOL; every
-    # other row, the integrability and D_alpha rows included, is a residual
+    # other row, the integrability rows included, is a residual
     # against its own tolerance
     verdicts = {"diagonalize", "assemble", "document", "condition3",
                 "fault-detected"}
@@ -451,8 +402,7 @@ def test_only_verdict_rows_carry_the_verdict_tol():
     rows += harness.verify_theorem_d(harness.inject_fault(
         harness.gen_scenario("D", 0), "non-normal-block")).checks
     families = {_family(c) for c in rows}
-    assert families >= {"integrable", "density-witness-certified",
-                        "compact-support", "fault-detected", "condition3"}
+    assert families >= {"integrable", "fault-detected", "condition3"}
     for c in rows:
         assert (c.tol == VERDICT_TOL) == (_family(c) in verdicts), c.name
     # a family that reads exactly 0.0 on every row of every kind's seeds
@@ -584,14 +534,18 @@ def test_run_suite_sorted():
 
 
 def test_star_of_stacked_unbounded_fields_is_each_fields_adjoint():
-    # kind D's fields are one field of stacked (count, 2, 2) coefficients at
-    # seed 5; the adjoint swaps each coefficient's own two axes, so at every
-    # index it is the adjoint of that field, and <I(F) x, y> = <x, I(F*) y>
+    # fields of two term slots on kind D's model at seed 5, each slot a
+    # stack of generator rows and complex (count, 2, 2) coefficients; the
+    # adjoint swaps each coefficient's own two axes, so at every index it is
+    # the adjoint of that field, and <I(F) x, y> = <x, I(F*) y>
     model = harness.gen_scenario("D", 5).payload["model"]
     assert model.block_dim == 2
     rng = np.random.default_rng(5)
     for count in (2, 6):
-        field_ = harness._random_unbounded_fields(rng, model, count)
+        picks = rng.integers(len(model.generators), size=(2, count))
+        coeffs = rng.standard_normal((2, count, 2, 2, 2)).view(np.complex128)[..., 0]
+        field_ = nnsm.OperatorField(terms=tuple(zip(model.factor_rows[2 * picks],
+                                                    coeffs)))
         starred = field_.star()
         xs, ys = (harness._random_domain_vectors(rng, model, count) for _ in range(2))
         for i in range(count):
@@ -1081,74 +1035,41 @@ def _one(xs, t):
     return blocks.DomainVector(xs.block[t])
 
 
-def _verify_c_reference(scenario):
-    """verify_theorem_c's checks one vector at a time: the pipeline's
-    stacked draws, then each vector checked in turn, with one rho_apply per
-    factor, one d_alpha_check and one np.vdot norm per check."""
+def _unbounded_draws(scenario):
+    """The draws of verify_theorem_d for a C' or D scenario, in order: six
+    domain vectors, six *-polynomials and six complex coefficients."""
     model = scenario.payload["model"]
-    checks = []
-    rng = np.random.default_rng(scenario.seed + 4)
-    names = sorted(model.generators)
-    xs = harness._random_domain_vectors(rng, model, 6)
-    polys = blocks.random_star_polynomials(rng, len(names), 6, degree=3)
-    compact = harness._random_domain_vectors(rng, model, 4)
-    for eps in (1e-4, 1e-10):
-        coeffs = np.repeat(0.5 ** np.arange(model.horizon)[:, None],
-                           model.block_dim, axis=1)
-        member, tail = _truncate_reference(coeffs, eps)
-        checks.append(nnsm.check_entry(f"density[eps={eps:g}]", tail, eps))
-        certified, residuals = blocks.d_alpha_check(
-            member, model, member.support, probes=8, seed=scenario.seed + 5)
-        checks.append(nnsm.check_entry(
-            f"density-witness-certified[eps={eps:g}]",
-            _witness_excess(certified, residuals),
-            TAU_RECON * (1.0 + _norm(member))))
-    for t, (codes, coeffs) in enumerate(zip(*polys)):
-        x = _one(xs, t)
-        lhs = _rho_polynomial_reference(model, codes, coeffs, x)
-        rhs = blocks.spectral_integral_apply(
-            blocks.star_values(codes, coeffs, model.factor_rows), x)
-        checks.append(nnsm.check_entry(
-            f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(rhs))))
-    for t in range(4):
-        x = _one(compact, t)
-        certified, residuals = blocks.d_alpha_check(x, model, x.support, probes=4,
-                                                    seed=scenario.seed + 6)
-        checks.append(nnsm.check_entry(
-            f"compact-support[x{t}]", _witness_excess(certified, residuals),
-            TAU_RECON * (1.0 + _norm(x))))
-    return checks
-
-
-def _witness_excess(certified, residuals):
-    """One vector's worst probe excess, inf when it is not certified."""
-    return max(residuals.tolist(), default=0.0) if certified else np.inf
-
-
-def _verify_d_reference(scenario):
-    """verify_theorem_d's checks one vector at a time: the pipeline's
-    stacked draws, then each vector and field checked in turn, with one
-    rho_apply per term and np.vdot norms per check."""
-    model = scenario.payload["model"]
-    checks = []
     rng = np.random.default_rng(scenario.seed + 7)
     xs = harness._random_domain_vectors(rng, model, 6)
-    stacked = harness._random_unbounded_fields(rng, model, 6)
+    codes, coeffs = blocks.random_star_polynomials(rng, len(model.generators), 6,
+                                                   degree=3)
+    dim = model.block_dim
+    a = rng.standard_normal((6, dim, dim, 2)).view(np.complex128)[..., 0]
+    return xs, codes, coeffs, a
+
+
+def _verify_unbounded_reference(scenario):
+    """verify_theorem_d's checks one vector at a time, for kinds C' and D:
+    the pipeline's stacked draws, then per check rho(1 (x) A) and one
+    rho_apply per non-constant factor against i_m_apply of the one-term
+    field p (x) A, with np.vdot norms."""
+    model = scenario.payload["model"]
+    checks = []
     injected = scenario.payload.get("field")
     if injected is not None:
         resid, block = blocks.integrability_check(model, injected)
         checks.append(nnsm.check_entry(
             f"integrable[injected;block{block}]", resid, TAU_RECON))
-    for t in range(6):
+    xs, all_codes, all_coeffs, all_a = _unbounded_draws(scenario)
+    for t, (codes, coeffs, a) in enumerate(zip(all_codes, all_coeffs, all_a)):
         x = _one(xs, t)
-        # field t's terms: the slots whose coefficient is not the zero pad
-        field_ = nnsm.OperatorField(terms=tuple(
-            (v[t], a[t]) for v, a in stacked.terms if np.any(a[t])))
-        lhs = blocks.vector_sum(blocks.rho_apply(model, v, a, x)
-                                for v, a in field_.terms)
+        ax = blocks.rho_apply(model, np.ones(model.horizon), a, x)
+        lhs = _rho_polynomial_reference(model, codes, coeffs, ax)
+        field_ = nnsm.OperatorField(terms=(
+            (blocks.star_values(codes, coeffs, model.factor_rows), a),))
         rhs = blocks.i_m_apply(field_, model, x)
         checks.append(nnsm.check_entry(
-            f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(lhs))))
+            f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(rhs))))
     return checks
 
 
@@ -1162,11 +1083,10 @@ def _unbounded_reference_scenarios():
 
 
 def test_batched_unbounded_pipelines_match_per_check_references():
-    reference = {"Cprime": _verify_c_reference, "D": _verify_d_reference}
     moved = 0
     for sc in _unbounded_reference_scenarios():
         got = harness.VERIFIERS[sc.kind](sc).checks
-        want = reference[sc.kind](sc)
+        want = _verify_unbounded_reference(sc)
         assert [c.name for c in got] == [c.name for c in want], sc.scenario_id
         assert [c.passed for c in got] == [c.passed for c in want], sc.scenario_id
         assert [c.flags for c in got] == [c.flags for c in want], sc.scenario_id
