@@ -2,16 +2,16 @@
 
 The Hilbert space is a countable direct sum of finite blocks, all of the
 model's ``block_dim``, the ambient dimension of its coefficient algebra W;
-finitely supported vectors form the dense domain.  A scalar model is the
-model over W = C*1, whose blocks are one-dimensional.
+finitely supported vectors form the dense domain.  W is a matrix algebra
+M_d (``matrix_algebra``); a scalar model's is M_1 = C*1, on 1x1 blocks.
 Operators act below the model's horizon, so a domain vector is one
 (horizon, block_dim) array whose row n is its component on block n.
 Algebra generators act diagonally:
 the image of b (x) A on block n is f_b(n) * A, where f_b is the generator's
 scalar value function and A a (block_dim, block_dim) matrix.  Every scalar
 function is passed as its value row,
-f(n) for each block n below the horizon; the generators are evaluated into
-such rows once per model (``BlockModel.generator_rows``).  Closures are
+f(n) for each block n below the horizon; each generator is evaluated once
+per model, on np.arange(horizon) (``BlockModel.generator_rows``).  Closures are
 never materialized; every operator is evaluated on finitely supported
 vectors, where all sums are finite and exact.
 A preintegral psi(f, A) is read off the field's block actions f(n) * A,
@@ -54,25 +54,26 @@ from .measure import DiscreteSpace, require_mask
 from .nnsm import OperatorField
 
 
-def scalars() -> VonNeumannAlgebra:
-    """The one-dimensional algebra C*1, the coefficients of a scalar model."""
-    return VonNeumannAlgebra(ambient_dim=1, basis=np.eye(1, dtype=np.complex128)[None])
+def matrix_algebra(dim: int) -> VonNeumannAlgebra:
+    """M_dim, with the matrix units E_ij in row-major order as its
+    trace-orthonormal basis; it holds I, and ``matrix_algebra(1)`` is C*1."""
+    return VonNeumannAlgebra(dim, np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim))
 
 
 @dataclass(frozen=True)
 class BlockModel:
     """Countable block-diagonal carrier for unbounded representations.
 
-    ``generators`` maps a generator name to a callable n -> complex, read
-    once into ``generator_rows``.  Every block has dimension ``block_dim``:
-    the ambient dimension of ``w``, on which b (x) A acts blockwise as
-    f_b(n) * A.  By default ``w`` is the one-dimensional algebra C*1 and
-    the model is scalar.
+    ``generators`` maps a name to a callable f_b, called once by
+    ``generator_rows`` on the index array np.arange(horizon).  Every block
+    has dimension ``block_dim``: the ambient dimension of ``w``, on which
+    b (x) A acts blockwise as f_b(n) * A.  By default ``w`` is C*1
+    (``matrix_algebra(1)``) and the model is scalar.
     """
 
     space: DiscreteSpace
-    generators: dict  # name -> callable int -> complex
-    w: VonNeumannAlgebra = field(default_factory=scalars)
+    generators: dict  # name -> callable, index array -> value array
+    w: VonNeumannAlgebra = field(default_factory=lambda: matrix_algebra(1))
 
     def __post_init__(self):
         if self.space.is_finite:
@@ -89,12 +90,10 @@ class BlockModel:
     @cached_property
     def generator_rows(self) -> dict:
         """Generator name -> its value row, f_b(n) for n below the horizon:
-        the one place where the generators are evaluated."""
-        return {
-            b: np.array([complex(f(n)) for n in range(self.horizon)],
-                        dtype=np.complex128)
-            for b, f in self.generators.items()
-        }
+        the one place where the generators are evaluated, each once."""
+        n = np.arange(self.horizon)
+        return {b: np.array(f(n), dtype=np.complex128)
+                for b, f in self.generators.items()}
 
     @cached_property
     def factor_rows(self) -> np.ndarray:

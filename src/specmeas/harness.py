@@ -210,17 +210,14 @@ def _gen_c(seed, rng, caps, with_algebra: bool) -> Scenario:
                 {"kind": "bounded-const",
                  "value": [float(rng.integers(-2, 3)), float(rng.integers(-2, 3))]}
             )
-    w = blocks.scalars()
+    dim = 1
     if with_algebra:
         # 2..3, within the cap; at h >= 3 this is the draw integers(2, 4)
         dim = int(rng.integers(min(2, caps.h_dim), min(3, caps.h_dim) + 1))
-        w = bicommutant(
-            [random_hermitian(rng, dim), random_hermitian(rng, dim)], dim
-        )
     model = blocks.BlockModel(
         space=DiscreteSpace(horizon=horizon),
         generators=gens,
-        w=w,
+        w=blocks.matrix_algebra(dim),
     )
     kind = "D" if with_algebra else "Cprime"
     return Scenario(

@@ -215,17 +215,19 @@ def _require_unital_orthonormal_basis(w1: VonNeumannAlgebra) -> None:
 
 
 def generator_rule(doc: dict):
-    """Named generator-value primitives: poly, exp-index, bounded-const."""
+    """Named generator-value primitives, array expressions in the block index
+    n: poly (powers in float64, exact below 2**53), exp-index, bounded-const."""
     kind = doc.get("kind")
     if kind == "poly":
         coeffs = [complex(re, im) for re, im in doc["coeffs"]]
-        return lambda n: sum(c * n**j for j, c in enumerate(coeffs))
+        return lambda n: sum((c * np.asarray(n, float)**j for j, c in enumerate(coeffs)),
+                             np.zeros(np.shape(n), dtype=np.complex128))
     if kind == "exp-index":
         rate = float(doc["rate"])
-        return lambda n: complex(np.exp(rate * n))
+        return lambda n: np.exp(rate * n)
     if kind == "bounded-const":
         value = complex(doc["value"][0], doc["value"][1])
-        return lambda n: value
+        return lambda n: np.full(np.shape(n), value)
     raise InvalidDocument(f"unknown generator rule {kind!r}")
 
 

@@ -190,7 +190,7 @@ def test_criterion_6_domain_laws():
 def _random_block_model(rng, max_blocks, max_dim):
     horizon = int(rng.integers(4, max_blocks + 1))
     dim = int(rng.integers(1, max_dim + 1))
-    w = blocks.scalars()
+    w = blocks.matrix_algebra(1)
     if dim > 1:
         w = algebra.bicommutant(
             [linalg.random_hermitian(rng, dim), linalg.random_hermitian(rng, dim)],
@@ -198,7 +198,8 @@ def _random_block_model(rng, max_blocks, max_dim):
         )
     return blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=horizon),
-        generators={"num": lambda n: float(n), "osc": lambda n: (-1.0) ** n},
+        generators={"num": lambda n: np.asarray(n, dtype=float),
+                    "osc": lambda n: (-1.0) ** n},
         w=w,
     )
 

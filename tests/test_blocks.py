@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import algebra, blocks, harness, linalg, measure, nnsm
+from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
 from specmeas.nnsm import OperatorField
 from specmeas.errors import DimMismatch, ShapeMismatch
 from specmeas.tolerances import TAU_RECON
@@ -15,7 +15,7 @@ def number_model(horizon: int = 32) -> blocks.BlockModel:
     """Scalar model with the coordinate generator n (number operator)."""
     return blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=horizon),
-        generators={"num": lambda n: float(n)},
+        generators={"num": lambda n: np.asarray(n, dtype=float)},
     )
 
 
@@ -25,7 +25,8 @@ def matrix_model(horizon: int = 16, dim: int = 2, seed: int = 0):
     w = algebra.bicommutant(gens, dim)
     model = blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=horizon),
-        generators={"num": lambda n: float(n), "decay": lambda n: 0.5**n},
+        generators={"num": lambda n: np.asarray(n, dtype=float),
+                    "decay": lambda n: 0.5**n},
         w=w,
     )
     return model, rng
@@ -482,7 +483,7 @@ def test_d_alpha_fails_a_nan_probe():
     # a NaN residual fails like any other
     model = blocks.BlockModel(
         space=measure.DiscreteSpace(horizon=8),
-        generators={"g": lambda n: np.nan if n == 2 else float(n)},
+        generators={"g": lambda n: np.where(n == 2, np.nan, n * 1.0)},
     )
     x = domain_vector(model, {2: 1.0})
     k = block_mask(model.horizon, [2])
@@ -655,13 +656,52 @@ def test_integrability_fails_non_finite_field():
     assert not resid <= TAU_RECON and block == 6
 
 
-def test_generator_rows_evaluate_each_generator_once_per_block():
-    model, _ = matrix_model(horizon=12, seed=9)
+# every rule kind, with negative coefficients and negative zeros
+_GENERATOR_RULES = {
+    "poly": {"kind": "poly", "coeffs": [[-2.0, -0.0], [1.0, 0.0], [-1.0, 0.5]]},
+    "poly-zero": {"kind": "poly", "coeffs": [[-0.0, -0.0], [-0.0, 0.0]]},
+    "exp": {"kind": "exp-index", "rate": -0.37},
+    "const": {"kind": "bounded-const", "value": [-1.0, 2.0]},
+    "const-zero": {"kind": "bounded-const", "value": [-0.0, -0.0]},
+}
+
+
+def _scalar_rule(doc):
+    """A rule for one Python int n at a time, with exact integer powers:
+    the per-block reference that the rows must equal."""
+    if doc["kind"] == "poly":
+        coeffs = [complex(re, im) for re, im in doc["coeffs"]]
+        return lambda n: sum(c * n**j for j, c in enumerate(coeffs))
+    if doc["kind"] == "exp-index":
+        return lambda n: complex(np.exp(doc["rate"] * n))
+    return lambda n: complex(*doc["value"])
+
+
+@pytest.mark.parametrize("horizon", [8, 32, 64])
+def test_generator_rows_evaluate_each_generator_once_on_the_index_array(horizon):
+    rules = {name: serialize.generator_rule(doc)
+             for name, doc in _GENERATOR_RULES.items()}
+    calls = []
+
+    def counted(name):
+        return lambda n: calls.append((name, n)) or rules[name](n)
+
+    model = blocks.BlockModel(space=measure.DiscreteSpace(horizon=horizon),
+                              generators={name: counted(name) for name in rules})
     rows = model.generator_rows
     assert rows is model.generator_rows  # cached on the model
-    for name, f in model.generators.items():
+    assert sorted(name for name, _ in calls) == sorted(rules)
+    for _, n in calls:
+        assert n.dtype == np.arange(horizon).dtype
+        assert np.array_equal(n, np.arange(horizon))
+    # the row is the rule's scalar values, and those of the per-int
+    # reference, bit for bit, -0.0 included
+    for name, f in rules.items():
         assert rows[name].dtype == np.complex128
-        assert np.array_equal(rows[name], [complex(f(n)) for n in range(12)])
+        for g in (f, _scalar_rule(_GENERATOR_RULES[name])):
+            want = np.array([complex(g(n)) for n in range(horizon)],
+                            dtype=np.complex128)
+            assert rows[name].tobytes() == want.tobytes(), name
 
 
 def test_matrix_coefficients_must_fit_the_block_dim():

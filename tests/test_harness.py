@@ -453,6 +453,70 @@ def test_kind_d_block_dim_honours_the_h_cap(h):
     assert harness.verify_theorem_d(harness.gen_scenario("D", 5, caps)).passed
 
 
+def test_unbounded_scenarios_never_build_a_bicommutant(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("bicommutant was called")
+
+    monkeypatch.setattr(harness, "bicommutant", refused)
+    monkeypatch.setattr(algebra, "bicommutant", refused)
+    for kind in ("Cprime", "D"):
+        for seed in range(200):
+            harness.gen_scenario(kind, seed)
+
+
+def _matrix_units(dim):
+    return np.array([np.outer(np.eye(dim)[i], np.eye(dim)[j])
+                     for i in range(dim) for j in range(dim)], dtype=np.complex128)
+
+
+def test_d_coefficient_algebra_is_the_full_matrix_algebra():
+    for seed in range(200):
+        model = harness.gen_scenario("D", seed).payload["model"]
+        w, d = model.w, model.block_dim
+        assert w.dim == d ** 2
+        assert np.array_equal(w.basis, _matrix_units(d))
+        gram = w.basis_matrix.conj() @ w.basis_matrix.T
+        assert np.array_equal(gram, np.eye(w.dim))
+        assert w.membership_residual(w.identity()) == 0.0
+        assert np.array_equal(w.coefficients(w.identity()), np.eye(d).ravel())
+
+
+def test_matrix_algebra_of_one_is_the_scalar_basis():
+    # C*1's basis is np.eye(1)[None], bit for bit, dtype and shape too
+    old = np.eye(1, dtype=np.complex128)[None]
+    w = blocks.matrix_algebra(1)
+    assert w.ambient_dim == 1
+    assert w.basis.dtype == old.dtype and w.basis.shape == old.shape
+    assert w.basis.tobytes() == old.tobytes()
+    assert blocks.BlockModel(space=measure.DiscreteSpace(horizon=8),
+                             generators={}).w.basis.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["Cprime", "D"])
+def test_every_represent_coefficient_lies_in_w(monkeypatch, kind):
+    # the paper's A in W: every coefficient that either side of represent
+    # reads, drawn or the unit, is a member of the model's algebra
+    seen = []
+    rho_apply, i_m_apply = blocks.rho_apply, blocks.i_m_apply
+
+    def rho_spy(model, values, a, x):
+        seen.append((model, a))
+        return rho_apply(model, values, a, x)
+
+    def i_m_spy(field_, model, x):
+        seen.extend((model, a) for _, a in field_.terms)
+        return i_m_apply(field_, model, x)
+
+    monkeypatch.setattr(blocks, "rho_apply", rho_spy)
+    monkeypatch.setattr(blocks, "i_m_apply", i_m_spy)
+    for seed in range(100):
+        seen.clear()
+        assert harness.run_scenario(kind, seed).passed
+        assert len(seen) >= 2
+        for model, a in seen:
+            assert np.all(model.w.membership_residual(a) == 0.0), seed
+
+
 def test_fault_injection_needs_the_least_h_cap(monkeypatch):
     low = harness.Caps(h_dim=harness.MIN_FAULT_H_DIM - 1)
 
