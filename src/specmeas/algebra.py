@@ -116,7 +116,7 @@ class VonNeumannAlgebra:
         a = (coeffs[:, :, None] * self.basis_matrix).sum(axis=1).reshape(
             len(draws), self.ambient_dim, self.ambient_dim
         )
-        return (a + np.conj(np.swapaxes(a, 1, 2))) / 2.0
+        return (a + adjoint(a)) / 2.0
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
@@ -459,23 +459,16 @@ def joint_diagonalize(normals: list[np.ndarray]) -> CharacterAtlas:
     blocks = [vecs[:, i:j] for i, j in clusters(vals, gap)]
     for h in parts[1:]:
         blocks = _split_by_hermitian(blocks, h, gap)
-    # Merge blocks whose value tuples coincide (within the cluster gap).
-    merged: list[tuple[tuple[complex, ...], list[np.ndarray]]] = []
-    for v in blocks:
-        values = tuple(z / v.shape[1] for z in
-                       np.trace(adjoint(v) @ stack @ v, axis1=1, axis2=2).tolist())
-        for mv, vs in merged:
-            if all(abs(a - b) < gap for a, b in zip(values, mv)):
-                vs.append(v)
-                break
-        else:
-            merged.append((values, [v]))
+    # each block is one point: blocks split from different clusters of a
+    # part differ in that part's mean by at least the gap
+    points = [(tuple(z / v.shape[1] for z in
+                     np.trace(adjoint(v) @ stack @ v, axis1=1, axis2=2).tolist()), v)
+              for v in blocks]
     # sort on the values snapped to the gap, so round-off in the last bits
     # cannot reorder points whose values are equal in some coordinate
-    merged.sort(key=lambda it: tuple(
+    points.sort(key=lambda it: tuple(
         (round(z.real / gap), round(z.imag / gap)) for z in it[0]))
-    cols = [np.hstack(vs) for _, vs in merged]
     return CharacterAtlas(
-        values=np.array([values for values, _ in merged], dtype=np.complex128),
-        projections=np.stack([range_projection(v) for v in cols]),
+        values=np.array([values for values, _ in points], dtype=np.complex128),
+        projections=np.stack([range_projection(v) for _, v in points]),
     )

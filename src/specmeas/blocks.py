@@ -49,7 +49,7 @@ import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
-from .linalg import frob_norm
+from .linalg import adjoint, frob_norm
 from .measure import DiscreteSpace, require_mask
 from .nnsm import OperatorField
 
@@ -336,7 +336,7 @@ def integrability_check(model: BlockModel, field_: OperatorField):
     d = model.block_dim
     b = sum((_term_actions(v, a, model) for v, a in field_.terms),
             np.zeros((model.horizon, d, d), dtype=np.complex128))
-    b_star = np.conj(np.swapaxes(b, -1, -2))
+    b_star = adjoint(b)
     resid = frob_norm(b @ b_star - b_star @ b) / (1.0 + frob_norm(b) ** 2)
     # a trailing zero residual leaves argmax and the maximum as they are,
     # and gives a model without blocks block 0

@@ -20,11 +20,12 @@ from .harness import (
     Caps,
     FAULT_CLASSES,
     MIN_FAULT_H_DIM,
+    REPORT_SCHEMA,
+    VerificationReport,
     check_measure_file,
     fault_report,
     run_suite,
 )
-from .nnsm import REPORT_SCHEMA, VerificationReport
 
 KIND_BY_COMMAND = {
     "verify-a": "A",

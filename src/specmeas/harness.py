@@ -9,10 +9,13 @@ model over W = C*1.  Kinds A, C' and D draw the random inputs of each check
 family as one stack: *-polynomials by ``blocks.random_star_polynomials``
 and domain vectors by ``_random_domain_vectors``.  Every batch of operator
 fields, B's included, is one OperatorField whose term slots hold stacks.
+This module alone builds reports: ``family_entries`` names a check's
+residual and tol arrays as rows, each passing when residual <= tol.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -36,17 +39,14 @@ from .linalg import (
 )
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import (
-    CheckEntry,
     FamilyMeasures,
     NonNegSpectralMeasure,
     OperatorField,
-    VerificationReport,
     assemble_from_family,
-    check_entry,
     condition1_check,
     condition2_check,
     condition3_check,
-    family_entries,
+    decay_rate,
     integrate,
     random_sets,
     _family_index,
@@ -58,6 +58,7 @@ from .tolerances import (
     TAU_EXACT,
     TAU_EXT,
     TAU_MATCH,
+    TAU_NORM_SLACK,
     TAU_RECON,
     VERDICT_TOL,
 )
@@ -110,10 +111,80 @@ class Scenario:
         return tag if self.fault is None else f"{tag}-fault:{self.fault}"
 
 
+@dataclass(frozen=True)
+class CheckEntry:
+    """A named check that passes when residual <= tol; a NaN residual
+    fails."""
+
+    name: str
+    residual: float
+    tol: float
+    flags: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tol)
+
+
+def family_entries(names, residuals, tols) -> list[CheckEntry]:
+    """One check per name from a family's residual and tol arrays, in
+    order; each array is one ``tolist``."""
+    rs, ts = (np.asarray(x, dtype=np.float64).tolist() for x in (residuals, tols))
+    return [CheckEntry(name, r, t) for name, r, t in zip(names, rs, ts, strict=True)]
+
+
+REPORT_SCHEMA = 1  # the version of every report document
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """A labelled list of checks; passes when every check passes."""
+
+    scenario: str
+    checks: tuple  # of CheckEntry
+    wall_ms: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def worst_residual(self) -> float:
+        """The largest residual, NaN when any residual is NaN, 0.0 without
+        checks."""
+        residuals = [c.residual for c in self.checks]
+        return float(np.max(residuals)) if residuals else 0.0
+
+    def to_doc(self) -> dict:
+        """The report as a JSON document; a non-finite residual or tol is
+        written as null, since JSON has no NaN or infinity."""
+        return {
+            "schema": REPORT_SCHEMA,
+            "scenario": self.scenario,
+            "checks": [
+                {
+                    "name": c.name,
+                    "residual": _finite_or_none(c.residual),
+                    "tol": _finite_or_none(c.tol),
+                    "pass": c.passed,
+                    "flags": list(c.flags),
+                }
+                for c in self.checks
+            ],
+            "pass": self.passed,
+            "wall_ms": int(self.wall_ms),
+        }
+
+
+def _finite_or_none(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _bool_entry(name, ok: bool, flags=()) -> CheckEntry:
     """A verdict row, for a check that has no residual: 0 or 1 against
     VERDICT_TOL."""
-    return check_entry(name, 0.0 if ok else 1.0, VERDICT_TOL, flags)
+    return CheckEntry(name, 0.0 if ok else 1.0, VERDICT_TOL, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +492,7 @@ def _theorem_b_families(scenario: Scenario):
         frob_norm(rebuilt.images - oracle.images).max(axis=1),
         TAU_EXT * (1.0 + frob_norm(oracle.images[:, 0])))
     # (4) normalization
-    yield [check_entry(
+    yield [CheckEntry(
         "normalization",
         frob_norm(rebuilt.measure_for(oracle.w1.identity()).total
                   - np.eye(rebuilt.target_dim)),
@@ -560,7 +631,7 @@ def _injected_row(model, field_) -> CheckEntry:
     """An injected field's integrability row: its worst blockwise normality
     residual against TAU_RECON, named by the block that holds it."""
     resid, worst = blocks.integrability_check(model, field_)
-    return check_entry(f"integrable[injected;block{worst}]", resid, TAU_RECON)
+    return CheckEntry(f"integrable[injected;block{worst}]", float(resid), TAU_RECON)
 
 
 def _finish(scenario, checks, t0) -> VerificationReport:
@@ -593,22 +664,26 @@ def run_suite(
 def characterization_reports(
     scenario: Scenario, tuples: int = 4
 ) -> list[VerificationReport]:
-    """Conditions (1)-(3) on a kind-B oracle family, one report per facet."""
+    """Conditions (1)-(3) on a kind-B oracle family, as one report that
+    holds the rows of all three conditions in that order."""
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
     fam = sample_projections(oracle.w1, n=10, seed=scenario.seed + 9)
     fm = FamilyMeasures(fam, oracle.measure_for(fam.stack))
     rng = np.random.default_rng(scenario.seed + 10)
-    checks: list[CheckEntry] = []
-    checks += condition1_check(fm, trials=8, seed=scenario.seed + 11).checks
-    checks += condition2_check(fm, random_sets(oracle.space, rng, 4)).checks
+    checks = family_entries([f"condition1[trial{t}]" for t in range(8)],
+                            *condition1_check(fm, trials=8, seed=scenario.seed + 11))
+    k = condition2_check(fm, random_sets(oracle.space, rng, 4))
+    checks += family_entries([f"condition2[delta{i}]" for i in range(len(k))],
+                             k, np.full(len(k), 1.0 + TAU_NORM_SLACK))
     for t in range(tuples):
         p = fam.members[int(rng.integers(len(fam.members)))]
         q = fam.members[int(rng.integers(len(fam.members)))]
         d1, d2 = random_sets(oracle.space, rng, 2)
-        rep3 = condition3_check(fm, p, q, d1, d2, ell_max=64)
+        residuals, bound = condition3_check(fm, p, q, d1, d2)
+        rate = decay_rate(residuals)
         checks.append(_bool_entry(
-            f"condition3[tuple{t};rate={rep3.fitted_rate:.2f}]",
-            rep3.passed and (rep3.fitted_rate >= MIN_DECAY_RATE),
+            f"condition3[tuple{t};rate={rate:.2f}]",
+            residuals[-1] <= bound and rate >= MIN_DECAY_RATE,
         ))
     return [VerificationReport(
         scenario=f"{scenario.scenario_id}-conditions", checks=tuple(checks),
@@ -643,8 +718,8 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         atoms[_family_index(fam, eye), 0] += (
             bad.payload["measure_bump"] * np.eye(oracle.target_dim))
         fm = FamilyMeasures(fam, replace(comp, atoms=atoms))
-        rep = condition1_check(fm, trials=24, seed=seed + 13)
-        detected = not rep.passed
+        residual, tol = condition1_check(fm, trials=24, seed=seed + 13)
+        detected = not np.all(residual <= tol)
         detail = "condition1"
     else:
         base = gen_scenario("B", seed, caps)
@@ -684,9 +759,7 @@ def check_measure_file(path) -> VerificationReport:
             else:
                 _, resid = measure_from_doc(doc)
                 kind = "spectral-measure"
-        checks.append(check_entry(
-            f"{kind}-invariants", resid, TAU_DOC,
-        ))
+        checks.append(CheckEntry(f"{kind}-invariants", float(resid), TAU_DOC))
     except (InvalidDocument, KeyError, TypeError) as exc:
         checks.append(_bool_entry(f"document[{type(exc).__name__}]", False,
                                   flags=(str(exc),)))

@@ -42,7 +42,8 @@ def require_square(a: np.ndarray) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """The conjugate transpose of each matrix of an (..., d, d) stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def frob_norm(a, axis=None):
@@ -82,7 +83,7 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
         as_matrix(a.reshape(-1, a.shape[2]))  # finiteness, in one call
     else:
         a = require_square(a)
-    adj = np.conj(np.swapaxes(a, -1, -2))
+    adj = adjoint(a)
     residual = np.max(frob_norm(a - adj) / (1.0 + frob_norm(a)))
     if residual > TAU_HERM:
         raise NonHermitianInput(
@@ -95,8 +96,7 @@ def projection_residual(a):
     """The worse of ||P P - P|| and ||P - P*|| (Frobenius) for a matrix, or
     the array of those of each matrix of an (..., d, d) stack."""
     a = np.asarray(a, dtype=np.complex128)
-    return np.maximum(frob_norm(a @ a - a),
-                      frob_norm(a - np.conj(np.swapaxes(a, -1, -2))))
+    return np.maximum(frob_norm(a @ a - a), frob_norm(a - adjoint(a)))
 
 
 def resolution_residual(stack: np.ndarray):
@@ -163,7 +163,7 @@ def eig_hermitian(a: np.ndarray):
     # symmetrizes a cluster's projection
     cols = np.swapaxes(vecs, -1, -2)
     rank_one = cols[..., :, None] @ np.conj(cols[..., None, :])
-    rank_one = (rank_one + np.conj(np.swapaxes(rank_one, -1, -2))) / 2.0
+    rank_one = (rank_one + adjoint(rank_one)) / 2.0
     out = []
     for v, vec, ones in zip(vals, vecs, rank_one):
         bounds = clusters(v, DELTA_CLUSTER * (1.0 + max(abs(v[0]), abs(v[-1]))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import frob_norm, resolution_residual
+from .linalg import adjoint, frob_norm, resolution_residual
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class SpectralMeasure:
         if self.space.is_finite:
             worst = np.maximum(worst, frob_norm(gap))
         else:
-            herm = (gap + np.conj(np.swapaxes(gap, -1, -2))) / 2.0
+            herm = (gap + adjoint(gap)) / 2.0
             worst = np.maximum(worst, -np.linalg.eigvalsh(herm)[..., 0])
         return float(worst) if np.ndim(worst) == 0 else worst
 

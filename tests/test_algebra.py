@@ -11,7 +11,7 @@ from specmeas.errors import (
     NotNormal,
     ShapeMismatch,
 )
-from specmeas.tolerances import TAU_ALG, TAU_EXT, TAU_PROJ, TAU_RANK
+from specmeas.tolerances import DELTA_CLUSTER, TAU_ALG, TAU_EXT, TAU_PROJ, TAU_RANK
 
 from conftest import hermitian_element
 
@@ -559,14 +559,22 @@ def test_joint_diagonalize_order_survives_round_off(seed, n, n_gen):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 6))
 def test_joint_diagonalize_random_commuting(seed, n):
+    # coordinate i carries the joint values of point owner[i], so points
+    # repeat; each point's projection has its multiplicity as rank
     rng = np.random.default_rng(seed)
     u = linalg.random_unitary(rng, n)
-    mats = []
-    for _ in range(2):
-        d = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        mats.append(u @ d @ linalg.adjoint(u))
+    owner = rng.integers(0, max(1, n - 1), size=n)
+    values = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    mats = [u @ np.diag(v[owner]) @ linalg.adjoint(u) for v in values]
     atlas = algebra.joint_diagonalize(mats)
-    assert atlas.values.shape == (len(atlas.projections), 2)
+    points = np.unique(owner)
+    assert atlas.values.shape == (len(points), 2)
+    for row, proj in zip(atlas.values, atlas.projections):
+        j = points[np.argmin(np.abs(values[:, points].T - row).max(axis=1))]
+        assert round(np.trace(proj).real) == np.count_nonzero(owner == j)
+    gap = DELTA_CLUSTER * (1.0 + max(linalg.op_norm(m) for m in mats))
+    apart = np.abs(atlas.values[:, None] - atlas.values[None]).max(axis=2)
+    assert np.all(apart[~np.eye(len(points), dtype=bool)] >= gap)
     assert linalg.resolution_residual(atlas.projections) <= 1e-8
     assert np.allclose(atlas.projections.sum(axis=0), np.eye(n), atol=1e-8)
     for i, m in enumerate(mats):

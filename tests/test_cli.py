@@ -495,9 +495,9 @@ def test_fuzz_prints_failing_reports_without_their_timing(capsys, monkeypatch):
     # fuzz has no --timing flag, so a failing report reads wall_ms 0 and
     # two runs over the same seeds print the same report lines
     def failing(scenario):
-        return nnsm.VerificationReport(
+        return harness.VerificationReport(
             scenario=scenario.scenario_id,
-            checks=(nnsm.check_entry("forced", 1.0, 0.5),), wall_ms=7)
+            checks=(harness.CheckEntry("forced", 1.0, 0.5),), wall_ms=7)
 
     monkeypatch.setitem(harness.VERIFIERS, "A", failing)
     code, out, _ = run(capsys, "fuzz", "--kinds", "a", "--seconds", "0.05",

@@ -7,7 +7,8 @@ import pytest
 from specmeas import algebra, blocks, harness, linalg, measure, nnsm, serialize
 from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
                              SpecmeasError)
-from specmeas.tolerances import TAU_EXACT, TAU_EXT, TAU_RECON, VERDICT_TOL
+from specmeas.tolerances import (TAU_EXACT, TAU_EXT, TAU_NORM_SLACK, TAU_RECON,
+                                 VERDICT_TOL)
 
 from conftest import (decode_star_polynomials, hermitian_element, member_measure,
                       point_mask, stacked_fields)
@@ -166,13 +167,13 @@ def _verify_a_reference(scenario):
                     w *= np.conj(v) if conj else v
                 weights[i] += w
         rhs = sum(w * p for w, p in zip(weights, atlas.projections))
-        checks.append(nnsm.check_entry(
-            f"represent[poly{t}]", linalg.frob_norm(lhs - rhs),
-            TAU_RECON * (1.0 + linalg.frob_norm(lhs))))
+        checks.append(harness.CheckEntry(
+            f"represent[poly{t}]", float(linalg.frob_norm(lhs - rhs)),
+            float(TAU_RECON * (1.0 + linalg.frob_norm(lhs)))))
     w = algebra.bicommutant([images[n] for n in names], d)
     for i, proj in enumerate(atlas.projections):
-        checks.append(nnsm.check_entry(
-            f"atom-membership[{i}]", w.membership_residual(proj), TAU_RECON))
+        checks.append(harness.CheckEntry(
+            f"atom-membership[{i}]", float(w.membership_residual(proj)), TAU_RECON))
     order = rng.permutation(len(names))
     again = algebra.joint_diagonalize([images[names[g]] for g in order])
     again_values = again.values[:, np.argsort(order)]
@@ -181,7 +182,7 @@ def _verify_a_reference(scenario):
                  if np.abs(vals - v).max() < harness.TAU_MATCH]
         resid = (linalg.frob_norm(proj - again.projections[match[0]])
                  if match else 1.0)
-        checks.append(nnsm.check_entry(f"uniqueness[atom{i}]", resid, TAU_EXT))
+        checks.append(harness.CheckEntry(f"uniqueness[atom{i}]", float(resid), TAU_EXT))
     return checks
 
 
@@ -590,6 +591,66 @@ def test_characterization_reports_pass():
     assert rep.passed
     k_entries = [c for c in rep.checks if c.name.startswith("condition2")]
     assert k_entries and all(c.residual <= 1.0 + 1e-9 for c in k_entries)
+    assert all(c.tol == 1.0 + TAU_NORM_SLACK for c in k_entries)
+    names = [c.name for c in rep.checks]
+    assert names[:12] == ([f"condition1[trial{t}]" for t in range(8)]
+                          + [f"condition2[delta{i}]" for i in range(4)])
+    assert [n.split(";")[0] for n in names[12:]] == [
+        f"condition3[tuple{t}" for t in range(3)]
+
+
+def test_family_entries_equal_rows_built_directly():
+    nan, inf = float("nan"), float("inf")
+    def rows(entries):
+        return [(e.name, type(e.residual), repr(e.residual), type(e.tol),
+                 repr(e.tol), type(e.passed), e.passed, e.flags) for e in entries]
+
+    families = [
+        (np.array([0.5, nan, inf, -inf, 1.0, 2.0, nan]),
+         np.array([1.0, 1.0, inf, -inf, nan, -inf, nan])),
+        (np.array([0, 3, -2, 7], dtype=np.int64), np.array([1.0, 3.0, -2.5, inf])),
+        (np.array([True, False, True]), np.array([0.5, 0.5, 1.0])),
+        (np.array([True, False]), np.array([1, 0], dtype=np.int64)),
+        ([1e-16, 0.25], [np.float64(1e-15), 0.125]),
+        (np.zeros(0), np.zeros(0)),
+    ]
+    for residuals, tols in families:
+        names = [f"check[{t}]" for t in range(len(residuals))]
+        want = [harness.CheckEntry(n, float(r), float(t))
+                for n, r, t in zip(names, residuals, tols)]
+        assert rows(harness.family_entries(names, residuals, tols)) == rows(want)
+    # strict: a name, residual or tol too many is an error, never a
+    # silently shorter family
+    for names, residuals, tols in ((["a", "b"], [1.0], [1.0]),
+                                   (["a"], [1.0, 2.0], [1.0]),
+                                   (["a"], [1.0], np.array([1.0, 2.0]))):
+        with pytest.raises(ValueError):
+            harness.family_entries(names, residuals, tols)
+    # passed is a Python bool, residual <= tol; a NaN residual fails
+    for r, t, ok in ((0.5, 1.0, True), (1.0, 1.0, True), (2.0, 1.0, False),
+                     (nan, 1.0, False), (nan, inf, False), (-inf, nan, False),
+                     (np.float64(0.5), np.float64(1.0), True)):
+        entry = harness.CheckEntry("c", r, t)
+        assert type(entry.passed) is bool and entry.passed == ok
+        assert harness.VerificationReport("s", (entry,)).to_doc()["pass"] is ok
+
+
+def test_reconstruction_row_catches_a_shifted_basis_image(monkeypatch):
+    # assembly does not re-check its own output: a shifted basis image
+    # reaches B's report, where the first point's reconstruction row fails
+    real = nnsm.linear_extend
+
+    def shifted(family, assignment, a):
+        out = real(family, assignment, a)
+        out[0, 0, 0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(nnsm, "linear_extend", shifted)
+    for seed in range(10):
+        rep = harness.run_scenario("B", seed)
+        assert not any(c.name.startswith("assemble[") for c in rep.checks)
+        failing = [c.name for c in rep.checks if not c.passed]
+        assert failing[0] == "reconstruction[0]", (seed, failing)
 
 
 def test_run_suite_sorted():
@@ -624,12 +685,12 @@ def test_star_of_stacked_unbounded_fields_is_each_fields_adjoint():
 
 
 def test_worst_residual_is_nan_when_any_residual_is():
-    one, nan = (nnsm.check_entry("c", r, 2.0) for r in (1.0, float("nan")))
+    one, nan = (harness.CheckEntry("c", r, 2.0) for r in (1.0, float("nan")))
     for checks in ((one, nan), (nan, one), (nan,)):
-        rep = nnsm.VerificationReport(scenario="s", checks=checks)
+        rep = harness.VerificationReport(scenario="s", checks=checks)
         assert np.isnan(rep.worst_residual)
-    assert nnsm.VerificationReport(scenario="s", checks=(one,)).worst_residual == 1.0
-    assert nnsm.VerificationReport(scenario="s", checks=()).worst_residual == 0.0
+    assert harness.VerificationReport(scenario="s", checks=(one,)).worst_residual == 1.0
+    assert harness.VerificationReport(scenario="s", checks=()).worst_residual == 0.0
 
 
 def test_report_doc_schema():
@@ -824,14 +885,13 @@ def test_condition1_matches_two_pass_reference():
     atoms[1, 0] = atoms[1, 0] + 0.25 * np.eye(oracle.target_dim)
     broken = nnsm.FamilyMeasures(fam, replace(comp, atoms=atoms))
     for fam_measures, passes in ((fm, True), (broken, False)):
-        rep = nnsm.condition1_check(fam_measures, trials=12, seed=5)
+        residual, tol = nnsm.condition1_check(fam_measures, trials=12, seed=5)
         want = _condition1_reference(fam_measures, trials=12, seed=5)
-        assert [c.name for c in rep.checks] == [
-            f"condition1[trial{t}]" for t in range(12)]
-        for c, (resid, scale) in zip(rep.checks, want):
-            assert abs(c.residual - resid) <= 1e-12 * scale
-            assert c.tol == pytest.approx(TAU_EXT * scale, rel=1e-12)
-        assert rep.passed == passes
+        assert residual.shape == tol.shape == (12,)
+        for r, t, (resid, scale) in zip(residual, tol, want):
+            assert abs(r - resid) <= 1e-12 * scale
+            assert t == pytest.approx(TAU_EXT * scale, rel=1e-12)
+        assert np.all(residual <= tol) == passes
 
 
 def _random_terms_reference(rng, m, count):
@@ -927,38 +987,39 @@ def _verify_b_reference(scenario):
     measures = [member_measure(fm.compressions, i)
                 for i in range(len(fm.family.members))]
     for i, e_p in enumerate(measures):
-        checks.append(nnsm.check_entry(
-            f"compression[P{i}]", e_p.validate(),
-            TAU_RECON * (1.0 + frob(e_p.total))))
+        checks.append(harness.CheckEntry(
+            f"compression[P{i}]", float(e_p.validate()),
+            float(TAU_RECON * (1.0 + frob(e_p.total)))))
     try:
         rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     except SpecmeasError as exc:
         checks.append(harness._bool_entry(f"assemble[{type(exc).__name__}]", False))
         return checks
     for x, want, got in zip(oracle.space.points(), oracle.images, rebuilt.images):
-        checks.append(nnsm.check_entry(
-            f"reconstruction[{x}]", max(frob(g - w) for g, w in zip(got, want)),
-            TAU_EXT * (1.0 + frob(want[0]))))
-    checks.append(nnsm.check_entry(
+        checks.append(harness.CheckEntry(
+            f"reconstruction[{x}]", float(max(frob(g - w) for g, w in zip(got, want))),
+            float(TAU_EXT * (1.0 + frob(want[0])))))
+    checks.append(harness.CheckEntry(
         "normalization",
-        frob(rebuilt.measure_for(oracle.w1.identity()).total
-             - np.eye(rebuilt.target_dim)),
+        float(frob(rebuilt.measure_for(oracle.w1.identity()).total
+                   - np.eye(rebuilt.target_dim))),
         TAU_RECON * (1.0 + rebuilt.target_dim)))
     # each family's integrals come from one batched call, as in the
     # pipeline, so that they match it to the last bit
     fields = stacked_fields([_random_field_reference(rng, oracle) for _ in range(20)])
     for t, (lhs, rhs) in enumerate(zip(rho(fields),
                                        nnsm.integrate(rebuilt, fields, whole))):
-        checks.append(nnsm.check_entry(
-            f"represent[F{t}]", frob(lhs - rhs), TAU_RECON * (1.0 + frob(lhs))))
+        checks.append(harness.CheckEntry(
+            f"represent[F{t}]", float(frob(lhs - rhs)),
+            float(TAU_RECON * (1.0 + frob(lhs)))))
     pairs = _random_terms_reference(rng, oracle, 5)
     rho_b = rho(stacked_fields([nnsm.OperatorField(terms=((b, c),))
                           for b, a in pairs for c in (a, oracle.w1.identity())]))
     for t, (_, a) in enumerate(pairs):
         bound = op(rho_b[2 * t + 1]) * op(a)
-        checks.append(nnsm.check_entry(
-            f"rho_b-bound[{t}]", max(0.0, op(rho_b[2 * t]) - bound),
-            TAU_RECON * (1.0 + bound)))
+        checks.append(harness.CheckEntry(
+            f"rho_b-bound[{t}]", float(max(0.0, op(rho_b[2 * t]) - bound)),
+            float(TAU_RECON * (1.0 + bound))))
     return checks
 
 
@@ -1122,8 +1183,8 @@ def _verify_unbounded_reference(scenario):
     injected = scenario.payload.get("field")
     if injected is not None:
         resid, block = blocks.integrability_check(model, injected)
-        checks.append(nnsm.check_entry(
-            f"integrable[injected;block{block}]", resid, TAU_RECON))
+        checks.append(harness.CheckEntry(
+            f"integrable[injected;block{block}]", float(resid), TAU_RECON))
     xs, all_codes, all_coeffs, all_a = _unbounded_draws(scenario)
     for t, (codes, coeffs, a) in enumerate(zip(all_codes, all_coeffs, all_a)):
         x = _one(xs, t)
@@ -1132,8 +1193,9 @@ def _verify_unbounded_reference(scenario):
         field_ = nnsm.OperatorField(terms=(
             (blocks.star_values(codes, coeffs, model.factor_rows), a),))
         rhs = blocks.i_m_apply(field_, model, x)
-        checks.append(nnsm.check_entry(
-            f"represent[x{t}]", _norm(lhs.sub(rhs)), TAU_EXACT * (1.0 + _norm(rhs))))
+        checks.append(harness.CheckEntry(
+            f"represent[x{t}]", float(_norm(lhs.sub(rhs))),
+            float(TAU_EXACT * (1.0 + _norm(rhs)))))
     return checks
 
 

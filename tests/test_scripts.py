@@ -2,7 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from specmeas.nnsm import CheckEntry, VerificationReport
+from specmeas.harness import CheckEntry, VerificationReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -15,7 +15,7 @@ def _load(name):
 
 
 def _failing(scenario_id):
-    bad = CheckEntry(name="represent[F0]", residual=1.0, tol=0.5, passed=False)
+    bad = CheckEntry(name="represent[F0]", residual=1.0, tol=0.5)
     return VerificationReport(scenario=scenario_id, checks=(bad,))
 
 
