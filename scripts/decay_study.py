@@ -37,13 +37,13 @@ def main() -> None:
     sc = gen_scenario("B", args.seed)
     oracle = sc.payload["oracle"]
     fam = algebra.sample_projections(oracle.w1, n=10, seed=args.seed)
-    fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
-    p, q = fam.members[1], fam.members[-1]
+    fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.members))
+    # P is member 1, the identity, and Q the last member sampled
     # sets are point masks: the first two points, and the whole space
     n_points = len(oracle.space.points())
     d1 = np.arange(n_points) < 2
     d2 = np.ones(n_points, dtype=bool)
-    residuals, _ = nnsm.condition3_check(fm, p, q, d1, d2)
+    residuals, _ = nnsm.condition3_check(fm, 1, len(fam) - 1, d1, d2)
     print(f"\nproduct-rule residual via measure extension "
           f"(fitted rate {nnsm.decay_rate(residuals):.2f})")
     print(f"{'ell':>6} {'residual':>14}")

@@ -2,7 +2,8 @@
 
 Provides the generated algebra {gens}'' (grown as the span of words in the
 generators and their adjoints), projection sampling, linear extension from
-projection families (one SVD per family), limiting sequences of hermitian
+projection families (one SVD per family; a family is one member stack, and
+its members are named by index), limiting sequences of hermitian
 operators, and joint diagonalization of commuting normal matrices.  Both
 resolutions are projection stacks: a limiting sequence is its operator's
 eigen-resolution plus a tag grid over ell, and a joint diagonalization is a
@@ -155,19 +156,21 @@ def bicommutant(generators: list[np.ndarray], ambient_dim: int) -> VonNeumannAlg
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """A list of hermitian projections verified inside an algebra."""
+    """Hermitian projections verified inside an algebra, held as one
+    complex128 (n, d, d) stack ``members``: member i is ``members[i]``, and
+    n is 0 for an empty family.  A sequence of (d, d) matrices is coerced
+    to that stack."""
 
     algebra: VonNeumannAlgebra
-    members: tuple[np.ndarray, ...]
+    members: np.ndarray
+
+    def __post_init__(self):
+        d = self.algebra.ambient_dim
+        object.__setattr__(self, "members", np.asarray(
+            self.members, dtype=np.complex128).reshape(-1, d, d))
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The members as one (n, d, d) stack; n is 0 for an empty family."""
-        d = self.algebra.ambient_dim
-        return np.array(self.members, dtype=np.complex128).reshape(-1, d, d)
 
     @cached_property
     def factors(self) -> tuple:
@@ -178,7 +181,7 @@ class ProjectionFamily:
         ``null`` are an orthonormal basis of the member relations
         {c : sum c_i P_i = 0}.
         """
-        cols = self.stack.reshape(len(self), -1).T
+        cols = self.members.reshape(len(self), -1).T
         u, s, vh = np.linalg.svd(cols)
         r = int(np.sum(s > TAU_RANK))
         v = adjoint(vh)
@@ -186,9 +189,9 @@ class ProjectionFamily:
 
     def validate(self) -> float:
         """Worst member, membership and (when spanning) span residual."""
-        flat = self.stack.reshape(len(self), self.algebra.ambient_dim**2)
+        flat = self.members.reshape(len(self), self.algebra.ambient_dim**2)
         _, distance = self.algebra._project(flat)
-        worst = max(projection_residual(self.stack).max(initial=0.0),
+        worst = max(projection_residual(self.members).max(initial=0.0),
                     distance.max(initial=0.0))
         if self.spans_algebra:
             worst = max(worst, self.span_deficit())
@@ -197,7 +200,7 @@ class ProjectionFamily:
     def span_deficit(self) -> float:
         """Worst distance from an algebra basis element to the member span,
         read off the kept factors: ||B - u u* B|| over the basis columns B."""
-        if not self.members:
+        if not len(self):
             return math.inf
         u = self.factors[0]
         targets = self.algebra.basis_matrix.T
@@ -214,35 +217,33 @@ def sample_projections(
 ) -> ProjectionFamily:
     """Seeded sample of spectral projections of random hermitian elements.
 
-    Always includes 0 and the identity; keeps sampling until the members span
-    the algebra when a spanning set of projections exists (or a retry cap is
-    hit).  Deterministic for a fixed seed.  Attempts run a chunk at a time:
-    those certain to be made while the family is short of n + 2 members or
-    of dim w + 1 (with 0 among them it cannot span), then one at a time until
-    the members span.  The family that passed (or was last) is returned with
-    the factors its test computed.
+    Members 0 and 1 are always the exact 0 and the identity; keeps sampling
+    until the members span the algebra when a spanning set of projections
+    exists (or a retry cap is hit).  Deterministic for a fixed seed.
+    Attempts run a chunk at a time: those certain to be made while the
+    family is short of n + 2 members or of dim w + 1 (with 0 among them it
+    cannot span), then one at a time until the members span.  The family
+    that passed (or was last) is returned with the factors its test
+    computed.
     """
     rng = np.random.default_rng(seed)
-    d = w.ambient_dim
-    members: list[np.ndarray] = [np.zeros((d, d), dtype=np.complex128)]
-    if w.contains_identity:
-        members.append(w.identity())
+    members = np.stack([np.zeros_like(w.identity()), w.identity()])
     cap = 8 * (n + w.dim) + 64
     attempts = 0
     while True:
-        family = ProjectionFamily(algebra=w, members=tuple(members))
+        family = ProjectionFamily(algebra=w, members=members)
         short = max(n + 2, w.dim + 1) - len(members)
         if (short <= 0 and family.spans_algebra) or attempts == cap:
             return family
         size = min(max(short, 1), cap - attempts)
         attempts += size
-        members += _sampled_members(w, rng, size)
+        members = np.concatenate([members, _sampled_members(w, rng, size)])
 
 
 def _sampled_members(
     w: VonNeumannAlgebra, rng: np.random.Generator, size: int
-) -> list[np.ndarray]:
-    """The projections kept from ``size`` attempts.
+) -> np.ndarray:
+    """The (kept, d, d) stack of projections kept from ``size`` attempts.
 
     Each attempt draws a hermitian element h of w (two standard_normal(dim)
     draws) and a uniform u, and proposes the sum of h's eigenprojections
@@ -263,7 +264,7 @@ def _sampled_members(
         cut = np.searchsorted(dec.values, lo + (hi - lo) * frac)
         proposals.append(dec.projections[cut:].sum(axis=0))
     proposals = np.stack(proposals)
-    return list(proposals[projection_residual(proposals) <= TAU_PROJ])
+    return proposals[projection_residual(proposals) <= TAU_PROJ]
 
 
 def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray:

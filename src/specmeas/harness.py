@@ -49,7 +49,6 @@ from .nnsm import (
     decay_rate,
     integrate,
     random_sets,
-    _family_index,
 )
 from .serialize import generator_rule, load, measure_from_doc, nnsm_from_doc
 from .tolerances import (
@@ -69,6 +68,7 @@ MAX_SPACE = 8
 MAX_HORIZON = 64
 MIN_HORIZON = 8  # the least horizon that C' and D draw
 MIN_FAULT_H_DIM = 2  # condition (1) and a non-normal block need matrices
+CONDITION3_TUPLES = 4  # the (P, Q, D1, D2) tuples that condition (3) draws
 
 
 @dataclass(frozen=True)
@@ -446,7 +446,7 @@ def _derive_family_measures(
     # one ρ call over the (member, point) indicator fields 1_x (x) P: the
     # one-hot rows against the member stack
     one_hot = np.eye(len(oracle.space), dtype=np.complex128)
-    values = rho(OperatorField(terms=((one_hot, fam.stack[:, None]),)))
+    values = rho(OperatorField(terms=((one_hot, fam.members[:, None]),)))
     return FamilyMeasures(fam, SpectralMeasure(oracle.space, values))
 
 
@@ -562,23 +562,6 @@ def _rho_polynomial(model, codes, coeffs, x) -> blocks.DomainVector:
     return blocks.DomainVector(sum(terms[1:], terms[0]))
 
 
-def _truncate_to_eps(coeffs, eps):
-    """D0 density witness for the (infinitely supported) target whose block
-    coefficients are the rows of ``coeffs``: keep the rows below the
-    smallest horizon h >= 1 whose tail is within eps, and return that member
-    with its tail norm.  The tail norms of every h come from one reverse
-    cumulative sum; the returned tail sums the dropped rows in order.  The
-    rows' masses are the inner products of a stack of one-block vectors."""
-    kept = np.array(coeffs, dtype=np.complex128)
-    rows = blocks.DomainVector(kept[:, None])
-    mass = rows.inner(rows).real
-    tails = np.sqrt(np.cumsum(mass[::-1])[::-1])
-    within = np.flatnonzero(tails[1:] <= eps)
-    horizon = int(within[0]) + 1 if within.size else len(coeffs)
-    kept[horizon:] = 0.0
-    return blocks.DomainVector(kept), float(np.sqrt(sum(mass[horizon:].tolist())))
-
-
 def _random_domain_vectors(rng, model, count) -> blocks.DomainVector:
     """A stack of ``count`` vectors, each supported on min(3, horizon)
     distinct blocks, a uniform subset: the first blocks of the argsort of one
@@ -661,25 +644,24 @@ def run_suite(
     return sorted(reports, key=attrgetter("scenario"))
 
 
-def characterization_reports(
-    scenario: Scenario, tuples: int = 4
-) -> list[VerificationReport]:
+def characterization_reports(scenario: Scenario) -> list[VerificationReport]:
     """Conditions (1)-(3) on a kind-B oracle family, as one report that
-    holds the rows of all three conditions in that order."""
+    holds the rows of all three conditions in that order.  Each condition-3
+    tuple draws the indices of P and Q in the family, then D1 and D2."""
     oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
     fam = sample_projections(oracle.w1, n=10, seed=scenario.seed + 9)
-    fm = FamilyMeasures(fam, oracle.measure_for(fam.stack))
+    fm = FamilyMeasures(fam, oracle.measure_for(fam.members))
     rng = np.random.default_rng(scenario.seed + 10)
     checks = family_entries([f"condition1[trial{t}]" for t in range(8)],
                             *condition1_check(fm, trials=8, seed=scenario.seed + 11))
     k = condition2_check(fm, random_sets(oracle.space, rng, 4))
     checks += family_entries([f"condition2[delta{i}]" for i in range(len(k))],
                              k, np.full(len(k), 1.0 + TAU_NORM_SLACK))
-    for t in range(tuples):
-        p = fam.members[int(rng.integers(len(fam.members)))]
-        q = fam.members[int(rng.integers(len(fam.members)))]
+    for t in range(CONDITION3_TUPLES):
+        i = int(rng.integers(len(fam)))
+        j = int(rng.integers(len(fam)))
         d1, d2 = random_sets(oracle.space, rng, 2)
-        residuals, bound = condition3_check(fm, p, q, d1, d2)
+        residuals, bound = condition3_check(fm, i, j, d1, d2)
         rate = decay_rate(residuals)
         checks.append(_bool_entry(
             f"condition3[tuple{t};rate={rate:.2f}]",
@@ -708,15 +690,14 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         oracle: NonNegSpectralMeasure = bad.payload["oracle"]
         fam = sample_projections(oracle.w1, n=10, seed=seed + 9)
         # adjoin complements: the relations P + (id - P) - id = 0 bind the
-        # identity, so a bump on E_id must surface as a condition-1 violation
-        eye = np.eye(oracle.w1.ambient_dim, dtype=np.complex128)
-        aug = fam.members + tuple(eye - p for p in fam.members[2:])
-        fam = ProjectionFamily(algebra=fam.algebra, members=aug)
-        comp = oracle.measure_for(fam.stack)
+        # identity, member 1, so a bump on E_id must break condition (1)
+        eye = fam.algebra.identity()
+        fam = ProjectionFamily(algebra=fam.algebra, members=np.concatenate(
+            [fam.members, eye - fam.members[2:]]))
+        comp = oracle.measure_for(fam.members)
         # the bump on the first point's atom leaves E_id(X) as it was
         atoms = comp.atoms.copy()
-        atoms[_family_index(fam, eye), 0] += (
-            bad.payload["measure_bump"] * np.eye(oracle.target_dim))
+        atoms[1, 0] += bad.payload["measure_bump"] * np.eye(oracle.target_dim)
         fm = FamilyMeasures(fam, replace(comp, atoms=atoms))
         residual, tol = condition1_check(fm, trials=24, seed=seed + 13)
         detected = not np.all(residual <= tol)

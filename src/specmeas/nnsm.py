@@ -19,7 +19,8 @@ same points, so integrating one reads the columns under Delta's mask.
 A batch of fields is one OperatorField whose term slots hold stacks, and
 ``integrate`` returns one integral per batch index.
 The checks of Zalar's conditions (1)-(3) on the compressions return plain
-residual arrays; ``harness`` names the rows and builds the reports.
+residual arrays, and name family members by index; ``harness`` names the
+rows and builds the reports.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
     TAU_EXT,
-    TAU_PROJ,
 )
 
 
@@ -163,7 +163,7 @@ class OperatorField:
 class FamilyMeasures:
     """A projection family beside its compressions: ``compressions`` is one
     SpectralMeasure batched over the members, E_{P_i} at leading index i.
-    The compressions of an NNSM ``m`` are ``m.measure_for(family.stack)``.
+    The compressions of an NNSM ``m`` are ``m.measure_for(family.members)``.
     """
 
     family: ProjectionFamily
@@ -210,7 +210,7 @@ def condition1_check(
     deltas = random_sets(comp.space, rng, trials)
     lams = rng.standard_normal((trials, len(family)))
     mus = decompose_over_family(
-        family, np.tensordot(lams, family.stack, axes=1)).T
+        family, np.tensordot(lams, family.members, axes=1)).T
     weights = np.stack([lams, mus])[..., None] * deltas[:, None, :]
     k = comp.atoms.shape[-1]
     lhs, rhs = (weights.reshape(2 * trials, -1)
@@ -239,25 +239,23 @@ CONDITION3_ELLS = (1, 2, 4, 8, 16, 32, 64)  # the levels condition (3) samples
 
 def condition3_check(
     fam: FamilyMeasures,
-    p: np.ndarray,
-    q: np.ndarray,
+    i: int,
+    j: int,
     d1: np.ndarray,
     d2: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Limiting-sequence route to the product rule.
+    """Limiting-sequence route to the product rule for the members P = P_i
+    and Q = P_j.
 
     PQ is split into four positive parts; at each ell of CONDITION3_ELLS the
     Riemann sum of linear-extension values over D1 n D2 is compared with
     E_P(D1) E_Q(D2).  Returns the Frobenius residual at each ell and the
     bound c/ell_max on the last one, c = CONDITION3_CONSTANT * (1+dim).
     """
-    family = fam.family
-    i_p = _family_index(family, p)
-    i_q = _family_index(family, q)
-    comp = fam.compressions
-    lhs = evaluate(comp, d1)[i_p] @ evaluate(comp, d2)[i_q]
+    family, comp = fam.family, fam.compressions
+    lhs = evaluate(comp, d1)[i] @ evaluate(comp, d2)[j]
     inter = d1 & d2
-    parts = star_decompose(p @ q)
+    parts = star_decompose(family.members[i] @ family.members[j])
     ell_max = CONDITION3_ELLS[-1]
     seqs = [limiting_sequence(part, ell_max=ell_max) for part in parts]
     signs = [1.0, -1.0, 1.0j, -1.0j]
@@ -281,13 +279,6 @@ def _riemann_sums(
     grid = np.hstack([w * seq.term(ells) for w, seq in weighted_seqs])
     stack = np.concatenate([seq.resolution.projections for _, seq in weighted_seqs])
     return np.tensordot(grid, fam.extend_at(stack, delta), axes=1)
-
-
-def _family_index(family: ProjectionFamily, p: np.ndarray) -> int:
-    for i, member in enumerate(family.members):
-        if member.shape == p.shape and frob_norm(member - p) <= TAU_PROJ:
-            return i
-    raise NotSpanning("projection is not a family member")
 
 
 def decay_rate(residuals: np.ndarray) -> float:

@@ -86,3 +86,20 @@ def stacked_fields(fields) -> nnsm.OperatorField:
     padded = [f.terms + (zero,) * (width - len(f.terms)) for f in fields]
     return nnsm.OperatorField(terms=tuple(
         tuple(np.stack(part) for part in zip(*slot)) for slot in zip(*padded)))
+
+
+def truncate_to_eps(coeffs, eps):
+    """D0 density witness for the (infinitely supported) target whose block
+    coefficients are the rows of ``coeffs``: keep the rows below the
+    smallest horizon h >= 1 whose tail is within eps, and return that member
+    with its tail norm.  The tail norms of every h come from one reverse
+    cumulative sum; the returned tail sums the dropped rows in order.  The
+    rows' masses are the inner products of a stack of one-block vectors."""
+    kept = np.array(coeffs, dtype=np.complex128)
+    rows = blocks.DomainVector(kept[:, None])
+    mass = rows.inner(rows).real
+    tails = np.sqrt(np.cumsum(mass[::-1])[::-1])
+    within = np.flatnonzero(tails[1:] <= eps)
+    horizon = int(within[0]) + 1 if within.size else len(coeffs)
+    kept[horizon:] = 0.0
+    return blocks.DomainVector(kept), float(np.sqrt(sum(mass[horizon:].tolist())))

@@ -11,7 +11,8 @@ import numpy as np
 
 from specmeas import algebra, blocks, cli, harness, linalg, measure, nnsm
 
-from conftest import domain_vector, hermitian_element, point_mask, tensor_model
+from conftest import (domain_vector, hermitian_element, point_mask, tensor_model,
+                      truncate_to_eps)
 
 
 def _line(n: int, label: str, ok: bool, detail: str = ""):
@@ -58,7 +59,7 @@ def test_criterion_3_characterization_conditions():
         sc = harness.gen_scenario("B", seed)
         oracle = sc.payload["oracle"]
         fam = algebra.sample_projections(oracle.w1, n=10, seed=seed + 9)
-        fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
+        fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.members))
         residual1, _ = nnsm.condition1_check(fm, trials=8, seed=seed)
         assert np.max(residual1) <= 1e-7
         rng = np.random.default_rng(seed + 20)
@@ -70,10 +71,10 @@ def test_criterion_3_characterization_conditions():
         assert abs(k[0] - 1.0) <= 1e-9
         assert np.max(k) <= 1.0 + 1e-9
         for _ in range(5):
-            p = fam.members[int(rng.integers(len(fam.members)))]
-            q = fam.members[int(rng.integers(len(fam.members)))]
+            i = int(rng.integers(len(fam)))
+            j = int(rng.integers(len(fam)))
             d1, d2 = nnsm.random_sets(oracle.space, rng, 2)
-            residuals3, _ = nnsm.condition3_check(fm, p, q, d1, d2)
+            residuals3, _ = nnsm.condition3_check(fm, i, j, d1, d2)
             assert residuals3[-1] <= 10.0 / 64.0
             assert nnsm.decay_rate(residuals3) >= 0.8
             total_tuples += 1
@@ -98,7 +99,7 @@ def test_criterion_4_limiting_sequences():
     for seed in range(25):
         m, _, mrng = tensor_model(seed=seed)
         fam = algebra.sample_projections(m.w1, n=10, seed=seed)
-        fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
+        fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.members))
         a = hermitian_element(m.w1, mrng)
         delta = point_mask(m.space, {0, 2})
         exact = fm.extend_at(a, delta)
@@ -181,7 +182,7 @@ def test_criterion_6_domain_laws():
     # density witnesses down to 1e-10
     coeffs = 0.5 ** np.arange(64.0)[:, None]
     for eps in (1e-2, 1e-6, 1e-10):
-        member, tail = harness._truncate_to_eps(coeffs, eps)
+        member, tail = truncate_to_eps(coeffs, eps)
         assert tail <= eps
     _line(6, "domain laws on D0", True,
           f"500 tuples, worst relative residual {worst:.2e}")

@@ -206,6 +206,18 @@ def test_sample_projections_matches_the_per_attempt_loop():
                       (2, 1, 10), (3, 2, 10)}
 
 
+def test_sampled_members_are_one_stack_led_by_zero_and_identity():
+    # M_h, maximal abelian algebras and C alike
+    for w, n in _sampled_algebras():
+        d = w.ambient_dim
+        fam = algebra.sample_projections(w, n=n, seed=0)
+        assert isinstance(fam.members, np.ndarray)
+        assert fam.members.dtype == np.complex128
+        assert fam.members.shape == (len(fam), d, d)
+        assert np.array_equal(fam.members[0], np.zeros((d, d)))
+        assert np.array_equal(fam.members[1], np.eye(d))
+
+
 def test_stacked_coefficients_are_each_matrix_own_bit_for_bit():
     for w, _ in _sampled_algebras():
         rng = np.random.default_rng(w.dim)
@@ -249,15 +261,18 @@ def test_sample_projections_spans():
 def test_projection_family_stack_and_validate():
     w = algebra.bicommutant([linalg.random_hermitian(np.random.default_rng(5), 3)], 3)
     empty = algebra.ProjectionFamily(algebra=w, members=())
-    assert empty.stack.shape == (0, 3, 3)
+    assert empty.members.shape == (0, 3, 3)
     assert empty.validate() == 0.0
     fam = algebra.sample_projections(w, n=8, seed=0)
-    assert np.array_equal(fam.stack, np.stack(fam.members))
+    # a sequence of matrices is coerced to the same stack
+    assert np.array_equal(algebra.ProjectionFamily(w, tuple(fam.members)).members,
+                          fam.members)
     # a member that is no projection, or lies outside w, trips validate
     off = np.zeros((3, 3), dtype=complex)
     off[0, 1] = 1.0
     for bad in (1.01 * fam.members[-1], off):
-        broken = algebra.ProjectionFamily(algebra=w, members=fam.members + (bad,))
+        broken = algebra.ProjectionFamily(
+            algebra=w, members=np.concatenate([fam.members, [bad]]))
         assert broken.validate() >= 1e-3
 
 
@@ -350,7 +365,7 @@ def _batched_assignments():
     for seed in range(12):
         oracle = harness.gen_scenario("B", seed).payload["oracle"]
         fam = algebra.sample_projections(oracle.w1, n=10, seed=seed + 3)
-        yield fam, oracle.measure_for(fam.stack).atoms
+        yield fam, oracle.measure_for(fam.members).atoms
 
 
 def test_batched_extension_equals_per_assignment_calls():
@@ -361,7 +376,7 @@ def test_batched_extension_equals_per_assignment_calls():
     for fam, assignment in _batched_assignments():
         batch, k = assignment.shape[1:-2], assignment.shape[-1]
         w = fam.algebra
-        for a in (w.basis, w.basis[-1], fam.stack[-1:]):
+        for a in (w.basis, w.basis[-1], fam.members[-1:]):
             got = algebra.linear_extend(fam, assignment, a)
             assert got.shape == (*batch, *np.shape(a)[:-2], k, k)
             coords = algebra.decompose_over_family(fam, a)
@@ -413,11 +428,11 @@ def test_assembly_takes_one_svd_per_family(monkeypatch):
     monkeypatch.setattr(algebra.np.linalg, "svd", counting_svd)
     # the sampler's spanning test factored the family it returns
     nnsm.assemble_from_family(
-        nnsm.FamilyMeasures(sampled, oracle.measure_for(sampled.stack)), oracle.w1)
+        nnsm.FamilyMeasures(sampled, oracle.measure_for(sampled.members)), oracle.w1)
     assert len(calls) == 0
     # a fresh family: its span test and both assemblies share one SVD
     fam = algebra.ProjectionFamily(algebra=oracle.w1, members=sampled.members)
-    fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.stack))
+    fm = nnsm.FamilyMeasures(fam, oracle.measure_for(fam.members))
     assert fam.spans_algebra
     rebuilt = nnsm.assemble_from_family(fm, oracle.w1)
     nnsm.assemble_from_family(fm, oracle.w1)

@@ -8,7 +8,8 @@ from specmeas.nnsm import OperatorField
 from specmeas.errors import DimMismatch, ShapeMismatch
 from specmeas.tolerances import TAU_RECON
 
-from conftest import block_mask, decode_star_polynomials, domain_vector, tensor_model
+from conftest import (block_mask, decode_star_polynomials, domain_vector, tensor_model,
+                      truncate_to_eps)
 
 
 def number_model(horizon: int = 32) -> blocks.BlockModel:
@@ -93,7 +94,7 @@ def test_truncate_to_horizon_density():
     # geometric tail: truncation converges in norm; the tail from block 20
     # on is 1.1e-6 and from block 19 on 2.2e-6
     coeffs = 0.5 ** np.arange(40.0)[:, None]
-    member, tail = harness._truncate_to_eps(coeffs, 2e-6)
+    member, tail = truncate_to_eps(coeffs, 2e-6)
     assert np.array_equal(member.support, block_mask(40, range(20)))
     exact_tail = np.sqrt(sum(0.25**n for n in range(20, 40)))
     assert tail == pytest.approx(exact_tail)

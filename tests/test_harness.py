@@ -11,7 +11,7 @@ from specmeas.tolerances import (TAU_EXACT, TAU_EXT, TAU_NORM_SLACK, TAU_RECON,
                                  VERDICT_TOL)
 
 from conftest import (decode_star_polynomials, hermitian_element, member_measure,
-                      point_mask, stacked_fields)
+                      point_mask, stacked_fields, truncate_to_eps)
 
 
 def test_caps_enforced():
@@ -587,7 +587,7 @@ def test_fault_residual_scales_with_injection():
 
 def test_characterization_reports_pass():
     sc = harness.gen_scenario("B", 11)
-    (rep,) = harness.characterization_reports(sc, tuples=3)
+    (rep,) = harness.characterization_reports(sc)
     assert rep.passed
     k_entries = [c for c in rep.checks if c.name.startswith("condition2")]
     assert k_entries and all(c.residual <= 1.0 + 1e-9 for c in k_entries)
@@ -596,7 +596,7 @@ def test_characterization_reports_pass():
     assert names[:12] == ([f"condition1[trial{t}]" for t in range(8)]
                           + [f"condition2[delta{i}]" for i in range(4)])
     assert [n.split(";")[0] for n in names[12:]] == [
-        f"condition3[tuple{t}" for t in range(3)]
+        f"condition3[tuple{t}" for t in range(4)]
 
 
 def test_family_entries_equal_rows_built_directly():
@@ -770,7 +770,7 @@ def test_truncate_to_eps_matches_per_horizon_reference():
              for eps in (10.0, 1e-2, 1e-4, 1e-9, 1e-10, 1e-20, 0.0)]
     cases.append((np.zeros((0, 1)), 1e-4))
     for coeffs, eps in cases:
-        member, tail = harness._truncate_to_eps(coeffs, eps)
+        member, tail = truncate_to_eps(coeffs, eps)
         want_member, want_tail = _truncate_reference(coeffs, eps)
         assert np.array_equal(member.support, want_member.support)
         assert tail == want_tail
@@ -878,7 +878,7 @@ def test_condition1_matches_two_pass_reference():
     sc = harness._gen_b_nondegenerate(2, harness.Caps())
     oracle = sc.payload["oracle"]
     fam = algebra.sample_projections(oracle.w1, n=10, seed=11)
-    comp = oracle.measure_for(fam.stack)
+    comp = oracle.measure_for(fam.members)
     fm = nnsm.FamilyMeasures(fam, comp)
     # a corrupted compression: the relations no longer transfer
     atoms = comp.atoms.copy()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from specmeas import algebra, harness, linalg, measure, nnsm
 from specmeas.errors import NotSpanning, ShapeMismatch
-from specmeas.tolerances import TAU_ALG, TAU_DOC, TAU_NORM_SLACK
+from specmeas.tolerances import TAU_ALG, TAU_DOC, TAU_NORM_SLACK, TAU_PROJ
 
 from conftest import (hermitian_element, member_measure, point_mask, stacked_fields,
                       tensor_model)
@@ -19,7 +19,7 @@ def family_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> algebra.Projecti
 
 def family_measures_for(m: nnsm.NonNegSpectralMeasure, seed: int = 0) -> nnsm.FamilyMeasures:
     fam = family_for(m, seed)
-    return nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
+    return nnsm.FamilyMeasures(fam, m.measure_for(fam.members))
 
 
 def test_tensor_model_is_valid_nnsm():
@@ -153,12 +153,10 @@ def test_operator_field_one_by_one_coefficients():
 def test_condition3_converges():
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
-    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
-    p = fam.members[2]
-    q = fam.members[3]
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.members))
     d1 = point_mask(m.space, {0, 1})
     d2 = point_mask(m.space, {1, 2})
-    residuals, bound = nnsm.condition3_check(fm, p, q, d1, d2)
+    residuals, bound = nnsm.condition3_check(fm, 2, 3, d1, d2)
     assert residuals[-1] <= bound
     assert residuals[-1] <= 10.0 * (1 + m.w1.ambient_dim) / 64.0
     # residuals decay like 1/ell or better (or sit at round-off)
@@ -168,7 +166,7 @@ def test_condition3_converges():
 def test_assemble_round_trip():
     m, _, rng = tensor_model(seed=7)
     fam = family_for(m)
-    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.members))
     rebuilt = nnsm.assemble_from_family(fm, m.w1)
     for x in m.space.points():
         for _ in range(3):
@@ -185,7 +183,7 @@ def test_assemble_needs_spanning_family():
         members=(np.zeros((m.w1.ambient_dim,) * 2, dtype=complex),),
     )
     assert not small.spans_algebra
-    fm = nnsm.FamilyMeasures(small, m.measure_for(small.stack))
+    fm = nnsm.FamilyMeasures(small, m.measure_for(small.members))
     with pytest.raises(NotSpanning):
         nnsm.assemble_from_family(fm, m.w1)
 
@@ -193,7 +191,7 @@ def test_assemble_needs_spanning_family():
 def test_extension_by_limit_matches_exact():
     m, _, rng = tensor_model(seed=9)
     fam = family_for(m)
-    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.members))
     a = hermitian_element(m.w1, rng)
     delta = point_mask(m.space, {0, 2})
     exact = fm.extend_at(a, delta)
@@ -262,7 +260,7 @@ def test_measure_for_a_stack_equals_the_stacked_single_measures():
     for seed in range(4):
         m, _, rng = tensor_model(seed=seed, n_atoms=4)
         stack = np.concatenate([
-            family_for(m, seed=seed).stack,
+            family_for(m, seed=seed).members,
             [hermitian_element(m.w1, rng) for _ in range(3)]])
         batch = m.measure_for(stack)
         singles = [m.measure_for(p) for p in stack]
@@ -275,8 +273,8 @@ def test_empty_family_is_an_empty_batch_and_a_typed_error():
     oracle = harness.gen_scenario("B", 0).payload["oracle"]
     for m in (tensor_model(seed=5)[0], oracle):
         empty = algebra.ProjectionFamily(algebra=m.w1, members=())
-        assert empty.stack.shape == (0, m.w1.ambient_dim, m.w1.ambient_dim)
-        batch = m.measure_for(empty.stack)
+        assert empty.members.shape == (0, m.w1.ambient_dim, m.w1.ambient_dim)
+        batch = m.measure_for(empty.members)
         k = m.target_dim
         assert batch.space == m.space
         assert batch.atoms.shape == (0, len(m.space), k, k)
@@ -287,7 +285,7 @@ def test_condition1_detects_broken_linearity():
     # corrupt one compression so linear relations no longer transfer
     m, _, _ = tensor_model(seed=13)
     fam = family_for(m)
-    comp = m.measure_for(fam.stack)
+    comp = m.measure_for(fam.members)
     bad_atoms = comp.atoms.copy()
     bad_atoms[1, 0] = bad_atoms[1, 0] + 0.25 * np.eye(m.target_dim)
     fm = nnsm.FamilyMeasures(fam, replace(comp, atoms=bad_atoms))
@@ -300,7 +298,6 @@ def test_delta_is_a_boolean_point_mask():
     # block mask K; anything else is ShapeMismatch, never coerced to bool
     m, rng = _model_with_a_zero_map(seed=18)
     fm = family_measures_for(m)
-    p, q = fm.family.members[2], fm.family.members[3]
     a = hermitian_element(m.w1, rng)
     field_ = _random_field(rng, m, 2)
     delta = point_mask(m.space, {0, 2, 3})
@@ -313,8 +310,8 @@ def test_delta_is_a_boolean_point_mask():
         lambda d: nnsm.integrate(m, stacked_fields([field_, field_]), d),
         lambda d: fm.extend_at(a, d),
         lambda d: nnsm.extension_by_limit(fm, a, d, ell=16),
-        lambda d: nnsm.condition3_check(fm, p, q, d, delta),
-        lambda d: nnsm.condition3_check(fm, p, q, delta, d),
+        lambda d: nnsm.condition3_check(fm, 2, 3, d, delta),
+        lambda d: nnsm.condition3_check(fm, 2, 3, delta, d),
     ]
     for bad in wrong:
         for consume in consumers:
@@ -365,7 +362,7 @@ def test_tensor_model_product_rule_random(seed, h_dim, n_atoms):
                    np.zeros((m.target_dim,) * 2, dtype=complex))
 
     family = family_for(m, seed=seed + 1)
-    comp = m.measure_for(family.stack)
+    comp = m.measure_for(family.members)
     assert np.all(comp.validate() <= 1e-8 * (1 + linalg.frob_norm(comp.total)))
     members = family.members
     for _ in range(4):
@@ -547,7 +544,7 @@ def test_integrate_equals_the_split_tensordot_route_bit_for_bit(seed):
         points = m.space.points()
         one_hot = nnsm.OperatorField(terms=((
             np.eye(len(points), dtype=np.complex128),
-            algebra.sample_projections(m.w1, n=4, seed=seed).stack[:, None]),))
+            algebra.sample_projections(m.w1, n=4, seed=seed).members[:, None]),))
         fields = [_random_field(rng, m, 1), _random_field(rng, m, 3),
                   stacked_fields([_random_field(rng, m, 1) for _ in range(4)]),
                   stacked_fields([_random_field(rng, m, 1 + t % 3) for t in range(5)]),
@@ -599,11 +596,11 @@ def test_condition3_matches_per_cell_reference():
     # projection of one Riemann cell at a time
     m, _, _ = tensor_model(seed=6)
     fam = family_for(m)
-    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.stack))
+    fm = nnsm.FamilyMeasures(fam, m.measure_for(fam.members))
     p, q = fam.members[2], fam.members[3]
     d1 = point_mask(m.space, {0, 1})
     d2 = point_mask(m.space, {1, 2})
-    residuals, _ = nnsm.condition3_check(fm, p, q, d1, d2)
+    residuals, _ = nnsm.condition3_check(fm, 2, 3, d1, d2)
     lhs = measure.evaluate(m.measure_for(p), d1) @ measure.evaluate(m.measure_for(q), d2)
     parts = linalg.star_decompose(p @ q)
     inter = d1 & d2
@@ -614,6 +611,35 @@ def test_condition3_matches_per_cell_reference():
             for zeta, r_proj in _per_cell_terms(part, ell)
         )
         assert abs(linalg.frob_norm(lhs - rhs) - resid) <= 1e-10
+
+
+def test_condition3_reads_the_drawn_member_not_an_earlier_duplicate(monkeypatch):
+    # an abelian W1 family whose member i is a near-duplicate of an earlier
+    # sampled member i0; with the Riemann sums at zero the residuals are the
+    # left side ||E_{P_i}(X) E_{P_i}(X)||, which must follow member i alone
+    oracle = harness.gen_scenario("B", 5).payload["oracle"]
+    assert oracle.w1.dim == oracle.w1.ambient_dim == 3
+    fam = algebra.sample_projections(oracle.w1, n=10, seed=5 + 9)
+    members = fam.members
+    i = next(i for i in range(len(fam))
+             if np.any(linalg.frob_norm(members[:i] - members[i]) <= TAU_PROJ))
+    i0 = int(np.argmax(linalg.frob_norm(members[:i] - members[i]) <= TAU_PROJ))
+    assert i0 >= 2 and not np.array_equal(members[i], members[i0])
+    comp = oracle.measure_for(members)
+    k = oracle.target_dim
+    monkeypatch.setattr(nnsm, "_riemann_sums",
+                        lambda fm, seqs, ells, delta: np.zeros((len(ells), k, k)))
+    whole = point_mask(oracle.space, oracle.space.points())
+
+    def left_side(bumped):
+        atoms = comp.atoms.copy()
+        atoms[bumped, 0] += 0.5 * np.eye(k)
+        fm = nnsm.FamilyMeasures(fam, replace(comp, atoms=atoms))
+        return nnsm.condition3_check(fm, i, i, whole, whole)[0]
+
+    base = nnsm.condition3_check(nnsm.FamilyMeasures(fam, comp), i, i, whole, whole)[0]
+    assert not np.array_equal(left_side(i), base)
+    assert np.array_equal(left_side(i0), base)
 
 
 def test_integrate_rejects_rows_of_the_wrong_length():

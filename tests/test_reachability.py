@@ -1,6 +1,8 @@
-"""Guard: no public API of ``specmeas`` is reached only from tests.
+"""Guard: no public API or private helper of ``specmeas`` is reached only
+from tests.
 
-Every public module-level function or class, and every public method, in
+Every public module-level function or class, every public method and every
+private module-level function (dunders and private methods aside) in
 ``src/specmeas`` must be named somewhere in ``src/``, ``scripts/`` or
 ``perfbench/`` outside its own definition: as a name, an attribute, an
 imported name or in a string that is a whole dotted name, as
@@ -79,11 +81,13 @@ def _names_used(tree: ast.AST) -> Counter:
 
 
 def _definitions(path: Path, tree: ast.Module):
-    """(qualified name, bare name, node) of every public definition."""
+    """(qualified name, bare name, node) of every public definition and of
+    every private module-level function that is no dunder."""
     module = path.stem
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if node.name.startswith("_"):
+            if node.name.startswith("_") and (
+                    isinstance(node, ast.ClassDef) or node.name.startswith("__")):
                 continue
             yield f"{module}.{node.name}", node.name, node
             if isinstance(node, ast.ClassDef):
@@ -94,7 +98,7 @@ def _definitions(path: Path, tree: ast.Module):
 
 
 def _unreached() -> list:
-    """Qualified names of the public definitions that nothing but their own
+    """Qualified names of the checked definitions that nothing but their own
     body names in the searched trees."""
     paths = sorted({p for d in SEARCHED for p in d.rglob("*.py")})
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
@@ -112,8 +116,8 @@ def _unreached() -> list:
 def test_public_api_is_reached_outside_tests():
     unreached = [q for q in _unreached() if q not in ALLOWED]
     assert not unreached, (
-        "public names that only tests reach; delete them or add them to "
-        f"ALLOWED with a reason: {unreached}"
+        "public names or private functions that only tests reach; delete "
+        f"them or add them to ALLOWED with a reason: {unreached}"
     )
 
 
@@ -132,3 +136,14 @@ def test_only_whole_dotted_name_strings_count():
     assert used["integrate"] == 1 and used["product"] == 1
     assert _names_used(ast.parse('x = "product-rule[P0]"'))["product"] == 0
     assert _names_used(ast.parse('x = "product of F and G"'))["product"] == 0
+
+
+def test_private_module_functions_are_checked_but_not_methods_or_dunders():
+    tree = ast.parse(
+        "def _helper(): pass\n"
+        "def __getattr__(name): pass\n"
+        "class _Private:\n    def run(self): pass\n"
+        "class Public:\n    def _step(self): pass\n    def run(self): pass\n"
+    )
+    names = [q for q, _, _ in _definitions(Path("mod.py"), tree)]
+    assert names == ["mod._helper", "mod.Public", "mod.Public.run"]
