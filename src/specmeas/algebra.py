@@ -7,14 +7,16 @@ its members are named by index), limiting sequences of hermitian
 operators, and joint diagonalization of commuting normal matrices.  Both
 resolutions are projection stacks: a limiting sequence is its operator's
 eigen-resolution plus a tag grid over ell, and a joint diagonalization is a
-table of joint values beside its eigenprojection stack.
+table of joint values beside its eigenprojection stack.  Algebras,
+families and their stacks are read-only values, and ``sample_projections``
+is memoized: a repeated (algebra, n, seed) returns the same family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .linalg import (
     op_norm,
     projection_residual,
     range_projection,
+    read_only,
     require_hermitian,
     require_square,
 )
@@ -48,17 +51,26 @@ from .tolerances import (
 )
 
 
-@dataclass(frozen=True)
+# the families a fault round samples: two, one of them twice
+FAMILY_MEMO = 4
+
+
+@dataclass(frozen=True, eq=False)
 class VonNeumannAlgebra:
     """*-closed unital matrix algebra with a trace-orthonormal basis.
 
     The basis is orthonormal with respect to <A,B> = tr(B* A), so projecting
-    onto the span is a single product with the stacked basis matrix.
+    onto the span is a single product with the stacked basis matrix.  The
+    basis is held read-only, and an algebra compares and hashes by identity,
+    so it can key a memo.
     """
 
     ambient_dim: int
     basis: np.ndarray
     contains_identity: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", read_only(self.basis))
 
     @property
     def dim(self) -> int:
@@ -157,17 +169,17 @@ def bicommutant(generators: list[np.ndarray], ambient_dim: int) -> VonNeumannAlg
 @dataclass(frozen=True)
 class ProjectionFamily:
     """Hermitian projections verified inside an algebra, held as one
-    complex128 (n, d, d) stack ``members``: member i is ``members[i]``, and
-    n is 0 for an empty family.  A sequence of (d, d) matrices is coerced
-    to that stack."""
+    read-only complex128 (n, d, d) stack ``members``: member i is
+    ``members[i]``, and n is 0 for an empty family.  A sequence of (d, d)
+    matrices is coerced to that stack."""
 
     algebra: VonNeumannAlgebra
     members: np.ndarray
 
     def __post_init__(self):
         d = self.algebra.ambient_dim
-        object.__setattr__(self, "members", np.asarray(
-            self.members, dtype=np.complex128).reshape(-1, d, d))
+        object.__setattr__(self, "members", read_only(np.asarray(
+            self.members, dtype=np.complex128).reshape(-1, d, d)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -175,7 +187,7 @@ class ProjectionFamily:
     @cached_property
     def factors(self) -> tuple:
         """(u, s, v, null): one SVD of the stacked member columns vec(P_i),
-        cut at the absolute TAU_RANK and kept on the family.
+        cut at the absolute TAU_RANK and kept, read-only, on the family.
 
         The columns equal u diag(s) v* on the kept rank, and the columns of
         ``null`` are an orthonormal basis of the member relations
@@ -185,7 +197,7 @@ class ProjectionFamily:
         u, s, vh = np.linalg.svd(cols)
         r = int(np.sum(s > TAU_RANK))
         v = adjoint(vh)
-        return u[:, :r], s[:r], v[:, :r], v[:, r:]
+        return tuple(map(read_only, (u[:, :r], s[:r], v[:, :r], v[:, r:])))
 
     def validate(self) -> float:
         """Worst member, membership and (when spanning) span residual."""
@@ -212,7 +224,17 @@ class ProjectionFamily:
         return self.span_deficit() <= TAU_ALG
 
 
+@lru_cache(maxsize=FAMILY_MEMO, typed=True)
 def sample_projections(
+    w: VonNeumannAlgebra, n: int, seed: int
+) -> ProjectionFamily:
+    """Seeded sample of spectral projections of random hermitian elements
+    (``_sample_family``), memoized on (w, n, seed) over the last
+    FAMILY_MEMO keys: a repeated key returns the same read-only family."""
+    return _sample_family(w, n, seed)
+
+
+def _sample_family(
     w: VonNeumannAlgebra, n: int, seed: int
 ) -> ProjectionFamily:
     """Seeded sample of spectral projections of random hermitian elements.

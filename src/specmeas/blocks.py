@@ -44,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
-from .linalg import adjoint, frob_norm
+from .linalg import adjoint, frob_norm, read_only
 from .measure import DiscreteSpace, require_mask
 from .nnsm import OperatorField
 
@@ -68,7 +69,8 @@ class BlockModel:
     ``generator_rows`` on the index array np.arange(horizon).  Every block
     has dimension ``block_dim``: the ambient dimension of ``w``, on which
     b (x) A acts blockwise as f_b(n) * A.  By default ``w`` is C*1
-    (``matrix_algebra(1)``) and the model is scalar.
+    (``matrix_algebra(1)``) and the model is scalar.  The generators and
+    the rows computed from them are held read-only.
     """
 
     space: DiscreteSpace
@@ -78,6 +80,7 @@ class BlockModel:
     def __post_init__(self):
         if self.space.is_finite:
             raise ShapeMismatch("block models live over countable spaces")
+        object.__setattr__(self, "generators", MappingProxyType(dict(self.generators)))
 
     @property
     def horizon(self) -> int:
@@ -92,14 +95,15 @@ class BlockModel:
         """Generator name -> its value row, f_b(n) for n below the horizon:
         the one place where the generators are evaluated, each once."""
         n = np.arange(self.horizon)
-        return {b: np.array(f(n), dtype=np.complex128)
-                for b, f in self.generators.items()}
+        return MappingProxyType({b: read_only(np.array(f(n), dtype=np.complex128))
+                                 for b, f in self.generators.items()})
 
     @cached_property
     def factor_rows(self) -> np.ndarray:
         """The ``factor_table`` of the generator rows in sorted order."""
-        return factor_table([self.generator_rows[b] for b in sorted(self.generators)],
-                            np.ones(self.horizon))
+        return read_only(factor_table(
+            [self.generator_rows[b] for b in sorted(self.generators)],
+            np.ones(self.horizon)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ and domain vectors by ``_random_domain_vectors``.  Every batch of operator
 fields, B's included, is one OperatorField whose term slots hold stacks.
 This module alone builds reports: ``family_entries`` names a check's
 residual and tol arrays as rows, each passing when residual <= tol.
+A scenario is a read-only value of (kind, seed, caps), and ``gen_scenario``
+memoizes it: a fault round reads one seed's scenario in several parts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .linalg import (
     op_norm,
     random_hermitian,
     random_unitary,
+    read_only,
 )
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import (
@@ -69,6 +74,10 @@ MAX_HORIZON = 64
 MIN_HORIZON = 8  # the least horizon that C' and D draw
 MIN_FAULT_H_DIM = 2  # condition (1) and a non-normal block need matrices
 CONDITION3_TUPLES = 4  # the (P, Q, D1, D2) tuples that condition (3) draws
+# the scenarios of one seed that a fault round reads (B, D and B's
+# nondegenerate sub-seed), or that `specrep fuzz --faults` reads between
+# the kinds and the faults (A, B, C' and D, then B, D and the sub-seed)
+SCENARIO_MEMO = 4
 
 
 @dataclass(frozen=True)
@@ -97,13 +106,17 @@ class Caps:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Deterministic test case: the oracle plus the induced representation."""
+    """Deterministic test case: the oracle plus the induced representation.
+    The payload is held as a read-only mapping."""
 
     kind: str  # "A" | "B" | "Cprime" | "D"
     seed: int
     space: DiscreteSpace
-    payload: dict = field(default_factory=dict)
+    payload: MappingProxyType = field(default_factory=dict)
     fault: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "payload", MappingProxyType(dict(self.payload)))
 
     @property
     def scenario_id(self) -> str:
@@ -192,6 +205,14 @@ def _bool_entry(name, ok: bool, flags=()) -> CheckEntry:
 
 
 def gen_scenario(kind: str, seed: int, caps: Caps = Caps()) -> Scenario:
+    """The scenario of ``kind`` drawn from ``seed`` within ``caps``, a pure
+    function of the three, memoized on them over the last SCENARIO_MEMO
+    keys: a repeated key returns the same read-only Scenario."""
+    return _scenario(kind, seed, caps)
+
+
+@lru_cache(maxsize=SCENARIO_MEMO, typed=True)
+def _scenario(kind: str, seed: int, caps: Caps) -> Scenario:
     rng = np.random.default_rng(seed)
     if kind == "A":
         return _gen_a(seed, rng, caps)
@@ -218,11 +239,11 @@ def _gen_a(seed, rng, caps) -> Scenario:
     images = {}
     for g in range(n_gen):
         diag = np.array([values[owner[i]][g] for i in range(d)])
-        images[f"b{g}"] = u @ np.diag(diag) @ adjoint(u)
+        images[f"b{g}"] = read_only(u @ np.diag(diag) @ adjoint(u))
     space = DiscreteSpace(labels=tuple(range(n_pts)))
     return Scenario(
         kind="A", seed=seed, space=space,
-        payload={"images": images, "values": values},
+        payload={"images": MappingProxyType(images), "values": tuple(values)},
     )
 
 

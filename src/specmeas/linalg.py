@@ -46,6 +46,14 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def read_only(a) -> np.ndarray:
+    """A read-only view of ``a``: a write through it raises ValueError,
+    and ``a`` keeps its own flags."""
+    view = np.asarray(a).view()
+    view.setflags(write=False)
+    return view
+
+
 def frob_norm(a, axis=None):
     """Frobenius norm of a matrix, or the array of the norms of each matrix
     of an (..., d, d) stack; with ``axis``, the array of the 2-norms of the

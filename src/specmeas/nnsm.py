@@ -39,7 +39,8 @@ from .algebra import (
     linear_extend,
 )
 from .errors import NotSpanning, ShapeMismatch
-from .linalg import adjoint, frob_norm, op_norm, require_square, star_decompose
+from .linalg import (adjoint, frob_norm, op_norm, read_only, require_square,
+                     star_decompose)
 from .measure import (DiscreteSpace, SpectralMeasure, evaluate, matrix_stack,
                       require_mask)
 from .tolerances import (
@@ -57,7 +58,7 @@ class NonNegSpectralMeasure:
     stored as the (dim W1, k, k) images of W1's basis elements: one
     (n_points, dim W1, k, k) stack, with the zero map at a point that
     carries no mass.  Phi_x(A) for every point at once is one contraction
-    of A's coordinates against the stack.
+    of A's coordinates against the stack, which is held read-only.
     """
 
     space: DiscreteSpace
@@ -65,8 +66,8 @@ class NonNegSpectralMeasure:
     images: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "images", matrix_stack(
-            self.images, (len(self.space), self.w1.dim)))
+        object.__setattr__(self, "images", read_only(matrix_stack(
+            self.images, (len(self.space), self.w1.dim))))
 
     @property
     def target_dim(self) -> int:

@@ -147,15 +147,20 @@ def _point_order(space: DiscreteSpace, entries) -> list:
 
 
 def nnsm_to_doc(m: NonNegSpectralMeasure) -> dict:
+    """The NNSM as a document.  The image stack is written by one
+    ``tolist``: the images are finite by ``matrix_stack``, so this is
+    ``matrix_to_doc`` per image without its checks."""
+    n, dim, k, _ = m.images.shape
+    pairs = np.ascontiguousarray(m.images).view(np.float64).reshape(n, dim, k * k, 2)
     return {
         "space": space_to_doc(m.space),
         "w1": {
             "ambient_dim": m.w1.ambient_dim,
             "basis": [matrix_to_doc(b) for b in m.w1.basis],
         },
-        "target_dim": m.target_dim,
-        "atom_maps": [[x, [matrix_to_doc(img) for img in imgs]]
-                      for x, imgs in zip(m.space.points(), m.images)],
+        "target_dim": k,
+        "atom_maps": [[x, [{"rows": k, "cols": k, "data": data} for data in atom]]
+                      for x, atom in zip(m.space.points(), pairs.tolist())],
     }
 
 

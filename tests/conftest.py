@@ -1,6 +1,20 @@
 import numpy as np
+import pytest
 
-from specmeas import algebra, blocks, linalg, measure, nnsm
+from specmeas import algebra, blocks, harness, linalg, measure, nnsm
+
+
+def clear_memos():
+    """Empty the scenario and sampled-family memos."""
+    harness._scenario.cache_clear()
+    algebra.sample_projections.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Every test starts with empty memos, so a value built under one
+    test's monkeypatch never reaches another test."""
+    clear_memos()
 
 
 def tensor_model(seed: int, h_dim: int = 2, n_atoms: int = 3, unitary: bool = True):

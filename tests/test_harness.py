@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,8 +11,8 @@ from specmeas.errors import (CapExceeded, InvalidDocument, NotCommuting,
 from specmeas.tolerances import (TAU_EXACT, TAU_EXT, TAU_NORM_SLACK, TAU_RECON,
                                  VERDICT_TOL)
 
-from conftest import (decode_star_polynomials, hermitian_element, member_measure,
-                      point_mask, stacked_fields, truncate_to_eps)
+from conftest import (clear_memos, decode_star_polynomials, hermitian_element,
+                      member_measure, point_mask, stacked_fields, truncate_to_eps)
 
 
 def test_caps_enforced():
@@ -573,6 +574,72 @@ def test_b_families_run_past_passing_families(monkeypatch):
         assert any(not c.passed for family in families[1:] for c in family)
         failed = _failed(harness.verify_theorem_b(sc))
         assert failed and not any(f.startswith("compression[") for f in failed)
+
+
+def _round_calls(seed, path):
+    """The calls of one fault round on ``seed`` in the order a round makes
+    them: the four fault reports, then the check of the B scenario's
+    document written to ``path``.  Each returns its report document."""
+    def document():
+        oracle = harness.gen_scenario("B", seed).payload["oracle"]
+        serialize.dump(serialize.nnsm_to_doc(oracle), path)
+        return harness.check_measure_file(path).to_doc()
+
+    return [*(lambda f=f: harness.fault_report(f, seed).to_doc()
+              for f in harness.FAULT_CLASSES), document]
+
+
+def test_fault_round_builds_and_samples_a_seed_once(monkeypatch, tmp_path):
+    # the B(s) scenario is read by two fault classes and the document, and
+    # its seed + 3 family by the two image faults; each is built once
+    seed = 5
+    built, sampled = [], []
+    gen_b, sample = harness._gen_b, algebra._sample_family
+    monkeypatch.setattr(harness, "_gen_b", lambda s, rng, caps: built.append(s)
+                        or gen_b(s, rng, caps))
+    monkeypatch.setattr(algebra, "_sample_family", lambda w, n, s: sampled.append(s)
+                        or sample(w, n, s))
+    for call in _round_calls(seed, tmp_path / "m.json"):
+        call()
+    assert built.count(seed) == 1
+    assert sampled.count(seed + 3) == 1
+
+
+def test_cold_and_warm_rounds_are_byte_identical(tmp_path):
+    # cold clears the memos before every call; warm runs the calls in
+    # round order, then kind B's report, so later calls reuse the scenario
+    # and family
+    for seed in range(30):
+        calls = [*_round_calls(seed, tmp_path / "m.json"), lambda: replace(
+            harness.verify_theorem_b(harness.gen_scenario("B", seed)),
+            wall_ms=0).to_doc()]
+        cold = []
+        for call in calls:
+            clear_memos()
+            cold.append(call())
+        clear_memos()
+        warm = [call() for call in calls]
+        assert json.dumps(cold) == json.dumps(warm), seed
+
+
+def test_memoized_values_are_read_only():
+    a = harness.gen_scenario("A", 3)
+    b = harness.gen_scenario("B", 5)
+    oracle = b.payload["oracle"]
+    family = algebra.sample_projections(oracle.w1, n=10, seed=8)
+    model = harness.gen_scenario("D", 5).payload["model"]
+    arrays = [oracle.images, oracle.w1.basis, family.members, family.factors[0],
+              model.factor_rows, model.w.basis, *model.generator_rows.values(),
+              *a.payload["images"].values()]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] += 1.0
+    for mapping in (a.payload, a.payload["images"], b.payload,
+                    model.generators, model.generator_rows):
+        with pytest.raises(TypeError):
+            mapping["x"] = None
+    assert harness.gen_scenario("B", 5) is b
+    assert algebra.sample_projections(oracle.w1, n=10, seed=8) is family
 
 
 def test_fault_residual_scales_with_injection():

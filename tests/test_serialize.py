@@ -103,6 +103,33 @@ def test_nnsm_round_trip(tmp_path):
         assert np.allclose(back.apply(x, a), m.apply(x, a), atol=1e-10)
 
 
+def _nnsm_to_doc_per_matrix(m):
+    """The NNSM writer with one ``matrix_to_doc`` per image."""
+    return {
+        "space": serialize.space_to_doc(m.space),
+        "w1": {
+            "ambient_dim": m.w1.ambient_dim,
+            "basis": [serialize.matrix_to_doc(b) for b in m.w1.basis],
+        },
+        "target_dim": m.target_dim,
+        "atom_maps": [[x, [serialize.matrix_to_doc(img) for img in imgs]]
+                      for x, imgs in zip(m.space.points(), m.images)],
+    }
+
+
+def test_nnsm_document_text_equals_the_per_matrix_writer():
+    models = [harness.gen_scenario("B", seed).payload["oracle"] for seed in range(200)]
+    # a space without points, and images that are no contiguous stack
+    m = models[0]
+    models.append(nnsm.NonNegSpectralMeasure(
+        measure.DiscreteSpace(labels=()), m.w1, np.zeros((0, m.w1.dim, 2, 2))))
+    models.append(nnsm.NonNegSpectralMeasure(
+        m.space, m.w1, np.swapaxes(m.images, -1, -2)))
+    for m in models:
+        assert json.dumps(serialize.nnsm_to_doc(m)) == json.dumps(
+            _nnsm_to_doc_per_matrix(m))
+
+
 def test_tuple_labels_round_trip(tmp_path):
     # JSON writes a tuple label as an array; the reader reads it back as a
     # tuple, nested ones included, for the space and for the atoms alike
