@@ -5,9 +5,10 @@ generators and their adjoints), projection sampling, linear extension from
 projection families (one SVD per family; a family is one member stack, and
 its members are named by index), limiting sequences of hermitian
 operators, and joint diagonalization of commuting normal matrices.  Both
-resolutions are projection stacks: a limiting sequence is its operator's
-eigen-resolution plus a tag grid over ell, and a joint diagonalization is a
-table of joint values beside its eigenprojection stack.  Algebras,
+resolutions are ``SpectralDecomposition``s: a limiting sequence is its
+operator's eigen-resolution plus a tag grid over ell, and a joint
+diagonalization's values are a table, one column per generator.  Targets
+are (d, d) matrices or (n, d, d) stacks (``_target_stack``).  Algebras,
 families and their stacks are read-only values, and ``sample_projections``
 is memoized: a repeated (algebra, n, seed) returns the same family.
 """
@@ -33,17 +34,18 @@ from .linalg import (
     clusters,
     eig_hermitian,
     frob_norm,
+    matrix_stack,
     op_norm,
     projection_residual,
     range_projection,
     read_only,
     require_hermitian,
-    require_square,
 )
 from .tolerances import (
     CELL_EDGE_SLACK,
     DELTA_CLUSTER,
     LIMIT_BOUND_SLACK,
+    NORM_FLOOR,
     TAU_ALG,
     TAU_EXT,
     TAU_PROJ,
@@ -99,12 +101,7 @@ class VonNeumannAlgebra:
 
         Raises NotInSpan when a target is farther than TAU_ALG from the span.
         """
-        single = np.ndim(a) == 2
-        stack = require_square(a)[None] if single else np.asarray(a)
-        if stack.shape[1:] != (self.ambient_dim, self.ambient_dim):
-            raise ShapeMismatch(
-                f"expected dim {self.ambient_dim}, got shape {stack.shape[1:]}"
-            )
+        stack, single = _target_stack(a, self.ambient_dim)
         flat = stack.reshape(len(stack), self.ambient_dim**2)
         coeffs, resid = self._project(flat)
         # written so that a NaN residual (a non-finite stack) fails as well
@@ -115,8 +112,9 @@ class VonNeumannAlgebra:
     def membership_residual(self, a: np.ndarray):
         """Distance of a matrix, or of each matrix of an (n, d, d) stack, to
         the span."""
-        resid = self._project(np.reshape(a, (*np.shape(a)[:-2], self.ambient_dim**2)))[1]
-        return float(resid) if np.ndim(a) == 2 else resid
+        stack, single = _target_stack(a, self.ambient_dim)
+        resid = self._project(stack.reshape(len(stack), self.ambient_dim**2))[1]
+        return float(resid[0]) if single else resid
 
     def hermitian_elements(self, draws: np.ndarray) -> np.ndarray:
         """The (n, d, d) stack of hermitian parts of sum_j c_j B_j, one per
@@ -135,6 +133,16 @@ class VonNeumannAlgebra:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
 
+def _target_stack(a, d: int) -> tuple[np.ndarray, bool]:
+    """(stack, single): a (d, d) ``matrix_stack`` as a stack of one, or an
+    (n, d, d) stack, whose non-finite entries give a NaN residual."""
+    single = np.ndim(a) == 2
+    stack = matrix_stack(a)[None] if single else np.asarray(a)
+    if stack.shape[1:] != (d, d):
+        raise ShapeMismatch(f"expected ({d}, {d}) matrices, got shape {np.shape(a)}")
+    return stack, single
+
+
 def bicommutant(generators: list[np.ndarray], ambient_dim: int) -> VonNeumannAlgebra:
     """The von Neumann algebra generated by ``generators``: {gens}''.
 
@@ -147,11 +155,10 @@ def bicommutant(generators: list[np.ndarray], ambient_dim: int) -> VonNeumannAlg
     TAU_RANK.  A layer that adds nothing ends the growth.
     """
     d = ambient_dim
-    gens = [require_square(m) for m in generators]
-    for m in gens:
-        if m.shape[0] != d:
-            raise ShapeMismatch(f"generator dim {m.shape[0]} != ambient {d}")
-    kept = [m / norm for m in gens if (norm := frob_norm(m)) > 1e-300]
+    gens = [matrix_stack(m) for m in generators]
+    if any(m.shape[0] != d for m in gens):
+        raise ShapeMismatch(f"generator dims {[len(m) for m in gens]} != ambient {d}")
+    kept = [m / norm for m in gens if (norm := frob_norm(m)) > NORM_FLOOR]
     letters = np.array(kept + [adjoint(m) for m in kept])
     basis = np.eye(d, dtype=np.complex128)[None] / math.sqrt(d)
     layer = basis
@@ -228,16 +235,9 @@ class ProjectionFamily:
 def sample_projections(
     w: VonNeumannAlgebra, n: int, seed: int
 ) -> ProjectionFamily:
-    """Seeded sample of spectral projections of random hermitian elements
-    (``_sample_family``), memoized on (w, n, seed) over the last
-    FAMILY_MEMO keys: a repeated key returns the same read-only family."""
-    return _sample_family(w, n, seed)
-
-
-def _sample_family(
-    w: VonNeumannAlgebra, n: int, seed: int
-) -> ProjectionFamily:
-    """Seeded sample of spectral projections of random hermitian elements.
+    """Seeded sample of spectral projections of random hermitian elements,
+    memoized on (w, n, seed) over the last FAMILY_MEMO keys: a repeated key
+    returns the same read-only family.
 
     Members 0 and 1 are always the exact 0 and the identity; keeps sampling
     until the members span the algebra when a spanning set of projections
@@ -297,8 +297,7 @@ def decompose_over_family(family: ProjectionFamily, a: np.ndarray) -> np.ndarray
     it first loses digits to 1/s on ill-conditioned families.  Raises
     NotInSpan when a target is farther than TAU_ALG from the span.
     """
-    single = np.ndim(a) == 2
-    stack = require_square(a)[None] if single else a
+    stack, single = _target_stack(a, family.algebra.ambient_dim)
     flat = stack.reshape(len(stack), family.algebra.ambient_dim**2).T
     u, s, v, _ = family.factors
     proj = adjoint(u) @ flat
@@ -405,7 +404,7 @@ def limiting_sequence(
     a: np.ndarray, ell_max: int = 64, zeta_rule: str = "right"
 ) -> LimitingSequence:
     """Limiting sequence of a hermitian matrix, valid for every ell >= 1."""
-    a = require_hermitian(a)
+    a = require_hermitian(matrix_stack(a))
     seq = LimitingSequence(source=a, resolution=eig_hermitian(a),
                            zeta_rule=zeta_rule)
     # The 1/ell bound is structural for the right-endpoint rule; verify the
@@ -415,24 +414,6 @@ def limiting_sequence(
     if np.any(seq.error(ells) > 1.0 / ells + slack):
         raise AssertionError("limiting sequence failed its 1/ell bound")
     return seq
-
-
-@dataclass(frozen=True)
-class CharacterAtlas:
-    """Joint eigenstructure of commuting normals.
-
-    Row i of the (n_points, n_generators) table ``values`` holds the joint
-    eigenvalues of point i, one per generator, and ``projections[i]`` of the
-    (n_points, d, d) stack is its joint eigenprojection.  The projections
-    are mutually orthogonal and sum to the identity; distinct points have
-    distinct value rows.
-    """
-
-    values: np.ndarray
-    projections: np.ndarray
-
-    def reconstruct(self, gen_index: int) -> np.ndarray:
-        return np.tensordot(self.values[:, gen_index], self.projections, axes=1)
 
 
 def _split_by_hermitian(
@@ -451,16 +432,20 @@ def _split_by_hermitian(
     return new_blocks
 
 
-def joint_diagonalize(normals: list[np.ndarray]) -> CharacterAtlas:
-    """Joint eigenprojections and eigenvalue tuples of commuting normals,
-    at least one, or ShapeMismatch.
+def joint_diagonalize(normals: list[np.ndarray]) -> SpectralDecomposition:
+    """The joint resolution of commuting normals, at least one and all of
+    one shape, or ShapeMismatch: row i of the (n_points, n_generators)
+    table ``values`` holds the joint eigenvalues of point i, one per
+    generator, and ``projections[i]`` is its joint eigenprojection;
+    distinct points have distinct value rows.
 
     Splits the space recursively by the hermitian and antihermitian parts of
     each generator, which realizes the refinement deterministically.
     """
-    normals = [require_square(n) for n in normals]
-    if not normals:
-        raise ShapeMismatch("joint_diagonalize needs at least one generator")
+    normals = [matrix_stack(n) for n in normals]
+    if len({n.shape for n in normals}) != 1:
+        raise ShapeMismatch("joint_diagonalize needs at least one generator, all "
+                            f"of one shape; got {[n.shape for n in normals]}")
     stack = np.stack(normals)
     scale = 1.0 + float(op_norm(stack).max())
     adjoints = [adjoint(m) for m in normals]
@@ -491,7 +476,7 @@ def joint_diagonalize(normals: list[np.ndarray]) -> CharacterAtlas:
     # cannot reorder points whose values are equal in some coordinate
     points.sort(key=lambda it: tuple(
         (round(z.real / gap), round(z.imag / gap)) for z in it[0]))
-    return CharacterAtlas(
+    return SpectralDecomposition(
         values=np.array([values for values, _ in points], dtype=np.complex128),
         projections=np.stack([range_projection(v) for _, v in points]),
     )

@@ -9,8 +9,9 @@ Operators act below the model's horizon, so a domain vector is one
 Algebra generators act diagonally:
 the image of b (x) A on block n is f_b(n) * A, where f_b is the generator's
 scalar value function and A a (block_dim, block_dim) matrix.  Every scalar
-function is passed as its value row,
-f(n) for each block n below the horizon; each generator is evaluated once
+function is passed as its value row, exactly one value f(n) per block
+n below the horizon (``nnsm.value_rows``; a longer row raises, as a
+shorter one does); each generator is evaluated once
 per model, on np.arange(horizon) (``BlockModel.generator_rows``).  Closures are
 never materialized; every operator is evaluated on finitely supported
 vectors, where all sums are finite and exact.
@@ -52,7 +53,7 @@ from .algebra import VonNeumannAlgebra
 from .errors import DimMismatch, ShapeMismatch
 from .linalg import adjoint, frob_norm, read_only
 from .measure import DiscreteSpace, require_mask
-from .nnsm import OperatorField
+from .nnsm import OperatorField, value_rows
 
 
 def matrix_algebra(dim: int) -> VonNeumannAlgebra:
@@ -164,17 +165,6 @@ def vector_sum(vectors) -> DomainVector:
     return DomainVector(sum(parts[1:], parts[0]))
 
 
-def _values_at(values, horizon: int) -> np.ndarray:
-    """A value row's entries at blocks 0..horizon-1, or those of each row of
-    a (..., n) stack; a row must hold a value for every block below
-    ``horizon``, otherwise ShapeMismatch."""
-    row = np.asarray(values, dtype=np.complex128)
-    if row.ndim < 1 or row.shape[-1] < horizon:
-        raise ShapeMismatch(f"a value row needs one value per block below "
-                            f"the horizon ({horizon})")
-    return row[..., :horizon]
-
-
 def _require_rows(x: DomainVector, horizon: int) -> None:
     if x.block.shape[-2] != horizon:
         raise ShapeMismatch(f"a domain vector needs one row per block below "
@@ -188,7 +178,7 @@ def rho_apply(model: BlockModel, values, a, x: DomainVector) -> DomainVector:
     ShapeMismatch is raised."""
     _require_rows(x, model.horizon)
     _require_coefficient(model, a)
-    fv = _values_at(values, model.horizon)[..., None]
+    fv = value_rows(values, model.horizon)[..., None]
     return DomainVector(fv * (x.block @ np.swapaxes(a, -1, -2)))
 
 
@@ -320,7 +310,7 @@ def _term_actions(values, a, model: BlockModel) -> np.ndarray:
     """The (..., horizon, block_dim, block_dim) matrices f(n) * A by which
     a term f (x) A, or a stack of terms, acts on the model's blocks."""
     _require_coefficient(model, a)
-    return _values_at(values, model.horizon)[..., None, None] * a[..., None, :, :]
+    return value_rows(values, model.horizon)[..., None, None] * a[..., None, :, :]
 
 
 def integrability_check(model: BlockModel, field_: OperatorField):
@@ -330,7 +320,7 @@ def integrability_check(model: BlockModel, field_: OperatorField):
     ||B B* - B* B|| / (1 + ||B||^2) over the block actions B and the block
     that holds it.
 
-    Every value row of a field must cover the model's horizon, and every
+    Value rows hold one value per block (``nnsm.value_rows``), and every
     coefficient act on one block, or ShapeMismatch is raised.  The block
     actions f(n) * A are summed over the slots in order, and the commutator
     norms of every block action of every batch index are taken in one

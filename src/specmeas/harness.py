@@ -57,6 +57,7 @@ from .nnsm import (
 )
 from .serialize import generator_rule, load, measure_from_doc, nnsm_from_doc
 from .tolerances import (
+    FAULT_MAGNITUDE,
     MIN_DECAY_RATE,
     TAU_DOC,
     TAU_EXACT,
@@ -343,8 +344,10 @@ FAULT_CLASSES = (
 )
 
 
-def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Scenario:
-    """Corrupt a scenario so a named check must catch it."""
+def inject_fault(scenario: Scenario, fault: str,
+                 magnitude: float = FAULT_MAGNITUDE) -> Scenario:
+    """Corrupt a scenario so a named check must catch it; no linear Phi_x
+    can express broken-condition1, which ``fault_report`` applies."""
     rng = np.random.default_rng(scenario.seed ^ 0x5EED)
     if fault in ("non-idempotent-projection", "denormalized-m"):
         oracle: NonNegSpectralMeasure = scenario.payload["oracle"]
@@ -357,11 +360,7 @@ def inject_fault(scenario: Scenario, fault: str, magnitude: float = 1e-3) -> Sce
         bad = NonNegSpectralMeasure(oracle.space, oracle.w1, images)
         return replace(scenario, payload={"oracle": bad}, fault=fault)
     if fault == "broken-condition1":
-        # the compressions themselves get corrupted after derivation, no
-        # linear Phi_x can express the fault; record the directive only
-        payload = dict(scenario.payload)
-        payload["measure_bump"] = magnitude
-        return replace(scenario, payload=payload, fault=fault)
+        raise ValueError("fault_report applies broken-condition1 to the compressions")
     if fault == "non-normal-block":
         model: blocks.BlockModel = scenario.payload["model"]
         n_bad = int(rng.integers(model.horizon))
@@ -706,9 +705,7 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         detected = not row.passed
         detail = row.name
     elif fault == "broken-condition1":
-        base = _gen_b_nondegenerate(seed, caps)
-        bad = inject_fault(base, fault)
-        oracle: NonNegSpectralMeasure = bad.payload["oracle"]
+        oracle = _gen_b_nondegenerate(seed, caps).payload["oracle"]
         fam = sample_projections(oracle.w1, n=10, seed=seed + 9)
         # adjoin complements: the relations P + (id - P) - id = 0 bind the
         # identity, member 1, so a bump on E_id must break condition (1)
@@ -718,7 +715,7 @@ def fault_report(fault: str, seed: int, caps: Caps = Caps()) -> VerificationRepo
         comp = oracle.measure_for(fam.members)
         # the bump on the first point's atom leaves E_id(X) as it was
         atoms = comp.atoms.copy()
-        atoms[1, 0] += bad.payload["measure_bump"] * np.eye(oracle.target_dim)
+        atoms[1, 0] += FAULT_MAGNITUDE * np.eye(oracle.target_dim)
         fm = FamilyMeasures(fam, replace(comp, atoms=atoms))
         residual, tol = condition1_check(fm, trials=24, seed=seed + 13)
         detected = not np.all(residual <= tol)

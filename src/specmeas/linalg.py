@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.ndarray`` of dtype complex128.  The functions here
 supply the substrate for everything else: hermitian eigendecomposition with
 cluster merging, and the positive/negative and real/imaginary splittings.
-A resolution is stored as one (n, d, d) stack of projections beside the
-array of its values; ``resolution_residual`` checks any such stack in one
+``matrix_stack`` is the one rule for a matrix or a stack of matrices.  A
+resolution is one (n, d, d) stack of projections beside the array of its
+values; ``resolution_residual`` checks any such stack in one
 batch.  Stacked routes: ``require_hermitian`` and ``eig_hermitian`` take a
 matrix or an (n, d, d) stack (a stack gives a list of decompositions); the
 norms, ``projection_residual`` and ``resolution_residual`` take leading axes
@@ -22,23 +23,19 @@ from .errors import EigSolverFailure, NonHermitianInput, ShapeMismatch
 from .tolerances import DELTA_CLUSTER, TAU_HERM
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array and validate finiteness."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d array, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeMismatch(f"degenerate shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeMismatch("matrix has non-finite entries")
-    return m
-
-
-def require_square(a: np.ndarray) -> np.ndarray:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected square matrix, got {m.shape}")
-    return m
+def matrix_stack(a, frame: tuple = ()) -> np.ndarray:
+    """The one rule for a matrix or a stack of matrices: a finite stack of
+    k x k matrices, k >= 1, whose leading axes have shape ``frame`` (a
+    matrix for the empty frame), as complex128; a stack of another shape
+    or with non-finite entries raises ShapeMismatch."""
+    stack = np.asarray(a, dtype=np.complex128)
+    if (stack.shape[:-2] != tuple(frame) or stack.ndim != len(frame) + 2
+            or stack.shape[-1] != stack.shape[-2] or stack.shape[-1] < 1):
+        raise ShapeMismatch(f"expected a stack of shape {tuple(frame)} + (k, k), "
+                            f"got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ShapeMismatch("stack has non-finite entries")
+    return stack
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -86,11 +83,9 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     Symmetrization absorbs accumulated round-off; a residual
     ||A - A*|| / (1 + ||A||) beyond TAU_HERM is a genuine error and raises.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 3 and a.shape[1] == a.shape[2] and a.size:
-        as_matrix(a.reshape(-1, a.shape[2]))  # finiteness, in one call
-    else:
-        a = require_square(a)
+    a = matrix_stack(a, np.shape(a)[:-2])
+    if a.ndim > 3 or not a.size:
+        raise ShapeMismatch(f"expected a matrix or a non-empty stack, got {a.shape}")
     adj = adjoint(a)
     residual = np.max(frob_norm(a - adj) / (1.0 + frob_norm(a)))
     if residual > TAU_HERM:
@@ -126,30 +121,32 @@ def resolution_residual(stack: np.ndarray):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Resolution of identity of a hermitian matrix.
-
-    ``values[i]`` is the eigenvalue of ``projections[i]``, strictly
-    increasing in i; the (n, d, d) stack ``projections`` holds mutually
-    orthogonal eigenprojections summing to the identity.
+    """Resolution of identity: the (n, d, d) stack ``projections`` holds
+    mutually orthogonal projections summing to the identity, and
+    ``values[i]`` belongs to ``projections[i]``: a hermitian matrix's
+    eigenvalue, strictly increasing in i (``eig_hermitian``), or a row of
+    the (n, g) table of joint eigenvalues of g commuting normals, distinct
+    rows (``algebra.joint_diagonalize``).
     """
 
     values: np.ndarray
     projections: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return np.tensordot(self.values, self.projections, axes=1)
+        """sum_i values[i] P_i: the matrix, or the (g, d, d) generators."""
+        return np.tensordot(self.values, self.projections, axes=(0, 0))
 
     def validate(self, source: np.ndarray | None = None) -> float:
-        """Return the worst invariant residual (0 is perfect)."""
+        """Worst invariant residual (0 is perfect); ``source``: matrix or generators."""
         worst = resolution_residual(self.projections)
-        if np.any(np.diff(self.values) <= 0):
+        if self.values.ndim == 1 and np.any(np.diff(self.values) <= 0):
             worst = max(worst, 1.0)
         eye = np.eye(self.projections.shape[1])
         worst = max(worst, frob_norm(self.projections.sum(axis=0) - eye))
         if source is not None:
             scale = 1.0 + frob_norm(source)
-            worst = max(worst, frob_norm(self.reconstruct() - source) / scale)
-        return worst
+            worst = max(worst, np.max(frob_norm(self.reconstruct() - source) / scale))
+        return float(worst)
 
 
 def eig_hermitian(a: np.ndarray):
@@ -217,7 +214,7 @@ def star_decompose(
     A zero hermitian half splits into two zero parts without an
     eigendecomposition.
     """
-    a = require_square(a)
+    a = matrix_stack(a)
     zero = np.zeros_like(a)
     parts = ()
     for h in ((a + adjoint(a)) / 2.0, (a - adjoint(a)) / 2.0j):

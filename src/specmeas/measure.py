@@ -7,8 +7,8 @@ the finite subsets.  A set is its indicator: a boolean mask indexed like
 model and of an operator field's value row, with leading axes for a stack of
 sets.  A spectral measure stores its atoms indexed the same way, one
 projection per point (zero where the measure has no atom), with optional
-leading axes that batch measures on one space; ``evaluate`` is the one
-route to E(Delta), the stack's atoms summed under Delta's mask.
+leading axes that batch measures on one space, by ``linalg.matrix_stack``;
+``evaluate`` is the one route to E(Delta), the atoms under Delta's mask.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import adjoint, frob_norm, resolution_residual
+from .linalg import adjoint, frob_norm, matrix_stack, resolution_residual
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,6 @@ def require_mask(mask, shape: tuple) -> np.ndarray:
                         f"got {type(mask).__name__} {getattr(mask, 'shape', '')}")
 
 
-def matrix_stack(stack, frame: tuple) -> np.ndarray:
-    """The one rule for a measure's format: a finite stack of k x k
-    matrices whose leading axes have shape ``frame``, as complex128; a stack
-    of another shape or with non-finite entries raises ShapeMismatch."""
-    stack = np.asarray(stack, dtype=np.complex128)
-    if (stack.shape[:-2] != tuple(frame) or stack.ndim != len(frame) + 2
-            or stack.shape[-1] != stack.shape[-2] or stack.shape[-1] < 1):
-        raise ShapeMismatch(f"expected a stack of shape {tuple(frame)} + (k, k), "
-                            f"got {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise ShapeMismatch("stack has non-finite entries")
-    return stack
-
-
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Projection-valued measure on a discrete space, or a stack of them.
@@ -110,16 +96,9 @@ class SpectralMeasure:
     def __post_init__(self):
         batch = np.shape(self.atoms)[:-3]
         atoms = matrix_stack(self.atoms, batch + (len(self.space),))
-        if self.total is None:
-            total = atoms.sum(axis=-3)
-        else:
-            total = np.asarray(self.total, dtype=np.complex128)
-            want = batch + atoms.shape[-2:]
-            if total.shape != want:
-                raise ShapeMismatch(
-                    f"expected a total of shape {want}, got {total.shape}")
-            if not np.all(np.isfinite(total)):
-                raise ShapeMismatch("total has non-finite entries")
+        total = atoms.sum(-3) if self.total is None else matrix_stack(self.total, batch)
+        if total.shape[-1] != atoms.shape[-1]:
+            raise ShapeMismatch(f"a total of shape {total.shape} for k = {atoms.shape[-1]}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "total", total)
 

@@ -39,10 +39,9 @@ from .algebra import (
     linear_extend,
 )
 from .errors import NotSpanning, ShapeMismatch
-from .linalg import (adjoint, frob_norm, op_norm, read_only, require_square,
+from .linalg import (adjoint, frob_norm, matrix_stack, op_norm, read_only,
                      star_decompose)
-from .measure import (DiscreteSpace, SpectralMeasure, evaluate, matrix_stack,
-                      require_mask)
+from .measure import DiscreteSpace, SpectralMeasure, evaluate, require_mask
 from .tolerances import (
     CONDITION3_CONSTANT,
     RESIDUAL_FLOOR,
@@ -85,7 +84,7 @@ class NonNegSpectralMeasure:
 
     def apply(self, label, a: np.ndarray) -> np.ndarray:
         """Phi_x(A) for A in W1; the zero map at a label that is not a point."""
-        coeffs = self.w1.coefficients(require_square(a))
+        coeffs = self.w1.coefficients(matrix_stack(a))
         points = self.space.points()
         if label not in points:
             return np.zeros((self.target_dim, self.target_dim), dtype=np.complex128)
@@ -158,6 +157,16 @@ class OperatorField:
     def star(self) -> "OperatorField":
         return OperatorField(terms=tuple(
             (np.conj(v), adjoint(a)) for v, a in self.terms))
+
+
+def value_rows(values, n_points: int) -> np.ndarray:
+    """The one rule for an OperatorField's value rows: (..., n_points),
+    exactly one value per point, as complex128; else ShapeMismatch."""
+    rows = np.asarray(values, dtype=np.complex128)
+    if rows.ndim < 1 or rows.shape[-1] != n_points:
+        raise ShapeMismatch(f"a value row holds one value per point ({n_points}), "
+                            f"got shape {rows.shape}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -335,7 +344,7 @@ def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
     zero.
 
     Each f_i is a value row with one entry per point of the space, indexed
-    like the image stack; a row of another length raises ShapeMismatch.
+    like the image stack (``value_rows``).
     Each slot's coordinates are its rows of one ``coefficients`` call, the
     weights f_i(x) c(A_i) of the points in Delta are summed in slot order,
     and one (batch, n dim) @ (n dim, k^2) ``np.dot`` meets them with the
@@ -345,9 +354,7 @@ def integrate(m: NonNegSpectralMeasure, field_: OperatorField,
     if not field_.terms:
         return np.zeros((m.target_dim,) * 2, dtype=np.complex128)
     inside = slice(None) if mask.all() else np.flatnonzero(mask)
-    rows = [np.asarray(v, dtype=np.complex128) for v, _ in field_.terms]
-    if any(row.ndim < 1 or row.shape[-1] != len(m.space) for row in rows):
-        raise ShapeMismatch(f"value rows index the space's {len(m.space)} points")
+    rows = [value_rows(v, len(m.space)) for v, _ in field_.terms]
     slots = [np.asarray(a) for _, a in field_.terms]
     flat = [a.reshape(-1, *a.shape[-2:]) for a in slots]
     if any(f.shape[1:] != flat[0].shape[1:] for f in flat):

@@ -24,14 +24,17 @@ import numpy as np
 
 from .algebra import VonNeumannAlgebra
 from .errors import InvalidDocument, NotInSpan, ShapeMismatch
-from .linalg import as_matrix, frob_norm
+from .linalg import frob_norm
 from .measure import DiscreteSpace, SpectralMeasure
 from .nnsm import NonNegSpectralMeasure, definition_residual
 from .tolerances import TAU_ALG
 
 
 def matrix_to_doc(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(as_matrix(a))
+    """A finite rows x cols matrix, square or not, as a document."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    if a.ndim != 2 or 0 in a.shape or not np.all(np.isfinite(a)):
+        raise ShapeMismatch(f"expected a finite matrix, got shape {a.shape}")
     return {"rows": a.shape[0], "cols": a.shape[1],
             "data": a.view(np.float64).reshape(-1, 2).tolist()}
 

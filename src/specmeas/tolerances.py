@@ -22,3 +22,5 @@ CONDITION3_CONSTANT = 10.0  # c in condition (3)'s bound c*(1+dim)/ell_max
 CELL_EDGE_SLACK = 1e-12  # meshes past a cell's right edge that stay in it
 LIMIT_BOUND_SLACK = 1e-12  # relative slack on S_l's 1/ell error bound
 VERDICT_TOL = 0.5  # a verdict row, with no residual, reads 0 (pass) or 1 (fail)
+NORM_FLOOR = 1e-300  # a generator at or below this Frobenius norm is zero
+FAULT_MAGNITUDE = 1e-3  # the size of an injected fault

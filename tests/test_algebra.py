@@ -494,7 +494,7 @@ def test_joint_diagonalize_single():
     assert atlas.values.shape == (2, 1)
     assert atlas.projections.shape == (2, 3, 3)
     assert atlas.values[:, 0].real == pytest.approx([1.0, 2.0])
-    assert np.allclose(atlas.reconstruct(0), a)
+    assert np.allclose(atlas.reconstruct()[0], a)
 
 
 def test_joint_diagonalize_pair_splits_degeneracy():
@@ -595,8 +595,10 @@ def test_joint_diagonalize_random_commuting(seed, n):
     for i, m in enumerate(mats):
         # the stack form against the per-point sum of value times projection
         per_point = sum(v * p for v, p in zip(atlas.values[:, i], atlas.projections))
-        assert np.allclose(atlas.reconstruct(i), per_point, atol=1e-12)
-        assert linalg.frob_norm(atlas.reconstruct(i) - m) <= 1e-8 * (1 + linalg.frob_norm(m))
+        assert np.allclose(atlas.reconstruct()[i], per_point, atol=1e-12)
+        assert linalg.frob_norm(atlas.reconstruct()[i] - m) <= 1e-8 * (1 + linalg.frob_norm(m))
+    # one resolution type: its own check holds on a table of joint values
+    assert atlas.validate(source=np.stack(mats)) <= 1e-8
 
 
 def _assert_is_the_generated_algebra(w, mats, dim):

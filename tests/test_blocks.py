@@ -741,16 +741,21 @@ def test_value_rows_must_cover_the_horizon():
     model, rng = matrix_model(horizon=16, seed=10)
     x = domain_vector(model, {3: [1.0, 2.0]})
     a = linalg.random_complex(rng, 2, 2)
-    short = model.generator_rows["num"][:15]
-    for apply in (lambda: blocks.rho_apply(model, short, a, x),
-                  lambda: blocks.psi_apply(short, a, model, x),
-                  lambda: blocks.integrability_check(
-                      model, OperatorField(terms=((short, a),)))):
-        with pytest.raises(ShapeMismatch):
-            apply()
+    # one rule for a value row (nnsm.value_rows), as in integrate: exactly
+    # one value per block, so an extra entry is refused, never dropped
+    row = model.generator_rows["num"]
+    for wrong in (row[:15], np.append(row, 1.0)):
+        field_ = OperatorField(terms=((wrong, a),))
+        for apply in (lambda: blocks.rho_apply(model, wrong, a, x),
+                      lambda: blocks.psi_apply(wrong, a, model, x),
+                      lambda: blocks.i_m_apply(field_, model, x),
+                      lambda: blocks.integrability_check(model, field_),
+                      lambda: blocks.integrability_check(model, OperatorField(
+                          terms=((np.stack([wrong, wrong]), a),)))):
+            with pytest.raises(ShapeMismatch, match="one value per point"):
+                apply()
     # a row covers the horizon, but the vector needs one row per block
     # below it: no more and no fewer
-    row = model.generator_rows["num"]
     k = block_mask(model.horizon, range(4))
     for rows in (model.horizon - 1, model.horizon + 1):
         wrong = blocks.DomainVector(np.ones((rows, 2)))

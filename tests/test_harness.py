@@ -113,7 +113,7 @@ def test_verify_a_uniqueness_fails_on_a_disagreeing_diagonalization(monkeypatch)
         calls.append(normals)
         if len(calls) == 2:
             projs = atlas.projections[[1, 0, *range(2, len(atlas.projections))]]
-            atlas = algebra.CharacterAtlas(atlas.values, projs)
+            atlas = linalg.SpectralDecomposition(atlas.values, projs)
         return atlas
 
     monkeypatch.setattr(harness, "joint_diagonalize", swapping)
@@ -546,6 +546,15 @@ def test_fault_report_stops_with_the_full_pipeline_verdict(fault):
         assert harness.fault_report(fault, seed).passed == (not full), seed
 
 
+def test_broken_condition1_is_applied_only_by_fault_report():
+    # the fault corrupts compressions derived from the oracle, which no
+    # scenario payload holds: a scenario tagged with it would pass kind B's
+    # report untouched, so inject_fault refuses the class
+    for seed in range(4):
+        with pytest.raises(ValueError, match="fault_report applies broken-condition1"):
+            harness.inject_fault(harness.gen_scenario("B", seed), "broken-condition1")
+
+
 def test_fault_report_stops_before_assembly(monkeypatch):
     # a denormalized M already fails compression[*], so the pipeline must
     # stop before it reaches assembly
@@ -593,16 +602,17 @@ def test_fault_round_builds_and_samples_a_seed_once(monkeypatch, tmp_path):
     # the B(s) scenario is read by two fault classes and the document, and
     # its seed + 3 family by the two image faults; each is built once
     seed = 5
-    built, sampled = [], []
-    gen_b, sample = harness._gen_b, algebra._sample_family
+    built = []
+    gen_b = harness._gen_b
     monkeypatch.setattr(harness, "_gen_b", lambda s, rng, caps: built.append(s)
                         or gen_b(s, rng, caps))
-    monkeypatch.setattr(algebra, "_sample_family", lambda w, n, s: sampled.append(s)
-                        or sample(w, n, s))
     for call in _round_calls(seed, tmp_path / "m.json"):
         call()
     assert built.count(seed) == 1
-    assert sampled.count(seed + 3) == 1
+    # the families of seed + 3 (both image faults, one of them a hit) and
+    # of the condition (1) sub-seed's seed + 9
+    info = algebra.sample_projections.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 def test_cold_and_warm_rounds_are_byte_identical(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmeas import algebra, linalg
+from specmeas import algebra, linalg, measure
 from specmeas.errors import NonHermitianInput, ShapeMismatch
 
 
@@ -244,3 +244,69 @@ def test_projection_residual_is_the_worse_of_the_two_norms():
         assert abs(value - want) <= 1e-15 * (1.0 + want)
         assert abs(linalg.projection_residual(q) - want) <= 1e-15 * (1.0 + want)
     assert got[0] <= 1e-12 and got[3] == 0.0 and got[1] > 1e-3 and got[2] > 1e-4
+
+
+def _target_entry_points():
+    """Every entry point that takes a matrix target, as a call on one
+    target over ambient dimension 2: generators are listed beside the
+    identity, and a stack is passed as the list of its matrices."""
+    w = algebra.bicommutant([np.diag([1.0, 2.0])], 2)
+    fam = algebra.sample_projections(w, 4, 0)
+    space = measure.DiscreteSpace(labels=(0, 1))
+    atoms = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+
+    def generators(a):
+        return list(a) if np.ndim(a) == 3 else [np.eye(2), a]
+
+    return {
+        "membership_residual": w.membership_residual,
+        "decompose_over_family": lambda a: algebra.decompose_over_family(fam, a),
+        "linear_extend": lambda a: algebra.linear_extend(fam, fam.members, a),
+        "limiting_sequence": algebra.limiting_sequence,
+        "eig_hermitian": linalg.eig_hermitian,
+        "star_decompose": linalg.star_decompose,
+        "bicommutant": lambda a: algebra.bicommutant(generators(a), 2),
+        "joint_diagonalize": lambda a: algebra.joint_diagonalize(generators(a)),
+        "spectral_measure_total": lambda a: measure.SpectralMeasure(space, atoms, total=a),
+    }
+
+
+_MALFORMED = {
+    "non-square": np.zeros((2, 3)),
+    "wrong-dimension": np.eye(3),
+    "1-d": np.ones(2),
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "stack-of-two": np.stack([np.eye(2), np.eye(2)]),
+    "empty-stack": np.zeros((0, 2, 2)),
+}
+# a matrix of any size is a valid argument to these
+_NO_DIMENSION = {"limiting_sequence", "eig_hermitian", "star_decompose"}
+# the stacks that an entry point takes, with a check of its value on them
+_TAKES = {
+    ("membership_residual", "stack-of-two"): lambda r: r.shape == (2,),
+    ("membership_residual", "empty-stack"): lambda r: r.shape == (0,),
+    ("decompose_over_family", "stack-of-two"): lambda r: r.shape[1] == 2,
+    ("decompose_over_family", "empty-stack"): lambda r: r.shape[1] == 0,
+    ("linear_extend", "stack-of-two"): lambda r: r.shape == (2, 2, 2),
+    ("linear_extend", "empty-stack"): lambda r: r.shape == (0, 2, 2),
+    ("eig_hermitian", "stack-of-two"): lambda r: len(r) == 2,
+    ("bicommutant", "stack-of-two"): lambda r: r.dim == 1,
+    ("bicommutant", "empty-stack"): lambda r: r.dim == 1,  # no generators
+    ("joint_diagonalize", "stack-of-two"): lambda r: r.values.shape == (1, 2),
+}
+
+
+@pytest.mark.parametrize("entry, target", [
+    (entry, target) for entry in _target_entry_points() for target in _MALFORMED
+    if not (target == "wrong-dimension" and entry in _NO_DIMENSION)])
+def test_malformed_targets_raise_shape_mismatch(entry, target):
+    # never a bare NumPy error: every target that is not a finite matrix of
+    # the entry point's dimension, or a stack it takes, is ShapeMismatch; a
+    # non-finite stack is not refused here, but reads as a NaN residual
+    call = _target_entry_points()[entry]
+    takes = _TAKES.get((entry, target))
+    if takes is not None:
+        assert takes(call(_MALFORMED[target]))
+        return
+    with pytest.raises(ShapeMismatch):
+        call(_MALFORMED[target])

@@ -28,8 +28,6 @@ ALLOWED = {
         "test oracle for eig_hermitian's resolution of the identity",
     "linalg.SpectralDecomposition.reconstruct":
         "test oracle: sum of eigenvalue times projection rebuilds the input",
-    "algebra.CharacterAtlas.reconstruct":
-        "test oracle: the joint eigenvalues rebuild every generator",
     "algebra.ProjectionFamily.validate":
         "test oracle for sampled and assembled projection families",
     "serialize.measure_to_doc":

@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from specmeas import harness
 from specmeas.harness import CheckEntry, VerificationReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -32,3 +33,19 @@ def test_round_trip_demo_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(demo, "check_measure_file",
                         lambda path: _failing(f"check-measure:{path}"))
     assert demo.main() == 1
+
+
+def test_output_digest_prints_one_line_per_family(capsys):
+    digest = _load("output_digest")
+    assert digest.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split()[1] for line in lines]
+    assert names == [*(f"report[{k}]" for k in ("A", "B", "Cprime", "D")),
+                     *(f"fault[{f}]" for f in harness.FAULT_CLASSES),
+                     "conditions[B]", "nnsm-doc[B]"]
+    assert all(len(line.split()[0]) == 64 for line in lines)
+    counts = [int(line.split("(")[1].split()[0]) for line in lines]
+    assert sum(counts) == 520
+    # wall_ms is zeroed, so a second run prints the same lines
+    assert digest.main() == 0
+    assert capsys.readouterr().out.splitlines() == lines
